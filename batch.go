@@ -13,48 +13,30 @@ import (
 //
 // CholeskyBatch, LUBatch, and QRBatch factorize many small same-shape
 // matrices in one dispatch: the inputs are packed into a strided slab and
-// a single ladder sweeps the whole slab per step, so panel pulls,
-// broadcasts, and verifications are issued once per step for the entire
-// batch instead of once per job. Each item's arithmetic is bit-identical
-// to a solo run of the same matrix under the same Config (the batch pin
-// tests assert this), so batching is purely a throughput decision.
+// the step scheduler sweeps the whole slab per stage, so each step's panel
+// pulls and broadcasts share one transfer-coalescing window for the
+// entire batch instead of paying the per-transfer latency once per job.
+// Each item's arithmetic is bit-identical to a solo run of the same matrix
+// under the same Config (the batch pin tests assert this), so batching is
+// purely a throughput decision.
 //
 // Errors come back at two levels: the per-item slice errs (item i failed —
 // its result slot is nil — while its siblings completed), and the
 // batch-level err for problems that void the whole dispatch (invalid or
 // unsupported options, mismatched shapes, a fail-stop abort). The batched
 // path rejects Config options that are inherently per-run — FailStop,
-// CheckpointEvery/OnCheckpoint/Resume, and Config.Injector — because they
-// cannot be shared across a slab; fault injection is instead per item via
+// NodeFault, Rebalance, CheckpointEvery/OnCheckpoint/Resume, and
+// Config.Injector — because they cannot be shared across a slab (the core
+// batched drivers validate them); fault injection is instead per item via
 // the optional injs arguments on the *BatchOn variants, and attaching any
 // injector forces the serial schedule for the whole batch (the same rule
 // the solo runtime applies; results are bit-identical either way).
 
-// validateBatchCfg rejects Config fields the batched path cannot honor.
-func validateBatchCfg(cfg Config) error {
-	if cfg.Injector != nil {
-		return fmt.Errorf("ftla: batched runs take per-item injectors (the *BatchOn injs argument), not Config.Injector")
-	}
-	if len(cfg.FailStop) > 0 {
-		return fmt.Errorf("ftla: fail-stop plans are not supported in batched runs")
-	}
-	if cfg.Resume != nil || cfg.CheckpointEvery > 0 || cfg.OnCheckpoint != nil {
-		return fmt.Errorf("ftla: checkpoint/resume options are not supported in batched runs")
-	}
-	return nil
-}
-
 // packBatch normalizes cfg and packs the inputs into a checksummed slab.
 func packBatch(as []*Matrix, cfg Config) (*batch.Batch, core.Options, error) {
-	if err := validateBatchCfg(cfg); err != nil {
-		return nil, core.Options{}, err
-	}
 	_, opts := cfg.normalize()
 	b, err := batch.FromMatrices(as, opts.NB)
-	if err != nil {
-		return nil, core.Options{}, err
-	}
-	return b, opts, nil
+	return b, opts, err
 }
 
 // injSlice adapts the variadic per-item injector argument: absent means no

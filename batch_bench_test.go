@@ -6,9 +6,7 @@
 package ftla
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"testing"
 	"time"
 )
@@ -110,7 +108,7 @@ type batchBenchRow struct {
 
 var batchSizes = []int{1, 4, 16, 64}
 
-// collectBatchRows measures the whole sweep and writes BENCH_batch.json.
+// collectBatchRows measures the whole sweep.
 func collectBatchRows(t testing.TB) []batchBenchRow {
 	rows := make([]batchBenchRow, 0, len(batchSizes))
 	for _, bs := range batchSizes {
@@ -125,13 +123,6 @@ func collectBatchRows(t testing.TB) []batchBenchRow {
 	for i := range rows {
 		rows[i].Speedup = rows[i].JobsPerSec / rows[0].JobsPerSec
 	}
-	data, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		t.Fatalf("marshal BENCH_batch.json: %v", err)
-	}
-	if err := os.WriteFile("BENCH_batch.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatalf("write BENCH_batch.json: %v", err)
-	}
 	return rows
 }
 
@@ -142,6 +133,7 @@ func BenchmarkBatchThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows = collectBatchRows(b)
 	}
+	writeBenchJSON(b, "BENCH_batch.json", rows)
 	for _, r := range rows {
 		b.ReportMetric(r.JobsPerSec, fmt.Sprintf("jobs-per-sim-sec-b%d", r.BatchSize))
 	}

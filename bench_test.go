@@ -191,12 +191,21 @@ func recordLookaheadRow(b *testing.B, row lookaheadBenchRow) {
 		}
 		return out[i].Lookahead < out[j].Lookahead
 	})
-	data, err := json.MarshalIndent(out, "", "  ")
+	writeBenchJSON(b, "BENCH_lookahead.json", out)
+}
+
+// writeBenchJSON writes a benchmark artifact: rows as indented JSON with a
+// trailing newline, so regenerated files diff cleanly. Only Benchmark*
+// functions call it; the tier-1 gates assert on the same rows without
+// touching the tracked artifacts.
+func writeBenchJSON(tb testing.TB, name string, rows any) {
+	tb.Helper()
+	data, err := json.MarshalIndent(rows, "", "  ")
 	if err != nil {
-		b.Fatalf("marshal BENCH_lookahead.json: %v", err)
+		tb.Fatalf("marshal %s: %v", name, err)
 	}
-	if err := os.WriteFile("BENCH_lookahead.json", append(data, '\n'), 0o644); err != nil {
-		b.Fatalf("write BENCH_lookahead.json: %v", err)
+	if err := os.WriteFile(name, append(data, '\n'), 0o644); err != nil {
+		tb.Fatalf("write %s: %v", name, err)
 	}
 }
 

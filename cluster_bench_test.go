@@ -8,8 +8,6 @@
 package ftla
 
 import (
-	"encoding/json"
-	"os"
 	"testing"
 	"time"
 )
@@ -60,8 +58,8 @@ type clusterBenchRow struct {
 }
 
 // collectClusterRows measures clean and node-loss runs at 1, 2, and 4
-// nodes and writes BENCH_cluster.json. The 1-node row has no loss leg: a
-// flat topology carries no parity to reconstruct from.
+// nodes. The 1-node row has no loss leg: a flat topology carries no parity
+// to reconstruct from.
 func collectClusterRows(t testing.TB) []clusterBenchRow {
 	rows := make([]clusterBenchRow, 0, 3)
 	for _, nodes := range []int{1, 2, 4} {
@@ -80,13 +78,6 @@ func collectClusterRows(t testing.TB) []clusterBenchRow {
 		row.WallSeconds = time.Since(t0).Seconds()
 		rows = append(rows, row)
 	}
-	data, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		t.Fatalf("marshal BENCH_cluster.json: %v", err)
-	}
-	if err := os.WriteFile("BENCH_cluster.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatalf("write BENCH_cluster.json: %v", err)
-	}
 	return rows
 }
 
@@ -98,6 +89,7 @@ func BenchmarkClusterScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows = collectClusterRows(b)
 	}
+	writeBenchJSON(b, "BENCH_cluster.json", rows)
 	for _, r := range rows {
 		if r.Nodes > 1 && r.CleanSimSeconds > 0 {
 			b.ReportMetric(r.LossSimSeconds/r.CleanSimSeconds,

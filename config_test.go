@@ -67,7 +67,7 @@ func TestCholeskyOnProvidedSystem(t *testing.T) {
 	if res.Residual(a) > 1e-10 {
 		t.Fatalf("residual %g", res.Residual(a))
 	}
-	if sys.SimMakespan() <= 0 {
+	if sys.TimelineMakespan() <= 0 {
 		t.Fatal("provided system saw no simulated work")
 	}
 	sys.Reset()

@@ -13,15 +13,17 @@ import (
 // Batched drivers.
 //
 // CholeskyBatch, LUBatch, and QRBatch factorize every item of a
-// batch.Batch slab in one pass over the ladder: for each step k, each
-// stage (panel factor, commit, update, TMU, verification) sweeps across
-// all batch items before the next stage begins, so the per-step work of
-// the whole slab is issued together. Stages that move data over PCIe run
-// inside a hetsim transfer-coalescing window (System.CoalesceTransfers),
-// so a step's panel pulls, writebacks, and broadcasts pay the fixed
-// per-transfer latency once per link for the entire batch — the batched
-// analogue of a strided cudaMemcpy — which is where the serving layer's
-// jobs/sec win over solo dispatch comes from (see BENCH_batch.json).
+// batch.Batch slab in one pass over the ladder: the per-item ladders are
+// wrapped in one composite batchLadder and scheduled by runLadder, the
+// same step scheduler a solo run uses, so for each step k each stage
+// sweeps across all batch items before the next stage begins. The panel
+// factor, panel commit, and panel update sweeps — the stages that move
+// panels over PCIe — run inside a hetsim transfer-coalescing window
+// (System.CoalesceTransfers), so a step's panel pulls, writebacks, and
+// broadcasts pay the fixed per-transfer latency once per link for the
+// entire batch — the batched analogue of a strided cudaMemcpy — which is
+// where the serving layer's jobs/sec win over solo dispatch comes from
+// (see BENCH_batch.json).
 //
 // Per-item semantics:
 //
@@ -40,11 +42,11 @@ import (
 //     injector forces the serial schedule for the whole batch, the same
 //     schedule-invariance rule the solo runtime applies (results are
 //     bit-identical either way).
-//   - Checkpointing, resume, and fail-stop plans are not supported in
-//     batched runs: they are per-run control flow that cannot be shared
-//     across a slab, and the serving layer's per-item fallback (retry the
-//     one bad item solo) covers their role. Options carrying them are
-//     rejected up front.
+//   - Checkpointing, resume, fail-stop and node-fault plans, and dynamic
+//     rebalancing are not supported in batched runs: they are per-run
+//     control flow that cannot be shared across a slab, and the serving
+//     layer's per-item fallback (retry the one bad item solo) covers their
+//     role. Options carrying them are rejected up front.
 //
 // Result caveats: Wall, SimMakespan, PCIeBytes, and Flops on a batched
 // item's Result describe the whole batch dispatch (the clock and counters
@@ -64,13 +66,16 @@ func validateBatchOpts(b *batch.Batch, opts Options, injs []*fault.Injector) err
 		return err
 	}
 	if opts.Injector != nil {
-		return fmt.Errorf("core: batched runs take per-item injectors, not Options.Injector")
+		return fmt.Errorf("core: batched runs take per-item injectors, not a shared Injector")
 	}
 	if opts.Resume != nil || opts.CheckpointEvery > 0 || opts.OnCheckpoint != nil {
 		return fmt.Errorf("core: checkpoint/resume options are not supported in batched runs")
 	}
-	if len(opts.FailStop) > 0 {
-		return fmt.Errorf("core: fail-stop plans are not supported in batched runs")
+	if len(opts.FailStop) > 0 || len(opts.NodeFault) > 0 {
+		return fmt.Errorf("core: fail-stop and node-fault plans are not supported in batched runs")
+	}
+	if opts.Rebalance.Every > 0 {
+		return fmt.Errorf("core: rebalancing is not supported in batched runs")
 	}
 	if injs != nil && len(injs) != b.Count() {
 		return fmt.Errorf("core: %d injectors for %d batch items", len(injs), b.Count())
@@ -78,14 +83,78 @@ func validateBatchOpts(b *batch.Batch, opts Options, injs []*fault.Injector) err
 	return nil
 }
 
-// startBatch validates the batch, verifies the slab's queue-integrity
-// strips (items corrupted host-side since submission are flagged with a
-// per-item error and excluded from the run), and builds the per-item
-// engine + ladder pairs on the shared system, distributing every item's
-// data inside one transfer-coalescing window.
-func startBatch(decomp string, sys *hetsim.System, b *batch.Batch, opts Options,
-	injs []*fault.Injector, mk func(es *engineSys, a *matrix.Dense) ladder,
-) (ess []*engineSys, ls []ladder, ress []*Result, errs []error, err error) {
+// batchLadder is the composite ladder of a batched dispatch: each stage
+// sweeps the per-item ladders that have not failed, so runLadder schedules
+// the whole slab step by step exactly as it schedules a solo run. errs is
+// the dispatch's per-item error slice; items[i] is nil for an item
+// excluded before the run.
+type batchLadder struct {
+	sys   *hetsim.System
+	nbr   int
+	items []ladder
+	errs  []error
+}
+
+// each runs fn on every live item.
+func (bl *batchLadder) each(fn func(l ladder)) {
+	for i, l := range bl.items {
+		if bl.errs[i] == nil {
+			fn(l)
+		}
+	}
+}
+
+// coalesced is each inside one transfer-coalescing window.
+func (bl *batchLadder) coalesced(fn func(l ladder)) {
+	bl.sys.CoalesceTransfers(func() { bl.each(fn) })
+}
+
+func (bl *batchLadder) steps() int        { return bl.nbr }
+func (bl *batchLadder) panelFactor(k int) { bl.coalesced(func(l ladder) { l.panelFactor(k) }) }
+func (bl *batchLadder) panelPivot(k int)  { bl.each(func(l ladder) { l.panelPivot(k) }) }
+func (bl *batchLadder) panelCommit(k int) { bl.coalesced(func(l ladder) { l.panelCommit(k) }) }
+func (bl *batchLadder) panelUpdate(k int) { bl.coalesced(func(l ladder) { l.panelUpdate(k) }) }
+func (bl *batchLadder) tmuBegin(k int)    { bl.each(func(l ladder) { l.tmuBegin(k) }) }
+func (bl *batchLadder) tmuFinish(k int)   { bl.each(func(l ladder) { l.tmuFinish(k) }) }
+func (bl *batchLadder) tmuGPU(k, g int, sel tmuSel) {
+	bl.each(func(l ladder) { l.tmuGPU(k, g, sel) })
+}
+
+// failed moves each live item's driver error into errs, dropping the item
+// from later sweeps, and returns nil: one bad item never stops its
+// batchmates.
+func (bl *batchLadder) failed() error {
+	for i, l := range bl.items {
+		if bl.errs[i] == nil {
+			bl.errs[i] = l.failed()
+		}
+	}
+	return nil
+}
+
+// checkpoint and resume are unreachable: validateBatchOpts rejects the
+// options that would call them.
+func (bl *batchLadder) checkpoint(int) *Checkpoint { panic("core: batched runs do not checkpoint") }
+func (bl *batchLadder) resume(*Checkpoint)         { panic("core: batched runs do not resume") }
+
+// runBatch is the body the batched drivers share. It validates the batch,
+// verifies the slab's queue-integrity strips (items corrupted host-side
+// since submission are flagged with a per-item error and excluded from the
+// run), builds one engine + ladder per item on the shared system inside
+// one transfer-coalescing window, runs them all through runLadder as one
+// batchLadder, and gathers every surviving item's factor. ls[i] is item
+// i's ladder, for the driver's decomposition-specific outputs; outs[i] and
+// ress[i] are nil when errs[i] is set. A batch-level error reports invalid
+// options or a fail-stop abort, which voids the whole dispatch.
+func runBatch(decomp string, sys *hetsim.System, b *batch.Batch, opts Options,
+	injs []*fault.Injector, mk func(p *protected) ladder,
+) (outs []*matrix.Dense, ls []ladder, ress []*Result, errs []error, err error) {
+	defer func() {
+		if e := hetsim.RecoverAbort(recover()); e != nil {
+			outs, ls, ress, errs, err = nil, nil, nil, nil, e
+		}
+	}()
+	start := time.Now()
 	if err := validateBatchOpts(b, opts, injs); err != nil {
 		return nil, nil, nil, nil, err
 	}
@@ -93,176 +162,53 @@ func startBatch(decomp string, sys *hetsim.System, b *batch.Batch, opts Options,
 		return nil, nil, nil, nil, err
 	}
 	count := b.Count()
-	ess = make([]*engineSys, count)
-	ls = make([]ladder, count)
+	ps := make([]*protected, count)
 	ress = make([]*Result, count)
-	errs = make([]error, count)
+	bl := &batchLadder{sys: sys, nbr: b.N() / opts.NB, items: make([]ladder, count), errs: make([]error, count)}
 	for _, i := range b.Verify(sys.CPU().Workers()) {
-		errs[i] = fmt.Errorf("core: batch item %d input corrupted since submission (slab checksum mismatch)", i)
+		bl.errs[i] = fmt.Errorf("core: batch item %d input corrupted since submission (slab checksum mismatch)", i)
 	}
-	opts.stageJournal = nil // the journal hook is a solo-run seam; per-item journals would interleave
+	// The batch-level engine drives the schedule only; the items' engines
+	// carry the per-item state. Any per-item injector forces the serial
+	// schedule for the whole slab.
+	bes := &engineSys{decomp: decomp, sys: sys, opts: opts, res: &Result{}}
 	sys.CoalesceTransfers(func() {
 		for i := 0; i < count; i++ {
-			if errs[i] != nil {
+			if bl.errs[i] != nil {
 				continue
 			}
 			iopts := opts
-			if injs != nil {
+			if injs != nil && injs[i] != nil {
 				iopts.Injector = injs[i]
+				bes.opts.Lookahead = 0
 			}
-			res := &Result{
+			ress[i] = &Result{
 				N: b.N(), NB: opts.NB, GPUs: sys.NumGPUs(),
 				Mode: opts.Mode, Scheme: opts.Scheme, Kernel: opts.Kernel,
 			}
-			es := newEngine(decomp, sys, iopts, res)
-			ess[i], ls[i], ress[i] = es, mk(es, b.Item(i)), res
+			ps[i] = newProtected(newEngine(decomp, sys, iopts, ress[i]), b.Item(i))
+			bl.items[i] = mk(ps[i])
 		}
 	})
-	return ess, ls, ress, errs, nil
-}
-
-// runLadderBatch executes every live item's ladder under one shared
-// schedule: each stage of step k sweeps the batch before the next stage
-// runs, with transfer-bearing stages coalesced. It fills errs in place as
-// items fail and leaves siblings running. The look-ahead schedule is used
-// only when every item allows it (Lookahead >= 1 and no injector anywhere);
-// mirroring runLadder, the per-item arithmetic is identical under both.
-func runLadderBatch(sys *hetsim.System, ess []*engineSys, ls []ladder, errs []error) {
-	count := len(ls)
-	nbr := 0
-	depth := 1
-	for i := 0; i < count; i++ {
-		if errs[i] != nil {
-			continue
+	if err := runLadder(bes, bl); err != nil {
+		return nil, nil, nil, nil, err
+	}
+	outs = make([]*matrix.Dense, count)
+	sys.CoalesceTransfers(func() {
+		for i, p := range ps {
+			if bl.errs[i] != nil {
+				ress[i] = nil
+				continue
+			}
+			outs[i] = p.gather()
 		}
-		nbr = ls[i].steps()
-		if ess[i].overlapDepth() < 1 {
-			depth = 0
+	})
+	for i, p := range ps {
+		if bl.errs[i] == nil {
+			p.es.finishResult(start)
 		}
 	}
-	if nbr == 0 {
-		return // no live items
-	}
-	G := sys.NumGPUs()
-	var streams []*hetsim.Stream
-	defer func() {
-		for _, st := range streams {
-			if st != nil {
-				st.Close()
-			}
-		}
-	}()
-	// checkFailed harvests per-item driver errors after a stage sweep.
-	checkFailed := func() {
-		for i := 0; i < count; i++ {
-			if errs[i] == nil && ls[i] != nil {
-				if e := ls[i].failed(); e != nil {
-					errs[i] = e
-				}
-			}
-		}
-	}
-	// prefactored[i] marks that item i's panel for the upcoming step was
-	// already factorized by the look-ahead overlap of the previous step.
-	prefactored := make([]bool, count)
-	for k := 0; k < nbr; k++ {
-		sys.CoalesceTransfers(func() {
-			for i := 0; i < count; i++ {
-				if errs[i] == nil && !prefactored[i] {
-					ls[i].panelFactor(k)
-				}
-				prefactored[i] = false
-			}
-		})
-		checkFailed()
-		for i := 0; i < count; i++ {
-			if errs[i] == nil {
-				ls[i].panelPivot(k)
-			}
-		}
-		sys.CoalesceTransfers(func() {
-			for i := 0; i < count; i++ {
-				if errs[i] == nil {
-					ls[i].panelCommit(k)
-				}
-			}
-		})
-		checkFailed()
-		if k == nbr-1 {
-			break
-		}
-		sys.CoalesceTransfers(func() {
-			for i := 0; i < count; i++ {
-				if errs[i] == nil {
-					ls[i].panelUpdate(k)
-				}
-			}
-		})
-		for i := 0; i < count; i++ {
-			if errs[i] == nil {
-				ls[i].tmuBegin(k)
-			}
-		}
-		if depth >= 1 {
-			// Look-ahead: sweep the look-ahead column of every item
-			// synchronously, launch the slab's remaining trailing updates
-			// onto the per-GPU streams (one closure per GPU covering all
-			// items), and pull + factorize every item's next panel on the
-			// CPU — coalesced — while the GPUs run.
-			for i := 0; i < count; i++ {
-				if errs[i] != nil {
-					continue
-				}
-				for g := 0; g < G; g++ {
-					ls[i].tmuGPU(k, g, tmuLookahead)
-				}
-			}
-			if streams == nil {
-				streams = make([]*hetsim.Stream, G)
-				for g := 0; g < G; g++ {
-					streams[g] = sys.GPU(g).NewStream()
-				}
-			}
-			evs := make([]*hetsim.StreamEvent, G)
-			for g := 0; g < G; g++ {
-				g := g
-				streams[g].Launch("tmu-rest", func() {
-					for i := 0; i < count; i++ {
-						if errs[i] == nil {
-							ls[i].tmuGPU(k, g, tmuRest)
-						}
-					}
-				})
-				evs[g] = streams[g].Record()
-			}
-			sys.CoalesceTransfers(func() {
-				for i := 0; i < count; i++ {
-					if errs[i] == nil {
-						ls[i].panelFactor(k + 1)
-						prefactored[i] = true
-					}
-				}
-			})
-			for _, ev := range evs {
-				ev.Wait()
-			}
-		} else {
-			for i := 0; i < count; i++ {
-				if errs[i] != nil {
-					continue
-				}
-				for g := 0; g < G; g++ {
-					ls[i].tmuGPU(k, g, tmuAll)
-				}
-			}
-		}
-		for i := 0; i < count; i++ {
-			if errs[i] == nil {
-				ls[i].tmuFinish(k)
-			}
-		}
-		checkFailed()
-	}
+	return outs, bl.items, ress, bl.errs, nil
 }
 
 // CholeskyBatch factorizes every item of the slab with the protected
@@ -272,76 +218,31 @@ func runLadderBatch(sys *hetsim.System, ess []*engineSys, ls []ladder, errs []er
 // set — plus a batch-level error for invalid options or a fail-stop abort,
 // which voids the whole dispatch.
 func CholeskyBatch(sys *hetsim.System, b *batch.Batch, opts Options, injs []*fault.Injector) (outs []*matrix.Dense, ress []*Result, errs []error, err error) {
-	defer func() {
-		if e := hetsim.RecoverAbort(recover()); e != nil {
-			outs, ress, errs, err = nil, nil, nil, e
-		}
-	}()
-	start := time.Now()
-	ess, ls, ress, errs, berr := startBatch("cholesky", sys, b, opts, injs,
-		func(es *engineSys, a *matrix.Dense) ladder {
-			p := newProtected(es, a)
-			return &cholLadder{p: p, es: es, pl: planFor(es.opts.Scheme), step: make([]*cholStep, p.nbr)}
+	outs, _, ress, errs, err = runBatch("cholesky", sys, b, opts, injs,
+		func(p *protected) ladder {
+			return &cholLadder{p: p, es: p.es, pl: planFor(opts.Scheme), step: make([]*cholStep, p.nbr)}
 		})
-	if berr != nil {
-		return nil, nil, nil, berr
-	}
-	runLadderBatch(sys, ess, ls, errs)
-	outs = make([]*matrix.Dense, b.Count())
-	sys.CoalesceTransfers(func() {
-		for i := range ls {
-			if errs[i] != nil {
-				ress[i] = nil
-				continue
-			}
-			outs[i] = ls[i].(*cholLadder).p.gather()
-		}
-	})
-	for i := range ls {
-		if errs[i] == nil {
-			ess[i].finishResult(start)
-		}
-	}
-	return outs, ress, errs, nil
+	return outs, ress, errs, err
 }
 
 // LUBatch is CholeskyBatch for the protected LU driver; pivs[i] is item
 // i's pivot sequence.
 func LUBatch(sys *hetsim.System, b *batch.Batch, opts Options, injs []*fault.Injector) (outs []*matrix.Dense, pivs [][]int, ress []*Result, errs []error, err error) {
-	defer func() {
-		if e := hetsim.RecoverAbort(recover()); e != nil {
-			outs, pivs, ress, errs, err = nil, nil, nil, nil, e
-		}
-	}()
-	start := time.Now()
-	ess, ls, ress, errs, berr := startBatch("lu", sys, b, opts, injs,
-		func(es *engineSys, a *matrix.Dense) ladder {
-			p := newProtected(es, a)
+	outs, ls, ress, errs, err := runBatch("lu", sys, b, opts, injs,
+		func(p *protected) ladder {
 			return &luLadder{
-				p: p, es: es, pl: planFor(es.opts.Scheme),
+				p: p, es: p.es, pl: planFor(opts.Scheme),
 				step: make([]*luStep, p.nbr),
 				piv:  make([]int, p.n),
 			}
 		})
-	if berr != nil {
-		return nil, nil, nil, nil, berr
+	if err != nil {
+		return nil, nil, nil, nil, err
 	}
-	runLadderBatch(sys, ess, ls, errs)
-	outs = make([]*matrix.Dense, b.Count())
-	pivs = make([][]int, b.Count())
-	sys.CoalesceTransfers(func() {
-		for i := range ls {
-			if errs[i] != nil {
-				ress[i] = nil
-				continue
-			}
-			lad := ls[i].(*luLadder)
-			outs[i], pivs[i] = lad.p.gather(), lad.piv
-		}
-	})
-	for i := range ls {
+	pivs = make([][]int, len(ls))
+	for i, l := range ls {
 		if errs[i] == nil {
-			ess[i].finishResult(start)
+			pivs[i] = l.(*luLadder).piv
 		}
 	}
 	return outs, pivs, ress, errs, nil
@@ -350,40 +251,21 @@ func LUBatch(sys *hetsim.System, b *batch.Batch, opts Options, injs []*fault.Inj
 // QRBatch is CholeskyBatch for the protected Householder QR driver;
 // taus[i] is item i's reflector coefficients.
 func QRBatch(sys *hetsim.System, b *batch.Batch, opts Options, injs []*fault.Injector) (outs []*matrix.Dense, taus [][]float64, ress []*Result, errs []error, err error) {
-	defer func() {
-		if e := hetsim.RecoverAbort(recover()); e != nil {
-			outs, taus, ress, errs, err = nil, nil, nil, nil, e
-		}
-	}()
-	start := time.Now()
-	ess, ls, ress, errs, berr := startBatch("qr", sys, b, opts, injs,
-		func(es *engineSys, a *matrix.Dense) ladder {
-			p := newProtected(es, a)
+	outs, ls, ress, errs, err := runBatch("qr", sys, b, opts, injs,
+		func(p *protected) ladder {
 			return &qrLadder{
-				p: p, es: es, pl: planFor(es.opts.Scheme),
+				p: p, es: p.es, pl: planFor(opts.Scheme),
 				step: make([]*qrStep, p.nbr),
 				tau:  make([]float64, p.n),
 			}
 		})
-	if berr != nil {
-		return nil, nil, nil, nil, berr
+	if err != nil {
+		return nil, nil, nil, nil, err
 	}
-	runLadderBatch(sys, ess, ls, errs)
-	outs = make([]*matrix.Dense, b.Count())
-	taus = make([][]float64, b.Count())
-	sys.CoalesceTransfers(func() {
-		for i := range ls {
-			if errs[i] != nil {
-				ress[i] = nil
-				continue
-			}
-			lad := ls[i].(*qrLadder)
-			outs[i], taus[i] = lad.p.gather(), lad.tau
-		}
-	})
-	for i := range ls {
+	taus = make([][]float64, len(ls))
+	for i, l := range ls {
 		if errs[i] == nil {
-			ess[i].finishResult(start)
+			taus[i] = l.(*qrLadder).tau
 		}
 	}
 	return outs, taus, ress, errs, nil

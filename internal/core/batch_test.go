@@ -226,7 +226,8 @@ func TestBatchCorruptQueueInputIsolated(t *testing.T) {
 }
 
 // Batched runs reject the per-run control-flow options (checkpointing,
-// resume, fail-stop, Options.Injector) and malformed injector slices.
+// resume, fail-stop and node-fault plans, rebalancing, Options.Injector)
+// and malformed injector slices.
 func TestBatchOptionValidation(t *testing.T) {
 	const n = 32
 	ms := batchInputs("cholesky", 2, n)
@@ -245,6 +246,11 @@ func TestBatchOptionValidation(t *testing.T) {
 			o.FailStop = map[int]hetsim.FaultPlan{0: {}}
 			return nil
 		}},
+		{"nodefault", func(o *Options) []*fault.Injector {
+			o.NodeFault = map[int]hetsim.NodeFaultPlan{0: {}}
+			return nil
+		}},
+		{"rebalance", func(o *Options) []*fault.Injector { o.Rebalance.Every = 1; return nil }},
 		{"short-injs", func(o *Options) []*fault.Injector { return make([]*fault.Injector, 1) }},
 	}
 	for _, tc := range cases {

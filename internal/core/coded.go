@@ -41,11 +41,12 @@ import (
 // Every node therefore holds exactly one column of each group (member or
 // parity), so any ≤ r node losses remove at most r columns per group, and
 // a loss never takes more columns than the surviving parities can solve
-// for. Member→parity shipments cross nodes by construction and must go
-// through engineSys.netTransfer (scripts/check.sh lints this file against
-// the intra-node wrapper). Rebalancing migration preserves the invariant
-// through the parity-aware protocol in rebalance.go: a cross-node move is
-// only accepted toward a node holding one of the group's parities, which is
+// for. Member→parity shipments cross nodes by construction; they ride the
+// same reliable es.transfer path as every other movement, and hetsim
+// charges the inter-node link tier and counts InternodeBytes from the
+// endpoints. Rebalancing migration preserves the invariant through the
+// parity-aware protocol in rebalance.go: a cross-node move is only
+// accepted toward a node holding one of the group's parities, which is
 // then re-encoded on the donor's node (codedState.rehomeParity).
 //
 // Maintenance. Every live parity is refreshed at the end of every ladder
@@ -208,9 +209,9 @@ func (cs *codedState) stageBuf(g int) *hetsim.Buffer {
 }
 
 // ship moves a parity-layer column between devices over the reliable
-// cross-node wrapper and counts its bytes on the parity-traffic meter.
+// transfer path and counts its bytes on the parity-traffic meter.
 func (cs *codedState) ship(src, dst *hetsim.Buffer) {
-	cs.p.es.netTransfer(src, dst)
+	cs.p.es.transfer(src, dst)
 	parityBytesTotal.Add(uint64(8 * cs.p.n * cs.p.nb))
 }
 

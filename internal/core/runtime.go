@@ -515,16 +515,6 @@ func (es *engineSys) transfer(src, dst *hetsim.Buffer) {
 	es.sys.TransferReliable(src, dst)
 }
 
-// netTransfer is the cross-node counterpart of transfer: the movement of
-// parity shipments and reconstruction traffic between *nodes* of the
-// topology. It rides the same reliable protocol (the simulator classifies
-// the link tier by the endpoints), but cross-node motion in the coded
-// redundancy layer must route through this wrapper so it stays auditable —
-// scripts/check.sh lints coded.go against the intra-node wrapper.
-func (es *engineSys) netTransfer(src, dst *hetsim.Buffer) {
-	es.sys.TransferReliable(src, dst)
-}
-
 // kernel executes a named kernel body on a device, charging flops to the
 // simulated clock — the runtime-routed form of hetsim.Device.Run (driver
 // files are linted against calling Run directly).

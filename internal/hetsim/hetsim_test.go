@@ -249,7 +249,7 @@ func TestBufferView(t *testing.T) {
 func TestSimMakespan(t *testing.T) {
 	s := newSys(t, 2)
 	s.GPU(0).Run("k", 1e9, func(int) {})
-	if s.SimMakespan() <= 0 {
+	if s.TimelineMakespan() <= 0 {
 		t.Fatal("makespan should be positive after work")
 	}
 }
@@ -382,12 +382,12 @@ func TestResetClearsSimState(t *testing.T) {
 	src := s.CPU().Alloc(4, 4)
 	dst := s.GPU(1).Alloc(4, 4)
 	s.Transfer(src, dst)
-	if s.SimMakespan() <= 0 || s.BytesTransferred() == 0 || len(s.Events()) == 0 {
+	if s.TimelineMakespan() <= 0 || s.BytesTransferred() == 0 || len(s.Events()) == 0 {
 		t.Fatal("precondition: system should have accumulated state")
 	}
 	s.Reset()
-	if s.SimMakespan() != 0 {
-		t.Fatalf("makespan %g after Reset, want 0", s.SimMakespan())
+	if s.TimelineMakespan() != 0 {
+		t.Fatalf("makespan %g after Reset, want 0", s.TimelineMakespan())
 	}
 	if s.BytesTransferred() != 0 || s.PCIeSimTime() != 0 {
 		t.Fatal("PCIe counters survive Reset")

@@ -230,7 +230,7 @@ func (d *Device) advanceClock(dur float64) (start, end float64) {
 // serial timeline, every device, and every PCIe link. For a fully
 // synchronous program this equals the serial sum of all operation
 // durations; with stream overlap it is smaller — the schedule's true
-// makespan, as opposed to SimMakespan's crude serial estimate.
+// makespan.
 func (s *System) TimelineMakespan() float64 {
 	s.clockMu.Lock()
 	defer s.clockMu.Unlock()

@@ -545,18 +545,6 @@ func (s *System) Broadcast(src *Buffer, dsts []*Buffer) {
 	}
 }
 
-// SimMakespan returns a crude simulated makespan: the maximum device busy
-// time plus all PCIe time (transfers on this simulator are serialized).
-func (s *System) SimMakespan() float64 {
-	max := s.cpu.SimTime()
-	for _, g := range s.gpus {
-		if t := g.SimTime(); t > max {
-			max = t
-		}
-	}
-	return max + s.PCIeSimTime()
-}
-
 // DeviceStat is one device's share of the simulated busy time.
 type DeviceStat struct {
 	Name    string

@@ -12,6 +12,7 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -213,6 +214,66 @@ func TestGPUIndexParsesNodeQualifiedNames(t *testing.T) {
 	} {
 		if got := gpuIndex(tc.name); got != tc.want {
 			t.Errorf("gpuIndex(%q) = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
+// The failover rung's classifier: node, link, GPU, and CPU faults each map
+// to their metric, span, and suspect GPU, and applying the degrade verdict
+// shrinks a flat 4-GPU platform by one GPU and a 2-node cluster by one node
+// — except a CPU fault, which leaves either shape alone. Wrapped errors
+// classify like bare ones; context aborts are not fail-stop faults.
+func TestClassifyFailStop(t *testing.T) {
+	m := newMetrics(obs.NewRegistry())
+	flat := hetsim.Config{NumGPUs: 4, Nodes: 1}
+	cluster := hetsim.Config{NumGPUs: 4, Nodes: 2}
+	for _, tc := range []struct {
+		name        string
+		err         error
+		metric      *obs.Counter
+		span        string
+		suspect     int
+		flat, clust hetsim.Config
+	}{
+		{"node", &hetsim.NodeLostError{Node: 1, GPUs: 2, Op: "reconstruct"},
+			m.nodeLost, "node-lost:N1", -1,
+			hetsim.Config{NumGPUs: 3, Nodes: 1}, hetsim.Config{NumGPUs: 2, Nodes: 1}},
+		{"link", &hetsim.LinkError{Link: 2, Op: "pcie"},
+			m.linkLost, "link-lost:GPU2", 2,
+			hetsim.Config{NumGPUs: 3, Nodes: 1}, hetsim.Config{NumGPUs: 2, Nodes: 1}},
+		{"gpu-lost", fmt.Errorf("attempt: %w", &hetsim.DeviceLostError{Device: "N1/GPU3", GPU: 3, Node: 1}),
+			m.deviceLost, "device-lost:N1/GPU3", 3,
+			hetsim.Config{NumGPUs: 3, Nodes: 1}, hetsim.Config{NumGPUs: 2, Nodes: 1}},
+		{"gpu-hung", &hetsim.DeviceHungError{Device: "GPU0", GPU: 0, Cause: context.DeadlineExceeded},
+			m.deviceLost, "device-lost:GPU0", 0,
+			hetsim.Config{NumGPUs: 3, Nodes: 1}, hetsim.Config{NumGPUs: 2, Nodes: 1}},
+		{"cpu-lost", &hetsim.DeviceLostError{Device: "CPU", GPU: -1},
+			m.deviceLost, "device-lost:CPU", -1, flat, cluster},
+		{"cpu-hung", &hetsim.DeviceHungError{Device: "CPU", GPU: -1},
+			m.deviceLost, "device-lost:CPU", -1, flat, cluster},
+	} {
+		fo, ok := m.classifyFailStop(tc.err)
+		if !ok {
+			t.Fatalf("%s: not classified as a fail-stop fault", tc.name)
+		}
+		if fo.metric != tc.metric || fo.span != tc.span || fo.suspect != tc.suspect {
+			t.Errorf("%s: got span %q suspect %d (metric match %v), want span %q suspect %d",
+				tc.name, fo.span, fo.suspect, fo.metric == tc.metric, tc.span, tc.suspect)
+		}
+		for _, c := range []struct{ from, want hetsim.Config }{{flat, tc.flat}, {cluster, tc.clust}} {
+			got := c.from
+			if fo.degrade {
+				degradeNode(&got)
+			}
+			if got != c.want {
+				t.Errorf("%s: %d GPUs/%d nodes degrades to %d/%d, want %d/%d", tc.name,
+					c.from.NumGPUs, c.from.Nodes, got.NumGPUs, got.Nodes, c.want.NumGPUs, c.want.Nodes)
+			}
+		}
+	}
+	for _, err := range []error{context.Canceled, context.DeadlineExceeded, errors.New("bad options")} {
+		if _, ok := m.classifyFailStop(err); ok {
+			t.Errorf("%v classified as a fail-stop fault", err)
 		}
 	}
 }

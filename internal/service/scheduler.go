@@ -526,87 +526,23 @@ func (s *Scheduler) run(h *JobHandle) {
 		acancel()
 		if err != nil {
 			aborted := time.Since(attemptStart)
-			var lost *hetsim.DeviceLostError
-			var hung *hetsim.DeviceHungError
-			var link *hetsim.LinkError
-			var nodeLost *hetsim.NodeLostError
+			fo, failStop := s.met.classifyFailStop(err)
 			switch {
-			case errors.As(err, &nodeLost):
-				// Whole-node loss the coded redundancy could not absorb (the
-				// parity column was already spent on an earlier loss, or no
-				// redundancy was configured). Quarantine the system and retry
-				// on a cluster with the dead node carved out; the checkpoint
-				// machinery below makes that retry a resume when one exists.
-				s.met.nodeLost.Inc()
+			case failStop:
+				// Fail-stop fault — a lost node, an exhausted PCIe link, or a
+				// lost or hung device: the system is unsafe to reuse as-is.
+				// Quarantine it (noting the suspect GPU for probation),
+				// degrade the platform unless only the CPU faulted, and
+				// retry on a rebuilt system; the checkpoint machinery below
+				// makes that retry a resume when one exists.
+				fo.metric.Inc()
 				s.met.abortSeconds.Observe(aborted.Seconds())
 				if tr != nil {
-					tr.WallSpan("node-lost:N"+strconv.Itoa(nodeLost.Node), "fault", attemptStart, aborted)
+					tr.WallSpan(fo.span, "fault", attemptStart, aborted)
 				}
-				s.pool.quarantine(sys)
-				degradeNode(&sysCfg)
-				if jctx.Err() != nil {
-					expire(attempt, err)
-					return
-				}
-				if attempt >= s.cfg.Retry.MaxAttempts {
-					fail(&FailStopError{Attempts: h.prior + attempt, Cause: err})
-					return
-				}
-			case errors.As(err, &link):
-				// PCIe link fault the reliable-transfer protocol could not
-				// absorb: the link's GPU is suspect exactly like a lost
-				// device (a flaky connector and a dying card are
-				// indistinguishable from the host side). Quarantine the
-				// system, degrade to the surviving GPU count, and retry.
-				s.met.linkLost.Inc()
-				s.met.abortSeconds.Observe(aborted.Seconds())
-				if tr != nil {
-					tr.WallSpan("link-lost:GPU"+strconv.Itoa(link.Link), "fault", attemptStart, aborted)
-				}
-				s.pool.quarantineSuspect(sys, link.Link)
-				if sysCfg.NumGPUs > 1 {
-					if sysCfg.Nodes > 1 {
-						// A lone GPU cannot be carved out of a cluster config
-						// (GPU count must stay divisible by the node count):
-						// retire the whole node behind the dead link.
-						degradeNode(&sysCfg)
-					} else {
-						sysCfg.NumGPUs--
-					}
-				}
-				if jctx.Err() != nil {
-					expire(attempt, err)
-					return
-				}
-				if attempt >= s.cfg.Retry.MaxAttempts {
-					fail(&FailStopError{Attempts: h.prior + attempt, Cause: err})
-					return
-				}
-			case errors.As(err, &lost), errors.As(err, &hung):
-				// Fail-stop fault: the system is unsafe to reuse as-is.
-				// Quarantine it, degrade the platform if a GPU died, and
-				// retry on a rebuilt system.
-				name, g := "", -1
-				if lost != nil {
-					name, g = lost.Device, lost.GPU
-				} else {
-					name, g = hung.Device, hung.GPU
-				}
-				s.met.deviceLost.Inc()
-				s.met.abortSeconds.Observe(aborted.Seconds())
-				if tr != nil {
-					tr.WallSpan("device-lost:"+name, "fault", attemptStart, aborted)
-				}
-				s.pool.quarantineSuspect(sys, g)
-				if g >= 0 && sysCfg.NumGPUs > 1 {
-					if sysCfg.Nodes > 1 {
-						// A lone GPU cannot be carved out of a cluster config
-						// (GPU count must stay divisible by the node count):
-						// retire the whole node the dead device lived on.
-						degradeNode(&sysCfg)
-					} else {
-						sysCfg.NumGPUs--
-					}
+				s.pool.quarantineSuspect(sys, fo.suspect)
+				if fo.degrade {
+					degradeNode(&sysCfg)
 				}
 				if jctx.Err() != nil {
 					expire(attempt, err)
@@ -697,6 +633,51 @@ func (s *Scheduler) run(h *JobHandle) {
 		case <-timer.C:
 		}
 	}
+}
+
+// failover is the failover rung's reading of a fail-stop abort: the
+// counter it bumps, the trace span it emits, the GPU index to note as
+// suspect on the quarantined system (-1 for none), and whether the retry
+// degrades the platform.
+type failover struct {
+	metric  *obs.Counter
+	span    string
+	suspect int
+	degrade bool
+}
+
+// classifyFailStop maps err onto the failover rung; ok is false when err
+// is not a fail-stop abort.
+//
+//   - A whole-node loss the coded redundancy could not absorb (its parity
+//     was already spent, or no redundancy was configured) always degrades:
+//     the retry runs with the dead node carved out.
+//   - A PCIe link fault the reliable-transfer protocol could not absorb
+//     makes the link's GPU suspect exactly like a lost device (a flaky
+//     connector and a dying card look the same from the host), and always
+//     degrades.
+//   - A lost or hung device degrades only when it is a GPU; a CPU fault
+//     leaves the platform shape alone.
+//
+// Degrading on a cluster retires a whole node, since a lone GPU cannot be
+// carved out while the GPU count must stay divisible by the node count
+// (see degradeNode).
+func (m *metrics) classifyFailStop(err error) (fo failover, ok bool) {
+	var nodeLost *hetsim.NodeLostError
+	var link *hetsim.LinkError
+	var lost *hetsim.DeviceLostError
+	var hung *hetsim.DeviceHungError
+	switch {
+	case errors.As(err, &nodeLost):
+		return failover{m.nodeLost, "node-lost:N" + strconv.Itoa(nodeLost.Node), -1, true}, true
+	case errors.As(err, &link):
+		return failover{m.linkLost, "link-lost:GPU" + strconv.Itoa(link.Link), link.Link, true}, true
+	case errors.As(err, &lost):
+		return failover{m.deviceLost, "device-lost:" + lost.Device, lost.GPU, lost.GPU >= 0}, true
+	case errors.As(err, &hung):
+		return failover{m.deviceLost, "device-lost:" + hung.Device, hung.GPU, hung.GPU >= 0}, true
+	}
+	return failover{}, false
 }
 
 // degradeNode shrinks a platform config by one node's worth of GPUs — the

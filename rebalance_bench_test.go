@@ -6,8 +6,6 @@
 package ftla
 
 import (
-	"encoding/json"
-	"os"
 	"testing"
 	"time"
 
@@ -104,8 +102,7 @@ type rebBenchRow struct {
 	WallSeconds   float64 `json:"wall_seconds"`
 }
 
-// collectRebRows measures the three-way comparison per decomposition and
-// writes BENCH_rebalance.json.
+// collectRebRows measures the three-way comparison per decomposition.
 func collectRebRows(t testing.TB) []rebBenchRow {
 	rows := make([]rebBenchRow, 0, 3)
 	for _, decomp := range []string{"cholesky", "lu", "qr"} {
@@ -125,13 +122,6 @@ func collectRebRows(t testing.TB) []rebBenchRow {
 		}
 		rows = append(rows, row)
 	}
-	data, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		t.Fatalf("marshal BENCH_rebalance.json: %v", err)
-	}
-	if err := os.WriteFile("BENCH_rebalance.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatalf("write BENCH_rebalance.json: %v", err)
-	}
 	return rows
 }
 
@@ -144,6 +134,7 @@ func BenchmarkRebalance(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows = collectRebRows(b)
 	}
+	writeBenchJSON(b, "BENCH_rebalance.json", rows)
 	for _, r := range rows {
 		b.ReportMetric(r.RecoveredFrac, r.Decomp+"-recovered-frac")
 	}

@@ -8,6 +8,9 @@ cd "$(dirname "$0")/.."
 
 go build ./...
 go vet ./...
+# cmd/ftbench is its own module (the repository benchmark), so the root
+# ./... patterns above and below do not reach it.
+go -C cmd/ftbench vet .
 
 # Formatting: gofmt -l prints offending files; any output is a failure.
 unformatted=$(gofmt -l .)
@@ -47,18 +50,6 @@ if grep -rnE 'sys\.Transfer\(|sys\.TransferCtx\(' internal/core/; then
     exit 1
 fi
 
-# Cross-node transfer lint: the coded-redundancy layer moves parity and
-# reconstruction traffic between nodes, and that motion must go through
-# es.netTransfer — the wrapper that rides the reliable path AND lands in
-# the inter-node accounting gates and BENCH_cluster.json measure. A raw
-# es.transfer in coded.go is cross-node traffic hidden from the books.
-# See DESIGN.md §11.
-if grep -nE 'es\.transfer\(' internal/core/coded.go; then
-    echo "internal/core/coded.go moves data across nodes and must use" >&2
-    echo "es.netTransfer, not es.transfer (DESIGN.md §11)" >&2
-    exit 1
-fi
-
 # Galois-field lint: internal/gf is the erasure code's arithmetic kernel
 # and must stay dependency-free (standard library only) — it is the one
 # piece of the coded-redundancy layer that is independently auditable
@@ -71,6 +62,7 @@ if grep -rnE '"ftla(/|")' internal/gf/; then
 fi
 
 go test -race -timeout 5m ./...
+go -C cmd/ftbench test -race -timeout 5m .
 
 # Chaos gate: the fail-stop/graceful-degradation suites (see RESILIENCE.md)
 # run a second time at -count=2 to shake out order- and reuse-dependent
@@ -100,8 +92,8 @@ go test -timeout 5m -run 'TestPipelineLookaheadHidesPanelWork' ./internal/core
 # bit-identical to the static layout on uniform devices (the identity
 # half lives in the core suite above). The assertion is on the simulated
 # clock, so it holds under -race — and the rebalance/migration path is
-# new concurrency worth running under the detector (writes
-# BENCH_rebalance.json).
+# new concurrency worth running under the detector. Gates only assert;
+# BenchmarkRebalance regenerates BENCH_rebalance.json.
 go test -race -timeout 5m -run 'TestRebalanceMakespanGate' .
 
 # Link-fault recovery gate: with fixed-rate corruption armed on 1 of 3
@@ -115,8 +107,9 @@ go test -race -timeout 5m -run 'TestLinkFaultRecoveryGate' -count=2 .
 # Batch-throughput gate: batched small-matrix serving must amortize
 # per-step transfer latency — simulated-clock throughput must rise
 # monotonically with batch size and reach >=2x solo throughput at batch
-# 16 (writes BENCH_batch.json). Run without -race for the same reason as
-# the makespan gate: the assertion is on simulated time, not wall time.
+# 16 (BenchmarkBatchThroughput regenerates BENCH_batch.json). Run without
+# -race for the same reason as the makespan gate: the assertion is on
+# simulated time, not wall time.
 go test -timeout 5m -run 'TestBatchThroughputGate' .
 
 # Node-loss recovery gate: on a fleet of 3-node cluster jobs where a third
