@@ -1,9 +1,11 @@
 // Cluster-scaling study: what the node-aware topology costs and what the
 // coded redundancy buys. For each node count the same factorization runs
 // once clean and once with a whole-node loss absorbed mid-run by parity
-// reconstruction; the simulated clock (deterministic on any host, see
-// DESIGN.md §5.9) gives exact makespans, and the transfer accounting
-// splits out the inter-node traffic the parity maintenance adds.
+// reconstruction; the simulated clock gives host-independent makespans
+// (not yet bit-reproducible under look-ahead: repeated runs differ by about
+// 1e-5 to 1e-3 relative, see ROADMAP.md's determinism item), and the
+// transfer accounting splits out the inter-node traffic the parity
+// maintenance adds.
 // BenchmarkClusterScaling regenerates BENCH_cluster.json.
 package ftla
 
@@ -98,6 +100,12 @@ func BenchmarkClusterScaling(b *testing.B) {
 	}
 }
 
+// clusterMakespanCap bounds the 4-node clean makespan as a multiple of the
+// 1-node one. The row-range parity refresh, hub-encoded parity groups, and
+// one transfer window per panel stage hold it near 3.0; the cap keeps that
+// simulated-clock win from quietly regressing.
+const clusterMakespanCap = 3.2
+
 // itoa avoids pulling strconv into the bench for a single-digit label.
 func itoa(n int) string { return string(rune('0' + n)) }
 
@@ -105,14 +113,24 @@ func itoa(n int) string { return string(rune('0' + n)) }
 // benchmark rows stay meaningful: a flat run moves no inter-node bytes,
 // multi-node runs do (clean and lossy both — parity maintenance before the
 // loss, the reconstruction burst at it), and the loss run actually
-// reconstructs. No makespan direction is pinned: losing a node halves the
-// fleet but also stops the parity refresh (and its slow inter-node
-// traffic), so either side can win depending on the interconnect.
+// reconstructs, and the 4-node clean makespan stays within
+// clusterMakespanCap of the 1-node one. No direction is pinned between
+// clean and loss makespans: losing a node halves the fleet but also stops
+// the parity refresh (and its slow inter-node traffic), so either side can
+// win depending on the interconnect.
 func TestClusterScalingSanity(t *testing.T) {
+	flat, rep := runClusterCase(t, 1, false)
+	if rep.InternodeBytes != 0 {
+		t.Fatalf("flat run counted %d inter-node bytes", rep.InternodeBytes)
+	}
 	for _, nodes := range []int{2, 4} {
-		_, rep := runClusterCase(t, nodes, false)
+		mk, rep := runClusterCase(t, nodes, false)
 		if rep.InternodeBytes == 0 {
 			t.Fatalf("nodes=%d: clean run moved no inter-node bytes", nodes)
+		}
+		if nodes == 4 && mk > clusterMakespanCap*flat {
+			t.Fatalf("4-node clean makespan %.4g sim-s is %.2fx the 1-node %.4g sim-s (cap %.1fx)",
+				mk, mk/flat, flat, clusterMakespanCap)
 		}
 		_, lrep := runClusterCase(t, nodes, true)
 		if lrep.Reconstructions == 0 || lrep.NodesLost != 1 {
@@ -122,9 +140,5 @@ func TestClusterScalingSanity(t *testing.T) {
 		if lrep.InternodeBytes == 0 {
 			t.Fatalf("nodes=%d: loss run moved no inter-node bytes", nodes)
 		}
-	}
-	_, rep := runClusterCase(t, 1, false)
-	if rep.InternodeBytes != 0 {
-		t.Fatalf("flat run counted %d inter-node bytes", rep.InternodeBytes)
 	}
 }

@@ -16,14 +16,14 @@ import (
 // batch.Batch slab in one pass over the ladder: the per-item ladders are
 // wrapped in one composite batchLadder and scheduled by runLadder, the
 // same step scheduler a solo run uses, so for each step k each stage
-// sweeps across all batch items before the next stage begins. The panel
-// factor, panel commit, and panel update sweeps — the stages that move
-// panels over PCIe — run inside a hetsim transfer-coalescing window
-// (System.CoalesceTransfers), so a step's panel pulls, writebacks, and
-// broadcasts pay the fixed per-transfer latency once per link for the
-// entire batch — the batched analogue of a strided cudaMemcpy — which is
-// where the serving layer's jobs/sec win over solo dispatch comes from
-// (see BENCH_batch.json).
+// sweeps across all batch items before the next stage begins. runLadder
+// runs the panel factor, panel commit, and panel update stages — the ones
+// that move panels over PCIe — inside one hetsim transfer-coalescing
+// window each (System.CoalesceTransfers). A solo run pays each link's
+// fixed per-transfer latency once per stage; a batch pays it once per
+// stage for the entire slab — the batched analogue of a strided
+// cudaMemcpy — which is where the serving layer's jobs/sec win over solo
+// dispatch comes from (see BENCH_batch.json).
 //
 // Per-item semantics:
 //
@@ -89,7 +89,6 @@ func validateBatchOpts(b *batch.Batch, opts Options, injs []*fault.Injector) err
 // the dispatch's per-item error slice; items[i] is nil for an item
 // excluded before the run.
 type batchLadder struct {
-	sys   *hetsim.System
 	nbr   int
 	items []ladder
 	errs  []error
@@ -104,16 +103,11 @@ func (bl *batchLadder) each(fn func(l ladder)) {
 	}
 }
 
-// coalesced is each inside one transfer-coalescing window.
-func (bl *batchLadder) coalesced(fn func(l ladder)) {
-	bl.sys.CoalesceTransfers(func() { bl.each(fn) })
-}
-
 func (bl *batchLadder) steps() int        { return bl.nbr }
-func (bl *batchLadder) panelFactor(k int) { bl.coalesced(func(l ladder) { l.panelFactor(k) }) }
+func (bl *batchLadder) panelFactor(k int) { bl.each(func(l ladder) { l.panelFactor(k) }) }
 func (bl *batchLadder) panelPivot(k int)  { bl.each(func(l ladder) { l.panelPivot(k) }) }
-func (bl *batchLadder) panelCommit(k int) { bl.coalesced(func(l ladder) { l.panelCommit(k) }) }
-func (bl *batchLadder) panelUpdate(k int) { bl.coalesced(func(l ladder) { l.panelUpdate(k) }) }
+func (bl *batchLadder) panelCommit(k int) { bl.each(func(l ladder) { l.panelCommit(k) }) }
+func (bl *batchLadder) panelUpdate(k int) { bl.each(func(l ladder) { l.panelUpdate(k) }) }
 func (bl *batchLadder) tmuBegin(k int)    { bl.each(func(l ladder) { l.tmuBegin(k) }) }
 func (bl *batchLadder) tmuFinish(k int)   { bl.each(func(l ladder) { l.tmuFinish(k) }) }
 func (bl *batchLadder) tmuGPU(k, g int, sel tmuSel) {
@@ -164,7 +158,7 @@ func runBatch(decomp string, sys *hetsim.System, b *batch.Batch, opts Options,
 	count := b.Count()
 	ps := make([]*protected, count)
 	ress = make([]*Result, count)
-	bl := &batchLadder{sys: sys, nbr: b.N() / opts.NB, items: make([]ladder, count), errs: make([]error, count)}
+	bl := &batchLadder{nbr: b.N() / opts.NB, items: make([]ladder, count), errs: make([]error, count)}
 	for _, i := range b.Verify(sys.CPU().Workers()) {
 		bl.errs[i] = fmt.Errorf("core: batch item %d input corrupted since submission (slab checksum mismatch)", i)
 	}

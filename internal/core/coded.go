@@ -50,12 +50,19 @@ import (
 // then re-encoded on the donor's node (codedState.rehomeParity).
 //
 // Maintenance. Every live parity is refreshed at the end of every ladder
-// step for all groups still holding a column >= k (full height: §VII.B
-// repair paths may rewrite any row of a trailing column), and finalized
-// groups — whose columns only change under LU row interchanges — track the
-// swaps exactly by swapping the same parity rows (the code is row-local). A
-// rollback restores data from the checkpoint and re-encodes all surviving
-// parity (checkpoints do not carry it).
+// step k for all groups still holding a column >= k, over rows [k·nb, n)
+// only: every stage of step k — LU row interchanges included — writes
+// only those rows, so the rows above are frozen and their parity is
+// already current (the code is row-local). With a fault.Injector attached
+// the refresh falls back to full height, because §VII.B repair paths may
+// rewrite any row. A group's live parities are all encoded on one hub GPU
+// (its first live parity GPU), which receives each member once and ships
+// the finished parities j >= 1 home: kk + live − 1 cross-node shipments
+// per group rather than kk·live. Finalized groups — whose columns only
+// change under LU row interchanges — track the swaps exactly by swapping
+// the same parity rows. The initial encode, a parity re-home, and a
+// rollback (which restores data from the checkpoint and re-encodes all
+// surviving parity; checkpoints do not carry it) run at full height.
 //
 // Reconstruction. At a node-loss epoch the runtime calls reconstructNodes
 // with every node that died at that boundary (simultaneous losses fire
@@ -117,10 +124,13 @@ type codedState struct {
 	kk     int      // data columns per parity group = Nodes - r
 	gen    [][]byte // r × kk normalized Cauchy generator; gen[0] all ones
 	groups []parityGroup
-	// stage is a lazily allocated per-GPU staging column for member and RHS
-	// shipments (reused across groups; transfers inside one coalesced
-	// window complete in order).
-	stage map[int]*hetsim.Buffer
+	// scratch holds each GPU's r lazily allocated n × nb work columns:
+	// scratch[g][0] is the staging column member and RHS shipments land in,
+	// and scratch[g][1:] are the r−1 accumulators GPU g, as a group's hub,
+	// encodes parities j >= 1 into before shipping them home. All are
+	// reused across groups (transfers inside one coalesced window complete
+	// in order).
+	scratch map[int][]*hetsim.Buffer
 	// tables caches the per-coefficient GF(2^8) multiplication tables the
 	// parity kernels stream words through.
 	tables map[byte]*gf.Table
@@ -153,9 +163,9 @@ func newCodedState(p *protected) *codedState {
 	kk := nodes - r
 	cs := &codedState{
 		p: p, r: r, kk: kk,
-		gen:    gf.Cauchy(r, kk),
-		stage:  make(map[int]*hetsim.Buffer),
-		tables: make(map[byte]*gf.Table),
+		gen:     gf.Cauchy(r, kk),
+		scratch: make(map[int][]*hetsim.Buffer),
+		tables:  make(map[byte]*gf.Table),
 	}
 	for first := 0; first < p.nbr; first += kk {
 		last := first + kk - 1
@@ -198,21 +208,30 @@ func (cs *codedState) table(c byte) *gf.Table {
 	return t
 }
 
-// stageBuf returns the reusable staging column on GPU g.
-func (cs *codedState) stageBuf(g int) *hetsim.Buffer {
-	if b, ok := cs.stage[g]; ok {
+// scratchCols returns GPU g's r work columns (see codedState.scratch).
+func (cs *codedState) scratchCols(g int) []*hetsim.Buffer {
+	if b, ok := cs.scratch[g]; ok {
 		return b
 	}
-	b := cs.p.es.sys.GPU(g).Alloc(cs.p.n, cs.p.nb)
-	cs.stage[g] = b
+	b := make([]*hetsim.Buffer, cs.r)
+	for i := range b {
+		b[i] = cs.p.es.sys.GPU(g).Alloc(cs.p.n, cs.p.nb)
+	}
+	cs.scratch[g] = b
 	return b
 }
 
-// ship moves a parity-layer column between devices over the reliable
-// transfer path and counts its bytes on the parity-traffic meter.
+// ship moves a parity-layer buffer between devices over the reliable
+// transfer path and counts the bytes it carried on the parity-traffic
+// meter.
 func (cs *codedState) ship(src, dst *hetsim.Buffer) {
 	cs.p.es.transfer(src, dst)
-	parityBytesTotal.Add(uint64(8 * cs.p.n * cs.p.nb))
+	parityBytesTotal.Add(uint64(8 * src.Rows() * src.Cols()))
+}
+
+// rows returns rows [r0, n) of the n × nb column b.
+func (cs *codedState) rows(b *hetsim.Buffer, r0 int) *hetsim.Buffer {
+	return b.View(r0, 0, cs.p.n-r0, cs.p.nb)
 }
 
 // axpyInto folds c·src into dst over the float bit patterns (dst ^= c·src
@@ -220,7 +239,7 @@ func (cs *codedState) ship(src, dst *hetsim.Buffer) {
 // identity and the kernel is the plain XOR of the r = 1 code.
 func (cs *codedState) axpyInto(dev *hetsim.Device, dst, src *hetsim.Buffer, c byte) {
 	t := cs.table(c)
-	cs.p.es.kernel(dev, "parity-axpy", float64(cs.p.n*cs.p.nb), func(int) {
+	cs.p.es.kernel(dev, "parity-axpy", float64(dst.Rows()*dst.Cols()), func(int) {
 		d, s := dst.Access(dev), src.Access(dev)
 		for i := 0; i < d.Rows; i++ {
 			dr, sr := d.Row(i), s.Row(i)
@@ -235,7 +254,7 @@ func (cs *codedState) axpyInto(dev *hetsim.Device, dst, src *hetsim.Buffer, c by
 // patterns), both resident on dev.
 func (cs *codedState) scaleInto(dev *hetsim.Device, dst, src *hetsim.Buffer, c byte) {
 	t := cs.table(c)
-	cs.p.es.kernel(dev, "parity-scale", float64(cs.p.n*cs.p.nb), func(int) {
+	cs.p.es.kernel(dev, "parity-scale", float64(dst.Rows()*dst.Cols()), func(int) {
 		d, s := dst.Access(dev), src.Access(dev)
 		for i := 0; i < d.Rows; i++ {
 			dr, sr := d.Row(i), s.Row(i)
@@ -252,59 +271,76 @@ func (cs *codedState) memberView(bj int) *hetsim.Buffer {
 	return p.local[p.owner(bj)].View(0, p.localOff(bj), p.n, p.nb)
 }
 
-// encodeParity recomputes parity j of group t onto buf (resident on GPU
-// pg) from the members' current contents: buf = Σ_i gen[j][i]·D_i. The
-// first member with coefficient 1 is copied over the wire straight onto the
-// parity column; the rest are staged (or read in place when a member — a
-// reconstruction adoptee or a migrated column — shares pg's device) and
-// multiply-accumulated in.
-func (cs *codedState) encodeParity(t, j, pg int, buf *hetsim.Buffer) {
+// encode recomputes rows [r0, n) of group t's parities js on GPU on, into
+// the columns dsts resident there: dsts[a] = Σ_i gen[js[a]][i]·D_i. Each
+// member crosses to on once — straight into dsts[0] when it is the first
+// member and its coefficient there is 1, otherwise into on's staging
+// column — and is folded into every target; a member already resident on
+// on (a reconstruction adoptee or a migrated column) is read in place.
+func (cs *codedState) encode(t, on, r0 int, js []int, dsts []*hetsim.Buffer) {
 	g := &cs.groups[t]
 	p := cs.p
-	dev := p.es.sys.GPU(pg)
-	started := false
+	dev := p.es.sys.GPU(on)
+	out := make([]*hetsim.Buffer, len(dsts))
+	for a, d := range dsts {
+		out[a] = cs.rows(d, r0)
+	}
+	stage := cs.rows(cs.scratchCols(on)[0], r0)
 	for bj := g.first; bj <= g.last; bj++ {
-		c := cs.gen[j][bj-g.first]
-		local := p.owner(bj) == pg
-		if !started && c == 1 && !local {
-			cs.ship(cs.memberView(bj), buf)
-			started = true
-			continue
+		i := bj - g.first
+		src := cs.rows(cs.memberView(bj), r0)
+		if p.owner(bj) != on {
+			land := stage
+			if i == 0 && cs.gen[js[0]][0] == 1 {
+				land = out[0]
+			}
+			cs.ship(src, land)
+			src = land
 		}
-		src := cs.memberView(bj)
-		if !local {
-			stage := cs.stageBuf(pg)
-			cs.ship(src, stage)
-			src = stage
-		}
-		if !started {
-			cs.scaleInto(dev, buf, src, c)
-			started = true
-		} else {
-			cs.axpyInto(dev, buf, src, c)
+		for a, j := range js {
+			switch {
+			case src == out[a]:
+				// The shipment landed as this parity's first term.
+			case i == 0:
+				cs.scaleInto(dev, out[a], src, cs.gen[j][i])
+			default:
+				cs.axpyInto(dev, out[a], src, cs.gen[j][i])
+			}
 		}
 	}
 }
 
-// refreshGroup recomputes every surviving parity of group t from its
-// members' current contents.
-func (cs *codedState) refreshGroup(t int) {
+// refreshGroup recomputes rows [r0, n) of every surviving parity of group
+// t on the group's hub — its first live parity GPU — and ships the
+// parities j >= 1 home from the hub's accumulators.
+func (cs *codedState) refreshGroup(t, r0 int) {
 	g := &cs.groups[t]
-	for j, buf := range g.bufs {
-		if buf != nil {
-			cs.encodeParity(t, j, g.pgs[j], buf)
-		}
+	live := g.liveParities()
+	if len(live) == 0 {
+		return
+	}
+	hub := g.pgs[live[0]]
+	dsts := append([]*hetsim.Buffer{g.bufs[live[0]]}, cs.scratchCols(hub)[1:len(live)]...)
+	cs.encode(t, hub, r0, live, dsts)
+	for a := 1; a < len(live); a++ {
+		cs.ship(cs.rows(dsts[a], r0), cs.rows(g.bufs[live[a]], r0))
 	}
 }
 
 // refresh re-encodes the surviving parity of every group still holding a
-// column >= k, inside one coalesced-transfer window so a round pays each
-// link's latency once. refresh(0) is the initial full encode.
+// column >= k, after step k, inside one coalesced-transfer window so a
+// round pays each link's latency once. Only rows [k·nb, n) are re-encoded
+// unless an injector is attached (see the maintenance note above);
+// refresh(0) is the full-height initial encode.
 func (cs *codedState) refresh(k int) {
+	r0 := k * cs.p.nb
+	if cs.p.es.inj != nil {
+		r0 = 0
+	}
 	cs.p.es.sys.CoalesceTransfers(func() {
 		for t := range cs.groups {
 			if cs.groups[t].last >= k {
-				cs.refreshGroup(t)
+				cs.refreshGroup(t, r0)
 			}
 		}
 	})
@@ -351,7 +387,7 @@ func (cs *codedState) swapRows(r1, r2, bjLo, bjHi int) {
 func (cs *codedState) rehomeParity(t, j, dst int) {
 	g := &cs.groups[t]
 	buf := cs.p.es.sys.GPU(dst).Alloc(cs.p.n, cs.p.nb)
-	cs.encodeParity(t, j, dst, buf)
+	cs.encode(t, dst, 0, []int{j}, []*hetsim.Buffer{buf})
 	g.pgs[j] = dst
 	g.bufs[j] = buf
 }
@@ -477,7 +513,7 @@ func (cs *codedState) rebuildGroup(t int, lostMembers []int) {
 			}
 			src := cs.memberView(bj)
 			if p.owner(bj) != pg {
-				stage := cs.stageBuf(pg)
+				stage := cs.scratchCols(pg)[0]
 				cs.ship(src, stage)
 				src = stage
 			}
@@ -510,7 +546,7 @@ func (cs *codedState) rebuildGroup(t int, lostMembers []int) {
 		for a := range sel {
 			src := rhs[a]
 			if a != b {
-				stage := cs.stageBuf(dst)
+				stage := cs.scratchCols(dst)[0]
 				cs.ship(rhs[a], stage)
 				src = stage
 			}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ftla/internal/checksum"
+	"ftla/internal/fault"
 	"ftla/internal/hetsim"
 )
 
@@ -382,5 +383,140 @@ func TestClusterParityPlacementDisjoint(t *testing.T) {
 				claim(sys.NodeOf(p.owner(bj)), "member")
 			}
 		}
+	}
+}
+
+// requireSameFactors fails unless got's factors, pivots and tau are
+// bit-identical to want's.
+func requireSameFactors(t *testing.T, label string, want, got pipelineRun) {
+	t.Helper()
+	if d, r, c := want.out.MaxAbsDiff(got.out); d != 0 {
+		t.Fatalf("%s: factors not bit-identical: |Δ|=%g at (%d,%d)", label, d, r, c)
+	}
+	for i := range want.pivots {
+		if want.pivots[i] != got.pivots[i] {
+			t.Fatalf("%s: pivots differ at %d: %d vs %d", label, i, want.pivots[i], got.pivots[i])
+		}
+	}
+	for i := range want.tau {
+		if want.tau[i] != got.tau[i] {
+			t.Fatalf("%s: tau differs at %d: %v vs %v", label, i, want.tau[i], got.tau[i])
+		}
+	}
+}
+
+// TestClusterLossEpochSweep proves the frozen-rows rule the row-range
+// parity refresh rests on: after step k only rows [k·nb, n) are
+// re-encoded, so a loss at any later epoch must still find every parity
+// row current. One node loss (r=1, 3 nodes) and a two-node burst (r=2, 4
+// nodes) fire at every epoch 1..nbr−1, across all three decompositions and
+// both schedules, and the finished factors, pivots and tau must equal the
+// uninterrupted run's bit for bit.
+func TestClusterLossEpochSweep(t *testing.T) {
+	const n, nb = 128, 16
+	for _, tc := range []struct {
+		name           string
+		gpus, nodes, r int
+		lose           []int
+	}{
+		{"one-loss", 3, 3, 1, []int{1}},
+		{"burst", 4, 4, 2, []int{0, 1}},
+	} {
+		for _, decomp := range []string{"cholesky", "lu", "qr"} {
+			for _, lookahead := range []int{0, 1} {
+				opts := Options{NB: nb, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel,
+					Lookahead: lookahead, Redundancy: tc.r}
+				clean := runPipelineOn(t, decomp, n, clusterSystem(tc.gpus, tc.nodes), opts)
+				for epoch := 1; epoch < n/nb; epoch++ {
+					label := fmt.Sprintf("%s/%s/lookahead=%d/epoch=%d", tc.name, decomp, lookahead, epoch)
+					lopts := opts
+					lopts.NodeFault = make(map[int]hetsim.NodeFaultPlan)
+					for _, node := range tc.lose {
+						lopts.NodeFault[node] = hetsim.NodeFaultPlan{AfterEpochs: epoch}
+					}
+					lossy := runPipelineOn(t, decomp, n, clusterSystem(tc.gpus, tc.nodes), lopts)
+					if lossy.res.NodesLost != len(tc.lose) || lossy.res.Reconstructions == 0 {
+						t.Fatalf("%s: NodesLost/Reconstructions = %d/%d, want %d/>0",
+							label, lossy.res.NodesLost, lossy.res.Reconstructions, len(tc.lose))
+					}
+					requireSameFactors(t, label, clean, lossy)
+				}
+			}
+		}
+	}
+}
+
+// TestClusterParityRefreshTraffic pins the coded layer's traffic to its
+// closed form on a clean r=2, 4-node run: the initial full-height encode,
+// then after every step k one refresh of each group still holding a
+// column >= k, shipping rows [k·nb, n) of its kk members to the hub and
+// the r−1 finished parities j >= 1 home — (kk + r − 1)·(n − k·nb)·nb·8
+// bytes per group, independent of which parities live where.
+func TestClusterParityRefreshTraffic(t *testing.T) {
+	const n, nb, gpus, nodes, r = 128, 16, 4, 4, 2
+	nbr := n / nb
+	for _, decomp := range []string{"cholesky", "lu", "qr"} {
+		for _, lookahead := range []int{0, 1} {
+			opts := Options{NB: nb, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel,
+				Lookahead: lookahead, Redundancy: r}
+			before := parityBytesTotal.Value()
+			runPipelineOn(t, decomp, n, clusterSystem(gpus, nodes), opts)
+			got := parityBytesTotal.Value() - before
+
+			kk := nodes - r
+			groupBytes := func(k int) uint64 { return uint64((kk + r - 1) * (n - k*nb) * nb * 8) }
+			var want uint64
+			for first := 0; first < nbr; first += kk {
+				want += groupBytes(0) // initial encode
+				last := first + kk - 1
+				for k := 0; k < nbr-1 && k <= last; k++ {
+					want += groupBytes(k)
+				}
+			}
+			if got != want {
+				t.Fatalf("%s/lookahead=%d: parity bytes = %d, want %d", decomp, lookahead, got, want)
+			}
+		}
+	}
+}
+
+// TestClusterInjectedRefreshFullHeight pins the injector fallback: with a
+// fault.Injector attached, ABFT repairs may rewrite rows above the active
+// panel, so the refresh re-encodes parity at full height and a node loss
+// after a repaired soft error still rebuilds the repaired bits exactly —
+// the injected run with the loss equals the same injected run without it.
+func TestClusterInjectedRefreshFullHeight(t *testing.T) {
+	const n, nb = 128, 16
+	// Each fault is detected and repaired on the device in step 1, well
+	// before the burst at epoch 4 (QR has no panel-update stage to strike).
+	for _, tc := range []struct {
+		decomp string
+		spec   fault.Spec
+	}{
+		{"cholesky", fault.Spec{Kind: fault.OffChipMemory, Op: fault.PU, Part: fault.UpdatePart, Iteration: 1}},
+		{"lu", fault.Spec{Kind: fault.OffChipMemory, Op: fault.PU, Part: fault.UpdatePart, Iteration: 1}},
+		{"qr", fault.Spec{Kind: fault.OffChipMemory, Op: fault.TMU, Part: fault.UpdatePart, Iteration: 1}},
+	} {
+		decomp := tc.decomp
+		run := func(loss bool) pipelineRun {
+			inj := fault.NewInjector(11)
+			inj.Schedule(tc.spec)
+			opts := Options{NB: nb, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel,
+				Redundancy: 2, Injector: inj}
+			if loss {
+				opts.NodeFault = map[int]hetsim.NodeFaultPlan{0: {AfterEpochs: 4}, 1: {AfterEpochs: 4}}
+			}
+			pr := runPipelineOn(t, decomp, n, clusterSystem(4, 4), opts)
+			if len(inj.Events()) == 0 || pr.res.Counter.CorrectedElements == 0 || pr.res.Unrecoverable {
+				t.Fatalf("%s (loss=%v): injected fault not detected and repaired: events %v, counters %+v",
+					decomp, loss, inj.Events(), pr.res.Counter)
+			}
+			return pr
+		}
+		clean, lossy := run(false), run(true)
+		if lossy.res.NodesLost != 2 {
+			t.Fatalf("%s: NodesLost = %d, want 2", decomp, lossy.res.NodesLost)
+		}
+		requireSameFactors(t, decomp+"/injected", clean, lossy)
 	}
 }

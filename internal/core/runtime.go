@@ -317,13 +317,13 @@ func runLadder(es *engineSys, l ladder) error {
 			}
 		}
 		if !rt.factored[k] {
-			rt.stage(k, stagePanelFactor, func() { l.panelFactor(k) })
+			rt.packed(k, stagePanelFactor, func() { l.panelFactor(k) })
 			if err := l.failed(); err != nil {
 				return err
 			}
 		}
 		rt.stage(k, stagePanelPivot, func() { l.panelPivot(k) })
-		rt.stage(k, stagePanelCommit, func() { l.panelCommit(k) })
+		rt.packed(k, stagePanelCommit, func() { l.panelCommit(k) })
 		if err := l.failed(); err != nil {
 			return err
 		}
@@ -333,7 +333,7 @@ func runLadder(es *engineSys, l ladder) error {
 		if k == nbr-1 {
 			break
 		}
-		rt.stage(k, stagePanelUpdate, func() { l.panelUpdate(k) })
+		rt.packed(k, stagePanelUpdate, func() { l.panelUpdate(k) })
 		rt.stage(k, stageTMUBegin, func() { l.tmuBegin(k) })
 		// The rebalancer brackets the TMU with busy-time samples: device
 		// SimTime accumulates kernel work only, so the bracket captures
@@ -351,7 +351,7 @@ func runLadder(es *engineSys, l ladder) error {
 				}
 			})
 			evs := rt.launchRest(k)
-			rt.stage(k+1, stagePanelFactor, func() { l.panelFactor(k + 1) })
+			rt.packed(k+1, stagePanelFactor, func() { l.panelFactor(k + 1) })
 			rt.factored[k+1] = true
 			for _, ev := range evs {
 				ev.Wait()
@@ -447,6 +447,17 @@ func (rt *stepRuntime) stage(k int, name string, fn func()) {
 	t0 := time.Now()
 	fn()
 	rt.es.sys.Tracer().WallSpan(fmt.Sprintf("%s:%s[%d]", rt.es.decomp, name, k), "stage", t0, time.Since(t0))
+}
+
+// packed runs a panel stage (factor, commit, update) inside one
+// transfer-coalescing window, so the stage's back-to-back transfers on one
+// link pay its latency once — what packing a panel with its checksum
+// strips into one message does. A batched dispatch's composite stage
+// sweeps every item inside the same window, so the slab's panels share it
+// too. Launched TMU closures issue no transfers, so the look-ahead
+// panel-factor window never captures stream traffic.
+func (rt *stepRuntime) packed(k int, name string, fn func()) {
+	rt.stage(k, name, func() { rt.es.sys.CoalesceTransfers(fn) })
 }
 
 // launchRest enqueues every live GPU's remaining trailing-update slice onto
