@@ -176,10 +176,7 @@ func runBatch(decomp string, sys *hetsim.System, b *batch.Batch, opts Options,
 				iopts.Injector = injs[i]
 				bes.opts.Lookahead = 0
 			}
-			ress[i] = &Result{
-				N: b.N(), NB: opts.NB, GPUs: sys.NumGPUs(),
-				Mode: opts.Mode, Scheme: opts.Scheme, Kernel: opts.Kernel,
-			}
+			ress[i] = newResult(sys, b.N(), opts)
 			ps[i] = newProtected(newEngine(decomp, sys, iopts, ress[i]), b.Item(i))
 			bl.items[i] = mk(ps[i])
 		}
@@ -212,24 +209,14 @@ func runBatch(decomp string, sys *hetsim.System, b *batch.Batch, opts Options,
 // set — plus a batch-level error for invalid options or a fail-stop abort,
 // which voids the whole dispatch.
 func CholeskyBatch(sys *hetsim.System, b *batch.Batch, opts Options, injs []*fault.Injector) (outs []*matrix.Dense, ress []*Result, errs []error, err error) {
-	outs, _, ress, errs, err = runBatch("cholesky", sys, b, opts, injs,
-		func(p *protected) ladder {
-			return &cholLadder{p: p, es: p.es, pl: planFor(opts.Scheme), step: make([]*cholStep, p.nbr)}
-		})
+	outs, _, ress, errs, err = runBatch("cholesky", sys, b, opts, injs, newCholLadder)
 	return outs, ress, errs, err
 }
 
 // LUBatch is CholeskyBatch for the protected LU driver; pivs[i] is item
 // i's pivot sequence.
 func LUBatch(sys *hetsim.System, b *batch.Batch, opts Options, injs []*fault.Injector) (outs []*matrix.Dense, pivs [][]int, ress []*Result, errs []error, err error) {
-	outs, ls, ress, errs, err := runBatch("lu", sys, b, opts, injs,
-		func(p *protected) ladder {
-			return &luLadder{
-				p: p, es: p.es, pl: planFor(opts.Scheme),
-				step: make([]*luStep, p.nbr),
-				piv:  make([]int, p.n),
-			}
-		})
+	outs, ls, ress, errs, err := runBatch("lu", sys, b, opts, injs, newLULadder)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
@@ -245,14 +232,7 @@ func LUBatch(sys *hetsim.System, b *batch.Batch, opts Options, injs []*fault.Inj
 // QRBatch is CholeskyBatch for the protected Householder QR driver;
 // taus[i] is item i's reflector coefficients.
 func QRBatch(sys *hetsim.System, b *batch.Batch, opts Options, injs []*fault.Injector) (outs []*matrix.Dense, taus [][]float64, ress []*Result, errs []error, err error) {
-	outs, ls, ress, errs, err := runBatch("qr", sys, b, opts, injs,
-		func(p *protected) ladder {
-			return &qrLadder{
-				p: p, es: p.es, pl: planFor(opts.Scheme),
-				step: make([]*qrStep, p.nbr),
-				tau:  make([]float64, p.n),
-			}
-		})
+	outs, ls, ress, errs, err := runBatch("qr", sys, b, opts, injs, newQRLadder)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"ftla/internal/blas"
 	"ftla/internal/checksum"
@@ -31,72 +30,25 @@ import (
 //	GPU_owner → all   L21 panel broadcast         (panelUpdate)
 //	all GPUs          TMU: A22 −= L21·L21ᵀ (full checksums maintained via
 //	                  the transposed-column-checksum trick of Fig. 2)
-func Cholesky(sys *hetsim.System, a *matrix.Dense, opts Options) (lret *matrix.Dense, rret *Result, err error) {
-	if a.Rows != a.Cols {
-		return nil, nil, fmt.Errorf("core: Cholesky requires a square matrix, got %dx%d", a.Rows, a.Cols)
-	}
-	if err := opts.Validate(a.Rows); err != nil {
-		return nil, nil, err
-	}
-	if err := opts.ValidateTopology(sys); err != nil {
-		return nil, nil, err
-	}
-	// A fail-stop fault (or bound-context expiry) aborts the ladder from
-	// any kernel or transfer; surface it as the run's typed error. The
-	// system's partial state is the caller's to Reset.
-	defer func() {
-		if e := hetsim.RecoverAbort(recover()); e != nil {
-			lret, rret, err = nil, nil, e
-		}
-	}()
-	n := a.Rows
-	res := &Result{
-		N: n, NB: opts.NB, GPUs: sys.NumGPUs(),
-		Mode: opts.Mode, Scheme: opts.Scheme, Kernel: opts.Kernel,
-	}
-	es := newEngine("cholesky", sys, opts, res)
-	start := time.Now()
-	var p *protected
-	if cp := opts.Resume; cp != nil {
-		if err := cp.validateFor("cholesky", n, &opts); err != nil {
-			return nil, nil, err
-		}
-		p = allocProtectedFor(es, cp)
-	} else {
-		p = newProtected(es, a)
-	}
-	l := &cholLadder{p: p, es: es, pl: planFor(opts.Scheme), step: make([]*cholStep, p.nbr)}
-	if err := runLadder(es, l); err != nil {
-		return nil, nil, err
-	}
-	out := p.gather()
-	es.finishResult(start)
-	return out, res, nil
+func Cholesky(sys *hetsim.System, a *matrix.Dense, opts Options) (*matrix.Dense, *Result, error) {
+	out, _, res, err := factorize("Cholesky", sys, a, opts, newCholLadder)
+	return out, res, err
 }
 
-// cholStep is the staging state a Cholesky ladder step carries between its
-// stages: the pulled CPU panel from panelFactor until panelCommit writes
-// it back, and the broadcast L21 stages from panelUpdate until tmuFinish
-// retires them.
-type cholStep struct {
-	cpuPanel, cpuChk *hetsim.Buffer
-	pm, cm           *matrix.Dense
-	stages           []stagePair
-}
-
-// cholLadder is the Cholesky instantiation of the step-runtime ladder.
+// cholLadder is the Cholesky instantiation of the step-runtime ladder. A
+// step stages the pulled diagonal block from panelFactor until panelCommit
+// writes it back, and the broadcast L21 stages from panelUpdate until
+// tmuFinish retires them.
 type cholLadder struct {
-	p    *protected
-	es   *engineSys
-	pl   plan
-	step []*cholStep
-	err  error
+	ladderBase
+	step []*panelStep
 }
 
-func (l *cholLadder) steps() int         { return l.p.nbr }
-func (l *cholLadder) failed() error      { return l.err }
-func (l *cholLadder) layout() *protected { return l.p }
-func (l *cholLadder) panelPivot(int)     {}
+func newCholLadder(p *protected) ladder {
+	return &cholLadder{ladderBase: ladderBase{p: p}, step: make([]*panelStep, p.nbr)}
+}
+
+func (l *cholLadder) panelPivot(int) {}
 
 // checkpoint snapshots the distributed state after step next-1; Cholesky
 // carries no per-step history beyond the matrix itself.
@@ -109,39 +61,23 @@ func (l *cholLadder) checkpoint(next int) *Checkpoint {
 // cp.NextStep.
 func (l *cholLadder) resume(cp *Checkpoint) {
 	l.p.restoreFrom(cp)
-	l.step = make([]*cholStep, l.p.nbr)
+	l.step = make([]*panelStep, l.p.nbr)
 }
 
 // panelFactor pulls the diagonal block (and its checksum strip) to the
-// CPU, verifies it, factors it with POTF2 under local-restart protection,
-// and re-encodes the certified checksums. The factored block stays staged
-// host-side; panelCommit owns the writeback.
+// CPU, verifies it, and factors it with POTF2 under the shared local
+// restart, whose check is the factor-product relation. The factored block
+// stays staged host-side; panelCommit owns the writeback.
 func (l *cholLadder) panelFactor(k int) {
-	p, es := l.p, l.es
+	p, es := l.p, l.p.es
 	cpu := es.sys.CPU()
-	res, pl := es.res, l.pl
+	res := es.res
 	nb := p.nb
 	o := k * nb
-	gk := p.owner(k)
-	chk := es.opts.Mode != NoChecksum
-	st := &cholStep{}
-	l.step[k] = st
-
-	a11dev := p.local[gk].View(o, p.localOff(k), nb, nb)
-	st.cpuPanel = cpu.Alloc(nb, nb)
-	es.transfer(a11dev, st.cpuPanel)
-	st.pm = st.cpuPanel.Access(cpu)
-	if chk {
-		st.cpuChk = cpu.Alloc(2, nb)
-		es.transfer(p.colChkView(k, k, k+1), st.cpuChk)
-		st.cm = st.cpuChk.Access(cpu)
-	}
-	pdRegs := []fault.Region{
-		{Part: fault.ReferencePart, M: st.pm, Row0: o, Col0: o},
-		{Part: fault.UpdatePart, M: st.pm, Row0: o, Col0: o},
-	}
-	es.injectMem(k, fault.PD, pdRegs)
-	if pl.beforePD && chk {
+	st := p.pull(k, nb)
+	l.step[k] = &st
+	es.injectMem(k, fault.PD, st.pdRegions(k, nb))
+	if es.pl.beforePD && es.opts.Mode != NoChecksum {
 		// Under Full mode the diagonal block's row-checksum pair rides
 		// along, so a column left unlocalizable by a previous TMU's
 		// cross-contamination can be rebuilt element-wise.
@@ -159,20 +95,15 @@ func (l *cholLadder) panelFactor(k int) {
 		}
 		res.Counter.PDBefore++
 	}
-	snapshot := st.pm.Clone()
-	var snapChk *matrix.Dense
-	if chk {
-		snapChk = st.cm.Clone()
+	potf2 := func() (err error) {
+		cpu.Run("potf2", float64(nb*nb*nb)/3, func(int) {
+			err = lapack.Potf2(st.pm)
+		})
+		return err
 	}
-	es.injectOnChip(k, fault.PD, pdRegs)
-	if err := p.cholPD(es, k, st.pm, snapshot, snapChk, pl, pdRegs); err != nil {
-		l.err = err
-		return
-	}
-	if chk {
-		// Certified re-encode: the stored block (L11 lower, original
-		// symmetric values above) becomes the protected content.
-		p.encodeColInto(cpu.Workers(), st.pm, st.cm)
+	check := func(_, snapChk *matrix.Dense) int { return p.cholProductCheck(st.pm, snapChk) }
+	if err := p.factorPanel(k, &st, potf2, check); err != nil {
+		l.err = fmt.Errorf("core: Cholesky PD failed after local restart at block %d: %w", k, err)
 	}
 }
 
@@ -180,8 +111,8 @@ func (l *cholLadder) panelFactor(k int) {
 // over PCIe (the §V communication window covers it) and, under schemes
 // that verify after broadcast, re-checks the received copy.
 func (l *cholLadder) panelCommit(k int) {
-	p, es := l.p, l.es
-	res, pl := es.res, l.pl
+	p, es := l.p, l.p.es
+	res := es.res
 	nb := p.nb
 	o := k * nb
 	gk := p.owner(k)
@@ -199,7 +130,7 @@ func (l *cholLadder) panelCommit(k int) {
 			es.transfer(st.cpuChk, p.colChkView(k, k, k+1))
 		}
 	})
-	if pl.afterPDBcast && chk {
+	if es.pl.afterPDBcast && chk {
 		gd := a11dev.Access(gdevK)
 		gc := p.colChkView(k, k, k+1).Access(gdevK)
 		out := p.verifyRepairCol(gdevK.Workers(), gd, gc, nil)
@@ -219,14 +150,13 @@ func (l *cholLadder) panelCommit(k int) {
 // checksum TRSM — and broadcasts the panel (plus checksums) to every GPU,
 // including the §VII.C post-broadcast verification and restart paths.
 func (l *cholLadder) panelUpdate(k int) {
-	p, es := l.p, l.es
+	p, es := l.p, l.p.es
 	sys := es.sys
-	res, pl := es.res, l.pl
+	res, pl := es.res, es.pl
 	nb := p.nb
 	nbr := p.nbr
 	n := p.n
 	o := k * nb
-	G := sys.NumGPUs()
 	gk := p.owner(k)
 	gdevK := sys.GPU(gk)
 	chk := es.opts.Mode != NoChecksum
@@ -291,6 +221,11 @@ func (l *cholLadder) panelUpdate(k int) {
 			gdevK.Trsm(blas.Right, true, true, false, 1, a11dev, pnlChk)
 		}
 	}
+	restartPU := func() {
+		copyWithin(gdevK, snapPnl, pnl)
+		copyWithin(gdevK, snapPnlChk, pnlChk)
+		runPU()
+	}
 	runPU()
 	es.injectComp(k, fault.PU, puRegs)
 	if pl.afterPU && chk {
@@ -298,10 +233,8 @@ func (l *cholLadder) panelUpdate(k int) {
 		res.Counter.PUAfter += nbr - k - 1
 		if out == repairFailed {
 			// 2-D propagation inside PU: local in-memory restart.
-			copyWithin(gdevK, snapPnl, pnl)
-			copyWithin(gdevK, snapPnlChk, pnlChk)
 			res.Counter.LocalRestarts++
-			runPU()
+			restartPU()
 			if p.verifyRepairCol(gdevK.Workers(), pnl.Access(gdevK), pnlChk.Access(gdevK), nil) == repairFailed {
 				res.Unrecoverable = true
 			}
@@ -309,14 +242,10 @@ func (l *cholLadder) panelUpdate(k int) {
 	}
 
 	// ------------- PU broadcast: L21 (+checksums) to all GPUs -------
-	chkRows := 2 * (nbr - k - 1)
-	if !chk {
-		chkRows = 2 // placeholder stage, never read
-	}
-	st.stages = p.allocStages(m2, chkRows, nb)
+	st.stages = p.allocStages(m2, nbr-k-1, nb)
 	doBroadcast := func() {
 		es.withCommContext(k, fault.PU, o+nb, o, func() {
-			for g := 0; g < G; g++ {
+			for g := range st.stages {
 				if !p.gpuLive(g) {
 					continue
 				}
@@ -336,47 +265,27 @@ func (l *cholLadder) panelUpdate(k int) {
 	}
 	doBroadcast()
 	if pl.afterPUBcast && chk {
-		outs, corrupted := p.verifyStages(st.stages, &res.Counter.PUAfter, nbr-k-1)
-		if live := p.liveGPUs(); corrupted == live && live > 1 {
-			// Every GPU received a corrupted panel: the sender (PU) is
-			// implicated — local in-memory restart of PU and a fresh
-			// broadcast (§VII.C).
-			copyWithin(gdevK, snapPnl, pnl)
-			copyWithin(gdevK, snapPnlChk, pnlChk)
-			res.Counter.LocalRestarts++
-			runPU()
+		// Corruption on every GPU implicates the sender (PU): restart it
+		// from the snapshot and broadcast afresh.
+		p.checkBroadcast(st.stages, &res.Counter.PUAfter, nbr-k-1, pnl, pnlChk, func() {
+			restartPU()
 			doBroadcast()
-		} else if corrupted > 0 {
-			// Some legs corrupted: PCIe is implicated; legs repaired by
-			// the ladder already, re-ship any that failed.
-			p.rebroadcastFailed(pnl, pnlChk, st.stages, outs)
-		}
+		})
 	}
 }
 
-// tmuBegin opens the trailing update: injection windows and the scheme's
-// pre-TMU verification.
-func (l *cholLadder) tmuBegin(k int) {
-	p, es := l.p, l.es
-	res, pl := es.res, l.pl
-	o := k * p.nb
-	chk := es.opts.Mode != NoChecksum
-	st := l.step[k]
-
-	tmuRegs := p.cholTMURegions(k, st.stages)
-	es.injectMem(k, fault.TMU, tmuRegs)
-	if pl.beforeTMUPanels && chk {
-		_, _ = p.verifyStages(st.stages, &res.Counter.TMUBefore, p.nbr-k-1)
+// trailing describes step k's trailing update to the shared bracket: the
+// L21 stages are TMU's reference panels, one strip per trailing block row.
+func (l *cholLadder) trailing(k int) tmuStep {
+	p, st := l.p, l.step[k]
+	return tmuStep{
+		regs: p.cholTMURegions(k, st.stages), stages: st.stages,
+		strips: p.nbr - k - 1, rlo: (k + 1) * p.nb,
+		heuristic: func() { p.cholHeuristicAfterTMU(k, st.stages) },
 	}
-	if pl.beforeTMUTrailing && chk {
-		worst, blocks := p.verifyTrailingCol(o+p.nb, k+1)
-		res.Counter.TMUBefore += blocks
-		if worst == repairFailed {
-			res.Unrecoverable = true
-		}
-	}
-	es.injectOnChip(k, fault.TMU, tmuRegs)
 }
+
+func (l *cholLadder) tmuBegin(k int) { l.p.tmuOpen(k, l.trailing(k)) }
 
 // tmuGPU applies GPU g's slice of the trailing update (kernels only; the
 // look-ahead schedule may run the tmuRest slice inside a stream).
@@ -384,80 +293,20 @@ func (l *cholLadder) tmuGPU(k, g int, sel tmuSel) {
 	l.p.cholTMUOnGPU(g, k, l.step[k].stages[g], sel)
 }
 
-// tmuFinish closes the trailing update: computation-fault injection,
-// post-TMU verification, the §VII.B heuristic, and the periodic trailing
-// check, then retires the step's staging state.
+// tmuFinish closes the trailing update and retires the step's staging
+// state.
 func (l *cholLadder) tmuFinish(k int) {
-	p, es := l.p, l.es
-	res, pl := es.res, l.pl
-	o := k * p.nb
-	chk := es.opts.Mode != NoChecksum
-	st := l.step[k]
-
-	tmuRegs := p.cholTMURegions(k, st.stages)
-	es.injectComp(k, fault.TMU, tmuRegs)
-	if pl.afterTMUTrailing && chk {
-		worst, blocks := p.verifyTrailingCol(o+p.nb, k+1)
-		res.Counter.TMUAfter += blocks
-		if worst == repairFailed {
-			res.Unrecoverable = true
-		}
-	}
-	if pl.afterTMUHeuristic && chk {
-		p.cholHeuristicAfterTMU(k, st.stages)
-	}
-	if es.opts.PeriodicTrailingCheck > 0 && (k+1)%es.opts.PeriodicTrailingCheck == 0 && chk {
-		worst, blocks := p.verifyTrailingCol(o+p.nb, k+1)
-		res.Counter.TMUAfter += blocks
-		if worst == repairFailed {
-			res.Unrecoverable = true
-		}
-	}
+	l.p.tmuClose(k, l.trailing(k))
 	l.step[k] = nil
-}
-
-// cholPD factors the diagonal block on the CPU with a one-shot local
-// restart: a POTF2 failure or a factor-product checksum mismatch restores
-// the snapshot and retries (injected faults fire only once, so the retry
-// is clean).
-func (p *protected) cholPD(es *engineSys, k int, pm, snapshot, snapChk *matrix.Dense, pl plan, regs []fault.Region) error {
-	cpu := es.sys.CPU()
-	for attempt := 0; ; attempt++ {
-		var err error
-		es.kernel(cpu, "potf2", float64(p.nb*p.nb*p.nb)/3, func(int) {
-			err = lapack.Potf2(pm)
-		})
-		es.injectComp(k, fault.PD, regs)
-		ok := err == nil
-		if ok && pl.afterPDCPU && es.opts.Mode != NoChecksum {
-			ok = p.cholProductCheck(pm, snapChk)
-			es.res.Counter.PDAfter++
-			if !ok {
-				es.res.Detected = true
-				es.res.Counter.DetectedErrors++
-			}
-		}
-		if ok {
-			return nil
-		}
-		if attempt >= 1 {
-			if err != nil {
-				return fmt.Errorf("core: Cholesky PD failed after local restart at block %d: %w", k, err)
-			}
-			es.res.Unrecoverable = true
-			return nil
-		}
-		pm.CopyFrom(snapshot)
-		es.res.Counter.LocalRestarts++
-	}
 }
 
 // cholProductCheck verifies the factor-product checksum relation
 // c(A11) ?= (wᵀ·L̂)·L̂ᵀ, which holds because A11 = L·Lᵀ. It detects any
 // corruption of the stored factor because the right-hand side is computed
 // from the stored values while the left-hand side is the maintained (and
-// previously verified) checksum of the input.
-func (p *protected) cholProductCheck(pm, snapChk *matrix.Dense) bool {
+// previously verified) checksum of the input. It returns the mismatch
+// count the PD restart charges: 1 when the relation fails, else 0.
+func (p *protected) cholProductCheck(pm, snapChk *matrix.Dense) int {
 	defer p.es.span(obs.PhaseVerify, "chol-product-check", &p.es.res.VerifyT)()
 	nb := p.nb
 	// Materialize L̂ (lower triangle of the stored block).
@@ -471,8 +320,10 @@ func (p *protected) cholProductCheck(pm, snapChk *matrix.Dense) bool {
 	checksum.EncodeCol(checksum.OptKernel, 1, l, nb, wl)
 	prod := matrix.NewDense(2, nb)
 	blas.Gemm(false, true, 1, wl, l, 0, prod)
-	d, _, _ := prod.MaxAbsDiff(snapChk)
-	return d <= p.tol*float64(nb)
+	if d, _, _ := prod.MaxAbsDiff(snapChk); d > p.tol*float64(nb) {
+		return 1
+	}
+	return 0
 }
 
 // cholTMURegions exposes the TMU fault-injection targets: the reference

@@ -239,7 +239,7 @@ func (cs *codedState) rows(b *hetsim.Buffer, r0 int) *hetsim.Buffer {
 // identity and the kernel is the plain XOR of the r = 1 code.
 func (cs *codedState) axpyInto(dev *hetsim.Device, dst, src *hetsim.Buffer, c byte) {
 	t := cs.table(c)
-	cs.p.es.kernel(dev, "parity-axpy", float64(dst.Rows()*dst.Cols()), func(int) {
+	dev.Run("parity-axpy", float64(dst.Rows()*dst.Cols()), func(int) {
 		d, s := dst.Access(dev), src.Access(dev)
 		for i := 0; i < d.Rows; i++ {
 			dr, sr := d.Row(i), s.Row(i)
@@ -254,7 +254,7 @@ func (cs *codedState) axpyInto(dev *hetsim.Device, dst, src *hetsim.Buffer, c by
 // patterns), both resident on dev.
 func (cs *codedState) scaleInto(dev *hetsim.Device, dst, src *hetsim.Buffer, c byte) {
 	t := cs.table(c)
-	cs.p.es.kernel(dev, "parity-scale", float64(dst.Rows()*dst.Cols()), func(int) {
+	dev.Run("parity-scale", float64(dst.Rows()*dst.Cols()), func(int) {
 		d, s := dst.Access(dev), src.Access(dev)
 		for i := 0; i < d.Rows; i++ {
 			dr, sr := d.Row(i), s.Row(i)
@@ -365,7 +365,7 @@ func (cs *codedState) swapRows(r1, r2, bjLo, bjHi int) {
 			}
 			dev := cs.p.es.sys.GPU(g.pgs[j])
 			buf := buf
-			cs.p.es.kernel(dev, "parity-swap", float64(cs.p.nb), func(int) {
+			dev.Run("parity-swap", float64(cs.p.nb), func(int) {
 				m := buf.Access(dev)
 				a, b := m.Row(r1), m.Row(r2)
 				for j := range a {
@@ -594,14 +594,14 @@ func (cs *codedState) adopt(bj, dst int, recon *hetsim.Buffer) {
 	if chk {
 		data := p.local[dst].View(0, idx*nb, n, nb)
 		cc := p.colChk[dst].View(0, idx*nb, 2*p.nbr, nb)
-		es.kernel(ddev, "encode-col", 4*float64(n*nb), func(w int) {
+		ddev.Run("encode-col", 4*float64(n*nb), func(w int) {
 			checksum.EncodeCol(es.opts.Kernel, w, data.Access(ddev), nb, cc.Access(ddev))
 		})
 	}
 	if full {
 		data := p.local[dst].View(0, idx*nb, n, nb)
 		rc := p.rowChk[dst].View(0, 2*idx, n, 2)
-		es.kernel(ddev, "encode-row", 4*float64(n*nb), func(w int) {
+		ddev.Run("encode-row", 4*float64(n*nb), func(w int) {
 			checksum.EncodeRow(es.opts.Kernel, w, data.Access(ddev), nb, rc.Access(ddev))
 		})
 	}

@@ -170,7 +170,7 @@ func newEngine(decomp string, sys *hetsim.System, opts Options, res *Result) *en
 			sys.ArmNodeFault(node, plan)
 		}
 	}
-	return &engineSys{decomp: decomp, sys: sys, opts: opts, res: res, inj: opts.Injector, startFlops: blas.Flops()}
+	return &engineSys{decomp: decomp, sys: sys, opts: opts, res: res, pl: planFor(opts.Scheme), inj: opts.Injector, startFlops: blas.Flops()}
 }
 
 // span opens a phase region and returns its closer; `defer es.span(...)()`

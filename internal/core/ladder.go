@@ -1,0 +1,317 @@
+package core
+
+import (
+	"fmt"
+	"strings"
+	"time"
+
+	"ftla/internal/fault"
+	"ftla/internal/hetsim"
+	"ftla/internal/matrix"
+)
+
+// The protected-ladder skeleton.
+//
+// Cholesky, LU and QR run the same dataflow — PD on the CPU, panel
+// broadcast, PU, then TMU on the GPUs — and Algorithm 2 places the same
+// verification points in all three. This file holds the parts that do not
+// depend on the decomposition: the solo entry point, the PD local restart,
+// the certified-panel commit with its §VII.C verify/restart path, and the
+// trailing-update bracket. Each driver keeps only its kernels and its own
+// checks (panel kernel and product check, TMU kernel and fault regions,
+// §VII.B heuristic, LU's pivoting, QR's T and c(V) legs), passed in as
+// data or functions; nothing here branches on which decomposition it
+// serves.
+
+// factorize is the body the solo drivers share. It validates the input
+// and options, builds the run's engine and protected layout (restored from
+// opts.Resume when set), runs the ladder mk builds, and gathers the factor.
+// decomp is the driver's display name ("Cholesky", "LU", "QR"); its lower
+// case names the engine and the checkpoints. A fail-stop abort anywhere in
+// the ladder surfaces as the returned error; the system's partial state is
+// the caller's to Reset.
+func factorize(decomp string, sys *hetsim.System, a *matrix.Dense, opts Options, mk func(p *protected) ladder) (out *matrix.Dense, l ladder, res *Result, err error) {
+	if a.Rows != a.Cols {
+		return nil, nil, nil, fmt.Errorf("core: %s requires a square matrix, got %dx%d", decomp, a.Rows, a.Cols)
+	}
+	if err := opts.Validate(a.Rows); err != nil {
+		return nil, nil, nil, err
+	}
+	if err := opts.ValidateTopology(sys); err != nil {
+		return nil, nil, nil, err
+	}
+	defer func() {
+		if e := hetsim.RecoverAbort(recover()); e != nil {
+			out, l, res, err = nil, nil, nil, e
+		}
+	}()
+	name := strings.ToLower(decomp)
+	res = newResult(sys, a.Rows, opts)
+	es := newEngine(name, sys, opts, res)
+	start := time.Now()
+	var p *protected
+	if cp := opts.Resume; cp != nil {
+		if err := cp.validateFor(name, a.Rows, &opts); err != nil {
+			return nil, nil, nil, err
+		}
+		p = allocProtectedFor(es, cp)
+	} else {
+		p = newProtected(es, a)
+	}
+	l = mk(p)
+	if err := runLadder(es, l); err != nil {
+		return nil, nil, nil, err
+	}
+	out = p.gather()
+	es.finishResult(start)
+	return out, l, res, nil
+}
+
+// newResult starts the report of one order-n run under opts.
+func newResult(sys *hetsim.System, n int, opts Options) *Result {
+	return &Result{
+		N: n, NB: opts.NB, GPUs: sys.NumGPUs(),
+		Mode: opts.Mode, Scheme: opts.Scheme, Kernel: opts.Kernel,
+	}
+}
+
+// ladderBase is the state every decomposition's ladder carries: the
+// protected layout it factors (whose engine holds the run's options, plan
+// and report) and the driver error that stops the run.
+type ladderBase struct {
+	p   *protected
+	err error
+}
+
+func (b *ladderBase) steps() int         { return b.p.nbr }
+func (b *ladderBase) failed() error      { return b.err }
+func (b *ladderBase) layout() *protected { return b.p }
+
+// panelStep is the staging state of one ladder step: the panel pulled to
+// the CPU (and its checksum strips) from panelFactor until it is written
+// back, and the per-GPU stages of the broadcast panel until tmuFinish
+// retires them.
+type panelStep struct {
+	cpuPanel, cpuChk *hetsim.Buffer
+	pm, cm           *matrix.Dense
+	stages           []stagePair
+}
+
+// pull stages rows [k·nb, k·nb+rows) of block column k, and their column
+// checksum strips, on the CPU.
+func (p *protected) pull(k, rows int) panelStep {
+	es := p.es
+	cpu := es.sys.CPU()
+	o := k * p.nb
+	st := panelStep{cpuPanel: cpu.Alloc(rows, p.nb)}
+	es.transfer(p.local[p.owner(k)].View(o, p.localOff(k), rows, p.nb), st.cpuPanel)
+	st.pm = st.cpuPanel.Access(cpu)
+	if es.opts.Mode != NoChecksum {
+		strips := rows / p.nb
+		st.cpuChk = cpu.Alloc(2*strips, p.nb)
+		es.transfer(p.colChkView(k, k, k+strips), st.cpuChk)
+		st.cm = st.cpuChk.Access(cpu)
+	}
+	return st
+}
+
+// pdRegions are the PD fault targets of step k: the CPU-staged panel is
+// both the reference and the update part.
+func (st *panelStep) pdRegions(k, nb int) []fault.Region {
+	o := k * nb
+	return []fault.Region{
+		{Part: fault.ReferencePart, M: st.pm, Row0: o, Col0: o},
+		{Part: fault.UpdatePart, M: st.pm, Row0: o, Col0: o},
+	}
+}
+
+// factorPanel runs PD on the CPU-staged panel of step k under the one-shot
+// local restart: snapshot the panel and its checksums, open the on-chip
+// window, run the kernel, open the computation window, and — when the plan
+// checks PD on the CPU — count the panel's blocks as verified and call
+// check, which returns the mismatches it found (snap and snapChk are the
+// clean input). A kernel error or a mismatch restores the snapshot and
+// retries once (injected faults fire only once, so the retry is clean); a
+// second failure marks the run unrecoverable, or returns the kernel's
+// error. A panel that comes through gets its checksums re-encoded: the
+// stored factor becomes the certified content.
+func (p *protected) factorPanel(k int, st *panelStep, run func() error, check func(snap, snapChk *matrix.Dense) int) error {
+	es := p.es
+	chk := es.opts.Mode != NoChecksum
+	regs := st.pdRegions(k, p.nb)
+	snap := st.pm.Clone()
+	var snapChk *matrix.Dense
+	if chk {
+		snapChk = st.cm.Clone()
+	}
+	es.injectOnChip(k, fault.PD, regs)
+	for attempt := 0; ; attempt++ {
+		err := run()
+		es.injectComp(k, fault.PD, regs)
+		ok := err == nil
+		if ok && es.pl.afterPDCPU && chk {
+			es.res.Counter.PDAfter += st.pm.Rows / p.nb
+			if bad := check(snap, snapChk); bad > 0 {
+				ok = false
+				es.res.Detected = true
+				es.res.Counter.DetectedErrors += bad
+			}
+		}
+		if ok {
+			break
+		}
+		if attempt >= 1 {
+			if err != nil {
+				return err
+			}
+			es.res.Unrecoverable = true
+			break
+		}
+		st.pm.CopyFrom(snap)
+		if chk {
+			st.cm.CopyFrom(snapChk)
+		}
+		es.res.Counter.LocalRestarts++
+	}
+	if chk {
+		p.encodeColInto(es.sys.CPU().Workers(), st.pm, st.cm)
+	}
+	return nil
+}
+
+// commitPanel writes the certified CPU panel of step k (rows k·nb.., all
+// its strips) back into its owner's storage and broadcasts it, with its
+// checksums, to every live GPU's stage inside one communication-fault
+// window; leg, when set, ships GPU g's extra operands after its panel
+// legs. Under the plan's post-broadcast check the stages are verified
+// (§VII.C, see checkBroadcast); when only some legs were corrupted, the
+// owner's copy may have taken the hit on the writeback leg too, and is
+// repaired from the certified source.
+func (p *protected) commitPanel(k int, st *panelStep, leg func(g int)) {
+	es := p.es
+	nb := p.nb
+	o := k * nb
+	gk := p.owner(k)
+	gdev := es.sys.GPU(gk)
+	m := p.n - o
+	strips := p.nbr - k
+	chk := es.opts.Mode != NoChecksum
+	panelDev := p.local[gk].View(o, p.localOff(k), m, nb)
+	st.stages = p.allocStages(m, strips, nb)
+	broadcast := func() {
+		es.withCommContext(k, fault.PD, o, o, func() {
+			// Writeback into the owner's authoritative storage first.
+			es.transfer(st.cpuPanel, panelDev)
+			if chk {
+				es.transfer(st.cpuChk, p.colChkView(k, k, p.nbr))
+			}
+			for g := range st.stages {
+				if !p.gpuLive(g) {
+					continue
+				}
+				if g == gk {
+					copyWithin(gdev, panelDev, st.stages[g].data)
+					if chk {
+						copyWithin(gdev, p.colChkView(k, k, p.nbr), st.stages[g].chk)
+					}
+				} else {
+					es.transfer(st.cpuPanel, st.stages[g].data)
+					if chk {
+						es.transfer(st.cpuChk, st.stages[g].chk)
+					}
+				}
+				if leg != nil {
+					leg(g)
+				}
+			}
+		})
+	}
+	broadcast()
+	if !es.pl.afterPDBcast || !chk {
+		return
+	}
+	if p.checkBroadcast(st.stages, &es.res.Counter.PDAfter, strips, st.cpuPanel, st.cpuChk, broadcast) {
+		gc := p.colChkView(k, k, p.nbr)
+		if p.verifyRepairCol(gdev.Workers(), panelDev.Access(gdev), gc.Access(gdev), nil) == repairFailed {
+			es.transfer(st.cpuPanel, panelDev)
+			es.transfer(st.cpuChk, gc)
+			es.res.Counter.Rebroadcasts++
+		}
+	}
+}
+
+// checkBroadcast verifies the received stages of a panel broadcast from
+// src/srcChk, adding strips blocks per stage to counter, and applies
+// §VII.C: corruption on every live GPU implicates the sender, so the step
+// restarts locally (restart redoes the sender's work and the broadcast);
+// corruption on some GPUs implicates PCIe, so the legs the ladder could not
+// repair in place are shipped again. It reports the PCIe case.
+func (p *protected) checkBroadcast(stages []stagePair, counter *int, strips int, src, srcChk *hetsim.Buffer, restart func()) bool {
+	outs, corrupted := p.verifyStages(stages, counter, strips)
+	if live := p.liveGPUs(); corrupted == live && live > 1 {
+		p.es.res.Counter.LocalRestarts++
+		restart()
+		return false
+	}
+	if corrupted == 0 {
+		return false
+	}
+	p.rebroadcastFailed(src, srcChk, stages, outs)
+	return true
+}
+
+// tmuStep is what the trailing-update bracket needs from one ladder step:
+// the TMU fault regions, the staged panels TMU reads and their checksum
+// strip count, the first trailing row, and the decomposition's §VII.B
+// heuristic check.
+type tmuStep struct {
+	regs      []fault.Region
+	stages    []stagePair
+	strips    int
+	rlo       int
+	heuristic func()
+}
+
+// tmuOpen opens step k's trailing update: the memory-fault window, the
+// plan's pre-TMU verification, and the on-chip window.
+func (p *protected) tmuOpen(k int, t tmuStep) {
+	es := p.es
+	chk := es.opts.Mode != NoChecksum
+	es.injectMem(k, fault.TMU, t.regs)
+	if es.pl.beforeTMUPanels && chk {
+		_, _ = p.verifyStages(t.stages, &es.res.Counter.TMUBefore, t.strips)
+	}
+	if es.pl.beforeTMUTrailing && chk {
+		p.checkTrailing(t.rlo, k+1, &es.res.Counter.TMUBefore)
+	}
+	es.injectOnChip(k, fault.TMU, t.regs)
+}
+
+// tmuClose closes step k's trailing update: the computation-fault window,
+// the plan's post-TMU verification or §VII.B heuristic, and the periodic
+// trailing check.
+func (p *protected) tmuClose(k int, t tmuStep) {
+	es := p.es
+	chk := es.opts.Mode != NoChecksum
+	es.injectComp(k, fault.TMU, t.regs)
+	if es.pl.afterTMUTrailing && chk {
+		p.checkTrailing(t.rlo, k+1, &es.res.Counter.TMUAfter)
+	}
+	if es.pl.afterTMUHeuristic && chk {
+		t.heuristic()
+	}
+	if every := es.opts.PeriodicTrailingCheck; every > 0 && (k+1)%every == 0 && chk {
+		p.checkTrailing(t.rlo, k+1, &es.res.Counter.TMUAfter)
+	}
+}
+
+// checkTrailing verifies and repairs the trailing region (rows >= rlo,
+// block columns >= bj0), adds the verified blocks to counter, and marks
+// the run unrecoverable when the repair fails.
+func (p *protected) checkTrailing(rlo, bj0 int, counter *int) {
+	worst, blocks := p.verifyTrailingCol(rlo, bj0)
+	*counter += blocks
+	if worst == repairFailed {
+		p.es.res.Unrecoverable = true
+	}
+}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"ftla/internal/blas"
 	"ftla/internal/checksum"
@@ -29,49 +28,12 @@ import (
 //	CPU → all GPUs    factored panel broadcast (+ checksums) (panelCommit)
 //	all GPUs          PU: U12 = L11⁻¹·A12 (row checksums ride the TRSM)
 //	all GPUs          TMU: A22 −= L21·U12 with full checksum maintenance
-func LU(sys *hetsim.System, a *matrix.Dense, opts Options) (lret *matrix.Dense, pret []int, rret *Result, err error) {
-	if a.Rows != a.Cols {
-		return nil, nil, nil, fmt.Errorf("core: LU requires a square matrix, got %dx%d", a.Rows, a.Cols)
-	}
-	if err := opts.Validate(a.Rows); err != nil {
+func LU(sys *hetsim.System, a *matrix.Dense, opts Options) (*matrix.Dense, []int, *Result, error) {
+	out, l, res, err := factorize("LU", sys, a, opts, newLULadder)
+	if err != nil {
 		return nil, nil, nil, err
 	}
-	if err := opts.ValidateTopology(sys); err != nil {
-		return nil, nil, nil, err
-	}
-	// Fail-stop abort plumbing; see Cholesky.
-	defer func() {
-		if e := hetsim.RecoverAbort(recover()); e != nil {
-			lret, pret, rret, err = nil, nil, nil, e
-		}
-	}()
-	n := a.Rows
-	res := &Result{
-		N: n, NB: opts.NB, GPUs: sys.NumGPUs(),
-		Mode: opts.Mode, Scheme: opts.Scheme, Kernel: opts.Kernel,
-	}
-	es := newEngine("lu", sys, opts, res)
-	start := time.Now()
-	var p *protected
-	if cp := opts.Resume; cp != nil {
-		if err := cp.validateFor("lu", n, &opts); err != nil {
-			return nil, nil, nil, err
-		}
-		p = allocProtectedFor(es, cp)
-	} else {
-		p = newProtected(es, a)
-	}
-	l := &luLadder{
-		p: p, es: es, pl: planFor(opts.Scheme),
-		step: make([]*luStep, p.nbr),
-		piv:  make([]int, n),
-	}
-	if err := runLadder(es, l); err != nil {
-		return nil, nil, nil, err
-	}
-	out := p.gather()
-	es.finishResult(start)
-	return out, l.piv, res, nil
+	return out, l.(*luLadder).piv, res, nil
 }
 
 // luStep is the staging state an LU ladder step carries between stages:
@@ -79,25 +41,20 @@ func LU(sys *hetsim.System, a *matrix.Dense, opts Options) (lret *matrix.Dense, 
 // panelCommit broadcasts it, and the received panel stages until tmuFinish
 // retires them.
 type luStep struct {
-	cpuPanel, cpuChk *hetsim.Buffer
-	pm, cm           *matrix.Dense
-	lpiv             []int
-	stages           []stagePair
+	panelStep
+	lpiv []int
 }
 
 // luLadder is the LU instantiation of the step-runtime ladder.
 type luLadder struct {
-	p    *protected
-	es   *engineSys
-	pl   plan
+	ladderBase
 	step []*luStep
 	piv  []int
-	err  error
 }
 
-func (l *luLadder) steps() int         { return l.p.nbr }
-func (l *luLadder) failed() error      { return l.err }
-func (l *luLadder) layout() *protected { return l.p }
+func newLULadder(p *protected) ladder {
+	return &luLadder{ladderBase: ladderBase{p: p}, step: make([]*luStep, p.nbr), piv: make([]int, p.n)}
+}
 
 // checkpoint snapshots the distributed state after step next-1 plus the
 // pivot history of the finished steps. Pivot entries beyond next·NB are
@@ -122,40 +79,22 @@ func (l *luLadder) resume(cp *Checkpoint) {
 
 // panelFactor pulls the full column panel (and its checksum strips) to the
 // CPU, verifies it — with the §VII.B Fig. 4b contamination probes under
-// Full mode — factors it with GETF2 under local-restart protection, and
-// re-encodes the certified checksums. The panel stays staged host-side;
-// panelCommit owns the writeback and broadcast.
+// Full mode — and factors it with GETF2 under the shared local restart,
+// whose check is the factor-product relation. The panel stays staged
+// host-side; panelCommit owns the writeback and broadcast.
 func (l *luLadder) panelFactor(k int) {
-	p, es := l.p, l.es
+	p, es := l.p, l.p.es
 	cpu := es.sys.CPU()
-	res, pl := es.res, l.pl
+	res := es.res
 	nb := p.nb
 	n := p.n
 	o := k * nb
-	gk := p.owner(k)
-	G := es.sys.NumGPUs()
 	m := n - o
-	strips := p.nbr - k
-	chk := es.opts.Mode != NoChecksum
 	full := es.opts.Mode == Full
-	st := &luStep{}
+	st := &luStep{panelStep: p.pull(k, m)}
 	l.step[k] = st
-
-	panelDev := p.local[gk].View(o, p.localOff(k), m, nb)
-	st.cpuPanel = cpu.Alloc(m, nb)
-	es.transfer(panelDev, st.cpuPanel)
-	st.pm = st.cpuPanel.Access(cpu)
-	if chk {
-		st.cpuChk = cpu.Alloc(2*strips, nb)
-		es.transfer(p.colChkView(k, k, p.nbr), st.cpuChk)
-		st.cm = st.cpuChk.Access(cpu)
-	}
-	pdRegs := []fault.Region{
-		{Part: fault.ReferencePart, M: st.pm, Row0: o, Col0: o},
-		{Part: fault.UpdatePart, M: st.pm, Row0: o, Col0: o},
-	}
-	es.injectMem(k, fault.PD, pdRegs)
-	if pl.beforePD && chk {
+	es.injectMem(k, fault.PD, st.pdRegions(k, nb))
+	if es.pl.beforePD && es.opts.Mode != NoChecksum {
 		// Under Full mode the panel's row-checksum pair rides along so
 		// that a 1-D column contamination (e.g. an on-chip row-panel
 		// fault consumed by an earlier TMU) can be rebuilt in place.
@@ -172,7 +111,7 @@ func (l *luLadder) panelFactor(k int) {
 		if out == repairFailed {
 			res.Unrecoverable = true
 		}
-		res.Counter.PDBefore += strips
+		res.Counter.PDBefore += p.nbr - k
 		// §VII.B Fig. 4b: corrections in the panel may be the visible
 		// edge of a 1-D row contamination from an earlier on-chip TMU
 		// fault; probe and repair the full rows across the trailing
@@ -185,31 +124,39 @@ func (l *luLadder) panelFactor(k int) {
 					continue
 				}
 				seen[r] = true
-				for g := 0; g < G; g++ {
-					if p.trailStart(g, k+1) >= p.nloc[g] {
-						continue
-					}
-					if !p.verifyRowQuick(g, r, p.trailStart(g, k+1)) {
-						p.repairContaminatedRow(g, r, k+1)
-					}
-				}
+				p.probeRow(r, k)
 			}
 		}
 	}
-	snapshot := st.pm.Clone()
-	es.injectOnChip(k, fault.PD, pdRegs)
 	st.lpiv = make([]int, nb)
-	if err := p.luPD(es, k, st.pm, st.cm, snapshot, st.lpiv, pl, pdRegs); err != nil {
-		l.err = err
+	getf2 := func() (err error) {
+		cpu.Run("getf2", float64(m*nb*nb), func(int) {
+			err = lapack.Getf2(st.pm, st.lpiv)
+		})
+		return err
+	}
+	check := func(snap, _ *matrix.Dense) int { return p.luProductCheck(st.pm, snap, st.lpiv) }
+	if err := p.factorPanel(k, &st.panelStep, getf2, check); err != nil {
+		l.err = fmt.Errorf("core: LU PD failed after local restart at block %d: %w", k, err)
 		return
 	}
 	for j, lp := range st.lpiv {
 		l.piv[o+j] = o + lp
 	}
-	if chk {
-		// Certified re-encode of the stored L\U panel.
-		p.encodeColInto(cpu.Workers(), st.pm, st.cm)
+}
+
+// probeRow checks global row r against its row checksums on every GPU's
+// trailing columns (block columns > k) and repairs each GPU's copy that
+// disagrees (repairContaminatedRow). It returns how many GPUs needed the
+// repair.
+func (p *protected) probeRow(r, k int) (hits int) {
+	for g := range p.nloc {
+		if lb0 := p.trailStart(g, k+1); lb0 < p.nloc[g] && !p.verifyRowQuick(g, r, lb0) {
+			p.repairContaminatedRow(g, r, k+1)
+			hits++
+		}
 	}
+	return hits
 }
 
 // panelPivot applies the step's row interchanges to every other block
@@ -220,12 +167,11 @@ func (l *luLadder) panelFactor(k int) {
 // (corrupted) values and would otherwise bake the corruption into the
 // checksums.
 func (l *luLadder) panelPivot(k int) {
-	p, es := l.p, l.es
+	p, es := l.p, l.p.es
 	res := es.res
 	nb := p.nb
 	n := p.n
 	o := k * nb
-	G := es.sys.NumGPUs()
 	full := es.opts.Mode == Full
 	st := l.step[k]
 
@@ -237,15 +183,9 @@ func (l *luLadder) panelPivot(k int) {
 					continue
 				}
 				probed[r] = true
-				for g := 0; g < G; g++ {
-					if p.trailStart(g, k+1) >= p.nloc[g] {
-						continue
-					}
-					if !p.verifyRowQuick(g, r, p.trailStart(g, k+1)) {
-						res.Detected = true
-						res.Counter.DetectedErrors++
-						p.repairContaminatedRow(g, r, k+1)
-					}
+				if hits := p.probeRow(r, k); hits > 0 {
+					res.Detected = true
+					res.Counter.DetectedErrors += hits
 				}
 			}
 		}
@@ -264,81 +204,15 @@ func (l *luLadder) panelPivot(k int) {
 // panelCommit writes the certified panel back into the owner's
 // authoritative storage and broadcasts it (plus checksums) to every GPU's
 // stage, with the §VII.C post-broadcast verification and restart paths.
-func (l *luLadder) panelCommit(k int) {
-	p, es := l.p, l.es
-	sys := es.sys
-	res, pl := es.res, l.pl
-	nb := p.nb
-	o := k * nb
-	gk := p.owner(k)
-	G := sys.NumGPUs()
-	m := p.n - o
-	strips := p.nbr - k
-	chk := es.opts.Mode != NoChecksum
-	st := l.step[k]
-
-	panelDev := p.local[gk].View(o, p.localOff(k), m, nb)
-	chkRows := 2 * strips
-	if !chk {
-		chkRows = 2
-	}
-	st.stages = p.allocStages(m, chkRows, nb)
-	doBroadcast := func() {
-		es.withCommContext(k, fault.PD, o, o, func() {
-			// Writeback into the owner's authoritative storage first.
-			es.transfer(st.cpuPanel, panelDev)
-			if chk {
-				es.transfer(st.cpuChk, p.colChkView(k, k, p.nbr))
-			}
-			for g := 0; g < G; g++ {
-				if !p.gpuLive(g) {
-					continue
-				}
-				if g == gk {
-					copyWithin(sys.GPU(gk), panelDev, st.stages[g].data)
-					if chk {
-						copyWithin(sys.GPU(gk), p.colChkView(k, k, p.nbr), st.stages[g].chk)
-					}
-					continue
-				}
-				es.transfer(st.cpuPanel, st.stages[g].data)
-				if chk {
-					es.transfer(st.cpuChk, st.stages[g].chk)
-				}
-			}
-		})
-	}
-	doBroadcast()
-	if pl.afterPDBcast && chk {
-		outs, corrupted := p.verifyStages(st.stages, &res.Counter.PDAfter, strips)
-		if live := p.liveGPUs(); corrupted == live && live > 1 {
-			// §VII.C: every GPU corrupted implicates the sender side —
-			// conservative local restart of the broadcast from the
-			// certified CPU copy.
-			res.Counter.LocalRestarts++
-			doBroadcast()
-		} else if corrupted > 0 {
-			p.rebroadcastFailed(st.cpuPanel, st.cpuChk, st.stages, outs)
-			// The owner's authoritative copy may have taken the hit on
-			// the writeback leg; repair it from the certified source.
-			gd := panelDev.Access(sys.GPU(gk))
-			gc := p.colChkView(k, k, p.nbr).Access(sys.GPU(gk))
-			if p.verifyRepairCol(sys.GPU(gk).Workers(), gd, gc, nil) == repairFailed {
-				es.transfer(st.cpuPanel, panelDev)
-				es.transfer(st.cpuChk, p.colChkView(k, k, p.nbr))
-				res.Counter.Rebroadcasts++
-			}
-		}
-	}
-}
+func (l *luLadder) panelCommit(k int) { l.p.commitPanel(k, &l.step[k].panelStep, nil) }
 
 // panelUpdate runs PU — U12 = L11⁻¹·A12 with the row-checksum TRSM riding
 // along — on every GPU, with pre/post verification and per-GPU local
 // restart.
 func (l *luLadder) panelUpdate(k int) {
-	p, es := l.p, l.es
+	p, es := l.p, l.p.es
 	sys := es.sys
-	res, pl := es.res, l.pl
+	res, pl := es.res, es.pl
 	nb := p.nb
 	o := k * nb
 	G := sys.NumGPUs()
@@ -412,29 +286,19 @@ func (l *luLadder) panelUpdate(k int) {
 	}
 }
 
-// tmuBegin opens the trailing update: injection windows and the scheme's
-// pre-TMU verification.
-func (l *luLadder) tmuBegin(k int) {
-	p, es := l.p, l.es
-	res, pl := es.res, l.pl
-	o := k * p.nb
-	chk := es.opts.Mode != NoChecksum
-	st := l.step[k]
-
-	tmuRegs := p.luTMURegions(k, st.stages)
-	es.injectMem(k, fault.TMU, tmuRegs)
-	if pl.beforeTMUPanels && chk {
-		_, _ = p.verifyStages(st.stages, &res.Counter.TMUBefore, p.nbr-k)
+// trailing describes step k's trailing update to the shared bracket: the
+// whole received panel stage is TMU's column reference, one strip per
+// block row from k.
+func (l *luLadder) trailing(k int) tmuStep {
+	p, st := l.p, l.step[k]
+	return tmuStep{
+		regs: p.luTMURegions(k, st.stages), stages: st.stages,
+		strips: p.nbr - k, rlo: (k + 1) * p.nb,
+		heuristic: func() { p.luHeuristicAfterTMU(k, st.stages) },
 	}
-	if pl.beforeTMUTrailing && chk {
-		worst, blocks := p.verifyTrailingCol(o+p.nb, k+1)
-		res.Counter.TMUBefore += blocks
-		if worst == repairFailed {
-			res.Unrecoverable = true
-		}
-	}
-	es.injectOnChip(k, fault.TMU, tmuRegs)
 }
+
+func (l *luLadder) tmuBegin(k int) { l.p.tmuOpen(k, l.trailing(k)) }
 
 // tmuGPU applies GPU g's slice of the Schur update (kernels only; the
 // look-ahead schedule may run the tmuRest slice inside a stream).
@@ -442,35 +306,10 @@ func (l *luLadder) tmuGPU(k, g int, sel tmuSel) {
 	l.p.luTMUOnGPU(g, k, l.step[k].stages[g], sel)
 }
 
-// tmuFinish closes the trailing update: computation-fault injection,
-// post-TMU verification, the §VII.B heuristic, and the periodic trailing
-// check, then retires the step's staging state.
+// tmuFinish closes the trailing update and retires the step's staging
+// state.
 func (l *luLadder) tmuFinish(k int) {
-	p, es := l.p, l.es
-	res, pl := es.res, l.pl
-	o := k * p.nb
-	chk := es.opts.Mode != NoChecksum
-	st := l.step[k]
-
-	tmuRegs := p.luTMURegions(k, st.stages)
-	es.injectComp(k, fault.TMU, tmuRegs)
-	if pl.afterTMUTrailing && chk {
-		worst, blocks := p.verifyTrailingCol(o+p.nb, k+1)
-		res.Counter.TMUAfter += blocks
-		if worst == repairFailed {
-			res.Unrecoverable = true
-		}
-	}
-	if pl.afterTMUHeuristic && chk {
-		p.luHeuristicAfterTMU(k, st.stages)
-	}
-	if es.opts.PeriodicTrailingCheck > 0 && (k+1)%es.opts.PeriodicTrailingCheck == 0 && chk {
-		worst, blocks := p.verifyTrailingCol(o+p.nb, k+1)
-		res.Counter.TMUAfter += blocks
-		if worst == repairFailed {
-			res.Unrecoverable = true
-		}
-	}
+	l.p.tmuClose(k, l.trailing(k))
 	l.step[k] = nil
 }
 
@@ -480,49 +319,15 @@ type luPUSnap struct {
 	lb0        int
 }
 
-// luPD factors the column panel on the CPU with a one-shot local restart
-// backed by the factor-product checksum check
-// c(P·A_panel) ?= (wᵀ·L̂)·Û (§III.B applied at panel granularity). The
-// left side is recomputed from the *snapshot* (clean input) with the
-// recorded pivots applied, so it is independent of every value the
-// factorization computed; the right side is computed from the stored
-// factors. Any corruption of L̂ or Û therefore breaks the equality.
-func (p *protected) luPD(es *engineSys, k int, pm, cm, snapshot *matrix.Dense, lpiv []int, pl plan, regs []fault.Region) error {
-	cpu := es.sys.CPU()
-	nb := p.nb
-	for attempt := 0; ; attempt++ {
-		var err error
-		es.kernel(cpu, "getf2", float64(pm.Rows*nb*nb), func(int) {
-			err = lapack.Getf2(pm, lpiv)
-		})
-		es.injectComp(k, fault.PD, regs)
-		ok := err == nil
-		if ok && pl.afterPDCPU && es.opts.Mode != NoChecksum {
-			ok = p.luProductCheck(pm, snapshot, lpiv)
-			es.res.Counter.PDAfter += pm.Rows / nb
-			if !ok {
-				es.res.Detected = true
-				es.res.Counter.DetectedErrors++
-			}
-		}
-		if ok {
-			return nil
-		}
-		if attempt >= 1 {
-			if err != nil {
-				return fmt.Errorf("core: LU PD failed after local restart at block %d: %w", k, err)
-			}
-			es.res.Unrecoverable = true
-			return nil
-		}
-		pm.CopyFrom(snapshot)
-		es.res.Counter.LocalRestarts++
-	}
-}
-
-// luProductCheck verifies per-strip c(P·A) == (wᵀL̂)·Û for the factored
-// panel.
-func (p *protected) luProductCheck(pm, snapshot *matrix.Dense, lpiv []int) bool {
+// luProductCheck verifies the factor-product checksum relation
+// c(P·A_panel) ?= (wᵀ·L̂)·Û per strip (§III.B applied at panel
+// granularity). The left side is recomputed from the *snapshot* (clean
+// input) with the recorded pivots applied, so it is independent of every
+// value the factorization computed; the right side is computed from the
+// stored factors. Any corruption of L̂ or Û therefore breaks the equality.
+// It returns the mismatch count the PD restart charges: 1 when the
+// relation fails, else 0.
+func (p *protected) luProductCheck(pm, snapshot *matrix.Dense, lpiv []int) int {
 	defer p.es.span(obs.PhaseVerify, "lu-product-check", &p.es.res.VerifyT)()
 	nb := p.nb
 	m := pm.Rows
@@ -552,8 +357,10 @@ func (p *protected) luProductCheck(pm, snapshot *matrix.Dense, lpiv []int) bool 
 	checksum.EncodeCol(checksum.OptKernel, 1, l, nb, wl)
 	got := matrix.NewDense(wl.Rows, nb)
 	blas.Gemm(false, false, 1, wl, u, 0, got)
-	d, _, _ := got.MaxAbsDiff(want)
-	return d <= p.tol*float64(nb)
+	if d, _, _ := got.MaxAbsDiff(want); d > p.tol*float64(nb) {
+		return 1
+	}
+	return 0
 }
 
 // luPURegions exposes PU fault targets: ref = L11 (top block of GPU0's

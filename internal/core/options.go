@@ -414,6 +414,7 @@ type engineSys struct {
 	sys        *hetsim.System
 	opts       Options
 	res        *Result
+	pl         plan // the verification points opts.Scheme places
 	inj        *fault.Injector
 	startFlops uint64
 }

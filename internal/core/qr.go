@@ -1,9 +1,7 @@
 package core
 
 import (
-	"fmt"
 	"math"
-	"time"
 
 	"ftla/internal/checksum"
 	"ftla/internal/fault"
@@ -29,49 +27,12 @@ import (
 //	CPU → all GPUs    panel + c(V) + T broadcast          (panelCommit)
 //	all GPUs          TMU: A₂ = (I − V·Tᵀ·Vᵀ)·A₂ with full checksums
 //	                  maintained from c(V) (Table III, red terms)
-func QR(sys *hetsim.System, a *matrix.Dense, opts Options) (qret *matrix.Dense, tret []float64, rret *Result, err error) {
-	if a.Rows != a.Cols {
-		return nil, nil, nil, fmt.Errorf("core: QR requires a square matrix, got %dx%d", a.Rows, a.Cols)
-	}
-	if err := opts.Validate(a.Rows); err != nil {
+func QR(sys *hetsim.System, a *matrix.Dense, opts Options) (*matrix.Dense, []float64, *Result, error) {
+	out, l, res, err := factorize("QR", sys, a, opts, newQRLadder)
+	if err != nil {
 		return nil, nil, nil, err
 	}
-	if err := opts.ValidateTopology(sys); err != nil {
-		return nil, nil, nil, err
-	}
-	// Fail-stop abort plumbing; see Cholesky.
-	defer func() {
-		if e := hetsim.RecoverAbort(recover()); e != nil {
-			qret, tret, rret, err = nil, nil, nil, e
-		}
-	}()
-	n := a.Rows
-	res := &Result{
-		N: n, NB: opts.NB, GPUs: sys.NumGPUs(),
-		Mode: opts.Mode, Scheme: opts.Scheme, Kernel: opts.Kernel,
-	}
-	es := newEngine("qr", sys, opts, res)
-	start := time.Now()
-	var p *protected
-	if cp := opts.Resume; cp != nil {
-		if err := cp.validateFor("qr", n, &opts); err != nil {
-			return nil, nil, nil, err
-		}
-		p = allocProtectedFor(es, cp)
-	} else {
-		p = newProtected(es, a)
-	}
-	l := &qrLadder{
-		p: p, es: es, pl: planFor(opts.Scheme),
-		step: make([]*qrStep, p.nbr),
-		tau:  make([]float64, n),
-	}
-	if err := runLadder(es, l); err != nil {
-		return nil, nil, nil, err
-	}
-	out := p.gather()
-	es.finishResult(start)
-	return out, l.tau, res, nil
+	return out, l.(*qrLadder).tau, res, nil
 }
 
 // qrStep is the staging state a QR ladder step carries between stages: the
@@ -79,28 +40,24 @@ func QR(sys *hetsim.System, a *matrix.Dense, opts Options) (qret *matrix.Dense, 
 // panelFactor until panelCommit broadcasts them, and the per-GPU stage
 // copies until tmuFinish retires them.
 type qrStep struct {
-	cpuPanel, cpuChk *hetsim.Buffer
-	pm, cm           *matrix.Dense
-	cpuT, cpuCV      *hetsim.Buffer
-	stages           []stagePair
-	cvStage, tStage  []*hetsim.Buffer
+	panelStep
+	cpuT, cpuCV     *hetsim.Buffer
+	cvStage, tStage []*hetsim.Buffer
 }
 
 // qrLadder is the QR instantiation of the step-runtime ladder.
 type qrLadder struct {
-	p    *protected
-	es   *engineSys
-	pl   plan
+	ladderBase
 	step []*qrStep
 	tau  []float64
-	err  error
 }
 
-func (l *qrLadder) steps() int         { return l.p.nbr }
-func (l *qrLadder) failed() error      { return l.err }
-func (l *qrLadder) layout() *protected { return l.p }
-func (l *qrLadder) panelPivot(int)     {}
-func (l *qrLadder) panelUpdate(int)    {}
+func newQRLadder(p *protected) ladder {
+	return &qrLadder{ladderBase: ladderBase{p: p}, step: make([]*qrStep, p.nbr), tau: make([]float64, p.n)}
+}
+
+func (l *qrLadder) panelPivot(int)  {}
+func (l *qrLadder) panelUpdate(int) {}
 
 // checkpoint snapshots the distributed state after step next-1 plus the
 // Householder scalars of the finished steps. Entries beyond next·NB are
@@ -124,22 +81,20 @@ func (l *qrLadder) resume(cp *Checkpoint) {
 
 // panelFactor verifies the panel on its owner GPU, pulls it to the CPU,
 // factors it with the checksum-maintaining Householder kernel of
-// Algorithm 1 under local-restart protection, builds and validates the T
-// factor (CTF), and encodes c(V). Everything stays staged host-side;
+// Algorithm 1 under the shared local restart, whose check re-verifies the
+// stored panel against the maintained checksums, builds and validates the
+// T factor (CTF), and encodes c(V). Everything stays staged host-side;
 // panelCommit owns the writeback and broadcast.
 func (l *qrLadder) panelFactor(k int) {
-	p, es := l.p, l.es
+	p, es := l.p, l.p.es
 	sys, cpu := es.sys, es.sys.CPU()
-	res, pl := es.res, l.pl
+	res := es.res
 	nb := p.nb
 	n := p.n
 	o := k * nb
 	gk := p.owner(k)
 	m := n - o
-	strips := p.nbr - k
 	chk := es.opts.Mode != NoChecksum
-	st := &qrStep{}
-	l.step[k] = st
 
 	panelDev := p.local[gk].View(o, p.localOff(k), m, nb)
 	gpuPDRegs := []fault.Region{
@@ -147,7 +102,7 @@ func (l *qrLadder) panelFactor(k int) {
 		{Part: fault.UpdatePart, M: panelDev.UnsafeData(), Row0: o, Col0: o},
 	}
 	es.injectMem(k, fault.PD, gpuPDRegs)
-	if pl.beforePD && chk {
+	if es.pl.beforePD && chk {
 		// The panel is verified on its owner GPU *before* it ships to
 		// the CPU: QR's block-reflector TMU can leave aliased column
 		// corruption that only the orthogonal-checksum reconciliation
@@ -169,39 +124,28 @@ func (l *qrLadder) panelFactor(k int) {
 			lb := p.localBlock(k)
 			p.reconcileOrthogonal(gk, o, n, lb, lb+1)
 		}
-		res.Counter.PDBefore += strips
+		res.Counter.PDBefore += p.nbr - k
 	}
-	st.cpuPanel = cpu.Alloc(m, nb)
-	es.transfer(panelDev, st.cpuPanel)
-	st.pm = st.cpuPanel.Access(cpu)
-	if chk {
-		st.cpuChk = cpu.Alloc(2*strips, nb)
-		es.transfer(p.colChkView(k, k, p.nbr), st.cpuChk)
-		st.cm = st.cpuChk.Access(cpu)
-	}
-	pdRegs := []fault.Region{
-		{Part: fault.ReferencePart, M: st.pm, Row0: o, Col0: o},
-		{Part: fault.UpdatePart, M: st.pm, Row0: o, Col0: o},
-	}
-	snapshot := st.pm.Clone()
-	var snapChk *matrix.Dense
-	if chk {
-		snapChk = st.cm.Clone()
-	}
-	es.injectOnChip(k, fault.PD, pdRegs)
+	st := &qrStep{panelStep: p.pull(k, m)}
+	l.step[k] = st
 	ltau := l.tau[o : o+nb]
-	if err := p.qrPD(es, k, st.pm, st.cm, snapshot, snapChk, ltau, pl, pdRegs); err != nil {
-		l.err = err
-		return
+	geqr2 := func() error {
+		cpu.Run("geqr2-chk", 2*float64(m*nb*nb), func(int) {
+			p.qrPanelChecked(st.pm, st.cm, ltau)
+		})
+		return nil
 	}
-	if chk {
-		// Certified re-encode of the stored V\R panel.
-		p.encodeColInto(cpu.Workers(), st.pm, st.cm)
+	check := func(_, _ *matrix.Dense) int {
+		defer es.span(obs.PhaseVerify, "verify-col", &res.VerifyT)()
+		return len(checksum.VerifyCol(cpu.Workers(), st.pm, nb, st.cm, p.tol*float64(nb)))
+	}
+	if l.err = p.factorPanel(k, &st.panelStep, geqr2, check); l.err != nil {
+		return
 	}
 
 	// ------------- CTF: T = LARFT(V) on the CPU ---------------------
 	var tmat *matrix.Dense
-	es.kernel(cpu, "larft", float64(m*nb*nb), func(int) {
+	cpu.Run("larft", float64(m*nb*nb), func(int) {
 		tmat = lapack.Larft(st.pm, ltau)
 	})
 	tRegs := []fault.Region{{Part: fault.UpdatePart, M: tmat, Row0: o, Col0: o}}
@@ -212,7 +156,7 @@ func (l *qrLadder) panelFactor(k int) {
 		res.Detected = true
 		res.Counter.DetectedErrors++
 		stop := es.span(obs.PhaseRecover, "recompute-t", &res.RecoverT)
-		es.kernel(cpu, "larft", float64(m*nb*nb), func(int) {
+		cpu.Run("larft", float64(m*nb*nb), func(int) {
 			tmat = lapack.Larft(st.pm, ltau)
 		})
 		stop()
@@ -234,125 +178,71 @@ func (l *qrLadder) panelFactor(k int) {
 
 // panelCommit writes the certified panel back into the owner's
 // authoritative storage and broadcasts panel + c(V) + T to every GPU's
-// stage, with the §VII.C post-broadcast verification, restart paths, and
-// per-GPU T orthogonality probes.
+// stage, with the §VII.C post-broadcast verification and restart paths,
+// then validates T on every GPU with the orthogonality probe.
 func (l *qrLadder) panelCommit(k int) {
-	p, es := l.p, l.es
+	p, es := l.p, l.p.es
 	sys := es.sys
-	res, pl := es.res, l.pl
+	res := es.res
 	nb := p.nb
 	o := k * nb
-	gk := p.owner(k)
 	G := sys.NumGPUs()
 	m := p.n - o
-	strips := p.nbr - k
 	chk := es.opts.Mode != NoChecksum
 	st := l.step[k]
 	ltau := l.tau[o : o+nb]
 
-	panelDev := p.local[gk].View(o, p.localOff(k), m, nb)
-	chkRows := 2 * strips
-	if !chk {
-		chkRows = 2
-	}
-	st.stages = p.allocStages(m, chkRows, nb)
 	st.cvStage = make([]*hetsim.Buffer, G)
 	st.tStage = make([]*hetsim.Buffer, G)
-	doBroadcast := func() {
-		es.withCommContext(k, fault.PD, o, o, func() {
-			es.transfer(st.cpuPanel, panelDev)
+	p.commitPanel(k, &st.panelStep, func(g int) {
+		if st.tStage[g] == nil {
+			st.tStage[g] = sys.GPU(g).Alloc(nb, nb)
 			if chk {
-				es.transfer(st.cpuChk, p.colChkView(k, k, p.nbr))
-			}
-			for g := 0; g < G; g++ {
-				if !p.gpuLive(g) {
-					continue
-				}
-				if st.cvStage[g] == nil {
-					st.cvStage[g] = sys.GPU(g).Alloc(chkRows, nb)
-					st.tStage[g] = sys.GPU(g).Alloc(nb, nb)
-				}
-				if g == gk {
-					copyWithin(sys.GPU(gk), panelDev, st.stages[g].data)
-					if chk {
-						copyWithin(sys.GPU(gk), p.colChkView(k, k, p.nbr), st.stages[g].chk)
-					}
-				} else {
-					es.transfer(st.cpuPanel, st.stages[g].data)
-					if chk {
-						es.transfer(st.cpuChk, st.stages[g].chk)
-					}
-				}
-				if chk {
-					es.transfer(st.cpuCV, st.cvStage[g])
-				}
-				es.transfer(st.cpuT, st.tStage[g])
-			}
-		})
-	}
-	doBroadcast()
-	if pl.afterPDBcast && chk {
-		outs, corrupted := p.verifyStages(st.stages, &res.Counter.PDAfter, strips)
-		if live := p.liveGPUs(); corrupted == live && live > 1 {
-			res.Counter.LocalRestarts++
-			doBroadcast()
-		} else if corrupted > 0 {
-			p.rebroadcastFailed(st.cpuPanel, st.cpuChk, st.stages, outs)
-			// The owner's authoritative copy may have taken the hit on
-			// the writeback leg; repair it from the certified source.
-			gd := panelDev.Access(sys.GPU(gk))
-			gc := p.colChkView(k, k, p.nbr).Access(sys.GPU(gk))
-			if p.verifyRepairCol(sys.GPU(gk).Workers(), gd, gc, nil) == repairFailed {
-				es.transfer(st.cpuPanel, panelDev)
-				es.transfer(st.cpuChk, p.colChkView(k, k, p.nbr))
-				res.Counter.Rebroadcasts++
+				st.cvStage[g] = sys.GPU(g).Alloc(st.cpuCV.Rows(), nb)
 			}
 		}
-		// Validate T on every GPU with the probe; recompute locally
-		// from the (verified) stage V on failure.
-		for g := 0; g < G; g++ {
-			if st.stages[g].data == nil {
-				continue
-			}
-			gdev := sys.GPU(g)
-			sd := st.stages[g].data.Access(gdev)
-			td := st.tStage[g].Access(gdev)
-			if !p.qrOrthoProbe(sd, td) {
-				res.Detected = true
-				res.Counter.DetectedErrors++
-				stop := es.span(obs.PhaseRecover, "recompute-t", &res.RecoverT)
-				es.kernel(gdev, "larft", float64(m*nb*nb), func(int) {
-					td.CopyFrom(lapack.Larft(sd, ltau))
-				})
-				stop()
-			}
+		if chk {
+			es.transfer(st.cpuCV, st.cvStage[g])
+		}
+		es.transfer(st.cpuT, st.tStage[g])
+	})
+	if !es.pl.afterPDBcast || !chk {
+		return
+	}
+	// Validate T on every GPU with the probe; recompute locally from the
+	// (verified) stage V on failure.
+	for g := range st.stages {
+		if st.stages[g].data == nil {
+			continue
+		}
+		gdev := sys.GPU(g)
+		sd := st.stages[g].data.Access(gdev)
+		td := st.tStage[g].Access(gdev)
+		if !p.qrOrthoProbe(sd, td) {
+			res.Detected = true
+			res.Counter.DetectedErrors++
+			stop := es.span(obs.PhaseRecover, "recompute-t", &res.RecoverT)
+			gdev.Run("larft", float64(m*nb*nb), func(int) {
+				td.CopyFrom(lapack.Larft(sd, ltau))
+			})
+			stop()
 		}
 	}
 }
 
-// tmuBegin opens the trailing update: injection windows and the scheme's
-// pre-TMU verification.
-func (l *qrLadder) tmuBegin(k int) {
-	p, es := l.p, l.es
-	res, pl := es.res, l.pl
-	o := k * p.nb
-	chk := es.opts.Mode != NoChecksum
-	st := l.step[k]
-
-	tmuRegs := p.qrTMURegions(k, st.stages)
-	es.injectMem(k, fault.TMU, tmuRegs)
-	if pl.beforeTMUPanels && chk {
-		_, _ = p.verifyStages(st.stages, &res.Counter.TMUBefore, p.nbr-k)
+// trailing describes step k's trailing update to the shared bracket: the
+// reflector stages are TMU's reference panels, one strip per block row
+// from k, and the block reflector transforms the rows from k·nb on.
+func (l *qrLadder) trailing(k int) tmuStep {
+	p, st := l.p, l.step[k]
+	return tmuStep{
+		regs: p.qrTMURegions(k, st.stages), stages: st.stages,
+		strips: p.nbr - k, rlo: k * p.nb,
+		heuristic: func() { p.qrHeuristicAfterTMU(k, st.stages, st.cvStage, st.tStage) },
 	}
-	if pl.beforeTMUTrailing && chk {
-		worst, blocks := p.verifyTrailingCol(o, k+1)
-		res.Counter.TMUBefore += blocks
-		if worst == repairFailed {
-			res.Unrecoverable = true
-		}
-	}
-	es.injectOnChip(k, fault.TMU, tmuRegs)
 }
+
+func (l *qrLadder) tmuBegin(k int) { l.p.tmuOpen(k, l.trailing(k)) }
 
 // tmuGPU applies GPU g's slice of the block-reflector trailing update
 // (kernels only; the look-ahead schedule may run the tmuRest slice inside
@@ -362,90 +252,25 @@ func (l *qrLadder) tmuGPU(k, g int, sel tmuSel) {
 	l.p.qrTMUOnGPU(g, k, st.stages[g], st.cvStage[g], st.tStage[g], sel)
 }
 
-// tmuFinish closes the trailing update: computation-fault injection,
-// post-TMU verification, the §VII.B heuristic with its Woodbury rollback
-// path, and the periodic trailing check, then retires the step's staging
-// state.
+// tmuFinish closes the trailing update — the §VII.B heuristic carries the
+// Woodbury rollback path — and retires the step's staging state.
 func (l *qrLadder) tmuFinish(k int) {
-	p, es := l.p, l.es
-	res, pl := es.res, l.pl
-	o := k * p.nb
-	chk := es.opts.Mode != NoChecksum
-	st := l.step[k]
-
-	tmuRegs := p.qrTMURegions(k, st.stages)
-	es.injectComp(k, fault.TMU, tmuRegs)
-	if pl.afterTMUTrailing && chk {
-		worst, blocks := p.verifyTrailingCol(o, k+1)
-		res.Counter.TMUAfter += blocks
-		if worst == repairFailed {
-			res.Unrecoverable = true
-		}
-	}
-	if pl.afterTMUHeuristic && chk {
-		p.qrHeuristicAfterTMU(k, st.stages, st.cvStage, st.tStage)
-	}
-	if es.opts.PeriodicTrailingCheck > 0 && (k+1)%es.opts.PeriodicTrailingCheck == 0 && chk {
-		worst, blocks := p.verifyTrailingCol(o, k+1)
-		res.Counter.TMUAfter += blocks
-		if worst == repairFailed {
-			res.Unrecoverable = true
-		}
-	}
+	l.p.tmuClose(k, l.trailing(k))
 	l.step[k] = nil
 }
 
-// qrPD runs the checksum-maintaining Householder panel factorization of
-// Algorithm 1 on the CPU, with a one-shot local restart on verification
-// failure. The panel's per-strip column checksums cm are maintained
-// through every reflector:
+// qrPanelChecked is Geqr2 with Algorithm 1's checksum maintenance woven
+// between reflector generation and application. The panel's per-strip
+// column checksums cm are maintained through every reflector:
 //
 //	c_s ← c_s − τ·(w_sᵀ·v_s)·(vᵀ·P)     for the updated columns, and
 //	c_s[j] recomputed from the stored column j (which holds β and the
 //	reflector tail rather than H·P's mathematical zeros).
 //
-// Post-PD verification recomputes the stored panel's checksums against the
+// The post-PD check recomputes the stored panel's checksums against the
 // maintained ones, catching computation faults whose effect diverges from
-// the checksum path.
-func (p *protected) qrPD(es *engineSys, k int, pm, cm, snapshot, snapChk *matrix.Dense, ltau []float64, pl plan, regs []fault.Region) error {
-	cpu := es.sys.CPU()
-	nb := p.nb
-	m := pm.Rows
-	for attempt := 0; ; attempt++ {
-		es.kernel(cpu, "geqr2-chk", 2*float64(m*nb*nb), func(int) {
-			p.qrPanelChecked(pm, cm, ltau)
-		})
-		es.injectComp(k, fault.PD, regs)
-		ok := true
-		if pl.afterPDCPU && es.opts.Mode != NoChecksum {
-			stop := es.span(obs.PhaseVerify, "verify-col", &es.res.VerifyT)
-			ms := checksum.VerifyCol(cpu.Workers(), pm, nb, cm, p.tol*float64(nb))
-			stop()
-			es.res.Counter.PDAfter += m / nb
-			if len(ms) != 0 {
-				ok = false
-				es.res.Detected = true
-				es.res.Counter.DetectedErrors += len(ms)
-			}
-		}
-		if ok {
-			return nil
-		}
-		if attempt >= 1 {
-			es.res.Unrecoverable = true
-			return nil
-		}
-		pm.CopyFrom(snapshot)
-		if snapChk != nil {
-			cm.CopyFrom(snapChk)
-		}
-		es.res.Counter.LocalRestarts++
-	}
-}
-
-// qrPanelChecked is Geqr2 with Algorithm 1's checksum maintenance woven
-// between reflector generation and application. Numerics of the factor
-// itself are identical to lapack.Geqr2 (same HouseGen/HouseApply kernels).
+// the checksum path. Numerics of the factor itself are identical to
+// lapack.Geqr2 (same HouseGen/HouseApply kernels).
 func (p *protected) qrPanelChecked(pm, cm *matrix.Dense, ltau []float64) {
 	m, nb := pm.Rows, pm.Cols
 	maintain := cm != nil && p.es.opts.Mode != NoChecksum
@@ -605,7 +430,7 @@ func (p *protected) qrTMUOnGPU(g, k int, st stagePair, cv, tm *hetsim.Buffer, se
 	c := p.local[g].View(o, jlo, m, cols)
 	// Materialize V on-device.
 	vbuf := gdev.Alloc(m, nb)
-	p.es.kernel(gdev, "materialize-v", 0, func(int) {
+	gdev.Run("materialize-v", 0, func(int) {
 		vbuf.Access(gdev).CopyFrom(lapack.MaterializeV(st.data.Access(gdev)))
 	})
 	w := gdev.Alloc(nb, cols)

@@ -525,10 +525,3 @@ func (rt *stepRuntime) canonicalJournal() []stageRec {
 func (es *engineSys) transfer(src, dst *hetsim.Buffer) {
 	es.sys.TransferReliable(src, dst)
 }
-
-// kernel executes a named kernel body on a device, charging flops to the
-// simulated clock — the runtime-routed form of hetsim.Device.Run (driver
-// files are linted against calling Run directly).
-func (es *engineSys) kernel(d *hetsim.Device, name string, flops float64, body func(workers int)) {
-	d.Run(name, flops, body)
-}

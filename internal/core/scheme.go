@@ -81,19 +81,20 @@ type stagePair struct {
 	chk  *hetsim.Buffer
 }
 
-// allocStages allocates a (rows × cols) panel stage plus a (chkRows × cols)
-// checksum stage on every live GPU; GPUs taken down by a node loss keep a
-// zero stagePair, which every stage consumer skips.
-func (p *protected) allocStages(rows, chkRows, cols int) []stagePair {
+// allocStages allocates a (rows × cols) panel stage on every live GPU,
+// plus a (2·strips × cols) checksum stage unless the run keeps no
+// checksums; GPUs taken down by a node loss keep a zero stagePair, which
+// every stage consumer skips.
+func (p *protected) allocStages(rows, strips, cols int) []stagePair {
 	G := p.es.sys.NumGPUs()
 	out := make([]stagePair, G)
 	for g := 0; g < G; g++ {
 		if !p.gpuLive(g) {
 			continue
 		}
-		out[g] = stagePair{
-			data: p.es.sys.GPU(g).Alloc(rows, cols),
-			chk:  p.es.sys.GPU(g).Alloc(chkRows, cols),
+		out[g].data = p.es.sys.GPU(g).Alloc(rows, cols)
+		if p.es.opts.Mode != NoChecksum {
+			out[g].chk = p.es.sys.GPU(g).Alloc(2*strips, cols)
 		}
 	}
 	return out

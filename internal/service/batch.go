@@ -115,63 +115,41 @@ func (s *Scheduler) runDecompositionBatch(run []*JobHandle) ([]*Factorization, [
 	sys.Bind(actx)
 
 	facts := make([]*Factorization, len(run))
-	errs := make([]error, len(run))
-	var batchErr error
+	var errs []error
+	var err error
 	switch lead.Decomp {
 	case Cholesky:
-		rs, es, err := ftla.CholeskyBatchOn(sys, as, cfg, injs...)
-		batchErr = err
-		for i := range run {
-			if err != nil {
-				break
-			}
-			if es[i] != nil {
-				errs[i] = es[i]
-				continue
-			}
-			resid := rs[i].Residual(as[i])
-			facts[i] = &Factorization{
-				Decomp: Cholesky, Chol: rs[i], Residual: resid,
-				Outcome: rs[i].Report.OutcomeOf(resid <= run[i].spec.tol()),
-			}
+		var rs []*ftla.CholeskyResult
+		rs, errs, err = ftla.CholeskyBatchOn(sys, as, cfg, injs...)
+		for i, r := range rs {
+			facts[i] = &Factorization{Chol: r}
 		}
 	case LU:
-		rs, es, err := ftla.LUBatchOn(sys, as, cfg, injs...)
-		batchErr = err
-		for i := range run {
-			if err != nil {
-				break
-			}
-			if es[i] != nil {
-				errs[i] = es[i]
-				continue
-			}
-			resid := rs[i].Residual(as[i])
-			facts[i] = &Factorization{
-				Decomp: LU, LU: rs[i], Residual: resid,
-				Outcome: rs[i].Report.OutcomeOf(resid <= run[i].spec.tol()),
-			}
+		var rs []*ftla.LUResult
+		rs, errs, err = ftla.LUBatchOn(sys, as, cfg, injs...)
+		for i, r := range rs {
+			facts[i] = &Factorization{LU: r}
 		}
 	default:
-		rs, es, err := ftla.QRBatchOn(sys, as, cfg, injs...)
-		batchErr = err
-		for i := range run {
-			if err != nil {
-				break
-			}
-			if es[i] != nil {
-				errs[i] = es[i]
-				continue
-			}
-			resid := rs[i].Residual(as[i])
-			facts[i] = &Factorization{
-				Decomp: QR, QR: rs[i], Residual: resid,
-				Outcome: rs[i].Report.OutcomeOf(resid <= run[i].spec.tol()),
-			}
+		var rs []*ftla.QRResult
+		rs, errs, err = ftla.QRBatchOn(sys, as, cfg, injs...)
+		for i, r := range rs {
+			facts[i] = &Factorization{QR: r}
 		}
 	}
 	s.pool.release(sys)
-	return facts, errs, batchErr
+	if err != nil {
+		return nil, nil, err
+	}
+	for i, h := range run {
+		if errs[i] != nil {
+			facts[i] = nil
+			continue
+		}
+		facts[i].Decomp = lead.Decomp
+		facts[i].classify(as[i], h.spec.tol())
+	}
+	return facts, errs, nil
 }
 
 // fallbackSolo retries one batch item alone on the ordinary solo path,

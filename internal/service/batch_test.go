@@ -10,6 +10,7 @@ import (
 
 	"ftla"
 	"ftla/internal/core"
+	"ftla/internal/obs"
 )
 
 // batchLUSpec is one small LU job of the shared coalescing key the batch
@@ -295,5 +296,66 @@ func TestBatchIneligibleSpecsStaySolo(t *testing.T) {
 	}
 	if st := s.Stats(); st.BatchDispatches != 0 {
 		t.Fatalf("BatchDispatches = %d, want 0", st.BatchDispatches)
+	}
+}
+
+// A link-fault plan is per-run control flow too: a batched dispatch arms
+// the shared configuration's plans once for the whole slab, so a follower's
+// plan would never fire and its batchmates would run under the leader's.
+// The link-fault job must run solo, with its own plan firing, while its
+// same-key clean neighbours still coalesce.
+func TestBatchLinkFaultJobsStaySolo(t *testing.T) {
+	s := New(Config{Workers: 1, BatchMax: 8})
+	defer s.Close()
+	claimed, release := gateWorker(s)
+
+	blocker, err := s.Submit(context.Background(), batchLUSpec(7, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-claimed
+	before := obs.Default().Snapshot()
+	hA, err := s.Submit(context.Background(), batchLUSpec(11, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	linked := batchLUSpec(13, nil)
+	linked.Config.LinkFault = map[int]ftla.LinkFaultPlan{1: {Mode: ftla.LinkCorrupt, AfterTransfers: 2}}
+	hL, err := s.Submit(context.Background(), linked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hC, err := s.Submit(context.Background(), batchLUSpec(17, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	release()
+
+	if _, err := blocker.Wait(context.Background()); err != nil {
+		t.Fatalf("blocker failed: %v", err)
+	}
+	for _, tc := range []struct {
+		name      string
+		h         *JobHandle
+		coalesced int
+	}{
+		{"clean A", hA, 2},
+		{"link-fault job", hL, 0},
+		{"clean C", hC, 2},
+	} {
+		res, err := tc.h.Wait(context.Background())
+		if err != nil {
+			t.Fatalf("%s failed: %v", tc.name, err)
+		}
+		if res.Coalesced != tc.coalesced {
+			t.Fatalf("%s coalesced = %d, want %d", tc.name, res.Coalesced, tc.coalesced)
+		}
+		if res.Attempts != 1 || res.Outcome != core.FaultFree {
+			t.Fatalf("%s attempts/outcome = %d/%v, want 1/fault-free", tc.name, res.Attempts, res.Outcome)
+		}
+	}
+	d := obs.Default().Snapshot().Diff(before)
+	if d.CounterValue(obs.MetricTransferRetransmits) == 0 {
+		t.Fatal("no retransmissions recorded: the link-fault job's plan never fired")
 	}
 }

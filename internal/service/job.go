@@ -144,14 +144,16 @@ func (s *JobSpec) tol() float64 {
 
 // batchable reports whether the job may share a coalesced batched dispatch
 // with others of the same batchKey. Per-run control flow the batched
-// drivers cannot share — fail-stop and node-fault plans, checkpointing,
-// resume, dynamic rebalancing — and per-job observation scopes (Trace, Deadline) keep a
-// job on the solo path. A fault Injector is batchable: the batched drivers
-// carry injectors per item, which is exactly what the retry-isolation
-// contract exercises (one injected item must not disturb its batchmates).
+// drivers cannot share — fail-stop, link-fault and node-fault plans (a
+// batch arms one configuration's plans for the whole slab), checkpointing,
+// resume, dynamic rebalancing — and per-job observation scopes (Trace,
+// Deadline) keep a job on the solo path. A fault Injector is batchable: the
+// batched drivers carry injectors per item, which is exactly what the
+// retry-isolation contract exercises (one injected item must not disturb
+// its batchmates).
 func (s *JobSpec) batchable() bool {
 	c := s.Config
-	return len(c.FailStop) == 0 && len(c.NodeFault) == 0 &&
+	return len(c.FailStop) == 0 && len(c.LinkFault) == 0 && len(c.NodeFault) == 0 &&
 		c.CheckpointEvery == 0 && c.OnCheckpoint == nil && c.Resume == nil &&
 		c.Rebalance.Every == 0 &&
 		!s.Trace && s.Deadline == 0
@@ -200,6 +202,21 @@ func (f *Factorization) Report() *ftla.Report {
 	default:
 		return f.QR.Report
 	}
+}
+
+// classify measures the factorization's residual against its input a and
+// derives the producing run's outcome from its report and the job's
+// residual tolerance.
+func (f *Factorization) classify(a *ftla.Matrix, tol float64) {
+	switch f.Decomp {
+	case Cholesky:
+		f.Residual = f.Chol.Residual(a)
+	case LU:
+		f.Residual = f.LU.Residual(a)
+	default:
+		f.Residual = f.QR.Residual(a)
+	}
+	f.Outcome = f.Report().OutcomeOf(f.Residual <= tol)
 }
 
 // Solve solves A·x = b against the stored factor.

@@ -716,37 +716,19 @@ func gpuIndex(name string) int {
 // runDecomposition executes one attempt on the given system and classifies
 // its outcome from the report plus the service's own residual check.
 func runDecomposition(sys *hetsim.System, spec JobSpec, cfg ftla.Config) (*Factorization, error) {
-	tol := spec.tol()
+	f := &Factorization{Decomp: spec.Decomp}
+	var err error
 	switch spec.Decomp {
 	case Cholesky:
-		r, err := ftla.CholeskyOn(sys, spec.A, cfg)
-		if err != nil {
-			return nil, err
-		}
-		resid := r.Residual(spec.A)
-		return &Factorization{
-			Decomp: Cholesky, Chol: r, Residual: resid,
-			Outcome: r.Report.OutcomeOf(resid <= tol),
-		}, nil
+		f.Chol, err = ftla.CholeskyOn(sys, spec.A, cfg)
 	case LU:
-		r, err := ftla.LUOn(sys, spec.A, cfg)
-		if err != nil {
-			return nil, err
-		}
-		resid := r.Residual(spec.A)
-		return &Factorization{
-			Decomp: LU, LU: r, Residual: resid,
-			Outcome: r.Report.OutcomeOf(resid <= tol),
-		}, nil
+		f.LU, err = ftla.LUOn(sys, spec.A, cfg)
 	default:
-		r, err := ftla.QROn(sys, spec.A, cfg)
-		if err != nil {
-			return nil, err
-		}
-		resid := r.Residual(spec.A)
-		return &Factorization{
-			Decomp: QR, QR: r, Residual: resid,
-			Outcome: r.Report.OutcomeOf(resid <= tol),
-		}, nil
+		f.QR, err = ftla.QROn(sys, spec.A, cfg)
 	}
+	if err != nil {
+		return nil, err
+	}
+	f.classify(spec.A, spec.tol())
+	return f, nil
 }

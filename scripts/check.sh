@@ -30,16 +30,6 @@ go run ./scripts/doclint internal/obs internal/service
 # (regenerate the flag table with `go run ./cmd/ftserve -print-flags`).
 go run ./scripts/readmelint
 
-# Step-runtime lint: driver files must go through the runtime's es.kernel /
-# es.transfer wrappers (which carry stream routing, abort plumbing, and
-# stage spans) — never call the simulator directly. See DESIGN.md §8.
-drivers="internal/core/cholesky.go internal/core/lu.go internal/core/qr.go"
-if grep -nE 'sys\.Transfer\(|\.Run\(' $drivers; then
-    echo "drivers must use the step runtime's es.kernel/es.transfer wrappers," >&2
-    echo "not direct sys.Transfer(...)/dev.Run(...) calls (DESIGN.md §8)" >&2
-    exit 1
-fi
-
 # Reliable-transfer lint: ALL of internal/core must move data through the
 # reliable path (es.transfer / sys.TransferReliable*), never the raw
 # sys.Transfer/sys.TransferCtx — a raw call is a hole in the link-fault
