@@ -426,7 +426,7 @@ func BenchmarkAblationGranularity(b *testing.B) {
 				if len(ms) != 1 {
 					b.Fatalf("mismatches = %d", len(ms))
 				}
-				lr, ok := checksum.LocateCol(ms[0], nb)
+				lr, ok := checksum.Locate(ms[0], nb)
 				if !ok {
 					b.Fatal("localization failed")
 				}

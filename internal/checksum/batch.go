@@ -7,8 +7,8 @@ package checksum
 // back to the item it belongs to, with the strip index rebased to be
 // item-relative. Out-of-range strips (never produced by VerifyCol on a
 // well-formed slab) are dropped.
-func PartitionColMismatches(ms []ColMismatch, stripsPerItem, count int) [][]ColMismatch {
-	out := make([][]ColMismatch, count)
+func PartitionColMismatches(ms []Mismatch, stripsPerItem, count int) [][]Mismatch {
+	out := make([][]Mismatch, count)
 	if stripsPerItem <= 0 {
 		return out
 	}

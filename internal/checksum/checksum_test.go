@@ -132,10 +132,10 @@ func TestVerifyDetectsAndLocates(t *testing.T) {
 		t.Fatalf("mismatches = %d, want 1", len(ms))
 	}
 	m := ms[0]
-	if m.Strip != 1 || m.Col != 5 {
-		t.Fatalf("mismatch at strip=%d col=%d", m.Strip, m.Col)
+	if m.Strip != 1 || m.Line != 5 {
+		t.Fatalf("mismatch at strip=%d col=%d", m.Strip, m.Line)
 	}
-	lr, ok := LocateCol(m, nb)
+	lr, ok := Locate(m, nb)
 	if !ok || lr != 13-nb {
 		t.Fatalf("located local row %d ok=%v, want %d", lr, ok, 13-nb)
 	}
@@ -161,10 +161,10 @@ func TestVerifyRowDetectsAndLocates(t *testing.T) {
 		t.Fatalf("mismatches = %d, want 1", len(ms))
 	}
 	m := ms[0]
-	if m.Strip != 2 || m.Row != 7 {
-		t.Fatalf("mismatch at strip=%d row=%d", m.Strip, m.Row)
+	if m.Strip != 2 || m.Line != 7 {
+		t.Fatalf("mismatch at strip=%d row=%d", m.Strip, m.Line)
 	}
-	lc, ok := LocateRow(m, nb)
+	lc, ok := Locate(m, nb)
 	if !ok || lc != 18-2*nb {
 		t.Fatalf("located col %d ok=%v", lc, ok)
 	}
@@ -187,7 +187,7 @@ func TestLocateRejectsMultiError(t *testing.T) {
 	if len(ms) != 1 {
 		t.Fatalf("mismatches = %d, want 1 (same column)", len(ms))
 	}
-	if _, ok := LocateCol(ms[0], nb); ok {
+	if _, ok := Locate(ms[0], nb); ok {
 		t.Fatal("multi-error column must not localize to a single row")
 	}
 }
@@ -207,7 +207,7 @@ func TestLocateRejectsCancelledD1(t *testing.T) {
 	// v₂ row still catches it through D2 when D1 passes — assert current
 	// contract: no v₁ mismatch.
 	for _, m := range ms {
-		if _, ok := LocateCol(m, nb); ok {
+		if _, ok := Locate(m, nb); ok {
 			t.Fatal("cancelled corruption must not localize")
 		}
 	}
@@ -318,23 +318,14 @@ func TestSingleErrorAlwaysLocated(t *testing.T) {
 		}
 		a.Set(i, j, a.At(i, j)+mag)
 		ms := VerifyCol(1, a, nb, chk, 1e-11)
-		if len(ms) != 1 || ms[0].Col != j || ms[0].Strip != i/nb {
+		if len(ms) != 1 || ms[0].Line != j || ms[0].Strip != i/nb {
 			return false
 		}
-		lr, ok := LocateCol(ms[0], nb)
+		lr, ok := Locate(ms[0], nb)
 		return ok && lr == i%nb
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestToleranceFloorAndGrowth(t *testing.T) {
-	if Tolerance(0, 0) <= 0 {
-		t.Fatal("tolerance must be positive")
-	}
-	if Tolerance(1000, 100) <= Tolerance(10, 100) {
-		t.Fatal("tolerance must grow with depth")
 	}
 }
 

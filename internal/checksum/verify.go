@@ -6,22 +6,15 @@ import (
 	"ftla/internal/matrix"
 )
 
-// ColMismatch reports one column of one row strip whose maintained column
-// checksum disagrees with the recomputed one beyond tolerance.
-type ColMismatch struct {
-	Strip int     // row strip index
-	Col   int     // global column index
+// Mismatch reports one checksummed line of one strip whose maintained
+// checksum disagrees with the recomputed one beyond tolerance. For column
+// checksums the strip is a row strip and the line a global column; for row
+// checksums the strip is a column strip and the line a global row.
+type Mismatch struct {
+	Strip int     // strip index
+	Line  int     // global column (VerifyCol) or row (VerifyRow) index
 	D1    float64 // maintained − recomputed, v₁ weights
 	D2    float64 // maintained − recomputed, v₂ weights
-}
-
-// RowMismatch reports one row of one column strip whose maintained row
-// checksum disagrees with the recomputed one beyond tolerance.
-type RowMismatch struct {
-	Strip int // column strip index
-	Row   int // global row index
-	D1    float64
-	D2    float64
 }
 
 // VerifyCol recomputes the column checksums of a and returns every
@@ -31,10 +24,10 @@ type RowMismatch struct {
 // blind spot where corruptions cancel in the plain sum but not in the
 // weighted one. The recomputation uses the optimized kernel: verification
 // is the hot path the paper's kernel accelerates.
-func VerifyCol(workers int, a *matrix.Dense, nb int, chk *matrix.Dense, tol float64) []ColMismatch {
+func VerifyCol(workers int, a *matrix.Dense, nb int, chk *matrix.Dense, tol float64) []Mismatch {
 	recal := matrix.NewDense(ColDims(a.Rows, a.Cols, nb))
 	EncodeCol(OptKernel, workers, a, nb, recal)
-	var out []ColMismatch
+	var out []Mismatch
 	tol2 := tol * float64(nb)
 	ns := Strips(a.Rows, nb)
 	for s := 0; s < ns; s++ {
@@ -44,7 +37,7 @@ func VerifyCol(workers int, a *matrix.Dense, nb int, chk *matrix.Dense, tol floa
 			d1 := m1[j] - r1[j]
 			d2 := m2[j] - r2[j]
 			if math.Abs(d1) > tol || math.Abs(d2) > tol2 || math.IsNaN(d1) || math.IsNaN(d2) {
-				out = append(out, ColMismatch{Strip: s, Col: j, D1: d1, D2: d2})
+				out = append(out, Mismatch{Strip: s, Line: j, D1: d1, D2: d2})
 			}
 		}
 	}
@@ -53,10 +46,10 @@ func VerifyCol(workers int, a *matrix.Dense, nb int, chk *matrix.Dense, tol floa
 }
 
 // VerifyRow is VerifyCol for the row-checksum dimension.
-func VerifyRow(workers int, a *matrix.Dense, nb int, chk *matrix.Dense, tol float64) []RowMismatch {
+func VerifyRow(workers int, a *matrix.Dense, nb int, chk *matrix.Dense, tol float64) []Mismatch {
 	recal := matrix.NewDense(RowDims(a.Rows, a.Cols, nb))
 	EncodeRow(OptKernel, workers, a, nb, recal)
-	var out []RowMismatch
+	var out []Mismatch
 	tol2 := tol * float64(nb)
 	ns := Strips(a.Cols, nb)
 	for i := 0; i < a.Rows; i++ {
@@ -65,7 +58,7 @@ func VerifyRow(workers int, a *matrix.Dense, nb int, chk *matrix.Dense, tol floa
 			d1 := m[2*s] - r[2*s]
 			d2 := m[2*s+1] - r[2*s+1]
 			if math.Abs(d1) > tol || math.Abs(d2) > tol2 || math.IsNaN(d1) || math.IsNaN(d2) {
-				out = append(out, RowMismatch{Strip: s, Row: i, D1: d1, D2: d2})
+				out = append(out, Mismatch{Strip: s, Line: i, D1: d1, D2: d2})
 			}
 		}
 	}
@@ -73,12 +66,13 @@ func VerifyRow(workers int, a *matrix.Dense, nb int, chk *matrix.Dense, tol floa
 	return out
 }
 
-// LocateCol resolves a column mismatch to the corrupted element's local row
-// index within the strip (round(δ₂/δ₁) − 1, §III.B). ok is false when the
-// ratio does not land near an integer row inside the strip — the signature
-// of multi-element corruption (1-D/2-D propagation) rather than a single
+// Locate resolves a mismatch to the corrupted element's index within the
+// strip (round(δ₂/δ₁) − 1, §III.B): the local row of a column mismatch, the
+// local column of a row mismatch. ok is false when the ratio does not land
+// near an integer inside the strip's stripLen elements — the signature of
+// multi-element corruption (1-D/2-D propagation) rather than a single
 // flipped element.
-func LocateCol(m ColMismatch, stripRows int) (localRow int, ok bool) {
+func Locate(m Mismatch, stripLen int) (local int, ok bool) {
 	if m.D1 == 0 || math.IsNaN(m.D1) || math.IsNaN(m.D2) {
 		return 0, false
 	}
@@ -87,33 +81,26 @@ func LocateCol(m ColMismatch, stripRows int) (localRow int, ok bool) {
 	if math.Abs(ratio-r) > 0.25 {
 		return 0, false
 	}
-	localRow = int(r) - 1
-	if localRow < 0 || localRow >= stripRows {
+	local = int(r) - 1
+	if local < 0 || local >= stripLen {
 		return 0, false
 	}
-	return localRow, true
+	return local, true
 }
 
-// LocateRow resolves a row mismatch to the corrupted element's local column
-// index within the strip.
-func LocateRow(m RowMismatch, stripCols int) (localCol int, ok bool) {
-	cm := ColMismatch{D1: m.D1, D2: m.D2}
-	return LocateCol(cm, stripCols)
-}
-
-// CorrectCol repairs the single corrupted element identified by m at local
-// row lr: the maintained checksum is authoritative, so the element gains
-// δ₁.
-func CorrectCol(a *matrix.Dense, nb int, m ColMismatch, lr int) {
+// CorrectCol repairs the single corrupted element identified by the column
+// mismatch m at local row lr: the maintained checksum is authoritative, so
+// the element gains δ₁.
+func CorrectCol(a *matrix.Dense, nb int, m Mismatch, lr int) {
 	i := m.Strip*nb + lr
-	a.Set(i, m.Col, a.At(i, m.Col)+m.D1)
+	a.Set(i, m.Line, a.At(i, m.Line)+m.D1)
 }
 
-// CorrectRow repairs the single corrupted element identified by m at local
-// column lc.
-func CorrectRow(a *matrix.Dense, nb int, m RowMismatch, lc int) {
+// CorrectRow repairs the single corrupted element identified by the row
+// mismatch m at local column lc.
+func CorrectRow(a *matrix.Dense, nb int, m Mismatch, lc int) {
 	j := m.Strip*nb + lc
-	a.Set(m.Row, j, a.At(m.Row, j)+m.D1)
+	a.Set(m.Line, j, a.At(m.Line, j)+m.D1)
 }
 
 // ReconstructColumn rebuilds every element of global column j of a from
@@ -160,20 +147,4 @@ func ReconstructRow(a *matrix.Dense, nb int, colChk *matrix.Dense, i, clo, chi i
 		}
 		row[j] = colChk.At(2*s, j) - sum
 	}
-}
-
-// Tolerance derives a verification threshold from the paper's norm-based
-// round-off bound (§III.B): gamma_k·‖A‖·‖B‖ for a checksum maintained
-// through a k-deep accumulation with operand scales normA·normB, widened
-// by a safety factor so that false positives never fire in error-free runs
-// while injected multi-bit flips (orders of magnitude larger) still do.
-func Tolerance(depth int, scale float64) float64 {
-	if depth < 2 {
-		depth = 2
-	}
-	t := matrix.Gamma(depth) * scale * 64
-	if t < 1e-11 {
-		t = 1e-11
-	}
-	return t
 }

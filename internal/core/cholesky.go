@@ -87,10 +87,11 @@ func (l *cholLadder) panelFactor(k int) {
 			es.transfer(p.rowChkView(k, o, o+nb), cpuRowChk)
 			rm := cpuRowChk.Access(cpu)
 			rowRepair = func(col int) bool {
-				return p.reconstructColViaRowChk(st.pm, rm, col)
+				checksum.ReconstructColumn(st.pm, nb, rm, col, 0, st.pm.Rows)
+				return true
 			}
 		}
-		if out := p.verifyRepairCol(cpu.Workers(), st.pm, st.cm, rowRepair); out == repairFailed {
+		if out, _ := p.verifyRepair(colAxis, cpu.Workers(), st.pm, st.cm, rowRepair); out == repairFailed {
 			res.Unrecoverable = true
 		}
 		res.Counter.PDBefore++
@@ -133,7 +134,7 @@ func (l *cholLadder) panelCommit(k int) {
 	if es.pl.afterPDBcast && chk {
 		gd := a11dev.Access(gdevK)
 		gc := p.colChkView(k, k, k+1).Access(gdevK)
-		out := p.verifyRepairCol(gdevK.Workers(), gd, gc, nil)
+		out, _ := p.verifyRepair(colAxis, gdevK.Workers(), gd, gc, nil)
 		res.Counter.PDAfter++
 		if out == repairFailed {
 			// PCIe corrupted the writeback beyond local repair:
@@ -178,7 +179,7 @@ func (l *cholLadder) panelUpdate(k int) {
 		// Reference part first: a DRAM fault striking the factored L11
 		// block between the post-broadcast check and PU would otherwise
 		// corrupt the whole TRSM consistently with its checksum TRSM.
-		if out := p.verifyRepairCol(gdevK.Workers(), a11dev.Access(gdevK), p.colChkView(k, k, k+1).Access(gdevK), nil); out == repairFailed {
+		if out, _ := p.verifyRepair(colAxis, gdevK.Workers(), a11dev.Access(gdevK), p.colChkView(k, k, k+1).Access(gdevK), nil); out == repairFailed {
 			res.Unrecoverable = true
 		}
 		res.Counter.PUBefore++
@@ -193,12 +194,12 @@ func (l *cholLadder) panelUpdate(k int) {
 			data := pnl.Access(gdevK)
 			loff := p.localOff(k)
 			rowRepair = func(col int) bool {
-				ok := p.reconstructColViaRowChk(data, rchk, col)
+				checksum.ReconstructColumn(data, nb, rchk, col, 0, data.Rows)
 				p.reencodeColChkCol(gk, loff+col)
-				return ok
+				return true
 			}
 		}
-		if out := p.verifyRepairCol(gdevK.Workers(), pnl.Access(gdevK), pnlChk.Access(gdevK), rowRepair); out == repairFailed {
+		if out, _ := p.verifyRepair(colAxis, gdevK.Workers(), pnl.Access(gdevK), pnlChk.Access(gdevK), rowRepair); out == repairFailed {
 			res.Unrecoverable = true
 		}
 		res.Counter.PUBefore += nbr - k - 1
@@ -229,13 +230,13 @@ func (l *cholLadder) panelUpdate(k int) {
 	runPU()
 	es.injectComp(k, fault.PU, puRegs)
 	if pl.afterPU && chk {
-		out := p.verifyRepairCol(gdevK.Workers(), pnl.Access(gdevK), pnlChk.Access(gdevK), nil)
+		out, _ := p.verifyRepair(colAxis, gdevK.Workers(), pnl.Access(gdevK), pnlChk.Access(gdevK), nil)
 		res.Counter.PUAfter += nbr - k - 1
 		if out == repairFailed {
 			// 2-D propagation inside PU: local in-memory restart.
 			res.Counter.LocalRestarts++
 			restartPU()
-			if p.verifyRepairCol(gdevK.Workers(), pnl.Access(gdevK), pnlChk.Access(gdevK), nil) == repairFailed {
+			if out, _ := p.verifyRepair(colAxis, gdevK.Workers(), pnl.Access(gdevK), pnlChk.Access(gdevK), nil); out == repairFailed {
 				res.Unrecoverable = true
 			}
 		}
@@ -430,7 +431,7 @@ func (p *protected) cholHeuristicAfterTMU(k int, stages []stagePair) {
 		}
 		gdev := p.es.sys.GPU(g)
 		sd := stages[g].data.Access(gdev)
-		out, fixed := p.verifyRepairColReport(gdev.Workers(), sd, stages[g].chk.Access(gdev), nil)
+		out, fixed := p.verifyRepair(colAxis, gdev.Workers(), sd, stages[g].chk.Access(gdev), nil)
 		p.es.res.Counter.TMUAfter += p.nbr - k - 1
 		if out == repairClean {
 			continue
@@ -481,15 +482,16 @@ func (p *protected) repairCholCross(g, k, r int, clean, d1 float64) {
 
 	data := p.local[g].View(0, jlo, p.n, cols).Access(gdev)
 	chkv := p.colChk[g].View(0, jlo, 2*p.nbr, cols).Access(gdev)
-	var skip []int
 	lcR := -1
 	if owned {
 		lcR = p.localBlock(bj)*nb + r%nb - jlo // view-relative column r
-		if lcR >= 0 && lcR < cols {
-			skip = append(skip, lcR)
-		}
 	}
-	p.reconstructRowViaColChk(data, chkv, r, skip...)
+	if lcR >= 0 && lcR < cols {
+		checksum.ReconstructRow(data, nb, chkv, r, 0, lcR)
+		checksum.ReconstructRow(data, nb, chkv, r, lcR+1, cols)
+	} else {
+		checksum.ReconstructRow(data, nb, chkv, r, 0, cols)
+	}
 	p.es.res.Counter.ReconstructedLins++
 
 	if owned && p.es.opts.Mode == Full && lcR >= 0 {
@@ -498,7 +500,8 @@ func (p *protected) repairCholCross(g, k, r int, clean, d1 float64) {
 		r0 := bj * nb
 		cdat := p.local[g].View(r0, lb*nb, p.n-r0, nb).Access(gdev)
 		rchk := p.rowChk[g].View(r0, 2*lb, p.n-r0, 2).Access(gdev)
-		p.reconstructColViaRowChk(cdat, rchk, r%nb, r-r0)
+		checksum.ReconstructColumn(cdat, nb, rchk, r%nb, 0, r-r0)
+		checksum.ReconstructColumn(cdat, nb, rchk, r%nb, r-r0+1, cdat.Rows)
 		p.es.res.Counter.ReconstructedLins++
 		// (r, r): the data GEMM subtracted corrupt² where clean² belonged.
 		corrupt := clean - d1

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"ftla/internal/blas"
-	"ftla/internal/checksum"
 	"ftla/internal/fault"
 	"ftla/internal/hetsim"
 	"ftla/internal/matrix"
@@ -73,80 +72,6 @@ func (es *engineSys) restoreOnChip() {
 	}
 }
 
-// correctedElem reports one element repaired by a verify/repair pass, in
-// coordinates relative to the verified view. D1 is the applied correction
-// (new = old + D1), which recovery paths use to undo second-order damage.
-type correctedElem struct {
-	Row int
-	Col int
-	D1  float64
-}
-
-// verifyRepairColReport is verifyRepairCol plus a report of which elements
-// were individually corrected — the drivers use the coordinates to repair
-// the trailing-matrix rows/columns those elements contaminated during TMU
-// (§VII.B heuristic recovery).
-func (p *protected) verifyRepairColReport(workers int, data, chk *matrix.Dense, rowRepair func(col int) bool) (repairOutcome, []correctedElem) {
-	stop := p.es.span(obs.PhaseVerify, "verify-col", &p.es.res.VerifyT)
-	ms := checksum.VerifyCol(workers, data, p.nb, chk, p.tol)
-	stop()
-	if len(ms) == 0 {
-		return repairClean, nil
-	}
-	p.es.res.Detected = true
-	p.es.res.Counter.DetectedErrors += len(ms)
-	defer p.es.span(obs.PhaseRecover, "repair-col", &p.es.res.RecoverT)()
-	var fixed []correctedElem
-	stuck := map[int]bool{}
-	for _, m := range ms {
-		rows := p.nb
-		if got := data.Rows - m.Strip*p.nb; got < rows {
-			rows = got
-		}
-		if lr, ok := checksum.LocateCol(m, rows); ok {
-			checksum.CorrectCol(data, p.nb, m, lr)
-			p.es.res.Counter.CorrectedElements++
-			fixed = append(fixed, correctedElem{Row: m.Strip*p.nb + lr, Col: m.Col, D1: m.D1})
-		} else {
-			stuck[m.Col] = true
-		}
-	}
-	for col := range stuck {
-		if rowRepair == nil || !rowRepair(col) {
-			return repairFailed, fixed
-		}
-		p.es.res.Counter.ReconstructedLins++
-	}
-	stop = p.es.span(obs.PhaseVerify, "verify-col", &p.es.res.VerifyT)
-	ms = checksum.VerifyCol(workers, data, p.nb, chk, p.tol)
-	stop()
-	if len(ms) != 0 && rowRepair != nil {
-		// A multi-element column corruption can alias as a localizable
-		// single error (δ₂/δ₁ lands near an integer by chance); the
-		// mis-correction surfaces here, so escalate the surviving columns
-		// to the full column repair and re-verify once more.
-		ok := true
-		seen := map[int]bool{}
-		for _, m := range ms {
-			if !seen[m.Col] {
-				seen[m.Col] = true
-				if !rowRepair(m.Col) {
-					ok = false
-				}
-			}
-		}
-		if ok {
-			stop = p.es.span(obs.PhaseVerify, "verify-col", &p.es.res.VerifyT)
-			ms = checksum.VerifyCol(workers, data, p.nb, chk, p.tol)
-			stop()
-		}
-	}
-	if len(ms) != 0 {
-		return repairFailed, fixed
-	}
-	return repairCorrected, fixed
-}
-
 // newEngine bundles the run state for the named decomposition, snapshots
 // the flop counter so the result can report the run's own work, and arms
 // any fail-stop fault plans (devices) and link fault plans (PCIe links)
@@ -212,9 +137,4 @@ func (es *engineSys) finishResult(start time.Time) {
 	obs.ObservePhase(obs.PhaseFactorize, factor)
 	factorizations.With(es.decomp).Inc()
 	es.sys.Tracer().WallSpan(es.decomp, obs.PhaseFactorize, start, res.Wall)
-}
-
-// blasGemm aliases the sequential GEMM for recovery-path helpers.
-func blasGemm(transA, transB bool, alpha float64, a, b *matrix.Dense, beta float64, c *matrix.Dense) {
-	blas.Gemm(transA, transB, alpha, a, b, beta, c)
 }

@@ -111,36 +111,29 @@ func fingerprint(t *testing.T, i int, c fingerprintCase) string {
 	if err != nil {
 		return fmt.Sprintf("%s | err=%v", c.label(), err)
 	}
-	bits := "unrecoverable"
-	if !res.Unrecoverable {
-		// An unrecoverable run's factor is declared garbage, and its bits
-		// depend on which stuck column a failed repair pass visits first
-		// (map order), so only recoverable runs pin them.
-		h := fnv.New64a()
-		var buf [8]byte
-		put := func(v uint64) {
-			for b := range buf {
-				buf[b] = byte(v >> (8 * b))
-			}
-			h.Write(buf[:])
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v uint64) {
+		for b := range buf {
+			buf[b] = byte(v >> (8 * b))
 		}
-		for _, v := range out.Data {
-			put(math.Float64bits(v))
-		}
-		for _, v := range piv {
-			put(uint64(v))
-		}
-		for _, v := range tau {
-			put(math.Float64bits(v))
-		}
-		bits = fmt.Sprintf("%016x", h.Sum64())
+		h.Write(buf[:])
+	}
+	for _, v := range out.Data {
+		put(math.Float64bits(v))
+	}
+	for _, v := range piv {
+		put(uint64(v))
+	}
+	for _, v := range tau {
+		put(math.Float64bits(v))
 	}
 	makespan := "-"
 	if c.lookahead == 0 {
 		makespan = fmt.Sprintf("%x", math.Float64bits(res.SimMakespan))
 	}
-	return fmt.Sprintf("%s | bits=%s %+v det=%t unrec=%t ck=%d rb=%d pcie=%d flops=%d sim=%s",
-		c.label(), bits, res.Counter, res.Detected, res.Unrecoverable,
+	return fmt.Sprintf("%s | bits=%016x %+v det=%t unrec=%t ck=%d rb=%d pcie=%d flops=%d sim=%s",
+		c.label(), h.Sum64(), res.Counter, res.Detected, res.Unrecoverable,
 		res.Checkpoints, res.Rollbacks, res.PCIeBytes, res.Flops, makespan)
 }
 

@@ -232,7 +232,7 @@ func (p *protected) commitPanel(k int, st *panelStep, leg func(g int)) {
 	}
 	if p.checkBroadcast(st.stages, &es.res.Counter.PDAfter, strips, st.cpuPanel, st.cpuChk, broadcast) {
 		gc := p.colChkView(k, k, p.nbr)
-		if p.verifyRepairCol(gdev.Workers(), panelDev.Access(gdev), gc.Access(gdev), nil) == repairFailed {
+		if out, _ := p.verifyRepair(colAxis, gdev.Workers(), panelDev.Access(gdev), gc.Access(gdev), nil); out == repairFailed {
 			es.transfer(st.cpuPanel, panelDev)
 			es.transfer(st.cpuChk, gc)
 			es.res.Counter.Rebroadcasts++

@@ -104,10 +104,11 @@ func (l *luLadder) panelFactor(k int) {
 			es.transfer(p.rowChkView(k, o, n), cpuRowChk)
 			rm := cpuRowChk.Access(cpu)
 			rowRepairPD = func(col int) bool {
-				return p.reconstructColViaRowChk(st.pm, rm, col)
+				checksum.ReconstructColumn(st.pm, nb, rm, col, 0, st.pm.Rows)
+				return true
 			}
 		}
-		out, fixed := p.verifyRepairColReport(cpu.Workers(), st.pm, st.cm, rowRepairPD)
+		out, fixed := p.verifyRepair(colAxis, cpu.Workers(), st.pm, st.cm, rowRepairPD)
 		if out == repairFailed {
 			res.Unrecoverable = true
 		}
@@ -233,7 +234,7 @@ func (l *luLadder) panelUpdate(k int) {
 			gdev := sys.GPU(g)
 			l11d := st.stages[g].data.View(0, 0, nb, nb).Access(gdev)
 			l11c := st.stages[g].chk.View(0, 0, 2, nb).Access(gdev)
-			if out := p.verifyRepairCol(gdev.Workers(), l11d, l11c, nil); out == repairFailed {
+			if out, _ := p.verifyRepair(colAxis, gdev.Workers(), l11d, l11c, nil); out == repairFailed {
 				res.Unrecoverable = true
 			}
 			res.Counter.PUBefore++
@@ -428,14 +429,7 @@ func (p *protected) luVerifyRowPanelPrePU(k int, counter *int) {
 		cols := p.nloc[g]*nb - lb0*nb
 		data := p.local[g].View(o, lb0*nb, nb, cols).Access(gdev)
 		chkv := p.colChk[g].View(2*k, lb0*nb, 2, cols).Access(gdev)
-		var rowRepair func(col int) bool
-		if p.es.opts.Mode == Full {
-			gg, jj := g, lb0*nb
-			rowRepair = func(col int) bool {
-				return p.repairFullColumn(gg, jj+col)
-			}
-		}
-		out, fixed := p.verifyRepairColReport(gdev.Workers(), data, chkv, rowRepair)
+		out, fixed := p.verifyRepair(colAxis, gdev.Workers(), data, chkv, p.fullColumnRepair(g, lb0*nb))
 		if out == repairFailed {
 			p.es.res.Unrecoverable = true
 		}
@@ -473,7 +467,7 @@ func (p *protected) luVerifyRowPanelPostPU(k int, ss []luPUSnap, runPU func(g in
 		cols := p.nloc[g]*nb - lb0*nb
 		data := p.local[g].View(o, lb0*nb, nb, cols).Access(gdev)
 		rchk := p.rowChk[g].View(o, 2*lb0, nb, 2*(p.nloc[g]-lb0)).Access(gdev)
-		out := p.verifyRepairRow(gdev.Workers(), data, rchk, nil)
+		out, _ := p.verifyRepair(rowAxis, gdev.Workers(), data, rchk, nil)
 		*counter += cols / nb
 		if out == repairFailed {
 			if ss != nil && ss[g].data != nil {
@@ -483,7 +477,7 @@ func (p *protected) luVerifyRowPanelPostPU(k int, ss []luPUSnap, runPU func(g in
 				}
 				p.es.res.Counter.LocalRestarts++
 				runPU(g)
-				if p.verifyRepairRow(gdev.Workers(), data, rchk, nil) == repairFailed {
+				if out, _ := p.verifyRepair(rowAxis, gdev.Workers(), data, rchk, nil); out == repairFailed {
 					p.es.res.Unrecoverable = true
 				}
 			} else {
@@ -547,7 +541,7 @@ func (p *protected) luHeuristicAfterTMU(k int, stages []stagePair) {
 		}
 		gdev := p.es.sys.GPU(g)
 		// L21 stage copy (full panel stage; only rows >= o+nb feed TMU).
-		out, fixed := p.verifyRepairColReport(gdev.Workers(), stages[g].data.Access(gdev), stages[g].chk.Access(gdev), nil)
+		out, fixed := p.verifyRepair(colAxis, gdev.Workers(), stages[g].data.Access(gdev), stages[g].chk.Access(gdev), nil)
 		p.es.res.Counter.TMUAfter += p.nbr - k
 		if out == repairFailed {
 			p.es.res.Unrecoverable = true
@@ -577,7 +571,7 @@ func (p *protected) luHeuristicAfterTMU(k int, stages []stagePair) {
 		p.es.res.Detected = true
 		p.es.res.Counter.DetectedErrors += len(ms)
 		for _, m2 := range ms {
-			if lc, ok := checksum.LocateRow(m2, nb); ok {
+			if lc, ok := checksum.Locate(m2, nb); ok {
 				checksum.CorrectRow(data, nb, m2, lc)
 				p.es.res.Counter.CorrectedElements++
 				localCol := m2.Strip*nb + lc
@@ -603,7 +597,7 @@ func (p *protected) luRepairTrailingRow(g, k, r int) {
 	cols := p.nloc[g]*nb - jlo
 	data := p.local[g].View(0, jlo, p.n, cols).Access(gdev)
 	chkv := p.colChk[g].View(0, jlo, 2*p.nbr, cols).Access(gdev)
-	p.reconstructRowViaColChk(data, chkv, r)
+	checksum.ReconstructRow(data, nb, chkv, r, 0, cols)
 	// The TMU row-checksum update consumed the corrupted L21 operand, so
 	// row r's row checksums are polluted; re-encode from the repaired row.
 	p.reencodeRowChkRow(g, r, lb0)
@@ -625,7 +619,7 @@ func (p *protected) luRepairTrailingColumn(g, k, localCol int) {
 	}
 	data := p.local[g].View(o+nb, lb*nb, p.n-o-nb, nb).Access(gdev)
 	rchk := p.rowChk[g].View(o+nb, 2*lb, p.n-o-nb, 2).Access(gdev)
-	p.reconstructColViaRowChk(data, rchk, localCol%nb)
+	checksum.ReconstructColumn(data, nb, rchk, localCol%nb, 0, data.Rows)
 	// The TMU column-checksum update consumed the corrupted U12 operand,
 	// so this column's column checksums are polluted; re-encode.
 	p.reencodeColChkCol(g, lb*nb+localCol%nb)

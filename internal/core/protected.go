@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"ftla/internal/checksum"
@@ -370,119 +371,140 @@ const (
 	repairFailed                         // mismatches remain: needs restart
 )
 
-// verifyRepairCol verifies the column checksums of rows [rlo, rhi) of the
-// given data against chk (strip indices aligned: chk row 0..1 covers data
-// rows [rlo, rlo+nb)) and repairs what it can:
+// correctedElem reports one element repaired by a verify/repair pass, in
+// coordinates relative to the verified view. D1 is the applied correction
+// (new = old + D1), which recovery paths use to undo second-order damage.
+type correctedElem struct {
+	Row int
+	Col int
+	D1  float64
+}
+
+// checksumAxis is the checksum dimension a verify-and-repair pass runs on:
+// column checksums (row strips, each line a column) or row checksums
+// (column strips, each line a row).
+type checksumAxis struct {
+	verify     func(workers int, a *matrix.Dense, nb int, chk *matrix.Dense, tol float64) []checksum.Mismatch
+	extent     func(a *matrix.Dense) int // elements along the strip axis
+	correct    func(a *matrix.Dense, nb int, m checksum.Mismatch, local int) correctedElem
+	verifySpan string
+	repairSpan string
+}
+
+var (
+	colAxis = checksumAxis{
+		verify: checksum.VerifyCol,
+		extent: func(a *matrix.Dense) int { return a.Rows },
+		correct: func(a *matrix.Dense, nb int, m checksum.Mismatch, lr int) correctedElem {
+			checksum.CorrectCol(a, nb, m, lr)
+			return correctedElem{Row: m.Strip*nb + lr, Col: m.Line, D1: m.D1}
+		},
+		verifySpan: "verify-col",
+		repairSpan: "repair-col",
+	}
+	rowAxis = checksumAxis{
+		verify: checksum.VerifyRow,
+		extent: func(a *matrix.Dense) int { return a.Cols },
+		correct: func(a *matrix.Dense, nb int, m checksum.Mismatch, lc int) correctedElem {
+			checksum.CorrectRow(a, nb, m, lc)
+			return correctedElem{Row: m.Line, Col: m.Strip*nb + lc, D1: m.D1}
+		},
+		verifySpan: "verify-row",
+		repairSpan: "repair-row",
+	}
+)
+
+// verifyRepair verifies data against its checksums chk along axis ax
+// (strip indices aligned: chk strip 0 covers the first nb data lines of
+// the strip axis) and repairs what it can:
 //
 //  1. every mismatch that localizes to a single element is corrected
-//     (0-D errors and 1-D row corruption, which shows as one localizable
-//     error per column);
-//  2. under Full mode, a column whose mismatches do not localize (1-D
-//     column corruption) is rebuilt element-wise from the row checksums
-//     when rowRepair is non-nil;
+//     (0-D errors and 1-D corruption across the checksummed lines, which
+//     shows as one localizable error per line);
+//  2. a line whose mismatches do not localize (1-D corruption along the
+//     line) is handed to repair, which rebuilds it from the orthogonal
+//     checksums — lines are visited in ascending index order, so a failed
+//     pass leaves the same bits on every run;
 //  3. anything else is repairFailed (2-D propagation → local restart).
 //
-// The pass re-verifies after repair, charges verify/recovery time, and
-// updates the counters.
-func (p *protected) verifyRepairCol(workers int, data *matrix.Dense, chk *matrix.Dense, rowRepair func(col int) bool) repairOutcome {
-	stop := p.es.span(obs.PhaseVerify, "verify-col", &p.es.res.VerifyT)
-	ms := checksum.VerifyCol(workers, data, p.nb, chk, p.tol)
-	stop()
+// The pass re-verifies after repair. With a repair callback, lines that
+// still disagree (a multi-element corruption that aliased as a localizable
+// single error) escalate to the line repair and re-verify once more. It
+// charges verify/recovery time, updates the counters, and returns the
+// individually corrected elements — the ladders use their coordinates to
+// repair the trailing rows/columns those elements contaminated during TMU
+// (§VII.B heuristic recovery).
+func (p *protected) verifyRepair(ax checksumAxis, workers int, data, chk *matrix.Dense, repair func(line int) bool) (repairOutcome, []correctedElem) {
+	verify := func() []checksum.Mismatch {
+		defer p.es.span(obs.PhaseVerify, ax.verifySpan, &p.es.res.VerifyT)()
+		return ax.verify(workers, data, p.nb, chk, p.tol)
+	}
+	ms := verify()
 	if len(ms) == 0 {
-		return repairClean
+		return repairClean, nil
 	}
 	p.es.res.Detected = true
 	p.es.res.Counter.DetectedErrors += len(ms)
-	defer p.es.span(obs.PhaseRecover, "repair-col", &p.es.res.RecoverT)()
+	defer p.es.span(obs.PhaseRecover, ax.repairSpan, &p.es.res.RecoverT)()
 
-	stuckCols := map[int]bool{}
+	var fixed []correctedElem
+	stuck := map[int]bool{}
 	for _, m := range ms {
-		rows := p.nb
-		if got := data.Rows - m.Strip*p.nb; got < rows {
-			rows = got
-		}
-		if lr, ok := checksum.LocateCol(m, rows); ok {
-			checksum.CorrectCol(data, p.nb, m, lr)
+		if l, ok := checksum.Locate(m, min(p.nb, ax.extent(data)-m.Strip*p.nb)); ok {
+			fixed = append(fixed, ax.correct(data, p.nb, m, l))
 			p.es.res.Counter.CorrectedElements++
 		} else {
-			stuckCols[m.Col] = true
+			stuck[m.Line] = true
 		}
 	}
-	for col := range stuckCols {
-		if rowRepair == nil || !rowRepair(col) {
-			return repairFailed
+	for _, line := range sortedKeys(stuck) {
+		if repair == nil || !repair(line) {
+			return repairFailed, fixed
 		}
 		p.es.res.Counter.ReconstructedLins++
 	}
-	// Re-verify: corrections must reconcile; surviving columns (e.g. a
-	// multi-element corruption that aliased as a localizable single error)
-	// escalate to the column repair before the pass gives up.
-	stop = p.es.span(obs.PhaseVerify, "verify-col", &p.es.res.VerifyT)
-	ms = checksum.VerifyCol(workers, data, p.nb, chk, p.tol)
-	stop()
-	if len(ms) != 0 && rowRepair != nil {
-		ok := true
-		seen := map[int]bool{}
+	ms = verify()
+	if len(ms) != 0 && repair != nil {
+		left := map[int]bool{}
 		for _, m := range ms {
-			if !seen[m.Col] {
-				seen[m.Col] = true
-				if !rowRepair(m.Col) {
-					ok = false
-				}
+			left[m.Line] = true
+		}
+		ok := true
+		for _, line := range sortedKeys(left) {
+			if !repair(line) {
+				ok = false
 			}
 		}
 		if ok {
-			stop = p.es.span(obs.PhaseVerify, "verify-col", &p.es.res.VerifyT)
-			ms = checksum.VerifyCol(workers, data, p.nb, chk, p.tol)
-			stop()
+			ms = verify()
 		}
 	}
 	if len(ms) != 0 {
-		return repairFailed
+		return repairFailed, fixed
 	}
-	return repairCorrected
+	return repairCorrected, fixed
 }
 
-// verifyRepairRow is the row-checksum dual of verifyRepairCol: localizable
-// mismatches are corrected element-wise; a row whose mismatches do not
-// localize is handed to colRepair (reconstruction from column checksums).
-func (p *protected) verifyRepairRow(workers int, data *matrix.Dense, chk *matrix.Dense, colRepair func(row int) bool) repairOutcome {
-	stop := p.es.span(obs.PhaseVerify, "verify-row", &p.es.res.VerifyT)
-	ms := checksum.VerifyRow(workers, data, p.nb, chk, p.tol)
-	stop()
-	if len(ms) == 0 {
-		return repairClean
+// sortedKeys returns the keys of m in ascending order, so repair decisions
+// never depend on Go's randomized map iteration.
+func sortedKeys[V any](m map[int]V) []int {
+	keys := make([]int, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	p.es.res.Detected = true
-	p.es.res.Counter.DetectedErrors += len(ms)
-	defer p.es.span(obs.PhaseRecover, "repair-row", &p.es.res.RecoverT)()
+	slices.Sort(keys)
+	return keys
+}
 
-	stuckRows := map[int]bool{}
-	for _, m := range ms {
-		cols := p.nb
-		if got := data.Cols - m.Strip*p.nb; got < cols {
-			cols = got
-		}
-		if lc, ok := checksum.LocateRow(m, cols); ok {
-			checksum.CorrectRow(data, p.nb, m, lc)
-			p.es.res.Counter.CorrectedElements++
-		} else {
-			stuckRows[m.Row] = true
-		}
+// fullColumnRepair returns the stuck-column callback for a column verify
+// pass over GPU g's local columns from jlo on: each stuck view column is
+// rebuilt over the full matrix height by repairFullColumn. It is nil
+// unless the mode is Full, the only mode that keeps row checksums.
+func (p *protected) fullColumnRepair(g, jlo int) func(col int) bool {
+	if p.es.opts.Mode != Full {
+		return nil
 	}
-	for row := range stuckRows {
-		if colRepair == nil || !colRepair(row) {
-			return repairFailed
-		}
-		p.es.res.Counter.ReconstructedLins++
-	}
-	stop = p.es.span(obs.PhaseVerify, "verify-row", &p.es.res.VerifyT)
-	ms = checksum.VerifyRow(workers, data, p.nb, chk, p.tol)
-	stop()
-	if len(ms) != 0 {
-		return repairFailed
-	}
-	return repairCorrected
+	return func(col int) bool { return p.repairFullColumn(g, jlo+col) }
 }
 
 // verifyTrailingCol verifies (and repairs) the column checksums of the
@@ -506,17 +528,7 @@ func (p *protected) verifyTrailingCol(rlo, bj0 int) (worst repairOutcome, blocks
 		cols := p.nloc[g]*nb - jlo
 		data := p.local[g].View(o, jlo, p.n-o, cols).Access(gdev)
 		chk := p.colChk[g].View(2*(o/nb), jlo, 2*(p.nbr-o/nb), cols).Access(gdev)
-		var rowRepair func(col int) bool
-		if p.es.opts.Mode == Full {
-			gg, jj := g, jlo
-			rowRepair = func(col int) bool {
-				// Rebuild the whole column from the row checksums, then
-				// re-encode its (possibly polluted) column checksums so the
-				// ladder's re-verification reconciles.
-				return p.repairFullColumn(gg, jj+col)
-			}
-		}
-		out, fixed := p.verifyRepairColReport(gdev.Workers(), data, chk, rowRepair)
+		out, _ := p.verifyRepair(colAxis, gdev.Workers(), data, chk, p.fullColumnRepair(g, jlo))
 		if out > worst {
 			worst = out
 		}
@@ -525,7 +537,6 @@ func (p *protected) verifyTrailingCol(rlo, bj0 int) (worst repairOutcome, blocks
 		if p.es.opts.Mode == Full && out == repairCorrected {
 			p.reconcileOrthogonal(g, o, p.n, lbLo, p.nloc[g])
 		}
-		_ = fixed
 	}
 	return worst, blocks
 }
@@ -566,41 +577,31 @@ func (p *protected) reconcileOrthogonal(g, rlo, rhi, lbLo, lbHi int) {
 		return
 	}
 	rowHits := map[int]int{}
-	colHits := map[int][]int{} // local col -> rows
+	colRows := map[int][]int{} // local col -> rows
 	for _, m := range ms {
-		rowHits[m.Row]++
-		if lc, ok := checksum.LocateRow(m, nb); ok {
+		rowHits[m.Line]++
+		if lc, ok := checksum.Locate(m, nb); ok {
 			col := m.Strip*nb + lc
-			colHits[col] = append(colHits[col], m.Row)
+			colRows[col] = append(colRows[col], m.Line)
 		}
 	}
-	repairedCols := map[int]bool{}
-	for col, rows := range colHits {
-		if len(rows) >= 2 {
+	covered := map[int]bool{} // rows inside a rebuilt column
+	for _, col := range sortedKeys(colRows) {
+		if rows := colRows[col]; len(rows) >= 2 {
 			// Aliased column corruption: the row checksums are the clean
 			// authority — rebuild the whole column and refresh its column
 			// checksums.
 			p.repairFullColumn(g, jlo+col)
-			repairedCols[col] = true
+			for _, r := range rows {
+				covered[r] = true
+			}
 		}
 	}
-	for r, hits := range rowHits {
-		if hits >= 2 {
-			// The same row disagreeing in several strips is a polluted
-			// row-checksum line (unless it was part of a column repair).
-			covered := false
-			for col, rows := range colHits {
-				if repairedCols[col] {
-					for _, rr := range rows {
-						if rr == r {
-							covered = true
-						}
-					}
-				}
-			}
-			if !covered {
-				p.reencodeRowChkRow(g, rlo+r, lbLo)
-			}
+	for _, r := range sortedKeys(rowHits) {
+		// The same row disagreeing in several strips is a polluted
+		// row-checksum line (unless it was part of a column repair).
+		if rowHits[r] >= 2 && !covered[r] {
+			p.reencodeRowChkRow(g, rlo+r, lbLo)
 		}
 	}
 	// Remaining single-hit rows: data agrees with the (just-reconciled)
@@ -608,43 +609,11 @@ func (p *protected) reconcileOrthogonal(g, rlo, rhi, lbLo, lbHi int) {
 	ms = checksum.VerifyRow(gdev.Workers(), data, nb, rchk, p.tol)
 	seen := map[int]bool{}
 	for _, m := range ms {
-		if !seen[m.Row] {
-			seen[m.Row] = true
-			p.reencodeRowChkRow(g, rlo+m.Row, lbLo)
+		if !seen[m.Line] {
+			seen[m.Line] = true
+			p.reencodeRowChkRow(g, rlo+m.Line, lbLo)
 		}
 	}
-}
-
-// reconstructColViaRowChk rebuilds column col of data (a view whose
-// columns are grouped in nb-blocks aligned with rchk's 2-column strips)
-// from the v₁ row checksums. Rows listed in skipRows (view-relative) are
-// left untouched — used when a specific row's row checksum is known to be
-// polluted.
-func (p *protected) reconstructColViaRowChk(data, rchk *matrix.Dense, col int, skipRows ...int) bool {
-	s := col / p.nb
-	clo := s * p.nb
-	chi := clo + p.nb
-	if chi > data.Cols {
-		chi = data.Cols
-	}
-	skip := map[int]bool{}
-	for _, r := range skipRows {
-		skip[r] = true
-	}
-	for i := 0; i < data.Rows; i++ {
-		if skip[i] {
-			continue
-		}
-		row := data.Row(i)
-		sum := 0.0
-		for c := clo; c < chi; c++ {
-			if c != col {
-				sum += row[c]
-			}
-		}
-		row[col] = rchk.At(i, 2*s) - sum
-	}
-	return true
 }
 
 // reencodeRowChkRow recomputes the row-checksum pairs of global row r on
@@ -717,7 +686,7 @@ func (p *protected) repairFullColumn(g, localCol int) bool {
 	}
 	data := p.local[g].View(0, lb*nb, p.n, nb).Access(gdev)
 	rchk := p.rowChk[g].View(0, 2*lb, p.n, 2).Access(gdev)
-	p.reconstructColViaRowChk(data, rchk, localCol%nb)
+	checksum.ReconstructColumn(data, nb, rchk, localCol%nb, 0, p.n)
 	p.reencodeColChkCol(g, localCol)
 	p.es.res.Counter.ReconstructedLins++
 	return true
@@ -770,45 +739,11 @@ func (p *protected) repairContaminatedRow(g, r, bjLo int) bool {
 	// A stuck column here is a 1-D column contamination crossing this
 	// strip (e.g. an on-chip row-panel fault consumed by a previous TMU):
 	// rebuild the entire column from the row checksums.
-	rowRepair := func(col int) bool {
-		return p.repairFullColumn(g, jlo+col)
-	}
-	out, _ := p.verifyRepairColReport(gdev.Workers(), data, chk, rowRepair)
+	out, _ := p.verifyRepair(colAxis, gdev.Workers(), data, chk, p.fullColumnRepair(g, jlo))
 	if out == repairFailed {
 		p.es.res.Unrecoverable = true
 		return false
 	}
 	p.reencodeRowChkRow(g, r, lbLo)
-	return true
-}
-
-// reconstructRowViaColChk rebuilds row r of data from the v₁ column
-// checksums (chk strip-aligned with data rows). Columns listed in skipCols
-// (view-relative) are left untouched — used when a column's checksum is
-// known to be polluted.
-func (p *protected) reconstructRowViaColChk(data, chk *matrix.Dense, r int, skipCols ...int) bool {
-	s := r / p.nb
-	rlo := s * p.nb
-	rhi := rlo + p.nb
-	if rhi > data.Rows {
-		rhi = data.Rows
-	}
-	skip := map[int]bool{}
-	for _, c := range skipCols {
-		skip[c] = true
-	}
-	row := data.Row(r)
-	for j := 0; j < data.Cols; j++ {
-		if skip[j] {
-			continue
-		}
-		sum := 0.0
-		for i := rlo; i < rhi; i++ {
-			if i != r {
-				sum += data.At(i, j)
-			}
-		}
-		row[j] = chk.At(2*s, j) - sum
-	}
 	return true
 }

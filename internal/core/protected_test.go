@@ -246,7 +246,7 @@ func TestVerifyRepairColLadder(t *testing.T) {
 	want := data.Clone()
 	// 0-D: single element.
 	data.Set(10, 3, data.At(10, 3)+4)
-	if out := p.verifyRepairCol(1, data, chk, nil); out != repairCorrected {
+	if out, _ := p.verifyRepair(colAxis, 1, data, chk, nil); out != repairCorrected {
 		t.Fatalf("0-D repair outcome %v", out)
 	}
 	if !data.EqualWithin(want, 1e-10) {
@@ -256,7 +256,7 @@ func TestVerifyRepairColLadder(t *testing.T) {
 	for j := 0; j < 32; j++ {
 		data.Set(20, j, data.At(20, j)-2.5)
 	}
-	if out := p.verifyRepairCol(1, data, chk, nil); out != repairCorrected {
+	if out, _ := p.verifyRepair(colAxis, 1, data, chk, nil); out != repairCorrected {
 		t.Fatalf("1-D row repair outcome %v", out)
 	}
 	if !data.EqualWithin(want, 1e-10) {
@@ -266,17 +266,11 @@ func TestVerifyRepairColLadder(t *testing.T) {
 	for i := 16; i < 32; i++ {
 		data.Set(i, 8, data.At(i, 8)+1.25)
 	}
-	if out := p.verifyRepairCol(1, data, chk, nil); out != repairFailed {
+	if out, _ := p.verifyRepair(colAxis, 1, data, chk, nil); out != repairFailed {
 		t.Fatalf("1-D column without rowRepair: outcome %v, want failed", out)
 	}
 	// With rowRepair: reconstruct from row checksums.
-	rchk := p.rowChk[0].Access(g0)
-	rowRepair := func(col int) bool {
-		ok := p.reconstructColViaRowChk(data, rchk, col)
-		p.reencodeColChkCol(0, col)
-		return ok
-	}
-	if out := p.verifyRepairCol(1, data, chk, rowRepair); out != repairCorrected {
+	if out, _ := p.verifyRepair(colAxis, 1, data, chk, p.fullColumnRepair(0, 0)); out != repairCorrected {
 		t.Fatalf("1-D column with rowRepair: outcome %v", out)
 	}
 	if !data.EqualWithin(want, 1e-9) {

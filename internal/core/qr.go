@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 
+	"ftla/internal/blas"
 	"ftla/internal/checksum"
 	"ftla/internal/fault"
 	"ftla/internal/hetsim"
@@ -110,14 +111,7 @@ func (l *qrLadder) panelFactor(k int) {
 		gdev := sys.GPU(gk)
 		gdata := panelDev.Access(gdev)
 		gchk := p.colChkView(k, k, p.nbr).Access(gdev)
-		var rowRepair func(col int) bool
-		if es.opts.Mode == Full {
-			loff := p.localOff(k)
-			rowRepair = func(col int) bool {
-				return p.repairFullColumn(gk, loff+col)
-			}
-		}
-		if out := p.verifyRepairCol(gdev.Workers(), gdata, gchk, rowRepair); out == repairFailed {
+		if out, _ := p.verifyRepair(colAxis, gdev.Workers(), gdata, gchk, p.fullColumnRepair(gk, p.localOff(k))); out == repairFailed {
 			res.Unrecoverable = true
 		}
 		if es.opts.Mode == Full {
@@ -476,14 +470,7 @@ func (p *protected) qrHeuristicAfterTMU(k int, stages []stagePair, cvStage, tSta
 		cols := p.nloc[g]*nb - lb0*nb
 		data := p.local[g].View(o, lb0*nb, nb, cols).Access(gdev)
 		chkv := p.colChk[g].View(2*k, lb0*nb, 2, cols).Access(gdev)
-		var rowRepair func(col int) bool
-		if p.es.opts.Mode == Full {
-			gg, jj := g, lb0*nb
-			rowRepair = func(col int) bool {
-				return p.repairFullColumn(gg, jj+col)
-			}
-		}
-		if out := p.verifyRepairCol(gdev.Workers(), data, chkv, rowRepair); out == repairFailed {
+		if out, _ := p.verifyRepair(colAxis, gdev.Workers(), data, chkv, p.fullColumnRepair(g, lb0*nb)); out == repairFailed {
 			p.es.res.Unrecoverable = true
 		}
 		// Reconcile against the row checksums: QR's transforming TMU can
@@ -499,7 +486,7 @@ func (p *protected) qrHeuristicAfterTMU(k int, stages []stagePair, cvStage, tSta
 		gdev := p.es.sys.GPU(g)
 		sd := stages[g].data.Access(gdev)
 		corruptCopy := sd.Clone()
-		out, fixed := p.verifyRepairColReport(gdev.Workers(), sd, stages[g].chk.Access(gdev), nil)
+		out, fixed := p.verifyRepair(colAxis, gdev.Workers(), sd, stages[g].chk.Access(gdev), nil)
 		p.es.res.Counter.TMUAfter += p.nbr - k
 		if out == repairClean {
 			continue
@@ -555,7 +542,7 @@ func (p *protected) qrRollbackRedo(g, k int, corrupt *matrix.Dense, st stagePair
 		kinv.SetCol(col, x)
 	}
 	vtv := matrix.NewDense(nb, nb)
-	mulInto(vtv, vCorrupt, vCorrupt, true, false, 1, 0)
+	blas.Gemm(true, false, 1, vCorrupt, vCorrupt, 0, vtv)
 	kinv.Sub(vtv) // S = T⁻ᵀ − ṼᵀṼ
 	spiv := make([]int, nb)
 	if err := lapack.Getf2(kinv, spiv); err != nil {
@@ -585,19 +572,19 @@ func (p *protected) qrRollbackRedo(g, k int, corrupt *matrix.Dense, st stagePair
 	rollback := func(mdat *matrix.Dense) {
 		// m_prev = m_new + Ṽ·S⁻¹·Ṽᵀ·m_new
 		vt := matrix.NewDense(nb, mdat.Cols)
-		mulInto(vt, vCorrupt, mdat, true, false, 1, 0)
+		blas.Gemm(true, false, 1, vCorrupt, mdat, 0, vt)
 		solveS(vt)
-		mulInto(mdat, vCorrupt, vt, false, false, 1, 1)
+		blas.Gemm(false, false, 1, vCorrupt, vt, 1, mdat)
 	}
 	rollback(c)
 	if p.es.opts.Mode != NoChecksum {
 		// colChk_prev = colChk_new + c(V)·W̃₂, W̃₂ = Tᵀ·Ṽᵀ·C_prev.
 		wt := matrix.NewDense(nb, cols)
-		mulInto(wt, vCorrupt, c, true, false, 1, 0)
+		blas.Gemm(true, false, 1, vCorrupt, c, 0, wt)
 		w2t := matrix.NewDense(nb, cols)
-		mulInto(w2t, tmat, wt, true, false, 1, 0)
+		blas.Gemm(true, false, 1, tmat, wt, 0, w2t)
 		cc := p.colChk[g].View(2*k, lb0*nb, 2*(p.nbr-k), cols).Access(gdev)
-		mulInto(cc, cv.Access(gdev), w2t, false, false, 1, 1)
+		blas.Gemm(false, false, 1, cv.Access(gdev), w2t, 1, cc)
 	}
 	if p.es.opts.Mode == Full {
 		rc := p.rowChk[g].View(o, 2*lb0, m, 2*(p.nloc[g]-lb0)).Access(gdev)
@@ -606,10 +593,4 @@ func (p *protected) qrRollbackRedo(g, k int, corrupt *matrix.Dense, st stagePair
 	p.es.res.Counter.LocalRestarts++
 	// Redo the TMU with the repaired stage.
 	p.qrTMUOnGPU(g, k, st, cv, tm, tmuAll)
-}
-
-// mulInto is a small helper: dst = alpha·op(a)·op(b) + beta·dst using the
-// sequential GEMM (recovery-path code, not the hot path).
-func mulInto(dst, a, b *matrix.Dense, transA, transB bool, alpha, beta float64) {
-	blasGemm(transA, transB, alpha, a, b, beta, dst)
 }

@@ -112,7 +112,7 @@ func (p *protected) verifyStages(stages []stagePair, countPer *int, blocksPerSta
 			continue
 		}
 		gdev := p.es.sys.GPU(g)
-		out := p.verifyRepairCol(gdev.Workers(), stages[g].data.Access(gdev), stages[g].chk.Access(gdev), nil)
+		out, _ := p.verifyRepair(colAxis, gdev.Workers(), stages[g].data.Access(gdev), stages[g].chk.Access(gdev), nil)
 		outs[g] = out
 		if out != repairClean {
 			corrupted++

@@ -200,24 +200,6 @@ func TestChaosDeviceLossOnClusterRetiresWholeNode(t *testing.T) {
 	}
 }
 
-// TestGPUIndexParsesNodeQualifiedNames pins the display-name parser against
-// both flat and node-qualified hetsim names.
-func TestGPUIndexParsesNodeQualifiedNames(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		want int
-	}{
-		{"GPU0", 0}, {"GPU2", 2}, {"GPU13", 13},
-		{"N0/GPU2", 2}, {"N3/GPU11", 11},
-		{"CPU", -1}, {"N0/CPU", -1}, {"PCIe", -1},
-		{"GPU", -1}, {"GPUx", -1}, {"GPU-1", -1}, {"", -1},
-	} {
-		if got := gpuIndex(tc.name); got != tc.want {
-			t.Errorf("gpuIndex(%q) = %d, want %d", tc.name, got, tc.want)
-		}
-	}
-}
-
 // The failover rung's classifier: node, link, GPU, and CPU faults each map
 // to their metric, span, and suspect GPU, and applying the degrade verdict
 // shrinks a flat 4-GPU platform by one GPU and a 2-node cluster by one node

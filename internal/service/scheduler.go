@@ -44,7 +44,6 @@ import (
 	"errors"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -691,26 +690,6 @@ func degradeNode(cfg *hetsim.Config) {
 	} else if cfg.NumGPUs > 1 {
 		cfg.NumGPUs--
 	}
-}
-
-// gpuIndex parses the device index from a hetsim GPU display name ("GPU2"
-// or the node-qualified "N1/GPU2" → 2); -1 for the CPU, the PCIe
-// pseudo-device, or anything unparseable. The scheduler itself classifies
-// on the structured DeviceLostError.GPU/Node fields — this parser exists
-// for consumers that only have a display name (logs, traces).
-func gpuIndex(name string) int {
-	if i := strings.LastIndexByte(name, '/'); i >= 0 {
-		name = name[i+1:]
-	}
-	rest, ok := strings.CutPrefix(name, "GPU")
-	if !ok {
-		return -1
-	}
-	g, err := strconv.Atoi(rest)
-	if err != nil || g < 0 {
-		return -1
-	}
-	return g
 }
 
 // runDecomposition executes one attempt on the given system and classifies

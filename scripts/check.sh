@@ -66,6 +66,12 @@ go test -race -timeout 5m -run 'Chaos|Storm' -count=2 ./...
 # -race; resume replays are the newest state machine in the step runtime.
 go test -race -timeout 5m -run 'TestResume|TestRollback|TestCheckpoint' -count=2 ./internal/core
 
+# Determinism gate: the ladder fingerprint sweep pins the factor bits of
+# every row, unrecoverable runs included. Each of the three runs draws a
+# fresh Go map iteration order, so a repair whose decisions follow map
+# order fails here.
+go test -timeout 5m -run TestLadderFingerprints -count=3 ./internal/core
+
 # Schedule gate: the step-runtime and stream suites run a second time at
 # -count=2 — look-ahead interleavings are the newest concurrency in the
 # tree, and reuse across -count runs exercises stream/pool recycling.
