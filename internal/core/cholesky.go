@@ -84,7 +84,7 @@ func (l *cholLadder) panelFactor(k int) {
 		var rowRepair func(col int) bool
 		if es.opts.Mode == Full {
 			cpuRowChk := cpu.Alloc(nb, 2)
-			es.transfer(p.rowChkView(k, o, o+nb), cpuRowChk)
+			es.sys.TransferReliable(p.rowChkView(k, o, o+nb), cpuRowChk)
 			rm := cpuRowChk.Access(cpu)
 			rowRepair = func(col int) bool {
 				checksum.ReconstructColumn(st.pm, nb, rm, col, 0, st.pm.Rows)
@@ -126,9 +126,9 @@ func (l *cholLadder) panelCommit(k int) {
 
 	a11dev := p.local[gk].View(o, p.localOff(k), nb, nb)
 	es.withCommContext(k, fault.PD, o, o, func() {
-		es.transfer(st.cpuPanel, a11dev)
+		es.sys.TransferReliable(st.cpuPanel, a11dev)
 		if chk {
-			es.transfer(st.cpuChk, p.colChkView(k, k, k+1))
+			es.sys.TransferReliable(st.cpuChk, p.colChkView(k, k, k+1))
 		}
 	})
 	if es.pl.afterPDBcast && chk {
@@ -139,8 +139,8 @@ func (l *cholLadder) panelCommit(k int) {
 		if out == repairFailed {
 			// PCIe corrupted the writeback beyond local repair:
 			// re-transfer the certified CPU copy.
-			es.transfer(st.cpuPanel, a11dev)
-			es.transfer(st.cpuChk, p.colChkView(k, k, k+1))
+			es.sys.TransferReliable(st.cpuPanel, a11dev)
+			es.sys.TransferReliable(st.cpuChk, p.colChkView(k, k, k+1))
 			res.Counter.Rebroadcasts++
 		}
 	}
@@ -257,9 +257,9 @@ func (l *cholLadder) panelUpdate(k int) {
 					}
 					continue
 				}
-				es.transfer(pnl, st.stages[g].data)
+				es.sys.TransferReliable(pnl, st.stages[g].data)
 				if chk {
-					es.transfer(pnlChk, st.stages[g].chk)
+					es.sys.TransferReliable(pnlChk, st.stages[g].chk)
 				}
 			}
 		})

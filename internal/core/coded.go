@@ -42,7 +42,7 @@ import (
 // parity), so any ≤ r node losses remove at most r columns per group, and
 // a loss never takes more columns than the surviving parities can solve
 // for. Member→parity shipments cross nodes by construction; they ride the
-// same reliable es.transfer path as every other movement, and hetsim
+// same TransferReliable path as every other movement, and hetsim
 // charges the inter-node link tier and counts InternodeBytes from the
 // endpoints. Rebalancing migration preserves the invariant through the
 // parity-aware protocol in rebalance.go: a cross-node move is only
@@ -225,7 +225,7 @@ func (cs *codedState) scratchCols(g int) []*hetsim.Buffer {
 // transfer path and counts the bytes it carried on the parity-traffic
 // meter.
 func (cs *codedState) ship(src, dst *hetsim.Buffer) {
-	cs.p.es.transfer(src, dst)
+	cs.p.es.sys.TransferReliable(src, dst)
 	parityBytesTotal.Add(uint64(8 * src.Rows() * src.Cols()))
 }
 

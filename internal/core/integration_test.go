@@ -7,6 +7,7 @@ import (
 	"ftla/internal/fault"
 	"ftla/internal/lapack"
 	"ftla/internal/matrix"
+	"ftla/internal/obs"
 )
 
 // TestDataflowTrace validates the paper's hybrid execution assignment
@@ -14,25 +15,29 @@ import (
 // the GPUs, and panels move over PCIe.
 func TestDataflowTrace(t *testing.T) {
 	sys := testSystem(2)
-	sys.EnableTrace(true)
+	tr := obs.NewTrace()
+	sys.SetTracer(tr)
 	a := matrix.RandomDiagDominant(64, matrix.NewRNG(1))
 	if _, _, _, err := LU(sys, a, cholOpts(Full, NewScheme)); err != nil {
 		t.Fatal(err)
 	}
 	var sawGetf2OnCPU, sawGemmOnGPU, sawTrsmOnGPU, sawPCIe bool
-	for _, e := range sys.Events() {
+	for _, sp := range tr.Spans() {
+		if sp.Proc != obs.ProcSim {
+			continue
+		}
 		switch {
-		case e.Op == "getf2" && e.Device == "CPU":
+		case sp.Name == "getf2" && sp.Track == "CPU":
 			sawGetf2OnCPU = true
-		case e.Op == "gemm" && strings.HasPrefix(e.Device, "GPU"):
+		case sp.Name == "gemm" && strings.HasPrefix(sp.Track, "GPU"):
 			sawGemmOnGPU = true
-		case e.Op == "trsm" && strings.HasPrefix(e.Device, "GPU"):
+		case sp.Name == "trsm" && strings.HasPrefix(sp.Track, "GPU"):
 			sawTrsmOnGPU = true
-		case e.Op == "pcie":
+		case sp.Cat == obs.PhasePCIe:
 			sawPCIe = true
 		}
-		if e.Op == "getf2" && e.Device != "CPU" {
-			t.Errorf("panel decomposition ran on %s", e.Device)
+		if sp.Name == "getf2" && sp.Track != "CPU" {
+			t.Errorf("panel decomposition ran on %s", sp.Track)
 		}
 	}
 	if !sawGetf2OnCPU || !sawGemmOnGPU || !sawTrsmOnGPU || !sawPCIe {

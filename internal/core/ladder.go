@@ -104,12 +104,12 @@ func (p *protected) pull(k, rows int) panelStep {
 	cpu := es.sys.CPU()
 	o := k * p.nb
 	st := panelStep{cpuPanel: cpu.Alloc(rows, p.nb)}
-	es.transfer(p.local[p.owner(k)].View(o, p.localOff(k), rows, p.nb), st.cpuPanel)
+	es.sys.TransferReliable(p.local[p.owner(k)].View(o, p.localOff(k), rows, p.nb), st.cpuPanel)
 	st.pm = st.cpuPanel.Access(cpu)
 	if es.opts.Mode != NoChecksum {
 		strips := rows / p.nb
 		st.cpuChk = cpu.Alloc(2*strips, p.nb)
-		es.transfer(p.colChkView(k, k, k+strips), st.cpuChk)
+		es.sys.TransferReliable(p.colChkView(k, k, k+strips), st.cpuChk)
 		st.cm = st.cpuChk.Access(cpu)
 	}
 	return st
@@ -201,9 +201,9 @@ func (p *protected) commitPanel(k int, st *panelStep, leg func(g int)) {
 	broadcast := func() {
 		es.withCommContext(k, fault.PD, o, o, func() {
 			// Writeback into the owner's authoritative storage first.
-			es.transfer(st.cpuPanel, panelDev)
+			es.sys.TransferReliable(st.cpuPanel, panelDev)
 			if chk {
-				es.transfer(st.cpuChk, p.colChkView(k, k, p.nbr))
+				es.sys.TransferReliable(st.cpuChk, p.colChkView(k, k, p.nbr))
 			}
 			for g := range st.stages {
 				if !p.gpuLive(g) {
@@ -215,9 +215,9 @@ func (p *protected) commitPanel(k int, st *panelStep, leg func(g int)) {
 						copyWithin(gdev, p.colChkView(k, k, p.nbr), st.stages[g].chk)
 					}
 				} else {
-					es.transfer(st.cpuPanel, st.stages[g].data)
+					es.sys.TransferReliable(st.cpuPanel, st.stages[g].data)
 					if chk {
-						es.transfer(st.cpuChk, st.stages[g].chk)
+						es.sys.TransferReliable(st.cpuChk, st.stages[g].chk)
 					}
 				}
 				if leg != nil {
@@ -233,8 +233,8 @@ func (p *protected) commitPanel(k int, st *panelStep, leg func(g int)) {
 	if p.checkBroadcast(st.stages, &es.res.Counter.PDAfter, strips, st.cpuPanel, st.cpuChk, broadcast) {
 		gc := p.colChkView(k, k, p.nbr)
 		if out, _ := p.verifyRepair(colAxis, gdev.Workers(), panelDev.Access(gdev), gc.Access(gdev), nil); out == repairFailed {
-			es.transfer(st.cpuPanel, panelDev)
-			es.transfer(st.cpuChk, gc)
+			es.sys.TransferReliable(st.cpuPanel, panelDev)
+			es.sys.TransferReliable(st.cpuChk, gc)
 			es.res.Counter.Rebroadcasts++
 		}
 	}

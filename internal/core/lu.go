@@ -101,7 +101,7 @@ func (l *luLadder) panelFactor(k int) {
 		var rowRepairPD func(col int) bool
 		if full {
 			cpuRowChk := cpu.Alloc(m, 2)
-			es.transfer(p.rowChkView(k, o, n), cpuRowChk)
+			es.sys.TransferReliable(p.rowChkView(k, o, n), cpuRowChk)
 			rm := cpuRowChk.Access(cpu)
 			rowRepairPD = func(col int) bool {
 				checksum.ReconstructColumn(st.pm, nb, rm, col, 0, st.pm.Rows)

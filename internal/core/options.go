@@ -39,6 +39,7 @@ const (
 	Full
 )
 
+// String returns "none", "single-side", or "full".
 func (m Mode) String() string {
 	switch m {
 	case NoChecksum:
@@ -72,6 +73,7 @@ const (
 	NewScheme
 )
 
+// String returns "none", "prior-op", "post-op", or "new".
 func (s Scheme) String() string {
 	switch s {
 	case NoCheck:
@@ -325,6 +327,8 @@ const (
 	CorruptedResult
 )
 
+// String returns "fault-free", "abft-fixed", "local-restart",
+// "detected-corrupt", or "corrupted".
 func (o Outcome) String() string {
 	switch o {
 	case FaultFree:

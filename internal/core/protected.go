@@ -164,7 +164,7 @@ func newProtected(es *engineSys, a *matrix.Dense) *protected {
 		for lb := 0; lb < p.nloc[g]; lb++ {
 			bj := p.blocks[g][lb]
 			src := cpu.AllocFrom(a.View(0, bj*nb, n, nb))
-			es.transfer(src, p.local[g].View(0, lb*nb, n, nb))
+			es.sys.TransferReliable(src, p.local[g].View(0, lb*nb, n, nb))
 		}
 	}
 	if es.opts.Mode != NoChecksum {
@@ -229,12 +229,12 @@ func (p *protected) migrateColumn(bj, dst int) {
 	}
 
 	// Ship the column and its checksum strips into the hole.
-	p.es.transfer(p.local[src].View(0, sl*nb, n, nb), p.local[dst].View(0, idx*nb, n, nb))
+	p.es.sys.TransferReliable(p.local[src].View(0, sl*nb, n, nb), p.local[dst].View(0, idx*nb, n, nb))
 	if chk {
-		p.es.transfer(p.colChk[src].View(0, sl*nb, 2*p.nbr, nb), p.colChk[dst].View(0, idx*nb, 2*p.nbr, nb))
+		p.es.sys.TransferReliable(p.colChk[src].View(0, sl*nb, 2*p.nbr, nb), p.colChk[dst].View(0, idx*nb, 2*p.nbr, nb))
 	}
 	if full {
-		p.es.transfer(p.rowChk[src].View(0, 2*sl, n, 2), p.rowChk[dst].View(0, 2*idx, n, 2))
+		p.es.sys.TransferReliable(p.rowChk[src].View(0, 2*sl, n, 2), p.rowChk[dst].View(0, 2*idx, n, 2))
 	}
 
 	// Compact the source: shift local blocks (sl, nloc) one block left.
@@ -274,7 +274,7 @@ func (p *protected) gather() *matrix.Dense {
 	for bj := 0; bj < p.nbr; bj++ {
 		g := p.owner(bj)
 		dst := cpu.Alloc(p.n, p.nb)
-		p.es.transfer(p.local[g].View(0, p.localOff(bj), p.n, p.nb), dst)
+		p.es.sys.TransferReliable(p.local[g].View(0, p.localOff(bj), p.n, p.nb), dst)
 		out.View(0, bj*p.nb, p.n, p.nb).CopyFrom(dst.Access(cpu))
 	}
 	return out

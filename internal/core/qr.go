@@ -196,9 +196,9 @@ func (l *qrLadder) panelCommit(k int) {
 			}
 		}
 		if chk {
-			es.transfer(st.cpuCV, st.cvStage[g])
+			es.sys.TransferReliable(st.cpuCV, st.cvStage[g])
 		}
-		es.transfer(st.cpuT, st.tStage[g])
+		es.sys.TransferReliable(st.cpuT, st.tStage[g])
 	})
 	if !es.pl.afterPDBcast || !chk {
 		return

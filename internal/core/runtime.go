@@ -513,15 +513,3 @@ func (rt *stepRuntime) canonicalJournal() []stageRec {
 	})
 	return out
 }
-
-// transfer moves src to dst over PCIe via the reliable protocol: the
-// payload is checksummed at the source and verified on arrival, so a
-// corrupting or flapping link is absorbed by retransmission below the
-// factorization instead of feeding it damaged panels (see
-// hetsim.TransferReliable). All of internal/core routes data movement
-// through this wrapper (scripts/check.sh lints the package for direct
-// sys.Transfer calls) so the schedule and the reliability policy stay
-// visible in one place.
-func (es *engineSys) transfer(src, dst *hetsim.Buffer) {
-	es.sys.TransferReliable(src, dst)
-}

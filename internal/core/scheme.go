@@ -127,8 +127,8 @@ func (p *protected) verifyStages(stages []stagePair, countPer *int, blocksPerSta
 func (p *protected) rebroadcastFailed(src, srcChk *hetsim.Buffer, stages []stagePair, outs []repairOutcome) {
 	for g := range stages {
 		if outs[g] == repairFailed {
-			p.es.transfer(src, stages[g].data)
-			p.es.transfer(srcChk, stages[g].chk)
+			p.es.sys.TransferReliable(src, stages[g].data)
+			p.es.sys.TransferReliable(srcChk, stages[g].chk)
 			p.es.res.Counter.Rebroadcasts++
 		}
 	}

@@ -5,7 +5,7 @@
 // The simulation is structural, not merely temporal: each device owns a
 // private memory space (matrices allocated on a device can only be touched
 // through that device's kernel API), data moves between devices only
-// through explicit Transfer/Broadcast calls on PCIe links, and device
+// through explicit Transfer/TransferReliable calls on PCIe links, and device
 // kernels really execute in parallel on a per-device goroutine worker pool.
 // Fault-injection hooks are exposed at exactly the points the paper's fault
 // model names: kernel outputs (computation errors), resident buffers
@@ -72,12 +72,6 @@ func (d *Device) Kind() Kind { return d.kind }
 
 // ID returns the GPU index, or -1 for the CPU.
 func (d *Device) ID() int { return d.id }
-
-// Index returns the device's structured GPU index (-1 for the CPU) — the
-// identity consumers should classify on instead of parsing Name, which is
-// a display string that changes shape with the topology ("GPU2" on a flat
-// system, "N1/GPU2" on a multi-node one).
-func (d *Device) Index() int { return d.id }
 
 // Node returns the node the device lives on (0 for the CPU, which
 // coordinates from node 0, and for every device of a flat system).
@@ -185,11 +179,6 @@ func (b *Buffer) View(i, j, r, c int) *Buffer {
 	return &Buffer{dev: b.dev, m: b.m.View(i, j, r, c)}
 }
 
-// unsafeData exposes the matrix without a residency check; it is used only
-// by System transfer internals and by fault injection (which models
-// physics, not an algorithm's data movement).
-func (b *Buffer) unsafeData() *matrix.Dense { return b.m }
-
 // UnsafeData exposes the resident matrix to fault injectors and test
 // assertions without a residency check. Algorithm code must use Access.
 func (b *Buffer) UnsafeData() *matrix.Dense { return b.m }
@@ -240,9 +229,9 @@ func (d *Device) Syrk(lower, trans bool, alpha float64, a *Buffer, beta float64,
 // flop count to the simulated clock. The body receives the device's worker
 // count so it can parallelize. It is the escape hatch for panel kernels
 // (POTF2/GETF2/GEQR2) and checksum kernels. Like every kernel it passes
-// the fail-stop gate: on a crashed device, or under a done bound context,
-// it aborts with a typed panic recoverable via RecoverAbort (RunCtx is the
-// error-returning variant).
+// the fail-stop gate: on a crashed device, or under a done bound context
+// (see System.Bind), it aborts with a typed panic recoverable via
+// RecoverAbort.
 func (d *Device) Run(name string, flops float64, body func(workers int)) {
 	d.gate(name)
 	body(d.workers)

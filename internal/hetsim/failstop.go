@@ -12,13 +12,11 @@ package hetsim
 // Abort plumbing: kernels have no error returns (an algorithm's dataflow
 // would drown in them), so a firing fault unwinds the factorization with a
 // typed panic that RecoverAbort converts back into an error at the driver
-// boundary — the same pattern encoding/json uses for deep abort paths. The
-// context-aware entry points RunCtx and TransferCtx do the conversion
-// themselves and return the typed error directly.
+// boundary — the same pattern encoding/json uses for deep abort paths.
+// Bind installs the context every operation consults.
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 )
@@ -144,14 +142,6 @@ func (e *DeviceHungError) Error() string {
 // classifies a hang caught by an attempt deadline.
 func (e *DeviceHungError) Unwrap() error { return e.Cause }
 
-// IsFailStop reports whether err is (or wraps) a fail-stop fault — a
-// device loss or hang — as opposed to a plain context cancellation.
-func IsFailStop(err error) bool {
-	var lost *DeviceLostError
-	var hung *DeviceHungError
-	return errors.As(err, &lost) || errors.As(err, &hung)
-}
-
 // abortPanic carries a typed abort error through kernel call stacks that
 // have no error returns; RecoverAbort unwraps it at the driver boundary.
 type abortPanic struct{ err error }
@@ -221,10 +211,7 @@ func (s *System) ctx() context.Context {
 // stalls. It panics with an abortPanic; callers without error returns let
 // it unwind to the driver's RecoverAbort.
 func (d *Device) gate(op string) {
-	d.gateCtx(d.sys.ctx(), op)
-}
-
-func (d *Device) gateCtx(ctx context.Context, op string) {
+	ctx := d.sys.ctx()
 	d.fmu.Lock()
 	if d.lost {
 		d.fmu.Unlock()
@@ -285,40 +272,6 @@ func (d *Device) gateCtx(ctx context.Context, op string) {
 			}
 		}
 	}
-}
-
-// RunCtx is Run with cooperative abort: the kernel consults ctx (in
-// addition to any system-bound context) and returns a typed error — a
-// DeviceLostError, DeviceHungError, or ctx's own error — instead of
-// executing when the device has failed or the context is done. It is the
-// explicit-context entry point for callers outside the factorization
-// drivers (which Bind a context once and let kernels panic to the driver's
-// RecoverAbort).
-func (d *Device) RunCtx(ctx context.Context, name string, flops float64, body func(workers int)) (err error) {
-	defer func() {
-		if e := RecoverAbort(recover()); e != nil {
-			err = e
-		}
-	}()
-	d.gateCtx(ctx, name)
-	body(d.workers)
-	d.account(name, flops)
-	return nil
-}
-
-// TransferCtx is Transfer with cooperative abort: it consults ctx before
-// moving data and returns the typed fail-stop or context error instead of
-// panicking. See RunCtx.
-func (s *System) TransferCtx(ctx context.Context, src, dst *Buffer) (err error) {
-	defer func() {
-		if e := RecoverAbort(recover()); e != nil {
-			err = e
-		}
-	}()
-	src.dev.gateCtx(ctx, "pcie")
-	dst.dev.gateCtx(ctx, "pcie")
-	s.transferGated(src, dst)
-	return nil
 }
 
 // Lost reports whether the device has fail-stopped (crashed or hung) since

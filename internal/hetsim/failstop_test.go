@@ -14,13 +14,27 @@ func failSys(t *testing.T, gpus int) *System {
 	return New(DefaultConfig(gpus))
 }
 
+// catch runs fn and returns the abort error it raised (nil if none): the
+// driver-boundary RecoverAbort pattern, for tests.
+func catch(fn func()) (err error) {
+	defer func() { err = RecoverAbort(recover()) }()
+	fn()
+	return nil
+}
+
+// isLost reports whether err is a fail-stop device loss.
+func isLost(err error) bool {
+	var lost *DeviceLostError
+	return errors.As(err, &lost)
+}
+
 func TestCrashReturnsDeviceLost(t *testing.T) {
 	s := failSys(t, 2)
 	g := s.GPU(1)
 	s.ArmFault(g, FaultPlan{Mode: FaultCrash})
 
-	err := g.RunCtx(context.Background(), "gemm", 10, func(int) {
-		t.Fatal("body ran on a crashed device")
+	err := catch(func() {
+		g.Run("gemm", 10, func(int) { t.Fatal("body ran on a crashed device") })
 	})
 	var lost *DeviceLostError
 	if !errors.As(err, &lost) {
@@ -32,11 +46,8 @@ func TestCrashReturnsDeviceLost(t *testing.T) {
 	if !g.Lost() {
 		t.Fatal("device should report Lost after crash")
 	}
-	if !IsFailStop(err) {
-		t.Fatal("IsFailStop(DeviceLostError) = false")
-	}
 	// The healthy GPU keeps working.
-	if err := s.GPU(0).RunCtx(context.Background(), "gemm", 10, func(int) {}); err != nil {
+	if err := catch(func() { s.GPU(0).Run("gemm", 10, func(int) {}) }); err != nil {
 		t.Fatalf("healthy GPU errored: %v", err)
 	}
 }
@@ -47,11 +58,11 @@ func TestCrashAfterOpsFiresMidRun(t *testing.T) {
 	s.ArmFault(g, FaultPlan{Mode: FaultCrash, AfterOps: 3})
 	ran := 0
 	for i := 0; i < 3; i++ {
-		if err := g.RunCtx(context.Background(), "k", 1, func(int) { ran++ }); err != nil {
+		if err := catch(func() { g.Run("k", 1, func(int) { ran++ }) }); err != nil {
 			t.Fatalf("op %d errored early: %v", i, err)
 		}
 	}
-	if err := g.RunCtx(context.Background(), "k", 1, func(int) { ran++ }); !IsFailStop(err) {
+	if err := catch(func() { g.Run("k", 1, func(int) { ran++ }) }); !isLost(err) {
 		t.Fatalf("4th op: err = %v, want fail-stop", err)
 	}
 	if ran != 3 {
@@ -59,15 +70,15 @@ func TestCrashAfterOpsFiresMidRun(t *testing.T) {
 	}
 }
 
-func TestTransferCtxOnLostDevice(t *testing.T) {
+func TestTransferOnLostDevice(t *testing.T) {
 	s := failSys(t, 2)
 	s.ArmFault(s.GPU(1), FaultPlan{Mode: FaultCrash})
 	src := s.GPU(0).Alloc(2, 2)
 	dst := s.GPU(1).Alloc(2, 2)
-	err := s.TransferCtx(context.Background(), src, dst)
+	err := catch(func() { s.Transfer(src, dst) })
 	var lost *DeviceLostError
 	if !errors.As(err, &lost) {
-		t.Fatalf("TransferCtx err = %v, want DeviceLostError", err)
+		t.Fatalf("Transfer err = %v, want DeviceLostError", err)
 	}
 	if lost.Op != "pcie" {
 		t.Fatalf("op = %q, want pcie", lost.Op)
@@ -84,7 +95,8 @@ func TestHangBlocksUntilDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err := g.RunCtx(ctx, "gemm", 1, func(int) { t.Fatal("body ran on a hung device") })
+	s.Bind(ctx)
+	err := catch(func() { g.Run("gemm", 1, func(int) { t.Fatal("body ran on a hung device") }) })
 	var hung *DeviceHungError
 	if !errors.As(err, &hung) {
 		t.Fatalf("err = %v, want DeviceHungError", err)
@@ -106,10 +118,10 @@ func TestHangWithoutContextFailsFast(t *testing.T) {
 	s.ArmFault(g, FaultPlan{Mode: FaultHang})
 	done := make(chan error, 1)
 	go func() {
-		done <- g.RunCtx(context.Background(), "gemm", 1, func(int) {})
+		done <- catch(func() { g.Run("gemm", 1, func(int) {}) })
 	}()
-	// context.Background is never done: the hang must degrade to an
-	// immediate error rather than deadlock.
+	// No context is bound: the hang must degrade to an immediate error
+	// rather than deadlock.
 	select {
 	case err := <-done:
 		var hung *DeviceHungError
@@ -125,8 +137,8 @@ func TestStragglerMultipliesSimTime(t *testing.T) {
 	s := failSys(t, 2)
 	flops := 1e9
 	run := func(g *Device) float64 {
-		if err := g.RunCtx(context.Background(), "k", flops, func(int) {}); err != nil {
-			t.Fatalf("RunCtx: %v", err)
+		if err := catch(func() { g.Run("k", flops, func(int) {}) }); err != nil {
+			t.Fatalf("Run: %v", err)
 		}
 		return g.SimTime()
 	}
@@ -145,7 +157,8 @@ func TestStragglerStallInterruptedByContext(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err := g.RunCtx(ctx, "k", 1, func(int) { t.Fatal("body ran through an interrupted stall") })
+	s.Bind(ctx)
+	err := catch(func() { g.Run("k", 1, func(int) { t.Fatal("body ran through an interrupted stall") }) })
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline", err)
 	}
@@ -185,15 +198,15 @@ func TestRecoverAbortPassesThroughForeignPanics(t *testing.T) {
 	}()
 }
 
-// TestResetClearsFaultPlan is the regression contract alongside
-// TestEnableTraceSurvivesReset: a quarantined-then-probed system must start
-// clean — Reset disarms fault plans, revives lost devices, unbinds the
-// abort context, and clears the transfer hook.
+// TestResetClearsFaultPlan is the regression contract for pooled systems:
+// a quarantined-then-probed system must start clean — Reset disarms fault
+// plans, revives lost devices, unbinds the abort context, and clears the
+// transfer hook.
 func TestResetClearsFaultPlan(t *testing.T) {
 	s := failSys(t, 2)
 	g := s.GPU(1)
 	s.ArmFault(g, FaultPlan{Mode: FaultCrash})
-	if err := g.RunCtx(context.Background(), "k", 1, func(int) {}); !IsFailStop(err) {
+	if err := catch(func() { g.Run("k", 1, func(int) {}) }); !isLost(err) {
 		t.Fatalf("arming did not crash the device: %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -206,7 +219,7 @@ func TestResetClearsFaultPlan(t *testing.T) {
 	if g.Lost() {
 		t.Fatal("Reset did not revive the lost device")
 	}
-	if err := g.RunCtx(context.Background(), "k", 1, func(int) {}); err != nil {
+	if err := catch(func() { g.Run("k", 1, func(int) {}) }); err != nil {
 		t.Fatalf("post-Reset op errored: %v", err)
 	}
 	// The canceled bound context must be gone too: plain kernels may not
@@ -215,10 +228,10 @@ func TestResetClearsFaultPlan(t *testing.T) {
 	g.Gemm(false, false, 1, b, b, 0, g.Alloc(1, 1))
 	// A straggler plan likewise dies with Reset.
 	s.ArmFault(g, FaultPlan{Mode: FaultStraggler, Slowdown: 8})
-	g.RunCtx(context.Background(), "k", 1e9, func(int) {})
+	g.Run("k", 1e9, func(int) {})
 	before := g.SimTime()
 	s.Reset()
-	g.RunCtx(context.Background(), "k", 1e9, func(int) {})
+	g.Run("k", 1e9, func(int) {})
 	if after := g.SimTime(); after > before/4 {
 		t.Fatalf("straggler slowdown survived Reset: %v vs pre-reset %v", after, before)
 	}
@@ -229,7 +242,7 @@ func TestArmFaultZeroPlanDisarms(t *testing.T) {
 	g := s.GPU(0)
 	s.ArmFault(g, FaultPlan{Mode: FaultCrash})
 	s.ArmFault(g, FaultPlan{})
-	if err := g.RunCtx(context.Background(), "k", 1, func(int) {}); err != nil {
+	if err := catch(func() { g.Run("k", 1, func(int) {}) }); err != nil {
 		t.Fatalf("disarmed device errored: %v", err)
 	}
 }

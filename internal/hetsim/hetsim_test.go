@@ -1,6 +1,7 @@
 package hetsim
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -12,6 +13,15 @@ import (
 func newSys(t *testing.T, gpus int) *System {
 	t.Helper()
 	return New(DefaultConfig(gpus))
+}
+
+// spanEnd is a simulated-clock span's completion time in seconds.
+func spanEnd(sp obs.Span) float64 { return (sp.StartUS + sp.DurUS) / 1e6 }
+
+// near reports whether two simulated times agree up to the rounding of the
+// spans' microsecond round trip.
+func near(a, b float64) bool {
+	return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
 }
 
 func TestNewValidation(t *testing.T) {
@@ -135,6 +145,7 @@ func TestTransferHookRunsOnPayload(t *testing.T) {
 	}
 }
 
+// A broadcast is one independent Transfer per receiver.
 func TestBroadcastReachesAllGPUs(t *testing.T) {
 	s := newSys(t, 3)
 	src := s.CPU().AllocFrom(matrix.FromRows([][]float64{{7}}))
@@ -142,7 +153,9 @@ func TestBroadcastReachesAllGPUs(t *testing.T) {
 	for _, g := range s.GPUs() {
 		dsts = append(dsts, g.Alloc(1, 1))
 	}
-	s.Broadcast(src, dsts)
+	for _, d := range dsts {
+		s.Transfer(src, d)
+	}
 	for i, d := range dsts {
 		if d.UnsafeData().At(0, 0) != 7 {
 			t.Fatalf("GPU%d did not receive broadcast", i)
@@ -166,7 +179,9 @@ func TestBroadcastPerLegFaults(t *testing.T) {
 	for _, g := range s.GPUs() {
 		dsts = append(dsts, g.Alloc(1, 1))
 	}
-	s.Broadcast(src, dsts)
+	for _, d := range dsts {
+		s.Transfer(src, d)
+	}
 	corrupted := 0
 	for _, d := range dsts {
 		if d.UnsafeData().At(0, 0) != 7 {
@@ -212,24 +227,26 @@ func TestKernelCrossDevicePanics(t *testing.T) {
 
 func TestTraceRecordsEvents(t *testing.T) {
 	s := newSys(t, 1)
-	s.EnableTrace(true)
+	tr := obs.NewTrace()
+	s.SetTracer(tr)
 	src := s.CPU().Alloc(2, 2)
 	dst := s.GPU(0).Alloc(2, 2)
 	s.Transfer(src, dst)
 	s.GPU(0).Run("custom", 100, func(int) {})
-	evts := s.Events()
-	if len(evts) != 2 {
-		t.Fatalf("events = %d, want 2", len(evts))
+	spans := tr.Spans()
+	if len(spans) != 2 {
+		t.Fatalf("spans = %d, want 2", len(spans))
 	}
-	if evts[0].Op != "pcie" || !strings.Contains(evts[0].Device, "->") {
-		t.Fatalf("first event wrong: %+v", evts[0])
+	if spans[0].Cat != obs.PhasePCIe || !strings.Contains(spans[0].Name, "->") {
+		t.Fatalf("first span wrong: %+v", spans[0])
 	}
-	if evts[1].Op != "custom" || evts[1].Flops != 100 {
-		t.Fatalf("second event wrong: %+v", evts[1])
+	if spans[1].Name != "custom" || spans[1].Args["flops"] != 100 {
+		t.Fatalf("second span wrong: %+v", spans[1])
 	}
-	s.EnableTrace(false)
-	if len(s.Events()) != 0 {
-		t.Fatal("disabling trace must clear events")
+	s.SetTracer(nil)
+	s.GPU(0).Run("untraced", 100, func(int) {})
+	if tr.Len() != 2 {
+		t.Fatal("a detached tracer must stop receiving spans")
 	}
 }
 
@@ -315,74 +332,42 @@ func TestUtilization(t *testing.T) {
 
 func TestEventsStampedWithSimTime(t *testing.T) {
 	s := newSys(t, 1)
-	s.EnableTrace(true)
+	tr := obs.NewTrace()
+	s.SetTracer(tr)
 	g := s.GPU(0)
 	g.Run("k1", 1e9, func(int) {})
 	g.Run("k2", 2e9, func(int) {})
 	src := s.CPU().Alloc(8, 8)
 	dst := g.Alloc(8, 8)
 	s.Transfer(src, dst)
-	evts := s.Events()
-	if len(evts) != 3 {
-		t.Fatalf("events = %d, want 3", len(evts))
+	spans := tr.Spans()
+	if len(spans) != 3 {
+		t.Fatalf("spans = %d, want 3", len(spans))
 	}
-	if evts[0].At <= 0 || evts[1].At <= evts[0].At {
-		t.Fatalf("kernel timestamps not increasing: %g, %g", evts[0].At, evts[1].At)
+	k1, k2, p := spanEnd(spans[0]), spanEnd(spans[1]), spanEnd(spans[2])
+	if k1 <= 0 || k2 <= k1 {
+		t.Fatalf("kernel end times not increasing: %g, %g", k1, k2)
 	}
-	if want := g.SimTime(); evts[1].At != want {
-		t.Fatalf("last kernel stamped %g, want device clock %g", evts[1].At, want)
+	if want := g.SimTime(); !near(k2, want) {
+		t.Fatalf("last kernel ends at %g, want device clock %g", k2, want)
 	}
 	// The transfer is ordered after the kernels on the shared logical
-	// clock: its completion stamp is the kernels' end plus the PCIe time.
-	if want := g.SimTime() + s.PCIeSimTime(); evts[2].At != want {
-		t.Fatalf("pcie event stamped %g, want logical clock %g", evts[2].At, want)
-	}
-	if evts[0].Seq == 0 || evts[1].Seq <= evts[0].Seq || evts[2].Seq <= evts[1].Seq {
-		t.Fatalf("event sequence numbers not monotonic: %d, %d, %d", evts[0].Seq, evts[1].Seq, evts[2].Seq)
-	}
-}
-
-func TestEventsReturnsCopy(t *testing.T) {
-	s := newSys(t, 1)
-	s.EnableTrace(true)
-	s.GPU(0).Run("k", 1e9, func(int) {})
-	evts := s.Events()
-	evts[0].Op = "mutated"
-	if s.Events()[0].Op != "k" {
-		t.Fatal("Events must return a copy, not the live slice")
-	}
-}
-
-func TestBroadcastSelfCopyCostsNoPCIe(t *testing.T) {
-	s := newSys(t, 2)
-	src := s.GPU(0).Alloc(4, 4)
-	src.UnsafeData().Set(2, 3, 7)
-	self := s.GPU(0).Alloc(4, 4)
-	s.Broadcast(src, []*Buffer{self})
-	if self.UnsafeData().At(2, 3) != 7 {
-		t.Fatal("self-copy leg did not copy the panel")
-	}
-	if s.BytesTransferred() != 0 || s.PCIeSimTime() != 0 {
-		t.Fatalf("self-copy leg charged PCIe: %d bytes, %g s",
-			s.BytesTransferred(), s.PCIeSimTime())
-	}
-	remote := s.GPU(1).Alloc(4, 4)
-	s.Broadcast(src, []*Buffer{self, remote})
-	if s.BytesTransferred() != 8*4*4 || s.PCIeSimTime() <= 0 {
-		t.Fatalf("remote leg must pay PCIe: %d bytes, %g s",
-			s.BytesTransferred(), s.PCIeSimTime())
+	// clock: it ends at the kernels' end plus the PCIe time.
+	if want := g.SimTime() + s.PCIeSimTime(); !near(p, want) {
+		t.Fatalf("pcie span ends at %g, want logical clock %g", p, want)
 	}
 }
 
 func TestResetClearsSimState(t *testing.T) {
 	s := newSys(t, 2)
-	s.EnableTrace(true)
+	tr := obs.NewTrace()
+	s.SetTracer(tr)
 	s.SetTransferHook(func(from, to *Device, payload *matrix.Dense) {})
 	s.GPU(0).Run("k", 1e9, func(int) {})
 	src := s.CPU().Alloc(4, 4)
 	dst := s.GPU(1).Alloc(4, 4)
 	s.Transfer(src, dst)
-	if s.TimelineMakespan() <= 0 || s.BytesTransferred() == 0 || len(s.Events()) == 0 {
+	if s.TimelineMakespan() <= 0 || s.BytesTransferred() == 0 || tr.Len() == 0 {
 		t.Fatal("precondition: system should have accumulated state")
 	}
 	s.Reset()
@@ -392,45 +377,16 @@ func TestResetClearsSimState(t *testing.T) {
 	if s.BytesTransferred() != 0 || s.PCIeSimTime() != 0 {
 		t.Fatal("PCIe counters survive Reset")
 	}
-	if len(s.Events()) != 0 {
-		t.Fatal("events survive Reset")
-	}
 	s.mu.Lock()
-	hook, traceOn, tracer := s.hook, s.traceEnabled, s.tracer
+	hook, tracer := s.hook, s.tracer
 	s.mu.Unlock()
 	if hook != nil || tracer != nil {
 		t.Fatal("per-run attachments (hook/tracer) survive Reset")
-	}
-	if !traceOn {
-		t.Fatal("EnableTrace is configuration and must survive Reset")
 	}
 	for _, d := range append([]*Device{s.CPU()}, s.GPUs()...) {
 		if d.SimTime() != 0 {
 			t.Fatalf("%s clock %g after Reset, want 0", d.Name(), d.SimTime())
 		}
-	}
-}
-
-// Regression for the PR-1 bug where Reset silently disabled tracing: a
-// pooled system whose user had called EnableTrace(true) recorded nothing
-// after the pool Reset it between jobs.
-func TestEnableTraceSurvivesReset(t *testing.T) {
-	s := newSys(t, 1)
-	if was := s.EnableTrace(true); was {
-		t.Fatal("trace must start disabled")
-	}
-	if was := s.EnableTrace(true); !was {
-		t.Fatal("EnableTrace must return the prior setting")
-	}
-	s.GPU(0).Run("before", 1, func(int) {})
-	s.Reset()
-	if len(s.Events()) != 0 {
-		t.Fatal("Reset must drop recorded events")
-	}
-	s.GPU(0).Run("after", 1, func(int) {})
-	evts := s.Events()
-	if len(evts) != 1 || evts[0].Op != "after" {
-		t.Fatalf("recording must continue after Reset without re-enabling; events=%v", evts)
 	}
 }
 

@@ -22,8 +22,6 @@ package hetsim
 // panic/recover abort plumbing device faults use.
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"math"
 
@@ -308,39 +306,18 @@ func (s *System) maxRetransmits() int {
 // checksum only verifies; it never rewrites the payload). Exhausted
 // retries abort with a typed *LinkError via the fail-stop panic plumbing,
 // recoverable at the driver boundary with RecoverAbort.
-func (s *System) TransferReliable(src, dst *Buffer) {
-	src.dev.gate("pcie")
-	dst.dev.gate("pcie")
-	if err := s.transferReliableGated(src, dst); err != nil {
-		panic(&abortPanic{err})
-	}
-}
-
-// TransferReliableCtx is TransferReliable with cooperative abort: it
-// consults ctx before moving data and returns the typed link, fail-stop,
-// or context error instead of panicking. See TransferCtx.
-func (s *System) TransferReliableCtx(ctx context.Context, src, dst *Buffer) (err error) {
-	defer func() {
-		if e := RecoverAbort(recover()); e != nil {
-			err = e
-		}
-	}()
-	src.dev.gateCtx(ctx, "pcie")
-	dst.dev.gateCtx(ctx, "pcie")
-	return s.transferReliableGated(src, dst)
-}
-
-// transferReliableGated is the retransmission loop after the fail-stop
-// gates have passed. The fault-injection transfer hook is suppressed on
-// the individual wire attempts and run once after arrival verification:
-// the checksum protects the wire, while the hook's window — the paper's
+//
+// The fault-injection transfer hook runs once, after arrival
+// verification, never on the individual wire attempts: the checksum
+// protects the wire, while the hook's window — the paper's
 // communication-error model that ABFT itself must catch — is the
 // receiver's memory past the transport, so injected faults still reach
 // the factorization's own verification.
-func (s *System) transferReliableGated(src, dst *Buffer) error {
-	sm := src.unsafeData()
-	want := payloadChecksum(sm)
-	src.dev.account("fletcher", checksumFlops(sm))
+func (s *System) TransferReliable(src, dst *Buffer) {
+	src.dev.gate("pcie")
+	dst.dev.gate("pcie")
+	want := payloadChecksum(src.m)
+	src.dev.account("fletcher", checksumFlops(src.m))
 	budget := s.maxRetransmits()
 	var last *LinkError
 	for attempt := 0; attempt <= budget; attempt++ {
@@ -348,25 +325,14 @@ func (s *System) transferReliableGated(src, dst *Buffer) error {
 			transferRetransmits.Inc()
 			s.chargeBackoff(src.dev, dst.dev, attempt)
 		}
-		err := s.transferAttempt(src, dst, false)
-		if err != nil {
-			var le *LinkError
-			if errors.As(err, &le) {
-				last = le
-				continue // dropped on the wire: retransmit
-			}
-			return err
+		if le := s.transferAttempt(src, dst); le != nil {
+			last = le
+			continue // dropped on the wire: retransmit
 		}
-		dm := dst.unsafeData()
-		dst.dev.account("fletcher", checksumFlops(dm))
-		if payloadChecksum(dm) == want {
-			s.mu.Lock()
-			hook := s.hook
-			s.mu.Unlock()
-			if hook != nil {
-				hook(src.dev, dst.dev, dm)
-			}
-			return nil
+		dst.dev.account("fletcher", checksumFlops(dst.m))
+		if payloadChecksum(dst.m) == want {
+			s.fireHook(src, dst)
+			return
 		}
 		// Damaged in flight. Attribute the corruption to a GPU endpoint's
 		// link for the typed error (with two GPU endpoints the armed one is
@@ -378,7 +344,7 @@ func (s *System) transferReliableGated(src, dst *Buffer) error {
 		last = &LinkError{Link: link, Op: "pcie", Mode: LinkCorrupt}
 	}
 	last.Retries = budget
-	return last
+	panic(&abortPanic{last})
 }
 
 // chargeBackoff bills the jittered retransmission delay to the simulated
@@ -404,13 +370,7 @@ func (s *System) chargeBackoff(src, dst *Device, attempt int) {
 	s.pcieSimSecs += d
 	s.mu.Unlock()
 	s.clockMu.Lock()
-	tl := src.curTL
-	if tl == nil {
-		tl = dst.curTL
-	}
-	if tl == nil {
-		tl = &s.serial
-	}
+	tl := s.callerTimeline(src, dst)
 	tl.floor += d
 	for _, dev := range [2]*Device{src, dst} {
 		if dev.kind == GPU && s.linkAvail[dev.id] < tl.floor {

@@ -1,7 +1,6 @@
 package hetsim
 
 import (
-	"context"
 	"errors"
 	"testing"
 	"time"
@@ -21,10 +20,10 @@ func TestReliableBitIdenticalWithoutFaults(t *testing.T) {
 	s.Transfer(src, raw)
 	s.TransferReliable(src, rel)
 
-	if !raw.unsafeData().Equal(rel.unsafeData()) {
+	if !raw.UnsafeData().Equal(rel.UnsafeData()) {
 		t.Fatal("TransferReliable payload differs from Transfer payload with no faults armed")
 	}
-	if !rel.unsafeData().Equal(src.unsafeData()) {
+	if !rel.UnsafeData().Equal(src.UnsafeData()) {
 		t.Fatal("payload differs from source")
 	}
 }
@@ -50,6 +49,44 @@ func TestReliableChargesChecksumTime(t *testing.T) {
 	}
 }
 
+// TestReliableRunsHookOnceAfterVerify pins where each transfer entry runs
+// the fault-injection hook: TransferReliable once per transfer, on the
+// verified payload and never on a failed wire attempt; raw Transfer only
+// after a delivered attempt, so a dropped one runs it zero times.
+func TestReliableRunsHookOnceAfterVerify(t *testing.T) {
+	s := failSys(t, 1)
+	src := s.CPU().AllocFrom(matrix.Random(8, 8, matrix.NewRNG(12)))
+	dst := s.GPU(0).Alloc(8, 8)
+	calls := 0
+	s.SetTransferHook(func(from, to *Device, payload *matrix.Dense) {
+		calls++
+		if !payload.Equal(src.UnsafeData()) {
+			t.Error("hook observed an unverified payload")
+		}
+	})
+
+	s.ArmLinkFault(0, LinkFaultPlan{Mode: LinkFlap, Count: 2})
+	var le *LinkError
+	if err := catch(func() { s.Transfer(src, dst) }); !errors.As(err, &le) {
+		t.Fatalf("raw transfer over a flapping link: err = %v, want *LinkError", err)
+	}
+	if calls != 0 {
+		t.Fatalf("dropped raw Transfer ran the hook %d times, want 0", calls)
+	}
+	before := transferRetransmits.Value()
+	s.TransferReliable(src, dst) // absorbs the flap's second failure
+	if transferRetransmits.Value() == before || calls != 1 {
+		t.Fatalf("retransmitting TransferReliable over a flap ran the hook %d times, want 1", calls)
+	}
+
+	s.ArmLinkFault(0, LinkFaultPlan{Mode: LinkCorrupt})
+	before = transferRetransmits.Value()
+	s.TransferReliable(src, dst) // detects the flipped bit and retransmits
+	if transferRetransmits.Value() == before || calls != 2 {
+		t.Fatalf("retransmitting TransferReliable over corruption ran the hook %d more times, want 1", calls-1)
+	}
+}
+
 // TestCorruptRawTransferDeliversDamage pins the raw path: a corrupt plan
 // silently flips a bit and Transfer hands the damage to the receiver.
 func TestCorruptRawTransferDeliversDamage(t *testing.T) {
@@ -60,7 +97,7 @@ func TestCorruptRawTransferDeliversDamage(t *testing.T) {
 
 	before := linkFaults.With("corrupt").Value()
 	s.Transfer(src, dst)
-	if dst.unsafeData().Equal(src.unsafeData()) {
+	if dst.UnsafeData().Equal(src.UnsafeData()) {
 		t.Fatal("armed corrupt fault delivered a clean payload")
 	}
 	if linkFaults.With("corrupt").Value() != before+1 {
@@ -79,7 +116,7 @@ func TestCorruptAbsorbedByReliable(t *testing.T) {
 
 	before := transferRetransmits.Value()
 	s.TransferReliable(src, dst)
-	if !dst.unsafeData().Equal(src.unsafeData()) {
+	if !dst.UnsafeData().Equal(src.UnsafeData()) {
 		t.Fatal("TransferReliable delivered a corrupted payload")
 	}
 	if transferRetransmits.Value() <= before {
@@ -97,12 +134,12 @@ func TestAfterTransfersGate(t *testing.T) {
 
 	for i := 0; i < 2; i++ {
 		s.Transfer(src, dst)
-		if !dst.unsafeData().Equal(src.unsafeData()) {
+		if !dst.UnsafeData().Equal(src.UnsafeData()) {
 			t.Fatalf("transfer %d corrupted before the gate", i)
 		}
 	}
 	s.Transfer(src, dst)
-	if dst.unsafeData().Equal(src.unsafeData()) {
+	if dst.UnsafeData().Equal(src.UnsafeData()) {
 		t.Fatal("third transfer passed clean through an AfterTransfers=2 corrupt plan")
 	}
 }
@@ -118,7 +155,7 @@ func TestEveryRefiresAtFixedRate(t *testing.T) {
 	dirty := 0
 	for i := 0; i < 7; i++ {
 		s.Transfer(src, dst)
-		if !dst.unsafeData().Equal(src.unsafeData()) {
+		if !dst.UnsafeData().Equal(src.UnsafeData()) {
 			dirty++
 		}
 	}
@@ -137,7 +174,7 @@ func TestDropReturnsTypedErrorAndBillsWire(t *testing.T) {
 	src := s.CPU().AllocFrom(matrix.Random(8, 8, matrix.NewRNG(2)))
 	dst := s.GPU(1).Alloc(8, 8)
 
-	err := s.TransferCtx(context.Background(), src, dst)
+	err := catch(func() { s.Transfer(src, dst) })
 	var le *LinkError
 	if !errors.As(err, &le) {
 		t.Fatalf("err = %v, want *LinkError", err)
@@ -150,7 +187,7 @@ func TestDropReturnsTypedErrorAndBillsWire(t *testing.T) {
 	}
 	var z float64
 	for i := 0; i < 8; i++ {
-		for _, v := range dst.unsafeData().Row(i) {
+		for _, v := range dst.UnsafeData().Row(i) {
 			z += v
 		}
 	}
@@ -167,7 +204,7 @@ func TestDropAbsorbedByReliable(t *testing.T) {
 	dst := s.GPU(0).Alloc(8, 8)
 
 	s.TransferReliable(src, dst)
-	if !dst.unsafeData().Equal(src.unsafeData()) {
+	if !dst.UnsafeData().Equal(src.UnsafeData()) {
 		t.Fatal("payload wrong after retransmitted drop")
 	}
 }
@@ -182,7 +219,7 @@ func TestFlapHealsWithinBudget(t *testing.T) {
 	dst := s.GPU(0).Alloc(8, 8)
 
 	s.TransferReliable(src, dst) // absorbs both failures within the budget of 3
-	if !dst.unsafeData().Equal(src.unsafeData()) {
+	if !dst.UnsafeData().Equal(src.UnsafeData()) {
 		t.Fatal("payload wrong after flap healed")
 	}
 	s.mu.Lock()
@@ -193,21 +230,21 @@ func TestFlapHealsWithinBudget(t *testing.T) {
 	}
 	// The healed link is clean for raw transfers too.
 	dst2 := s.GPU(0).Alloc(8, 8)
-	if err := s.TransferCtx(context.Background(), src, dst2); err != nil {
+	if err := catch(func() { s.Transfer(src, dst2) }); err != nil {
 		t.Fatalf("healed link errored: %v", err)
 	}
 }
 
 // TestFlapExhaustsRetransmitBudget pins the exhaustion path: a flap
 // longer than the budget surfaces a typed *LinkError carrying the budget
-// in Retries, through TransferReliableCtx's recover plumbing.
+// in Retries, through the RecoverAbort plumbing.
 func TestFlapExhaustsRetransmitBudget(t *testing.T) {
 	s := failSys(t, 2)
 	s.ArmLinkFault(1, LinkFaultPlan{Mode: LinkFlap, Count: 20})
 	src := s.CPU().AllocFrom(matrix.Random(8, 8, matrix.NewRNG(8)))
 	dst := s.GPU(1).Alloc(8, 8)
 
-	err := s.TransferReliableCtx(context.Background(), src, dst)
+	err := catch(func() { s.TransferReliable(src, dst) })
 	var le *LinkError
 	if !errors.As(err, &le) {
 		t.Fatalf("err = %v, want *LinkError", err)
@@ -234,7 +271,7 @@ func TestDegradeInflatesBandwidthCost(t *testing.T) {
 	if slow := s.PCIeSimTime(); slow <= clean {
 		t.Fatalf("degraded transfer cost %v, clean cost %v; want slower", slow, clean)
 	}
-	if !dst2.unsafeData().Equal(src2.unsafeData()) {
+	if !dst2.UnsafeData().Equal(src2.UnsafeData()) {
 		t.Fatal("degrade damaged the payload; it should only cost time")
 	}
 	// Stickiness: a second transfer is still degraded.
@@ -258,7 +295,7 @@ func TestResetDisarmsLinkFaults(t *testing.T) {
 	s.Reset()
 	src = s.CPU().AllocFrom(matrix.Random(4, 4, matrix.NewRNG(1)))
 	dst = s.GPU(0).Alloc(4, 4)
-	if err := s.TransferCtx(context.Background(), src, dst); err != nil {
+	if err := catch(func() { s.Transfer(src, dst) }); err != nil {
 		t.Fatalf("link 0 still dropping after Reset: %v", err)
 	}
 	s.mu.Lock()
@@ -280,7 +317,7 @@ func TestReliableComposesWithCoalesce(t *testing.T) {
 	s.CoalesceTransfers(func() {
 		s.TransferReliable(src, dst)
 	})
-	if !dst.unsafeData().Equal(src.unsafeData()) {
+	if !dst.UnsafeData().Equal(src.UnsafeData()) {
 		t.Fatal("corruption leaked through a coalesced reliable transfer")
 	}
 }
@@ -295,7 +332,7 @@ func TestGPUToGPUTransferCrossesBothLinks(t *testing.T) {
 	s.ArmLinkFault(0, LinkFaultPlan{Mode: LinkDrop})
 	dst := s.GPU(0).Alloc(4, 4)
 
-	err := s.TransferCtx(context.Background(), src, dst)
+	err := catch(func() { s.Transfer(src, dst) })
 	var le *LinkError
 	if !errors.As(err, &le) {
 		t.Fatalf("err = %v, want *LinkError via the source-side link", err)
@@ -317,7 +354,7 @@ func TestArmLinkFaultValidation(t *testing.T) {
 	s.ArmLinkFault(0, LinkFaultPlan{}) // zero plan disarms
 	src := s.CPU().AllocFrom(matrix.Random(2, 2, matrix.NewRNG(1)))
 	dst := s.GPU(0).Alloc(2, 2)
-	if err := s.TransferCtx(context.Background(), src, dst); err != nil {
+	if err := catch(func() { s.Transfer(src, dst) }); err != nil {
 		t.Fatalf("disarmed link still faulting: %v", err)
 	}
 	s.ArmLinkFault(1, LinkFaultPlan{Mode: LinkDrop}) // out of range: panics

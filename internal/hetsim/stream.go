@@ -2,7 +2,7 @@ package hetsim
 
 // Asynchronous execution streams and the logical simulated clock.
 //
-// The synchronous kernel API (Device.Run, System.Transfer, ...) executes
+// The synchronous API (Device.Run, System.TransferReliable, ...) executes
 // and *completes* an operation before returning, which forces the caller
 // into a fully serial schedule. Streams are the asynchronous surface the
 // look-ahead step runtime is built on: an ordered per-device work queue in
@@ -25,8 +25,10 @@ package hetsim
 // always had — the depth-0 special case), while each stream carries its
 // own timeline, inheriting the serial frontier at Launch time (work
 // launched after X cannot logically start before X) and folding back into
-// it at Wait time. TimelineMakespan is the resulting end-to-end finish
-// time; under overlap it is strictly smaller than the serial sum.
+// it at Wait time. callerTimeline is the one place an operation's
+// timeline is picked, for kernels, transfers and retransmission backoff
+// alike. TimelineMakespan is the resulting end-to-end finish time; under
+// overlap it is strictly smaller than the serial sum.
 //
 // Abort plumbing. A fail-stop fault firing inside a launched closure is
 // captured by the stream executor; the stream skips the remainder of its
@@ -201,6 +203,20 @@ func (ev *StreamEvent) Wait() {
 // after Wait.
 func (ev *StreamEvent) At() float64 { return ev.at }
 
+// callerTimeline picks the timeline an operation on devs is ordered on:
+// the stream executing on the first of them that has one (a transfer
+// launched from a stream closure runs on the closure's device), else the
+// serial timeline that every synchronous call shares. Caller holds
+// s.clockMu.
+func (s *System) callerTimeline(devs ...*Device) *timeline {
+	for _, d := range devs {
+		if d.curTL != nil {
+			return d.curTL
+		}
+	}
+	return &s.serial
+}
+
 // advanceClock assigns the logical [start, end] interval of an operation
 // of the given duration on device d: it starts no earlier than the
 // device's availability and the frontier of the timeline the caller is
@@ -210,10 +226,7 @@ func (ev *StreamEvent) At() float64 { return ev.at }
 func (d *Device) advanceClock(dur float64) (start, end float64) {
 	s := d.sys
 	s.clockMu.Lock()
-	tl := d.curTL
-	if tl == nil {
-		tl = &s.serial
-	}
+	tl := s.callerTimeline(d)
 	start = d.avail
 	if tl.floor > start {
 		start = tl.floor

@@ -3,6 +3,8 @@ package hetsim
 import (
 	"errors"
 	"testing"
+
+	"ftla/internal/obs"
 )
 
 // TestStreamExecutesInLaunchOrder: closures on one stream run in launch
@@ -141,33 +143,37 @@ func TestStreamCloseNeverPanics(t *testing.T) {
 	st.Close() // must not panic and must not deadlock
 }
 
-// TestStreamEventSeqUnderConcurrency: trace events emitted from concurrent
-// streams carry unique, strictly increasing process-order sequence numbers
-// even when their logical completion times coincide.
+// TestStreamEventSeqUnderConcurrency: the kernel spans of two concurrent
+// streams land on the logical clock in each stream's launch sequence. Each
+// kernel starts at max(device availability, stream timeline floor), so on
+// independent devices the k-th kernel of a stream ends at k durations.
 func TestStreamEventSeqUnderConcurrency(t *testing.T) {
 	s := New(DefaultConfig(2))
-	s.EnableTrace(true)
+	tr := obs.NewTrace()
+	s.SetTracer(tr)
+	const flops = 1e6
 	var evs []*StreamEvent
 	for g := 0; g < 2; g++ {
 		st := s.GPU(g).NewStream()
 		defer st.Close()
 		dev := s.GPU(g)
 		for i := 0; i < 8; i++ {
-			st.Launch("k", func() { dev.Run("k", 1e6, func(int) {}) })
+			st.Launch("k", func() { dev.Run("k", flops, func(int) {}) })
 		}
 		evs = append(evs, st.Record())
 	}
 	for _, ev := range evs {
 		ev.Wait()
 	}
-	seen := map[uint64]bool{}
-	for _, e := range s.Events() {
-		if seen[e.Seq] {
-			t.Fatalf("duplicate event sequence number %d", e.Seq)
+	dur := flops / (s.Config().GPUGflops * 1e9)
+	perTrack := map[string]int{}
+	for _, sp := range tr.Spans() {
+		perTrack[sp.Track]++
+		if want := float64(perTrack[sp.Track]) * dur; !near(spanEnd(sp), want) {
+			t.Fatalf("%s kernel %d ends at %g, want %g", sp.Track, perTrack[sp.Track], spanEnd(sp), want)
 		}
-		seen[e.Seq] = true
 	}
-	if len(seen) != 16 {
-		t.Fatalf("traced %d events, want 16", len(seen))
+	if perTrack["GPU0"] != 8 || perTrack["GPU1"] != 8 {
+		t.Fatalf("traced kernels per device = %v, want 8 each", perTrack)
 	}
 }

@@ -106,29 +106,6 @@ func DefaultConfig(numGPUs int) Config {
 // from may be the CPU or a GPU; to likewise.
 type TransferHook func(from, to *Device, payload *matrix.Dense)
 
-// Event is one trace record: a kernel execution or a transfer.
-type Event struct {
-	Op     string
-	Device string
-	Flops  float64
-	Bytes  int
-	// At is the event's completion time on the logical simulated clock —
-	// one shared axis for kernels and transfers (see TimelineMakespan).
-	// Under overlapped streams, distinct events can complete at the same
-	// logical instant, so At alone is not a total order; sort on Seq for a
-	// deterministic merge.
-	At float64
-	// Seq is a process-monotonic sequence number assigned in the order
-	// events were recorded. It makes merged traces from concurrently
-	// executing devices sortable deterministically, which append order and
-	// At ties are not.
-	Seq uint64
-}
-
-// eventSeq issues process-monotonic Event.Seq values. Deliberately not
-// reset by Reset: monotonicity across runs is the point.
-var eventSeq atomic.Uint64
-
 // System is the simulated heterogeneous node.
 type System struct {
 	cfg  Config
@@ -140,14 +117,12 @@ type System struct {
 	// fail-stop gate (see failstop.go).
 	boundCtx atomic.Pointer[context.Context]
 
-	mu           sync.Mutex
-	pcieSimSecs  float64
-	transferred  int64 // total bytes moved over PCIe (both tiers)
-	internode    int64 // bytes moved over the inter-node interconnect
-	events       []Event
-	traceEnabled bool
-	hook         TransferHook
-	tracer       *obs.Trace
+	mu          sync.Mutex
+	pcieSimSecs float64
+	transferred int64 // total bytes moved over PCIe (both tiers)
+	internode   int64 // bytes moved over the inter-node interconnect
+	hook        TransferHook
+	tracer      *obs.Trace
 
 	// Transfer-coalescing window state (see CoalesceTransfers): while
 	// coalesceDepth > 0, only the first transfer on each (src, dst) device
@@ -237,27 +212,10 @@ func (s *System) SetTransferHook(h TransferHook) {
 	s.mu.Unlock()
 }
 
-// EnableTrace turns on event recording (off by default: the event slice
-// grows with every kernel) and returns the previous setting. The flag is
-// configuration, not accumulated state: it survives Reset, which drops
-// the recorded events but leaves recording itself as the caller set it
-// (see Reset).
-func (s *System) EnableTrace(on bool) (was bool) {
-	s.mu.Lock()
-	was = s.traceEnabled
-	s.traceEnabled = on
-	if !on {
-		s.events = nil
-	}
-	s.mu.Unlock()
-	return was
-}
-
 // SetTracer attaches (or, with nil, detaches) an obs.Trace that receives
-// a simulated-clock span for every kernel execution and PCIe transfer —
-// the span-based successor of the Event slice, exportable as a Chrome
-// trace. The tracer is a per-run attachment like the transfer hook:
-// Reset detaches it.
+// a simulated-clock span for every kernel execution and PCIe transfer,
+// exportable as a Chrome trace; it is the system's only trace. The tracer
+// is a per-run attachment like the transfer hook: Reset detaches it.
 func (s *System) SetTracer(t *obs.Trace) {
 	s.mu.Lock()
 	s.tracer = t
@@ -271,52 +229,34 @@ func (s *System) Tracer() *obs.Trace {
 	return s.tracer
 }
 
-// Events returns a copy of the recorded trace.
-func (s *System) Events() []Event {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Event, len(s.events))
-	copy(out, s.events)
-	return out
-}
-
 func (s *System) trace(op string, d *Device, flops, endAt, durSecs float64) {
-	s.mu.Lock()
-	tr := s.tracer
-	if s.traceEnabled {
-		s.events = append(s.events, Event{Op: op, Device: d.Name(), Flops: flops, At: endAt, Seq: eventSeq.Add(1)})
+	tr := s.Tracer()
+	if tr == nil {
+		return
 	}
-	s.mu.Unlock()
-	if tr != nil {
-		var args map[string]float64
-		if flops > 0 {
-			args = map[string]float64{"flops": flops}
-		}
-		tr.SimSpan(op, "kernel", d.Name(), endAt, durSecs, args)
+	var args map[string]float64
+	if flops > 0 {
+		args = map[string]float64{"flops": flops}
 	}
+	tr.SimSpan(op, "kernel", d.Name(), endAt, durSecs, args)
 }
 
 // Reset returns the system to a like-new state for the next run:
-// simulated clocks and PCIe byte counters zeroed, the recorded events
-// dropped, the per-run attachments — the transfer hook, the obs tracer,
-// and the bound abort context — cleared, and every armed FaultPlan and
-// LinkFaultPlan disarmed with crashed/hung devices revived (an aborted run must leave a
-// Reset-safe system: the next job on a pooled, then-probed system starts
-// on a clean, fully populated node — see TestResetClearsFaultPlan). The
-// EnableTrace flag deliberately survives: it is configuration ("record my
-// kernels"), not accumulated state, and a Reset that silently disabled it
-// forced every pooled-system user to re-enable tracing after each job
-// (the bug this contract fixes; see TestEnableTraceSurvivesReset). Device
-// buffers are not tracked and thus not touched — callers own their
-// allocations. Reset lets a pool reuse one System across jobs without
-// construction cost while each job still observes clean clocks and an
-// injector-free, tracer-free, fault-free fabric.
+// simulated clocks and PCIe byte counters zeroed, the per-run attachments
+// — the transfer hook, the obs tracer, and the bound abort context —
+// cleared, and every armed FaultPlan and LinkFaultPlan disarmed with
+// crashed/hung devices revived (an aborted run must leave a Reset-safe
+// system: the next job on a pooled, then-probed system starts on a clean,
+// fully populated node — see TestResetClearsFaultPlan). Device buffers
+// are not tracked and thus not touched — callers own their allocations.
+// Reset lets a pool reuse one System across jobs without construction
+// cost while each job still observes clean clocks and an injector-free,
+// tracer-free, fault-free fabric.
 func (s *System) Reset() {
 	s.mu.Lock()
 	s.pcieSimSecs = 0
 	s.transferred = 0
 	s.internode = 0
-	s.events = nil
 	s.hook = nil
 	s.tracer = nil
 	s.coalesceDepth = 0
@@ -373,21 +313,25 @@ func (s *System) InternodeBytes() int64 {
 // memory was read, before any receiver-side verification. Both endpoints
 // pass the fail-stop gate first: a transfer touching a crashed device (or
 // running under a done bound context) aborts with a typed panic
-// recoverable via RecoverAbort (TransferCtx is the error-returning
-// variant).
+// recoverable via RecoverAbort. Transfer has no retransmission, so a
+// dropped transfer (armed link fault, see linkfault.go) aborts the same
+// way with the typed *LinkError; TransferReliable is the protected path.
 func (s *System) Transfer(src, dst *Buffer) {
 	src.dev.gate("pcie")
 	dst.dev.gate("pcie")
-	s.transferGated(src, dst)
+	if le := s.transferAttempt(src, dst); le != nil {
+		panic(&abortPanic{le})
+	}
+	s.fireHook(src, dst)
 }
 
-// transferGated is Transfer after the fail-stop gates have passed. A
-// dropped transfer (armed link fault, see linkfault.go) aborts with the
-// typed *LinkError via the fail-stop panic plumbing — the raw transfer
-// path has no retransmission.
-func (s *System) transferGated(src, dst *Buffer) {
-	if err := s.transferAttempt(src, dst, true); err != nil {
-		panic(&abortPanic{err})
+// fireHook runs the installed transfer hook on dst's delivered payload.
+func (s *System) fireHook(src, dst *Buffer) {
+	s.mu.Lock()
+	hook := s.hook
+	s.mu.Unlock()
+	if hook != nil {
+		hook(src.dev, dst.dev, dst.m)
 	}
 }
 
@@ -395,16 +339,14 @@ func (s *System) transferGated(src, dst *Buffer) {
 // faults' verdict, bills simulated time (degrade inflates the bandwidth
 // term; a dropped transfer still pays for the wire it wasted), then
 // delivers — or corrupts, or drops — the payload. It returns a typed
-// *LinkError on a drop and nil otherwise. TransferReliable calls it in a
-// retransmission loop with runHook false (the fault-injection hook runs
-// once per transfer, after arrival verification — see
-// transferReliableGated); transferGated calls it once with the hook on
-// and panics on error.
-func (s *System) transferAttempt(src, dst *Buffer, runHook bool) error {
+// *LinkError on a drop and nil otherwise, and never runs the transfer
+// hook: Transfer runs it after a delivered attempt, TransferReliable after
+// arrival verification.
+func (s *System) transferAttempt(src, dst *Buffer) *LinkError {
 	if src.dev == dst.dev {
 		panic("hetsim: Transfer within a single device; use device-local copies")
 	}
-	sm, dm := src.unsafeData(), dst.unsafeData()
+	sm, dm := src.m, dst.m
 	if sm.Rows != dm.Rows || sm.Cols != dm.Cols {
 		panic(fmt.Sprintf("hetsim: Transfer shape mismatch %dx%d -> %dx%d", sm.Rows, sm.Cols, dm.Rows, dm.Cols))
 	}
@@ -451,13 +393,7 @@ func (s *System) transferAttempt(src, dst *Buffer, runHook bool) error {
 	// endpoint and is ordered on the executing stream's timeline (the
 	// serial timeline for synchronous calls).
 	s.clockMu.Lock()
-	tl := src.dev.curTL
-	if tl == nil {
-		tl = dst.dev.curTL
-	}
-	if tl == nil {
-		tl = &s.serial
-	}
+	tl := s.callerTimeline(src.dev, dst.dev)
 	start := tl.floor
 	for _, d := range [2]*Device{src.dev, dst.dev} {
 		if d.kind == GPU && s.linkAvail[d.id] > start {
@@ -473,29 +409,18 @@ func (s *System) transferAttempt(src, dst *Buffer, runHook bool) error {
 	}
 	s.clockMu.Unlock()
 
-	s.mu.Lock()
-	if s.traceEnabled {
-		s.events = append(s.events, Event{Op: "pcie", Device: src.dev.Name() + "->" + dst.dev.Name(), Bytes: bytes, At: at, Seq: eventSeq.Add(1)})
-	}
-	hook, tr := s.hook, s.tracer
-	s.mu.Unlock()
 	pcieBytes.Add(uint64(bytes))
 	pcieTransfers.Inc()
 	if crossNode {
 		internodeBytes.Add(uint64(bytes))
 	}
 	obs.ObservePhaseSeconds(obs.PhasePCIe, dt)
-	if tr != nil {
+	if tr := s.Tracer(); tr != nil {
 		tr.SimSpan(src.dev.Name()+"->"+dst.dev.Name(), obs.PhasePCIe, "PCIe",
 			at, dt, map[string]float64{"bytes": float64(bytes)})
 	}
 	if verdict.drop {
-		// Nothing arrived, so the fault-injection hook has no payload to
-		// observe.
 		return &LinkError{Link: verdict.link, Op: "pcie", Mode: verdict.mode}
-	}
-	if runHook && hook != nil {
-		hook(src.dev, dst.dev, dm)
 	}
 	return nil
 }
@@ -528,21 +453,6 @@ func (s *System) CoalesceTransfers(body func()) {
 		s.mu.Unlock()
 	}()
 	body()
-}
-
-// Broadcast transfers src to every destination buffer. Each leg is an
-// independent PCIe transfer (so a communication fault can hit one receiver
-// and not another, the case §VII.C disambiguates).
-func (s *System) Broadcast(src *Buffer, dsts []*Buffer) {
-	for _, d := range dsts {
-		if d.dev == src.dev {
-			// The source device already holds the panel; a self-copy models
-			// the local staging MAGMA does and costs no PCIe time.
-			d.unsafeData().CopyFrom(src.unsafeData())
-			continue
-		}
-		s.Transfer(src, d)
-	}
 }
 
 // DeviceStat is one device's share of the simulated busy time.

@@ -30,12 +30,9 @@ func TestTopologyNodeAssignment(t *testing.T) {
 		if got := s.NodeOf(g); got != g%2 {
 			t.Errorf("NodeOf(%d) = %d, want %d", g, got, g%2)
 		}
-		if got := s.GPU(g).Index(); got != g {
-			t.Errorf("GPU%d Index() = %d", g, got)
-		}
 	}
-	if s.CPU().Node() != 0 || s.CPU().Index() != -1 {
-		t.Fatalf("CPU identity wrong: node %d index %d", s.CPU().Node(), s.CPU().Index())
+	if s.CPU().Node() != 0 {
+		t.Fatalf("CPU node = %d, want 0", s.CPU().Node())
 	}
 	// Node-qualified names on a multi-node system; flat systems keep the
 	// unqualified names (the single-node bit-identity pin includes display
@@ -147,7 +144,7 @@ func TestCrossTierLinkFaultComposition(t *testing.T) {
 	// the inter tier, and counts its bytes on the inter-node counter.
 	before := s.InternodeBytes()
 	s.ArmLinkFault(3, LinkFaultPlan{Mode: LinkDrop})
-	err := s.TransferCtx(nil, cpuBuf, s.GPU(3).Alloc(16, 16))
+	err := catch(func() { s.Transfer(cpuBuf, s.GPU(3).Alloc(16, 16)) })
 	if _, ok := err.(*LinkError); !ok {
 		t.Fatalf("dropped transfer returned %v, want *LinkError", err)
 	}
@@ -182,7 +179,7 @@ func TestNodeFaultFiresAtEpoch(t *testing.T) {
 		t.Fatalf("node-lost state wrong: %v %v %d", s.NodeLost(1), s.NodeLost(0), s.NodesLost())
 	}
 	// An operation on a dead GPU reports the structured identity.
-	err := s.GPU(1).RunCtx(nil, "gemm", 1, func(int) {})
+	err := catch(func() { s.GPU(1).Run("gemm", 1, func(int) {}) })
 	lost, ok := err.(*DeviceLostError)
 	if !ok || lost.GPU != 1 || lost.Node != 1 {
 		t.Fatalf("lost error = %#v, want GPU 1 node 1", err)

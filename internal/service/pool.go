@@ -6,17 +6,11 @@ import (
 	"ftla/internal/hetsim"
 )
 
-// Circuit-breaker thresholds for the pool's health tracking.
-const (
-	// poolMaxConsecFails is the consecutive-failure count at which a
-	// system is quarantined even without a device loss — the pattern of a
-	// node that keeps producing corrupt results.
-	poolMaxConsecFails = 3
-	// poolProbeAfter is how many acquires on a platform must pass between
-	// probation probes: after that many grants, the next acquire re-admits
-	// one quarantined system (repaired by Reset) instead of an idle one.
-	poolProbeAfter = 8
-)
+// poolProbeAfter is the pool circuit breaker's probation interval: how
+// many acquires on a platform must pass between probation probes. After
+// that many grants, the next acquire re-admits one quarantined system
+// (repaired by Reset) instead of an idle one.
+const poolProbeAfter = 8
 
 // systemPool reuses hetsim.System instances across jobs, keyed by platform
 // configuration (jobs may request different GPU counts or speeds). A
@@ -26,10 +20,8 @@ const (
 // is paid only on pool misses.
 //
 // The pool is also the service's circuit breaker for fail-stop faults. A
-// system whose job aborted with a device loss is quarantined immediately;
-// a system that keeps failing jobs without losing a device is quarantined
-// after poolMaxConsecFails consecutive failures. Quarantined systems are
-// held out of circulation, counted by the ftla_pool_quarantined gauge, and
+// system whose job aborted with a device loss is quarantined immediately.
+// Quarantined systems are held out of circulation, counted by the ftla_pool_quarantined gauge, and
 // re-admitted on probation: every poolProbeAfter acquires on the same
 // platform, one quarantined system is repaired (Reset — which revives lost
 // simulated devices, modeling node repair) and handed out as the probe. A
@@ -46,7 +38,6 @@ type systemPool struct {
 	mkSecs  float64            // aggregated logical makespan across released systems
 
 	// Circuit-breaker state.
-	health map[*hetsim.System]int             // consecutive failures per live system
 	quar   map[hetsim.Config][]*hetsim.System // held-out systems per platform
 	grants map[hetsim.Config]int              // acquires since the last probe
 
@@ -67,7 +58,6 @@ func newSystemPool(maxIdlePer int, met *metrics) *systemPool {
 		maxIdlePer: maxIdlePer,
 		met:        met,
 		devSecs:    make(map[string]float64),
-		health:     make(map[*hetsim.System]int),
 		quar:       make(map[hetsim.Config][]*hetsim.System),
 		grants:     make(map[hetsim.Config]int),
 		suspect:    make(map[*hetsim.System]int),
@@ -101,31 +91,12 @@ func (p *systemPool) acquire(cfg hetsim.Config) *hetsim.System {
 	return hetsim.New(cfg)
 }
 
-// release returns a healthy system after a successful job: utilization is
-// harvested, the failure streak cleared, and the system shelved for reuse
-// (or dropped if the shelf is full).
+// release returns a system whose job attempt ended without a device
+// fault: utilization is harvested and the system shelved for reuse (or
+// dropped if the shelf is full).
 func (p *systemPool) release(sys *hetsim.System) {
 	p.harvest(sys)
 	p.mu.Lock()
-	delete(p.health, sys)
-	p.shelveLocked(sys)
-	p.mu.Unlock()
-}
-
-// fail returns a system whose job attempt failed without a device loss.
-// The failure streak grows; at poolMaxConsecFails the breaker opens and
-// the system is quarantined instead of shelved.
-func (p *systemPool) fail(sys *hetsim.System) {
-	p.harvest(sys)
-	p.mu.Lock()
-	p.health[sys]++
-	if p.health[sys] >= poolMaxConsecFails {
-		delete(p.health, sys)
-		p.quarLocked(sys)
-		p.mu.Unlock()
-		p.met.quarantined.Add(1)
-		return
-	}
 	p.shelveLocked(sys)
 	p.mu.Unlock()
 }
@@ -135,7 +106,6 @@ func (p *systemPool) fail(sys *hetsim.System) {
 func (p *systemPool) quarantine(sys *hetsim.System) {
 	p.harvest(sys)
 	p.mu.Lock()
-	delete(p.health, sys)
 	p.quarLocked(sys)
 	p.mu.Unlock()
 	p.met.quarantined.Add(1)

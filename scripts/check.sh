@@ -21,9 +21,11 @@ if [[ -n "$unformatted" ]]; then
 fi
 
 # Documentation lint: the observability and serving packages export their
-# metric names, trace schema, and job API as a documented contract —
-# every exported identifier there must carry a doc comment.
-go run ./scripts/doclint internal/obs internal/service
+# metric names, trace schema, and job API as a documented contract, and
+# the simulator and factorization core export the platform and driver
+# APIs everything else builds on — every exported identifier there must
+# carry a doc comment.
+go run ./scripts/doclint internal/obs internal/service internal/hetsim internal/core
 
 # README lint: the config-reference and ftserve-flag tables in README.md
 # must cover every exported ftla.Config field and every registered flag
@@ -31,12 +33,12 @@ go run ./scripts/doclint internal/obs internal/service
 go run ./scripts/readmelint
 
 # Reliable-transfer lint: ALL of internal/core must move data through the
-# reliable path (es.transfer / sys.TransferReliable*), never the raw
-# sys.Transfer/sys.TransferCtx — a raw call is a hole in the link-fault
-# protection the factorization depends on. See RESILIENCE.md.
-if grep -rnE 'sys\.Transfer\(|sys\.TransferCtx\(' internal/core/; then
-    echo "internal/core must use the reliable-transfer path (es.transfer /" >&2
-    echo "sys.TransferReliable), never raw sys.Transfer/sys.TransferCtx" >&2
+# reliable path (sys.TransferReliable), never the raw sys.Transfer — a raw
+# call is a hole in the link-fault protection the factorization depends
+# on. See RESILIENCE.md.
+if grep -rnE 'sys\.Transfer\(' internal/core/; then
+    echo "internal/core must use the reliable-transfer path" >&2
+    echo "(sys.TransferReliable), never raw sys.Transfer" >&2
     exit 1
 fi
 
