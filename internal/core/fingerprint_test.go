@@ -10,6 +10,8 @@ import (
 
 	"ftla/internal/checksum"
 	"ftla/internal/fault"
+	"ftla/internal/hetsim"
+	"ftla/internal/matrix"
 )
 
 // ladderFingerprintsFile pins the observable behavior of the three ladders
@@ -111,6 +113,17 @@ func fingerprint(t *testing.T, i int, c fingerprintCase) string {
 	if err != nil {
 		return fmt.Sprintf("%s | err=%v", c.label(), err)
 	}
+	makespan := "-"
+	if c.lookahead == 0 {
+		makespan = fmt.Sprintf("%x", math.Float64bits(res.SimMakespan))
+	}
+	return fmt.Sprintf("%s | bits=%016x %+v det=%t unrec=%t ck=%d rb=%d pcie=%d flops=%d sim=%s",
+		c.label(), factorBits(out, piv, tau), res.Counter, res.Detected, res.Unrecoverable,
+		res.Checkpoints, res.Rollbacks, res.PCIeBytes, res.Flops, makespan)
+}
+
+// factorBits hashes the bit patterns of a factor and its auxiliary output.
+func factorBits(out *matrix.Dense, piv []int, tau []float64) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	put := func(v uint64) {
@@ -128,31 +141,31 @@ func fingerprint(t *testing.T, i int, c fingerprintCase) string {
 	for _, v := range tau {
 		put(math.Float64bits(v))
 	}
-	makespan := "-"
-	if c.lookahead == 0 {
-		makespan = fmt.Sprintf("%x", math.Float64bits(res.SimMakespan))
-	}
-	return fmt.Sprintf("%s | bits=%016x %+v det=%t unrec=%t ck=%d rb=%d pcie=%d flops=%d sim=%s",
-		c.label(), h.Sum64(), res.Counter, res.Detected, res.Unrecoverable,
-		res.Checkpoints, res.Rollbacks, res.PCIeBytes, res.Flops, makespan)
+	return h.Sum64()
 }
 
 // TestLadderFingerprints compares the sweep against the committed golden
 // file line by line. The test never rewrites the file: a row that changes
 // is a change in behavior, to be justified rather than regenerated.
 func TestLadderFingerprints(t *testing.T) {
-	want, err := os.ReadFile(ladderFingerprintsFile)
+	cases := fingerprintCases()
+	compareGolden(t, ladderFingerprintsFile, len(cases), func(i int) string { return fingerprint(t, i, cases[i]) })
+}
+
+// compareGolden checks rows rows of row(i) against the golden file path.
+func compareGolden(t *testing.T, path string, rows int, row func(i int) string) {
+	t.Helper()
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantLines := strings.Split(strings.TrimRight(string(want), "\n"), "\n")
-	cases := fingerprintCases()
-	if len(wantLines) != len(cases) {
-		t.Fatalf("golden file has %d rows, sweep has %d", len(wantLines), len(cases))
+	if len(wantLines) != rows {
+		t.Fatalf("golden file has %d rows, sweep has %d", len(wantLines), rows)
 	}
 	bad := 0
-	for i, c := range cases {
-		if got := fingerprint(t, i, c); got != wantLines[i] {
+	for i := 0; i < rows; i++ {
+		if got := row(i); got != wantLines[i] {
 			bad++
 			if bad <= 5 {
 				t.Errorf("row %d differs:\n got  %s\n want %s", i, got, wantLines[i])
@@ -160,6 +173,108 @@ func TestLadderFingerprints(t *testing.T) {
 		}
 	}
 	if bad > 5 {
-		t.Errorf("%d of %d rows differ", bad, len(cases))
+		t.Errorf("%d of %d rows differ", bad, rows)
 	}
+}
+
+// layoutFingerprintsFile pins the layout paths the ladder sweep never
+// reaches on its flat 2-GPU systems: column migration under rebalancing,
+// parity adoption after node losses, and resume onto fewer GPUs.
+const layoutFingerprintsFile = "testdata/layout_fingerprints.txt"
+
+// layoutScenario is one layout-changing run setup of the layout sweep.
+type layoutScenario struct {
+	name string
+	run  func(decomp string, a *matrix.Dense, opts Options) (*matrix.Dense, []int, []float64, *Result, error)
+}
+
+// layoutScenarios enumerates the layout sweep's setups. Each one runs on a
+// fresh system, so rows are independent of their order.
+func layoutScenarios() []layoutScenario {
+	straggler := map[int]hetsim.FaultPlan{1: {Mode: hetsim.FaultStraggler, Slowdown: 4}}
+	on := func(sys func() *hetsim.System, set func(*Options)) func(string, *matrix.Dense, Options) (*matrix.Dense, []int, []float64, *Result, error) {
+		return func(decomp string, a *matrix.Dense, opts Options) (*matrix.Dense, []int, []float64, *Result, error) {
+			set(&opts)
+			return runDecomp(decomp, sys(), a, opts)
+		}
+	}
+	return []layoutScenario{
+		{"straggler-rebalance g=3", on(func() *hetsim.System { return testSystem(3) }, func(o *Options) {
+			o.FailStop = straggler
+			o.Rebalance = Rebalance{Every: 1}
+		})},
+		{"suspect-rebalance g=3", on(func() *hetsim.System { return testSystem(3) }, func(o *Options) {
+			o.Rebalance = Rebalance{Every: 2, MinShare: 0.1, Suspect: []int{2}}
+		})},
+		{"node-loss g=4 nodes=4 r=2 lose=1@2", on(func() *hetsim.System { return clusterSystem(4, 4) }, func(o *Options) {
+			o.Redundancy = 2
+			o.NodeFault = map[int]hetsim.NodeFaultPlan{1: {AfterEpochs: 2}}
+		})},
+		{"node-burst g=4 nodes=4 r=2 lose=1,2@3", on(func() *hetsim.System { return clusterSystem(4, 4) }, func(o *Options) {
+			o.Redundancy = 2
+			o.NodeFault = map[int]hetsim.NodeFaultPlan{1: {AfterEpochs: 3}, 2: {AfterEpochs: 3}}
+		})},
+		{"straggler-rebalance-node-loss g=6 nodes=3 lose=2@4", on(func() *hetsim.System { return clusterSystem(6, 3) }, func(o *Options) {
+			o.FailStop = straggler
+			o.Rebalance = Rebalance{Every: 1}
+			o.NodeFault = map[int]hetsim.NodeFaultPlan{2: {AfterEpochs: 4}}
+		})},
+		{"checkpoint g=3 resume-mid g=2", func(decomp string, a *matrix.Dense, opts Options) (*matrix.Dense, []int, []float64, *Result, error) {
+			var cps []*Checkpoint
+			first := opts
+			first.CheckpointEvery = 3
+			first.OnCheckpoint = func(cp *Checkpoint) { cps = append(cps, cp) }
+			if _, _, _, _, err := runDecomp(decomp, testSystem(3), a, first); err != nil {
+				return nil, nil, nil, nil, err
+			}
+			if len(cps) == 0 {
+				return nil, nil, nil, nil, fmt.Errorf("no checkpoint taken")
+			}
+			opts.Resume = cps[len(cps)/2]
+			return runDecomp(decomp, testSystem(2), a, opts)
+		}},
+	}
+}
+
+// layoutFingerprint runs one decomposition under one protection config and
+// layout scenario at n=192, nb=16 on the serial schedule, and renders the
+// factor bits, counters, layout events, traffic, work and simulated clock.
+func layoutFingerprint(decomp string, mode Mode, scheme Scheme, sc layoutScenario) string {
+	const n = 192
+	label := fmt.Sprintf("%s %v/%v %s", decomp, mode, scheme, sc.name)
+	opts := Options{NB: 16, Mode: mode, Scheme: scheme, Kernel: checksum.OptKernel}
+	out, piv, tau, res, err := sc.run(decomp, pipelineInput(decomp, n), opts)
+	if err != nil {
+		return fmt.Sprintf("%s | err=%v", label, err)
+	}
+	return fmt.Sprintf("%s | bits=%016x %+v det=%t unrec=%t rebal=%d moved=%d lost=%d recon=%d pcie=%d inter=%d flops=%d sim=%x",
+		label, factorBits(out, piv, tau), res.Counter, res.Detected, res.Unrecoverable,
+		res.Rebalances, res.MovedColumns, res.NodesLost, res.Reconstructions,
+		res.PCIeBytes, res.InternodeBytes, res.Flops, math.Float64bits(res.SimMakespan))
+}
+
+// layoutFingerprintRows renders the layout sweep: every decomposition under
+// Full/NewScheme, SingleSide/NewScheme and NoChecksum, in every scenario.
+func layoutFingerprintRows() []func() string {
+	configs := []struct {
+		mode   Mode
+		scheme Scheme
+	}{{Full, NewScheme}, {SingleSide, NewScheme}, {NoChecksum, NoCheck}}
+	var rows []func() string
+	for _, decomp := range []string{"cholesky", "lu", "qr"} {
+		for _, pc := range configs {
+			for _, sc := range layoutScenarios() {
+				decomp, pc, sc := decomp, pc, sc
+				rows = append(rows, func() string { return layoutFingerprint(decomp, pc.mode, pc.scheme, sc) })
+			}
+		}
+	}
+	return rows
+}
+
+// TestLayoutFingerprints compares the layout sweep against its committed
+// golden file; like the ladder pin, it never rewrites the file.
+func TestLayoutFingerprints(t *testing.T) {
+	rows := layoutFingerprintRows()
+	compareGolden(t, layoutFingerprintsFile, len(rows), func(i int) string { return rows[i]() })
 }
