@@ -25,7 +25,7 @@ import (
 // batch-level err for problems that void the whole dispatch (invalid or
 // unsupported options, mismatched shapes, a fail-stop abort). The batched
 // path rejects Config options that are inherently per-run — FailStop,
-// NodeFault, Rebalance, CheckpointEvery/OnCheckpoint/Resume, and
+// LinkFault, NodeFault, Rebalance, CheckpointEvery/OnCheckpoint/Resume, and
 // Config.Injector — because they cannot be shared across a slab (the core
 // batched drivers validate them); fault injection is instead per item via
 // the optional injs arguments on the *BatchOn variants, and attaching any

@@ -104,12 +104,6 @@ func (b *Batch) Item(i int) *matrix.Dense {
 	return b.Data.View(i*b.n, 0, b.n, b.n)
 }
 
-// ItemChk returns a zero-copy view of item i's column-checksum strips.
-func (b *Batch) ItemChk(i int) *matrix.Dense {
-	s := 2 * (b.n / b.nb)
-	return b.Chk.View(i*s, 0, s, b.n)
-}
-
 // Encode (re)computes every item's checksum strips in one slab-wide pass
 // with the optimized kernel. Always the optimized kernel, regardless of the
 // run configuration: the strips are queue-integrity metadata, not the run's

@@ -10,8 +10,8 @@ import "ftla/internal/obs"
 // exactly reproducible.
 //
 // The tally lives in the obs default registry (ftla_blas_flops_total), so
-// the same number that ResetFlops-based experiments difference is what a
-// /metrics scrape reports — one source of truth, two consumers.
+// the number experiments difference between two reads is what a /metrics
+// scrape reports — one source of truth, two consumers.
 var flopCount = obs.Default().Counter(obs.MetricBlasFlops,
 	"Floating-point operations executed by the BLAS kernels (and callers self-reporting via AddFlops).")
 
@@ -20,10 +20,6 @@ var flopCount = obs.Default().Counter(obs.MetricBlasFlops,
 // (checksum encoding, reconstructions) call this to stay covered.
 func AddFlops(n uint64) { flopCount.Add(n) }
 
-// Flops returns the flops executed since the last ResetFlops.
+// Flops returns the flops executed since process start; callers measure a
+// region by differencing two reads.
 func Flops() uint64 { return flopCount.Value() }
-
-// ResetFlops zeroes the tally and returns the previous value. Note this
-// resets the registry counter too; scrape consumers that need monotonic
-// counters should prefer obs.Snapshot diffing over ResetFlops.
-func ResetFlops() uint64 { return flopCount.Swap(0) }

@@ -44,11 +44,6 @@ func Scal(alpha float64, x []float64) {
 	}
 }
 
-// Nrm2 returns the Euclidean norm of x.
-func Nrm2(x []float64) float64 {
-	return matrix.VecNorm2(x)
-}
-
 // Iamax returns the index of the element of x with the largest absolute
 // value, or -1 for an empty vector. Ties resolve to the lowest index, as in
 // reference BLAS.

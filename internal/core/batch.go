@@ -42,11 +42,13 @@ import (
 //     injector forces the serial schedule for the whole batch, the same
 //     schedule-invariance rule the solo runtime applies (results are
 //     bit-identical either way).
-//   - Checkpointing, resume, fail-stop and node-fault plans, and dynamic
-//     rebalancing are not supported in batched runs: they are per-run
-//     control flow that cannot be shared across a slab, and the serving
-//     layer's per-item fallback (retry the one bad item solo) covers their
-//     role. Options carrying them are rejected up front.
+//   - Checkpointing, resume, fail-stop, link-fault and node-fault plans,
+//     and dynamic rebalancing are not supported in batched runs: they are
+//     per-run control flow that cannot be shared across a slab (every
+//     item's engine would re-arm the same plan, restarting a link plan's
+//     transfer count), and the serving layer's per-item fallback (retry
+//     the one bad item solo) covers their role. Options carrying them are
+//     rejected up front.
 //
 // Result caveats: Wall, SimMakespan, PCIeBytes, and Flops on a batched
 // item's Result describe the whole batch dispatch (the clock and counters
@@ -71,8 +73,8 @@ func validateBatchOpts(b *batch.Batch, opts Options, injs []*fault.Injector) err
 	if opts.Resume != nil || opts.CheckpointEvery > 0 || opts.OnCheckpoint != nil {
 		return fmt.Errorf("core: checkpoint/resume options are not supported in batched runs")
 	}
-	if len(opts.FailStop) > 0 || len(opts.NodeFault) > 0 {
-		return fmt.Errorf("core: fail-stop and node-fault plans are not supported in batched runs")
+	if len(opts.FailStop) > 0 || len(opts.LinkFault) > 0 || len(opts.NodeFault) > 0 {
+		return fmt.Errorf("core: fail-stop, link-fault and node-fault plans are not supported in batched runs")
 	}
 	if opts.Rebalance.Every > 0 {
 		return fmt.Errorf("core: rebalancing is not supported in batched runs")

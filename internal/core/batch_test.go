@@ -246,6 +246,10 @@ func TestBatchOptionValidation(t *testing.T) {
 			o.FailStop = map[int]hetsim.FaultPlan{0: {}}
 			return nil
 		}},
+		{"linkfault", func(o *Options) []*fault.Injector {
+			o.LinkFault = map[int]hetsim.LinkFaultPlan{0: {}}
+			return nil
+		}},
 		{"nodefault", func(o *Options) []*fault.Injector {
 			o.NodeFault = map[int]hetsim.NodeFaultPlan{0: {}}
 			return nil

@@ -186,33 +186,20 @@ func (p *protected) captureCheckpoint(next int) *Checkpoint {
 	if p.es.opts.Mode == Full {
 		cp.RowChk = make([]*matrix.Dense, p.nbr)
 	}
-	sys := p.es.sys
+	host := cp.hostStrips()
 	for bj := 0; bj < p.nbr; bj++ {
-		g := p.owner(bj)
-		cp.Data[bj] = sys.Checkpoint(p.local[g].View(0, p.localOff(bj), p.n, p.nb))
-		if cp.ColChk != nil {
-			cp.ColChk[bj] = sys.Checkpoint(p.colChk[g].View(0, p.localOff(bj), 2*p.nbr, p.nb))
-		}
-		if cp.RowChk != nil {
-			cp.RowChk[bj] = sys.Checkpoint(p.rowChk[g].View(0, 2*p.localBlock(bj), p.n, 2))
+		for i, s := range p.column(bj) {
+			host[i][bj] = p.es.sys.Checkpoint(s)
 		}
 	}
 	return cp
 }
 
-// allocProtectedFor builds an empty protected layout for a resumed run: the
-// buffers are allocated for the *current* device set (which may be smaller
-// than the one that took the checkpoint) and the tolerance comes from the
-// checkpoint, but no data is shipped and no checksums are encoded —
-// restoreFrom fills everything from the snapshot.
-func allocProtectedFor(es *engineSys, cp *Checkpoint) *protected {
-	p := &protected{es: es, n: cp.N, nb: cp.NB, nbr: cp.N / cp.NB, tol: cp.Tol}
-	p.initCyclicLayout(es.sys.NumGPUs())
-	p.allocSlabs()
-	if es.sys.Nodes() > 1 {
-		p.coded = newCodedState(p)
-	}
-	return p
+// hostStrips lists the checkpoint's per-block-column host copies in the
+// order protected.strips returns a column: data, column-checksum strips,
+// row-checksum pairs.
+func (cp *Checkpoint) hostStrips() [][]*matrix.Dense {
+	return [][]*matrix.Dense{cp.Data, cp.ColChk, cp.RowChk}
 }
 
 // restoreFrom ships the checkpoint's strips back onto the devices of the
@@ -220,15 +207,10 @@ func allocProtectedFor(es *engineSys, cp *Checkpoint) *protected {
 // by mid-run rollback (same device set) and cross-system resume (possibly
 // fewer GPUs than at capture time).
 func (p *protected) restoreFrom(cp *Checkpoint) {
-	sys := p.es.sys
+	host := cp.hostStrips()
 	for bj := 0; bj < p.nbr; bj++ {
-		g := p.owner(bj)
-		sys.Restore(cp.Data[bj], p.local[g].View(0, p.localOff(bj), p.n, p.nb))
-		if cp.ColChk != nil {
-			sys.Restore(cp.ColChk[bj], p.colChk[g].View(0, p.localOff(bj), 2*p.nbr, p.nb))
-		}
-		if cp.RowChk != nil {
-			sys.Restore(cp.RowChk[bj], p.rowChk[g].View(0, 2*p.localBlock(bj), p.n, 2))
+		for i, s := range p.column(bj) {
+			p.es.sys.Restore(host[i][bj], s)
 		}
 	}
 	// Checkpoints carry no parity; a restore (rollback or cross-run resume)

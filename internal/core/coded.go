@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strconv"
 
-	"ftla/internal/checksum"
 	"ftla/internal/gf"
 	"ftla/internal/hetsim"
 	"ftla/internal/obs"
@@ -266,10 +265,7 @@ func (cs *codedState) scaleInto(dev *hetsim.Device, dst, src *hetsim.Buffer, c b
 }
 
 // memberView returns the current device-resident column of block column bj.
-func (cs *codedState) memberView(bj int) *hetsim.Buffer {
-	p := cs.p
-	return p.local[p.owner(bj)].View(0, p.localOff(bj), p.n, p.nb)
-}
+func (cs *codedState) memberView(bj int) *hetsim.Buffer { return cs.p.column(bj)[0] }
 
 // encode recomputes rows [r0, n) of group t's parities js on GPU on, into
 // the columns dsts resident there: dsts[a] = Σ_i gen[js[a]][i]·D_i. Each
@@ -560,64 +556,17 @@ func (cs *codedState) rebuildGroup(t int, lostMembers []int) {
 	}
 }
 
-// adopt inserts the rebuilt column recon (resident on GPU dst) into dst's
-// slab at bj's sorted position, re-encodes its checksum strips from the
-// data, and rewrites the ownership tables. Unlike migrateColumn the source
-// slab is never compacted — its device is gone — so the source-side update
-// is bookkeeping only.
+// adopt inserts the rebuilt column recon (resident on GPU dst) into a
+// slot opened at bj's sorted position in dst's slab, re-encodes its
+// checksum strips from the data, and rewrites the ownership tables. Unlike
+// migrateColumn the source slab is never compacted — its device is gone —
+// so the source-side update is bookkeeping only.
 func (cs *codedState) adopt(bj, dst int, recon *hetsim.Buffer) {
 	p := cs.p
-	es := p.es
-	nb, n := p.nb, p.n
-	src := p.own[bj]
-	sl := p.loc[bj]
-	chk := es.opts.Mode != NoChecksum
-	full := es.opts.Mode == Full
-	ddev := es.sys.GPU(dst)
-
-	// Open a hole at the sorted insertion point (device-local shift).
-	idx := sort.SearchInts(p.blocks[dst], bj)
-	if w := (p.nloc[dst] - idx) * nb; w > 0 {
-		copyWithin(ddev, p.local[dst].View(0, idx*nb, n, w), p.local[dst].View(0, (idx+1)*nb, n, w))
-		if chk {
-			copyWithin(ddev, p.colChk[dst].View(0, idx*nb, 2*p.nbr, w), p.colChk[dst].View(0, (idx+1)*nb, 2*p.nbr, w))
-		}
-		if full {
-			wp := 2 * (p.nloc[dst] - idx)
-			copyWithin(ddev, p.rowChk[dst].View(0, 2*idx, n, wp), p.rowChk[dst].View(0, 2*(idx+1), n, wp))
-		}
-	}
-	copyWithin(ddev, recon, p.local[dst].View(0, idx*nb, n, nb))
-
+	idx := p.openSlot(dst, bj)
+	copyWithin(p.es.sys.GPU(dst), recon, p.strips(dst, idx, 1)[0])
 	// Certified re-encode: the maintained strips died with the node; fresh
 	// strips from the rebuilt data verify exactly clean.
-	if chk {
-		data := p.local[dst].View(0, idx*nb, n, nb)
-		cc := p.colChk[dst].View(0, idx*nb, 2*p.nbr, nb)
-		ddev.Run("encode-col", 4*float64(n*nb), func(w int) {
-			checksum.EncodeCol(es.opts.Kernel, w, data.Access(ddev), nb, cc.Access(ddev))
-		})
-	}
-	if full {
-		data := p.local[dst].View(0, idx*nb, n, nb)
-		rc := p.rowChk[dst].View(0, 2*idx, n, 2)
-		ddev.Run("encode-row", 4*float64(n*nb), func(w int) {
-			checksum.EncodeRow(es.opts.Kernel, w, data.Access(ddev), nb, rc.Access(ddev))
-		})
-	}
-
-	// Tables: remove bj from the dead source, insert into dst at idx.
-	p.blocks[src] = append(p.blocks[src][:sl], p.blocks[src][sl+1:]...)
-	p.nloc[src]--
-	for _, b := range p.blocks[src][sl:] {
-		p.loc[b]--
-	}
-	p.blocks[dst] = append(p.blocks[dst], 0)
-	copy(p.blocks[dst][idx+1:], p.blocks[dst][idx:])
-	p.blocks[dst][idx] = bj
-	p.nloc[dst]++
-	for i := idx; i < p.nloc[dst]; i++ {
-		p.loc[p.blocks[dst][i]] = i
-	}
-	p.own[bj] = dst
+	p.encodeStrips(dst, idx, 1)
+	p.reown(bj, dst, idx)
 }

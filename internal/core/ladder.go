@@ -54,7 +54,7 @@ func factorize(decomp string, sys *hetsim.System, a *matrix.Dense, opts Options,
 		if err := cp.validateFor(name, a.Rows, &opts); err != nil {
 			return nil, nil, nil, err
 		}
-		p = allocProtectedFor(es, cp)
+		p = newLayout(es, cp.N, cp.Tol)
 	} else {
 		p = newProtected(es, a)
 	}

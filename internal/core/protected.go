@@ -113,14 +113,20 @@ func (p *protected) initCyclicLayout(G int) {
 	}
 }
 
-// allocSlabs allocates each GPU's data and checksum slabs. Rebalancing
-// runs (Options.Rebalance.Every > 0) and multi-node runs allocate
-// full-width slabs (nbr blocks) so column migration — or the adoption of
-// reconstructed columns after a node loss — is a shift-and-copy, never a
-// realloc; static flat runs size them to the cyclic share.
-func (p *protected) allocSlabs() {
-	es := p.es
+// newLayout builds an empty order-n layout over the current GPUs with
+// verification tolerance tol: the block-column-cyclic ownership tables,
+// each GPU's data and checksum slabs and, on multi-node systems, the
+// parity groups. Nothing is shipped or encoded yet — newProtected
+// distributes an input matrix into it, and a resumed run restores a
+// checkpoint. Rebalancing runs (Options.Rebalance.Every > 0) and
+// multi-node runs allocate full-width slabs (nbr blocks) so column
+// migration — or the adoption of reconstructed columns after a node loss —
+// is a shift-and-copy, never a realloc; static flat runs size them to the
+// cyclic share.
+func newLayout(es *engineSys, n int, tol float64) *protected {
 	G := es.sys.NumGPUs()
+	p := &protected{es: es, n: n, nb: es.opts.NB, nbr: n / es.opts.NB, tol: tol}
+	p.initCyclicLayout(G)
 	p.local = make([]*hetsim.Buffer, G)
 	p.colChk = make([]*hetsim.Buffer, G)
 	p.rowChk = make([]*hetsim.Buffer, G)
@@ -141,124 +147,92 @@ func (p *protected) allocSlabs() {
 			p.rowChk[g] = es.sys.GPU(g).Alloc(p.n, 2*p.capb[g])
 		}
 	}
+	if es.sys.Nodes() > 1 {
+		p.coded = newCodedState(p)
+	}
+	return p
 }
 
 // newProtected distributes a (resident on the CPU) across the GPUs and
 // encodes the initial checksums on-device with the configured kernel.
 func newProtected(es *engineSys, a *matrix.Dense) *protected {
 	n := a.Rows
-	nb := es.opts.NB
-	G := es.sys.NumGPUs()
-	p := &protected{es: es, n: n, nb: nb, nbr: n / nb}
 	scale := 1 + matrix.NormMax(a)
-	p.tol = matrix.Gamma(n) * scale * scale * float64(n)
-	if p.tol < 1e-9 {
-		p.tol = 1e-9
-	}
-
-	p.initCyclicLayout(G)
-	p.allocSlabs()
-	cpu := es.sys.CPU()
-	for g := 0; g < G; g++ {
-		// Ship each block column over PCIe.
-		for lb := 0; lb < p.nloc[g]; lb++ {
-			bj := p.blocks[g][lb]
-			src := cpu.AllocFrom(a.View(0, bj*nb, n, nb))
-			es.sys.TransferReliable(src, p.local[g].View(0, lb*nb, n, nb))
+	p := newLayout(es, n, max(matrix.Gamma(n)*scale*scale*float64(n), 1e-9))
+	for g := range p.blocks {
+		for lb, bj := range p.blocks[g] {
+			es.sys.Restore(a.View(0, bj*p.nb, n, p.nb), p.strips(g, lb, 1)[0])
 		}
 	}
 	if es.opts.Mode != NoChecksum {
 		stop := es.span(obs.PhaseEncode, "encode-initial", &es.res.EncodeT)
-		for g := 0; g < G; g++ {
-			gdev := es.sys.GPU(g)
-			lc := p.nloc[g] * nb
+		for g := range p.nloc {
 			// Encode over the used prefix only: rebalancing runs allocate
 			// wider slabs whose tail holds no blocks yet.
-			data := p.local[g].View(0, 0, n, lc)
-			cc := p.colChk[g].View(0, 0, 2*p.nbr, lc)
-			gdev.Run("encode-col", 4*float64(n*lc), func(w int) {
-				checksum.EncodeCol(es.opts.Kernel, w, data.Access(gdev), nb, cc.Access(gdev))
-			})
-			if es.opts.Mode == Full {
-				rc := p.rowChk[g].View(0, 0, n, 2*p.nloc[g])
-				gdev.Run("encode-row", 4*float64(n*lc), func(w int) {
-					checksum.EncodeRow(es.opts.Kernel, w, data.Access(gdev), nb, rc.Access(gdev))
-				})
-			}
+			p.encodeStrips(g, 0, p.nloc[g])
 		}
 		stop()
 	}
-	if es.sys.Nodes() > 1 {
-		p.coded = newCodedState(p)
+	if p.coded != nil {
 		p.coded.refresh(0)
 	}
 	return p
 }
 
-// migrateColumn moves ownership of block column bj to GPU dst: the
-// destination shifts its slab right to open a hole at the sorted insertion
-// point, the data column and its checksum strips travel over PCIe, the
-// source compacts its slab, and the ownership tables are updated. The
-// copies are bit-exact, so the column's ABFT protection (column-checksum
-// strip, row-checksum pair) survives the move unchanged. Callers batch
-// rounds of moves inside a hetsim.CoalesceTransfers window so a round
-// pays each link's PCIe latency once.
-func (p *protected) migrateColumn(bj, dst int) {
-	src := p.own[bj]
-	if src == dst {
+// strips returns GPU g's views of the w local blocks from lb on: the data
+// columns, then their column-checksum strips, then their row-checksum
+// pairs, each present only when the mode keeps it. It is the one
+// definition of what a stored block column consists of; every column move
+// walks this list.
+func (p *protected) strips(g, lb, w int) []*hetsim.Buffer {
+	out := []*hetsim.Buffer{p.local[g].View(0, lb*p.nb, p.n, w*p.nb)}
+	if p.es.opts.Mode != NoChecksum {
+		out = append(out, p.colChk[g].View(0, lb*p.nb, 2*p.nbr, w*p.nb))
+	}
+	if p.es.opts.Mode == Full {
+		out = append(out, p.rowChk[g].View(0, 2*lb, p.n, 2*w))
+	}
+	return out
+}
+
+// column returns the strips of block column bj on its owner.
+func (p *protected) column(bj int) []*hetsim.Buffer {
+	return p.strips(p.own[bj], p.loc[bj], 1)
+}
+
+// shiftBlocks moves GPU g's local blocks [lb, nloc) d slots along its
+// slabs, every strip with its data. Device-local, zero flops.
+func (p *protected) shiftBlocks(g, lb, d int) {
+	w := p.nloc[g] - lb
+	if w <= 0 {
 		return
 	}
-	nb, n := p.nb, p.n
-	sl := p.loc[bj]
-	full := p.es.opts.Mode == Full
-	chk := p.es.opts.Mode != NoChecksum
+	dev := p.es.sys.GPU(g)
+	to := p.strips(g, lb+d, w)
+	for i, from := range p.strips(g, lb, w) {
+		copyWithin(dev, from, to[i])
+	}
+}
 
-	// Open a hole at dst's sorted insertion point: shift local blocks
-	// [idx, nloc) one block right. Device-local, zero flops.
+// openSlot returns block column bj's sorted insertion point in GPU dst's
+// slab and shifts the blocks from there one slot right to make room.
+func (p *protected) openSlot(dst, bj int) int {
 	idx := sort.SearchInts(p.blocks[dst], bj)
-	ddev := p.es.sys.GPU(dst)
-	if w := (p.nloc[dst] - idx) * nb; w > 0 {
-		copyWithin(ddev, p.local[dst].View(0, idx*nb, n, w), p.local[dst].View(0, (idx+1)*nb, n, w))
-		if chk {
-			copyWithin(ddev, p.colChk[dst].View(0, idx*nb, 2*p.nbr, w), p.colChk[dst].View(0, (idx+1)*nb, 2*p.nbr, w))
-		}
-		if full {
-			wp := 2 * (p.nloc[dst] - idx)
-			copyWithin(ddev, p.rowChk[dst].View(0, 2*idx, n, wp), p.rowChk[dst].View(0, 2*(idx+1), n, wp))
-		}
-	}
+	p.shiftBlocks(dst, idx, 1)
+	return idx
+}
 
-	// Ship the column and its checksum strips into the hole.
-	p.es.sys.TransferReliable(p.local[src].View(0, sl*nb, n, nb), p.local[dst].View(0, idx*nb, n, nb))
-	if chk {
-		p.es.sys.TransferReliable(p.colChk[src].View(0, sl*nb, 2*p.nbr, nb), p.colChk[dst].View(0, idx*nb, 2*p.nbr, nb))
-	}
-	if full {
-		p.es.sys.TransferReliable(p.rowChk[src].View(0, 2*sl, n, 2), p.rowChk[dst].View(0, 2*idx, n, 2))
-	}
-
-	// Compact the source: shift local blocks (sl, nloc) one block left.
-	sdev := p.es.sys.GPU(src)
-	if w := (p.nloc[src] - sl - 1) * nb; w > 0 {
-		copyWithin(sdev, p.local[src].View(0, (sl+1)*nb, n, w), p.local[src].View(0, sl*nb, n, w))
-		if chk {
-			copyWithin(sdev, p.colChk[src].View(0, (sl+1)*nb, 2*p.nbr, w), p.colChk[src].View(0, sl*nb, 2*p.nbr, w))
-		}
-		if full {
-			wp := 2 * (p.nloc[src] - sl - 1)
-			copyWithin(sdev, p.rowChk[src].View(0, 2*(sl+1), n, wp), p.rowChk[src].View(0, 2*sl, n, wp))
-		}
-	}
-
-	// Update the tables: remove bj from src, insert into dst at idx.
+// reown moves block column bj in the ownership tables from its current
+// owner to local slot idx of GPU dst. After initCyclicLayout it is the
+// only writer of own, loc, blocks and nloc.
+func (p *protected) reown(bj, dst, idx int) {
+	src, sl := p.own[bj], p.loc[bj]
 	p.blocks[src] = append(p.blocks[src][:sl], p.blocks[src][sl+1:]...)
 	p.nloc[src]--
 	for _, b := range p.blocks[src][sl:] {
 		p.loc[b]--
 	}
-	p.blocks[dst] = append(p.blocks[dst], 0)
-	copy(p.blocks[dst][idx+1:], p.blocks[dst][idx:])
-	p.blocks[dst][idx] = bj
+	p.blocks[dst] = slices.Insert(p.blocks[dst], idx, bj)
 	p.nloc[dst]++
 	for i := idx; i < p.nloc[dst]; i++ {
 		p.loc[p.blocks[dst][i]] = i
@@ -266,16 +240,53 @@ func (p *protected) migrateColumn(bj, dst int) {
 	p.own[bj] = dst
 }
 
+// encodeStrips encodes the checksum strips of GPU g's local blocks
+// [lb, lb+w) from their data with the configured kernel.
+func (p *protected) encodeStrips(g, lb, w int) {
+	es := p.es
+	dev := es.sys.GPU(g)
+	s := p.strips(g, lb, w)
+	flops := 4 * float64(p.n*w*p.nb)
+	if len(s) > 1 {
+		dev.Run("encode-col", flops, func(wk int) {
+			checksum.EncodeCol(es.opts.Kernel, wk, s[0].Access(dev), p.nb, s[1].Access(dev))
+		})
+	}
+	if len(s) > 2 {
+		dev.Run("encode-row", flops, func(wk int) {
+			checksum.EncodeRow(es.opts.Kernel, wk, s[0].Access(dev), p.nb, s[2].Access(dev))
+		})
+	}
+}
+
+// migrateColumn moves ownership of block column bj to GPU dst: the
+// destination opens a slot at the sorted insertion point, the column's
+// strips travel over PCIe, the source compacts its slab, and the ownership
+// tables are updated. The copies are bit-exact, so the column's ABFT
+// protection (column-checksum strip, row-checksum pair) survives the move
+// unchanged. Callers batch rounds of moves inside a
+// hetsim.CoalesceTransfers window so a round pays each link's PCIe latency
+// once.
+func (p *protected) migrateColumn(bj, dst int) {
+	src, sl := p.own[bj], p.loc[bj]
+	if src == dst {
+		return
+	}
+	idx := p.openSlot(dst, bj)
+	to := p.strips(dst, idx, 1)
+	for i, from := range p.strips(src, sl, 1) {
+		p.es.sys.TransferReliable(from, to[i])
+	}
+	p.shiftBlocks(src, sl+1, -1)
+	p.reown(bj, dst, idx)
+}
+
 // gather copies the distributed matrix back to a CPU-resident dense
 // matrix over PCIe.
 func (p *protected) gather() *matrix.Dense {
 	out := matrix.NewDense(p.n, p.n)
-	cpu := p.es.sys.CPU()
 	for bj := 0; bj < p.nbr; bj++ {
-		g := p.owner(bj)
-		dst := cpu.Alloc(p.n, p.nb)
-		p.es.sys.TransferReliable(p.local[g].View(0, p.localOff(bj), p.n, p.nb), dst)
-		out.View(0, bj*p.nb, p.n, p.nb).CopyFrom(dst.Access(cpu))
+		out.View(0, bj*p.nb, p.n, p.nb).CopyFrom(p.es.sys.Checkpoint(p.column(bj)[0]))
 	}
 	return out
 }

@@ -183,34 +183,12 @@ func (rb *rebState) plan(k int) []rebMove {
 	if rb == nil {
 		return nil
 	}
-	p := rb.p
-	G := len(rb.est)
-	bjLo := k + 2
-	T := p.nbr - bjLo
-	if T <= 0 {
-		return nil
-	}
-	live := rb.liveIdx()
-	if len(live) < 2 {
-		return nil
-	}
-	cur := make([]int, G)
-	for g := 0; g < G; g++ {
-		cur[g] = p.nloc[g] - p.trailStart(g, bjLo)
-	}
-	lcur := make([]int, len(live))
-	for i, g := range live {
-		lcur[i] = cur[g]
-	}
-	ltgt := apportion(T, rb.weightsOf(live), lcur, rb.minCols(T, len(live)))
-	tgt := make([]int, G)
-	for i, g := range live {
-		tgt[g] = ltgt[i]
-	}
-	for g := 0; g < G; g++ {
-		deviceShare.With(rb.es.sys.GPU(g).Name()).Set(float64(tgt[g]) / float64(T))
-	}
-	return rb.filterLegal(rb.movesFor(tgt, cur))
+	return rb.round(k+2, func(T int, live, lcur []int) []int {
+		if len(live) < 2 {
+			return nil
+		}
+		return apportion(T, rb.weightsOf(live), lcur, rb.minCols(T, len(live)))
+	})
 }
 
 // planSuspects builds the initial re-entry rebalance: before the first
@@ -222,54 +200,72 @@ func (rb *rebState) planSuspects(start int) []rebMove {
 	if rb == nil || len(rb.es.opts.Rebalance.Suspect) == 0 {
 		return nil
 	}
+	return rb.round(start+1, func(T int, live, lcur []int) []int {
+		sus := make([]bool, len(rb.est))
+		nSus := 0
+		for _, g := range rb.es.opts.Rebalance.Suspect {
+			if g >= 0 && g < len(sus) && !sus[g] && rb.p.gpuLive(g) {
+				sus[g] = true
+				nSus++
+			}
+		}
+		if nSus == 0 || nSus >= len(live) {
+			return nil // nobody healthy to shed load onto
+		}
+		minC := rb.minCols(T, len(live))
+		// Split the rest evenly over the healthy live GPUs (equal weights,
+		// preferring current owners so the health majority moves as little
+		// as possible).
+		hw := make([]float64, 0, len(live)-nSus)
+		hcur := make([]int, 0, len(live)-nSus)
+		for i, g := range live {
+			if !sus[g] {
+				hw = append(hw, 1)
+				hcur = append(hcur, lcur[i])
+			}
+		}
+		htgt := apportion(T-nSus*minC, hw, hcur, 0)
+		tgt := make([]int, 0, len(live))
+		for _, g := range live {
+			if sus[g] {
+				tgt = append(tgt, minC)
+			} else {
+				tgt, htgt = append(tgt, htgt[0]), htgt[1:]
+			}
+		}
+		return tgt
+	})
+}
+
+// round is one rebalance round over the trailing block columns
+// [bjLo, nbr): target apportions their count T over the live GPUs given
+// their current trailing counts lcur, returning one target per live GPU
+// (or nil to skip the round); round publishes the resulting device shares
+// and returns the legal moves that reach them.
+func (rb *rebState) round(bjLo int, target func(T int, live, lcur []int) []int) []rebMove {
 	p := rb.p
-	G := len(rb.est)
-	bjLo := start + 1
 	T := p.nbr - bjLo
 	if T <= 0 {
 		return nil
 	}
 	live := rb.liveIdx()
-	sus := make([]bool, G)
-	nSus := 0
-	for _, g := range rb.es.opts.Rebalance.Suspect {
-		if g >= 0 && g < G && !sus[g] && p.gpuLive(g) {
-			sus[g] = true
-			nSus++
-		}
-	}
-	if nSus == 0 || nSus >= len(live) {
-		return nil // nobody healthy to shed load onto
-	}
-	cur := make([]int, G)
-	for g := 0; g < G; g++ {
+	cur := make([]int, len(rb.est))
+	for g := range cur {
 		cur[g] = p.nloc[g] - p.trailStart(g, bjLo)
 	}
-	minC := rb.minCols(T, len(live))
-	rest := T - nSus*minC
-	// Split rest evenly over the healthy live GPUs (equal weights,
-	// preferring current owners so the health majority moves as little as
-	// possible).
-	hw := make([]float64, 0, len(live)-nSus)
-	hcur := make([]int, 0, len(live)-nSus)
-	for _, g := range live {
-		if !sus[g] {
-			hw = append(hw, 1)
-			hcur = append(hcur, cur[g])
-		}
+	lcur := make([]int, len(live))
+	for i, g := range live {
+		lcur[i] = cur[g]
 	}
-	htgt := apportion(rest, hw, hcur, 0)
-	tgt := make([]int, G)
-	hi := 0
-	for _, g := range live {
-		if sus[g] {
-			tgt[g] = minC
-		} else {
-			tgt[g] = htgt[hi]
-			hi++
-		}
+	ltgt := target(T, live, lcur)
+	if ltgt == nil {
+		return nil
 	}
-	for g := 0; g < G; g++ {
+	tgt := make([]int, len(cur))
+	for i, g := range live {
+		tgt[g] = ltgt[i]
+	}
+	for g := range tgt {
 		deviceShare.With(rb.es.sys.GPU(g).Name()).Set(float64(tgt[g]) / float64(T))
 	}
 	return rb.filterLegal(rb.movesFor(tgt, cur))

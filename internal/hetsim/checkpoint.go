@@ -2,35 +2,27 @@ package hetsim
 
 import "ftla/internal/matrix"
 
-// Checkpoint snapshots a device-resident buffer into a host-owned matrix.
-// The copy goes through the same path an algorithm would use: a GPU-resident
-// buffer is staged to the CPU over the PCIe fabric (passing the fail-stop
-// gates and charging the communication clocks), never read out of device
-// memory behind the simulator's back. A CPU-resident buffer is cloned
-// host-side for free, matching a real host's memcpy. The returned matrix is
-// owned by the caller and shares no storage with the buffer. The staging
-// copy uses the reliable protocol (TransferReliable): a snapshot damaged
-// in flight would poison every later rollback, so checkpoint traffic is
-// never left to a lucky wire.
+// Checkpoint stages a GPU-resident buffer to a host-owned matrix. Together
+// with Restore it is the one host⇄device column staging: the initial
+// distribution, checkpoints, rollback and resume, and the final gather all
+// move their columns through this pair. The copy goes over the PCIe fabric
+// (passing the fail-stop gates and charging the communication clocks),
+// never read out of device memory behind the simulator's back, and uses
+// the reliable protocol (TransferReliable): a snapshot damaged in flight
+// would poison every later rollback, so staging traffic is never left to
+// a lucky wire. The returned matrix is owned by the caller and shares no
+// storage with the buffer.
 func (s *System) Checkpoint(src *Buffer) *matrix.Dense {
-	if src.dev == s.cpu {
-		return src.Access(s.cpu).Clone()
-	}
 	stage := s.cpu.Alloc(src.Rows(), src.Cols())
 	s.TransferReliable(src, stage)
 	return stage.Access(s.cpu)
 }
 
-// Restore writes a host-side snapshot (taken by Checkpoint) back into a
-// device-resident buffer of the same shape — the rollback dual of
-// Checkpoint, again routed through the PCIe fabric for GPU destinations so
-// fail-stop gates and transfer accounting apply. The snapshot is copied,
-// not aliased; the caller may keep reusing it for later restores.
+// Restore writes a host-side matrix into a GPU-resident buffer of the same
+// shape over the PCIe fabric — the host-to-device half of the staging pair
+// (see Checkpoint), so fail-stop gates and transfer accounting apply. The
+// matrix is copied, not aliased; the caller may keep reusing it for later
+// restores.
 func (s *System) Restore(snap *matrix.Dense, dst *Buffer) {
-	if dst.dev == s.cpu {
-		dst.Access(s.cpu).CopyFrom(snap)
-		return
-	}
-	src := s.cpu.AllocFrom(snap)
-	s.TransferReliable(src, dst)
+	s.TransferReliable(s.cpu.AllocFrom(snap), dst)
 }

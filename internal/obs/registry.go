@@ -125,13 +125,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Swap resets the counter to v and returns the previous value. Prometheus
-// counters are conventionally never reset; Swap exists for the
-// experiment-harness pattern of measuring a delta by zeroing a tally
-// (blas.ResetFlops). Scrape-based consumers should treat a decrease as a
-// counter restart, exactly as Prometheus does.
-func (c *Counter) Swap(v uint64) uint64 { return c.v.Swap(v) }
-
 // Counter returns the registered counter for name, creating it on first
 // use.
 func (r *Registry) Counter(name, help string) *Counter {
@@ -451,7 +444,7 @@ func (r *Registry) Snapshot() Snapshot {
 
 // Diff returns the change from base to s: counter and histogram series
 // are subtracted (series absent from base count from zero; series that
-// shrank — a Swap reset — clamp at zero), gauges keep s's current value
+// shrank — s older than base — clamp at zero), gauges keep s's current value
 // (a gauge delta has no meaning). Taking a Snapshot before and after a
 // region of interest and diffing yields exactly the work done in between.
 func (s Snapshot) Diff(base Snapshot) Snapshot {

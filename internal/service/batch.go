@@ -41,7 +41,7 @@ func (s *Scheduler) runBatch(hs []*JobHandle) {
 		if !h.spec.NoCache {
 			key = fingerprintOf(h.spec.Decomp, h.spec.A)
 			if f, ok := s.cache.get(key); ok {
-				s.finishBatchItem(h, f, 0, true, dispatch)
+				s.settle(h, &JobResult{Factors: f, Attempts: h.prior, CacheHit: true, Wait: dispatch.Sub(h.enqueued)}, dispatch)
 				continue
 			}
 		}
@@ -76,7 +76,7 @@ func (s *Scheduler) runBatch(hs []*JobHandle) {
 			if !h.spec.NoCache {
 				s.cache.put(keys[i], facts[i])
 			}
-			s.finishBatchItem(h, facts[i], 1, false, dispatch)
+			s.settle(h, &JobResult{Factors: facts[i], Attempts: h.prior + 1, Wait: dispatch.Sub(h.enqueued)}, dispatch)
 		}
 	}
 }
@@ -164,32 +164,4 @@ func (s *Scheduler) fallbackSolo(h *JobHandle) {
 	h.prior++
 	h.spec.Config.Injector = nil
 	s.run(h)
-}
-
-// finishBatchItem settles one job of a coalesced dispatch with a completed
-// factorization (fresh or cached), running its solve leg if the spec
-// carried one.
-func (s *Scheduler) finishBatchItem(h *JobHandle, f *Factorization, attempts int, cacheHit bool, dispatch time.Time) {
-	wait := dispatch.Sub(h.enqueued)
-	res := &JobResult{
-		Outcome:   f.Outcome,
-		Factors:   f,
-		Residual:  f.Residual,
-		Attempts:  h.prior + attempts,
-		CacheHit:  cacheHit,
-		Coalesced: h.coalesced,
-		Wait:      wait,
-	}
-	if h.spec.B != nil {
-		x, err := f.Solve(h.spec.B)
-		if err != nil {
-			s.met.failed.Inc()
-			h.finish(nil, err)
-			return
-		}
-		res.X = x
-	}
-	res.Run = time.Since(dispatch)
-	s.met.jobDone(f.Outcome, wait, res.Run)
-	h.finish(res, nil)
 }

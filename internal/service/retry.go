@@ -10,7 +10,8 @@ import "time"
 // in the report); what they cannot repair they detect and surrender to the
 // application. This policy is that application-level answer, and since the
 // checkpoint layer (ftla.Config.CheckpointEvery) each retry it grants
-// takes one of two forms — see attemptOutcome:
+// takes one of two forms, counted apart as Stats.Restarts and
+// Stats.Resumed:
 //
 //   - resume (preferred): when the job holds a known-clean checkpoint and
 //     the previous result is not silently corrupt, the retry restores that
@@ -37,19 +38,6 @@ type RetryPolicy struct {
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
 }
-
-// attemptOutcome classifies how the next attempt granted by the policy
-// will start, splitting the single retry counter the Stats used to conflate
-// into restart-from-scratch vs resume-from-checkpoint (Stats.Restarts /
-// Stats.Resumed, MetricJobRestarts / MetricJobResumes).
-type attemptOutcome int
-
-const (
-	// attemptRestart reruns the factorization from scratch.
-	attemptRestart attemptOutcome = iota
-	// attemptResume replays from the job's last known-clean checkpoint.
-	attemptResume
-)
 
 // DefaultRetryPolicy is the policy Scheduler uses when Config.Retry is the
 // zero value.

@@ -32,7 +32,7 @@
 //     device-loss abort at step k resumes from the checkpoint on the
 //     surviving GPUs; only jobs without a usable checkpoint (none taken,
 //     silently corrupt result, or a failed resume) pay the full rerun
-//     (see RetryPolicy and attemptOutcome),
+//     (see RetryPolicy),
 //   - a factorization cache (LRU over matrix fingerprints) serving the
 //     factor-once/solve-many pattern without refactorization,
 //   - aggregate statistics: outcome histogram, retry/cache/pool counters,
@@ -397,30 +397,6 @@ func (s *Scheduler) run(h *JobHandle) {
 	// resumedAttempts counts this job's attempts that replayed from a
 	// checkpoint instead of restarting (JobResult.Resumed).
 	resumedAttempts := 0
-	succeed := func(f *Factorization, attempts int, cacheHit bool) {
-		res := &JobResult{
-			Outcome:   f.Outcome,
-			Factors:   f,
-			Residual:  f.Residual,
-			Attempts:  h.prior + attempts,
-			Resumed:   resumedAttempts,
-			CacheHit:  cacheHit,
-			Coalesced: h.coalesced,
-			Wait:      wait,
-			Trace:     tr,
-		}
-		if spec.B != nil {
-			x, err := f.Solve(spec.B)
-			if err != nil {
-				fail(err)
-				return
-			}
-			res.X = x
-		}
-		res.Run = time.Since(start)
-		s.met.jobDone(f.Outcome, wait, res.Run)
-		h.finish(res, nil)
-	}
 	// injected snapshots the fault descriptions the job's injector fired,
 	// for diagnosable CorruptError messages.
 	injected := func() []string {
@@ -444,7 +420,7 @@ func (s *Scheduler) run(h *JobHandle) {
 	if !spec.NoCache {
 		key = fingerprintOf(spec.Decomp, spec.A)
 		if f, ok := s.cache.get(key); ok {
-			succeed(f, 0, true)
+			s.settle(h, &JobResult{Factors: f, Attempts: h.prior, CacheHit: true, Wait: wait, Trace: tr}, start)
 			return
 		}
 	}
@@ -471,8 +447,7 @@ func (s *Scheduler) run(h *JobHandle) {
 			// fault plans — the transient that corrupted or killed the
 			// previous attempt is gone; only the (possibly degraded)
 			// platform shape carries over. With a usable checkpoint the
-			// retry resumes from it (attemptResume); otherwise it restarts
-			// from scratch (attemptRestart).
+			// retry resumes from it; otherwise it restarts from scratch.
 			cfg.Injector = nil
 			cfg.FailStop = nil
 			cfg.LinkFault = nil
@@ -594,7 +569,7 @@ func (s *Scheduler) run(h *JobHandle) {
 				if !spec.NoCache {
 					s.cache.put(key, f)
 				}
-				succeed(f, attempt, false)
+				s.settle(h, &JobResult{Factors: f, Attempts: h.prior + attempt, Resumed: resumedAttempts, Wait: wait, Trace: tr}, start)
 				return
 			}
 			if f.Outcome == core.CorruptedResult {
@@ -613,8 +588,9 @@ func (s *Scheduler) run(h *JobHandle) {
 				return
 			}
 		}
-		// Classify the retry we are about to grant (see attemptOutcome):
-		// the total stays in retries so Retries == Restarts + Resumed.
+		// Classify the retry we are about to grant as a resume or a
+		// restart; the total stays in retries so Retries == Restarts +
+		// Resumed.
 		if resumeCP != nil {
 			s.met.resumes.Inc()
 		} else {
@@ -632,6 +608,29 @@ func (s *Scheduler) run(h *JobHandle) {
 		case <-timer.C:
 		}
 	}
+}
+
+// settle finishes job h with the completed factorization res.Factors,
+// fresh or cached, solo or coalesced: it fills the outcome fields, runs
+// the solve leg when the spec carries a right-hand side, stamps Run as the
+// service time since start, and records the job metrics. The caller sets
+// the attempt count, Wait, and the per-path fields (CacheHit, Resumed,
+// Trace).
+func (s *Scheduler) settle(h *JobHandle, res *JobResult, start time.Time) {
+	f := res.Factors
+	res.Outcome, res.Residual, res.Coalesced = f.Outcome, f.Residual, h.coalesced
+	if h.spec.B != nil {
+		x, err := f.Solve(h.spec.B)
+		if err != nil {
+			s.met.failed.Inc()
+			h.finish(nil, err)
+			return
+		}
+		res.X = x
+	}
+	res.Run = time.Since(start)
+	s.met.jobDone(f.Outcome, res.Wait, res.Run)
+	h.finish(res, nil)
 }
 
 // failover is the failover rung's reading of a fail-stop abort: the

@@ -69,10 +69,11 @@ go test -race -timeout 5m -run 'Chaos|Storm' -count=2 ./...
 go test -race -timeout 5m -run 'TestResume|TestRollback|TestCheckpoint' -count=2 ./internal/core
 
 # Determinism gate: the ladder fingerprint sweep pins the factor bits of
-# every row, unrecoverable runs included. Each of the three runs draws a
-# fresh Go map iteration order, so a repair whose decisions follow map
-# order fails here.
-go test -timeout 5m -run TestLadderFingerprints -count=3 ./internal/core
+# every row, unrecoverable runs included, and the layout sweep pins the
+# migration, node-loss adoption and resume paths. Each of the three runs
+# draws a fresh Go map iteration order, so a repair or layout decision
+# that follows map order fails here.
+go test -timeout 5m -run 'TestLadderFingerprints|TestLayoutFingerprints' -count=3 ./internal/core
 
 # Schedule gate: the step-runtime and stream suites run a second time at
 # -count=2 — look-ahead interleavings are the newest concurrency in the
