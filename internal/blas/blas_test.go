@@ -108,16 +108,7 @@ func TestGer(t *testing.T) {
 func gemmCase(t *testing.T, transA, transB bool, m, n, k int, alpha, beta float64, seed uint64) {
 	t.Helper()
 	rng := matrix.NewRNG(seed)
-	ar, ac := m, k
-	if transA {
-		ar, ac = k, m
-	}
-	br, bc := k, n
-	if transB {
-		br, bc = n, k
-	}
-	a := matrix.Random(ar, ac, rng)
-	b := matrix.Random(br, bc, rng)
+	a, b := gemmOperands(transA, transB, m, n, k, rng)
 	c := matrix.Random(m, n, rng)
 	want := c.Clone()
 	refGemm(transA, transB, alpha, a, b, beta, want)
@@ -167,15 +158,179 @@ func TestGemmDimensionPanics(t *testing.T) {
 }
 
 func TestGemmPMatchesSequential(t *testing.T) {
-	rng := matrix.NewRNG(9)
-	a := matrix.Random(64, 48, rng)
-	b := matrix.Random(48, 56, rng)
-	c1 := matrix.Random(64, 56, rng)
-	c2 := c1.Clone()
-	Gemm(false, false, 1.2, a, b, 0.7, c1)
-	GemmP(4, false, false, 1.2, a, b, 0.7, c2)
-	if !c1.EqualWithin(c2, 1e-12) {
-		t.Fatal("parallel Gemm disagrees with sequential")
+	const m, n, k = 67, 56, 48
+	for _, kernels := range gemmPaths() {
+		for _, tA := range []bool{false, true} {
+			for _, tB := range []bool{false, true} {
+				rng := matrix.NewRNG(9)
+				a, b := gemmOperands(tA, tB, m, n, k, rng)
+				want := matrix.Random(m, n, rng)
+				c := want.Clone()
+				withKernels(kernels, func() { Gemm(tA, tB, 1.2, a, b, 0.7, want) })
+				for workers := 1; workers <= 5; workers++ {
+					got := c.Clone()
+					withKernels(kernels, func() { GemmP(workers, tA, tB, 1.2, a, b, 0.7, got) })
+					if i, ok := sameBits(got.Data, want.Data); !ok {
+						t.Fatalf("kernels=%v tA=%v tB=%v workers=%d: element %d differs from sequential", kernels, tA, tB, workers, i)
+					}
+				}
+			}
+		}
+	}
+}
+
+// gemmPaths lists the settings of the kernel switch this machine can run:
+// the portable loops always, the AVX2 kernels where the CPU has them.
+func gemmPaths() []bool {
+	if useAVX2 {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}
+
+// withKernels runs f with the AVX2 kernel switch set to on.
+func withKernels(on bool, f func()) {
+	saved := useAVX2
+	useAVX2 = on
+	defer func() { useAVX2 = saved }()
+	f()
+}
+
+// sameBits reports whether x and y hold the same float64 bit patterns,
+// and the first index where they do not.
+func sameBits(x, y []float64) (int, bool) {
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+			return i, false
+		}
+	}
+	return -1, len(x) == len(y)
+}
+
+// gemmOperands draws A and B for C(m×n) = op(A)·op(B) with inner size k.
+func gemmOperands(transA, transB bool, m, n, k int, rng *matrix.RNG) (a, b *matrix.Dense) {
+	ar, ac := m, k
+	if transA {
+		ar, ac = k, m
+	}
+	br, bc := k, n
+	if transB {
+		br, bc = n, k
+	}
+	return matrix.Random(ar, ac, rng), matrix.Random(br, bc, rng)
+}
+
+// stridedView copies x into the interior of a larger random matrix and
+// returns the view, so rows carry a stride wider than the row and the
+// view starts away from its backing store's origin. C gets the same
+// padding in TestGemmKernelsBitIdentical.
+func stridedView(x *matrix.Dense, rng *matrix.RNG) *matrix.Dense {
+	v := matrix.Random(x.Rows+2, x.Cols+3, rng).View(1, 2, x.Rows, x.Cols)
+	v.CopyFrom(x)
+	return v
+}
+
+// TestGemmKernelsBitIdentical pins the AVX2 kernels to the portable loops
+// bit for bit across all four transpose cases, tile-edge shapes, k past
+// one cache block, strided views and the alpha/beta special values. Every
+// other A is sprinkled with exact zeros so the zero-multiplier skip runs
+// beside the tile, and the whole backing store of C is compared so a
+// write outside the view shows.
+func TestGemmKernelsBitIdentical(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("no AVX2 kernels on this machine")
+	}
+	seed := uint64(100)
+	for _, tA := range []bool{false, true} {
+		for _, tB := range []bool{false, true} {
+			for _, m := range []int{1, 3, 4, 7, 33} {
+				for _, n := range []int{1, 7, 8, 9, 355} {
+					for _, k := range []int{1, 64, kc + 17} {
+						seed++
+						rng := matrix.NewRNG(seed)
+						a, b := gemmOperands(tA, tB, m, n, k, rng)
+						if seed%2 == 0 {
+							for i := range a.Data {
+								if rng.Float64() < 0.05 {
+									a.Data[i] = 0
+								}
+							}
+						}
+						a, b = stridedView(a, rng), stridedView(b, rng)
+						cBack := matrix.Random(m+2, n+3, rng)
+						for _, alpha := range []float64{1, -1, 0.37} {
+							for _, beta := range []float64{0, 0.5, 1} {
+								ref, got := cBack.Clone(), cBack.Clone()
+								withKernels(false, func() { Gemm(tA, tB, alpha, a, b, beta, ref.View(1, 2, m, n)) })
+								Gemm(tA, tB, alpha, a, b, beta, got.View(1, 2, m, n))
+								if i, ok := sameBits(got.Data, ref.Data); !ok {
+									t.Fatalf("tA=%v tB=%v %dx%dx%d alpha=%v beta=%v: element %d is %v, portable loops give %v",
+										tA, tB, m, n, k, alpha, beta, i, got.Data[i], ref.Data[i])
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGemmZeroMultiplierSkip pins the exact skip of a zero alpha·A(i,p)
+// in the NN and TN shapes, which differs from adding 0·B(p,:): a −0 in C
+// stays −0, an Inf or NaN in a skipped B row never reaches C, and an
+// alpha·A product that underflows to zero is skipped too. The first
+// 4-row block has a zero multiplier at the last p, so the kernels run it
+// on skip rows alone; the second has its last at p=2, so it splits
+// between skip rows and the tile. C has 12 columns: one whole 8-column
+// tile and a scalar tail.
+func TestGemmZeroMultiplierSkip(t *testing.T) {
+	const m, n, k = 8, 12, 6
+	inf := math.Inf(1)
+	// op(A) rows: row 0 is all zero multipliers; rows 1 and 5 are zero at
+	// p=1 (the Inf/NaN row of B), row 5 at p=2 too; under the tiny alpha,
+	// row 2 underflows to zero at p=1 and p=5. The rest are nonzero.
+	opA := matrix.NewDense(m, k)
+	for i := 1; i < m; i++ {
+		for p := 0; p < k; p++ {
+			opA.Set(i, p, float64(i+p+1))
+		}
+	}
+	opA.Set(1, 1, 0)
+	opA.Set(2, 1, 1e-300)
+	opA.Set(2, 5, -1e-300)
+	opA.Set(5, 1, 0)
+	opA.Set(5, 2, 0)
+	b := matrix.NewDense(k, n)
+	for p := 0; p < k; p++ {
+		for j := 0; j < n; j++ {
+			b.Set(p, j, float64(j-p))
+		}
+	}
+	for j := 0; j < n; j++ {
+		b.Set(1, j, []float64{inf, -inf, math.NaN()}[j%3])
+	}
+	for _, kernels := range gemmPaths() {
+		for _, transA := range []bool{false, true} {
+			a := opA
+			if transA {
+				a = opA.T()
+			}
+			c := matrix.NewDense(m, n)
+			c.Fill(math.Copysign(0, -1))
+			withKernels(kernels, func() { Gemm(transA, false, 1e-300, a, b, 1, c) })
+			for j := 0; j < n; j++ {
+				if v := c.At(0, j); v != 0 || !math.Signbit(v) {
+					t.Fatalf("kernels=%v transA=%v: C(0,%d) = %v, want -0 (every multiplier skipped)", kernels, transA, j, v)
+				}
+				for i := 1; i < m; i++ {
+					skipped := i == 1 || i == 2 || i == 5
+					if v := c.At(i, j); skipped != !(math.IsNaN(v) || math.IsInf(v, 0)) {
+						t.Fatalf("kernels=%v transA=%v: C(%d,%d) = %v, want finite only where the Inf/NaN row is skipped", kernels, transA, i, j, v)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -6,8 +6,9 @@ import (
 	"ftla/internal/matrix"
 )
 
-// kc is the k-dimension cache-blocking factor for the NN kernel. It keeps
-// the streamed panel of B within L2-sized working sets on typical cores.
+// kc is the k-dimension cache-blocking factor of the NN loop and of the
+// AVX2 kernels' packed panels. It keeps the streamed panel of B within
+// L2-sized working sets on typical cores.
 const kc = 256
 
 // Gemm computes C = alpha*op(A)*op(B) + beta*C sequentially.
@@ -28,7 +29,9 @@ func GemmP(workers int, transA, transB bool, alpha float64, a, b *matrix.Dense, 
 	_, _, k := opDims(transA, transB, a, b, c)
 	AddFlops(2 * uint64(c.Rows) * uint64(c.Cols) * uint64(k))
 	var wg sync.WaitGroup
-	chunk := (c.Rows + workers - 1) / workers
+	// Stripes are whole 4-row blocks, so every worker tiles fully; the
+	// split never changes the bits.
+	chunk := ((c.Rows+workers-1)/workers + 3) &^ 3
 	for lo := 0; lo < c.Rows; lo += chunk {
 		hi := lo + chunk
 		if hi > c.Rows {
@@ -45,9 +48,11 @@ func GemmP(workers int, transA, transB bool, alpha float64, a, b *matrix.Dense, 
 
 // gemmRows computes rows [rlo, rhi) of C. The four transpose combinations
 // are specialized so the inner loops stream rows of the row-major operands.
+// Where the AVX2 kernels apply (NN, TN and NT with at least 8 columns of
+// C), they take the whole 4-row blocks first; the loops below finish the
+// rest and stay the portable path and the bit-identity reference.
 func gemmRows(transA, transB bool, alpha float64, a, b *matrix.Dense, beta float64, c *matrix.Dense, rlo, rhi int) {
-	m, n, k := opDims(transA, transB, a, b, c)
-	_ = m
+	_, n, k := opDims(transA, transB, a, b, c)
 	if rhi > c.Rows {
 		rhi = c.Rows
 	}
@@ -67,6 +72,9 @@ func gemmRows(transA, transB bool, alpha float64, a, b *matrix.Dense, beta float
 	}
 	if alpha == 0 || k == 0 {
 		return
+	}
+	if useAVX2 && n >= 8 && !(transA && transB) {
+		rlo = gemmAVX2(transA, transB, alpha, a, b, c, rlo, rhi, n, k)
 	}
 	switch {
 	case !transA && !transB:
@@ -122,14 +130,13 @@ func gemmRows(transA, transB bool, alpha float64, a, b *matrix.Dense, beta float
 			}
 		}
 	default: // transA && transB
-		// C[i,j] += alpha * A[p,i] * B[j,p].
+		// C[i,j] += alpha * A[p,i] * B[j,p], reading A down column i.
 		for i := rlo; i < rhi; i++ {
 			rc := c.Row(i)
 			for j := 0; j < n; j++ {
-				rb := b.Row(j)
 				s := 0.0
-				for p := 0; p < k; p++ {
-					s += a.At(p, i) * rb[p]
+				for p, bv := range b.Row(j) {
+					s += a.Data[p*a.Stride+i] * bv
 				}
 				rc[j] += alpha * s
 			}

@@ -12,6 +12,18 @@ go vet ./...
 # ./... patterns above and below do not reach it.
 go -C cmd/ftbench vet .
 
+# Portable GEMM path: off amd64 internal/blas runs its Go loops alone, so
+# vet it for arm64 to keep that path building.
+GOARCH=arm64 go vet ./internal/blas
+
+# No-FMA lint: fused multiply-add changes the factor bits the fingerprint
+# gate pins, so the GEMM assembly multiplies and adds separately.
+if grep -nE 'VFMADD' internal/blas/*.s; then
+    echo "internal/blas assembly must not use VFMADD: fused multiply-add" >&2
+    echo "changes the factor bits the fingerprint gate pins" >&2
+    exit 1
+fi
+
 # Formatting: gofmt -l prints offending files; any output is a failure.
 unformatted=$(gofmt -l .)
 if [[ -n "$unformatted" ]]; then
