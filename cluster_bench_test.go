@@ -1,11 +1,9 @@
 // Cluster-scaling study: what the node-aware topology costs and what the
 // coded redundancy buys. For each node count the same factorization runs
 // once clean and once with a whole-node loss absorbed mid-run by parity
-// reconstruction; the simulated clock gives host-independent makespans
-// (not yet bit-reproducible under look-ahead: repeated runs differ by about
-// 1e-5 to 1e-3 relative, see ROADMAP.md's determinism item), and the
-// transfer accounting splits out the inter-node traffic the parity
-// maintenance adds.
+// reconstruction; the simulated clock gives host-independent, bit-
+// reproducible makespans, and the transfer accounting splits out the
+// inter-node traffic the parity maintenance adds.
 // BenchmarkClusterScaling regenerates BENCH_cluster.json.
 package ftla
 

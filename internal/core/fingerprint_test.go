@@ -95,8 +95,8 @@ func fingerprintCases() []fingerprintCase {
 // fingerprint runs one case on a fresh 2-GPU system and renders everything
 // a behavior-preserving refactor must keep: the bits of the factor and its
 // auxiliary output, the full verification/recovery counter, the outcome
-// flags, PCIe traffic, flops, and — for the serial schedule, whose clock is
-// deterministic — the simulated makespan.
+// flags, PCIe traffic, flops, and the simulated makespan under both
+// schedules.
 func fingerprint(t *testing.T, i int, c fingerprintCase) string {
 	t.Helper()
 	const n = 128
@@ -113,13 +113,9 @@ func fingerprint(t *testing.T, i int, c fingerprintCase) string {
 	if err != nil {
 		return fmt.Sprintf("%s | err=%v", c.label(), err)
 	}
-	makespan := "-"
-	if c.lookahead == 0 {
-		makespan = fmt.Sprintf("%x", math.Float64bits(res.SimMakespan))
-	}
-	return fmt.Sprintf("%s | bits=%016x %+v det=%t unrec=%t ck=%d rb=%d pcie=%d flops=%d sim=%s",
+	return fmt.Sprintf("%s | bits=%016x %+v det=%t unrec=%t ck=%d rb=%d pcie=%d flops=%d sim=%x",
 		c.label(), factorBits(out, piv, tau), res.Counter, res.Detected, res.Unrecoverable,
-		res.Checkpoints, res.Rollbacks, res.PCIeBytes, res.Flops, makespan)
+		res.Checkpoints, res.Rollbacks, res.PCIeBytes, res.Flops, math.Float64bits(res.SimMakespan))
 }
 
 // factorBits hashes the bit patterns of a factor and its auxiliary output.

@@ -21,14 +21,14 @@ import (
 // reassigned columns over simulated PCIe with their checksum strips riding
 // along (protected.migrateColumn).
 //
-// The decision pipeline is deterministic and schedule-invariant: samples
-// come from hetsim.Device.SimTime, which accumulates kernel time only
-// (transfers charge the PCIe link, not the device), so the serial and
-// look-ahead schedules — which run the identical TMU kernel set between the
-// two sampling points — feed the estimator identical inputs and reach
-// identical decisions. Results are bit-identical to the static layout
-// because migration copies exact bits and every kernel's per-column
-// arithmetic is owner-independent.
+// The decision pipeline is deterministic for a given schedule: samples
+// come from hetsim.Device.SimTime, which accumulates kernel time and the
+// Fletcher passes of reliable transfers. It is not schedule-invariant:
+// under look-ahead the pull of the next panel, and its source-side Fletcher
+// pass on the owner GPU, falls between the two sampling points, so the
+// schedules can reach different decisions. Results are bit-identical to
+// the static layout either way because migration copies exact bits and
+// every kernel's per-column arithmetic is owner-independent.
 
 // On multi-node topologies rebalancing coexists with the cross-node
 // erasure code (coded.go) through a parity-aware migration protocol. The

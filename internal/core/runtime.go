@@ -335,11 +335,10 @@ func runLadder(es *engineSys, l ladder) error {
 		}
 		rt.packed(k, stagePanelUpdate, func() { l.panelUpdate(k) })
 		rt.stage(k, stageTMUBegin, func() { l.tmuBegin(k) })
-		// The rebalancer brackets the TMU with busy-time samples: device
-		// SimTime accumulates kernel work only, so the bracket captures
-		// the identical kernel set under both schedules (the look-ahead
-		// CPU panel factorization between launch and join charges no GPU
-		// time) and the estimator is schedule-invariant.
+		// The rebalancer brackets the TMU with busy-time samples. Under
+		// look-ahead the bracket also holds the pull of panel k+1, whose
+		// source-side Fletcher pass adds busy time to its owner GPU, so
+		// decisions can differ between schedules; factor bits cannot.
 		rt.reb.beginSample()
 		if rt.depth >= 1 {
 			// Look-ahead: update the next panel's column synchronously,

@@ -78,7 +78,8 @@ func TestBeforeOpOffChipPersists(t *testing.T) {
 	if len(evs) != 1 || evs[0].GlobalI != 11 || evs[0].GlobalJ != 21 {
 		t.Fatalf("event wrong: %v", evs)
 	}
-	if in.Pending() {
+	in.InjectMem(0, PD, []Region{{Part: ReferencePart, M: matrix.FromRows([][]float64{{1, 2}, {3, 4}})}})
+	if len(in.Events()) != 1 {
 		t.Fatal("spec should be consumed")
 	}
 }
@@ -123,8 +124,12 @@ func TestWrongIterationDoesNotFire(t *testing.T) {
 	if m.At(0, 0) != 1 {
 		t.Fatal("fault fired at wrong iteration")
 	}
-	if !in.Pending() {
-		t.Fatal("spec must remain pending")
+	if len(in.Events()) != 0 {
+		t.Fatal("fault recorded at wrong iteration")
+	}
+	in.InjectMem(3, PD, []Region{{Part: ReferencePart, M: m}})
+	if m.At(0, 0) == 1 || len(in.Events()) != 1 {
+		t.Fatal("spec must remain pending until its iteration")
 	}
 }
 

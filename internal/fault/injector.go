@@ -56,13 +56,6 @@ func (in *Injector) Events() []Event {
 	return out
 }
 
-// Pending reports whether any scheduled fault has not fired yet.
-func (in *Injector) Pending() bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return len(in.pending) > 0
-}
-
 // take removes and returns all pending specs matching the predicate.
 func (in *Injector) take(match func(Spec) bool) []Spec {
 	var hit []Spec

@@ -52,9 +52,10 @@ type Device struct {
 	sys     *System
 
 	// Logical-clock state, guarded by sys.clockMu: avail is the logical
-	// time the device next becomes free; curTL is the timeline of the
-	// stream currently executing on the device (nil = the serial
-	// timeline). See stream.go.
+	// time the device next becomes free for a kernel; curTL is the
+	// timeline of the stream whose closure is executing on the device,
+	// which the closure's kernels run on (nil = the serial timeline).
+	// Host operations never read curTL. See stream.go.
 	avail float64
 	curTL *timeline
 
@@ -106,11 +107,11 @@ func (d *Device) resetSim() {
 }
 
 // account charges one completed kernel to the simulated clocks: busy time
-// (addSim), the logical [start, end] interval (advanceClock), and the
-// system trace, stamped with the logical completion time.
+// (addSim), the logical interval (advanceClock), and the system trace,
+// stamped with the logical completion time.
 func (d *Device) account(op string, flops float64) {
 	dur := d.addSim(flops)
-	_, end := d.advanceClock(dur)
+	end := d.advanceClock(dur)
 	d.sys.trace(op, d, flops, end, dur)
 }
 

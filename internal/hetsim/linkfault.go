@@ -4,9 +4,9 @@ package hetsim
 // (failstop.go) models whole devices dying; this layer models the channel
 // between them going bad — the communication-error window of the paper's
 // §V fault model, which ABFT must survive in motion, not just at rest.
-// A link here is one CPU<->GPUi PCIe path (the same per-GPU links the
-// logical clock serializes in linkAvail); a GPU<->GPU transfer crosses
-// both endpoints' links.
+// A link here is one CPU<->GPUi PCIe path; a GPU<->GPU transfer crosses
+// both endpoints' links. The host issues every link operation, so the
+// logical clock orders them all on the serial timeline (advanceSerial).
 //
 // Faults are armed per link with ArmLinkFault and fire at transfer
 // accounting time, inside the same critical section that bills simulated
@@ -282,11 +282,14 @@ func payloadChecksum(m *matrix.Dense) uint64 {
 	return s1 ^ (s2<<1 | s2>>63)
 }
 
-// checksumFlops is the simulated cost of one checksum pass: two adds per
-// element. Charged on the device that computes it so the protocol's
-// overhead shows up on the simulated clock instead of being free.
-func checksumFlops(m *matrix.Dense) float64 {
-	return 2 * float64(m.Rows) * float64(m.Cols)
+// fletcher charges one checksum pass over m to the simulated clocks: two
+// adds per element of busy time on dev, the device that computes it, so
+// the protocol's overhead is not free; the host issues the pass, so it is
+// ordered on the serial timeline like the transfer it protects.
+func (s *System) fletcher(dev *Device, m *matrix.Dense) {
+	flops := 2 * float64(m.Rows) * float64(m.Cols)
+	dur := dev.addSim(flops)
+	s.trace("fletcher", dev, flops, s.advanceSerial(dur), dur)
 }
 
 // maxRetransmits resolves the configured retransmission budget.
@@ -301,7 +304,9 @@ func (s *System) maxRetransmits() int {
 // the source payload, verifies the copy on arrival, and retransmits on a
 // detected drop or mismatch — at most Config.MaxRetransmits times, each
 // retry paying full simulated wire cost plus a jittered backoff. Both
-// checksum passes are billed to their devices' simulated clocks. With no
+// checksum passes add busy time to their devices. Every wire attempt,
+// backoff and checksum pass is a host operation ordered on the serial
+// timeline, even while a stream is executing on an endpoint. With no
 // link faults armed the data path is bit-identical to Transfer (the
 // checksum only verifies; it never rewrites the payload). Exhausted
 // retries abort with a typed *LinkError via the fail-stop panic plumbing,
@@ -317,7 +322,7 @@ func (s *System) TransferReliable(src, dst *Buffer) {
 	src.dev.gate("pcie")
 	dst.dev.gate("pcie")
 	want := payloadChecksum(src.m)
-	src.dev.account("fletcher", checksumFlops(src.m))
+	s.fletcher(src.dev, src.m)
 	budget := s.maxRetransmits()
 	var last *LinkError
 	for attempt := 0; attempt <= budget; attempt++ {
@@ -329,7 +334,7 @@ func (s *System) TransferReliable(src, dst *Buffer) {
 			last = le
 			continue // dropped on the wire: retransmit
 		}
-		dst.dev.account("fletcher", checksumFlops(dst.m))
+		s.fletcher(dst.dev, dst.m)
 		if payloadChecksum(dst.m) == want {
 			s.fireHook(src, dst)
 			return
@@ -369,14 +374,6 @@ func (s *System) chargeBackoff(src, dst *Device, attempt int) {
 	s.mu.Lock()
 	s.pcieSimSecs += d
 	s.mu.Unlock()
-	s.clockMu.Lock()
-	tl := s.callerTimeline(src, dst)
-	tl.floor += d
-	for _, dev := range [2]*Device{src, dst} {
-		if dev.kind == GPU && s.linkAvail[dev.id] < tl.floor {
-			s.linkAvail[dev.id] = tl.floor
-		}
-	}
-	s.clockMu.Unlock()
+	s.advanceSerial(d)
 	obs.ObservePhaseSeconds(obs.PhasePCIe, d)
 }

@@ -15,20 +15,29 @@ package hetsim
 //
 // Logical clock. Wall-clock concurrency alone would make the simulated
 // clock meaningless, so the simulator keeps a discrete-event logical clock
-// next to the busy-time counters: every operation is assigned a logical
-// [start, end] interval where start = max(availability of the resources it
-// occupies, the completion frontier of the timeline it is ordered on).
-// Resources are the devices (one op at a time) and the per-GPU PCIe links;
-// timelines are the completion frontiers that encode ordering: every
-// synchronous call is ordered on the shared *serial* timeline (so a
-// program that never touches streams gets the fully serialized schedule it
-// always had — the depth-0 special case), while each stream carries its
-// own timeline, inheriting the serial frontier at Launch time (work
-// launched after X cannot logically start before X) and folding back into
-// it at Wait time. callerTimeline is the one place an operation's
-// timeline is picked, for kernels, transfers and retransmission backoff
-// alike. TimelineMakespan is the resulting end-to-end finish time; under
-// overlap it is strictly smaller than the serial sum.
+// next to the busy-time counters. A timeline is a completion frontier that
+// encodes ordering: the shared *serial* timeline carries every host
+// operation, and each stream carries its own, inheriting the serial
+// frontier at Launch time (work launched after X cannot logically start
+// before X) and folding back into it at Wait time. The rule for picking a
+// timeline is fixed by who issues the operation, never by what else is
+// running at that wall-clock instant:
+//   - a kernel launched from a stream closure runs on that stream's
+//     timeline; every other kernel runs on the serial timeline. A kernel
+//     starts at max(its device's availability, its timeline's frontier)
+//     and occupies the device until it ends (advanceClock);
+//   - transfers, retransmission backoff and the Fletcher passes of
+//     TransferReliable are host operations, so they always run on the
+//     serial timeline (advanceSerial), even while a stream executes on an
+//     endpoint. Because every link operation is host-ordered, no link is
+//     ever busy past the serial frontier and links need no clock of their
+//     own.
+//
+// A program that never touches streams therefore gets the fully
+// serialized schedule (the depth-0 special case), and a look-ahead run
+// assigns every operation the same interval on every run.
+// TimelineMakespan is the resulting end-to-end finish time; under overlap
+// it is strictly smaller than the serial sum.
 //
 // Abort plumbing. A fail-stop fault firing inside a launched closure is
 // captured by the stream executor; the stream skips the remainder of its
@@ -77,18 +86,16 @@ func (d *Device) NewStream() *Stream {
 	return st
 }
 
-// Device returns the device the stream executes on.
-func (st *Stream) Device() *Device { return st.dev }
-
 // Launch enqueues a closure for asynchronous execution on the stream's
-// device. The closure runs kernel/transfer calls exactly as synchronous
-// code would; the stream orders it after everything previously launched
-// and after every synchronous operation already completed by the host
-// (the launch-order dependency of a CUDA stream). A closure must only
-// touch buffers resident on the stream's device (plus transfer endpoints),
-// and the host must not read or write those buffers until a later
-// StreamEvent.Wait. name labels the enqueue for debugging; the kernels the
-// closure runs trace under their own names.
+// device. The closure runs kernels only, exactly as synchronous code would;
+// a transfer is a host operation and is never issued from a closure. The
+// stream orders the closure after everything previously launched and after
+// every synchronous operation already completed by the host (the
+// launch-order dependency of a CUDA stream). A closure must only touch
+// buffers resident on the stream's device, and the host must not read or
+// write those buffers until a later StreamEvent.Wait. name labels the
+// enqueue for debugging; the kernels the closure runs trace under their
+// own names.
 func (st *Stream) Launch(name string, fn func()) {
 	s := st.dev.sys
 	s.clockMu.Lock()
@@ -107,16 +114,10 @@ func (st *Stream) Record() *StreamEvent {
 	return ev
 }
 
-// Sync records an event and waits for it: a host join with everything
-// launched so far. Like Wait, it re-raises a captured fail-stop abort.
-func (st *Stream) Sync() {
-	st.Record().Wait()
-}
-
 // Close shuts the stream down after the queue drains and releases its
 // executor goroutine. Launch/Record must not be called afterwards. Close
-// does not re-raise captured aborts — join with Sync (or a recorded
-// event) first; Close exists so a deferred cleanup can never panic.
+// does not re-raise captured aborts — join with a recorded event first;
+// Close exists so a deferred cleanup can never panic.
 func (st *Stream) Close() {
 	close(st.ch)
 	<-st.dne
@@ -198,49 +199,40 @@ func (ev *StreamEvent) Wait() {
 	}
 }
 
-// At returns the logical simulated time of the marker: the stream
-// timeline's completion frontier when the event was reached. Valid only
-// after Wait.
-func (ev *StreamEvent) At() float64 { return ev.at }
-
-// callerTimeline picks the timeline an operation on devs is ordered on:
-// the stream executing on the first of them that has one (a transfer
-// launched from a stream closure runs on the closure's device), else the
-// serial timeline that every synchronous call shares. Caller holds
-// s.clockMu.
-func (s *System) callerTimeline(devs ...*Device) *timeline {
-	for _, d := range devs {
-		if d.curTL != nil {
-			return d.curTL
-		}
-	}
-	return &s.serial
-}
-
-// advanceClock assigns the logical [start, end] interval of an operation
-// of the given duration on device d: it starts no earlier than the
-// device's availability and the frontier of the timeline the caller is
-// ordered on (the executing stream's, or the serial timeline for
-// synchronous calls), occupies the device until end, and advances the
-// timeline frontier.
-func (d *Device) advanceClock(dur float64) (start, end float64) {
+// advanceClock assigns the logical interval of a kernel of the given
+// duration on device d and returns its end: it starts no earlier than the
+// device's availability and the frontier of the timeline it is ordered on
+// (the stream executing on d for a kernel launched from that stream's
+// closure, else the serial timeline), occupies the device until end, and
+// advances that frontier.
+func (d *Device) advanceClock(dur float64) float64 {
 	s := d.sys
 	s.clockMu.Lock()
-	tl := s.callerTimeline(d)
-	start = d.avail
-	if tl.floor > start {
-		start = tl.floor
+	tl := d.curTL
+	if tl == nil {
+		tl = &s.serial
 	}
-	end = start + dur
+	end := max(d.avail, tl.floor) + dur
 	d.avail = end
 	tl.floor = end
 	s.clockMu.Unlock()
-	return start, end
+	return end
+}
+
+// advanceSerial orders a host operation of the given duration on the
+// serial timeline and returns its logical end: every transfer attempt,
+// retransmission backoff and Fletcher pass goes through here.
+func (s *System) advanceSerial(dur float64) float64 {
+	s.clockMu.Lock()
+	s.serial.floor += dur
+	end := s.serial.floor
+	s.clockMu.Unlock()
+	return end
 }
 
 // TimelineMakespan returns the end-to-end finish time of the run on the
 // logical simulated clock: the latest completion frontier across the
-// serial timeline, every device, and every PCIe link. For a fully
+// serial timeline and every device. For a fully
 // synchronous program this equals the serial sum of all operation
 // durations; with stream overlap it is smaller — the schedule's true
 // makespan.
@@ -256,17 +248,11 @@ func (s *System) TimelineMakespan() float64 {
 			m = g.avail
 		}
 	}
-	for _, l := range s.linkAvail {
-		if l > m {
-			m = l
-		}
-	}
 	return m
 }
 
-// resetClock zeroes the logical clock: timeline frontiers, device
-// availability, and link availability. Called from Reset under no other
-// lock.
+// resetClock zeroes the logical clock: timeline frontiers and device
+// availability. Called from Reset under no other lock.
 func (s *System) resetClock() {
 	s.clockMu.Lock()
 	s.serial.floor = 0
@@ -275,9 +261,6 @@ func (s *System) resetClock() {
 	for _, g := range s.gpus {
 		g.avail = 0
 		g.curTL = nil
-	}
-	for i := range s.linkAvail {
-		s.linkAvail[i] = 0
 	}
 	s.clockMu.Unlock()
 }

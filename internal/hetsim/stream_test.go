@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"ftla/internal/matrix"
 	"ftla/internal/obs"
 )
 
@@ -21,7 +22,7 @@ func TestStreamExecutesInLaunchOrder(t *testing.T) {
 		i := i
 		st.Launch("step", func() { order = append(order, i) })
 	}
-	st.Sync()
+	st.Record().Wait()
 	if len(order) != 8 {
 		t.Fatalf("ran %d of 8 launches", len(order))
 	}
@@ -82,10 +83,9 @@ func TestStreamInheritsSerialFrontier(t *testing.T) {
 	st := g.NewStream()
 	defer st.Close()
 	st.Launch("k", func() { g.Run("k", 1e9, func(int) {}) })
-	ev := st.Record()
-	ev.Wait()
-	if ev.At() != 2e-3 {
-		t.Fatalf("stream op ignored the serial frontier: event at %.6f, want 0.002", ev.At())
+	st.Record().Wait()
+	if mk := s.TimelineMakespan(); mk != 2e-3 {
+		t.Fatalf("stream op ignored the serial frontier: makespan %.6f at the join, want 0.002", mk)
 	}
 
 	// The host has joined: a later synchronous op starts after the stream.
@@ -175,5 +175,45 @@ func TestStreamEventSeqUnderConcurrency(t *testing.T) {
 	}
 	if perTrack["GPU0"] != 8 || perTrack["GPU1"] != 8 {
 		t.Fatalf("traced kernels per device = %v, want 8 each", perTrack)
+	}
+}
+
+// TestTransferDuringStreamIsHostOrdered: a transfer the host issues while
+// a stream closure is executing on its source GPU runs on the serial
+// timeline, Fletcher passes included, so it overlaps the stream's kernel
+// instead of delaying it; its checksum pass still adds busy time to the
+// GPU.
+func TestTransferDuringStreamIsHostOrdered(t *testing.T) {
+	s := New(DefaultConfig(1))
+	g := s.GPU(0)
+	src := s.CPU().AllocFrom(matrix.NewDense(4, 4))
+	onGPU := g.Alloc(4, 4)
+	s.TransferReliable(src, onGPU)
+	floor := s.TimelineMakespan()
+
+	st := g.NewStream()
+	defer st.Close()
+	started, release := make(chan struct{}), make(chan struct{})
+	st.Launch("k", func() {
+		close(started)
+		<-release
+		g.Run("k", 1e9, func(int) {}) // 1 ms
+	})
+	ev := st.Record()
+	<-started
+	busy := g.SimTime()
+	s.TransferReliable(onGPU, s.CPU().Alloc(4, 4))
+	host := s.TimelineMakespan()
+	close(release)
+	ev.Wait()
+
+	if host <= floor {
+		t.Fatalf("host transfer did not advance the serial timeline: %g <= %g", host, floor)
+	}
+	if want := floor + 1e-3; s.TimelineMakespan() != want {
+		t.Fatalf("makespan %g, want %g: the host transfer delayed the stream's kernel", s.TimelineMakespan(), want)
+	}
+	if got := g.SimTime() - busy; got <= 1e-3 {
+		t.Fatalf("GPU busy time grew by %g, want the 1 ms kernel plus a Fletcher pass", got)
 	}
 }

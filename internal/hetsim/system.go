@@ -132,12 +132,10 @@ type System struct {
 	coalescedLinks map[[2]int]bool
 
 	// Logical simulated clock (see stream.go): the serial timeline every
-	// synchronous operation is ordered on, and per-GPU PCIe link
-	// availability. Guarded by clockMu together with each device's avail
-	// and curTL.
-	clockMu   sync.Mutex
-	serial    timeline
-	linkAvail []float64
+	// host operation is ordered on. Guarded by clockMu together with each
+	// device's avail and curTL.
+	clockMu sync.Mutex
+	serial  timeline
 
 	// Per-GPU link fault state (see linkfault.go), guarded by mu: the
 	// verdict is computed inside the transfer-accounting critical section
@@ -171,7 +169,6 @@ func New(cfg Config) *System {
 	}
 	s := &System{
 		cfg:       cfg,
-		linkAvail: make([]float64, cfg.NumGPUs),
 		links:     make([]linkState, cfg.NumGPUs),
 		nodesLost: make([]bool, cfg.nodes()),
 	}
@@ -389,25 +386,9 @@ func (s *System) transferAttempt(src, dst *Buffer) *LinkError {
 		}
 	}
 
-	// Logical clock: the transfer occupies the PCIe link of each GPU
-	// endpoint and is ordered on the executing stream's timeline (the
-	// serial timeline for synchronous calls).
-	s.clockMu.Lock()
-	tl := s.callerTimeline(src.dev, dst.dev)
-	start := tl.floor
-	for _, d := range [2]*Device{src.dev, dst.dev} {
-		if d.kind == GPU && s.linkAvail[d.id] > start {
-			start = s.linkAvail[d.id]
-		}
-	}
-	at := start + dt
-	tl.floor = at
-	for _, d := range [2]*Device{src.dev, dst.dev} {
-		if d.kind == GPU {
-			s.linkAvail[d.id] = at
-		}
-	}
-	s.clockMu.Unlock()
+	// Logical clock: the host issues every transfer, so it is ordered on
+	// the serial timeline.
+	at := s.advanceSerial(dt)
 
 	pcieBytes.Add(uint64(bytes))
 	pcieTransfers.Inc()

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -213,13 +212,6 @@ func (g *FloatGauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 // Value returns the current gauge value.
 func (g *FloatGauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// FloatGauge returns the registered float gauge for name, creating it on
-// first use.
-func (r *Registry) FloatGauge(name, help string) *FloatGauge {
-	f := r.family(name, help, kindGauge, "", nil)
-	return f.with("", func() any { return new(FloatGauge) }).(*FloatGauge)
-}
-
 // FloatGaugeVec is a family of float gauges keyed by the value of one
 // label.
 type FloatGaugeVec struct {
@@ -392,13 +384,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// WriteJSON writes the registry's Snapshot as indented JSON.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
 }
 
 // Snapshot captures every series' current value, keyed by Key(name,

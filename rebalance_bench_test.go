@@ -1,10 +1,8 @@
 // Dynamic-partitioning makespan study: how much of the makespan inflation
 // a 4x straggler causes does the rebalancer claw back? The measurements
-// use the simulated clock, which is host-independent but not yet
-// bit-reproducible under look-ahead: repeated runs differ by about 1e-5 to
-// 1e-3 relative (see ROADMAP.md's determinism item), far inside the gate's
-// margin, so TestRebalanceMakespanGate can gate on them in check.sh while
-// BenchmarkRebalance regenerates BENCH_rebalance.json.
+// use the simulated clock, which is host-independent and bit-reproducible
+// under both schedules, so TestRebalanceMakespanGate gates on them in
+// check.sh while BenchmarkRebalance regenerates BENCH_rebalance.json.
 package ftla
 
 import (

@@ -80,12 +80,14 @@ go test -race -timeout 5m -run 'Chaos|Storm' -count=2 ./...
 # -race; resume replays are the newest state machine in the step runtime.
 go test -race -timeout 5m -run 'TestResume|TestRollback|TestCheckpoint' -count=2 ./internal/core
 
-# Determinism gate: the ladder fingerprint sweep pins the factor bits of
-# every row, unrecoverable runs included, and the layout sweep pins the
-# migration, node-loss adoption and resume paths. Each of the three runs
-# draws a fresh Go map iteration order, so a repair or layout decision
-# that follows map order fails here.
-go test -timeout 5m -run 'TestLadderFingerprints|TestLayoutFingerprints' -count=3 ./internal/core
+# Determinism gate: the ladder fingerprint sweep pins the factor bits and
+# simulated makespan of every row, unrecoverable runs included, and the
+# layout sweep pins the migration, node-loss adoption and resume paths.
+# Each of the three runs draws a fresh Go map iteration order, so a repair
+# or layout decision that follows map order fails here. The look-ahead
+# determinism test repeats each configuration on fresh systems, so a clock
+# that bills an operation by wall-clock interleaving fails here too.
+go test -timeout 5m -run 'TestLadderFingerprints|TestLayoutFingerprints|TestLookaheadDeterminism' -count=3 ./internal/core
 
 # Schedule gate: the step-runtime and stream suites run a second time at
 # -count=2 — look-ahead interleavings are the newest concurrency in the
