@@ -28,9 +28,8 @@ import (
 // LinkFault, NodeFault, Rebalance, CheckpointEvery/OnCheckpoint/Resume, and
 // Config.Injector — because they cannot be shared across a slab (the core
 // batched drivers validate them); fault injection is instead per item via
-// the optional injs arguments on the *BatchOn variants, and attaching any
-// injector forces the serial schedule for the whole batch (the same rule
-// the solo runtime applies; results are bit-identical either way).
+// the optional injs arguments on the *BatchOn variants, under the batch's
+// schedule like a solo run's.
 
 // packBatch normalizes cfg and packs the inputs into a checksummed slab.
 func packBatch(as []*Matrix, cfg Config) (*batch.Batch, core.Options, error) {

@@ -284,8 +284,8 @@ type Config struct {
 	// Lookahead selects the step-runtime schedule: 0 (the default) runs the
 	// serial ladder; 1 enables MAGMA-style look-ahead — the CPU factorizes
 	// panel k+1 while the GPUs run step k's trailing update on asynchronous
-	// streams. Results are bit-identical in both schedules; when an Injector
-	// is attached the runtime falls back to the serial schedule (see
+	// streams. Results are bit-identical in both schedules, and an
+	// Injector's windows sit at the same logical point in both (see
 	// DESIGN.md §8).
 	Lookahead int
 	// CheckpointEvery > 0 snapshots the factorization state into a
@@ -311,8 +311,7 @@ type Config struct {
 	// simulated PCIe with their checksum strips riding along — so a
 	// straggling device sheds load instead of blowing the makespan, while
 	// results stay bit-identical to the static layout (see DESIGN.md §10).
-	// The zero value disables rebalancing. Ignored while an Injector is
-	// attached and on single-GPU systems.
+	// The zero value disables rebalancing. Ignored on single-GPU systems.
 	Rebalance RebalanceConfig
 	// System overrides the simulated platform (worker counts, nominal
 	// speeds); nil uses hetsim.DefaultConfig(GPUs).

@@ -38,10 +38,8 @@ import (
 //     per-item error slice reports it. Only a fail-stop abort — rejected
 //     from batch options precisely for this reason — would take the whole
 //     dispatch down.
-//   - Fault injection is per item (the injs argument); attaching any
-//     injector forces the serial schedule for the whole batch, the same
-//     schedule-invariance rule the solo runtime applies (results are
-//     bit-identical either way).
+//   - Fault injection is per item (the injs argument), under the
+//     batch's schedule like any other item.
 //   - Checkpointing, resume, fail-stop, link-fault and node-fault plans,
 //     and dynamic rebalancing are not supported in batched runs: they are
 //     per-run control flow that cannot be shared across a slab (every
@@ -111,9 +109,11 @@ func (bl *batchLadder) panelPivot(k int)  { bl.each(func(l ladder) { l.panelPivo
 func (bl *batchLadder) panelCommit(k int) { bl.each(func(l ladder) { l.panelCommit(k) }) }
 func (bl *batchLadder) panelUpdate(k int) { bl.each(func(l ladder) { l.panelUpdate(k) }) }
 func (bl *batchLadder) tmuBegin(k int)    { bl.each(func(l ladder) { l.tmuBegin(k) }) }
-func (bl *batchLadder) tmuFinish(k int)   { bl.each(func(l ladder) { l.tmuFinish(k) }) }
 func (bl *batchLadder) tmuGPU(k, g int, sel tmuSel) {
 	bl.each(func(l ladder) { l.tmuGPU(k, g, sel) })
+}
+func (bl *batchLadder) tmuFinish(k int, sel tmuSel) {
+	bl.each(func(l ladder) { l.tmuFinish(k, sel) })
 }
 
 // failed moves each live item's driver error into errs, dropping the item
@@ -165,8 +165,7 @@ func runBatch(decomp string, sys *hetsim.System, b *batch.Batch, opts Options,
 		bl.errs[i] = fmt.Errorf("core: batch item %d input corrupted since submission (slab checksum mismatch)", i)
 	}
 	// The batch-level engine drives the schedule only; the items' engines
-	// carry the per-item state. Any per-item injector forces the serial
-	// schedule for the whole slab.
+	// carry the per-item state.
 	bes := &engineSys{decomp: decomp, sys: sys, opts: opts, res: &Result{}}
 	sys.CoalesceTransfers(func() {
 		for i := 0; i < count; i++ {
@@ -176,7 +175,6 @@ func runBatch(decomp string, sys *hetsim.System, b *batch.Batch, opts Options,
 			iopts := opts
 			if injs != nil && injs[i] != nil {
 				iopts.Injector = injs[i]
-				bes.opts.Lookahead = 0
 			}
 			ress[i] = newResult(sys, b.N(), opts)
 			ps[i] = newProtected(newEngine(decomp, sys, iopts, ress[i]), b.Item(i))

@@ -63,10 +63,11 @@ func runSolo(t *testing.T, decomp string, a *matrix.Dense, gpus int, opts Option
 	}
 }
 
-// runBatched factorizes the items as one batch on a fresh system and
-// returns per-item factors and auxiliary outputs, failing the test on any
-// batch-level or per-item error.
-func runBatched(t *testing.T, decomp string, ms []*matrix.Dense, gpus int, opts Options) ([]*matrix.Dense, [][]int, [][]float64) {
+// runBatched factorizes the items as one batch on a fresh system, under
+// the per-item injectors injs (nil for none), and returns per-item factors
+// and auxiliary outputs, failing the test on any batch-level or per-item
+// error.
+func runBatched(t *testing.T, decomp string, ms []*matrix.Dense, gpus int, opts Options, injs []*fault.Injector) ([]*matrix.Dense, [][]int, [][]float64) {
 	t.Helper()
 	b, err := batch.FromMatrices(ms, opts.NB)
 	if err != nil {
@@ -81,11 +82,11 @@ func runBatched(t *testing.T, decomp string, ms []*matrix.Dense, gpus int, opts 
 	)
 	switch decomp {
 	case "cholesky":
-		outs, _, errs, err = CholeskyBatch(sys, b, opts, nil)
+		outs, _, errs, err = CholeskyBatch(sys, b, opts, injs)
 	case "lu":
-		outs, pivs, _, errs, err = LUBatch(sys, b, opts, nil)
+		outs, pivs, _, errs, err = LUBatch(sys, b, opts, injs)
 	default:
-		outs, taus, _, errs, err = QRBatch(sys, b, opts, nil)
+		outs, taus, _, errs, err = QRBatch(sys, b, opts, injs)
 	}
 	if err != nil {
 		t.Fatalf("batched %s: %v", decomp, err)
@@ -98,18 +99,49 @@ func runBatched(t *testing.T, decomp string, ms []*matrix.Dense, gpus int, opts 
 	return outs, pivs, taus
 }
 
+// batchInjectors arms items 1 and 2 of a batch with an on-chip fault on
+// the trailing update's reference stage and a computation fault on its
+// output, both at step 1; item 0 stays clean.
+func batchInjectors() []*fault.Injector {
+	onChip := fault.NewInjector(7)
+	onChip.Schedule(fault.Spec{Kind: fault.OnChipMemory, Op: fault.TMU, Part: fault.ReferencePart, Iteration: 1, Row: -1, Col: -1})
+	comp := fault.NewInjector(8)
+	comp.Schedule(fault.Spec{Kind: fault.Computation, Op: fault.TMU, Iteration: 1, Row: -1, Col: -1})
+	return []*fault.Injector{nil, onChip, comp}
+}
+
 // The batched bit-identity pin: every item of a batched run is bit-for-bit
 // the factor the same matrix produces solo, across all three
 // decompositions, both schedules, and 1-3 GPUs. This is what makes
-// batching purely a throughput decision for the serving layer.
+// batching purely a throughput decision for the serving layer. Injected
+// items run the batch's schedule too: under look-ahead they must equal
+// their serial twins bit for bit.
 func TestBatchBitIdentity(t *testing.T) {
 	const n, count = 64, 3
 	for _, decomp := range []string{"cholesky", "lu", "qr"} {
-		for _, lookahead := range []int{0, 1} {
-			for gpus := 1; gpus <= 3; gpus++ {
+		for gpus := 1; gpus <= 3; gpus++ {
+			var twin []*matrix.Dense
+			for _, lookahead := range []int{0, 1} {
 				ms := batchInputs(decomp, count, n)
 				opts := batchOpts(lookahead)
-				outs, pivs, taus := runBatched(t, decomp, ms, gpus, opts)
+				injs := batchInjectors()
+				iouts, _, _ := runBatched(t, decomp, ms, gpus, opts, injs)
+				for i, inj := range injs {
+					if inj != nil && len(inj.Events()) != 1 {
+						t.Fatalf("%s gpus=%d lookahead=%d item %d: injector fired %d faults, want 1",
+							decomp, gpus, lookahead, i, len(inj.Events()))
+					}
+				}
+				if twin == nil {
+					twin = iouts
+				}
+				for i := range iouts {
+					if d, r, c := twin[i].MaxAbsDiff(iouts[i]); d != 0 {
+						t.Fatalf("%s gpus=%d injected item %d: look-ahead factor not bit-identical to serial: |Δ|=%g at (%d,%d)",
+							decomp, gpus, i, d, r, c)
+					}
+				}
+				outs, pivs, taus := runBatched(t, decomp, ms, gpus, opts, nil)
 				for i := 0; i < count; i++ {
 					sout, spiv, stau := runSolo(t, decomp, ms[i], gpus, opts)
 					label := decomp

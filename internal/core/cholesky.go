@@ -212,12 +212,15 @@ func (l *cholLadder) panelUpdate(k int) {
 		snapPnlChk = gdevK.Alloc(2*(nbr-k-1), nb)
 		copyWithin(gdevK, pnlChk, snapPnlChk)
 	}
-	es.injectOnChip(k, fault.PU, puRegs)
+	onChip := es.injectOnChip(k, fault.PU, puRegs)
 	runPU := func() {
+		// An on-chip corruption is a transient read of the first run: the
+		// checksum TRSM loads its operands independently and does not see
+		// it.
+		onChip.Apply()
 		gdevK.Trsm(blas.Right, true, true, false, 1, a11dev, pnl)
-		// An on-chip corruption is a transient read: the checksum TRSM
-		// loads its operands independently and does not see it.
-		es.restoreOnChip()
+		onChip.Undo()
+		onChip = nil
 		if chk {
 			gdevK.Trsm(blas.Right, true, true, false, 1, a11dev, pnlChk)
 		}
@@ -228,7 +231,7 @@ func (l *cholLadder) panelUpdate(k int) {
 		runPU()
 	}
 	runPU()
-	es.injectComp(k, fault.PU, puRegs)
+	es.injectComp(k, fault.PU, puRegs, nil)
 	if pl.afterPU && chk {
 		out, _ := p.verifyRepair(colAxis, gdevK.Workers(), pnl.Access(gdevK), pnlChk.Access(gdevK), nil)
 		res.Counter.PUAfter += nbr - k - 1
@@ -280,9 +283,9 @@ func (l *cholLadder) panelUpdate(k int) {
 func (l *cholLadder) trailing(k int) tmuStep {
 	p, st := l.p, l.step[k]
 	return tmuStep{
-		regs: p.cholTMURegions(k, st.stages), stages: st.stages,
+		regs: p.cholTMURegions(k, st.stages), step: st,
 		strips: p.nbr - k - 1, rlo: (k + 1) * p.nb,
-		heuristic: func() { p.cholHeuristicAfterTMU(k, st.stages) },
+		heuristic: func(sel tmuSel) { p.cholHeuristicAfterTMU(k, sel, st.stages) },
 	}
 }
 
@@ -291,14 +294,17 @@ func (l *cholLadder) tmuBegin(k int) { l.p.tmuOpen(k, l.trailing(k)) }
 // tmuGPU applies GPU g's slice of the trailing update (kernels only; the
 // look-ahead schedule may run the tmuRest slice inside a stream).
 func (l *cholLadder) tmuGPU(k, g int, sel tmuSel) {
-	l.p.cholTMUOnGPU(g, k, l.step[k].stages[g], sel)
+	st := l.step[k]
+	l.p.cholTMUOnGPU(g, k, st.stages[g], l.p.sliceOnChip(k, g, sel, st.onChip), sel)
 }
 
-// tmuFinish closes the trailing update and retires the step's staging
-// state.
-func (l *cholLadder) tmuFinish(k int) {
-	l.p.tmuClose(k, l.trailing(k))
-	l.step[k] = nil
+// tmuFinish closes slice sel of the trailing update and, once the last
+// slice closed, retires the step's staging state.
+func (l *cholLadder) tmuFinish(k int, sel tmuSel) {
+	l.p.tmuClose(k, l.trailing(k), sel)
+	if sel != tmuLookahead {
+		l.step[k] = nil
+	}
 }
 
 // cholProductCheck verifies the factor-product checksum relation
@@ -372,20 +378,21 @@ func (p *protected) tmuRange(g, k int, sel tmuSel) (lb0, lb1 int) {
 }
 
 // cholTMUOnGPU updates GPU g's trailing block columns (restricted to the
-// slice sel selects) and their full checksums: for each local block column
-// bj > k,
+// slice sel selects) and their full checksums, the data kernels loading
+// the slice's on-chip corruption oc: for each local block column bj > k,
 //
 //	A[bj·nb:, bj] −= L21[bj·nb:]·L21[bj blk]ᵀ
 //	colChk strips  −= c(L21) strips ·L21[bj blk]ᵀ     (column checksums)
 //	rowChk pairs   −= L21[bj·nb:]·(c(L21) strip bj)ᵀ  (transposed-checksum
 //	                                                   trick of Fig. 2)
-func (p *protected) cholTMUOnGPU(g, k int, st stagePair, sel tmuSel) {
+func (p *protected) cholTMUOnGPU(g, k int, st stagePair, oc fault.OnChip, sel tmuSel) {
 	gdev := p.es.sys.GPU(g)
 	nb := p.nb
 	o := k * nb
 	chk := p.es.opts.Mode != NoChecksum
 	full := p.es.opts.Mode == Full
 	lb0, lb1 := p.tmuRange(g, k, sel)
+	oc.Apply()
 	for lb := lb0; lb < lb1; lb++ {
 		bj := p.globalBlock(g, lb)
 		r0 := bj * nb
@@ -396,7 +403,7 @@ func (p *protected) cholTMUOnGPU(g, k int, st stagePair, sel tmuSel) {
 	}
 	// On-chip corruption is transient: the checksum-maintenance kernels
 	// load the stage independently and see clean values.
-	p.es.restoreOnChip()
+	oc.Undo()
 	for lb := lb0; lb < lb1; lb++ {
 		bj := p.globalBlock(g, lb)
 		r0 := bj * nb
@@ -415,18 +422,20 @@ func (p *protected) cholTMUOnGPU(g, k int, st stagePair, sel tmuSel) {
 	}
 }
 
-// cholHeuristicAfterTMU implements the §VII.B heuristic: instead of
-// verifying the trailing matrix, re-verify each GPU's L21 stage copy. A
-// corrupted stage element at global row r contaminated trailing row r (and
-// column r, since Cholesky uses L21 on both sides as A·Aᵀ); both are
-// rebuilt from the orthogonal checksums, accounting for the second-order
-// pollution the corrupted operand left in the checksum-maintenance GEMMs.
-func (p *protected) cholHeuristicAfterTMU(k int, stages []stagePair) {
+// cholHeuristicAfterTMU implements the §VII.B heuristic for slice sel:
+// instead of verifying the trailing matrix, re-verify the L21 stage copy
+// of each GPU that checksStage assigns to the slice. A corrupted stage
+// element at global row r contaminated trailing row r (and column r, since
+// Cholesky uses L21 on both sides as A·Aᵀ) in the slice's columns; both
+// are rebuilt from the orthogonal checksums, accounting for the
+// second-order pollution the corrupted operand left in the
+// checksum-maintenance GEMMs.
+func (p *protected) cholHeuristicAfterTMU(k int, sel tmuSel, stages []stagePair) {
 	G := p.es.sys.NumGPUs()
 	nb := p.nb
 	o := k * nb
 	for g := 0; g < G; g++ {
-		if stages[g].data == nil {
+		if stages[g].data == nil || !p.checksStage(k, g, sel) {
 			continue
 		}
 		gdev := p.es.sys.GPU(g)
@@ -443,22 +452,23 @@ func (p *protected) cholHeuristicAfterTMU(k int, stages []stagePair) {
 		for _, fe := range fixed {
 			r := o + nb + fe.Row
 			clean := sd.At(fe.Row, fe.Col)
-			p.repairCholCross(g, k, r, clean, fe.D1)
+			p.repairCholCross(g, k, sel, r, clean, fe.D1)
 		}
 	}
 }
 
 // repairCholCross repairs the trailing damage of one corrupted L21 stage
-// element on GPU g: the element sat at global row r (= column r by the
-// symmetric use of L21), its repaired value is clean, and the applied
-// correction was d1 (corrupt = clean − d1). Cholesky's TMU consumed the
-// corrupted value on both sides of A₂₂ −= L21·L21ᵀ, so:
+// element in GPU g's slice sel of step k's trailing columns: the element
+// sat at global row r (= column r by the symmetric use of L21), its
+// repaired value is clean, and the applied correction was d1 (corrupt =
+// clean − d1). Cholesky's TMU consumed the corrupted value on both sides
+// of A₂₂ −= L21·L21ᵀ, so:
 //
-//   - trailing row r is wrong on g's local columns; the column checksums of
+//   - trailing row r is wrong on the slice's columns; the column checksums of
 //     those columns are clean (their update used c(L21), the checksum
 //     operand) — except column r itself, whose column-checksum update
 //     consumed the corrupted element as the B-operand;
-//   - trailing column r (if its block column lives on g) is wrong, and its
+//   - trailing column r (if the slice holds it) is wrong, and its
 //     row checksums at row r are polluted (their update used the corrupted
 //     A-operand);
 //   - element (r, r) took the corruption twice (clean² became corrupt²).
@@ -467,16 +477,16 @@ func (p *protected) cholHeuristicAfterTMU(k int, stages []stagePair) {
 // column r), reconstructs column r from row checksums (skipping row r),
 // fixes (r, r) algebraically from the known corruption magnitude, and
 // re-encodes the polluted checksum lines from the repaired data.
-func (p *protected) repairCholCross(g, k, r int, clean, d1 float64) {
+func (p *protected) repairCholCross(g, k int, sel tmuSel, r int, clean, d1 float64) {
 	defer p.es.span(obs.PhaseRecover, "repair-chol-cross", &p.es.res.RecoverT)()
 	nb := p.nb
 	gdev := p.es.sys.GPU(g)
-	lb0 := p.trailStart(g, k+1)
-	if lb0 >= p.nloc[g] {
+	lb0, lb1 := p.tmuRange(g, k, sel)
+	if lb0 >= lb1 {
 		return
 	}
 	jlo := lb0 * nb
-	cols := p.nloc[g]*nb - jlo
+	cols := lb1*nb - jlo
 	bj := r / nb
 	owned := p.owner(bj) == g
 
@@ -494,7 +504,7 @@ func (p *protected) repairCholCross(g, k, r int, clean, d1 float64) {
 	}
 	p.es.res.Counter.ReconstructedLins++
 
-	if owned && p.es.opts.Mode == Full && lcR >= 0 {
+	if owned && p.es.opts.Mode == Full && lcR >= 0 && lcR < cols {
 		// Column r: rebuilt from row checksums, skipping the polluted row r.
 		lb := p.localBlock(bj)
 		r0 := bj * nb
@@ -510,5 +520,5 @@ func (p *protected) repairCholCross(g, k, r int, clean, d1 float64) {
 		// Re-encode the polluted checksum lines from the repaired data.
 		p.reencodeColChkCol(g, lb*nb+r%nb)
 	}
-	p.reencodeRowChkRow(g, r, lb0)
+	p.reencodeRowChkRow(g, r, lb0, lb1)
 }

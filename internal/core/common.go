@@ -44,31 +44,31 @@ func copyWithin(dev *hetsim.Device, src, dst *hetsim.Buffer) {
 	})
 }
 
-// injectMem / injectOnChip / injectComp are nil-safe injector wrappers.
+// injectMem / injectOnChip / injectComp / strike are nil-safe injector
+// wrappers.
 func (es *engineSys) injectMem(it int, op fault.Op, regs []fault.Region) {
 	if es.inj != nil {
 		es.inj.InjectMem(it, op, regs)
 	}
 }
 
-func (es *engineSys) injectOnChip(it int, op fault.Op, regs []fault.Region) {
-	if es.inj != nil {
-		es.inj.InjectOnChip(it, op, regs)
+func (es *engineSys) injectOnChip(it int, op fault.Op, regs []fault.Region) fault.OnChip {
+	if es.inj == nil {
+		return nil
 	}
+	return es.inj.InjectOnChip(it, op, regs)
 }
 
-func (es *engineSys) injectComp(it int, op fault.Op, regs []fault.Region) {
-	if es.inj != nil {
-		es.inj.InjectComp(it, op, regs)
+func (es *engineSys) injectComp(it int, op fault.Op, regs []fault.Region, ready func(fault.Target) bool) []fault.Target {
+	if es.inj == nil {
+		return nil
 	}
+	return es.inj.InjectComp(it, op, regs, ready)
 }
 
-// restoreOnChip undoes pending on-chip corruption between an operation's
-// data kernel and its checksum-maintenance kernels (see
-// fault.Injector.RestoreOnChip).
-func (es *engineSys) restoreOnChip() {
+func (es *engineSys) strike(ts []fault.Target) {
 	if es.inj != nil {
-		es.inj.RestoreOnChip()
+		es.inj.Strike(ts)
 	}
 }
 

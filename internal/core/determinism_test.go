@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ftla/internal/checksum"
+	"ftla/internal/fault"
 )
 
 // TestLookaheadDeterminism runs every configuration several times on fresh
@@ -14,28 +15,51 @@ import (
 // streams run on real goroutines while the host pulls and factorizes the
 // next panel, so a clock that billed an operation by wall-clock
 // interleaving would drift here; the serial schedule rows pin that the
-// topologies themselves are deterministic.
+// topologies themselves are deterministic. The injected rows add on-chip
+// faults on step 2's panel factorization and trailing update, whose
+// transient corruption the look-ahead schedule applies inside the
+// launched trailing slices, and require the same events each time too.
 func TestLookaheadDeterminism(t *testing.T) {
 	const n, nb, runs = 384, 32, 3
+	onChip := []fault.Spec{
+		{Kind: fault.OnChipMemory, Op: fault.PD, Part: fault.UpdatePart, Iteration: 2, Row: -1, Col: -1},
+		{Kind: fault.OnChipMemory, Op: fault.TMU, Part: fault.ReferencePart, Iteration: 2, Row: -1, Col: -1},
+	}
 	for _, nodes := range []int{1, 2, 4} {
 		for _, decomp := range []string{"cholesky", "lu", "qr"} {
 			for _, lookahead := range []int{0, 1} {
-				opts := Options{NB: nb, Mode: Full, Scheme: NewScheme,
-					Kernel: checksum.OptKernel, Lookahead: lookahead}
-				label := fmt.Sprintf("%s nodes=%d la=%d", decomp, nodes, lookahead)
-				var first string
-				for r := 0; r < runs; r++ {
-					out, piv, tau, res, err := runDecomp(decomp, clusterSystem(4, nodes), pipelineInput(decomp, n), opts)
-					if err != nil {
-						t.Fatalf("%s run %d: %v", label, r, err)
-					}
-					got := fmt.Sprintf("sim=%x pcie=%d internode=%d flops=%d bits=%016x",
-						math.Float64bits(res.SimMakespan), res.PCIeBytes, res.InternodeBytes,
-						res.Flops, factorBits(out, piv, tau))
-					if r == 0 {
-						first = got
-					} else if got != first {
-						t.Errorf("%s run %d differs from run 0:\n got  %s\n want %s", label, r, got, first)
+				for _, specs := range [][]fault.Spec{nil, onChip} {
+					opts := Options{NB: nb, Mode: Full, Scheme: NewScheme,
+						Kernel: checksum.OptKernel, Lookahead: lookahead}
+					label := fmt.Sprintf("%s nodes=%d la=%d faults=%v", decomp, nodes, lookahead, specs)
+					var first string
+					for r := 0; r < runs; r++ {
+						var inj *fault.Injector
+						if specs != nil {
+							inj = fault.NewInjector(21)
+							for _, s := range specs {
+								inj.Schedule(s)
+							}
+							opts.Injector = inj
+						}
+						out, piv, tau, res, err := runDecomp(decomp, clusterSystem(4, nodes), pipelineInput(decomp, n), opts)
+						if err != nil {
+							t.Fatalf("%s run %d: %v", label, r, err)
+						}
+						got := fmt.Sprintf("sim=%x pcie=%d internode=%d flops=%d bits=%016x counter=%+v",
+							math.Float64bits(res.SimMakespan), res.PCIeBytes, res.InternodeBytes,
+							res.Flops, factorBits(out, piv, tau), res.Counter)
+						if inj != nil {
+							if len(inj.Events()) != len(specs) {
+								t.Fatalf("%s run %d: %d of %d faults fired", label, r, len(inj.Events()), len(specs))
+							}
+							got += fmt.Sprintf(" events=%v", inj.Events())
+						}
+						if r == 0 {
+							first = got
+						} else if got != first {
+							t.Errorf("%s run %d differs from run 0:\n got  %s\n want %s", label, r, got, first)
+						}
 					}
 				}
 			}

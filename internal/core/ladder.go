@@ -89,12 +89,16 @@ func (b *ladderBase) layout() *protected { return b.p }
 
 // panelStep is the staging state of one ladder step: the panel pulled to
 // the CPU (and its checksum strips) from panelFactor until it is written
-// back, and the per-GPU stages of the broadcast panel until tmuFinish
-// retires them.
+// back, the per-GPU stages of the broadcast panel until tmuFinish retires
+// them, and the trailing update's fault windows: the on-chip corruption
+// its slices load, and the computation faults aimed at trailing columns
+// the look-ahead schedule has not updated yet.
 type panelStep struct {
 	cpuPanel, cpuChk *hetsim.Buffer
 	pm, cm           *matrix.Dense
 	stages           []stagePair
+	onChip           fault.OnChip
+	comp             []fault.Target
 }
 
 // pull stages rows [k·nb, k·nb+rows) of block column k, and their column
@@ -144,10 +148,13 @@ func (p *protected) factorPanel(k int, st *panelStep, run func() error, check fu
 	if chk {
 		snapChk = st.cm.Clone()
 	}
-	es.injectOnChip(k, fault.PD, regs)
+	onChip := es.injectOnChip(k, fault.PD, regs)
 	for attempt := 0; ; attempt++ {
+		onChip.Apply()
 		err := run()
-		es.injectComp(k, fault.PD, regs)
+		onChip.Undo()
+		onChip = nil
+		es.injectComp(k, fault.PD, regs, nil)
 		ok := err == nil
 		if ok && es.pl.afterPDCPU && chk {
 			es.res.Counter.PDAfter += st.pm.Rows / p.nb
@@ -261,55 +268,115 @@ func (p *protected) checkBroadcast(stages []stagePair, counter *int, strips int,
 }
 
 // tmuStep is what the trailing-update bracket needs from one ladder step:
-// the TMU fault regions, the staged panels TMU reads and their checksum
-// strip count, the first trailing row, and the decomposition's §VII.B
-// heuristic check.
+// the TMU fault regions, the step's staging state (the staged panels TMU
+// reads and its fault windows) and the panels' checksum strip count, the
+// first trailing row, and the decomposition's §VII.B heuristic check over
+// one slice (see checksStage).
 type tmuStep struct {
 	regs      []fault.Region
-	stages    []stagePair
+	step      *panelStep
 	strips    int
 	rlo       int
-	heuristic func()
+	heuristic func(sel tmuSel)
 }
 
 // tmuOpen opens step k's trailing update: the memory-fault window, the
-// plan's pre-TMU verification, and the on-chip window.
+// plan's pre-TMU verification, and the on-chip window, whose corruption
+// the step keeps for the slices that load it (see sliceOnChip).
 func (p *protected) tmuOpen(k int, t tmuStep) {
 	es := p.es
 	chk := es.opts.Mode != NoChecksum
 	es.injectMem(k, fault.TMU, t.regs)
 	if es.pl.beforeTMUPanels && chk {
-		_, _ = p.verifyStages(t.stages, &es.res.Counter.TMUBefore, t.strips)
+		_, _ = p.verifyStages(t.step.stages, &es.res.Counter.TMUBefore, t.strips)
 	}
 	if es.pl.beforeTMUTrailing && chk {
-		p.checkTrailing(t.rlo, k+1, &es.res.Counter.TMUBefore)
+		p.checkTrailing(t.rlo, k, tmuAll, &es.res.Counter.TMUBefore)
 	}
-	es.injectOnChip(k, fault.TMU, t.regs)
+	t.step.onChip = es.injectOnChip(k, fault.TMU, t.regs)
 }
 
-// tmuClose closes step k's trailing update: the computation-fault window,
-// the plan's post-TMU verification or §VII.B heuristic, and the periodic
-// trailing check.
-func (p *protected) tmuClose(k int, t tmuStep) {
+// tmuClose closes slice sel of step k's trailing update, right after that
+// slice ran: the computation-fault window, the plan's post-TMU
+// verification or §VII.B heuristic, and the periodic trailing check, over
+// the slice's columns. The look-ahead slice closes before the rest
+// launches, so the look-ahead column is struck, checked and repaired
+// before panel k+1 is factored, as in the serial schedule. A computation
+// fault aimed at a column the rest has not updated yet waits on the step
+// until the rest closes.
+func (p *protected) tmuClose(k int, t tmuStep, sel tmuSel) {
 	es := p.es
 	chk := es.opts.Mode != NoChecksum
-	es.injectComp(k, fault.TMU, t.regs)
+	st := t.step
+	ready := func(tg fault.Target) bool { return p.reads(k, faultGPU, sel, tg) }
+	st.comp = append(st.comp, es.injectComp(k, fault.TMU, t.regs, ready)...)
+	if sel != tmuLookahead {
+		es.strike(st.comp)
+		st.comp = nil
+	}
 	if es.pl.afterTMUTrailing && chk {
-		p.checkTrailing(t.rlo, k+1, &es.res.Counter.TMUAfter)
+		p.checkTrailing(t.rlo, k, sel, &es.res.Counter.TMUAfter)
 	}
 	if es.pl.afterTMUHeuristic && chk {
-		t.heuristic()
+		t.heuristic(sel)
 	}
 	if every := es.opts.PeriodicTrailingCheck; every > 0 && (k+1)%every == 0 && chk {
-		p.checkTrailing(t.rlo, k+1, &es.res.Counter.TMUAfter)
+		p.checkTrailing(t.rlo, k, sel, &es.res.Counter.TMUAfter)
 	}
 }
 
-// checkTrailing verifies and repairs the trailing region (rows >= rlo,
-// block columns >= bj0), adds the verified blocks to counter, and marks
-// the run unrecoverable when the repair fails.
-func (p *protected) checkTrailing(rlo, bj0 int, counter *int) {
-	worst, blocks := p.verifyTrailingCol(rlo, bj0)
+// faultGPU is the GPU whose memory the PU and TMU fault regions expose
+// (the drivers' region builders read GPU 0's stage and trailing columns).
+const faultGPU = 0
+
+// reads reports whether GPU g's slice sel of step k's trailing update
+// loads the element t of a TMU fault region targets: GPU faultGPU's panel
+// stage (columns of block k) is loaded by each of its slices, and one of
+// its trailing columns only by the slice that updates it.
+func (p *protected) reads(k, g int, sel tmuSel, t fault.Target) bool {
+	if g != faultGPU {
+		return false
+	}
+	if t.Region.Col0 < (k+1)*p.nb {
+		return true
+	}
+	lb := p.trailStart(g, k+1) + t.J/p.nb
+	lo, hi := p.tmuRange(g, k, sel)
+	return lo <= lb && lb < hi
+}
+
+// checksStage reports whether the §VII.B heuristic closing slice sel of
+// step k re-verifies GPU g's stage. The look-ahead column's owner checks
+// its stage with the look-ahead slice: that column feeds panel k+1, and a
+// stage repaired there is clean when the owner's remaining slice loads
+// it. Every other GPU checks with the rest.
+func (p *protected) checksStage(k, g int, sel tmuSel) bool {
+	switch sel {
+	case tmuLookahead:
+		return g == p.owner(k+1)
+	case tmuRest:
+		return g != p.owner(k+1)
+	}
+	return true
+}
+
+// sliceOnChip returns the part of step k's on-chip corruption oc that GPU
+// g's slice sel loads.
+func (p *protected) sliceOnChip(k, g int, sel tmuSel, oc fault.OnChip) fault.OnChip {
+	var out fault.OnChip
+	for _, f := range oc {
+		if p.reads(k, g, sel, f.Target) {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// checkTrailing verifies and repairs slice sel of step k's trailing region
+// (rows >= rlo), adds the verified blocks to counter, and marks the run
+// unrecoverable when the repair fails.
+func (p *protected) checkTrailing(rlo, k int, sel tmuSel, counter *int) {
+	worst, blocks := p.verifyTrailingCol(rlo, k, sel)
 	*counter += blocks
 	if worst == repairFailed {
 		p.es.res.Unrecoverable = true

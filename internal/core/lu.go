@@ -37,12 +37,13 @@ func LU(sys *hetsim.System, a *matrix.Dense, opts Options) (*matrix.Dense, []int
 }
 
 // luStep is the staging state an LU ladder step carries between stages:
-// the pulled CPU panel and its local pivots from panelFactor until
-// panelCommit broadcasts it, and the received panel stages until tmuFinish
-// retires them.
+// the pulled CPU panel, its local pivots and the rows its pre-PD check
+// corrected from panelFactor until panelCommit broadcasts it, and the
+// received panel stages until tmuFinish retires them.
 type luStep struct {
 	panelStep
-	lpiv []int
+	lpiv    []int
+	touched []int
 }
 
 // luLadder is the LU instantiation of the step-runtime ladder.
@@ -58,9 +59,8 @@ func newLULadder(p *protected) ladder {
 
 // checkpoint snapshots the distributed state after step next-1 plus the
 // pivot history of the finished steps. Pivot entries beyond next·NB are
-// zeroed: under look-ahead, panelFactor(next) has already written its local
-// pivots, and a resumed run replays that factorization anyway — zeroing
-// keeps the snapshot identical across schedules.
+// zeroed: after a rollback they still hold the abandoned pass's pivots,
+// and a resumed run replays those steps anyway.
 func (l *luLadder) checkpoint(next int) *Checkpoint {
 	cp := l.p.captureCheckpoint(next)
 	cp.Piv = make([]int, len(l.piv))
@@ -78,10 +78,11 @@ func (l *luLadder) resume(cp *Checkpoint) {
 }
 
 // panelFactor pulls the full column panel (and its checksum strips) to the
-// CPU, verifies it — with the §VII.B Fig. 4b contamination probes under
-// Full mode — and factors it with GETF2 under the shared local restart,
-// whose check is the factor-product relation. The panel stays staged
-// host-side; panelCommit owns the writeback and broadcast.
+// CPU, verifies it — noting the corrected rows for panelPivot's §VII.B
+// Fig. 4b contamination probes under Full mode — and factors it with GETF2
+// under the shared local restart, whose check is the factor-product
+// relation. The panel stays staged host-side; panelCommit owns the
+// writeback and broadcast.
 func (l *luLadder) panelFactor(k int) {
 	p, es := l.p, l.p.es
 	cpu := es.sys.CPU()
@@ -113,19 +114,9 @@ func (l *luLadder) panelFactor(k int) {
 			res.Unrecoverable = true
 		}
 		res.Counter.PDBefore += p.nbr - k
-		// §VII.B Fig. 4b: corrections in the panel may be the visible
-		// edge of a 1-D row contamination from an earlier on-chip TMU
-		// fault; probe and repair the full rows across the trailing
-		// matrix (data and polluted row checksums).
 		if full {
-			seen := map[int]bool{}
 			for _, fe := range fixed {
-				r := o + fe.Row
-				if seen[r] {
-					continue
-				}
-				seen[r] = true
-				p.probeRow(r, k)
+				st.touched = append(st.touched, o+fe.Row)
 			}
 		}
 	}
@@ -176,6 +167,20 @@ func (l *luLadder) panelPivot(k int) {
 	full := es.opts.Mode == Full
 	st := l.step[k]
 
+	// §VII.B Fig. 4b: corrections the pre-PD check made in the panel may
+	// be the visible edge of a 1-D row contamination from an earlier
+	// on-chip TMU fault; probe and repair the full rows across the
+	// trailing matrix (data and polluted row checksums). The probe runs
+	// here, not in panelFactor, because under look-ahead the panel is
+	// factored while the previous step's trailing update still writes
+	// those rows; both schedules reach this point after it joined.
+	seen := map[int]bool{}
+	for _, r := range st.touched {
+		if !seen[r] {
+			seen[r] = true
+			p.probeRow(r, k)
+		}
+	}
 	if full {
 		probed := map[int]bool{}
 		for j, lp := range st.lpiv {
@@ -259,7 +264,7 @@ func (l *luLadder) panelUpdate(k int) {
 			copyWithin(gdev, rslab, snaps[g].rchk)
 		}
 	}
-	es.injectOnChip(k, fault.PU, puRegs)
+	onChip := es.injectOnChip(k, fault.PU, puRegs)
 	runPU := func(g int) {
 		gdev := sys.GPU(g)
 		lb0 := snaps[g].lb0
@@ -269,10 +274,16 @@ func (l *luLadder) panelUpdate(k int) {
 		cols := p.nloc[g]*nb - lb0*nb
 		l11 := st.stages[g].data.View(0, 0, nb, nb)
 		rowPanel := p.local[g].View(o, lb0*nb, nb, cols)
+		// The regions are GPU faultGPU's, and only its first run loads
+		// the on-chip corruption: transient on-chip corruption is not
+		// visible to the checksum TRSM's independent loads.
+		var oc fault.OnChip
+		if g == faultGPU {
+			oc, onChip = onChip, nil
+		}
+		oc.Apply()
 		gdev.Trsm(blas.Left, true, false, true, 1, l11, rowPanel)
-		// Transient on-chip corruption is not visible to the checksum
-		// TRSM's independent loads.
-		es.restoreOnChip()
+		oc.Undo()
 		if full {
 			rslab := p.rowChk[g].View(o, 2*lb0, nb, 2*(p.nloc[g]-lb0))
 			gdev.Trsm(blas.Left, true, false, true, 1, l11, rslab)
@@ -281,7 +292,7 @@ func (l *luLadder) panelUpdate(k int) {
 	for g := 0; g < G; g++ {
 		runPU(g)
 	}
-	es.injectComp(k, fault.PU, puRegs)
+	es.injectComp(k, fault.PU, puRegs, nil)
 	if pl.afterPU && full {
 		p.luVerifyRowPanelPostPU(k, snaps, runPU, &res.Counter.PUAfter)
 	}
@@ -293,9 +304,9 @@ func (l *luLadder) panelUpdate(k int) {
 func (l *luLadder) trailing(k int) tmuStep {
 	p, st := l.p, l.step[k]
 	return tmuStep{
-		regs: p.luTMURegions(k, st.stages), stages: st.stages,
+		regs: p.luTMURegions(k, st.stages), step: &st.panelStep,
 		strips: p.nbr - k, rlo: (k + 1) * p.nb,
-		heuristic: func() { p.luHeuristicAfterTMU(k, st.stages) },
+		heuristic: func(sel tmuSel) { p.luHeuristicAfterTMU(k, sel, st.stages) },
 	}
 }
 
@@ -304,14 +315,17 @@ func (l *luLadder) tmuBegin(k int) { l.p.tmuOpen(k, l.trailing(k)) }
 // tmuGPU applies GPU g's slice of the Schur update (kernels only; the
 // look-ahead schedule may run the tmuRest slice inside a stream).
 func (l *luLadder) tmuGPU(k, g int, sel tmuSel) {
-	l.p.luTMUOnGPU(g, k, l.step[k].stages[g], sel)
+	st := l.step[k]
+	l.p.luTMUOnGPU(g, k, st.stages[g], l.p.sliceOnChip(k, g, sel, st.onChip), sel)
 }
 
-// tmuFinish closes the trailing update and retires the step's staging
-// state.
-func (l *luLadder) tmuFinish(k int) {
-	l.p.tmuClose(k, l.trailing(k))
-	l.step[k] = nil
+// tmuFinish closes slice sel of the trailing update and, once the last
+// slice closed, retires the step's staging state.
+func (l *luLadder) tmuFinish(k int, sel tmuSel) {
+	l.p.tmuClose(k, l.trailing(k), sel)
+	if sel != tmuLookahead {
+		l.step[k] = nil
+	}
 }
 
 // luPUSnap holds one GPU's pre-PU row-panel snapshot for local restart.
@@ -488,7 +502,8 @@ func (p *protected) luVerifyRowPanelPostPU(k int, ss []luPUSnap, runPU func(g in
 }
 
 // luTMUOnGPU applies the Schur update and full checksum maintenance on the
-// slice of GPU g's trailing block columns sel selects:
+// slice of GPU g's trailing block columns sel selects, the data kernel
+// loading the slice's on-chip corruption oc:
 //
 //	A22        −= L21·U12
 //	colChk     −= c(L21)·U12                 (strips k+1..)
@@ -496,7 +511,7 @@ func (p *protected) luVerifyRowPanelPostPU(k int, ss []luPUSnap, runPU func(g in
 //
 // The update is column-sliced, so restricting the output columns leaves
 // every computed element bit-identical to the full-width call.
-func (p *protected) luTMUOnGPU(g, k int, st stagePair, sel tmuSel) {
+func (p *protected) luTMUOnGPU(g, k int, st stagePair, oc fault.OnChip, sel tmuSel) {
 	gdev := p.es.sys.GPU(g)
 	nb := p.nb
 	o := k * nb
@@ -510,9 +525,10 @@ func (p *protected) luTMUOnGPU(g, k int, st stagePair, sel tmuSel) {
 	l21 := st.data.View(nb, 0, m2, nb)
 	u12 := p.local[g].View(o, jlo, nb, cols)
 	c := p.local[g].View(o+nb, jlo, m2, cols)
+	oc.Apply()
 	gdev.Gemm(false, false, -1, l21, u12, 1, c)
 	// Transient on-chip corruption is not visible to the checksum kernels.
-	p.es.restoreOnChip()
+	oc.Undo()
 	if p.es.opts.Mode != NoChecksum {
 		cStage := st.chk.View(2, 0, 2*(p.nbr-k-1), nb) // strips k+1..nbr of L21
 		cc := p.colChk[g].View(2*(k+1), jlo, 2*(p.nbr-k-1), cols)
@@ -525,13 +541,14 @@ func (p *protected) luTMUOnGPU(g, k int, st stagePair, sel tmuSel) {
 	}
 }
 
-// luHeuristicAfterTMU re-verifies each GPU's panel copies instead of the
-// trailing matrix (§VII.B): the L21 stage via column checksums and the U12
-// row panel via row checksums. A corrupted stage element at global row r
-// contaminated trailing row r on that GPU; a corrupted U12 element at
-// global column c contaminated trailing column c. Both are rebuilt from
-// the orthogonal checksum dimension.
-func (p *protected) luHeuristicAfterTMU(k int, stages []stagePair) {
+// luHeuristicAfterTMU re-verifies panel copies instead of the trailing
+// matrix (§VII.B), for slice sel: the L21 stage via column checksums on
+// each GPU checksStage assigns to the slice, and the U12 row panel of the
+// slice's columns via row checksums. A corrupted stage element at global
+// row r contaminated trailing row r in that GPU's slice; a corrupted U12
+// element at global column c contaminated trailing column c. Both are
+// rebuilt from the orthogonal checksum dimension.
+func (p *protected) luHeuristicAfterTMU(k int, sel tmuSel, stages []stagePair) {
 	nb := p.nb
 	o := k * nb
 	G := p.es.sys.NumGPUs()
@@ -540,27 +557,28 @@ func (p *protected) luHeuristicAfterTMU(k int, stages []stagePair) {
 			continue
 		}
 		gdev := p.es.sys.GPU(g)
-		// L21 stage copy (full panel stage; only rows >= o+nb feed TMU).
-		out, fixed := p.verifyRepair(colAxis, gdev.Workers(), stages[g].data.Access(gdev), stages[g].chk.Access(gdev), nil)
-		p.es.res.Counter.TMUAfter += p.nbr - k
-		if out == repairFailed {
-			p.es.res.Unrecoverable = true
-		}
-		for _, fe := range fixed {
-			if fe.Row < nb {
-				continue // L11/U11 part: not referenced by TMU
+		if p.checksStage(k, g, sel) {
+			// L21 stage copy (full panel stage; only rows >= o+nb feed TMU).
+			out, fixed := p.verifyRepair(colAxis, gdev.Workers(), stages[g].data.Access(gdev), stages[g].chk.Access(gdev), nil)
+			p.es.res.Counter.TMUAfter += p.nbr - k
+			if out == repairFailed {
+				p.es.res.Unrecoverable = true
 			}
-			r := o + fe.Row
-			p.luRepairTrailingRow(g, k, r)
+			for _, fe := range fixed {
+				if fe.Row < nb {
+					continue // L11/U11 part: not referenced by TMU
+				}
+				p.luRepairTrailingRow(g, k, sel, o+fe.Row)
+			}
 		}
 		// U12 row panel via row checksums.
-		lb0 := p.trailStart(g, k+1)
-		if lb0 >= p.nloc[g] || p.es.opts.Mode != Full {
+		lb0, lb1 := p.tmuRange(g, k, sel)
+		if lb0 >= lb1 || p.es.opts.Mode != Full {
 			continue
 		}
-		cols := p.nloc[g]*nb - lb0*nb
+		cols := (lb1 - lb0) * nb
 		data := p.local[g].View(o, lb0*nb, nb, cols).Access(gdev)
-		rchk := p.rowChk[g].View(o, 2*lb0, nb, 2*(p.nloc[g]-lb0)).Access(gdev)
+		rchk := p.rowChk[g].View(o, 2*lb0, nb, 2*(lb1-lb0)).Access(gdev)
 		stop := p.es.span(obs.PhaseVerify, "verify-row", &p.es.res.VerifyT)
 		ms := checksum.VerifyRow(gdev.Workers(), data, nb, rchk, p.tol)
 		stop()
@@ -574,8 +592,7 @@ func (p *protected) luHeuristicAfterTMU(k int, stages []stagePair) {
 			if lc, ok := checksum.Locate(m2, nb); ok {
 				checksum.CorrectRow(data, nb, m2, lc)
 				p.es.res.Counter.CorrectedElements++
-				localCol := m2.Strip*nb + lc
-				p.luRepairTrailingColumn(g, k, localCol)
+				p.luRepairTrailingColumn(g, k, (lb0+m2.Strip)*nb+lc)
 			} else {
 				p.es.res.Unrecoverable = true
 			}
@@ -583,45 +600,40 @@ func (p *protected) luHeuristicAfterTMU(k int, stages []stagePair) {
 	}
 }
 
-// luRepairTrailingRow rebuilds trailing row r across GPU g's trailing
-// columns from the maintained column checksums.
-func (p *protected) luRepairTrailingRow(g, k, r int) {
+// luRepairTrailingRow rebuilds trailing row r across GPU g's slice sel of
+// step k's trailing columns from the maintained column checksums.
+func (p *protected) luRepairTrailingRow(g, k int, sel tmuSel, r int) {
 	defer p.es.span(obs.PhaseRecover, "lu-repair-trailing-row", &p.es.res.RecoverT)()
 	nb := p.nb
 	gdev := p.es.sys.GPU(g)
-	lb0 := p.trailStart(g, k+1)
-	if lb0 >= p.nloc[g] {
+	lb0, lb1 := p.tmuRange(g, k, sel)
+	if lb0 >= lb1 {
 		return
 	}
 	jlo := lb0 * nb
-	cols := p.nloc[g]*nb - jlo
+	cols := lb1*nb - jlo
 	data := p.local[g].View(0, jlo, p.n, cols).Access(gdev)
 	chkv := p.colChk[g].View(0, jlo, 2*p.nbr, cols).Access(gdev)
 	checksum.ReconstructRow(data, nb, chkv, r, 0, cols)
 	// The TMU row-checksum update consumed the corrupted L21 operand, so
 	// row r's row checksums are polluted; re-encode from the repaired row.
-	p.reencodeRowChkRow(g, r, lb0)
+	p.reencodeRowChkRow(g, r, lb0, lb1)
 	p.es.res.Counter.ReconstructedLins++
 }
 
-// luRepairTrailingColumn rebuilds the trailing part of GPU g's local
-// column (view-relative localCol, counted from the first trailing local
-// column) from the maintained row checksums.
+// luRepairTrailingColumn rebuilds the part below step k's row panel of GPU
+// g's local column localCol from the maintained row checksums.
 func (p *protected) luRepairTrailingColumn(g, k, localCol int) {
 	defer p.es.span(obs.PhaseRecover, "lu-repair-trailing-col", &p.es.res.RecoverT)()
 	nb := p.nb
 	o := k * nb
 	gdev := p.es.sys.GPU(g)
-	lb0 := p.trailStart(g, k+1)
-	lb := lb0 + localCol/nb
-	if lb >= p.nloc[g] {
-		return
-	}
+	lb := localCol / nb
 	data := p.local[g].View(o+nb, lb*nb, p.n-o-nb, nb).Access(gdev)
 	rchk := p.rowChk[g].View(o+nb, 2*lb, p.n-o-nb, 2).Access(gdev)
 	checksum.ReconstructColumn(data, nb, rchk, localCol%nb, 0, data.Rows)
 	// The TMU column-checksum update consumed the corrupted U12 operand,
 	// so this column's column checksums are polluted; re-encode.
-	p.reencodeColChkCol(g, lb*nb+localCol%nb)
+	p.reencodeColChkCol(g, localCol)
 	p.es.res.Counter.ReconstructedLins++
 }

@@ -249,7 +249,7 @@ func TestLUSwapChecksumConsistency(t *testing.T) {
 	for _, s := range swaps {
 		p.swapRows(s[0], s[1], 0, p.nbr)
 	}
-	worst, _ := p.verifyTrailingCol(0, 0)
+	worst, _ := p.verifyTrailingCol(0, -1, tmuAll)
 	if worst != repairClean {
 		t.Fatalf("maintained checksums diverged after swaps: %v", worst)
 	}

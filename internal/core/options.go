@@ -146,9 +146,8 @@ type Options struct {
 	// CPU pulls and factorizes panel k+1 while the GPUs run step k's
 	// trailing update on asynchronous streams, and each GPU's trailing
 	// update runs concurrently with the others'. Results are bit-identical
-	// in both schedules. When a fault Injector is attached the runtime
-	// falls back to the serial schedule so every injection window fires in
-	// exactly the stage it targets (see DESIGN.md §8).
+	// in both schedules, and injection windows sit at the same logical
+	// point of the factorization in both (see DESIGN.md §8).
 	Lookahead int
 	// CheckpointEvery, when > 0, snapshots the factorization state into a
 	// host-side Checkpoint after every CheckpointEvery-th ladder step whose
@@ -206,9 +205,8 @@ type Options struct {
 type Rebalance struct {
 	// Every is the rebalance interval in ladder steps; 0 (the zero value)
 	// disables rebalancing entirely and negative values are rejected by
-	// Validate. Rebalancing also stays off — regardless of Every — while a
-	// fault Injector is attached (injection windows address regions by the
-	// static layout) and on single-GPU systems (nothing to re-split).
+	// Validate. Rebalancing also stays off — regardless of Every — on
+	// single-GPU systems (nothing to re-split).
 	Every int
 	// MinShare is the floor fraction of the remaining trailing columns
 	// every GPU keeps (rounded to whole columns, at least one while any

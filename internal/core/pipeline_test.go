@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"ftla/internal/checksum"
@@ -170,32 +172,93 @@ func TestPipelineJournalCanonicalOrder(t *testing.T) {
 	}
 }
 
-// TestPipelineInjectionScheduleInvariant: with a fault injector attached the
-// runtime falls back to the serial schedule, so a Lookahead=1 run under
-// injected corruption behaves exactly like the Lookahead=0 run — same
-// repairs, same counters, bit-identical repaired factor.
+// injectionSweepCases enumerates single-fault configurations for the
+// cross-schedule sweep: every decomposition under every protected
+// configuration with each fault kind striking each operation at steps 1
+// and 2 (the update part; on-chip faults the reference part, and off-chip
+// faults both parts), plus, per decomposition, the double DRAM fault
+// SingleSide cannot repair under CheckpointEvery 2 at steps 2 and 3 — a
+// rollback to the checkpoint after step 1, and a fault in the step right
+// after a checkpoint.
+func injectionSweepCases() []fingerprintCase {
+	protected := []struct {
+		mode   Mode
+		scheme Scheme
+	}{
+		{Full, NewScheme}, {Full, PostOp}, {Full, PriorOp}, {SingleSide, NewScheme},
+	}
+	kinds := []fault.Kind{fault.Computation, fault.OffChipMemory, fault.OnChipMemory, fault.Communication}
+	var out []fingerprintCase
+	for _, decomp := range []string{"cholesky", "lu", "qr"} {
+		ops := []fault.Op{fault.PD, fault.PU, fault.TMU}
+		if decomp == "qr" {
+			ops = []fault.Op{fault.PD, fault.TMU}
+		}
+		for _, pc := range protected {
+			for _, it := range []int{1, 2} {
+				for _, kind := range kinds {
+					for _, op := range ops {
+						spec := fault.Spec{Kind: kind, Op: op, Part: fault.UpdatePart, Iteration: it, Bits: 2, Row: -1, Col: -1, GPUTarget: 1}
+						if kind == fault.OnChipMemory {
+							spec.Part = fault.ReferencePart
+						}
+						out = append(out, fingerprintCase{decomp: decomp, mode: pc.mode, scheme: pc.scheme, specs: []fault.Spec{spec}})
+						if kind == fault.OffChipMemory {
+							spec.Part = fault.ReferencePart
+							out = append(out, fingerprintCase{decomp: decomp, mode: pc.mode, scheme: pc.scheme, specs: []fault.Spec{spec}})
+						}
+					}
+				}
+			}
+		}
+		for _, it := range []int{2, 3} {
+			out = append(out, fingerprintCase{decomp: decomp, mode: SingleSide, scheme: NewScheme, ckEvery: 2, specs: []fault.Spec{
+				{Kind: fault.OffChipMemory, Op: fault.PD, Part: fault.ReferencePart, Iteration: it, Row: 1, Col: 0},
+				{Kind: fault.OffChipMemory, Op: fault.PD, Part: fault.ReferencePart, Iteration: it, Row: 2, Col: 0},
+			}})
+		}
+	}
+	return out
+}
+
+// TestPipelineInjectionScheduleInvariant: injection windows sit at the
+// same logical point of the factorization under both schedules. Over the
+// sweep on 2 GPUs, every Lookahead=1 run must agree with its Lookahead=0
+// twin on the verdict (Detected, Unrecoverable, Checkpoints, Rollbacks),
+// on whether the factor meets the residual bound, and on every injected
+// event — element, old and new value — and must finish earlier on the
+// simulated clock.
 func TestPipelineInjectionScheduleInvariant(t *testing.T) {
-	inject := func(lookahead int) (pipelineRun, *fault.Injector) {
-		inj := fault.NewInjector(11)
-		inj.Schedule(fault.Spec{Kind: fault.OffChipMemory, Op: fault.PD, Iteration: 2, Part: fault.UpdatePart})
-		inj.Schedule(fault.Spec{Kind: fault.Computation, Op: fault.TMU, Iteration: 1})
-		opts := Options{NB: 16, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel,
-			Injector: inj, Lookahead: lookahead}
-		return runPipeline(t, "cholesky", 96, 2, opts), inj
-	}
-	serial, injS := inject(0)
-	la, injL := inject(1)
-	if len(injS.Events()) == 0 || len(injS.Events()) != len(injL.Events()) {
-		t.Fatalf("injection events differ: serial %d vs look-ahead %d",
-			len(injS.Events()), len(injL.Events()))
-	}
-	if !serial.res.Detected || !la.res.Detected {
-		t.Fatal("injected faults went undetected")
-	}
-	comparePipelineRuns(t, "cholesky/injected", serial, la)
-	a := pipelineInput("cholesky", 96)
-	if r := matrix.CholeskyResidual(a, la.out); r > 1e-11 {
-		t.Fatalf("look-ahead run under injection left residual %g", r)
+	const n = 128
+	for i, c := range injectionSweepCases() {
+		run := func(lookahead int) (*Result, bool, []fault.Event) {
+			inj := fault.NewInjector(uint64(1000 + i))
+			for _, s := range c.specs {
+				inj.Schedule(s)
+			}
+			opts := Options{NB: 16, Mode: c.mode, Scheme: c.scheme, Kernel: checksum.OptKernel,
+				Lookahead: lookahead, CheckpointEvery: c.ckEvery, Injector: inj}
+			a := pipelineInput(c.decomp, n)
+			out, piv, tau, res, err := runDecomp(c.decomp, testSystem(2), a, opts)
+			if err != nil {
+				t.Fatalf("%s la=%d: %v", c.label(), lookahead, err)
+			}
+			return res, decompResidual(c.decomp, a, out, piv, tau) <= 1e-9, inj.Events()
+		}
+		serial, serialOK, serialEvs := run(0)
+		la, laOK, laEvs := run(1)
+		verdict := func(r *Result, ok bool) string {
+			return fmt.Sprintf("det=%t unrec=%t ck=%d rb=%d residual-ok=%t", r.Detected, r.Unrecoverable, r.Checkpoints, r.Rollbacks, ok)
+		}
+		if v, w := verdict(la, laOK), verdict(serial, serialOK); v != w {
+			t.Errorf("%s: look-ahead verdict %s, serial %s", c.label(), v, w)
+		}
+		if !slices.Equal(laEvs, serialEvs) {
+			t.Errorf("%s: look-ahead events %v, serial %v", c.label(), laEvs, serialEvs)
+		}
+		if la.SimMakespan >= serial.SimMakespan {
+			t.Errorf("%s: look-ahead makespan %g not below serial %g", c.label(), la.SimMakespan, serial.SimMakespan)
+		}
 	}
 }
 

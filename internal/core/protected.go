@@ -518,25 +518,25 @@ func (p *protected) fullColumnRepair(g, jlo int) func(col int) bool {
 	return func(col int) bool { return p.repairFullColumn(g, jlo+col) }
 }
 
-// verifyTrailingCol verifies (and repairs) the column checksums of the
-// trailing region rows >= rlo, block columns >= bj0 across every GPU.
-// blocks counts the matrix blocks verified for the Table VI counters.
-// Under Full mode, 1-D column corruption is repaired from the local row
-// checksums, and repaired rows/columns get their orthogonal checksums
-// re-encoded.
-func (p *protected) verifyTrailingCol(rlo, bj0 int) (worst repairOutcome, blocks int) {
+// verifyTrailingCol verifies (and repairs) the column checksums of rows
+// >= rlo of slice sel of step k's trailing block columns (those after k)
+// across every GPU. blocks counts the matrix blocks verified for the
+// Table VI counters. Under Full mode, 1-D column corruption is repaired
+// from the local row checksums, and repaired rows/columns get their
+// orthogonal checksums re-encoded.
+func (p *protected) verifyTrailingCol(rlo, k int, sel tmuSel) (worst repairOutcome, blocks int) {
 	nb := p.nb
 	o := rlo
 	G := p.es.sys.NumGPUs()
 	worst = repairClean
 	for g := 0; g < G; g++ {
 		gdev := p.es.sys.GPU(g)
-		lbLo := p.trailStart(g, bj0)
-		if lbLo >= p.nloc[g] {
+		lbLo, lbHi := p.tmuRange(g, k, sel)
+		if lbLo >= lbHi {
 			continue
 		}
 		jlo := lbLo * nb
-		cols := p.nloc[g]*nb - jlo
+		cols := lbHi*nb - jlo
 		data := p.local[g].View(o, jlo, p.n-o, cols).Access(gdev)
 		chk := p.colChk[g].View(2*(o/nb), jlo, 2*(p.nbr-o/nb), cols).Access(gdev)
 		out, _ := p.verifyRepair(colAxis, gdev.Workers(), data, chk, p.fullColumnRepair(g, jlo))
@@ -546,7 +546,7 @@ func (p *protected) verifyTrailingCol(rlo, bj0 int) (worst repairOutcome, blocks
 		blocks += (cols / nb) * (p.nbr - o/nb)
 		// Restore orthogonal-checksum consistency after repairs.
 		if p.es.opts.Mode == Full && out == repairCorrected {
-			p.reconcileOrthogonal(g, o, p.n, lbLo, p.nloc[g])
+			p.reconcileOrthogonal(g, o, p.n, lbLo, lbHi)
 		}
 	}
 	return worst, blocks
@@ -612,7 +612,7 @@ func (p *protected) reconcileOrthogonal(g, rlo, rhi, lbLo, lbHi int) {
 		// The same row disagreeing in several strips is a polluted
 		// row-checksum line (unless it was part of a column repair).
 		if rowHits[r] >= 2 && !covered[r] {
-			p.reencodeRowChkRow(g, rlo+r, lbLo)
+			p.reencodeRowChkRow(g, rlo+r, lbLo, lbHi)
 		}
 	}
 	// Remaining single-hit rows: data agrees with the (just-reconciled)
@@ -622,18 +622,18 @@ func (p *protected) reconcileOrthogonal(g, rlo, rhi, lbLo, lbHi int) {
 	for _, m := range ms {
 		if !seen[m.Line] {
 			seen[m.Line] = true
-			p.reencodeRowChkRow(g, rlo+m.Line, lbLo)
+			p.reencodeRowChkRow(g, rlo+m.Line, lbLo, lbHi)
 		}
 	}
 }
 
 // reencodeRowChkRow recomputes the row-checksum pairs of global row r on
-// GPU g for local blocks [lbLo, nloc). This is the certified re-encode
+// GPU g for local blocks [lbLo, lbHi). This is the certified re-encode
 // that restores consistency after the data row has been repaired: the TMU
 // row-checksum update consumes the raw (possibly corrupted) panel operand,
 // so the contaminated row's row checksums are polluted and must be rebuilt
 // from the repaired data.
-func (p *protected) reencodeRowChkRow(g, r, lbLo int) {
+func (p *protected) reencodeRowChkRow(g, r, lbLo, lbHi int) {
 	if p.es.opts.Mode != Full {
 		return
 	}
@@ -641,7 +641,7 @@ func (p *protected) reencodeRowChkRow(g, r, lbLo int) {
 	data := p.local[g].Access(gdev)
 	rchk := p.rowChk[g].Access(gdev)
 	nb := p.nb
-	for lb := lbLo; lb < p.nloc[g]; lb++ {
+	for lb := lbLo; lb < lbHi; lb++ {
 		s1, s2 := 0.0, 0.0
 		row := data.Row(r)[lb*nb : lb*nb+nb]
 		for j, v := range row {
@@ -755,6 +755,6 @@ func (p *protected) repairContaminatedRow(g, r, bjLo int) bool {
 		p.es.res.Unrecoverable = true
 		return false
 	}
-	p.reencodeRowChkRow(g, r, lbLo)
+	p.reencodeRowChkRow(g, r, lbLo, p.nloc[g])
 	return true
 }

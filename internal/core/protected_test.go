@@ -76,7 +76,7 @@ func TestGatherRoundTrip(t *testing.T) {
 
 func TestInitialChecksumsConsistent(t *testing.T) {
 	p, _ := newTestProtected(t, 96, 16, 2, Full)
-	if worst, _ := p.verifyTrailingCol(0, 0); worst != repairClean {
+	if worst, _ := p.verifyTrailingCol(0, -1, tmuAll); worst != repairClean {
 		t.Fatal("fresh encode already inconsistent")
 	}
 	for g := 0; g < 2; g++ {
@@ -98,7 +98,7 @@ func TestSwapMaintenanceQuick(t *testing.T) {
 			r1, r2 := rng.Intn(64), rng.Intn(64)
 			p.swapRows(r1, r2, 0, p.nbr)
 		}
-		worst, _ := p.verifyTrailingCol(0, 0)
+		worst, _ := p.verifyTrailingCol(0, -1, tmuAll)
 		return worst == repairClean && !p.es.res.Detected
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
@@ -146,7 +146,7 @@ func TestReencodeRowChkRow(t *testing.T) {
 	if p.verifyRowQuick(0, 5, 0) {
 		t.Fatal("pollution not visible")
 	}
-	p.reencodeRowChkRow(0, 5, 0)
+	p.reencodeRowChkRow(0, 5, 0, p.nloc[0])
 	if !p.verifyRowQuick(0, 5, 0) {
 		t.Fatal("re-encode did not restore consistency")
 	}

@@ -62,8 +62,8 @@ func (l *qrLadder) panelUpdate(int) {}
 
 // checkpoint snapshots the distributed state after step next-1 plus the
 // Householder scalars of the finished steps. Entries beyond next·NB are
-// zeroed so the snapshot is identical across schedules (look-ahead has
-// already factored panel next, which a resumed run replays).
+// zeroed: after a rollback they still hold the abandoned pass's scalars,
+// and a resumed run replays those steps anyway.
 func (l *qrLadder) checkpoint(next int) *Checkpoint {
 	cp := l.p.captureCheckpoint(next)
 	cp.Tau = make([]float64, len(l.tau))
@@ -143,7 +143,7 @@ func (l *qrLadder) panelFactor(k int) {
 		tmat = lapack.Larft(st.pm, ltau)
 	})
 	tRegs := []fault.Region{{Part: fault.UpdatePart, M: tmat, Row0: o, Col0: o}}
-	es.injectComp(k, fault.CTF, tRegs)
+	es.injectComp(k, fault.CTF, tRegs, nil)
 	if chk && !p.qrOrthoProbe(st.pm, tmat) {
 		// Corrupted T: detected by the orthogonality probe, recovered
 		// by recomputing T from V (§IV.B).
@@ -230,9 +230,9 @@ func (l *qrLadder) panelCommit(k int) {
 func (l *qrLadder) trailing(k int) tmuStep {
 	p, st := l.p, l.step[k]
 	return tmuStep{
-		regs: p.qrTMURegions(k, st.stages), stages: st.stages,
+		regs: p.qrTMURegions(k, st.stages), step: &st.panelStep,
 		strips: p.nbr - k, rlo: k * p.nb,
-		heuristic: func() { p.qrHeuristicAfterTMU(k, st.stages, st.cvStage, st.tStage) },
+		heuristic: func(sel tmuSel) { p.qrHeuristicAfterTMU(k, sel, st.stages, st.cvStage, st.tStage) },
 	}
 }
 
@@ -243,14 +243,17 @@ func (l *qrLadder) tmuBegin(k int) { l.p.tmuOpen(k, l.trailing(k)) }
 // a stream).
 func (l *qrLadder) tmuGPU(k, g int, sel tmuSel) {
 	st := l.step[k]
-	l.p.qrTMUOnGPU(g, k, st.stages[g], st.cvStage[g], st.tStage[g], sel)
+	l.p.qrTMUOnGPU(g, k, st.stages[g], st.cvStage[g], st.tStage[g], l.p.sliceOnChip(k, g, sel, st.onChip), sel)
 }
 
-// tmuFinish closes the trailing update — the §VII.B heuristic carries the
-// Woodbury rollback path — and retires the step's staging state.
-func (l *qrLadder) tmuFinish(k int) {
-	l.p.tmuClose(k, l.trailing(k))
-	l.step[k] = nil
+// tmuFinish closes slice sel of the trailing update — the §VII.B heuristic
+// carries the Woodbury rollback path — and, once the last slice closed,
+// retires the step's staging state.
+func (l *qrLadder) tmuFinish(k int, sel tmuSel) {
+	l.p.tmuClose(k, l.trailing(k), sel)
+	if sel != tmuLookahead {
+		l.step[k] = nil
+	}
 }
 
 // qrPanelChecked is Geqr2 with Algorithm 1's checksum maintenance woven
@@ -400,8 +403,9 @@ func (p *protected) qrTMURegions(k int, stages []stagePair) []fault.Region {
 }
 
 // qrTMUOnGPU applies the block reflector to the slice of GPU g's trailing
-// columns sel selects (rows o..n — the top nb rows become R12) and
-// maintains both checksum dimensions:
+// columns sel selects (rows o..n — the top nb rows become R12), the data
+// kernels loading the slice's on-chip corruption oc, and maintains both
+// checksum dimensions:
 //
 //	C      ← C − V·Tᵀ·Vᵀ·C
 //	colChk ← colChk − c(V)·W₂          (W₂ = Tᵀ·Vᵀ·C)
@@ -410,7 +414,7 @@ func (p *protected) qrTMURegions(k int, stages []stagePair) []fault.Region {
 // Every kernel is column-sliced over the trailing columns (and their
 // row-checksum pairs), so restricting the slice leaves each computed
 // element bit-identical to the full-width call.
-func (p *protected) qrTMUOnGPU(g, k int, st stagePair, cv, tm *hetsim.Buffer, sel tmuSel) {
+func (p *protected) qrTMUOnGPU(g, k int, st stagePair, cv, tm *hetsim.Buffer, oc fault.OnChip, sel tmuSel) {
 	gdev := p.es.sys.GPU(g)
 	nb := p.nb
 	o := k * nb
@@ -422,6 +426,7 @@ func (p *protected) qrTMUOnGPU(g, k int, st stagePair, cv, tm *hetsim.Buffer, se
 	cols := (lbHi - lbLo) * nb
 	m := p.n - o
 	c := p.local[g].View(o, jlo, m, cols)
+	oc.Apply()
 	// Materialize V on-device.
 	vbuf := gdev.Alloc(m, nb)
 	gdev.Run("materialize-v", 0, func(int) {
@@ -432,6 +437,9 @@ func (p *protected) qrTMUOnGPU(g, k int, st stagePair, cv, tm *hetsim.Buffer, se
 	gdev.Gemm(true, false, 1, vbuf, c, 0, w)
 	gdev.Gemm(true, false, 1, tm, w, 0, w2)
 	gdev.Gemm(false, false, -1, vbuf, w2, 1, c)
+	// The checksum kernels below load V from vbuf and W₂, which keep any
+	// on-chip corruption of the stage (DESIGN.md §5 item 9).
+	oc.Undo()
 	if p.es.opts.Mode != NoChecksum {
 		cc := p.colChk[g].View(2*k, jlo, 2*(p.nbr-k), cols)
 		gdev.Gemm(false, false, -1, cv, w2, 1, cc)
@@ -446,28 +454,30 @@ func (p *protected) qrTMUOnGPU(g, k int, st stagePair, cv, tm *hetsim.Buffer, se
 	}
 }
 
-// qrHeuristicAfterTMU re-verifies each GPU's stage panel after TMU. A
-// corrupted reflector element contaminates the trailing update 2-D
-// (through the T-factor mixing), so unlike the GEMM-shaped TMUs the repair
-// is a local in-memory restart: the applied (corrupted but known) linear
-// map M̃ = I − Ṽ·Tᵀ·Ṽᵀ is inverted via the Woodbury identity to roll the
+// qrHeuristicAfterTMU is QR's §VII.B heuristic over slice sel of step
+// k's trailing update. First the retirement check: the top strip of the
+// slice's just-updated columns is the final R12 — it is never referenced
+// again, so this is its last chance to be verified (the QR analogue of
+// the post-PU panel check). Then it re-verifies the stage panel of each
+// GPU checksStage assigns to the slice. A corrupted reflector element
+// contaminates the trailing update 2-D (through the T-factor mixing), so
+// unlike the GEMM-shaped TMUs the repair is a local in-memory restart of
+// the slice: the applied (corrupted but known) linear map
+// M̃ = I − Ṽ·Tᵀ·Ṽᵀ is inverted via the Woodbury identity to roll the
 // trailing columns (and the row-checksum slab) back, the column checksums
 // are rolled back with the recomputed W̃₂, and the TMU is redone with the
 // repaired reflectors.
-func (p *protected) qrHeuristicAfterTMU(k int, stages []stagePair, cvStage, tStage []*hetsim.Buffer) {
+func (p *protected) qrHeuristicAfterTMU(k int, sel tmuSel, stages []stagePair, cvStage, tStage []*hetsim.Buffer) {
 	G := p.es.sys.NumGPUs()
 	nb := p.nb
 	o := k * nb
-	// Retirement check: the top strip of the just-updated region is the
-	// final R12 — it is never referenced again, so this is its last chance
-	// to be verified (the QR analogue of the post-PU panel check).
 	for g := 0; g < G; g++ {
 		gdev := p.es.sys.GPU(g)
-		lb0 := p.trailStart(g, k+1)
-		if lb0 >= p.nloc[g] {
+		lb0, lb1 := p.tmuRange(g, k, sel)
+		if lb0 >= lb1 {
 			continue
 		}
-		cols := p.nloc[g]*nb - lb0*nb
+		cols := (lb1 - lb0) * nb
 		data := p.local[g].View(o, lb0*nb, nb, cols).Access(gdev)
 		chkv := p.colChk[g].View(2*k, lb0*nb, 2, cols).Access(gdev)
 		if out, _ := p.verifyRepair(colAxis, gdev.Workers(), data, chkv, p.fullColumnRepair(g, lb0*nb)); out == repairFailed {
@@ -476,11 +486,11 @@ func (p *protected) qrHeuristicAfterTMU(k int, stages []stagePair, cvStage, tSta
 		// Reconcile against the row checksums: QR's transforming TMU can
 		// leave corruption that agrees with polluted column checksums;
 		// the finalized R12 strip gets its last consistency pass here.
-		p.reconcileOrthogonal(g, o, o+nb, lb0, p.nloc[g])
+		p.reconcileOrthogonal(g, o, o+nb, lb0, lb1)
 		p.es.res.Counter.TMUAfter += cols / nb
 	}
 	for g := 0; g < G; g++ {
-		if stages[g].data == nil {
+		if stages[g].data == nil || !p.checksStage(k, g, sel) {
 			continue
 		}
 		gdev := p.es.sys.GPU(g)
@@ -506,21 +516,22 @@ func (p *protected) qrHeuristicAfterTMU(k int, stages []stagePair, cvStage, tSta
 		if !relevant {
 			continue
 		}
-		p.qrRollbackRedo(g, k, corruptCopy, stages[g], cvStage[g], tStage[g])
+		p.qrRollbackRedo(g, k, sel, corruptCopy, stages[g], cvStage[g], tStage[g])
 	}
 }
 
-// qrRollbackRedo implements the Woodbury local restart for GPU g's TMU.
-func (p *protected) qrRollbackRedo(g, k int, corrupt *matrix.Dense, st stagePair, cv, tm *hetsim.Buffer) {
+// qrRollbackRedo implements the Woodbury local restart for GPU g's slice
+// sel of step k's TMU.
+func (p *protected) qrRollbackRedo(g, k int, sel tmuSel, corrupt *matrix.Dense, st stagePair, cv, tm *hetsim.Buffer) {
 	defer p.es.span(obs.PhaseRecover, "qr-rollback-redo", &p.es.res.RecoverT)()
 	gdev := p.es.sys.GPU(g)
 	nb := p.nb
 	o := k * nb
-	lb0 := p.trailStart(g, k+1)
-	if lb0 >= p.nloc[g] {
+	lb0, lb1 := p.tmuRange(g, k, sel)
+	if lb0 >= lb1 {
 		return
 	}
-	cols := p.nloc[g]*nb - lb0*nb
+	cols := (lb1 - lb0) * nb
 	m := p.n - o
 	c := p.local[g].View(o, lb0*nb, m, cols).Access(gdev)
 	tmat := tm.Access(gdev)
@@ -587,10 +598,10 @@ func (p *protected) qrRollbackRedo(g, k int, corrupt *matrix.Dense, st stagePair
 		blas.Gemm(false, false, 1, cv.Access(gdev), w2t, 1, cc)
 	}
 	if p.es.opts.Mode == Full {
-		rc := p.rowChk[g].View(o, 2*lb0, m, 2*(p.nloc[g]-lb0)).Access(gdev)
+		rc := p.rowChk[g].View(o, 2*lb0, m, 2*(lb1-lb0)).Access(gdev)
 		rollback(rc)
 	}
 	p.es.res.Counter.LocalRestarts++
 	// Redo the TMU with the repaired stage.
-	p.qrTMUOnGPU(g, k, st, cv, tm, tmuAll)
+	p.qrTMUOnGPU(g, k, st, cv, tm, nil, sel)
 }

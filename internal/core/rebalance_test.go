@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"ftla/internal/checksum"
+	"ftla/internal/fault"
 	"ftla/internal/hetsim"
+	"ftla/internal/lapack"
 	"ftla/internal/matrix"
 )
 
@@ -71,7 +73,7 @@ func TestMigrationPreservesABFT(t *testing.T) {
 	// Move block column 4 from GPU0 to GPU1 (and another for slab churn).
 	p.migrateColumn(4, 1)
 	p.migrateColumn(1, 0)
-	if worst, _ := p.verifyTrailingCol(0, 0); worst != repairClean {
+	if worst, _ := p.verifyTrailingCol(0, -1, tmuAll); worst != repairClean {
 		t.Fatal("checksums inconsistent right after migration")
 	}
 	g1 := p.es.sys.GPU(1)
@@ -81,7 +83,7 @@ func TestMigrationPreservesABFT(t *testing.T) {
 	// local offset loc[4]*nb on GPU1 now).
 	col := p.localOff(4) + 7
 	data.Set(11, col, data.At(11, col)+3.5)
-	worst, _ := p.verifyTrailingCol(0, 0)
+	worst, _ := p.verifyTrailingCol(0, -1, tmuAll)
 	if worst != repairCorrected {
 		t.Fatalf("corruption in migrated column: outcome %v, want corrected", worst)
 	}
@@ -253,5 +255,63 @@ func TestRebalanceOptionValidation(t *testing.T) {
 	o.OnCheckpoint = func(*Checkpoint) {}
 	if err := o.Validate(64); err != nil {
 		t.Fatalf("Validate rejected a valid combination: %v", err)
+	}
+}
+
+// TestRebalanceInjectedSweep: injected runs rebalance like any other.
+// Under a 4x straggler on GPU1 of 3, every fault kind striking every
+// operation at step 2 must leave Rebalance{Every: 1} moving columns and
+// reaching the verdict and residual class of the static layout.
+func TestRebalanceInjectedSweep(t *testing.T) {
+	const n = 128
+	slow := map[int]hetsim.FaultPlan{1: {Mode: hetsim.FaultStraggler, Slowdown: 4}}
+	kinds := []fault.Kind{fault.Computation, fault.OffChipMemory, fault.OnChipMemory, fault.Communication}
+	for _, decomp := range []string{"cholesky", "lu", "qr"} {
+		ops := []fault.Op{fault.PD, fault.PU, fault.TMU}
+		if decomp == "qr" {
+			ops = []fault.Op{fault.PD, fault.TMU}
+		}
+		for _, kind := range kinds {
+			for _, op := range ops {
+				spec := fault.Spec{Kind: kind, Op: op, Part: fault.UpdatePart, Iteration: 2, Bits: 2, Row: -1, Col: -1, GPUTarget: 1}
+				if kind == fault.OnChipMemory {
+					spec.Part = fault.ReferencePart
+				}
+				run := func(reb Rebalance) (*Result, bool) {
+					inj := fault.NewInjector(31)
+					inj.Schedule(spec)
+					opts := Options{NB: 16, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel,
+						FailStop: slow, Rebalance: reb, Injector: inj}
+					a := pipelineInput(decomp, n)
+					out, piv, tau, res, err := runDecomp(decomp, testSystem(3), a, opts)
+					if err != nil {
+						t.Fatalf("%s %v rebalance=%d: %v", decomp, spec, reb.Every, err)
+					}
+					return res, decompResidual(decomp, a, out, piv, tau) <= 1e-9
+				}
+				static, staticOK := run(Rebalance{})
+				dyn, dynOK := run(Rebalance{Every: 1})
+				if dyn.Rebalances == 0 {
+					t.Errorf("%s %v: the straggler moved no columns", decomp, spec)
+				}
+				if dyn.Detected != static.Detected || dyn.Unrecoverable != static.Unrecoverable || dynOK != staticOK {
+					t.Errorf("%s %v: rebalanced det=%t unrec=%t residual ok=%t, static det=%t unrec=%t residual ok=%t",
+						decomp, spec, dyn.Detected, dyn.Unrecoverable, dynOK, static.Detected, static.Unrecoverable, staticOK)
+				}
+			}
+		}
+	}
+}
+
+// decompResidual is the relative backward error of a decomposition's
+// output against its input.
+func decompResidual(decomp string, a, out *matrix.Dense, piv []int, tau []float64) float64 {
+	switch decomp {
+	case "cholesky":
+		return matrix.CholeskyResidual(a, out)
+	case "lu":
+		return matrix.LUResidual(a, out, piv)
+	default:
+		return matrix.QRResidual(a, lapack.BuildQ(out, tau), lapack.ExtractR(out))
 	}
 }

@@ -22,11 +22,13 @@ import (
 // k+1 — the legacy behavior, and the baseline the paper's overhead curves
 // assume. The look-ahead schedule (Lookahead >= 1) reproduces MAGMA's
 // hybrid pipelining: after step k's TMU has updated the *look-ahead
-// column* (the panel of step k+1) synchronously, the rest of the trailing
-// update is launched onto per-GPU hetsim streams and the CPU pulls and
-// factorizes panel k+1 while the GPUs are still updating. The runtime then
-// joins the streams, finishes step k's verification, and step k+1 begins
-// at its commit stage.
+// column* (the panel of step k+1) synchronously and closed that column's
+// fault window and checks, the rest of the trailing update is launched
+// onto per-GPU hetsim streams and the CPU pulls and factorizes panel k+1
+// while the GPUs are still updating. The runtime then joins the streams,
+// finishes step k's verification, and step k+1 begins at its pivot
+// stage. A step whose checkpoint is due joins before panel k+1 is
+// factored, so the snapshot and its verdict never see step k+1.
 //
 // Why results are bit-identical: the trailing update is split by columns,
 // and every kernel accumulates each output element sequentially along the
@@ -38,17 +40,18 @@ import (
 // remainder never touches — the element sets are disjoint by the block
 // layout.
 //
-// Why injection windows are schedule-invariant: when a fault.Injector is
-// attached, the runtime forces the serial schedule (overlapDepth returns
-// 0), so injectMem/injectOnChip/injectComp and withCommContext fire in
-// exactly the stage they do today. Fail-stop fault plans (hetsim layer)
-// stay armed under overlap: a plan firing inside a launched closure is
-// captured by the stream and re-raised at the join, where the driver
-// boundary's RecoverAbort turns it into the same typed error the serial
-// schedule produces.
+// Injection windows are the same in both schedules (DESIGN.md §8): every
+// window draws on the coordinating goroutine when its stage is issued, and
+// a window's corruption lands on the slice of the trailing update that
+// loads or produces it. Fail-stop fault plans (hetsim layer) stay armed
+// under overlap: a plan firing inside a launched closure is captured by
+// the stream and re-raised at the join, where the driver boundary's
+// RecoverAbort turns it into the same typed error the serial schedule
+// produces.
 //
 // Concurrency discipline under overlap: launched closures run *kernels
-// only* (GEMM/TRSM/transfer-free trailing updates) — every Result and
+// only* (GEMM/TRSM/transfer-free trailing updates), plus applying and
+// undoing the on-chip corruption their kernels load — every Result and
 // Counter mutation, every verify/repair, and every injector call happens
 // on the coordinating goroutine, so the drivers need no locking.
 
@@ -68,7 +71,8 @@ const (
 // ladder is one decomposition's per-iteration stage definitions. Stage
 // methods run on the coordinating goroutine except tmuGPU, which the
 // look-ahead schedule may run inside a hetsim stream and therefore must
-// only execute kernels (no counters, no verifies, no injector calls).
+// only execute kernels (no counters, no verifies, no injector calls; it
+// applies the on-chip corruption tmuBegin drew for its slice).
 type ladder interface {
 	// steps returns the number of ladder iterations (block columns).
 	steps() int
@@ -91,10 +95,11 @@ type ladder interface {
 	tmuBegin(k int)
 	// tmuGPU applies GPU g's slice of the trailing update. Kernels only.
 	tmuGPU(k, g int, sel tmuSel)
-	// tmuFinish closes the trailing update: computation-fault injection,
-	// post-TMU verification, heuristics, and periodic trailing checks. It
-	// should release step k's staging state.
-	tmuFinish(k int)
+	// tmuFinish closes slice sel of the trailing update, right after it
+	// ran: computation-fault injection, post-TMU verification, the §VII.B
+	// heuristic and periodic trailing checks over the slice. Closing the
+	// last slice (tmuAll or tmuRest) also releases step k's staging state.
+	tmuFinish(k int, sel tmuSel)
 	// failed reports a non-abort driver error (e.g. a panel factorization
 	// that failed after its local restart); runLadder stops on it.
 	failed() error
@@ -182,8 +187,8 @@ type stepRuntime struct {
 	rollbacks int
 
 	// reb is the dynamic repartitioner, nil unless Options.Rebalance is
-	// armed, the ladder exposes its layout, no injector is attached, and
-	// the system holds at least two GPUs (see initRebalance).
+	// armed, the ladder exposes its layout, and the system holds at least
+	// two GPUs (see initRebalance).
 	reb *rebState
 
 	// coded is the cross-node erasure redundancy of the ladder's layout,
@@ -193,16 +198,14 @@ type stepRuntime struct {
 
 // initRebalance arms the rebalancer when the configuration and ladder
 // allow it: Rebalance.Every > 0, at least two GPUs (nothing to re-split
-// otherwise), no fault injector (injection windows address regions by the
-// static layout — the same reason overlapDepth forces the serial
-// schedule), and a ladder that exposes its protected layout (the batched
+// otherwise), and a ladder that exposes its protected layout (the batched
 // drivers don't). Multi-node topologies rebalance too: the parity-aware
 // migration protocol (rebState.filterLegal / codedState.rehomeParity)
 // keeps the erasure code's one-column-per-node-per-group placement intact
-// across moves, so the ban PR 9 imposed is lifted.
+// across moves. Injection windows address the layout each stage finds.
 func (rt *stepRuntime) initRebalance() {
 	es := rt.es
-	if es.opts.Rebalance.Every <= 0 || es.inj != nil || es.sys.NumGPUs() < 2 {
+	if es.opts.Rebalance.Every <= 0 || es.sys.NumGPUs() < 2 {
 		return
 	}
 	rl, ok := rt.l.(rebalancer)
@@ -266,13 +269,9 @@ func (rt *stepRuntime) handleNodeLoss(nodes []int) error {
 }
 
 // overlapDepth resolves the effective look-ahead depth: the Lookahead
-// option, clamped to {0, 1}, and forced to 0 while a fault injector is
-// attached so injection windows stay schedule-invariant.
+// option, clamped to {0, 1}.
 func (es *engineSys) overlapDepth() int {
-	if es.opts.Lookahead < 1 || es.inj != nil {
-		return 0
-	}
-	return 1
+	return min(max(es.opts.Lookahead, 0), 1)
 }
 
 // runLadder executes the ladder under the configured schedule. A fail-stop
@@ -340,14 +339,16 @@ func runLadder(es *engineSys, l ladder) error {
 		// source-side Fletcher pass adds busy time to its owner GPU, so
 		// decisions can differ between schedules; factor bits cannot.
 		rt.reb.beginSample()
-		if rt.depth >= 1 {
-			// Look-ahead: update the next panel's column synchronously,
-			// launch the remainder onto per-GPU streams, factorize panel
-			// k+1 on the CPU while they run, then join.
+		last := tmuAll
+		if rt.depth >= 1 && !rt.checkpointDue(k) {
+			// Look-ahead: update and close the next panel's column
+			// synchronously, launch the remainder onto per-GPU streams,
+			// factorize panel k+1 on the CPU while they run, then join.
 			rt.stage(k, stageTMU, func() {
 				for g := 0; g < G; g++ {
 					l.tmuGPU(k, g, tmuLookahead)
 				}
+				l.tmuFinish(k, tmuLookahead)
 			})
 			evs := rt.launchRest(k)
 			rt.packed(k+1, stagePanelFactor, func() { l.panelFactor(k + 1) })
@@ -355,6 +356,7 @@ func runLadder(es *engineSys, l ladder) error {
 			for _, ev := range evs {
 				ev.Wait()
 			}
+			last = tmuRest
 		} else {
 			rt.stage(k, stageTMU, func() {
 				for g := 0; g < G; g++ {
@@ -363,7 +365,7 @@ func runLadder(es *engineSys, l ladder) error {
 			})
 		}
 		rt.reb.endSample(k)
-		rt.stage(k, stageTMUFinish, func() { l.tmuFinish(k) })
+		rt.stage(k, stageTMUFinish, func() { l.tmuFinish(k, last) })
 		if err := l.failed(); err != nil {
 			return err
 		}
@@ -380,14 +382,20 @@ func runLadder(es *engineSys, l ladder) error {
 	return nil
 }
 
+// checkpointDue reports whether the checkpoint interval falls after step
+// k.
+func (rt *stepRuntime) checkpointDue(k int) bool {
+	every := rt.es.opts.CheckpointEvery
+	return every > 0 && (k+1)%every == 0
+}
+
 // maybeCheckpoint snapshots the state after step k when the checkpoint
 // interval says so and the state is trustworthy (verification has not
 // declared it unrecoverable). The last step never checkpoints — runLadder's
 // loop breaks before reaching here.
 func (rt *stepRuntime) maybeCheckpoint(k int) {
 	es := rt.es
-	every := es.opts.CheckpointEvery
-	if every <= 0 || es.res.Unrecoverable || (k+1)%every != 0 {
+	if !rt.checkpointDue(k) || es.res.Unrecoverable {
 		return
 	}
 	var cp *Checkpoint

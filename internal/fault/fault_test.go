@@ -70,7 +70,7 @@ func TestBeforeOpOffChipPersists(t *testing.T) {
 	if m.At(1, 1) == 4 {
 		t.Fatal("off-chip fault not injected")
 	}
-	in.InjectComp(0, PD, nil)
+	in.InjectComp(0, PD, nil, nil)
 	if m.At(1, 1) == 4 {
 		t.Fatal("off-chip fault must persist after op")
 	}
@@ -92,13 +92,44 @@ func TestOnChipRestoredAfterOp(t *testing.T) {
 	if m.At(0, 0) != 5 {
 		t.Fatal("InjectMem must not fire on-chip faults (invisible to memory checks)")
 	}
-	in.InjectOnChip(2, TMU, []Region{{Part: ReferencePart, M: m}})
+	oc := in.InjectOnChip(2, TMU, []Region{{Part: ReferencePart, M: m}})
+	if m.At(0, 0) != 5 || len(oc) != 1 || len(in.Events()) != 1 {
+		t.Fatalf("on-chip window must draw one fault without storing it: m=%v flips=%d", m.At(0, 0), len(oc))
+	}
+	oc.Apply()
 	if m.At(0, 0) == 5 {
 		t.Fatal("on-chip fault not visible during op")
 	}
-	in.InjectComp(2, TMU, nil)
+	oc.Undo()
 	if m.At(0, 0) != 5 {
 		t.Fatal("on-chip fault must be restored after op (no write-back)")
+	}
+	// A slice applies it again: every load of the cell reads the same
+	// corrupted value.
+	oc.Apply()
+	if m.At(0, 0) != oc[0].New {
+		t.Fatal("reapplied on-chip fault reads a different value")
+	}
+}
+
+// TestOnChipSurvivesOtherWindows: a computation window of another
+// operation must leave an open TMU on-chip window's corruption alone (a PD
+// computation window at step k+1 used to heal step k's TMU fault while its
+// trailing update was still running).
+func TestOnChipSurvivesOtherWindows(t *testing.T) {
+	in := NewInjector(3)
+	in.Schedule(Spec{Kind: OnChipMemory, Op: TMU, Part: ReferencePart, Iteration: 2, Row: 0, Col: 0})
+	in.Schedule(Spec{Kind: Computation, Op: PD, Iteration: 3, Row: 0, Col: 0})
+	tmu := matrix.FromRows([][]float64{{5}})
+	pd := matrix.FromRows([][]float64{{7}})
+	oc := in.InjectOnChip(2, TMU, []Region{{Part: ReferencePart, M: tmu}})
+	oc.Apply()
+	in.InjectComp(3, PD, []Region{{Part: UpdatePart, M: pd}}, nil)
+	if pd.At(0, 0) == 7 {
+		t.Fatal("PD computation fault not injected")
+	}
+	if tmu.At(0, 0) == 5 {
+		t.Fatal("another window's computation fault healed the open TMU on-chip fault")
 	}
 }
 
@@ -110,9 +141,32 @@ func TestComputationInjectedAfterOp(t *testing.T) {
 	if m.At(0, 1) != 2 {
 		t.Fatal("computation fault fired too early")
 	}
-	in.InjectComp(1, PU, []Region{{Part: UpdatePart, M: m}})
+	in.InjectComp(1, PU, []Region{{Part: UpdatePart, M: m}}, nil)
 	if m.At(0, 1) == 2 {
 		t.Fatal("computation fault not injected after op")
+	}
+}
+
+// TestComputationWaitsForItsElement: a computation fault aimed at an
+// element the operation has not produced yet comes back unfired and
+// strikes the value the element holds once Strike runs.
+func TestComputationWaitsForItsElement(t *testing.T) {
+	in := NewInjector(4)
+	in.Schedule(Spec{Kind: Computation, Op: TMU, Iteration: 1, Row: 0, Col: 1})
+	m := matrix.FromRows([][]float64{{1, 2}})
+	firstCol := func(tg Target) bool { return tg.J == 0 }
+	later := in.InjectComp(1, TMU, []Region{{Part: UpdatePart, M: m}}, firstCol)
+	if len(later) != 1 || m.At(0, 1) != 2 || len(in.Events()) != 0 {
+		t.Fatalf("fault on an unproduced element fired early: later=%d m=%v", len(later), m.At(0, 1))
+	}
+	m.Set(0, 1, 9) // the operation produces the element
+	in.Strike(later)
+	evs := in.Events()
+	if len(evs) != 1 || evs[0].Old != 9 || m.At(0, 1) != evs[0].New {
+		t.Fatalf("deferred strike wrong: %v, m=%v", evs, m.At(0, 1))
+	}
+	if later := in.InjectComp(1, TMU, []Region{{Part: UpdatePart, M: m}}, nil); len(later) != 0 || len(in.Events()) != 1 {
+		t.Fatal("spec should be consumed by the first window")
 	}
 }
 

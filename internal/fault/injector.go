@@ -24,8 +24,6 @@ type Injector struct {
 	rng     *matrix.RNG
 	pending []Spec
 	events  []Event
-	// on-chip restoration state: element to restore after the op.
-	restore []func()
 }
 
 // NewInjector builds an injector with a deterministic RNG seed.
@@ -71,9 +69,16 @@ func (in *Injector) take(match func(Spec) bool) []Spec {
 	return hit
 }
 
-// corruptRegion flips an element of the region chosen by s and returns the
-// event plus an undo closure.
-func (in *Injector) corruptRegion(s Spec, r Region) (Event, func()) {
+// Target is the element one fault strikes: element (I, J) of its region's
+// view.
+type Target struct {
+	Spec   Spec
+	Region Region
+	I, J   int
+}
+
+// aim picks the element of r that s strikes.
+func (in *Injector) aim(s Spec, r Region) Target {
 	i, j := s.Row, s.Col
 	if i < 0 || i >= r.M.Rows {
 		i = in.rng.Intn(r.M.Rows)
@@ -81,12 +86,22 @@ func (in *Injector) corruptRegion(s Spec, r Region) (Event, func()) {
 	if j < 0 || j >= r.M.Cols {
 		j = in.rng.Intn(r.M.Cols)
 	}
-	old := r.M.At(i, j)
-	corrupted := Corrupt(old, s.Bits, in.rng)
-	r.M.Set(i, j, corrupted)
-	ev := Event{Spec: s, GlobalI: r.Row0 + i, GlobalJ: r.Col0 + j, Old: old, New: corrupted}
-	m, ii, jj := r.M, i, j
-	return ev, func() { m.Set(ii, jj, old) }
+	return Target{Spec: s, Region: r, I: i, J: j}
+}
+
+// draw corrupts t's element as it stands now, records the event, and
+// returns it; the caller decides whether the corruption is stored.
+func (in *Injector) draw(t Target) Event {
+	old := t.Region.M.At(t.I, t.J)
+	ev := Event{Spec: t.Spec, GlobalI: t.Region.Row0 + t.I, GlobalJ: t.Region.Col0 + t.J,
+		Old: old, New: Corrupt(old, t.Spec.Bits, in.rng)}
+	in.events = append(in.events, ev)
+	return ev
+}
+
+// strike stores t's corruption.
+func (in *Injector) strike(t Target) {
+	t.Region.M.Set(t.I, t.J, in.draw(t).New)
 }
 
 func pickRegion(regs []Region, p Part, refIndex int) (Region, bool) {
@@ -113,71 +128,97 @@ func (in *Injector) InjectMem(it int, op Op, regs []Region) {
 		return s.Iteration == it && s.Op == op && s.Kind == OffChipMemory
 	})
 	for _, s := range specs {
-		r, ok := pickRegion(regs, s.Part, s.RefIndex)
-		if !ok {
-			continue
+		if r, ok := pickRegion(regs, s.Part, s.RefIndex); ok {
+			in.strike(in.aim(s, r))
 		}
-		ev, _ := in.corruptRegion(s, r)
-		in.events = append(in.events, ev)
 	}
 }
 
-// InjectOnChip fires the on-chip memory faults aimed at (it, op). It is
-// called AFTER pre-operation verification and before the computation: an
-// on-chip fault corrupts only the cached copy the operation consumes, is
-// invisible to a memory check, and is undone by InjectComp (no
-// write-back; §X.A timing rule 3).
-func (in *Injector) InjectOnChip(it int, op Op, regs []Region) {
+// Flip is one on-chip fault's transient corruption: while an operation
+// loads the targeted element it reads New, although the memory cell holds
+// Old.
+type Flip struct {
+	Target
+	Old, New float64
+}
+
+// OnChip is the transient corruption one on-chip window drew. The
+// operation that loads the targeted elements applies it right before its
+// data kernel and undoes it right after, before its checksum-maintenance
+// kernels load the same cells independently (§V: the memory cell itself
+// was never wrong). Operations split into slices apply, to each slice,
+// the flips that slice loads.
+type OnChip []Flip
+
+// Apply makes the targeted elements read their corrupted values.
+func (oc OnChip) Apply() {
+	for _, f := range oc {
+		f.Region.M.Set(f.I, f.J, f.New)
+	}
+}
+
+// Undo restores the targeted elements to the values the window found.
+func (oc OnChip) Undo() {
+	for _, f := range oc {
+		f.Region.M.Set(f.I, f.J, f.Old)
+	}
+}
+
+// InjectOnChip draws the on-chip memory faults aimed at (it, op) and
+// returns them unapplied. It is called AFTER pre-operation verification
+// and before the computation: an on-chip fault corrupts only the cached
+// copy the operation consumes and is invisible to a memory check (§X.A
+// timing rule 3). The draw happens here, in issue order, whichever
+// schedule later runs the operation.
+func (in *Injector) InjectOnChip(it int, op Op, regs []Region) OnChip {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	specs := in.take(func(s Spec) bool {
 		return s.Iteration == it && s.Op == op && s.Kind == OnChipMemory
 	})
+	var oc OnChip
 	for _, s := range specs {
-		r, ok := pickRegion(regs, s.Part, s.RefIndex)
-		if !ok {
-			continue
+		if r, ok := pickRegion(regs, s.Part, s.RefIndex); ok {
+			t := in.aim(s, r)
+			ev := in.draw(t)
+			oc = append(oc, Flip{Target: t, Old: ev.Old, New: ev.New})
 		}
-		ev, undo := in.corruptRegion(s, r)
-		in.events = append(in.events, ev)
-		in.restore = append(in.restore, undo)
 	}
-}
-
-// RestoreOnChip undoes all pending on-chip corruption. The protected
-// factorizations call it between an operation's data kernel and its
-// checksum-maintenance kernels: an on-chip fault corrupts one transient
-// read, so the two kernels' independent loads of the same cell do not see
-// the same corruption (§V; the memory cell itself was never wrong).
-func (in *Injector) RestoreOnChip() {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	for _, undo := range in.restore {
-		undo()
-	}
-	in.restore = in.restore[:0]
+	return oc
 }
 
 // InjectComp fires the computation faults aimed at (it, op) on the freshly
-// produced update part, and restores any on-chip corruption from
-// InjectOnChip (§X.A timing rules 1 and 3).
-func (in *Injector) InjectComp(it int, op Op, regs []Region) {
+// produced update part (§X.A timing rule 1). ready, when non-nil, reports
+// whether an aimed element has been produced yet: the faults whose element
+// has not are returned unfired, for Strike once it has.
+func (in *Injector) InjectComp(it int, op Op, regs []Region, ready func(Target) bool) []Target {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	for _, undo := range in.restore {
-		undo()
-	}
-	in.restore = in.restore[:0]
 	specs := in.take(func(s Spec) bool {
 		return s.Iteration == it && s.Op == op && s.Kind == Computation
 	})
+	var later []Target
 	for _, s := range specs {
 		r, ok := pickRegion(regs, UpdatePart, 0)
 		if !ok {
 			continue
 		}
-		ev, _ := in.corruptRegion(s, r)
-		in.events = append(in.events, ev)
+		if t := in.aim(s, r); ready == nil || ready(t) {
+			in.strike(t)
+		} else {
+			later = append(later, t)
+		}
+	}
+	return later
+}
+
+// Strike fires computation faults InjectComp returned unfired, on their
+// elements as they stand now.
+func (in *Injector) Strike(ts []Target) {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	for _, t := range ts {
+		in.strike(t)
 	}
 }
 
@@ -195,7 +236,6 @@ func (in *Injector) OnTransfer(it int, op Op, destGPU int, payload *matrix.Dense
 		return s.Iteration == it && s.Kind == Communication && s.Op == op && target == destGPU
 	})
 	for _, s := range specs {
-		ev, _ := in.corruptRegion(s, Region{Part: UpdatePart, M: payload, Row0: row0, Col0: col0})
-		in.events = append(in.events, ev)
+		in.strike(in.aim(s, Region{Part: UpdatePart, M: payload, Row0: row0, Col0: col0}))
 	}
 }

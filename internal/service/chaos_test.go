@@ -579,3 +579,48 @@ func TestChaosStorm(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 }
+
+// TestChaosProbationProbeRebalancesInjectedJob: the first job a
+// re-admitted probation probe serves re-enters its suspect GPU at the
+// rebalancer's floor share even when the job carries a fault injector —
+// injected runs rebalance like any other.
+func TestChaosProbationProbeRebalancesInjectedJob(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+
+	inj := ftla.NewInjector(5)
+	inj.Schedule(ftla.FaultSpec{Kind: ftla.FaultCompute, Op: ftla.OpPD, Iteration: 0, Row: -1, Col: -1})
+	spec := JobSpec{
+		Decomp:  Cholesky,
+		A:       ftla.RandomSPD(128, 3),
+		Config:  ftla.Config{GPUs: 2, NB: 32, Injector: inj},
+		NoCache: true,
+	}
+	// Quarantine a system of the job's platform with GPU 1 as suspect,
+	// then spend the grants that keep it out: the job's own acquire is the
+	// probation probe.
+	sysCfg := spec.Config.SystemConfig()
+	s.pool.quarantineSuspect(s.pool.acquire(sysCfg), 1)
+	for i := 0; i < poolProbeAfter; i++ {
+		s.pool.release(s.pool.acquire(sysCfg))
+	}
+
+	h, err := s.Submit(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := h.Wait(context.Background())
+	if err != nil {
+		t.Fatalf("job failed: %v", err)
+	}
+	if len(inj.Events()) != 1 {
+		t.Fatalf("injector fired %d faults, want 1", len(inj.Events()))
+	}
+	if rep := res.Factors.Report(); rep.Rebalances == 0 || rep.MovedColumns == 0 {
+		t.Fatalf("probe ran without the suspect's floor share: rebalances=%d moved=%d",
+			rep.Rebalances, rep.MovedColumns)
+	}
+	if s.pool.quarantined() != 0 {
+		t.Fatal("probe system not re-admitted")
+	}
+}

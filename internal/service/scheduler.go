@@ -476,13 +476,12 @@ func (s *Scheduler) run(h *JobHandle) {
 		}
 		sys := s.pool.acquire(sysCfg)
 		if g := s.pool.takeSuspect(sys); g >= 0 && g < sysCfg.NumGPUs &&
-			sysCfg.NumGPUs > 1 && cfg.Injector == nil && cfg.Rebalance.Every == 0 {
+			sysCfg.NumGPUs > 1 && cfg.Rebalance.Every == 0 {
 			// Probation probe carrying a suspect GPU: instead of trusting the
 			// repaired device with a full cyclic share, arm the rebalancer so
 			// the suspect re-enters at the MinShare floor and must earn width
 			// back through measured throughput. Jobs that configured their own
-			// rebalancing (or an injector, under which rebalancing is inert)
-			// keep their settings.
+			// rebalancing keep their settings.
 			cfg.Rebalance = ftla.RebalanceConfig{Every: 1, Suspect: []int{g}}
 		}
 		// Bind the attempt context into the system: kernels and transfers

@@ -91,8 +91,11 @@ go test -timeout 5m -run 'TestLadderFingerprints|TestLayoutFingerprints|TestLook
 
 # Schedule gate: the step-runtime and stream suites run a second time at
 # -count=2 — look-ahead interleavings are the newest concurrency in the
-# tree, and reuse across -count runs exercises stream/pool recycling.
-go test -race -timeout 5m -run 'TestPipeline|TestStream' -count=2 ./internal/core ./internal/hetsim
+# tree, and reuse across -count runs exercises stream/pool recycling. The
+# injected sweep (TestPipelineInjectionScheduleInvariant) and the batch
+# pin's injected items apply on-chip corruption inside launched stream
+# closures, so both run here under the detector.
+go test -race -timeout 5m -run 'TestPipeline|TestStream|TestBatchBitIdentity' -count=2 ./internal/core ./internal/hetsim
 
 # Makespan gate: the look-ahead speedup assertion is skipped under -race
 # (the race runtime's ~10-20x slowdown makes the n=2560 run impractical),
