@@ -52,16 +52,22 @@ import (
 // step k for all groups still holding a column >= k, over rows [k·nb, n)
 // only: every stage of step k — LU row interchanges included — writes
 // only those rows, so the rows above are frozen and their parity is
-// already current (the code is row-local). With a fault.Injector attached
-// the refresh falls back to full height, because §VII.B repair paths may
-// rewrite any row. A group's live parities are all encoded on one hub GPU
-// (its first live parity GPU), which receives each member once and ships
-// the finished parities j >= 1 home: kk + live − 1 cross-node shipments
-// per group rather than kk·live. Finalized groups — whose columns only
-// change under LU row interchanges — track the swaps exactly by swapping
-// the same parity rows. The initial encode, a parity re-home, and a
-// rollback (which restores data from the checkpoint and re-encodes all
-// surviving parity; checkpoints do not carry it) run at full height.
+// already current (the code is row-local). Parity encodes only verified
+// bits: the refresh first verifies and repairs the trailing columns
+// against their column checksums, so a soft error the step's own checks
+// missed never enters the parity, where a node loss would rebuild it as
+// if it were correct (column k is covered by the step's panel checks).
+// Once a run has detected an error, every refresh runs at full height,
+// because a §VII.B repair may rewrite rows above the panel with
+// roundoff-level different bits. A group's live parities are all encoded
+// on one hub GPU (its first live parity GPU), which receives each member
+// once and ships the finished parities j >= 1 home: kk + live − 1
+// cross-node shipments per group rather than kk·live. Finalized groups —
+// whose columns only change under LU row interchanges — track the swaps
+// exactly by swapping the same parity rows. The initial encode, a parity
+// re-home, and a rollback (which restores data from the checkpoint and
+// re-encodes all surviving parity; checkpoints do not carry it) run at
+// full height.
 //
 // Reconstruction. At a node-loss epoch the runtime calls reconstructNodes
 // with every node that died at that boundary (simultaneous losses fire
@@ -325,12 +331,16 @@ func (cs *codedState) refreshGroup(t, r0 int) {
 
 // refresh re-encodes the surviving parity of every group still holding a
 // column >= k, after step k, inside one coalesced-transfer window so a
-// round pays each link's latency once. Only rows [k·nb, n) are re-encoded
-// unless an injector is attached (see the maintenance note above);
-// refresh(0) is the full-height initial encode.
+// round pays each link's latency once. It first verifies the trailing
+// columns on their owner GPUs, as the post-TMU check does. Only rows
+// [k·nb, n) are re-encoded unless the run has detected an error (see the
+// maintenance note above); refresh(0) is the full-height initial encode.
 func (cs *codedState) refresh(k int) {
+	if cs.p.es.opts.Mode != NoChecksum {
+		cs.p.checkTrailing((k+1)*cs.p.nb, k, tmuAll, &cs.p.es.res.Counter.TMUAfter)
+	}
 	r0 := k * cs.p.nb
-	if cs.p.es.inj != nil {
+	if cs.p.es.res.Detected {
 		r0 = 0
 	}
 	cs.p.es.sys.CoalesceTransfers(func() {

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"ftla/internal/checksum"
@@ -411,7 +412,8 @@ func requireSameFactors(t *testing.T, label string, want, got pipelineRun) {
 // row current. One node loss (r=1, 3 nodes) and a two-node burst (r=2, 4
 // nodes) fire at every epoch 1..nbr−1, across all three decompositions and
 // both schedules, and the finished factors, pivots and tau must equal the
-// uninterrupted run's bit for bit.
+// uninterrupted run's bit for bit. Each (scenario, decomposition,
+// schedule) runs as a parallel subtest.
 func TestClusterLossEpochSweep(t *testing.T) {
 	const n, nb = 128, 16
 	for _, tc := range []struct {
@@ -424,23 +426,26 @@ func TestClusterLossEpochSweep(t *testing.T) {
 	} {
 		for _, decomp := range []string{"cholesky", "lu", "qr"} {
 			for _, lookahead := range []int{0, 1} {
-				opts := Options{NB: nb, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel,
-					Lookahead: lookahead, Redundancy: tc.r}
-				clean := runPipelineOn(t, decomp, n, clusterSystem(tc.gpus, tc.nodes), opts)
-				for epoch := 1; epoch < n/nb; epoch++ {
-					label := fmt.Sprintf("%s/%s/lookahead=%d/epoch=%d", tc.name, decomp, lookahead, epoch)
-					lopts := opts
-					lopts.NodeFault = make(map[int]hetsim.NodeFaultPlan)
-					for _, node := range tc.lose {
-						lopts.NodeFault[node] = hetsim.NodeFaultPlan{AfterEpochs: epoch}
+				t.Run(fmt.Sprintf("%s/%s/lookahead=%d", tc.name, decomp, lookahead), func(t *testing.T) {
+					t.Parallel()
+					opts := Options{NB: nb, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel,
+						Lookahead: lookahead, Redundancy: tc.r}
+					clean := runPipelineOn(t, decomp, n, clusterSystem(tc.gpus, tc.nodes), opts)
+					for epoch := 1; epoch < n/nb; epoch++ {
+						label := fmt.Sprintf("epoch=%d", epoch)
+						lopts := opts
+						lopts.NodeFault = make(map[int]hetsim.NodeFaultPlan)
+						for _, node := range tc.lose {
+							lopts.NodeFault[node] = hetsim.NodeFaultPlan{AfterEpochs: epoch}
+						}
+						lossy := runPipelineOn(t, decomp, n, clusterSystem(tc.gpus, tc.nodes), lopts)
+						if lossy.res.NodesLost != len(tc.lose) || lossy.res.Reconstructions == 0 {
+							t.Fatalf("%s: NodesLost/Reconstructions = %d/%d, want %d/>0",
+								label, lossy.res.NodesLost, lossy.res.Reconstructions, len(tc.lose))
+						}
+						requireSameFactors(t, label, clean, lossy)
 					}
-					lossy := runPipelineOn(t, decomp, n, clusterSystem(tc.gpus, tc.nodes), lopts)
-					if lossy.res.NodesLost != len(tc.lose) || lossy.res.Reconstructions == 0 {
-						t.Fatalf("%s: NodesLost/Reconstructions = %d/%d, want %d/>0",
-							label, lossy.res.NodesLost, lossy.res.Reconstructions, len(tc.lose))
-					}
-					requireSameFactors(t, label, clean, lossy)
-				}
+				})
 			}
 		}
 	}
@@ -451,41 +456,51 @@ func TestClusterLossEpochSweep(t *testing.T) {
 // then after every step k one refresh of each group still holding a
 // column >= k, shipping rows [k·nb, n) of its kk members to the hub and
 // the r−1 finished parities j >= 1 home — (kk + r − 1)·(n − k·nb)·nb·8
-// bytes per group, independent of which parities live where.
+// bytes per group, independent of which parities live where. An attached
+// injector with nothing scheduled must not change the traffic: the
+// refresh height depends on what the run detected, not on the injector.
 func TestClusterParityRefreshTraffic(t *testing.T) {
 	const n, nb, gpus, nodes, r = 128, 16, 4, 4, 2
 	nbr := n / nb
 	for _, decomp := range []string{"cholesky", "lu", "qr"} {
 		for _, lookahead := range []int{0, 1} {
-			opts := Options{NB: nb, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel,
-				Lookahead: lookahead, Redundancy: r}
-			before := parityBytesTotal.Value()
-			runPipelineOn(t, decomp, n, clusterSystem(gpus, nodes), opts)
-			got := parityBytesTotal.Value() - before
-
-			kk := nodes - r
-			groupBytes := func(k int) uint64 { return uint64((kk + r - 1) * (n - k*nb) * nb * 8) }
-			var want uint64
-			for first := 0; first < nbr; first += kk {
-				want += groupBytes(0) // initial encode
-				last := first + kk - 1
-				for k := 0; k < nbr-1 && k <= last; k++ {
-					want += groupBytes(k)
+			for _, idle := range []bool{false, true} {
+				opts := Options{NB: nb, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel,
+					Lookahead: lookahead, Redundancy: r}
+				if idle {
+					opts.Injector = fault.NewInjector(11)
 				}
-			}
-			if got != want {
-				t.Fatalf("%s/lookahead=%d: parity bytes = %d, want %d", decomp, lookahead, got, want)
+				before := parityBytesTotal.Value()
+				runPipelineOn(t, decomp, n, clusterSystem(gpus, nodes), opts)
+				got := parityBytesTotal.Value() - before
+
+				kk := nodes - r
+				groupBytes := func(k int) uint64 { return uint64((kk + r - 1) * (n - k*nb) * nb * 8) }
+				var want uint64
+				for first := 0; first < nbr; first += kk {
+					want += groupBytes(0) // initial encode
+					last := first + kk - 1
+					for k := 0; k < nbr-1 && k <= last; k++ {
+						want += groupBytes(k)
+					}
+				}
+				if got != want {
+					t.Errorf("%s/lookahead=%d/idle-injector=%t: parity bytes = %d, want %d",
+						decomp, lookahead, idle, got, want)
+				}
 			}
 		}
 	}
 }
 
-// TestClusterInjectedRefreshFullHeight pins the injector fallback: with a
-// fault.Injector attached, ABFT repairs may rewrite rows above the active
-// panel, so the refresh re-encodes parity at full height and a node loss
-// after a repaired soft error still rebuilds the repaired bits exactly —
-// the injected run with the loss equals the same injected run without it.
-func TestClusterInjectedRefreshFullHeight(t *testing.T) {
+// TestClusterRepairRefreshesFullHeight pins the Detected rule of the
+// parity refresh: once a run has detected an error, an ABFT repair may
+// have rewritten rows above the active panel (a full-column repair
+// rewrites them with roundoff-level different bits), so every later
+// refresh re-encodes parity at full height. A node loss after a repaired
+// soft error then still rebuilds the repaired bits exactly — the injected
+// run with the loss equals the same injected run without it.
+func TestClusterRepairRefreshesFullHeight(t *testing.T) {
 	const n, nb = 128, 16
 	// Each fault is detected and repaired on the device in step 1, well
 	// before the burst at epoch 4 (QR has no panel-update stage to strike).
@@ -518,5 +533,89 @@ func TestClusterInjectedRefreshFullHeight(t *testing.T) {
 			t.Fatalf("%s: NodesLost = %d, want 2", decomp, lossy.res.NodesLost)
 		}
 		requireSameFactors(t, decomp+"/injected", clean, lossy)
+	}
+}
+
+// TestClusterNodeLossDoesNotLaunder pins the verified-parity rule: the
+// end-of-step refresh verifies the trailing columns against their column
+// checksums before it encodes them, so a soft error the step's own checks
+// missed is repaired instead of entering the parity, where a node loss
+// would rebuild it as if it were correct. Each lossy run must match its
+// no-loss twin bit for bit and in its verdict; under the new scheme that
+// verdict must be a detection. Loss epoch 1 is left out: the node 0 GPU
+// the TMU window aims at is gone before it opens.
+//
+// The two schedules' no-loss twins must also agree on the verdict and
+// Counter, except for the look-ahead difference DESIGN §8 lists: the
+// refresh after step k checks the GPU copy of column k+1, which under
+// look-ahead panel k+1 has already been pulled from. A fault there is
+// then found once more (Cholesky and LU repair it in the CPU's staged
+// copy first), and under PostOp a PD off-chip fault on QR's GPU panel,
+// which the serial schedule never sees, is found. Those rows (refound)
+// must differ by exactly one more detection and correction.
+func TestClusterNodeLossDoesNotLaunder(t *testing.T) {
+	const n, nb = 128, 16
+	type pin struct {
+		seed    uint64
+		scheme  Scheme
+		spec    fault.Spec
+		decomps []string
+		epochs  []int
+		refound []string
+	}
+	all := []string{"cholesky", "lu", "qr"}
+	pins := []pin{{11, NewScheme, fault.Spec{Kind: fault.Computation, Op: fault.TMU, Part: fault.UpdatePart, Iteration: 1},
+		all, []int{2, 3, 4, 5, 6, 7}, nil}}
+	for _, kind := range []fault.Kind{fault.Computation, fault.OffChipMemory} {
+		pins = append(pins, pin{7, NewScheme, fault.Spec{Kind: kind, Op: fault.TMU, Part: fault.UpdatePart, Iteration: 3},
+			all, []int{4}, []string{"cholesky", "lu"}})
+	}
+	pins = append(pins, pin{7, PostOp, fault.Spec{Kind: fault.OffChipMemory, Op: fault.PD, Part: fault.UpdatePart, Iteration: 2, Row: -1, Col: -1},
+		[]string{"qr"}, []int{4}, []string{"qr"}})
+	verdict := func(r *Result) string {
+		return fmt.Sprintf("det=%t unrec=%t", r.Detected, r.Unrecoverable)
+	}
+	for _, pn := range pins {
+		for _, decomp := range pn.decomps {
+			run := func(t *testing.T, lookahead, epoch int) pipelineRun {
+				inj := fault.NewInjector(pn.seed)
+				inj.Schedule(pn.spec)
+				opts := Options{NB: nb, Mode: Full, Scheme: pn.scheme, Kernel: checksum.OptKernel,
+					Lookahead: lookahead, Redundancy: 2, Injector: inj}
+				if epoch > 0 {
+					opts.NodeFault = map[int]hetsim.NodeFaultPlan{0: {AfterEpochs: epoch}, 1: {AfterEpochs: epoch}}
+				}
+				return runPipelineOn(t, decomp, n, clusterSystem(4, 4), opts)
+			}
+			group := fmt.Sprintf("seed=%d/%v/%v@%v/it=%d/%s",
+				pn.seed, pn.scheme, pn.spec.Kind, pn.spec.Op, pn.spec.Iteration, decomp)
+			t.Run(group, func(t *testing.T) {
+				t.Parallel()
+				twins := [2]pipelineRun{run(t, 0, 0), run(t, 1, 0)}
+				serial, la := twins[0].res, twins[1].res
+				want, wantDet := serial.Counter, serial.Detected
+				if slices.Contains(pn.refound, decomp) {
+					want.DetectedErrors++
+					want.CorrectedElements++
+					wantDet = true
+				}
+				if la.Detected != wantDet || la.Unrecoverable != serial.Unrecoverable || la.Counter != want {
+					t.Errorf("look-ahead twin %s %+v, serial %s %+v", verdict(la), la.Counter, verdict(serial), serial.Counter)
+				}
+				for lookahead, twin := range twins {
+					for _, epoch := range pn.epochs {
+						t.Run(fmt.Sprintf("lookahead=%d/epoch=%d", lookahead, epoch), func(t *testing.T) {
+							lossy := run(t, lookahead, epoch)
+							if lossy.res.NodesLost != 2 || verdict(lossy.res) != verdict(twin.res) ||
+								(pn.scheme == NewScheme && !lossy.res.Detected) {
+								t.Fatalf("NodesLost %d, %s; want 2, twin's %s (counters %+v)",
+									lossy.res.NodesLost, verdict(lossy.res), verdict(twin.res), lossy.res.Counter)
+							}
+							requireSameFactors(t, fmt.Sprintf("%s/lookahead=%d/epoch=%d", group, lookahead, epoch), twin, lossy)
+						})
+					}
+				}
+			})
+		}
 	}
 }

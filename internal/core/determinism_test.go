@@ -19,14 +19,17 @@ import (
 // faults on step 2's panel factorization and trailing update, whose
 // transient corruption the look-ahead schedule applies inside the
 // launched trailing slices, and require the same events each time too.
+// Runs stay sequential: Result.Flops differences a process-wide counter,
+// so concurrent runs would count each other's work.
 func TestLookaheadDeterminism(t *testing.T) {
 	const n, nb, runs = 384, 32, 3
 	onChip := []fault.Spec{
 		{Kind: fault.OnChipMemory, Op: fault.PD, Part: fault.UpdatePart, Iteration: 2, Row: -1, Col: -1},
 		{Kind: fault.OnChipMemory, Op: fault.TMU, Part: fault.ReferencePart, Iteration: 2, Row: -1, Col: -1},
 	}
-	for _, nodes := range []int{1, 2, 4} {
-		for _, decomp := range []string{"cholesky", "lu", "qr"} {
+	for _, decomp := range []string{"cholesky", "lu", "qr"} {
+		a := pipelineInput(decomp, n)
+		for _, nodes := range []int{1, 2, 4} {
 			for _, lookahead := range []int{0, 1} {
 				for _, specs := range [][]fault.Spec{nil, onChip} {
 					opts := Options{NB: nb, Mode: Full, Scheme: NewScheme,
@@ -42,7 +45,7 @@ func TestLookaheadDeterminism(t *testing.T) {
 							}
 							opts.Injector = inj
 						}
-						out, piv, tau, res, err := runDecomp(decomp, clusterSystem(4, nodes), pipelineInput(decomp, n), opts)
+						out, piv, tau, res, err := runDecomp(decomp, clusterSystem(4, nodes), a, opts)
 						if err != nil {
 							t.Fatalf("%s run %d: %v", label, r, err)
 						}

@@ -227,38 +227,41 @@ func injectionSweepCases() []fingerprintCase {
 // twin on the verdict (Detected, Unrecoverable, Checkpoints, Rollbacks),
 // on whether the factor meets the residual bound, and on every injected
 // event — element, old and new value — and must finish earlier on the
-// simulated clock.
+// simulated clock. Each case runs as a parallel subtest.
 func TestPipelineInjectionScheduleInvariant(t *testing.T) {
 	const n = 128
 	for i, c := range injectionSweepCases() {
-		run := func(lookahead int) (*Result, bool, []fault.Event) {
-			inj := fault.NewInjector(uint64(1000 + i))
-			for _, s := range c.specs {
-				inj.Schedule(s)
-			}
-			opts := Options{NB: 16, Mode: c.mode, Scheme: c.scheme, Kernel: checksum.OptKernel,
-				Lookahead: lookahead, CheckpointEvery: c.ckEvery, Injector: inj}
+		t.Run(c.label(), func(t *testing.T) {
+			t.Parallel()
 			a := pipelineInput(c.decomp, n)
-			out, piv, tau, res, err := runDecomp(c.decomp, testSystem(2), a, opts)
-			if err != nil {
-				t.Fatalf("%s la=%d: %v", c.label(), lookahead, err)
+			run := func(lookahead int) (*Result, bool, []fault.Event) {
+				inj := fault.NewInjector(uint64(1000 + i))
+				for _, s := range c.specs {
+					inj.Schedule(s)
+				}
+				opts := Options{NB: 16, Mode: c.mode, Scheme: c.scheme, Kernel: checksum.OptKernel,
+					Lookahead: lookahead, CheckpointEvery: c.ckEvery, Injector: inj}
+				out, piv, tau, res, err := runDecomp(c.decomp, testSystem(2), a, opts)
+				if err != nil {
+					t.Fatalf("la=%d: %v", lookahead, err)
+				}
+				return res, decompResidual(c.decomp, a, out, piv, tau) <= 1e-9, inj.Events()
 			}
-			return res, decompResidual(c.decomp, a, out, piv, tau) <= 1e-9, inj.Events()
-		}
-		serial, serialOK, serialEvs := run(0)
-		la, laOK, laEvs := run(1)
-		verdict := func(r *Result, ok bool) string {
-			return fmt.Sprintf("det=%t unrec=%t ck=%d rb=%d residual-ok=%t", r.Detected, r.Unrecoverable, r.Checkpoints, r.Rollbacks, ok)
-		}
-		if v, w := verdict(la, laOK), verdict(serial, serialOK); v != w {
-			t.Errorf("%s: look-ahead verdict %s, serial %s", c.label(), v, w)
-		}
-		if !slices.Equal(laEvs, serialEvs) {
-			t.Errorf("%s: look-ahead events %v, serial %v", c.label(), laEvs, serialEvs)
-		}
-		if la.SimMakespan >= serial.SimMakespan {
-			t.Errorf("%s: look-ahead makespan %g not below serial %g", c.label(), la.SimMakespan, serial.SimMakespan)
-		}
+			serial, serialOK, serialEvs := run(0)
+			la, laOK, laEvs := run(1)
+			verdict := func(r *Result, ok bool) string {
+				return fmt.Sprintf("det=%t unrec=%t ck=%d rb=%d residual-ok=%t", r.Detected, r.Unrecoverable, r.Checkpoints, r.Rollbacks, ok)
+			}
+			if v, w := verdict(la, laOK), verdict(serial, serialOK); v != w {
+				t.Errorf("look-ahead verdict %s, serial %s", v, w)
+			}
+			if !slices.Equal(laEvs, serialEvs) {
+				t.Errorf("look-ahead events %v, serial %v", laEvs, serialEvs)
+			}
+			if la.SimMakespan >= serial.SimMakespan {
+				t.Errorf("look-ahead makespan %g not below serial %g", la.SimMakespan, serial.SimMakespan)
+			}
+		})
 	}
 }
 

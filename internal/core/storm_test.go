@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -55,9 +56,15 @@ func isDocumentedQRGap(d string, s fault.Spec) bool {
 	return d == "qr" && s.Op == fault.TMU && s.Kind == fault.OnChipMemory
 }
 
-func stormOnce(t *testing.T, d string, seed uint64) {
-	t.Helper()
-	runStormAt(t, d, seed, 128, 16, 2)
+// stormSweep runs seeds 1..60 at n=128, nb=16 on two GPUs, one parallel
+// subtest each.
+func stormSweep(t *testing.T, d string) {
+	for seed := uint64(1); seed <= 60; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			runStormAt(t, d, seed, 128, 16, 2)
+		})
+	}
 }
 
 // runStormAt runs one randomized-fault execution at the given scale.
@@ -105,21 +112,15 @@ func runStormAt(t *testing.T, d string, seed uint64, n, nb, gpus int) {
 }
 
 func TestStormLU(t *testing.T) {
-	for seed := uint64(1); seed <= 60; seed++ {
-		stormOnce(t, "lu", seed)
-	}
+	stormSweep(t, "lu")
 }
 
 func TestStormCholesky(t *testing.T) {
-	for seed := uint64(1); seed <= 60; seed++ {
-		stormOnce(t, "cholesky", seed)
-	}
+	stormSweep(t, "cholesky")
 }
 
 func TestStormQR(t *testing.T) {
-	for seed := uint64(1); seed <= 60; seed++ {
-		stormOnce(t, "qr", seed)
-	}
+	stormSweep(t, "qr")
 }
 
 // Property (testing/quick): the protected LU under full+new survives an
@@ -244,14 +245,17 @@ func TestRegressionSeeds(t *testing.T) {
 }
 
 // TestStormLargerScale repeats the randomized-fault sweep at a larger
-// matrix, bigger blocks, and three GPUs.
+// matrix, bigger blocks, and three GPUs, one parallel subtest per seed.
 func TestStormLargerScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("larger storm sweep")
 	}
 	for seed := uint64(500); seed <= 530; seed++ {
-		runStormAt(t, "lu", seed, 256, 32, 3)
-		runStormAt(t, "cholesky", seed, 256, 32, 3)
-		runStormAt(t, "qr", seed, 256, 32, 3)
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			runStormAt(t, "lu", seed, 256, 32, 3)
+			runStormAt(t, "cholesky", seed, 256, 32, 3)
+			runStormAt(t, "qr", seed, 256, 32, 3)
+		})
 	}
 }

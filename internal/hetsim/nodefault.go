@@ -92,7 +92,6 @@ func (s *System) NodeEpoch() []int {
 		}
 		fired = append(fired, node)
 		delete(s.nodePlans, node)
-		s.nodesLost[node] = true
 	}
 	s.nodeMu.Unlock()
 	for _, node := range fired {
@@ -107,24 +106,4 @@ func (s *System) NodeEpoch() []int {
 		nodeLostTotal.With(strconv.Itoa(node)).Inc()
 	}
 	return fired
-}
-
-// NodeLost reports whether the node has been lost since the last Reset.
-func (s *System) NodeLost(node int) bool {
-	s.nodeMu.Lock()
-	defer s.nodeMu.Unlock()
-	return node >= 0 && node < len(s.nodesLost) && s.nodesLost[node]
-}
-
-// NodesLost returns how many nodes have been lost since the last Reset.
-func (s *System) NodesLost() int {
-	s.nodeMu.Lock()
-	defer s.nodeMu.Unlock()
-	n := 0
-	for _, lost := range s.nodesLost {
-		if lost {
-			n++
-		}
-	}
-	return n
 }

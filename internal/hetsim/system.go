@@ -143,12 +143,11 @@ type System struct {
 	links []linkState
 
 	// Whole-node fault state (see nodefault.go), guarded by nodeMu: armed
-	// plans keyed by node index, the epoch counter NodeEpoch advances, and
-	// which nodes have been lost.
+	// plans keyed by node index and the epoch counter NodeEpoch advances.
+	// A lost node is the set of its lost GPUs (Device.Lost).
 	nodeMu    sync.Mutex
 	nodePlans map[int]NodeFaultPlan
 	nodeEpoch int
-	nodesLost []bool
 }
 
 // New builds a simulated cluster from cfg: one coordinating CPU plus
@@ -168,9 +167,8 @@ func New(cfg Config) *System {
 		cfg.GPUWorkers = 1
 	}
 	s := &System{
-		cfg:       cfg,
-		links:     make([]linkState, cfg.NumGPUs),
-		nodesLost: make([]bool, cfg.nodes()),
+		cfg:   cfg,
+		links: make([]linkState, cfg.NumGPUs),
 	}
 	s.cpu = &Device{kind: CPU, id: -1, workers: cfg.CPUWorkers, gflops: cfg.CPUGflops, sys: s}
 	for i := 0; i < cfg.NumGPUs; i++ {
@@ -265,9 +263,6 @@ func (s *System) Reset() {
 	s.nodeMu.Lock()
 	s.nodePlans = nil
 	s.nodeEpoch = 0
-	for i := range s.nodesLost {
-		s.nodesLost[i] = false
-	}
 	s.nodeMu.Unlock()
 	s.boundCtx.Store(nil)
 	s.resetClock()

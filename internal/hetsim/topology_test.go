@@ -154,6 +154,17 @@ func TestCrossTierLinkFaultComposition(t *testing.T) {
 	}
 }
 
+// lostGPUs counts the GPUs of s that a node loss has taken down.
+func lostGPUs(s *System) int {
+	n := 0
+	for g := 0; g < s.NumGPUs(); g++ {
+		if s.GPU(g).Lost() {
+			n++
+		}
+	}
+	return n
+}
+
 func TestNodeFaultFiresAtEpoch(t *testing.T) {
 	s := New(topoCfg())
 	s.ArmNodeFault(1, NodeFaultPlan{AfterEpochs: 2})
@@ -175,9 +186,6 @@ func TestNodeFaultFiresAtEpoch(t *testing.T) {
 	if s.CPU().Lost() {
 		t.Fatal("CPU must survive a node loss")
 	}
-	if !s.NodeLost(1) || s.NodeLost(0) || s.NodesLost() != 1 {
-		t.Fatalf("node-lost state wrong: %v %v %d", s.NodeLost(1), s.NodeLost(0), s.NodesLost())
-	}
 	// An operation on a dead GPU reports the structured identity.
 	err := catch(func() { s.GPU(1).Run("gemm", 1, func(int) {}) })
 	lost, ok := err.(*DeviceLostError)
@@ -186,8 +194,8 @@ func TestNodeFaultFiresAtEpoch(t *testing.T) {
 	}
 	// Reset revives the node and disarms pending plans.
 	s.Reset()
-	if s.NodesLost() != 0 || s.GPU(1).Lost() {
-		t.Fatal("Reset must revive lost nodes")
+	if n := lostGPUs(s); n != 0 {
+		t.Fatalf("Reset must revive lost nodes: %d GPUs still lost", n)
 	}
 	if got := s.NodeEpoch(); len(got) != 0 {
 		t.Fatalf("epoch after Reset fired nodes %v", got)
@@ -205,9 +213,6 @@ func TestNodeFaultBurstFiresTogether(t *testing.T) {
 	got := s.NodeEpoch()
 	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
 		t.Fatalf("first epoch fired nodes %v, want [0 1]", got)
-	}
-	if s.NodesLost() != 2 || !s.NodeLost(0) || !s.NodeLost(1) {
-		t.Fatalf("NodesLost = %d, want both nodes down", s.NodesLost())
 	}
 	for g := 0; g < 4; g++ {
 		if !s.GPU(g).Lost() {
@@ -231,7 +236,7 @@ func TestNodeFaultStaggeredPlans(t *testing.T) {
 	if got := s.NodeEpoch(); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("second epoch fired nodes %v, want [1]", got)
 	}
-	if s.NodesLost() != 2 {
-		t.Fatalf("NodesLost = %d, want 2", s.NodesLost())
+	if n := lostGPUs(s); n != 4 {
+		t.Fatalf("%d GPUs lost, want all 4 on both nodes", n)
 	}
 }

@@ -89,6 +89,14 @@ go test -race -timeout 5m -run 'TestResume|TestRollback|TestCheckpoint' -count=2
 # that bills an operation by wall-clock interleaving fails here too.
 go test -timeout 5m -run 'TestLadderFingerprints|TestLayoutFingerprints|TestLookaheadDeterminism' -count=3 ./internal/core
 
+# Fault-promise fuzz: FuzzFaultPromise crosses configuration (decomposition,
+# nb, GPUs, nodes, r, look-ahead, checkpoints, rebalancing) with one soft
+# error, one transient link plan and one node burst, and checks that a
+# completed job is correct or carries a typed error. Its committed seeds
+# already run in the suites above; this bounded run explores new inputs.
+# A failing input is written under internal/core/testdata/fuzz/.
+go test -run '^$' -fuzz '^FuzzFaultPromise$' -fuzztime 30s ./internal/core
+
 # Schedule gate: the step-runtime and stream suites run a second time at
 # -count=2 — look-ahead interleavings are the newest concurrency in the
 # tree, and reuse across -count runs exercises stream/pool recycling. The
