@@ -15,26 +15,29 @@ import (
 // streams run on real goroutines while the host pulls and factorizes the
 // next panel, so a clock that billed an operation by wall-clock
 // interleaving would drift here; the serial schedule rows pin that the
-// topologies themselves are deterministic. The injected rows add on-chip
+// topologies themselves are deterministic. The flat 1-, 2- and 4-GPU rows
+// cover the parallel link clock, where copies to different GPUs overlap,
+// and the 2- and 4-node rows its inter-node tier. The 1- and 2-GPU rows
+// run at n=256 to keep the suite inside check.sh's -race timeout. The injected rows add on-chip
 // faults on step 2's panel factorization and trailing update, whose
 // transient corruption the look-ahead schedule applies inside the
 // launched trailing slices, and require the same events each time too.
 // Runs stay sequential: Result.Flops differences a process-wide counter,
 // so concurrent runs would count each other's work.
 func TestLookaheadDeterminism(t *testing.T) {
-	const n, nb, runs = 384, 32, 3
+	const nb, runs = 32, 3
 	onChip := []fault.Spec{
 		{Kind: fault.OnChipMemory, Op: fault.PD, Part: fault.UpdatePart, Iteration: 2, Row: -1, Col: -1},
 		{Kind: fault.OnChipMemory, Op: fault.TMU, Part: fault.ReferencePart, Iteration: 2, Row: -1, Col: -1},
 	}
 	for _, decomp := range []string{"cholesky", "lu", "qr"} {
-		a := pipelineInput(decomp, n)
-		for _, nodes := range []int{1, 2, 4} {
+		for _, topo := range []struct{ n, gpus, nodes int }{{256, 1, 1}, {256, 2, 1}, {384, 4, 1}, {384, 4, 2}, {384, 4, 4}} {
+			a := pipelineInput(decomp, topo.n)
 			for _, lookahead := range []int{0, 1} {
 				for _, specs := range [][]fault.Spec{nil, onChip} {
 					opts := Options{NB: nb, Mode: Full, Scheme: NewScheme,
 						Kernel: checksum.OptKernel, Lookahead: lookahead}
-					label := fmt.Sprintf("%s nodes=%d la=%d faults=%v", decomp, nodes, lookahead, specs)
+					label := fmt.Sprintf("%s n=%d gpus=%d nodes=%d la=%d faults=%v", decomp, topo.n, topo.gpus, topo.nodes, lookahead, specs)
 					var first string
 					for r := 0; r < runs; r++ {
 						var inj *fault.Injector
@@ -45,7 +48,7 @@ func TestLookaheadDeterminism(t *testing.T) {
 							}
 							opts.Injector = inj
 						}
-						out, piv, tau, res, err := runDecomp(decomp, clusterSystem(4, nodes), a, opts)
+						out, piv, tau, res, err := runDecomp(decomp, clusterSystem(topo.gpus, topo.nodes), a, opts)
 						if err != nil {
 							t.Fatalf("%s run %d: %v", label, r, err)
 						}

@@ -310,7 +310,7 @@ func TestUtilization(t *testing.T) {
 	dst := s.GPU(0).Alloc(64, 64)
 	s.Transfer(src, dst)
 	stats := s.Utilization()
-	if len(stats) != 4 { // CPU + 2 GPUs + PCIe
+	if len(stats) != 5 { // CPU + 2 GPUs + 2 links
 		t.Fatalf("stats = %d", len(stats))
 	}
 	sum := 0.0
@@ -325,8 +325,11 @@ func TestUtilization(t *testing.T) {
 	if byName["GPU0"].SimSecs <= byName["GPU1"].SimSecs {
 		t.Fatal("GPU0 did twice the work")
 	}
-	if byName["PCIe"].SimSecs <= 0 {
-		t.Fatal("PCIe time missing")
+	if got := byName["PCIe0"].SimSecs; !near(got, s.PCIeSimTime()) || got <= 0 {
+		t.Fatalf("PCIe0 busy %g, want the transfer's %g", got, s.PCIeSimTime())
+	}
+	if byName["PCIe1"].SimSecs != 0 {
+		t.Fatal("PCIe1 billed for a transfer it did not carry")
 	}
 }
 
@@ -413,7 +416,7 @@ func TestTracerReceivesSimSpans(t *testing.T) {
 	if k.DurUS <= 0 || k.Args["flops"] != 2e9 {
 		t.Fatalf("kernel span duration/args: %+v", k)
 	}
-	if p.Name != "CPU->GPU0" || p.Cat != obs.PhasePCIe || p.Track != "PCIe" || p.Args["bytes"] != 8*8*8 {
+	if p.Name != "CPU->GPU0" || p.Cat != obs.PhasePCIe || p.Track != "PCIe0" || p.Args["bytes"] != 8*8*8 {
 		t.Fatalf("pcie span: %+v", p)
 	}
 	// The span timeline must agree with the simulated clocks.

@@ -1,0 +1,231 @@
+package hetsim
+
+import (
+	"errors"
+	"testing"
+
+	"ftla/internal/matrix"
+	"ftla/internal/obs"
+)
+
+// loneTransfer returns the logical duration of one transfer of an r-by-c
+// payload from device from to device to (-1 is the CPU) on a fresh system
+// built from cfg: the cost every rule below is stated in.
+func loneTransfer(cfg Config, from, to, r, c int, reliable bool) float64 {
+	s := New(cfg)
+	dev := func(i int) *Device {
+		if i < 0 {
+			return s.CPU()
+		}
+		return s.GPU(i)
+	}
+	src, dst := dev(from).Alloc(r, c), dev(to).Alloc(r, c)
+	if reliable {
+		s.TransferReliable(src, dst)
+	} else {
+		s.Transfer(src, dst)
+	}
+	return s.TimelineMakespan()
+}
+
+// TestLinkClockBroadcastOverlaps: a panel broadcast to four GPUs crosses
+// four links at once, so it costs one transfer, and the kernel that
+// follows waits for the last copy to land.
+func TestLinkClockBroadcastOverlaps(t *testing.T) {
+	const gpus, r, c = 4, 64, 32
+	one := loneTransfer(DefaultConfig(gpus), -1, 0, r, c, true)
+	s := New(DefaultConfig(gpus))
+	tr := obs.NewTrace()
+	s.SetTracer(tr)
+	panel := s.CPU().AllocFrom(matrix.Random(r, c, matrix.NewRNG(3)))
+	for g := 0; g < gpus; g++ {
+		s.TransferReliable(panel, s.GPU(g).Alloc(r, c))
+	}
+	if mk := s.TimelineMakespan(); mk != one {
+		t.Fatalf("broadcast makespan %g, want one transfer's %g", mk, one)
+	}
+	// Each copy's Fletcher passes and wire attempt tile its link's track.
+	ends := map[string]float64{}
+	for _, sp := range tr.Spans() {
+		if sp.StartUS < ends[sp.Track]-1e-9 {
+			t.Fatalf("span %s on %s starts at %g us, before the previous one ends at %g us", sp.Name, sp.Track, sp.StartUS, ends[sp.Track])
+		}
+		ends[sp.Track] = sp.StartUS + sp.DurUS
+	}
+	if len(ends) != gpus || !near(ends["PCIe3"]/1e6, one) {
+		t.Fatalf("trace tracks end at %v, want %d link tracks ending at %g s", ends, gpus, one)
+	}
+	s.GPU(2).Run("k", 1e9, func(int) {}) // 1 ms
+	if mk, want := s.TimelineMakespan(), one+1e-3; mk != want {
+		t.Fatalf("broadcast + kernel makespan %g, want %g", mk, want)
+	}
+	for _, st := range s.Utilization()[1+gpus:] {
+		if !near(st.SimSecs, s.PCIeSimTime()/gpus) || st.Util > 1 {
+			t.Fatalf("%s busy %g util %g, want a quarter of %g", st.Name, st.SimSecs, st.Util, s.PCIeSimTime())
+		}
+	}
+}
+
+// TestLinkClockSameLinkSerializes: two copies out of one GPU share its
+// link and run one after the other; copies on disjoint links overlap.
+func TestLinkClockSameLinkSerializes(t *testing.T) {
+	const r, c = 48, 48
+	one := loneTransfer(DefaultConfig(4), 0, 1, r, c, false)
+	s := New(DefaultConfig(4))
+	src := s.GPU(0).Alloc(r, c)
+	s.Transfer(src, s.GPU(1).Alloc(r, c))
+	s.Transfer(src, s.GPU(2).Alloc(r, c))
+	if mk := s.TimelineMakespan(); mk != 2*one {
+		t.Fatalf("two copies out of GPU0 end at %g, want %g", mk, 2*one)
+	}
+
+	s = New(DefaultConfig(4))
+	s.Transfer(s.GPU(0).Alloc(r, c), s.GPU(1).Alloc(r, c))
+	s.Transfer(s.GPU(2).Alloc(r, c), s.GPU(3).Alloc(r, c))
+	if mk := s.TimelineMakespan(); mk != one {
+		t.Fatalf("copies on disjoint links end at %g, want %g", mk, one)
+	}
+}
+
+// TestLinkClockFabricSerializes: transfers between nodes share the one
+// inter-node fabric, so they run one after another even on disjoint GPU
+// links, while a copy inside node 0 overlaps them; Reset frees the fabric.
+func TestLinkClockFabricSerializes(t *testing.T) {
+	const r, c = 48, 48
+	cfg := DefaultConfig(4)
+	cfg.Nodes = 2 // GPU0 and GPU2 on node 0, GPU1 and GPU3 on node 1
+	cross := loneTransfer(cfg, 0, 1, r, c, false)
+	local := loneTransfer(cfg, -1, 0, r, c, false)
+	if local >= cross {
+		t.Fatalf("a copy inside node 0 takes %g, want less than one between nodes %g", local, cross)
+	}
+	s := New(cfg)
+	s.Transfer(s.GPU(0).Alloc(r, c), s.GPU(1).Alloc(r, c))
+	s.Transfer(s.GPU(2).Alloc(r, c), s.GPU(3).Alloc(r, c))
+	if mk := s.TimelineMakespan(); mk != 2*cross {
+		t.Fatalf("two copies between nodes end at %g, want %g", mk, 2*cross)
+	}
+
+	s = New(cfg)
+	panel := s.CPU().Alloc(r, c)
+	for g := 0; g < 4; g++ {
+		s.Transfer(panel, s.GPU(g).Alloc(r, c))
+	}
+	if mk := s.TimelineMakespan(); mk != 2*cross {
+		t.Fatalf("broadcast to two nodes ends at %g, want the two fabric copies' %g", mk, 2*cross)
+	}
+	s.Reset()
+	s.Transfer(s.GPU(2).Alloc(r, c), s.GPU(3).Alloc(r, c))
+	if mk := s.TimelineMakespan(); mk != cross {
+		t.Fatalf("first copy between nodes after Reset ends at %g, want %g", mk, cross)
+	}
+}
+
+// TestLinkClockPullEndsBeforeCPUKernel: a copy into the CPU is
+// synchronous, so the next CPU kernel starts where the pull ends, and so
+// does the next copy, even on a link the pull left free.
+func TestLinkClockPullEndsBeforeCPUKernel(t *testing.T) {
+	const r, c = 64, 64
+	pull := loneTransfer(DefaultConfig(2), 1, -1, r, c, true)
+	push := loneTransfer(DefaultConfig(2), -1, 0, r, c, true)
+	s := New(DefaultConfig(2))
+	s.TransferReliable(s.GPU(1).Alloc(r, c), s.CPU().Alloc(r, c))
+	s.TransferReliable(s.CPU().Alloc(r, c), s.GPU(0).Alloc(r, c))
+	if mk, want := s.TimelineMakespan(), pull+push; !near(mk, want) {
+		t.Fatalf("pull then push end at %g, want %g: the push started before the pull landed", mk, want)
+	}
+
+	s = New(DefaultConfig(2))
+	tr := obs.NewTrace()
+	s.SetTracer(tr)
+	s.GPU(0).Run("tmu", 1e9, func(int) {}) // 1 ms on GPU0
+	s.TransferReliable(s.GPU(1).Alloc(r, c), s.CPU().Alloc(r, c))
+	s.CPU().Run("panel", 1e8, func(int) {}) // 2 ms at 50 GFLOPS
+	spans := tr.Spans()
+	panel := spans[len(spans)-1]
+	if panel.Name != "panel" {
+		t.Fatalf("last span %q, want the CPU kernel", panel.Name)
+	}
+	if start := panel.StartUS / 1e6; !near(start, 1e-3+pull) {
+		t.Fatalf("CPU kernel starts at %g, want the pull's end %g", start, 1e-3+pull)
+	}
+}
+
+// TestLinkClockStreamWaitsForCopy: a stream launched after a copy into its
+// GPU does not start before the copy lands.
+func TestLinkClockStreamWaitsForCopy(t *testing.T) {
+	const r, c = 64, 64
+	copyIn := loneTransfer(DefaultConfig(1), -1, 0, r, c, true)
+	s := New(DefaultConfig(1))
+	g := s.GPU(0)
+	s.TransferReliable(s.CPU().Alloc(r, c), g.Alloc(r, c))
+	st := g.NewStream()
+	defer st.Close()
+	st.Launch("k", func() { g.Run("k", 1e9, func(int) {}) })
+	st.Record().Wait()
+	if mk, want := s.TimelineMakespan(), copyIn+1e-3; mk != want {
+		t.Fatalf("makespan %g, want the copy %g plus the 1 ms kernel", mk, want)
+	}
+}
+
+// TestLinkClockExhaustedRetriesBillLink: a TransferReliable that exhausts
+// its retries still holds its link until its last attempt ends, so the
+// next copy on that link starts after it; another link stays free.
+func TestLinkClockExhaustedRetriesBillLink(t *testing.T) {
+	const r, c = 32, 32
+	one := loneTransfer(DefaultConfig(2), -1, 0, r, c, true)
+	s := New(DefaultConfig(2))
+	s.ArmLinkFault(0, LinkFaultPlan{Mode: LinkFlap, Count: 20})
+	src := s.CPU().AllocFrom(matrix.Random(r, c, matrix.NewRNG(4)))
+	var le *LinkError
+	if err := catch(func() { s.TransferReliable(src, s.GPU(0).Alloc(r, c)) }); !errors.As(err, &le) {
+		t.Fatalf("err = %v, want *LinkError", err)
+	}
+	failed := s.TimelineMakespan()
+	if failed <= one {
+		t.Fatalf("failed transfer ends at %g, want past one clean transfer %g", failed, one)
+	}
+	if busy := s.Utilization()[3]; busy.Name != "PCIe0" || busy.SimSecs <= 0 {
+		t.Fatalf("link row %+v, want PCIe0 billed for the failed attempts", busy)
+	}
+
+	s.TransferReliable(src, s.GPU(1).Alloc(r, c))
+	if mk := s.TimelineMakespan(); mk != failed {
+		t.Fatalf("copy on the free link moved the makespan to %g from %g", mk, failed)
+	}
+	s.ArmLinkFault(0, LinkFaultPlan{})
+	s.TransferReliable(src, s.GPU(0).Alloc(r, c))
+	if mk, want := s.TimelineMakespan(), failed+one; !near(mk, want) {
+		t.Fatalf("copy on the failed link ends at %g, want %g", mk, want)
+	}
+}
+
+// TestLinkClockResetZeroesFrontiers: Reset clears every link frontier and
+// the pending arrival frontier with the rest of the clock.
+func TestLinkClockResetZeroesFrontiers(t *testing.T) {
+	const r, c = 64, 64
+	one := loneTransfer(DefaultConfig(2), -1, 1, r, c, false)
+	s := New(DefaultConfig(2))
+	for g := 0; g < 2; g++ {
+		s.Transfer(s.CPU().Alloc(r, c), s.GPU(g).Alloc(r, c))
+	}
+	s.Transfer(s.GPU(0).Alloc(r, c), s.GPU(1).Alloc(r, c))
+	s.Reset()
+	if mk := s.TimelineMakespan(); mk != 0 {
+		t.Fatalf("makespan %g after Reset, want 0", mk)
+	}
+	for _, st := range s.Utilization() {
+		if st.SimSecs != 0 {
+			t.Fatalf("%s busy %g after Reset", st.Name, st.SimSecs)
+		}
+	}
+	s.GPU(0).Run("k", 1e9, func(int) {})
+	if mk := s.TimelineMakespan(); mk != 1e-3 {
+		t.Fatalf("first kernel after Reset ends at %g, want 0.001", mk)
+	}
+	s.Reset()
+	s.Transfer(s.CPU().Alloc(r, c), s.GPU(1).Alloc(r, c))
+	if mk := s.TimelineMakespan(); mk != one {
+		t.Fatalf("first copy after Reset ends at %g, want %g", mk, one)
+	}
+}

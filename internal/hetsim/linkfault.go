@@ -5,8 +5,11 @@ package hetsim
 // between them going bad — the communication-error window of the paper's
 // §V fault model, which ABFT must survive in motion, not just at rest.
 // A link here is one CPU<->GPUi PCIe path; a GPU<->GPU transfer crosses
-// both endpoints' links. The host issues every link operation, so the
-// logical clock orders them all on the serial timeline (advanceSerial).
+// both endpoints' links, and a transfer between nodes also crosses the
+// shared inter-node fabric. Each link and the fabric keep their own
+// frontier on the logical clock (see stream.go): the host issues every
+// link operation, which starts once the serial timeline and everything
+// it crosses are free, so operations on disjoint links overlap.
 //
 // Faults are armed per link with ArmLinkFault and fire at transfer
 // accounting time, inside the same critical section that bills simulated
@@ -284,12 +287,16 @@ func payloadChecksum(m *matrix.Dense) uint64 {
 
 // fletcher charges one checksum pass over m to the simulated clocks: two
 // adds per element of busy time on dev, the device that computes it, so
-// the protocol's overhead is not free; the host issues the pass, so it is
-// ordered on the serial timeline like the transfer it protects.
-func (s *System) fletcher(dev *Device, m *matrix.Dense) {
+// the protocol's overhead is not free; the pass is part of the link
+// operation op it protects, runs on op's cursor and is traced on op's
+// link track as "fletcher@<dev>".
+func (s *System) fletcher(op *linkOp, dev *Device, m *matrix.Dense) {
 	flops := 2 * float64(m.Rows) * float64(m.Cols)
 	dur := dev.addSim(flops)
-	s.trace("fletcher", dev, flops, s.advanceSerial(dur), dur)
+	end := op.advance(dur)
+	if tr := s.Tracer(); tr != nil {
+		tr.SimSpan("fletcher@"+dev.Name(), "kernel", op.track(), end, dur, map[string]float64{"flops": flops})
+	}
 }
 
 // maxRetransmits resolves the configured retransmission budget.
@@ -304,9 +311,13 @@ func (s *System) maxRetransmits() int {
 // the source payload, verifies the copy on arrival, and retransmits on a
 // detected drop or mismatch — at most Config.MaxRetransmits times, each
 // retry paying full simulated wire cost plus a jittered backoff. Both
-// checksum passes add busy time to their devices. Every wire attempt,
-// backoff and checksum pass is a host operation ordered on the serial
-// timeline, even while a stream is executing on an endpoint. With no
+// checksum passes add busy time to their devices. The checksum passes,
+// wire attempts and backoffs form one link operation on the logical
+// clock: it starts once the serial timeline and every link it crosses
+// (the inter-node fabric too, between nodes) are free, runs its passes
+// back to back, and holds them until it ends, on the abort path too. A copy into the CPU ends before the host's
+// next operation; a copy into a GPU ends before the next serial kernel or
+// stream launch, so copies to different GPUs overlap. With no
 // link faults armed the data path is bit-identical to Transfer (the
 // checksum only verifies; it never rewrites the payload). Exhausted
 // retries abort with a typed *LinkError via the fail-stop panic plumbing,
@@ -321,20 +332,22 @@ func (s *System) maxRetransmits() int {
 func (s *System) TransferReliable(src, dst *Buffer) {
 	src.dev.gate("pcie")
 	dst.dev.gate("pcie")
+	op := s.beginLink(src.dev, dst.dev)
+	defer s.commitLink(&op)
 	want := payloadChecksum(src.m)
-	s.fletcher(src.dev, src.m)
+	s.fletcher(&op, src.dev, src.m)
 	budget := s.maxRetransmits()
 	var last *LinkError
 	for attempt := 0; attempt <= budget; attempt++ {
 		if attempt > 0 {
 			transferRetransmits.Inc()
-			s.chargeBackoff(src.dev, dst.dev, attempt)
+			s.chargeBackoff(&op, attempt)
 		}
-		if le := s.transferAttempt(src, dst); le != nil {
+		if le := s.transferAttempt(&op, src, dst); le != nil {
 			last = le
 			continue // dropped on the wire: retransmit
 		}
-		s.fletcher(dst.dev, dst.m)
+		s.fletcher(&op, dst.dev, dst.m)
 		if payloadChecksum(dst.m) == want {
 			s.fireHook(src, dst)
 			return
@@ -352,18 +365,19 @@ func (s *System) TransferReliable(src, dst *Buffer) {
 	panic(&abortPanic{last})
 }
 
-// chargeBackoff bills the jittered retransmission delay to the simulated
-// clock: exponential in the attempt number, base PCIe latency, with a
-// deterministic pseudo-jitter (hashed from the attempt and the link's
-// traffic count) so runs stay reproducible.
-func (s *System) chargeBackoff(src, dst *Device, attempt int) {
+// chargeBackoff bills the jittered retransmission delay of link operation
+// op to the simulated clock and to the links it holds: exponential in the
+// attempt number, base PCIe latency, with a deterministic pseudo-jitter
+// (hashed from the attempt and the link's traffic count) so runs stay
+// reproducible.
+func (s *System) chargeBackoff(op *linkOp, attempt int) {
 	lat := s.cfg.PCIeLatencyUS / 1e6
 	if lat <= 0 {
 		return
 	}
 	d := lat * float64(uint(1)<<uint(attempt-1))
 	h := uint64(attempt) * 0x9e3779b97f4a7c15
-	for _, dev := range [2]*Device{src, dst} {
+	for _, dev := range [2]*Device{op.src, op.dst} {
 		if dev.kind == GPU {
 			s.mu.Lock()
 			h ^= uint64(s.links[dev.id].n) * 0xbf58476d1ce4e5b9
@@ -372,8 +386,8 @@ func (s *System) chargeBackoff(src, dst *Device, attempt int) {
 	}
 	d *= 1 + 0.25*float64(h%1024)/1024 // jitter in [0, 25%)
 	s.mu.Lock()
-	s.pcieSimSecs += d
+	s.billLinks(op.src, op.dst, d)
 	s.mu.Unlock()
-	s.advanceSerial(d)
+	op.advance(d)
 	obs.ObservePhaseSeconds(obs.PhasePCIe, d)
 }

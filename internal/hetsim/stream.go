@@ -26,24 +26,35 @@ package hetsim
 //     timeline; every other kernel runs on the serial timeline. A kernel
 //     starts at max(its device's availability, its timeline's frontier)
 //     and occupies the device until it ends (advanceClock);
-//   - transfers, retransmission backoff and the Fletcher passes of
-//     TransferReliable are host operations, so they always run on the
-//     serial timeline (advanceSerial), even while a stream executes on an
-//     endpoint. Because every link operation is host-ordered, no link is
-//     ever busy past the serial frontier and links need no clock of their
-//     own.
+//   - a transfer is a host operation, but each GPU's PCIe link keeps a
+//     frontier of its own. CPU<->GPUi crosses link i and GPUi<->GPUj
+//     crosses links i and j; a transfer between nodes also crosses the
+//     one shared inter-node fabric, which keeps a frontier too. A
+//     transfer starts at the latest of the serial frontier and the
+//     frontiers of what it crosses, and TransferReliable's Fletcher
+//     passes, wire attempts and backoffs run back to back from there as
+//     one link operation (linkOp), which commits its end to what it
+//     crosses when it finishes or aborts;
+//   - a copy into the CPU is synchronous: the serial frontier moves to its
+//     end. A copy into a GPU only raises the system-wide pending arrival
+//     frontier, so copies to different GPUs overlap. The next serial
+//     kernel, on any device, starts no earlier than pending, and Launch
+//     folds pending into the stream's timeline too.
 //
-// A program that never touches streams therefore gets the fully
-// serialized schedule (the depth-0 special case), and a look-ahead run
-// assigns every operation the same interval on every run.
-// TimelineMakespan is the resulting end-to-end finish time; under overlap
-// it is strictly smaller than the serial sum.
+// A program that never touches streams therefore gets the serial schedule
+// (the depth-0 special case): kernels run one after another, and only
+// copies to different GPUs overlap. Every start is a function of issue
+// order alone, so a look-ahead run assigns every operation the same
+// interval on every run. TimelineMakespan is the resulting end-to-end
+// finish time; under overlap it is smaller than the serial sum.
 //
 // Abort plumbing. A fail-stop fault firing inside a launched closure is
 // captured by the stream executor; the stream skips the remainder of its
 // queue and the capturing panic is re-raised from StreamEvent.Wait on the
 // waiting (host) goroutine, where the driver-boundary RecoverAbort
 // converts it to the typed error exactly as in the serial schedule.
+
+import "strconv"
 
 // timeline is a completion frontier of the logical simulated clock: the
 // logical time at which everything ordered on it so far has finished.
@@ -89,19 +100,17 @@ func (d *Device) NewStream() *Stream {
 // Launch enqueues a closure for asynchronous execution on the stream's
 // device. The closure runs kernels only, exactly as synchronous code would;
 // a transfer is a host operation and is never issued from a closure. The
-// stream orders the closure after everything previously launched and after
-// every synchronous operation already completed by the host (the
-// launch-order dependency of a CUDA stream). A closure must only touch
-// buffers resident on the stream's device, and the host must not read or
-// write those buffers until a later StreamEvent.Wait. name labels the
-// enqueue for debugging; the kernels the closure runs trace under their
-// own names.
+// stream orders the closure after everything previously launched, after
+// every synchronous operation already completed by the host, and after
+// every copy into a GPU already issued (the launch-order dependency of a
+// CUDA stream). A closure must only touch buffers resident on the
+// stream's device, and the host must not read or write those buffers
+// until a later StreamEvent.Wait. name labels the enqueue for debugging;
+// the kernels the closure runs trace under their own names.
 func (st *Stream) Launch(name string, fn func()) {
 	s := st.dev.sys
 	s.clockMu.Lock()
-	if s.serial.floor > st.tl.floor {
-		st.tl.floor = s.serial.floor
-	}
+	st.tl.floor = max(st.tl.floor, s.serial.floor, s.pending)
 	s.clockMu.Unlock()
 	st.ch <- streamOp{name: name, fn: fn}
 }
@@ -203,59 +212,119 @@ func (ev *StreamEvent) Wait() {
 // duration on device d and returns its end: it starts no earlier than the
 // device's availability and the frontier of the timeline it is ordered on
 // (the stream executing on d for a kernel launched from that stream's
-// closure, else the serial timeline), occupies the device until end, and
-// advances that frontier.
+// closure, else the serial timeline, where it also waits for every copy
+// into a GPU issued so far), occupies the device until end, and advances
+// that frontier.
 func (d *Device) advanceClock(dur float64) float64 {
 	s := d.sys
 	s.clockMu.Lock()
-	tl := d.curTL
+	tl, start := d.curTL, d.avail
 	if tl == nil {
-		tl = &s.serial
+		tl, start = &s.serial, max(start, s.pending)
 	}
-	end := max(d.avail, tl.floor) + dur
+	end := max(start, tl.floor) + dur
 	d.avail = end
 	tl.floor = end
 	s.clockMu.Unlock()
 	return end
 }
 
-// advanceSerial orders a host operation of the given duration on the
-// serial timeline and returns its logical end: every transfer attempt,
-// retransmission backoff and Fletcher pass goes through here.
-func (s *System) advanceSerial(dur float64) float64 {
+// linkOp is one link operation on the logical clock: a transfer's
+// Fletcher passes, wire attempts and backoffs, run back to back on a
+// local cursor. It starts at the latest of the serial frontier, the
+// frontier of every GPU link it crosses and, between nodes, the fabric
+// frontier; commitLink publishes its end.
+type linkOp struct {
+	src, dst *Device
+	fabric   bool    // crosses the inter-node fabric
+	at       float64 // the cursor: logical end of the operation so far
+}
+
+// beginLink opens a link operation from src to dst.
+func (s *System) beginLink(src, dst *Device) linkOp {
+	op := linkOp{src: src, dst: dst, fabric: s.cfg.nodes() > 1 && src.node != dst.node}
 	s.clockMu.Lock()
-	s.serial.floor += dur
-	end := s.serial.floor
+	op.at = s.serial.floor
+	if op.fabric {
+		op.at = max(op.at, s.fabricFree)
+	}
+	for _, d := range [2]*Device{src, dst} {
+		if d.kind == GPU {
+			op.at = max(op.at, s.linkFree[d.id])
+		}
+	}
 	s.clockMu.Unlock()
-	return end
+	return op
+}
+
+// advance orders a pass of the given duration after everything op has run
+// so far and returns its logical end.
+func (op *linkOp) advance(dur float64) float64 {
+	op.at += dur
+	return op.at
+}
+
+// track names the trace track op's spans go on: the link of its first GPU
+// endpoint. op holds that link from start to end, so the spans on one
+// track never overlap.
+func (op *linkOp) track() string {
+	d := op.src
+	if d.kind != GPU {
+		d = op.dst
+	}
+	return "PCIe" + strconv.Itoa(d.id)
+}
+
+// commitLink ends a link operation: its links (and the fabric, between
+// nodes) are busy until its end, and a copy into the CPU moves the serial
+// frontier there (the host waits for it), while a copy into a GPU only
+// raises the pending arrival frontier the next serial kernel waits for.
+func (s *System) commitLink(op *linkOp) {
+	s.clockMu.Lock()
+	for _, d := range [2]*Device{op.src, op.dst} {
+		if d.kind == GPU {
+			s.linkFree[d.id] = max(s.linkFree[d.id], op.at)
+		}
+	}
+	if op.fabric {
+		s.fabricFree = max(s.fabricFree, op.at)
+	}
+	if op.dst.kind == CPU {
+		s.serial.floor = max(s.serial.floor, op.at)
+	} else {
+		s.pending = max(s.pending, op.at)
+	}
+	s.clockMu.Unlock()
 }
 
 // TimelineMakespan returns the end-to-end finish time of the run on the
 // logical simulated clock: the latest completion frontier across the
-// serial timeline and every device. For a fully
-// synchronous program this equals the serial sum of all operation
-// durations; with stream overlap it is smaller — the schedule's true
-// makespan.
+// serial timeline, the pending copies into GPUs, every link and every
+// device. For a fully synchronous program on one GPU this equals the
+// serial sum of all operation durations; parallel links and stream
+// overlap make it smaller — the schedule's true makespan.
 func (s *System) TimelineMakespan() float64 {
 	s.clockMu.Lock()
 	defer s.clockMu.Unlock()
-	m := s.serial.floor
-	if s.cpu.avail > m {
-		m = s.cpu.avail
-	}
+	m := max(s.serial.floor, s.pending, s.cpu.avail)
 	for _, g := range s.gpus {
-		if g.avail > m {
-			m = g.avail
-		}
+		m = max(m, g.avail)
+	}
+	for _, f := range s.linkFree {
+		m = max(m, f)
 	}
 	return m
 }
 
-// resetClock zeroes the logical clock: timeline frontiers and device
-// availability. Called from Reset under no other lock.
+// resetClock zeroes the logical clock: timeline, link, fabric and
+// arrival frontiers and device availability. Called from Reset under no
+// other lock.
 func (s *System) resetClock() {
 	s.clockMu.Lock()
 	s.serial.floor = 0
+	s.pending = 0
+	s.fabricFree = 0
+	clear(s.linkFree)
 	s.cpu.avail = 0
 	s.cpu.curTL = nil
 	for _, g := range s.gpus {

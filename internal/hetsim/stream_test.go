@@ -178,11 +178,11 @@ func TestStreamEventSeqUnderConcurrency(t *testing.T) {
 	}
 }
 
-// TestTransferDuringStreamIsHostOrdered: a transfer the host issues while
-// a stream closure is executing on its source GPU runs on the serial
-// timeline, Fletcher passes included, so it overlaps the stream's kernel
-// instead of delaying it; its checksum pass still adds busy time to the
-// GPU.
+// TestTransferDuringStreamIsHostOrdered: a pull the host issues while a
+// stream closure is executing on its source GPU is a host-ordered link
+// operation, Fletcher passes included, that ends on the serial timeline,
+// so it overlaps the stream's kernel instead of delaying it; its checksum
+// pass still adds busy time to the GPU.
 func TestTransferDuringStreamIsHostOrdered(t *testing.T) {
 	s := New(DefaultConfig(1))
 	g := s.GPU(0)

@@ -119,8 +119,9 @@ type System struct {
 
 	mu          sync.Mutex
 	pcieSimSecs float64
-	transferred int64 // total bytes moved over PCIe (both tiers)
-	internode   int64 // bytes moved over the inter-node interconnect
+	linkSecs    []float64 // wire and backoff seconds per GPU link
+	transferred int64     // total bytes moved over PCIe (both tiers)
+	internode   int64     // bytes moved over the inter-node interconnect
 	hook        TransferHook
 	tracer      *obs.Trace
 
@@ -132,10 +133,15 @@ type System struct {
 	coalescedLinks map[[2]int]bool
 
 	// Logical simulated clock (see stream.go): the serial timeline every
-	// host operation is ordered on. Guarded by clockMu together with each
-	// device's avail and curTL.
-	clockMu sync.Mutex
-	serial  timeline
+	// host operation is ordered on, the frontiers of each GPU link and of
+	// the shared inter-node fabric, and the pending arrival frontier of
+	// copies into GPUs. Guarded by clockMu
+	// together with each device's avail and curTL.
+	clockMu    sync.Mutex
+	serial     timeline
+	linkFree   []float64
+	fabricFree float64
+	pending    float64
 
 	// Per-GPU link fault state (see linkfault.go), guarded by mu: the
 	// verdict is computed inside the transfer-accounting critical section
@@ -167,8 +173,10 @@ func New(cfg Config) *System {
 		cfg.GPUWorkers = 1
 	}
 	s := &System{
-		cfg:   cfg,
-		links: make([]linkState, cfg.NumGPUs),
+		cfg:      cfg,
+		links:    make([]linkState, cfg.NumGPUs),
+		linkSecs: make([]float64, cfg.NumGPUs),
+		linkFree: make([]float64, cfg.NumGPUs),
 	}
 	s.cpu = &Device{kind: CPU, id: -1, workers: cfg.CPUWorkers, gflops: cfg.CPUGflops, sys: s}
 	for i := 0; i < cfg.NumGPUs; i++ {
@@ -250,6 +258,7 @@ func (s *System) trace(op string, d *Device, flops, endAt, durSecs float64) {
 func (s *System) Reset() {
 	s.mu.Lock()
 	s.pcieSimSecs = 0
+	clear(s.linkSecs)
 	s.transferred = 0
 	s.internode = 0
 	s.hook = nil
@@ -311,7 +320,9 @@ func (s *System) InternodeBytes() int64 {
 func (s *System) Transfer(src, dst *Buffer) {
 	src.dev.gate("pcie")
 	dst.dev.gate("pcie")
-	if le := s.transferAttempt(src, dst); le != nil {
+	op := s.beginLink(src.dev, dst.dev)
+	defer s.commitLink(&op)
+	if le := s.transferAttempt(&op, src, dst); le != nil {
 		panic(&abortPanic{le})
 	}
 	s.fireHook(src, dst)
@@ -327,14 +338,15 @@ func (s *System) fireHook(src, dst *Buffer) {
 	}
 }
 
-// transferAttempt executes one wire attempt: it computes the armed link
-// faults' verdict, bills simulated time (degrade inflates the bandwidth
+// transferAttempt executes one wire attempt of link operation op: it
+// computes the armed link faults' verdict, bills simulated time to the
+// links it crosses and to op's cursor (degrade inflates the bandwidth
 // term; a dropped transfer still pays for the wire it wasted), then
 // delivers — or corrupts, or drops — the payload. It returns a typed
 // *LinkError on a drop and nil otherwise, and never runs the transfer
 // hook: Transfer runs it after a delivered attempt, TransferReliable after
 // arrival verification.
-func (s *System) transferAttempt(src, dst *Buffer) *LinkError {
+func (s *System) transferAttempt(op *linkOp, src, dst *Buffer) *LinkError {
 	if src.dev == dst.dev {
 		panic("hetsim: Transfer within a single device; use device-local copies")
 	}
@@ -346,9 +358,8 @@ func (s *System) transferAttempt(src, dst *Buffer) *LinkError {
 	// Link-tier selection: endpoints on different nodes cross the slower
 	// inter-node interconnect; everything else (including CPU<->GPU on node
 	// 0, and every transfer on a flat system) stays on the PCIe tier.
-	crossNode := s.cfg.nodes() > 1 && src.dev.node != dst.dev.node
 	gbps, latUS := s.cfg.PCIeGBps, s.cfg.PCIeLatencyUS
-	if crossNode {
+	if op.fabric {
 		gbps, latUS = s.cfg.interGBps(), s.cfg.interLatencyUS()
 	}
 	s.mu.Lock()
@@ -358,7 +369,7 @@ func (s *System) transferAttempt(src, dst *Buffer) *LinkError {
 		corruptSeq = s.links[verdict.link].n
 	}
 	s.transferred += int64(bytes)
-	if crossNode {
+	if op.fabric {
 		s.internode += int64(bytes)
 	}
 	var dt float64
@@ -371,7 +382,7 @@ func (s *System) transferAttempt(src, dst *Buffer) *LinkError {
 				s.coalescedLinks[link] = true
 			}
 		}
-		s.pcieSimSecs += dt
+		s.billLinks(src.dev, dst.dev, dt)
 	}
 	s.mu.Unlock()
 	if !verdict.drop {
@@ -381,24 +392,33 @@ func (s *System) transferAttempt(src, dst *Buffer) *LinkError {
 		}
 	}
 
-	// Logical clock: the host issues every transfer, so it is ordered on
-	// the serial timeline.
-	at := s.advanceSerial(dt)
+	at := op.advance(dt)
 
 	pcieBytes.Add(uint64(bytes))
 	pcieTransfers.Inc()
-	if crossNode {
+	if op.fabric {
 		internodeBytes.Add(uint64(bytes))
 	}
 	obs.ObservePhaseSeconds(obs.PhasePCIe, dt)
 	if tr := s.Tracer(); tr != nil {
-		tr.SimSpan(src.dev.Name()+"->"+dst.dev.Name(), obs.PhasePCIe, "PCIe",
+		tr.SimSpan(src.dev.Name()+"->"+dst.dev.Name(), obs.PhasePCIe, op.track(),
 			at, dt, map[string]float64{"bytes": float64(bytes)})
 	}
 	if verdict.drop {
 		return &LinkError{Link: verdict.link, Op: "pcie", Mode: verdict.mode}
 	}
 	return nil
+}
+
+// billLinks charges dt seconds of wire time to PCIe and to every GPU link
+// a transfer from src to dst crosses. Caller holds s.mu.
+func (s *System) billLinks(src, dst *Device, dt float64) {
+	s.pcieSimSecs += dt
+	for _, d := range [2]*Device{src, dst} {
+		if d.kind == GPU {
+			s.linkSecs[d.id] += dt
+		}
+	}
 }
 
 // CoalesceTransfers runs body inside a transfer-coalescing window: every
@@ -431,26 +451,35 @@ func (s *System) CoalesceTransfers(body func()) {
 	body()
 }
 
-// DeviceStat is one device's share of the simulated busy time.
+// DeviceStat is one device's or one link's share of the simulated busy
+// time.
 type DeviceStat struct {
 	Name    string
 	SimSecs float64
-	Share   float64 // fraction of total device busy time
-	// Util is the device's overlap utilization: busy time over the run's
-	// logical makespan (TimelineMakespan). Under the serial schedule the
-	// utilizations sum to ~1; look-ahead overlap pushes individual devices
-	// toward 1 independently.
+	Share   float64 // fraction of total busy time
+	// Util is the overlap utilization: busy time over the run's logical
+	// makespan (TimelineMakespan). Transfers on one link never overlap,
+	// nor do kernels on one device, so Util does not exceed 1 beyond the
+	// Fletcher passes, the only work that can overlap other work on its
+	// device. The values do not sum to 1: links run in parallel with each
+	// other, and look-ahead overlaps the devices too.
 	Util float64
 }
 
-// Utilization summarizes the simulated busy time per device (plus a PCIe
-// pseudo-device), for load-balance reports.
+// Utilization summarizes the simulated busy time per device and per GPU
+// PCIe link (rows "PCIe0", "PCIe1", ...: the wire and backoff seconds of
+// every transfer crossing that link, so a GPU-to-GPU copy counts on both
+// of its links), for load-balance reports.
 func (s *System) Utilization() []DeviceStat {
 	stats := []DeviceStat{{Name: "CPU", SimSecs: s.cpu.SimTime()}}
 	for _, g := range s.gpus {
 		stats = append(stats, DeviceStat{Name: g.Name(), SimSecs: g.SimTime()})
 	}
-	stats = append(stats, DeviceStat{Name: "PCIe", SimSecs: s.PCIeSimTime()})
+	s.mu.Lock()
+	for i, secs := range s.linkSecs {
+		stats = append(stats, DeviceStat{Name: fmt.Sprintf("PCIe%d", i), SimSecs: secs})
+	}
+	s.mu.Unlock()
 	total := 0.0
 	for _, st := range stats {
 		total += st.SimSecs

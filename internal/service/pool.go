@@ -195,7 +195,7 @@ func (p *systemPool) quarantined() int {
 }
 
 // utilization snapshots the aggregated per-device busy seconds (including
-// the PCIe pseudo-device), with shares of the total and overlap
+// one row per GPU PCIe link), with shares of the total and overlap
 // utilizations against the aggregated logical makespan — the fleet-wide
 // equivalent of hetsim.System.Utilization.
 func (p *systemPool) utilization() []hetsim.DeviceStat {

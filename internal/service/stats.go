@@ -99,9 +99,10 @@ const (
 	MetricBatchDispatches = "ftla_batch_dispatches_total"
 	// MetricDeviceUtilization gauges each simulated device's overlap
 	// utilization (label "device"): aggregated busy seconds over aggregated
-	// logical makespan across every pooled system released so far. Under
-	// the serial schedule the per-device values sum to ~1; Lookahead
-	// overlap pushes CPU and GPUs toward 1 independently.
+	// logical makespan across every pooled system released so far, with
+	// one series per GPU PCIe link ("PCIe0", ...) beside the devices.
+	// Parallel links and Lookahead overlap push devices and links toward
+	// 1 independently; the values do not sum to 1.
 	MetricDeviceUtilization = "ftla_device_utilization"
 )
 

@@ -102,8 +102,11 @@ go test -run '^$' -fuzz '^FuzzFaultPromise$' -fuzztime 30s ./internal/core
 # tree, and reuse across -count runs exercises stream/pool recycling. The
 # injected sweep (TestPipelineInjectionScheduleInvariant) and the batch
 # pin's injected items apply on-chip corruption inside launched stream
-# closures, so both run here under the detector.
-go test -race -timeout 5m -run 'TestPipeline|TestStream|TestBatchBitIdentity' -count=2 ./internal/core ./internal/hetsim
+# closures, so both run here under the detector. The link-clock rules
+# (TestLinkClock: per-link and fabric frontiers, the pending arrival
+# frontier that kernels and stream launches wait for) are the clock those
+# schedules run on, so they repeat here too.
+go test -race -timeout 5m -run 'TestPipeline|TestStream|TestBatchBitIdentity|TestLinkClock' -count=2 ./internal/core ./internal/hetsim
 
 # Makespan gate: the look-ahead speedup assertion is skipped under -race
 # (the race runtime's ~10-20x slowdown makes the n=2560 run impractical),
