@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"ftla/internal/hetsim"
 	"ftla/internal/matrix"
 	"ftla/internal/obs"
 )
@@ -166,9 +167,9 @@ func (cp *Checkpoint) validateFor(decomp string, n int, opts *Options) error {
 
 // captureCheckpoint snapshots the distributed state into a host-side
 // Checkpoint resuming from step next. Every device-resident strip travels
-// through System.Checkpoint (PCIe staging under the fail-stop gates — no
-// private-memory bypass), block column by block column, so the snapshot's
-// layout does not encode the GPU count.
+// through one System.Checkpoint staging (PCIe under the fail-stop gates —
+// no private-memory bypass), block column by block column, so the
+// snapshot's layout does not encode the GPU count.
 func (p *protected) captureCheckpoint(next int) *Checkpoint {
 	cp := &Checkpoint{
 		Decomp:   p.es.decomp,
@@ -187,11 +188,16 @@ func (p *protected) captureCheckpoint(next int) *Checkpoint {
 		cp.RowChk = make([]*matrix.Dense, p.nbr)
 	}
 	host := cp.hostStrips()
+	var srcs []*hetsim.Buffer
+	var dsts []*matrix.Dense
 	for bj := 0; bj < p.nbr; bj++ {
 		for i, s := range p.column(bj) {
-			host[i][bj] = p.es.sys.Checkpoint(s)
+			host[i][bj] = matrix.NewDense(s.Rows(), s.Cols())
+			srcs = append(srcs, s)
+			dsts = append(dsts, host[i][bj])
 		}
 	}
+	p.es.sys.Checkpoint(srcs, dsts)
 	return cp
 }
 

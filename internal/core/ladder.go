@@ -190,7 +190,11 @@ func (p *protected) factorPanel(k int, st *panelStep, run func() error, check fu
 // its strips) back into its owner's storage and broadcasts it, with its
 // checksums, to every live GPU's stage inside one communication-fault
 // window; leg, when set, ships GPU g's extra operands after its panel
-// legs. Under the plan's post-broadcast check the stages are verified
+// legs. The owner fills its stage from its own storage with device-local
+// copies after every leg is issued: a serial kernel waits for every copy
+// into a GPU issued before it, so copying between legs would hold the
+// next GPU's legs back until the writeback landed. Under the plan's
+// post-broadcast check the stages are verified
 // (§VII.C, see checkBroadcast); when only some legs were corrupted, the
 // owner's copy may have taken the hit on the writeback leg too, and is
 // repaired from the certified source.
@@ -216,12 +220,7 @@ func (p *protected) commitPanel(k int, st *panelStep, leg func(g int)) {
 				if !p.gpuLive(g) {
 					continue
 				}
-				if g == gk {
-					copyWithin(gdev, panelDev, st.stages[g].data)
-					if chk {
-						copyWithin(gdev, p.colChkView(k, k, p.nbr), st.stages[g].chk)
-					}
-				} else {
+				if g != gk {
 					es.sys.TransferReliable(st.cpuPanel, st.stages[g].data)
 					if chk {
 						es.sys.TransferReliable(st.cpuChk, st.stages[g].chk)
@@ -230,6 +229,10 @@ func (p *protected) commitPanel(k int, st *panelStep, leg func(g int)) {
 				if leg != nil {
 					leg(g)
 				}
+			}
+			copyWithin(gdev, panelDev, st.stages[gk].data)
+			if chk {
+				copyWithin(gdev, p.colChkView(k, k, p.nbr), st.stages[gk].chk)
 			}
 		})
 	}

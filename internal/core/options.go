@@ -364,10 +364,13 @@ type Result struct {
 	SimMakespan float64
 	// PCIeBytes is the total PCIe traffic.
 	PCIeBytes int64
-	// Flops counts the floating-point operations executed by the run
-	// (data kernels plus all checksum encode/verify work) — a
-	// deterministic work metric for overhead comparisons that wall-clock
-	// noise cannot perturb.
+	// Flops counts the floating-point operations executed during the run
+	// (data kernels plus all checksum encode/verify work). It is the
+	// difference of two reads of the process-wide blas.Flops() counter,
+	// one when the run starts and one when it finishes, so runs that
+	// overlap in one process, such as the service's workers, count each
+	// other's work; only a run alone in its process counts its own work
+	// exactly.
 	Flops uint64
 	// Checkpoints counts the host-side snapshots taken by this run
 	// (Options.CheckpointEvery > 0).

@@ -10,6 +10,7 @@ import (
 	"ftla/internal/fault"
 	"ftla/internal/hetsim"
 	"ftla/internal/matrix"
+	"ftla/internal/obs"
 )
 
 // pipelineRun executes one decomposition on a fresh testSystem and returns
@@ -168,6 +169,76 @@ func TestPipelineJournalCanonicalOrder(t *testing.T) {
 	for k := 0; k < 96/16; k++ {
 		if !steps[k] {
 			t.Fatalf("no panel-factor journaled for step %d", k)
+		}
+	}
+}
+
+// TestPipelineCommitLegsOverlap: LU's and QR's panel commit issue every
+// broadcast leg before the owner's device-local stage copy, so on every
+// step the panel leg to the GPU that does not own the panel starts before
+// the owner's writeback has landed, under both schedules. The trace is
+// read in issue order: each CPU panel kernel opens a step, and the first
+// panel-sized copies from the CPU after it are the step's writeback (to
+// the owner) and its leg (to the other GPU).
+func TestPipelineCommitLegsOverlap(t *testing.T) {
+	const n, nb = 256, 32
+	for _, decomp := range []string{"lu", "qr"} {
+		for _, la := range []int{0, 1} {
+			label := fmt.Sprintf("%s la=%d", decomp, la)
+			sys := testSystem(2)
+			tr := obs.NewTrace()
+			sys.SetTracer(tr)
+			opts := Options{NB: nb, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel, Lookahead: la}
+			var err error
+			if decomp == "lu" {
+				_, _, _, err = LU(sys, pipelineInput(decomp, n), opts)
+			} else {
+				_, _, _, err = QR(sys, pipelineInput(decomp, n), opts)
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			panelKernel := map[string]string{"lu": "getf2", "qr": "geqr2-chk"}[decomp]
+			k := -1
+			var wb, leg *obs.Span
+			check := func() {
+				if k < 0 {
+					return
+				}
+				if wb == nil || leg == nil {
+					t.Fatalf("%s step %d: writeback %v, leg %v: commit not found in the trace", label, k, wb, leg)
+				}
+				if end := wb.StartUS + wb.DurUS; leg.StartUS >= end {
+					t.Errorf("%s step %d (owner GPU%d): leg starts at %.3f us, after the writeback ends at %.3f us", label, k, k%2, leg.StartUS, end)
+				}
+			}
+			for _, sp := range tr.Spans() {
+				if sp.Proc != obs.ProcSim {
+					continue
+				}
+				if sp.Track == "CPU" && sp.Name == panelKernel {
+					check()
+					k, wb, leg = k+1, nil, nil
+					continue
+				}
+				if k < 0 || sp.Cat != obs.PhasePCIe || sp.Args["bytes"] != float64(8*(n-k*nb)*nb) {
+					continue
+				}
+				switch sp.Name {
+				case fmt.Sprintf("CPU->GPU%d", k%2):
+					if wb == nil {
+						wb = &sp
+					}
+				case fmt.Sprintf("CPU->GPU%d", 1-k%2):
+					if wb != nil && leg == nil {
+						leg = &sp
+					}
+				}
+			}
+			check()
+			if k != n/nb-1 {
+				t.Fatalf("%s: traced %d panel kernels, want %d", label, k+1, n/nb)
+			}
 		}
 	}
 }

@@ -282,12 +282,17 @@ func (p *protected) migrateColumn(bj, dst int) {
 }
 
 // gather copies the distributed matrix back to a CPU-resident dense
-// matrix over PCIe.
+// matrix over PCIe: one staging, each block column landing straight in its
+// output columns.
 func (p *protected) gather() *matrix.Dense {
 	out := matrix.NewDense(p.n, p.n)
-	for bj := 0; bj < p.nbr; bj++ {
-		out.View(0, bj*p.nb, p.n, p.nb).CopyFrom(p.es.sys.Checkpoint(p.column(bj)[0]))
+	srcs := make([]*hetsim.Buffer, p.nbr)
+	dsts := make([]*matrix.Dense, p.nbr)
+	for bj := range srcs {
+		srcs[bj] = p.column(bj)[0]
+		dsts[bj] = out.View(0, bj*p.nb, p.n, p.nb)
 	}
+	p.es.sys.Checkpoint(srcs, dsts)
 	return out
 }
 

@@ -1,28 +1,52 @@
 package hetsim
 
-import "ftla/internal/matrix"
+import (
+	"fmt"
 
-// Checkpoint stages a GPU-resident buffer to a host-owned matrix. Together
-// with Restore it is the one host⇄device column staging: the initial
+	"ftla/internal/matrix"
+)
+
+// Checkpoint stages GPU-resident buffers to host-owned matrices: srcs[i]
+// is copied into dsts[i], which must have its shape. Together with
+// Restore it is the one host⇄device column staging: the initial
 // distribution, checkpoints, rollback and resume, and the final gather all
-// move their columns through this pair. The copy goes over the PCIe fabric
-// (passing the fail-stop gates and charging the communication clocks),
-// never read out of device memory behind the simulator's back, and uses
-// the reliable protocol (TransferReliable): a snapshot damaged in flight
-// would poison every later rollback, so staging traffic is never left to
-// a lucky wire. The returned matrix is owned by the caller and shares no
-// storage with the buffer.
-func (s *System) Checkpoint(src *Buffer) *matrix.Dense {
-	stage := s.cpu.Alloc(src.Rows(), src.Cols())
-	s.TransferReliable(src, stage)
-	return stage.Access(s.cpu)
+// move their columns through this pair. Each copy goes over the PCIe
+// fabric (passing the fail-stop gates and charging the communication
+// clocks), never read out of device memory behind the simulator's back,
+// and uses the reliable protocol (TransferReliable): a snapshot damaged in
+// flight would poison every later rollback, so staging traffic is never
+// left to a lucky wire. The host matrices receive the payload in place and
+// share no storage with the buffers.
+//
+// One call is one staging on the logical clock. The host reads none of the
+// copies until it has issued them all, so each copy starts from the
+// serial frontier of the call's start (and its link's own frontier) and
+// commits only to the links it crosses: copies from different GPUs
+// overlap. The serial frontier joins once, at the latest arrival, when the
+// call returns — on the abort path too, so a staging cut short by a lost
+// device or an exhausted link still holds the links it used.
+func (s *System) Checkpoint(srcs []*Buffer, dsts []*matrix.Dense) {
+	if len(srcs) != len(dsts) {
+		panic(fmt.Sprintf("hetsim: Checkpoint of %d buffers into %d host matrices", len(srcs), len(dsts)))
+	}
+	s.clockMu.Lock()
+	arrival := s.serial.floor
+	s.clockMu.Unlock()
+	defer func() {
+		s.clockMu.Lock()
+		s.serial.floor = max(s.serial.floor, arrival)
+		s.clockMu.Unlock()
+	}()
+	for i, src := range srcs {
+		s.transferReliable(src, &Buffer{dev: s.cpu, m: dsts[i]}, &arrival)
+	}
 }
 
 // Restore writes a host-side matrix into a GPU-resident buffer of the same
 // shape over the PCIe fabric — the host-to-device half of the staging pair
 // (see Checkpoint), so fail-stop gates and transfer accounting apply. The
-// matrix is copied, not aliased; the caller may keep reusing it for later
-// restores.
+// copy reads snap in place and never writes it; the caller may keep
+// reusing it for later restores.
 func (s *System) Restore(snap *matrix.Dense, dst *Buffer) {
-	s.TransferReliable(s.cpu.AllocFrom(snap), dst)
+	s.TransferReliable(&Buffer{dev: s.cpu, m: snap}, dst)
 }

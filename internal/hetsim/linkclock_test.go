@@ -229,3 +229,127 @@ func TestLinkClockResetZeroesFrontiers(t *testing.T) {
 		t.Fatalf("first copy after Reset ends at %g, want %g", mk, one)
 	}
 }
+
+// stagingCols allocates one r-by-c column of random data on each listed
+// GPU and returns the buffers with the column views of one host matrix,
+// side by side, to stage them into.
+func stagingCols(s *System, gpus []int, r, c int) (srcs []*Buffer, dsts []*matrix.Dense) {
+	host := matrix.NewDense(r, c*len(gpus))
+	for i, g := range gpus {
+		b := s.GPU(g).Alloc(r, c)
+		b.UnsafeData().CopyFrom(matrix.Random(r, c, matrix.NewRNG(uint64(10+g))))
+		srcs = append(srcs, b)
+		dsts = append(dsts, host.View(0, i*c, r, c))
+	}
+	return srcs, dsts
+}
+
+// TestLinkClockStagingOverlaps: one Checkpoint staging a column from each
+// of 2 or 4 GPUs crosses every link at once, so it costs one column's
+// copy, and each column lands in place in the host matrix it was given.
+func TestLinkClockStagingOverlaps(t *testing.T) {
+	const r, c = 64, 32
+	for _, gpus := range []int{2, 4} {
+		one := loneTransfer(DefaultConfig(gpus), 0, -1, r, c, true)
+		s := New(DefaultConfig(gpus))
+		all := make([]int, gpus)
+		for g := range all {
+			all[g] = g
+		}
+		srcs, dsts := stagingCols(s, all, r, c)
+		s.Checkpoint(srcs, dsts)
+		if mk := s.TimelineMakespan(); mk != one {
+			t.Fatalf("%d GPUs: staging ends at %g, want one column's copy %g", gpus, mk, one)
+		}
+		for i, src := range srcs {
+			if !dsts[i].Equal(src.UnsafeData()) {
+				t.Fatalf("%d GPUs: column %d did not land in its host view", gpus, i)
+			}
+		}
+	}
+}
+
+// TestLinkClockStagingJoinsAtLatestArrival: each staged copy starts from
+// the host floor on its own link, and the serial floor after Checkpoint
+// is the latest arrival: the next CPU kernel starts there. A pull issued
+// outside Checkpoint still moves the floor at once.
+func TestLinkClockStagingJoinsAtLatestArrival(t *testing.T) {
+	const r, c = 64, 32
+	pull := loneTransfer(DefaultConfig(2), 0, -1, r, c, true)
+	push := loneTransfer(DefaultConfig(2), -1, 1, r, c, true)
+	s := New(DefaultConfig(2))
+	tr := obs.NewTrace()
+	s.SetTracer(tr)
+	s.TransferReliable(s.CPU().Alloc(r, c), s.GPU(1).Alloc(r, c)) // link 1 busy until push
+	srcs, dsts := stagingCols(s, []int{1, 0}, r, c)
+	s.Checkpoint(srcs, dsts)
+	s.CPU().Run("panel", 1e8, func(int) {}) // 2 ms at 50 GFLOPS
+	ends := map[string]float64{}
+	var panel obs.Span
+	for _, sp := range tr.Spans() {
+		ends[sp.Track] = sp.StartUS + sp.DurUS
+		if sp.Name == "panel" {
+			panel = sp
+		}
+	}
+	if end := ends["PCIe0"] / 1e6; !near(end, pull) {
+		t.Fatalf("GPU0's column lands at %g, want %g: it waited for the copy on link 1", end, pull)
+	}
+	if start := panel.StartUS / 1e6; !near(start, push+pull) {
+		t.Fatalf("CPU kernel starts at %g, want the latest arrival %g", start, push+pull)
+	}
+
+	s = New(DefaultConfig(2))
+	for g := 0; g < 2; g++ {
+		s.TransferReliable(s.GPU(g).Alloc(r, c), s.CPU().Alloc(r, c))
+	}
+	if mk := s.TimelineMakespan(); !near(mk, 2*pull) {
+		t.Fatalf("two pulls outside a staging end at %g, want %g", mk, 2*pull)
+	}
+}
+
+// TestLinkClockStagingAbortHoldsLinks: a staging cut short by a lost GPU
+// or an exhausted link aborts with the typed error, still bills and holds
+// the links its copies used, and still joins the serial floor; Reset then
+// zeroes every frontier.
+func TestLinkClockStagingAbortHoldsLinks(t *testing.T) {
+	const r, c = 32, 32
+	pull := loneTransfer(DefaultConfig(2), 0, -1, r, c, true)
+	s := New(DefaultConfig(2))
+	srcs, dsts := stagingCols(s, []int{0, 1}, r, c)
+	s.ArmFault(s.GPU(1), FaultPlan{Mode: FaultCrash})
+	if err := catch(func() { s.Checkpoint(srcs, dsts) }); !isLost(err) {
+		t.Fatalf("staging from a lost GPU: err = %v, want *DeviceLostError", err)
+	}
+	if u := s.Utilization(); u[3].SimSecs <= 0 || u[4].SimSecs != 0 {
+		t.Fatalf("link rows %+v %+v, want PCIe0 billed for its copy and PCIe1 idle", u[3], u[4])
+	}
+	s.CPU().Run("panel", 1e8, func(int) {})
+	if mk, want := s.TimelineMakespan(), pull+2e-3; !near(mk, want) {
+		t.Fatalf("CPU kernel after the aborted staging ends at %g, want %g", mk, want)
+	}
+
+	s.Reset()
+	s.ArmLinkFault(1, LinkFaultPlan{Mode: LinkFlap, Count: 20})
+	var le *LinkError
+	if err := catch(func() { s.Checkpoint(srcs, dsts) }); !errors.As(err, &le) || le.Link != 1 {
+		t.Fatalf("staging over an exhausted link: err = %v, want *LinkError on link 1", err)
+	}
+	failed := s.TimelineMakespan()
+	if busy := s.Utilization()[4]; failed <= pull || busy.SimSecs <= 0 {
+		t.Fatalf("failed staging ends at %g with %s busy %g, want past %g and billed", failed, busy.Name, busy.SimSecs, pull)
+	}
+	s.CPU().Run("panel", 1e8, func(int) {})
+	if mk, want := s.TimelineMakespan(), failed+2e-3; !near(mk, want) {
+		t.Fatalf("CPU kernel after the failed staging ends at %g, want %g", mk, want)
+	}
+
+	s.Reset()
+	if mk := s.TimelineMakespan(); mk != 0 {
+		t.Fatalf("makespan %g after Reset, want 0", mk)
+	}
+	s.Checkpoint(srcs, dsts)
+	if mk := s.TimelineMakespan(); mk != pull {
+		t.Fatalf("first staging after Reset ends at %g, want %g", mk, pull)
+	}
+}

@@ -315,9 +315,11 @@ func (s *System) maxRetransmits() int {
 // wire attempts and backoffs form one link operation on the logical
 // clock: it starts once the serial timeline and every link it crosses
 // (the inter-node fabric too, between nodes) are free, runs its passes
-// back to back, and holds them until it ends, on the abort path too. A copy into the CPU ends before the host's
-// next operation; a copy into a GPU ends before the next serial kernel or
-// stream launch, so copies to different GPUs overlap. With no
+// back to back, and holds them until it ends, on the abort path too. A
+// copy into the CPU ends before the host's next operation (inside one
+// Checkpoint staging, before the host's first operation after it); a copy
+// into a GPU ends before the next serial kernel or stream launch, so
+// copies to different GPUs overlap. With no
 // link faults armed the data path is bit-identical to Transfer (the
 // checksum only verifies; it never rewrites the payload). Exhausted
 // retries abort with a typed *LinkError via the fail-stop panic plumbing,
@@ -329,10 +331,16 @@ func (s *System) maxRetransmits() int {
 // communication-error model that ABFT itself must catch — is the
 // receiver's memory past the transport, so injected faults still reach
 // the factorization's own verification.
-func (s *System) TransferReliable(src, dst *Buffer) {
+func (s *System) TransferReliable(src, dst *Buffer) { s.transferReliable(src, dst, nil) }
+
+// transferReliable is TransferReliable as one copy of a staging when
+// arrival is set: a copy into the CPU then raises *arrival to its end
+// instead of moving the serial frontier (see Checkpoint and commitLink).
+func (s *System) transferReliable(src, dst *Buffer, arrival *float64) {
 	src.dev.gate("pcie")
 	dst.dev.gate("pcie")
 	op := s.beginLink(src.dev, dst.dev)
+	op.arrival = arrival
 	defer s.commitLink(&op)
 	want := payloadChecksum(src.m)
 	s.fletcher(&op, src.dev, src.m)

@@ -36,17 +36,22 @@ package hetsim
 //     one link operation (linkOp), which commits its end to what it
 //     crosses when it finishes or aborts;
 //   - a copy into the CPU is synchronous: the serial frontier moves to its
-//     end. A copy into a GPU only raises the system-wide pending arrival
-//     frontier, so copies to different GPUs overlap. The next serial
-//     kernel, on any device, starts no earlier than pending, and Launch
-//     folds pending into the stream's timeline too.
+//     end. The one exception is a Checkpoint staging, whose copies the
+//     host reads only after issuing them all: they hold their links but
+//     leave the serial frontier alone, so pulls from different GPUs
+//     overlap, and the frontier joins once, at the latest arrival, when
+//     the staging ends. A copy into a GPU only raises the system-wide
+//     pending arrival frontier, so copies to different GPUs overlap. The
+//     next serial kernel, on any device, starts no earlier than pending,
+//     and Launch folds pending into the stream's timeline too.
 //
 // A program that never touches streams therefore gets the serial schedule
 // (the depth-0 special case): kernels run one after another, and only
-// copies to different GPUs overlap. Every start is a function of issue
-// order alone, so a look-ahead run assigns every operation the same
-// interval on every run. TimelineMakespan is the resulting end-to-end
-// finish time; under overlap it is smaller than the serial sum.
+// copies to different GPUs, or from different GPUs within one staging,
+// overlap. Every start is a function of issue order alone, so a
+// look-ahead run assigns every operation the same interval on every run.
+// TimelineMakespan is the resulting end-to-end finish time; under overlap
+// it is smaller than the serial sum.
 //
 // Abort plumbing. A fail-stop fault firing inside a launched closure is
 // captured by the stream executor; the stream skips the remainder of its
@@ -238,6 +243,10 @@ type linkOp struct {
 	src, dst *Device
 	fabric   bool    // crosses the inter-node fabric
 	at       float64 // the cursor: logical end of the operation so far
+	// arrival, set on a copy into the CPU inside a Checkpoint staging, is
+	// the staging's latest arrival, which commitLink raises in place of
+	// the serial frontier.
+	arrival *float64
 }
 
 // beginLink opens a link operation from src to dst.
@@ -276,9 +285,12 @@ func (op *linkOp) track() string {
 }
 
 // commitLink ends a link operation: its links (and the fabric, between
-// nodes) are busy until its end, and a copy into the CPU moves the serial
-// frontier there (the host waits for it), while a copy into a GPU only
-// raises the pending arrival frontier the next serial kernel waits for.
+// nodes) are busy until its end. A copy into the CPU is synchronous and
+// moves the serial frontier there (the host waits for it), except inside
+// a Checkpoint staging, where it raises the staging's arrival instead and
+// the serial frontier joins once when the staging ends. A copy into a GPU
+// only raises the pending arrival frontier the next serial kernel waits
+// for.
 func (s *System) commitLink(op *linkOp) {
 	s.clockMu.Lock()
 	for _, d := range [2]*Device{op.src, op.dst} {
@@ -289,9 +301,12 @@ func (s *System) commitLink(op *linkOp) {
 	if op.fabric {
 		s.fabricFree = max(s.fabricFree, op.at)
 	}
-	if op.dst.kind == CPU {
+	switch {
+	case op.arrival != nil:
+		*op.arrival = max(*op.arrival, op.at)
+	case op.dst.kind == CPU:
 		s.serial.floor = max(s.serial.floor, op.at)
-	} else {
+	default:
 		s.pending = max(s.pending, op.at)
 	}
 	s.clockMu.Unlock()
