@@ -221,8 +221,9 @@ func (p *protected) restoreFrom(cp *Checkpoint) {
 	}
 	// Checkpoints carry no parity; a restore (rollback or cross-run resume)
 	// re-encodes every surviving parity column from the restored data
-	// (refresh itself skips parities retired by an earlier node loss).
+	// (skipping parities retired by an earlier node loss) and starts the
+	// parity's epoch at the checkpoint.
 	if p.coded != nil {
-		p.coded.refresh(0)
+		p.coded.reset(cp.NextStep - 1)
 	}
 }

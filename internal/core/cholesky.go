@@ -120,7 +120,7 @@ func (l *cholLadder) panelCommit(k int) {
 	gdevK := es.sys.GPU(gk)
 	chk := es.opts.Mode != NoChecksum
 	st := l.step[k]
-	if st == nil || st.cpuPanel == nil {
+	if st == nil {
 		return
 	}
 
@@ -144,7 +144,6 @@ func (l *cholLadder) panelCommit(k int) {
 			res.Counter.Rebroadcasts++
 		}
 	}
-	st.cpuPanel, st.cpuChk = nil, nil
 }
 
 // panelUpdate runs PU — L21 = A21·L11⁻ᵀ on the owner GPU with its
@@ -303,7 +302,27 @@ func (l *cholLadder) tmuGPU(k, g int, sel tmuSel) {
 func (l *cholLadder) tmuFinish(k int, sel tmuSel) {
 	l.p.tmuClose(k, l.trailing(k), sel)
 	if sel != tmuLookahead {
+		stages, l11 := l.step[k].stages, l.step[k].cpuPanel
+		l.logReplay(func(bj, g int) { l.replay(k, stages[g], l11, bj, g) })
 		l.step[k] = nil
+	}
+}
+
+// replay applies step k to block column bj, rebuilt on GPU g (see
+// codedState.adopt), from g's L21 stage st: the panel column adopts the
+// certified diagonal block from its host copy l11 and L21 from the
+// stage, and a later column takes its trailing update.
+func (l *cholLadder) replay(k int, st stagePair, l11 *hetsim.Buffer, bj, g int) {
+	p := l.p
+	nb := p.nb
+	o := k * nb
+	switch {
+	case bj == k:
+		col := p.local[g].View(o, p.localOff(bj), p.n-o, nb)
+		p.es.sys.TransferReliable(l11, col.View(0, 0, nb, nb))
+		copyWithin(p.es.sys.GPU(g), st.data, col.View(nb, 0, p.n-o-nb, nb))
+	case bj > k:
+		p.cholTMUOnGPU(g, k, st, nil, tmuColumn(bj))
 	}
 }
 
@@ -359,10 +378,18 @@ func (p *protected) cholTMURegions(k int, stages []stagePair) []fault.Region {
 // for step k under the given TMU slice selector. The look-ahead column —
 // block column k+1 — is the owner's first trailing local block (and only
 // that), so the split is exact: tmuLookahead ∪ tmuRest = tmuAll, disjoint.
+// A tmuColumn selection is its column's local block on its owner.
 func (p *protected) tmuRange(g, k int, sel tmuSel) (lb0, lb1 int) {
 	lb0, lb1 = p.trailStart(g, k+1), p.nloc[g]
 	if sel == tmuAll {
 		return lb0, lb1
+	}
+	if sel > tmuRest {
+		bj := int(sel - tmuRest - 1)
+		if g != p.owner(bj) || bj <= k {
+			return lb0, lb0
+		}
+		return p.localBlock(bj), p.localBlock(bj) + 1
 	}
 	if g == p.owner(k+1) {
 		la := p.localBlock(k + 1)

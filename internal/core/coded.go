@@ -48,41 +48,65 @@ import (
 // accepted toward a node holding one of the group's parities, which is
 // then re-encoded on the donor's node (codedState.rehomeParity).
 //
-// Maintenance. Every live parity is refreshed at the end of every ladder
-// step k for all groups still holding a column >= k, over rows [k·nb, n)
-// only: every stage of step k — LU row interchanges included — writes
-// only those rows, so the rows above are frozen and their parity is
-// already current (the code is row-local). Parity encodes only verified
-// bits: the refresh first verifies and repairs the trailing columns
-// against their column checksums, so a soft error the step's own checks
-// missed never enters the parity, where a node loss would rebuild it as
-// if it were correct (column k is covered by the step's panel checks).
-// Once a run has detected an error, every refresh runs at full height,
-// because a §VII.B repair may rewrite rows above the panel with
-// roundoff-level different bits. A group's live parities are all encoded
-// on one hub GPU (its first live parity GPU), which receives each member
-// once and ships the finished parities j >= 1 home: kk + live − 1
-// cross-node shipments per group rather than kk·live. Finalized groups —
-// whose columns only change under LU row interchanges — track the swaps
-// exactly by swapping the same parity rows. The initial encode, a parity
-// re-home, and a rollback (which restores data from the checkpoint and
-// re-encodes all surviving parity; checkpoints do not carry it) run at
-// full height.
+// Maintenance. Parity is lazy: it is encoded and shipped only every c
+// ladder steps (parityInterval; Options.parityEvery overrides it in
+// tests), and between two such refreshes it stays exact as of the last
+// one, step s — the refresh epoch (−1 for the input). Every step runs
+// the refresh's verification regardless: it checks and repairs the
+// trailing columns against their column checksums on the host, as the
+// post-TMU check does, so a soft error the step's own checks missed is
+// repaired instead of entering the parity, where a node loss would
+// rebuild it as if it were correct. A due refresh at step k then
+// re-encodes rows [(s+1)·nb, n) of every group with a column > s: steps
+// s+1..k write only those rows (LU row interchanges included), so the
+// rows above are frozen and their parity is already current (the code is
+// row-local). Groups whose columns all lie at or before s are frozen as
+// a whole and change only under LU row interchanges, which swapRows
+// mirrors onto their parity rows exactly; a group still active at s gets
+// no mirror, since its parity must stay as of s. Once a run has detected
+// an error, every step refreshes, at full height: a §VII.B repair may
+// rewrite rows above the panel with roundoff-level different bits, which
+// the replay below would not reproduce. A group's live parities are all
+// encoded on one hub GPU (its first live parity GPU), which receives each
+// member once and ships the finished parities j >= 1 home: kk + live − 1
+// cross-node shipments per group rather than kk·live. The initial encode
+// and a rollback (which restores data from the checkpoint and re-encodes
+// all surviving parity; checkpoints do not carry it) run at full height
+// and reset s; a rebalancing round that moves columns after a step past
+// s refreshes at once, so a re-homed parity shares its group's epoch and
+// every snapshot (below) sits on its column's owner.
 //
-// Reconstruction. At a node-loss epoch the runtime calls reconstructNodes
-// with every node that died at that boundary (simultaneous losses fire
-// together; see hetsim.NodeEpoch). Parities on dead nodes are retired;
-// then, per group, the e lost members are solved from the first e surviving
-// parities: each selected parity GPU folds the surviving members into its
-// parity copy (RHS_j = P_j ⊕ Σ gen[j][i]·D_i), the e×e generator submatrix
-// is inverted over GF(2^8) — always possible, every square submatrix of a
+// Two things keep a lazy parity usable. At each refresh, the initial
+// encode and every rollback included, every GPU copies the rows later
+// steps may write, [(s+1)·nb, n), of the columns it owns of the groups
+// still active into snapshots — device-local copies, as of s, of the very
+// bits the parity encodes. And every live GPU already holds each step's
+// verified broadcast stage (the panel, with LU's pivots, QR's T and
+// c(V)); the ladders log those stages as a replay of each step since s,
+// dropped at the next refresh.
+//
+// Reconstruction. At a node-loss epoch e the runtime calls
+// reconstructNodes with every node that died at that boundary
+// (simultaneous losses fire together; see hetsim.NodeEpoch). Parities on
+// dead nodes are retired; then, per group, the lost members are solved
+// from the first surviving parities: each selected parity GPU folds the
+// surviving members — their snapshots, for a group active at s — into its
+// parity copy (RHS_j = P_j ⊕ Σ gen[j][i]·D_i), the generator submatrix is
+// inverted over GF(2^8) — always possible, every square submatrix of a
 // Cauchy matrix is nonsingular — and each lost member D = Σ inv·RHS is
-// accumulated and adopted on a selected parity GPU, its checksum strips
-// re-encoded from the rebuilt data. Redundancy is *dynamic*, not a global
-// one-shot: a group stays recoverable while its lost members do not exceed
-// its surviving parities, so an r = 2 cluster absorbs two losses whether
-// they arrive in one epoch or two. Only when some group can no longer be
-// solved does the typed hetsim.NodeLostError surface to the serving layer.
+// accumulated and adopted on a selected parity GPU. That is the member as
+// of s; the adoptee keeps it as the member's snapshot and replays the
+// logged steps s+1..e−1 on that one column — row interchanges, then the
+// panel's adoption from the logged stage, then the PU TRSM and the TMU
+// GEMM — with the ladders' own kernels. Every kernel is column-local and
+// accumulates in k-order (the reason look-ahead is bit-exact, runtime.go),
+// so the replayed column equals the uninterrupted run's bit for bit. Its
+// checksum strips are then re-encoded from the rebuilt data. Redundancy is
+// *dynamic*, not a global one-shot: a group stays recoverable while its
+// lost members do not exceed its surviving parities, so an r = 2 cluster
+// absorbs two losses whether they arrive in one epoch or two. Only when
+// some group can no longer be solved does the typed hetsim.NodeLostError
+// surface to the serving layer.
 
 // Coded-redundancy instruments in the obs default registry.
 var (
@@ -142,7 +166,25 @@ type codedState struct {
 	// nodesLost counts the node losses this state absorbed, for the
 	// spent/remaining metric labels.
 	nodesLost int
+
+	// every is the refresh interval c in steps.
+	every int
+	// epoch is the refresh epoch s: the step whose end every parity
+	// reflects (−1 for the input).
+	epoch int
+	// snaps[bj] holds rows [(epoch+1)·nb, n) of block column bj as of
+	// epoch, on the GPU that owns it, for the members of groups still
+	// active at epoch (last > epoch); the rows above are frozen, so the
+	// column itself holds them. nil for frozen groups.
+	snaps []*hetsim.Buffer
+	// log replays the steps since epoch, in order: log[i](bj, g) applies
+	// step epoch+1+i to block column bj on its owner g (see adopt).
+	log []func(bj, g int)
 }
+
+// parityInterval is the default refresh interval c: parity is encoded
+// and shipped after every c-th ladder step.
+const parityInterval = 4
 
 // redundancyOf resolves the Options.Redundancy knob against the topology:
 // default 1, clamped into [1, Nodes-1] (at least one data column per group
@@ -171,6 +213,11 @@ func newCodedState(p *protected) *codedState {
 		gen:     gf.Cauchy(r, kk),
 		scratch: make(map[int][]*hetsim.Buffer),
 		tables:  make(map[byte]*gf.Table),
+		every:   parityInterval,
+		snaps:   make([]*hetsim.Buffer, p.nbr),
+	}
+	if e := p.es.opts.parityEvery; e > 0 {
+		cs.every = e
 	}
 	for first := 0; first < p.nbr; first += kk {
 		last := first + kk - 1
@@ -329,40 +376,141 @@ func (cs *codedState) refreshGroup(t, r0 int) {
 	}
 }
 
-// refresh re-encodes the surviving parity of every group still holding a
-// column >= k, after step k, inside one coalesced-transfer window so a
-// round pays each link's latency once. It first verifies the trailing
-// columns on their owner GPUs, as the post-TMU check does. Only rows
-// [k·nb, n) are re-encoded unless the run has detected an error (see the
-// maintenance note above); refresh(0) is the full-height initial encode.
+// refresh ends step k: it verifies the trailing columns on their owner
+// GPUs, as the post-TMU check does, and then — every c steps, or every
+// step once the run has detected an error — commits the parity as of
+// step k (see the maintenance note above).
 func (cs *codedState) refresh(k int) {
+	cs.verify(k)
+	if k-cs.epoch >= cs.every || cs.p.es.res.Detected {
+		cs.commit(k)
+	}
+}
+
+// reset re-encodes every surviving parity at full height from data that
+// reflect the end of step s: the initial encode (s = −1, the input) and
+// the restore of a checkpoint (s = NextStep−1). It verifies first, over
+// the rows below the first block row, and snapshots as commit does.
+func (cs *codedState) reset(s int) {
+	cs.verify(0)
+	cs.snapshot(s)
+	cs.epoch = -1
+	cs.reencode(0)
+	cs.epoch = s
+	cs.log = cs.log[:0]
+}
+
+// verify checks and repairs the trailing columns of step k against their
+// column checksums, so parity only ever encodes verified bits.
+func (cs *codedState) verify(k int) {
 	if cs.p.es.opts.Mode != NoChecksum {
 		cs.p.checkTrailing((k+1)*cs.p.nb, k, tmuAll, &cs.p.es.res.Counter.TMUAfter)
 	}
-	r0 := k * cs.p.nb
+}
+
+// commit makes the parity current as of step k, past the epoch, and
+// starts a new epoch there: it snapshots the groups still active after k,
+// re-encodes rows [(s+1)·nb, n) of every group with a column > s — at
+// full height once the run has detected an error — and drops the replay
+// log. The snapshots come first: zero-cost device-local copies that would
+// otherwise wait for the parity shipments to land.
+func (cs *codedState) commit(k int) {
+	cs.snapshot(k)
+	r0 := (cs.epoch + 1) * cs.p.nb
 	if cs.p.es.res.Detected {
 		r0 = 0
 	}
+	cs.reencode(r0)
+	cs.epoch = k
+	cs.log = cs.log[:0]
+}
+
+// moved follows a rebalancing round after step k that migrated columns:
+// past the epoch it commits, so a re-homed parity shares its group's
+// epoch and every snapshot sits on its column's new owner; at the epoch
+// the parity is current already, and only the snapshots move to the new
+// owners.
+func (cs *codedState) moved(k int) {
+	if k > cs.epoch {
+		cs.commit(k)
+	} else {
+		cs.snapshot(k)
+	}
+}
+
+// reencode recomputes rows [r0, n) of the surviving parity of every group
+// with a column past the epoch, inside one coalesced-transfer window, so a
+// round pays each link's latency once.
+func (cs *codedState) reencode(r0 int) {
 	cs.p.es.sys.CoalesceTransfers(func() {
 		for t := range cs.groups {
-			if cs.groups[t].last >= k {
+			if cs.groups[t].last > cs.epoch {
 				cs.refreshGroup(t, r0)
 			}
 		}
 	})
 }
 
+// snapshot copies, on each owner, rows [(k+1)·nb, n) of every member of
+// the groups with a live parity and a column past step k — the rows later
+// steps may write — reusing each column's snapshot buffer while it sits
+// on the owner and is tall enough.
+func (cs *codedState) snapshot(k int) {
+	p := cs.p
+	r0 := (k + 1) * p.nb
+	for t := range cs.groups {
+		g := &cs.groups[t]
+		for bj := g.first; bj <= g.last; bj++ {
+			if g.last <= k || g.liveParities() == nil {
+				cs.snaps[bj] = nil
+				continue
+			}
+			dev := p.es.sys.GPU(p.owner(bj))
+			if b := cs.snaps[bj]; b == nil || b.Device() != dev || b.Rows() < p.n-r0 {
+				cs.snaps[bj] = dev.Alloc(p.n-r0, p.nb)
+			}
+			cs.snaps[bj] = cs.snaps[bj].View(0, 0, p.n-r0, p.nb)
+			copyWithin(dev, cs.rows(cs.memberView(bj), r0), cs.snaps[bj])
+		}
+	}
+}
+
+// record appends the replay of the step just finished to the log (see
+// adopt). Once no parity survives nothing can be rebuilt, no refresh
+// drops the log, and it is not kept.
+func (cs *codedState) record(step func(bj, g int)) {
+	if !cs.exhausted() {
+		cs.log = append(cs.log, step)
+	}
+}
+
+// atEpoch returns block column bj as of the epoch, for decoding: the
+// column itself in a frozen group, else a full-height copy on its owner
+// assembled from the frozen rows of the column and its snapshot below
+// them.
+func (cs *codedState) atEpoch(bj int) *hetsim.Buffer {
+	p := cs.p
+	if cs.groups[cs.groupOf(bj)].last <= cs.epoch {
+		return cs.memberView(bj)
+	}
+	r0 := (cs.epoch + 1) * p.nb
+	dev := cs.snaps[bj].Device()
+	col := dev.Alloc(p.n, p.nb)
+	copyWithin(dev, cs.memberView(bj).View(0, 0, r0, p.nb), col.View(0, 0, r0, p.nb))
+	copyWithin(dev, cs.snaps[bj], cs.rows(col, r0))
+	return col
+}
+
 // swapRows mirrors an LU row interchange onto the surviving parities of
-// every group whose members all lie in [bjLo, bjHi): the code is row-local
-// (each parity row depends only on the same member rows), so swapping the
-// same rows keeps the parity exact. Partially covered groups are left
-// stale — they are active by construction (the swap ranges [0,k) and
-// [k+1,nbr) only straddle the group holding the pivot column) and the
-// end-of-step refresh rewrites them.
+// every group frozen at the epoch whose members all lie in [bjLo, bjHi):
+// the code is row-local (each parity row depends only on the same member
+// rows), so swapping the same rows keeps the parity exact. A group still
+// active at the epoch keeps its parity as of then; the replay re-applies
+// the swap to a column rebuilt from it.
 func (cs *codedState) swapRows(r1, r2, bjLo, bjHi int) {
 	for t := range cs.groups {
 		g := &cs.groups[t]
-		if g.first < bjLo || g.last >= bjHi {
+		if g.last > cs.epoch || g.first < bjLo || g.last >= bjHi {
 			continue
 		}
 		for j, buf := range g.bufs {
@@ -404,9 +552,10 @@ func (cs *codedState) rehomeParity(t, j, dst int) {
 // exactly what r surviving parities can solve. It returns how many columns
 // were rebuilt, or the typed error when some group lost more members than
 // it has surviving parities (redundancy truly spent — the serving layer's
-// failover ladder takes over). The caller (the step runtime's node-loss
-// stage) guarantees the parity is fresh: losses fire only at epoch
-// boundaries, after the previous step's refresh.
+// failover ladder takes over). Losses fire only at epoch boundaries
+// (the step runtime's node-loss stage), after the previous step's
+// refresh verification, so the parity, the snapshots and the replay log
+// together describe every member exactly.
 func (cs *codedState) reconstructNodes(lostNodes []int) (int, error) {
 	p := cs.p
 	sys := p.es.sys
@@ -494,7 +643,9 @@ func (cs *codedState) redundancyLeft() (spent, remaining int) {
 // lost member D_{l_b} = Σ_a inv[b][a]·RHS_a is accumulated on the b-th
 // selected parity GPU and adopted there. With e = 1 and a surviving parity
 // 0 this degenerates to recon = parity ⊕ (XOR of survivors): the exact r=1
-// path of PR 9.
+// path of PR 9. While the group is active the survivors enter through
+// their snapshots, so each rebuilt member is the member as of the epoch,
+// and adopt replays the steps since.
 func (cs *codedState) rebuildGroup(t int, lostMembers []int) {
 	p := cs.p
 	sys := p.es.sys
@@ -504,6 +655,14 @@ func (cs *codedState) rebuildGroup(t int, lostMembers []int) {
 	isLost := make(map[int]bool, e)
 	for _, bj := range lostMembers {
 		isLost[bj] = true
+	}
+
+	// The survivors as of the epoch.
+	bufs := make([]*hetsim.Buffer, g.last-g.first+1)
+	for bj := g.first; bj <= g.last; bj++ {
+		if !isLost[bj] {
+			bufs[bj-g.first] = cs.atEpoch(bj)
+		}
 	}
 
 	// RHS scratches, one per selected parity, resident on its GPU.
@@ -517,8 +676,8 @@ func (cs *codedState) rebuildGroup(t int, lostMembers []int) {
 			if isLost[bj] {
 				continue
 			}
-			src := cs.memberView(bj)
-			if p.owner(bj) != pg {
+			src := bufs[bj-g.first]
+			if src.Device() != dev {
 				stage := cs.scratchCols(pg)[0]
 				cs.ship(src, stage)
 				src = stage
@@ -567,16 +726,24 @@ func (cs *codedState) rebuildGroup(t int, lostMembers []int) {
 }
 
 // adopt inserts the rebuilt column recon (resident on GPU dst) into a
-// slot opened at bj's sorted position in dst's slab, re-encodes its
-// checksum strips from the data, and rewrites the ownership tables. Unlike
-// migrateColumn the source slab is never compacted — its device is gone —
-// so the source-side update is bookkeeping only.
+// slot opened at bj's sorted position in dst's slab and rewrites the
+// ownership tables. While bj's group is active, recon is bj as of the
+// epoch: it becomes bj's snapshot, and the logged steps since are
+// replayed on the slot. The checksum strips are then re-encoded from the
+// data. Unlike migrateColumn the source slab is never compacted — its
+// device is gone — so the source-side update is bookkeeping only.
 func (cs *codedState) adopt(bj, dst int, recon *hetsim.Buffer) {
 	p := cs.p
 	idx := p.openSlot(dst, bj)
 	copyWithin(p.es.sys.GPU(dst), recon, p.strips(dst, idx, 1)[0])
+	p.reown(bj, dst, idx)
+	if cs.groups[cs.groupOf(bj)].last > cs.epoch {
+		cs.snaps[bj] = cs.rows(recon, (cs.epoch+1)*p.nb)
+		for _, step := range cs.log {
+			step(bj, dst)
+		}
+	}
 	// Certified re-encode: the maintained strips died with the node; fresh
 	// strips from the rebuilt data verify exactly clean.
 	p.encodeStrips(dst, idx, 1)
-	p.reown(bj, dst, idx)
 }

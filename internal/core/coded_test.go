@@ -9,6 +9,7 @@ import (
 	"ftla/internal/checksum"
 	"ftla/internal/fault"
 	"ftla/internal/hetsim"
+	"ftla/internal/matrix"
 )
 
 // clusterSystem builds a multi-node test topology: gpus GPUs spread
@@ -180,7 +181,11 @@ func TestClusterSecondNodeLossSurfacesTypedError(t *testing.T) {
 // whose GPUs co-own both members of every even group, forcing a genuine 2×2
 // GF(2^8) decode (not two XOR solves); the sequential case exercises the
 // live-parity accounting after an adopted column starts sharing a GPU with
-// a surviving parity.
+// a surviving parity. Each loss runs at every refresh interval of
+// parityIntervals, so the sequential case's second loss also meets a
+// rebuilt column inside a lazy window. Each (decomposition, schedule)
+// runs its clean twin as a parallel subtest, and each (case, interval) as
+// a parallel subtest of that.
 func TestClusterDoubleNodeLossBitIdentical(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -192,50 +197,57 @@ func TestClusterDoubleNodeLossBitIdentical(t *testing.T) {
 	}
 	for _, decomp := range []string{"cholesky", "lu", "qr"} {
 		for _, lookahead := range []int{0, 1} {
-			opts := Options{NB: 16, Mode: Full, Scheme: NewScheme,
-				Kernel: checksum.OptKernel, Lookahead: lookahead, Redundancy: 2}
-			clean := runPipelineOn(t, decomp, 128, clusterSystem(4, 4), opts)
-			for _, tc := range cases {
-				label := decomp + "/" + tc.name
-				lopts := opts
-				lopts.NodeFault = tc.plans
-				lossy := runPipelineOn(t, decomp, 128, clusterSystem(4, 4), lopts)
+			t.Run(fmt.Sprintf("%s/lookahead=%d", decomp, lookahead), func(t *testing.T) {
+				t.Parallel()
+				opts := Options{NB: 16, Mode: Full, Scheme: NewScheme,
+					Kernel: checksum.OptKernel, Lookahead: lookahead, Redundancy: 2}
+				clean := runPipelineOn(t, decomp, 128, clusterSystem(4, 4), opts)
+				for _, tc := range cases {
+					for _, every := range parityIntervals {
+						t.Run(fmt.Sprintf("%s/c=%d", tc.name, every), func(t *testing.T) {
+							t.Parallel()
+							lopts := opts
+							lopts.NodeFault = tc.plans
+							lopts.parityEvery = every
+							lossy := runPipelineOn(t, decomp, 128, clusterSystem(4, 4), lopts)
 
-				if lossy.res.NodesLost != 2 {
-					t.Fatalf("%s: NodesLost = %d, want 2", label, lossy.res.NodesLost)
-				}
-				if lossy.res.Reconstructions != 4 {
-					// Each lost node holds one GPU owning two of the eight
-					// block columns.
-					t.Fatalf("%s: Reconstructions = %d, want 4", label, lossy.res.Reconstructions)
-				}
-				if lossy.res.Rollbacks != 0 || lossy.res.Checkpoints != 0 {
-					t.Fatalf("%s: reconstruction leaned on checkpoints: %+v", label, lossy.res)
-				}
-				if d, r, c := clean.out.MaxAbsDiff(lossy.out); d != 0 {
-					t.Fatalf("%s: factors not bit-identical after double loss: |Δ|=%g at (%d,%d)",
-						label, d, r, c)
-				}
-				for i := range clean.pivots {
-					if clean.pivots[i] != lossy.pivots[i] {
-						t.Fatalf("%s: pivots differ at %d", label, i)
+							if lossy.res.NodesLost != 2 {
+								t.Fatalf("NodesLost = %d, want 2", lossy.res.NodesLost)
+							}
+							if lossy.res.Reconstructions != 4 {
+								// Each lost node holds one GPU owning two of the eight
+								// block columns.
+								t.Fatalf("Reconstructions = %d, want 4", lossy.res.Reconstructions)
+							}
+							if lossy.res.Rollbacks != 0 || lossy.res.Checkpoints != 0 {
+								t.Fatalf("reconstruction leaned on checkpoints: %+v", lossy.res)
+							}
+							if d, r, c := clean.out.MaxAbsDiff(lossy.out); d != 0 {
+								t.Fatalf("factors not bit-identical after double loss: |Δ|=%g at (%d,%d)", d, r, c)
+							}
+							for i := range clean.pivots {
+								if clean.pivots[i] != lossy.pivots[i] {
+									t.Fatalf("pivots differ at %d", i)
+								}
+							}
+							for i := range clean.tau {
+								if clean.tau[i] != lossy.tau[i] {
+									t.Fatalf("tau differs at %d", i)
+								}
+							}
+							stages := 0
+							for _, rec := range lossy.journal {
+								if rec.Name == stageNodeLoss {
+									stages++
+								}
+							}
+							if stages != tc.lossEdges {
+								t.Fatalf("%d node-loss stages journaled, want %d", stages, tc.lossEdges)
+							}
+						})
 					}
 				}
-				for i := range clean.tau {
-					if clean.tau[i] != lossy.tau[i] {
-						t.Fatalf("%s: tau differs at %d", label, i)
-					}
-				}
-				stages := 0
-				for _, rec := range lossy.journal {
-					if rec.Name == stageNodeLoss {
-						stages++
-					}
-				}
-				if stages != tc.lossEdges {
-					t.Fatalf("%s: %d node-loss stages journaled, want %d", label, stages, tc.lossEdges)
-				}
-			}
+			})
 		}
 	}
 }
@@ -387,6 +399,11 @@ func TestClusterParityPlacementDisjoint(t *testing.T) {
 	}
 }
 
+// parityIntervals are the refresh intervals c the cluster pins run at:
+// every step (the eager refresh), and two lazy windows, the default c = 4
+// among them.
+var parityIntervals = []int{1, 2, 4}
+
 // requireSameFactors fails unless got's factors, pivots and tau are
 // bit-identical to want's.
 func requireSameFactors(t *testing.T, label string, want, got pipelineRun) {
@@ -406,14 +423,15 @@ func requireSameFactors(t *testing.T, label string, want, got pipelineRun) {
 	}
 }
 
-// TestClusterLossEpochSweep proves the frozen-rows rule the row-range
-// parity refresh rests on: after step k only rows [k·nb, n) are
-// re-encoded, so a loss at any later epoch must still find every parity
-// row current. One node loss (r=1, 3 nodes) and a two-node burst (r=2, 4
-// nodes) fire at every epoch 1..nbr−1, across all three decompositions and
-// both schedules, and the finished factors, pivots and tau must equal the
-// uninterrupted run's bit for bit. Each (scenario, decomposition,
-// schedule) runs as a parallel subtest.
+// TestClusterLossEpochSweep proves the lazy refresh and its replay exact:
+// a refresh every c steps re-encodes only rows the steps since the last
+// one wrote, and a column rebuilt as of that refresh is brought up to
+// date by replaying the logged steps. One node loss (r=1, 3 nodes) and a
+// two-node burst (r=2, 4 nodes) fire at every epoch 1..nbr−1, across all
+// three decompositions, both schedules and every interval of
+// parityIntervals, and the finished factors, pivots and tau must equal
+// the uninterrupted run's bit for bit. Each (scenario, decomposition,
+// schedule, interval) runs as a parallel subtest.
 func TestClusterLossEpochSweep(t *testing.T) {
 	const n, nb = 128, 16
 	for _, tc := range []struct {
@@ -426,24 +444,87 @@ func TestClusterLossEpochSweep(t *testing.T) {
 	} {
 		for _, decomp := range []string{"cholesky", "lu", "qr"} {
 			for _, lookahead := range []int{0, 1} {
-				t.Run(fmt.Sprintf("%s/%s/lookahead=%d", tc.name, decomp, lookahead), func(t *testing.T) {
+				for _, every := range parityIntervals {
+					t.Run(fmt.Sprintf("%s/%s/lookahead=%d/c=%d", tc.name, decomp, lookahead, every), func(t *testing.T) {
+						t.Parallel()
+						opts := Options{NB: nb, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel,
+							Lookahead: lookahead, Redundancy: tc.r, parityEvery: every}
+						clean := runPipelineOn(t, decomp, n, clusterSystem(tc.gpus, tc.nodes), opts)
+						for epoch := 1; epoch < n/nb; epoch++ {
+							label := fmt.Sprintf("epoch=%d", epoch)
+							lopts := opts
+							lopts.NodeFault = make(map[int]hetsim.NodeFaultPlan)
+							for _, node := range tc.lose {
+								lopts.NodeFault[node] = hetsim.NodeFaultPlan{AfterEpochs: epoch}
+							}
+							lossy := runPipelineOn(t, decomp, n, clusterSystem(tc.gpus, tc.nodes), lopts)
+							if lossy.res.NodesLost != len(tc.lose) || lossy.res.Reconstructions == 0 {
+								t.Fatalf("%s: NodesLost/Reconstructions = %d/%d, want %d/>0",
+									label, lossy.res.NodesLost, lossy.res.Reconstructions, len(tc.lose))
+							}
+							requireSameFactors(t, label, clean, lossy)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestClusterLossEpochSweepPivoting is the epoch sweep for LU on an input
+// that needs partial pivoting: the sweep's diagonally dominant LU input
+// never swaps a row, so only here do the swaps mirrored onto frozen
+// groups' parity and the swaps a replay re-applies to a rebuilt column
+// meet real interchanges. The clean run must pivot; every lossy run must
+// match it bit for bit, pivots included.
+func TestClusterLossEpochSweepPivoting(t *testing.T) {
+	const n, nb = 128, 16
+	a := matrix.Random(n, n, matrix.NewRNG(29))
+	run := func(t *testing.T, gpus, nodes int, opts Options) pipelineRun {
+		var pr pipelineRun
+		var err error
+		pr.out, pr.pivots, pr.res, err = LU(clusterSystem(gpus, nodes), a, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pr
+	}
+	for _, tc := range []struct {
+		name           string
+		gpus, nodes, r int
+		lose           []int
+	}{
+		{"one-loss", 3, 3, 1, []int{1}},
+		{"burst", 4, 4, 2, []int{0, 1}},
+	} {
+		for _, lookahead := range []int{0, 1} {
+			for _, every := range parityIntervals {
+				t.Run(fmt.Sprintf("%s/lookahead=%d/c=%d", tc.name, lookahead, every), func(t *testing.T) {
 					t.Parallel()
 					opts := Options{NB: nb, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel,
-						Lookahead: lookahead, Redundancy: tc.r}
-					clean := runPipelineOn(t, decomp, n, clusterSystem(tc.gpus, tc.nodes), opts)
+						Lookahead: lookahead, Redundancy: tc.r, parityEvery: every}
+					clean := run(t, tc.gpus, tc.nodes, opts)
+					swaps := 0
+					for i, p := range clean.pivots {
+						if p != i {
+							swaps++
+						}
+					}
+					if swaps < n/4 {
+						t.Fatalf("clean run swapped %d rows; the input no longer exercises pivoting", swaps)
+					}
 					for epoch := 1; epoch < n/nb; epoch++ {
-						label := fmt.Sprintf("epoch=%d", epoch)
 						lopts := opts
 						lopts.NodeFault = make(map[int]hetsim.NodeFaultPlan)
 						for _, node := range tc.lose {
 							lopts.NodeFault[node] = hetsim.NodeFaultPlan{AfterEpochs: epoch}
 						}
-						lossy := runPipelineOn(t, decomp, n, clusterSystem(tc.gpus, tc.nodes), lopts)
-						if lossy.res.NodesLost != len(tc.lose) || lossy.res.Reconstructions == 0 {
-							t.Fatalf("%s: NodesLost/Reconstructions = %d/%d, want %d/>0",
-								label, lossy.res.NodesLost, lossy.res.Reconstructions, len(tc.lose))
+						lossy := run(t, tc.gpus, tc.nodes, lopts)
+						if lossy.res.NodesLost != len(tc.lose) || lossy.res.Detected {
+							t.Fatalf("epoch=%d: NodesLost %d, Detected %t; want %d, false",
+								epoch, lossy.res.NodesLost, lossy.res.Detected, len(tc.lose))
 						}
-						requireSameFactors(t, label, clean, lossy)
+						requireSameFactors(t, fmt.Sprintf("epoch=%d", epoch), clean, lossy)
 					}
 				})
 			}
@@ -452,41 +533,53 @@ func TestClusterLossEpochSweep(t *testing.T) {
 }
 
 // TestClusterParityRefreshTraffic pins the coded layer's traffic to its
-// closed form on a clean r=2, 4-node run: the initial full-height encode,
-// then after every step k one refresh of each group still holding a
-// column >= k, shipping rows [k·nb, n) of its kk members to the hub and
-// the r−1 finished parities j >= 1 home — (kk + r − 1)·(n − k·nb)·nb·8
-// bytes per group, independent of which parities live where. An attached
-// injector with nothing scheduled must not change the traffic: the
-// refresh height depends on what the run detected, not on the injector.
+// closed form on a clean r=2, 4-node run, for every refresh interval c of
+// parityIntervals: the initial full-height encode, then after every step
+// k with k − s >= c, where s is the previous refresh (−1 for the initial
+// encode), one refresh of each group still holding a column > s, shipping
+// rows [(s+1)·nb, n) of its kk members to the hub and the r−1 finished
+// parities j >= 1 home — (kk + r − 1)·(n − (s+1)·nb)·nb·8 bytes per
+// group, independent of which parities live where. With c = 1 that is a
+// refresh of rows [k·nb, n) after every step. An attached injector with
+// nothing scheduled must not change the traffic: the refresh height and
+// interval depend on what the run detected, not on the injector.
 func TestClusterParityRefreshTraffic(t *testing.T) {
 	const n, nb, gpus, nodes, r = 128, 16, 4, 4, 2
 	nbr := n / nb
-	for _, decomp := range []string{"cholesky", "lu", "qr"} {
-		for _, lookahead := range []int{0, 1} {
-			for _, idle := range []bool{false, true} {
-				opts := Options{NB: nb, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel,
-					Lookahead: lookahead, Redundancy: r}
-				if idle {
-					opts.Injector = fault.NewInjector(11)
+	kk := nodes - r
+	groupBytes := func(s int) uint64 { return uint64((kk + r - 1) * (n - (s+1)*nb) * nb * 8) }
+	for _, every := range parityIntervals {
+		var want uint64
+		for first := 0; first < nbr; first += kk {
+			want += groupBytes(-1) // initial encode
+		}
+		s := -1
+		for k := 0; k < nbr-1; k++ {
+			if k-s < every {
+				continue
+			}
+			for first := 0; first < nbr; first += kk {
+				if first+kk-1 > s {
+					want += groupBytes(s)
 				}
-				before := parityBytesTotal.Value()
-				runPipelineOn(t, decomp, n, clusterSystem(gpus, nodes), opts)
-				got := parityBytesTotal.Value() - before
-
-				kk := nodes - r
-				groupBytes := func(k int) uint64 { return uint64((kk + r - 1) * (n - k*nb) * nb * 8) }
-				var want uint64
-				for first := 0; first < nbr; first += kk {
-					want += groupBytes(0) // initial encode
-					last := first + kk - 1
-					for k := 0; k < nbr-1 && k <= last; k++ {
-						want += groupBytes(k)
+			}
+			s = k
+		}
+		for _, decomp := range []string{"cholesky", "lu", "qr"} {
+			for _, lookahead := range []int{0, 1} {
+				for _, idle := range []bool{false, true} {
+					opts := Options{NB: nb, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel,
+						Lookahead: lookahead, Redundancy: r, parityEvery: every}
+					if idle {
+						opts.Injector = fault.NewInjector(11)
 					}
-				}
-				if got != want {
-					t.Errorf("%s/lookahead=%d/idle-injector=%t: parity bytes = %d, want %d",
-						decomp, lookahead, idle, got, want)
+					before := parityBytesTotal.Value()
+					runPipelineOn(t, decomp, n, clusterSystem(gpus, nodes), opts)
+					got := parityBytesTotal.Value() - before
+					if got != want {
+						t.Errorf("%s/lookahead=%d/c=%d/idle-injector=%t: parity bytes = %d, want %d",
+							decomp, lookahead, every, idle, got, want)
+					}
 				}
 			}
 		}
@@ -496,10 +589,12 @@ func TestClusterParityRefreshTraffic(t *testing.T) {
 // TestClusterRepairRefreshesFullHeight pins the Detected rule of the
 // parity refresh: once a run has detected an error, an ABFT repair may
 // have rewritten rows above the active panel (a full-column repair
-// rewrites them with roundoff-level different bits), so every later
-// refresh re-encodes parity at full height. A node loss after a repaired
-// soft error then still rebuilds the repaired bits exactly — the injected
-// run with the loss equals the same injected run without it.
+// rewrites them with roundoff-level different bits), so every later step
+// refreshes, at full height — the replay of a lazy window would not
+// reproduce a repair. A node loss after a repaired soft error then still
+// rebuilds the repaired bits exactly — the injected run with the loss
+// equals the same injected run without it, in both schedules and at every
+// refresh interval of parityIntervals, each a parallel subtest.
 func TestClusterRepairRefreshesFullHeight(t *testing.T) {
 	const n, nb = 128, 16
 	// Each fault is detected and repaired on the device in step 1, well
@@ -512,27 +607,33 @@ func TestClusterRepairRefreshesFullHeight(t *testing.T) {
 		{"lu", fault.Spec{Kind: fault.OffChipMemory, Op: fault.PU, Part: fault.UpdatePart, Iteration: 1}},
 		{"qr", fault.Spec{Kind: fault.OffChipMemory, Op: fault.TMU, Part: fault.UpdatePart, Iteration: 1}},
 	} {
-		decomp := tc.decomp
-		run := func(loss bool) pipelineRun {
-			inj := fault.NewInjector(11)
-			inj.Schedule(tc.spec)
-			opts := Options{NB: nb, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel,
-				Redundancy: 2, Injector: inj}
-			if loss {
-				opts.NodeFault = map[int]hetsim.NodeFaultPlan{0: {AfterEpochs: 4}, 1: {AfterEpochs: 4}}
+		for _, lookahead := range []int{0, 1} {
+			for _, every := range parityIntervals {
+				t.Run(fmt.Sprintf("%s/lookahead=%d/c=%d", tc.decomp, lookahead, every), func(t *testing.T) {
+					t.Parallel()
+					run := func(loss bool) pipelineRun {
+						inj := fault.NewInjector(11)
+						inj.Schedule(tc.spec)
+						opts := Options{NB: nb, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel,
+							Lookahead: lookahead, Redundancy: 2, Injector: inj, parityEvery: every}
+						if loss {
+							opts.NodeFault = map[int]hetsim.NodeFaultPlan{0: {AfterEpochs: 4}, 1: {AfterEpochs: 4}}
+						}
+						pr := runPipelineOn(t, tc.decomp, n, clusterSystem(4, 4), opts)
+						if len(inj.Events()) == 0 || pr.res.Counter.CorrectedElements == 0 || pr.res.Unrecoverable {
+							t.Fatalf("loss=%v: injected fault not detected and repaired: events %v, counters %+v",
+								loss, inj.Events(), pr.res.Counter)
+						}
+						return pr
+					}
+					clean, lossy := run(false), run(true)
+					if lossy.res.NodesLost != 2 {
+						t.Fatalf("NodesLost = %d, want 2", lossy.res.NodesLost)
+					}
+					requireSameFactors(t, "injected", clean, lossy)
+				})
 			}
-			pr := runPipelineOn(t, decomp, n, clusterSystem(4, 4), opts)
-			if len(inj.Events()) == 0 || pr.res.Counter.CorrectedElements == 0 || pr.res.Unrecoverable {
-				t.Fatalf("%s (loss=%v): injected fault not detected and repaired: events %v, counters %+v",
-					decomp, loss, inj.Events(), pr.res.Counter)
-			}
-			return pr
 		}
-		clean, lossy := run(false), run(true)
-		if lossy.res.NodesLost != 2 {
-			t.Fatalf("%s: NodesLost = %d, want 2", decomp, lossy.res.NodesLost)
-		}
-		requireSameFactors(t, decomp+"/injected", clean, lossy)
 	}
 }
 
@@ -544,6 +645,10 @@ func TestClusterRepairRefreshesFullHeight(t *testing.T) {
 // no-loss twin bit for bit and in its verdict; under the new scheme that
 // verdict must be a detection. Loss epoch 1 is left out: the node 0 GPU
 // the TMU window aims at is gone before it opens.
+//
+// Every lossy run repeats at each refresh interval of parityIntervals:
+// the refresh verification runs after every step whether or not the
+// parity is re-encoded, so a lazy window launders nothing either.
 //
 // The two schedules' no-loss twins must also agree on the verdict and
 // Counter, except for the look-ahead difference DESIGN §8 lists: the
@@ -577,11 +682,11 @@ func TestClusterNodeLossDoesNotLaunder(t *testing.T) {
 	}
 	for _, pn := range pins {
 		for _, decomp := range pn.decomps {
-			run := func(t *testing.T, lookahead, epoch int) pipelineRun {
+			run := func(t *testing.T, lookahead, epoch, every int) pipelineRun {
 				inj := fault.NewInjector(pn.seed)
 				inj.Schedule(pn.spec)
 				opts := Options{NB: nb, Mode: Full, Scheme: pn.scheme, Kernel: checksum.OptKernel,
-					Lookahead: lookahead, Redundancy: 2, Injector: inj}
+					Lookahead: lookahead, Redundancy: 2, Injector: inj, parityEvery: every}
 				if epoch > 0 {
 					opts.NodeFault = map[int]hetsim.NodeFaultPlan{0: {AfterEpochs: epoch}, 1: {AfterEpochs: epoch}}
 				}
@@ -591,7 +696,7 @@ func TestClusterNodeLossDoesNotLaunder(t *testing.T) {
 				pn.seed, pn.scheme, pn.spec.Kind, pn.spec.Op, pn.spec.Iteration, decomp)
 			t.Run(group, func(t *testing.T) {
 				t.Parallel()
-				twins := [2]pipelineRun{run(t, 0, 0), run(t, 1, 0)}
+				twins := [2]pipelineRun{run(t, 0, 0, 0), run(t, 1, 0, 0)}
 				serial, la := twins[0].res, twins[1].res
 				want, wantDet := serial.Counter, serial.Detected
 				if slices.Contains(pn.refound, decomp) {
@@ -604,15 +709,18 @@ func TestClusterNodeLossDoesNotLaunder(t *testing.T) {
 				}
 				for lookahead, twin := range twins {
 					for _, epoch := range pn.epochs {
-						t.Run(fmt.Sprintf("lookahead=%d/epoch=%d", lookahead, epoch), func(t *testing.T) {
-							lossy := run(t, lookahead, epoch)
-							if lossy.res.NodesLost != 2 || verdict(lossy.res) != verdict(twin.res) ||
-								(pn.scheme == NewScheme && !lossy.res.Detected) {
-								t.Fatalf("NodesLost %d, %s; want 2, twin's %s (counters %+v)",
-									lossy.res.NodesLost, verdict(lossy.res), verdict(twin.res), lossy.res.Counter)
-							}
-							requireSameFactors(t, fmt.Sprintf("%s/lookahead=%d/epoch=%d", group, lookahead, epoch), twin, lossy)
-						})
+						for _, every := range parityIntervals {
+							name := fmt.Sprintf("lookahead=%d/epoch=%d/c=%d", lookahead, epoch, every)
+							t.Run(name, func(t *testing.T) {
+								lossy := run(t, lookahead, epoch, every)
+								if lossy.res.NodesLost != 2 || verdict(lossy.res) != verdict(twin.res) ||
+									(pn.scheme == NewScheme && !lossy.res.Detected) {
+									t.Fatalf("NodesLost %d, %s; want 2, twin's %s (counters %+v)",
+										lossy.res.NodesLost, verdict(lossy.res), verdict(twin.res), lossy.res.Counter)
+								}
+								requireSameFactors(t, group+"/"+name, twin, lossy)
+							})
+						}
 					}
 				}
 			})

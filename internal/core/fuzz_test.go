@@ -39,7 +39,8 @@ type faultCase struct {
 //	8 iteration, 9 row and 10 column (value−1; −1 picks at random),
 //	11 injector seed, 12 communication target GPU,
 //	13 link mode (0 none), 14 link GPU, 15 AfterTransfers, 16 mode parameter,
-//	17 burst node mask (0 none), 18 burst epoch.
+//	17 burst node mask (0 none), 18 burst epoch,
+//	19 parity refresh interval c (parityInterval, 1, 2, nbr).
 func decodeFaultCase(b []byte) faultCase {
 	at := func(i, m int) int {
 		if i < len(b) {
@@ -57,6 +58,7 @@ func decodeFaultCase(b []byte) faultCase {
 	if c.nodes > 1 {
 		c.opts.Redundancy = 1 + at(3, c.nodes-1)
 	}
+	c.opts.parityEvery = []int{parityInterval, 1, 2, nbr}[at(19, 4)]
 	if kind := at(5, 5); kind > 0 {
 		s := fault.Spec{
 			Kind:      fault.Kind(kind - 1),
@@ -113,9 +115,9 @@ func decodeFaultCase(b []byte) faultCase {
 
 // String describes the case for failure messages.
 func (c faultCase) String() string {
-	s := fmt.Sprintf("%s nb=%d g=%d nodes=%d r=%d la=%d ck=%d reb=%d",
+	s := fmt.Sprintf("%s nb=%d g=%d nodes=%d r=%d la=%d ck=%d reb=%d c=%d",
 		c.decomp, c.opts.NB, c.gpus, c.nodes, c.opts.Redundancy, c.opts.Lookahead,
-		c.opts.CheckpointEvery, c.opts.Rebalance.Every)
+		c.opts.CheckpointEvery, c.opts.Rebalance.Every, c.opts.parityEvery)
 	if c.soft != nil {
 		s += fmt.Sprintf(" soft=[%v seed=%d]", c.soft, c.injSeed)
 	}

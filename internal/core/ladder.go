@@ -87,6 +87,14 @@ func (b *ladderBase) steps() int         { return b.p.nbr }
 func (b *ladderBase) failed() error      { return b.err }
 func (b *ladderBase) layout() *protected { return b.p }
 
+// logReplay hands the coded layer, if any, the replay of the step that
+// just finished (see codedState.adopt).
+func (b *ladderBase) logReplay(step func(bj, g int)) {
+	if cs := b.p.coded; cs != nil {
+		cs.record(step)
+	}
+}
+
 // panelStep is the staging state of one ladder step: the panel pulled to
 // the CPU (and its checksum strips) from panelFactor until it is written
 // back, the per-GPU stages of the broadcast panel until tmuFinish retires

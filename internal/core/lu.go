@@ -266,28 +266,17 @@ func (l *luLadder) panelUpdate(k int) {
 	}
 	onChip := es.injectOnChip(k, fault.PU, puRegs)
 	runPU := func(g int) {
-		gdev := sys.GPU(g)
 		lb0 := snaps[g].lb0
 		if lb0 >= p.nloc[g] {
 			return
 		}
-		cols := p.nloc[g]*nb - lb0*nb
-		l11 := st.stages[g].data.View(0, 0, nb, nb)
-		rowPanel := p.local[g].View(o, lb0*nb, nb, cols)
 		// The regions are GPU faultGPU's, and only its first run loads
-		// the on-chip corruption: transient on-chip corruption is not
-		// visible to the checksum TRSM's independent loads.
+		// the on-chip corruption.
 		var oc fault.OnChip
 		if g == faultGPU {
 			oc, onChip = onChip, nil
 		}
-		oc.Apply()
-		gdev.Trsm(blas.Left, true, false, true, 1, l11, rowPanel)
-		oc.Undo()
-		if full {
-			rslab := p.rowChk[g].View(o, 2*lb0, nb, 2*(p.nloc[g]-lb0))
-			gdev.Trsm(blas.Left, true, false, true, 1, l11, rslab)
-		}
+		p.luPUOnGPU(g, k, st.stages[g], lb0, p.nloc[g], oc)
 	}
 	for g := 0; g < G; g++ {
 		runPU(g)
@@ -295,6 +284,49 @@ func (l *luLadder) panelUpdate(k int) {
 	es.injectComp(k, fault.PU, puRegs, nil)
 	if pl.afterPU && full {
 		p.luVerifyRowPanelPostPU(k, snaps, runPU, &res.Counter.PUAfter)
+	}
+}
+
+// luPUOnGPU solves U12 = L11⁻¹·A12 in place over GPU g's local blocks
+// [lb0, lb1) with L11 the top block of g's stage st, the row-panel TRSM
+// loading the on-chip corruption oc; under Full mode the row checksums
+// ride along. Transient on-chip corruption is not visible to the checksum
+// TRSM's independent loads. The solve is column-local, so a narrower
+// block range leaves each computed element bit-identical.
+func (p *protected) luPUOnGPU(g, k int, st stagePair, lb0, lb1 int, oc fault.OnChip) {
+	gdev := p.es.sys.GPU(g)
+	nb := p.nb
+	o := k * nb
+	l11 := st.data.View(0, 0, nb, nb)
+	oc.Apply()
+	gdev.Trsm(blas.Left, true, false, true, 1, l11, p.local[g].View(o, lb0*nb, nb, (lb1-lb0)*nb))
+	oc.Undo()
+	if p.es.opts.Mode == Full {
+		gdev.Trsm(blas.Left, true, false, true, 1, l11, p.rowChk[g].View(o, 2*lb0, nb, 2*(lb1-lb0)))
+	}
+}
+
+// replay applies step k to block column bj, rebuilt on GPU g (see
+// codedState.adopt), from g's stage st and the step's local pivots lpiv:
+// the step's row interchanges, or — for the panel column — its adoption
+// from the stage; then, for a later column, the PU TRSM and the trailing
+// update.
+func (l *luLadder) replay(k int, st stagePair, lpiv []int, bj, g int) {
+	p := l.p
+	o := k * p.nb
+	if bj == k {
+		copyWithin(p.es.sys.GPU(g), st.data, p.local[g].View(o, p.localOff(bj), p.n-o, p.nb))
+		return
+	}
+	for j, lp := range lpiv {
+		if lp != j {
+			p.swapRows(o+j, o+lp, bj, bj+1)
+		}
+	}
+	if bj > k {
+		lb := p.localBlock(bj)
+		p.luPUOnGPU(g, k, st, lb, lb+1, nil)
+		p.luTMUOnGPU(g, k, st, nil, tmuColumn(bj))
 	}
 }
 
@@ -324,6 +356,8 @@ func (l *luLadder) tmuGPU(k, g int, sel tmuSel) {
 func (l *luLadder) tmuFinish(k int, sel tmuSel) {
 	l.p.tmuClose(k, l.trailing(k), sel)
 	if sel != tmuLookahead {
+		stages, lpiv := l.step[k].stages, l.step[k].lpiv
+		l.logReplay(func(bj, g int) { l.replay(k, stages[g], lpiv, bj, g) })
 		l.step[k] = nil
 	}
 }

@@ -192,6 +192,9 @@ type Options struct {
 	// ladder step it ran after and the global block columns that moved
 	// (test hook; see rebalance.go).
 	onRebalance func(step int, moved []int)
+	// parityEvery, when positive, overrides the cross-node parity's
+	// refresh interval c (parityInterval; test hook, see coded.go).
+	parityEvery int
 }
 
 // Rebalance configures dynamic work repartitioning: the step runtime

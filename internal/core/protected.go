@@ -174,7 +174,7 @@ func newProtected(es *engineSys, a *matrix.Dense) *protected {
 		stop()
 	}
 	if p.coded != nil {
-		p.coded.refresh(0)
+		p.coded.reset(-1)
 	}
 	return p
 }

@@ -252,7 +252,25 @@ func (l *qrLadder) tmuGPU(k, g int, sel tmuSel) {
 func (l *qrLadder) tmuFinish(k int, sel tmuSel) {
 	l.p.tmuClose(k, l.trailing(k), sel)
 	if sel != tmuLookahead {
+		st := l.step[k]
+		stages, cv, tm := st.stages, st.cvStage, st.tStage
+		l.logReplay(func(bj, g int) { l.replay(k, stages[g], cv[g], tm[g], bj, g) })
 		l.step[k] = nil
+	}
+}
+
+// replay applies step k to block column bj, rebuilt on GPU g (see
+// codedState.adopt), from g's stage st and its c(V) and T copies cv and
+// tm: the panel column adopts the stage, and a later column takes its
+// block-reflector update.
+func (l *qrLadder) replay(k int, st stagePair, cv, tm *hetsim.Buffer, bj, g int) {
+	p := l.p
+	o := k * p.nb
+	switch {
+	case bj == k:
+		copyWithin(p.es.sys.GPU(g), st.data, p.local[g].View(o, p.localOff(bj), p.n-o, p.nb))
+	case bj > k:
+		p.qrTMUOnGPU(g, k, st, cv, tm, nil, tmuColumn(bj))
 	}
 }
 

@@ -22,8 +22,12 @@ import (
 // along (protected.migrateColumn).
 //
 // The decision pipeline is deterministic for a given schedule: samples
-// come from hetsim.Device.SimTime, which accumulates kernel time and the
-// Fletcher passes of reliable transfers. It is not schedule-invariant:
+// are hetsim.Device laps, the kernel time and Fletcher passes of reliable
+// transfers inside the bracket alone. A lap does not carry the rounding
+// of the device's running busy total, so GPUs doing equal work sample
+// equal bits and the apportionment's ties fall to its tie-break rule,
+// whatever ran outside the bracket (a parity refresh, say). It is not
+// schedule-invariant:
 // under look-ahead the pull of the next panel, and its source-side Fletcher
 // pass on the owner GPU, falls between the two sampling points, so the
 // schedules can reach different decisions. Results are bit-identical to
@@ -95,32 +99,30 @@ type rebMove struct {
 }
 
 // rebState is the runtime's rebalancer: the EWMA per-column cost estimate
-// per GPU and the busy-time bracket of the in-flight sample.
+// per GPU.
 type rebState struct {
-	es    *engineSys
-	p     *protected
-	est   []float64 // EWMA seconds per trailing column; 0 = no sample yet
-	busy0 []float64 // device busy seconds at the last beginSample
+	es  *engineSys
+	p   *protected
+	est []float64 // EWMA seconds per trailing column; 0 = no sample yet
 }
 
 func newRebState(es *engineSys, p *protected) *rebState {
-	G := es.sys.NumGPUs()
-	return &rebState{es: es, p: p, est: make([]float64, G), busy0: make([]float64, G)}
+	return &rebState{es: es, p: p, est: make([]float64, es.sys.NumGPUs())}
 }
 
-// beginSample brackets the start of step k's trailing update: record every
-// GPU's accumulated kernel time. Nil-safe (rebalancing off).
+// beginSample brackets the start of step k's trailing update: start a new
+// busy-time lap on every GPU. Nil-safe (rebalancing off).
 func (rb *rebState) beginSample() {
 	if rb == nil {
 		return
 	}
-	for g := range rb.busy0 {
-		rb.busy0[g] = rb.es.sys.GPU(g).SimTime()
+	for g := range rb.est {
+		rb.es.sys.GPU(g).Lap()
 	}
 }
 
 // endSample closes the bracket after step k's trailing update (post-join
-// under look-ahead) and folds each GPU's seconds-per-column into its EWMA
+// under look-ahead) and folds each GPU's lap, per column, into its EWMA
 // estimate. Nil-safe.
 func (rb *rebState) endSample(k int) {
 	if rb == nil {
@@ -132,7 +134,7 @@ func (rb *rebState) endSample(k int) {
 		if cols <= 0 {
 			continue
 		}
-		delta := rb.es.sys.GPU(g).SimTime() - rb.busy0[g]
+		delta := rb.es.sys.GPU(g).Lap()
 		if delta <= 0 {
 			continue
 		}

@@ -219,6 +219,55 @@ func TestRebalanceShedsStragglerLoad(t *testing.T) {
 	}
 }
 
+// TestRebalanceIgnoresOutsideBusyTime: a rebalance decision depends only
+// on the work inside each sample's bracket. Busy time the GPUs carry from
+// before the run (here a different dummy kernel on each) must not change
+// which columns move when, on a flat system and on a cluster; the
+// straggler leaves the healthy GPUs' samples tied, so a tie broken by the
+// rounding of a running total would show.
+func TestRebalanceIgnoresOutsideBusyTime(t *testing.T) {
+	slow := map[int]hetsim.FaultPlan{1: {Mode: hetsim.FaultStraggler, Slowdown: 4}}
+	for _, tc := range []struct {
+		name string
+		sys  func() *hetsim.System
+		opts Options
+	}{
+		{"flat g=3", func() *hetsim.System { return testSystem(3) }, Options{}},
+		{"g=6 nodes=3", func() *hetsim.System { return clusterSystem(6, 3) },
+			Options{NodeFault: map[int]hetsim.NodeFaultPlan{2: {AfterEpochs: 4}}}},
+	} {
+		for _, decomp := range []string{"cholesky", "lu", "qr"} {
+			t.Run(tc.name+"/"+decomp, func(t *testing.T) {
+				t.Parallel()
+				run := func(warm bool) string {
+					sys := tc.sys()
+					if warm {
+						for g := 0; g < sys.NumGPUs(); g++ {
+							sys.GPU(g).Run("warm", 1.2345678e7*float64(g+1), func(int) {})
+						}
+					}
+					opts := tc.opts
+					opts.NB, opts.Mode, opts.Scheme, opts.Kernel = 16, Full, NewScheme, checksum.OptKernel
+					opts.FailStop, opts.Rebalance = slow, Rebalance{Every: 1}
+					var log string
+					opts.onRebalance = func(step int, cols []int) { log += fmt.Sprintf("%d:%v ", step, cols) }
+					if _, _, _, _, err := runDecomp(decomp, sys, pipelineInput(decomp, 192), opts); err != nil {
+						t.Fatal(err)
+					}
+					return log
+				}
+				cold, warm := run(false), run(true)
+				if cold == "" {
+					t.Fatal("straggler provoked no rebalance")
+				}
+				if cold != warm {
+					t.Fatalf("decisions depend on earlier busy time:\n cold %s\n warm %s", cold, warm)
+				}
+			})
+		}
+	}
+}
+
 // TestRebalanceOptionValidation: the invalid knob combinations are
 // rejected up front, not discovered mid-run.
 func TestRebalanceOptionValidation(t *testing.T) {

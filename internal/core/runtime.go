@@ -68,6 +68,11 @@ const (
 	tmuRest
 )
 
+// tmuColumn selects block column bj alone, on its owner: the one-column
+// slice a parity replay applies to a rebuilt column (see
+// codedState.adopt).
+func tmuColumn(bj int) tmuSel { return tmuRest + 1 + tmuSel(bj) }
+
 // ladder is one decomposition's per-iteration stage definitions. Stage
 // methods run on the coordinating goroutine except tmuGPU, which the
 // look-ahead schedule may run inside a hetsim stream and therefore must
@@ -227,13 +232,19 @@ func (rt *stepRuntime) maybeRebalance(k int) {
 	if len(moves) == 0 {
 		return
 	}
-	rt.stage(k, stageRebalance, func() { rt.reb.apply(k, moves) })
+	rt.stage(k, stageRebalance, func() {
+		rt.reb.apply(k, moves)
+		if rt.coded != nil {
+			rt.coded.moved(k)
+		}
+	})
 }
 
-// maybeParity, run after step k's verification concluded clean, re-encodes
-// the parity of every group still holding trailing columns (see
-// codedState.refresh). Journaled as its own stage so serial and look-ahead
-// schedules compare equal.
+// maybeParity, run after step k's verification concluded clean, verifies
+// the trailing columns and, when the refresh is due, re-encodes the parity
+// of every group still holding columns it has not yet covered (see
+// codedState.refresh). Journaled as its own stage, every step, so serial
+// and look-ahead schedules compare equal.
 func (rt *stepRuntime) maybeParity(k int) {
 	if rt.coded == nil || rt.coded.exhausted() {
 		return
@@ -301,7 +312,12 @@ func runLadder(es *engineSys, l ladder) error {
 	// probation) is repartitioned before the first step: the suspect
 	// starts at the floor share instead of a full cyclic one.
 	if moves := rt.reb.planSuspects(start); len(moves) > 0 {
-		rt.stage(start, stageRebalance, func() { rt.reb.apply(start, moves) })
+		rt.stage(start, stageRebalance, func() {
+			rt.reb.apply(start, moves)
+			if rt.coded != nil {
+				rt.coded.moved(start - 1)
+			}
+		})
 	}
 	for k := start; k < nbr; k++ {
 		// Node-loss epoch boundary: streams are joined and device state is

@@ -49,6 +49,7 @@ type Device struct {
 
 	mu      sync.Mutex
 	simSecs float64 // accumulated simulated busy time
+	lapSecs float64 // busy time since the last Lap
 	sys     *System
 
 	// Logical-clock state, guarded by sys.clockMu: avail is the logical
@@ -100,9 +101,23 @@ func (d *Device) SimTime() float64 {
 	return d.simSecs
 }
 
+// Lap returns the device's simulated busy seconds since the previous
+// Lap, or since the device was reset, and starts a new lap. A lap sums
+// only its own kernels, so equal work gives equal laps bit for bit,
+// whatever ran before; a difference of two SimTime readings carries the
+// rounding of the running total.
+func (d *Device) Lap() float64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	lap := d.lapSecs
+	d.lapSecs = 0
+	return lap
+}
+
 func (d *Device) resetSim() {
 	d.mu.Lock()
 	d.simSecs = 0
+	d.lapSecs = 0
 	d.mu.Unlock()
 }
 
@@ -130,6 +145,7 @@ func (d *Device) addSim(flops float64) float64 {
 	d.fmu.Unlock()
 	d.mu.Lock()
 	d.simSecs += secs
+	d.lapSecs += secs
 	d.mu.Unlock()
 	return secs
 }

@@ -33,6 +33,41 @@ func TestNewValidation(t *testing.T) {
 	New(Config{NumGPUs: 0})
 }
 
+// TestDeviceLap: a lap sums only the kernels run since the previous Lap,
+// so the same kernels give the same lap bit for bit whatever busy time the
+// device carried before, and Reset zeroes the lap with the running total.
+func TestDeviceLap(t *testing.T) {
+	lap := func(before float64) float64 {
+		d := newSys(t, 1).GPU(0)
+		d.Run("before", before, func(int) {})
+		d.Lap()
+		for _, f := range []float64{3e5, 7e5, 1.1e6} {
+			d.Run("k", f, func(int) {})
+		}
+		return d.Lap()
+	}
+	want := lap(0)
+	if want <= 0 {
+		t.Fatalf("lap = %g, want > 0", want)
+	}
+	for _, before := range []float64{1.234567e7, 9.87654321e8, 3.3e9} {
+		if got := lap(before); got != want {
+			t.Errorf("after %g flops: lap = %v, want %v", before, got, want)
+		}
+	}
+	sys := newSys(t, 1)
+	d := sys.GPU(0)
+	d.Run("k", 1e6, func(int) {})
+	if d.Lap() == 0 || d.Lap() != 0 {
+		t.Fatal("Lap did not return the busy time and start a new lap")
+	}
+	d.Run("k", 1e6, func(int) {})
+	sys.Reset()
+	if got := d.Lap(); got != 0 {
+		t.Fatalf("lap after Reset = %g, want 0", got)
+	}
+}
+
 func TestDeviceNames(t *testing.T) {
 	s := newSys(t, 2)
 	if s.CPU().Name() != "CPU" || s.CPU().ID() != -1 {

@@ -476,10 +476,18 @@ func TestChaosStormMixedRecovery(t *testing.T) {
 func TestChaosStorm(t *testing.T) {
 	before := runtime.NumGoroutine()
 
+	// The attempt timeout must cut hang plans off without cutting off a
+	// job that has no scripted doom, however loaded the host is: size it
+	// from a clean attempt timed here, times the storm's concurrency and
+	// a margin, never below the 250 ms the storm was designed around.
+	const workers = 4
+	attempt := max(250*time.Millisecond, 10*workers*timeCleanAttempt(t))
+	t.Logf("attempt timeout %v", attempt)
+
 	s := New(Config{
-		Workers:        4,
+		Workers:        workers,
 		Retry:          RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond},
-		AttemptTimeout: 250 * time.Millisecond,
+		AttemptTimeout: attempt,
 		Seed:           77,
 	})
 
@@ -578,6 +586,23 @@ func TestChaosStorm(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+}
+
+// timeCleanAttempt runs one fault-free storm-shaped job alone on a fresh
+// scheduler and returns how long it took from submit to result.
+func timeCleanAttempt(t *testing.T) time.Duration {
+	t.Helper()
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	start := time.Now()
+	h, err := s.Submit(context.Background(), chaosSpec(99, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Wait(context.Background()); err != nil {
+		t.Fatalf("clean timing job failed: %v", err)
+	}
+	return time.Since(start)
 }
 
 // TestChaosProbationProbeRebalancesInjectedJob: the first job a

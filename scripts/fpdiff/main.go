@@ -6,18 +6,27 @@
 // fpdiff fails on any row whose fields other than sim= differ, and on any
 // row whose sim= grew; rows that only got faster pass.
 //
+// -allow names further fields a change may move: any of inter, pcie and
+// flops, comma-separated. An allowed field may change, except that inter=
+// and pcie= may only fall. Every other field — bits=, the Counter, the
+// verdict and the layout events — must still match, and sim= still may
+// not grow. Each row whose allowed fields moved is listed (flagged) with
+// their old and new values and its new/old makespan ratio.
+//
 // Usage (from the repository root):
 //
-//	go run ./scripts/fpdiff OLD NEW
+//	go run ./scripts/fpdiff [-allow inter,pcie,flops] OLD NEW
 //
 // for example with OLD a copy of internal/core/testdata/ladder_fingerprints.txt
-// taken before the change. It prints each offending row, then a summary
-// line: rows compared, rows whose sim= changed, and the range of the
-// new/old makespan ratios. Exit status 1 means an offending row or a
-// differing row count; 2 means a usage or read error.
+// taken before the change. It prints each offending and each flagged row,
+// then a summary line: rows compared, rows whose sim= changed, the range
+// of the new/old makespan ratios, and the flagged and offending counts.
+// Exit status 1 means an offending row or a differing row count; 2 means
+// a usage or read error.
 package main
 
 import (
+	"flag"
 	"fmt"
 	"math"
 	"os"
@@ -25,39 +34,71 @@ import (
 	"strings"
 )
 
+// allowable are the fields -allow may name; falling marks those that may
+// only fall.
+var (
+	allowable = map[string]bool{"inter": true, "pcie": true, "flops": true}
+	falling   = map[string]bool{"inter": true, "pcie": true}
+)
+
 func main() {
-	if len(os.Args) != 3 {
-		fmt.Fprintln(os.Stderr, "usage: fpdiff OLD NEW")
+	allowList := flag.String("allow", "", "comma-separated fields that may change: inter, pcie, flops")
+	flag.Usage = func() {
+		fmt.Fprintln(os.Stderr, "usage: fpdiff [-allow inter,pcie,flops] OLD NEW")
+	}
+	flag.Parse()
+	if flag.NArg() != 2 {
+		flag.Usage()
 		os.Exit(2)
 	}
-	oldRows, err := readRows(os.Args[1])
+	allow := map[string]bool{}
+	for _, f := range strings.Split(*allowList, ",") {
+		if f == "" {
+			continue
+		}
+		if !allowable[f] {
+			fmt.Fprintf(os.Stderr, "fpdiff: -allow: unknown field %q (want inter, pcie or flops)\n", f)
+			os.Exit(2)
+		}
+		allow[f] = true
+	}
+	oldPath, newPath := flag.Arg(0), flag.Arg(1)
+	oldRows, err := readRows(oldPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fpdiff: %v\n", err)
 		os.Exit(2)
 	}
-	newRows, err := readRows(os.Args[2])
+	newRows, err := readRows(newPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fpdiff: %v\n", err)
 		os.Exit(2)
 	}
 	if len(oldRows) != len(newRows) {
-		fmt.Printf("fpdiff: %s has %d rows, %s has %d\n", os.Args[1], len(oldRows), os.Args[2], len(newRows))
+		fmt.Printf("fpdiff: %s has %d rows, %s has %d\n", oldPath, len(oldRows), newPath, len(newRows))
 		os.Exit(1)
 	}
-	bad, moved := 0, 0
+	bad, moved, flagged := 0, 0, 0
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for i := range oldRows {
 		o, n := oldRows[i], newRows[i]
-		if o.rest != n.rest {
+		changes, why := compare(o, n, allow)
+		if why != "" {
 			bad++
-			fmt.Printf("row %d: fields other than sim= differ:\n  old %s\n  new %s\n", i, o.line, n.line)
+			fmt.Printf("row %d: %s:\n  old %s\n  new %s\n", i, why, o.line, n.line)
 			continue
+		}
+		r := n.sim / o.sim
+		if len(changes) > 0 {
+			flagged++
+			if o.sim != n.sim {
+				changes = append(changes, fmt.Sprintf("sim x%.3f", r))
+			}
+			fmt.Printf("row %d: %s: %s\n", i, o.label, strings.Join(changes, ", "))
 		}
 		if o.sim == n.sim {
 			continue
 		}
 		moved++
-		r := n.sim / o.sim
 		lo, hi = min(lo, r), max(hi, r)
 		if n.sim > o.sim {
 			bad++
@@ -68,18 +109,64 @@ func main() {
 	if moved > 0 {
 		fmt.Printf(" (new/old %.3f-%.3f)", lo, hi)
 	}
+	if len(allow) > 0 {
+		fmt.Printf(", %d flagged", flagged)
+	}
 	fmt.Printf(", %d offending\n", bad)
 	if bad > 0 {
 		os.Exit(1)
 	}
 }
 
-// row is one fingerprint line split into its simulated makespan and
-// everything else.
+// compare checks new row n against old row o. It returns the allowed
+// fields that moved, rendered "name old→new", or why the row offends.
+func compare(o, n row, allow map[string]bool) (changes []string, why string) {
+	if o.rest == n.rest {
+		return nil, ""
+	}
+	if len(allow) == 0 || o.label != n.label || len(o.fields) != len(n.fields) {
+		return nil, "fields other than sim= differ"
+	}
+	for i, of := range o.fields {
+		nf := n.fields[i]
+		if of == nf {
+			continue
+		}
+		ok, ov := cutField(of)
+		nk, nv := cutField(nf)
+		if ok != nk || !allow[ok] {
+			return nil, "fields other than sim= and -allow differ"
+		}
+		if falling[ok] {
+			a, errA := strconv.ParseInt(ov, 10, 64)
+			b, errB := strconv.ParseInt(nv, 10, 64)
+			if errA != nil || errB != nil {
+				return nil, ok + "= is not an integer"
+			}
+			if b > a {
+				return nil, ok + "= grew"
+			}
+		}
+		changes = append(changes, ok+" "+ov+"→"+nv)
+	}
+	return changes, ""
+}
+
+// cutField splits "name=value"; a field without "=" (the Counter) is all
+// name.
+func cutField(f string) (name, value string) {
+	name, value, _ = strings.Cut(f, "=")
+	return name, value
+}
+
+// row is one fingerprint line: its label, its fields other than sim=, and
+// its simulated makespan.
 type row struct {
-	line string
-	rest string  // the line without its sim= field
-	sim  float64 // the sim= makespan in seconds; 0 when the row has none
+	line   string
+	label  string   // the text before " | "
+	fields []string // the fields after " | " without sim=; a {...} Counter is one field
+	rest   string   // the line without its sim= field
+	sim    float64  // the sim= makespan in seconds; 0 when the row has none
 }
 
 // readRows reads a fingerprint file, one row per non-empty line.
@@ -99,14 +186,16 @@ func readRows(path string) ([]row, error) {
 	return rows, nil
 }
 
-// parseRow splits the sim= field off line. A row without one (a run that
-// returned an error) compares as a whole.
+// parseRow splits line into its label, fields and sim= makespan. A row
+// without a sim= field (a run that returned an error) compares as a whole.
 func parseRow(line string) (row, error) {
-	fields := strings.Fields(line)
 	r := row{line: line, rest: line}
-	for i, f := range fields {
+	label, body, _ := strings.Cut(line, " | ")
+	r.label = label
+	for _, f := range splitFields(body) {
 		hex, ok := strings.CutPrefix(f, "sim=")
 		if !ok {
+			r.fields = append(r.fields, f)
 			continue
 		}
 		bits, err := strconv.ParseUint(hex, 16, 64)
@@ -114,8 +203,37 @@ func parseRow(line string) (row, error) {
 			return row{}, fmt.Errorf("bad sim= field %q: %v", f, err)
 		}
 		r.sim = math.Float64frombits(bits)
-		r.rest = strings.Join(append(fields[:i:i], fields[i+1:]...), " ")
-		break
+	}
+	if r.sim != 0 {
+		r.rest = label + " | " + strings.Join(r.fields, " ")
 	}
 	return r, nil
+}
+
+// splitFields splits s at spaces outside braces, so a {...} Counter stays
+// one field.
+func splitFields(s string) []string {
+	var out []string
+	depth, start := 0, -1
+	for i, c := range s {
+		switch {
+		case c == '{':
+			depth++
+		case c == '}':
+			depth--
+		case c == ' ' && depth == 0:
+			if start >= 0 {
+				out = append(out, s[start:i])
+				start = -1
+			}
+			continue
+		}
+		if start < 0 {
+			start = i
+		}
+	}
+	if start >= 0 {
+		out = append(out, s[start:])
+	}
+	return out
 }
