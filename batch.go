@@ -3,7 +3,6 @@ package ftla
 import (
 	"fmt"
 
-	"ftla/internal/batch"
 	"ftla/internal/core"
 	"ftla/internal/fault"
 	"ftla/internal/hetsim"
@@ -12,30 +11,33 @@ import (
 // Batched decomposition API.
 //
 // CholeskyBatch, LUBatch, and QRBatch factorize many small same-shape
-// matrices in one dispatch: the inputs are packed into a strided slab and
-// the step scheduler sweeps the whole slab per stage, so each step's panel
-// pulls and broadcasts share one transfer-coalescing window for the
-// entire batch instead of paying the per-transfer latency once per job.
-// Each item's arithmetic is bit-identical to a solo run of the same matrix
-// under the same Config (the batch pin tests assert this), so batching is
-// purely a throughput decision.
+// matrices in one dispatch: each item is distributed straight from the
+// caller's matrix, and the step scheduler sweeps every item per stage, so
+// each step's panel pulls and broadcasts share one transfer-coalescing
+// window for the entire batch instead of paying the per-transfer latency
+// once per job. The inputs are read, never modified. Each item's arithmetic
+// is bit-identical to a solo run of the same matrix under the same Config
+// (the batch pin tests assert this), so batching is purely a throughput
+// decision.
 //
 // Errors come back at two levels: the per-item slice errs (item i failed —
 // its result slot is nil — while its siblings completed), and the
 // batch-level err for problems that void the whole dispatch (invalid or
-// unsupported options, mismatched shapes, a fail-stop abort). The batched
-// path rejects Config options that are inherently per-run — FailStop,
-// LinkFault, NodeFault, Rebalance, CheckpointEvery/OnCheckpoint/Resume, and
-// Config.Injector — because they cannot be shared across a slab (the core
-// batched drivers validate them); fault injection is instead per item via
-// the optional injs arguments on the *BatchOn variants, under the batch's
+// unsupported options, nil or mismatched shapes, a fail-stop abort). The
+// batched path rejects the Config options that are inherently per-run —
+// those ValidateBatch names, and Config.Injector — because they cannot be
+// shared across a batch; fault injection is instead per item via the
+// optional injs arguments on the *BatchOn variants, under the batch's
 // schedule like a solo run's.
 
-// packBatch normalizes cfg and packs the inputs into a checksummed slab.
-func packBatch(as []*Matrix, cfg Config) (*batch.Batch, core.Options, error) {
-	_, opts := cfg.normalize()
-	b, err := batch.FromMatrices(as, opts.NB)
-	return b, opts, err
+// ValidateBatch reports whether c's per-run options may share a batched
+// dispatch: nil when they may, otherwise the error the batched drivers
+// return for them (checkpoint/resume, fail-stop, link-fault and node-fault
+// plans, and rebalancing are per run). Config.Injector is not judged here:
+// the batched drivers reject a shared injector and take per-item ones.
+func (c Config) ValidateBatch() error {
+	_, opts := c.normalize()
+	return opts.ValidateBatch()
 }
 
 // injSlice adapts the variadic per-item injector argument: absent means no
@@ -65,19 +67,16 @@ func CholeskyBatch(as []*Matrix, cfg Config) (results []*CholeskyResult, errs []
 // injectors: pass either no injs at all, or exactly one per item (nil
 // entries inject nothing).
 func CholeskyBatchOn(sys *hetsim.System, as []*Matrix, cfg Config, injs ...*Injector) (results []*CholeskyResult, errs []error, err error) {
-	b, opts, err := packBatch(as, cfg)
+	_, opts := cfg.normalize()
+	is, err := injSlice(injs, len(as))
 	if err != nil {
 		return nil, nil, err
 	}
-	is, err := injSlice(injs, b.Count())
+	outs, ress, errs, err := core.CholeskyBatch(sys, as, opts, is)
 	if err != nil {
 		return nil, nil, err
 	}
-	outs, ress, errs, err := core.CholeskyBatch(sys, b, opts, is)
-	if err != nil {
-		return nil, nil, err
-	}
-	results = make([]*CholeskyResult, b.Count())
+	results = make([]*CholeskyResult, len(as))
 	for i := range outs {
 		if errs[i] == nil {
 			results[i] = &CholeskyResult{L: outs[i], Report: ress[i]}
@@ -96,19 +95,16 @@ func LUBatch(as []*Matrix, cfg Config) (results []*LUResult, errs []error, err e
 // LUBatchOn is LUBatch on a caller-provided simulated system, with
 // optional per-item fault injectors; see CholeskyBatchOn.
 func LUBatchOn(sys *hetsim.System, as []*Matrix, cfg Config, injs ...*Injector) (results []*LUResult, errs []error, err error) {
-	b, opts, err := packBatch(as, cfg)
+	_, opts := cfg.normalize()
+	is, err := injSlice(injs, len(as))
 	if err != nil {
 		return nil, nil, err
 	}
-	is, err := injSlice(injs, b.Count())
+	outs, pivs, ress, errs, err := core.LUBatch(sys, as, opts, is)
 	if err != nil {
 		return nil, nil, err
 	}
-	outs, pivs, ress, errs, err := core.LUBatch(sys, b, opts, is)
-	if err != nil {
-		return nil, nil, err
-	}
-	results = make([]*LUResult, b.Count())
+	results = make([]*LUResult, len(as))
 	for i := range outs {
 		if errs[i] == nil {
 			results[i] = &LUResult{Factors: outs[i], Pivots: pivs[i], Report: ress[i]}
@@ -127,19 +123,16 @@ func QRBatch(as []*Matrix, cfg Config) (results []*QRResult, errs []error, err e
 // QRBatchOn is QRBatch on a caller-provided simulated system, with
 // optional per-item fault injectors; see CholeskyBatchOn.
 func QRBatchOn(sys *hetsim.System, as []*Matrix, cfg Config, injs ...*Injector) (results []*QRResult, errs []error, err error) {
-	b, opts, err := packBatch(as, cfg)
+	_, opts := cfg.normalize()
+	is, err := injSlice(injs, len(as))
 	if err != nil {
 		return nil, nil, err
 	}
-	is, err := injSlice(injs, b.Count())
+	outs, taus, ress, errs, err := core.QRBatch(sys, as, opts, is)
 	if err != nil {
 		return nil, nil, err
 	}
-	outs, taus, ress, errs, err := core.QRBatch(sys, b, opts, is)
-	if err != nil {
-		return nil, nil, err
-	}
-	results = make([]*QRResult, b.Count())
+	results = make([]*QRResult, len(as))
 	for i := range outs {
 		if errs[i] == nil {
 			results[i] = &QRResult{Factors: outs[i], Tau: taus[i], Report: ress[i]}

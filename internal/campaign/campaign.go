@@ -26,6 +26,8 @@ const (
 	QR
 )
 
+// String returns the decomposition's table label: "Cholesky", "LU", or
+// "QR".
 func (d Decomp) String() string {
 	switch d {
 	case LU:

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"ftla/internal/batch"
 	"ftla/internal/fault"
 	"ftla/internal/hetsim"
 	"ftla/internal/matrix"
@@ -12,18 +11,19 @@ import (
 
 // Batched drivers.
 //
-// CholeskyBatch, LUBatch, and QRBatch factorize every item of a
-// batch.Batch slab in one pass over the ladder: the per-item ladders are
-// wrapped in one composite batchLadder and scheduled by runLadder, the
-// same step scheduler a solo run uses, so for each step k each stage
-// sweeps across all batch items before the next stage begins. runLadder
-// runs the panel factor, panel commit, and panel update stages — the ones
-// that move panels over PCIe — inside one hetsim transfer-coalescing
-// window each (System.CoalesceTransfers). A solo run pays each link's
-// fixed per-transfer latency once per stage; a batch pays it once per
-// stage for the entire slab — the batched analogue of a strided
-// cudaMemcpy — which is where the serving layer's jobs/sec win over solo
-// dispatch comes from (see BENCH_batch.json).
+// CholeskyBatch, LUBatch, and QRBatch factorize many same-order matrices
+// in one pass over the ladder: each item's protected layout is distributed
+// straight from the caller's matrix (as a solo run's is), the per-item
+// ladders are wrapped in one composite batchLadder, and runLadder — the
+// same step scheduler a solo run uses — schedules it, so for each step k
+// each stage sweeps across all batch items before the next stage begins.
+// runLadder runs the panel factor, panel commit, and panel update stages —
+// the ones that move panels over PCIe — inside one hetsim
+// transfer-coalescing window each (System.CoalesceTransfers). A solo run
+// pays each link's fixed per-transfer latency once per stage; a batch pays
+// it once per stage for all of its items — the batched analogue of a
+// strided cudaMemcpy — which is where the serving layer's jobs/sec win
+// over solo dispatch comes from (see BENCH_batch.json).
 //
 // Per-item semantics:
 //
@@ -32,62 +32,59 @@ import (
 //     disjoint buffers; items interact only through the shared simulated
 //     clock. The batch bit-identity tests pin this across decompositions,
 //     schedules, and GPU counts.
-//   - Failure is isolated: an item whose driver errors (failed panel
-//     factorization, corrupted queue input) is flagged and its remaining
-//     stages are skipped while its siblings run to completion; the
-//     per-item error slice reports it. Only a fail-stop abort — rejected
-//     from batch options precisely for this reason — would take the whole
-//     dispatch down.
+//   - Failure is isolated: an item whose driver errors (a failed panel
+//     factorization) is flagged and its remaining stages are skipped while
+//     its siblings run to completion; the per-item error slice reports it.
+//     Only a fail-stop abort — rejected from batch options precisely for
+//     this reason — would take the whole dispatch down.
 //   - Fault injection is per item (the injs argument), under the
 //     batch's schedule like any other item.
-//   - Checkpointing, resume, fail-stop, link-fault and node-fault plans,
-//     and dynamic rebalancing are not supported in batched runs: they are
-//     per-run control flow that cannot be shared across a slab (every
-//     item's engine would re-arm the same plan, restarting a link plan's
-//     transfer count), and the serving layer's per-item fallback (retry
-//     the one bad item solo) covers their role. Options carrying them are
-//     rejected up front.
+//   - The per-run options Options.ValidateBatch names are rejected up
+//     front; the serving layer's per-item fallback (retry the one bad item
+//     solo) covers their role.
 //
 // Result caveats: Wall, SimMakespan, PCIeBytes, and Flops on a batched
 // item's Result describe the whole batch dispatch (the clock and counters
 // are system-wide), not the item alone; the verification/recovery counters
 // and outcome fields are per item as usual.
 
-// validateBatchOpts rejects option combinations the batched runners do not
-// support; see the package comment above.
-func validateBatchOpts(b *batch.Batch, opts Options, injs []*fault.Injector) error {
-	if b == nil || b.Count() < 1 {
+// validateBatchOpts rejects inputs and option combinations the batched
+// runners do not support: the items must be non-nil, square, and of one
+// order that Options.Validate accepts (it normalizes opts.NB), and the
+// options must pass Options.ValidateBatch.
+func validateBatchOpts(as []*matrix.Dense, opts *Options, injs []*fault.Injector) error {
+	if len(as) == 0 {
 		return fmt.Errorf("core: empty batch")
 	}
-	if opts.NB != b.NB() {
-		return fmt.Errorf("core: batch block size %d != Options.NB %d", b.NB(), opts.NB)
+	for i, a := range as {
+		switch {
+		case a == nil:
+			return fmt.Errorf("core: batch item %d is nil", i)
+		case a.Rows != a.Cols:
+			return fmt.Errorf("core: batch item %d is %dx%d, want square", i, a.Rows, a.Cols)
+		case a.Rows != as[0].Rows:
+			return fmt.Errorf("core: batch item %d has order %d, want %d (all items share one order)", i, a.Rows, as[0].Rows)
+		}
 	}
-	if err := opts.Validate(b.N()); err != nil {
+	if err := opts.Validate(as[0].Rows); err != nil {
 		return err
 	}
 	if opts.Injector != nil {
 		return fmt.Errorf("core: batched runs take per-item injectors, not a shared Injector")
 	}
-	if opts.Resume != nil || opts.CheckpointEvery > 0 || opts.OnCheckpoint != nil {
-		return fmt.Errorf("core: checkpoint/resume options are not supported in batched runs")
+	if err := opts.ValidateBatch(); err != nil {
+		return err
 	}
-	if len(opts.FailStop) > 0 || len(opts.LinkFault) > 0 || len(opts.NodeFault) > 0 {
-		return fmt.Errorf("core: fail-stop, link-fault and node-fault plans are not supported in batched runs")
-	}
-	if opts.Rebalance.Every > 0 {
-		return fmt.Errorf("core: rebalancing is not supported in batched runs")
-	}
-	if injs != nil && len(injs) != b.Count() {
-		return fmt.Errorf("core: %d injectors for %d batch items", len(injs), b.Count())
+	if injs != nil && len(injs) != len(as) {
+		return fmt.Errorf("core: %d injectors for %d batch items", len(injs), len(as))
 	}
 	return nil
 }
 
 // batchLadder is the composite ladder of a batched dispatch: each stage
 // sweeps the per-item ladders that have not failed, so runLadder schedules
-// the whole slab step by step exactly as it schedules a solo run. errs is
-// the dispatch's per-item error slice; items[i] is nil for an item
-// excluded before the run.
+// the whole batch step by step exactly as it schedules a solo run. errs is
+// the dispatch's per-item error slice.
 type batchLadder struct {
 	nbr   int
 	items []ladder
@@ -128,21 +125,27 @@ func (bl *batchLadder) failed() error {
 	return nil
 }
 
+// coded returns the cross-node parity of every live item (none on flat
+// systems), for the runtime's per-step parity stage.
+func (bl *batchLadder) coded() []*codedState {
+	var out []*codedState
+	bl.each(func(l ladder) { out = append(out, l.(rebalancer).layout().coded) })
+	return out
+}
+
 // checkpoint and resume are unreachable: validateBatchOpts rejects the
 // options that would call them.
 func (bl *batchLadder) checkpoint(int) *Checkpoint { panic("core: batched runs do not checkpoint") }
 func (bl *batchLadder) resume(*Checkpoint)         { panic("core: batched runs do not resume") }
 
 // runBatch is the body the batched drivers share. It validates the batch,
-// verifies the slab's queue-integrity strips (items corrupted host-side
-// since submission are flagged with a per-item error and excluded from the
-// run), builds one engine + ladder per item on the shared system inside
-// one transfer-coalescing window, runs them all through runLadder as one
+// builds one engine + ladder per item on the shared system inside one
+// transfer-coalescing window, runs them all through runLadder as one
 // batchLadder, and gathers every surviving item's factor. ls[i] is item
 // i's ladder, for the driver's decomposition-specific outputs; outs[i] and
 // ress[i] are nil when errs[i] is set. A batch-level error reports invalid
-// options or a fail-stop abort, which voids the whole dispatch.
-func runBatch(decomp string, sys *hetsim.System, b *batch.Batch, opts Options,
+// inputs or options, or a fail-stop abort, which voids the whole dispatch.
+func runBatch(decomp string, sys *hetsim.System, as []*matrix.Dense, opts Options,
 	injs []*fault.Injector, mk func(p *protected) ladder,
 ) (outs []*matrix.Dense, ls []ladder, ress []*Result, errs []error, err error) {
 	defer func() {
@@ -151,33 +154,27 @@ func runBatch(decomp string, sys *hetsim.System, b *batch.Batch, opts Options,
 		}
 	}()
 	start := time.Now()
-	if err := validateBatchOpts(b, opts, injs); err != nil {
+	if err := validateBatchOpts(as, &opts, injs); err != nil {
 		return nil, nil, nil, nil, err
 	}
 	if err := opts.ValidateTopology(sys); err != nil {
 		return nil, nil, nil, nil, err
 	}
-	count := b.Count()
+	n, count := as[0].Rows, len(as)
 	ps := make([]*protected, count)
 	ress = make([]*Result, count)
-	bl := &batchLadder{nbr: b.N() / opts.NB, items: make([]ladder, count), errs: make([]error, count)}
-	for _, i := range b.Verify(sys.CPU().Workers()) {
-		bl.errs[i] = fmt.Errorf("core: batch item %d input corrupted since submission (slab checksum mismatch)", i)
-	}
+	bl := &batchLadder{nbr: n / opts.NB, items: make([]ladder, count), errs: make([]error, count)}
 	// The batch-level engine drives the schedule only; the items' engines
 	// carry the per-item state.
 	bes := &engineSys{decomp: decomp, sys: sys, opts: opts, res: &Result{}}
 	sys.CoalesceTransfers(func() {
-		for i := 0; i < count; i++ {
-			if bl.errs[i] != nil {
-				continue
-			}
+		for i, a := range as {
 			iopts := opts
 			if injs != nil && injs[i] != nil {
 				iopts.Injector = injs[i]
 			}
-			ress[i] = newResult(sys, b.N(), opts)
-			ps[i] = newProtected(newEngine(decomp, sys, iopts, ress[i]), b.Item(i))
+			ress[i] = newResult(sys, n, opts)
+			ps[i] = newProtected(newEngine(decomp, sys, iopts, ress[i]), a)
 			bl.items[i] = mk(ps[i])
 		}
 	})
@@ -202,21 +199,21 @@ func runBatch(decomp string, sys *hetsim.System, b *batch.Batch, opts Options,
 	return outs, bl.items, ress, bl.errs, nil
 }
 
-// CholeskyBatch factorizes every item of the slab with the protected
-// blocked Cholesky driver in one batched dispatch (see the batched-driver
-// comment at the top of this file). It returns the per-item gathered
-// factors, reports, and errors — outs[i]/ress[i] are nil when errs[i] is
-// set — plus a batch-level error for invalid options or a fail-stop abort,
-// which voids the whole dispatch.
-func CholeskyBatch(sys *hetsim.System, b *batch.Batch, opts Options, injs []*fault.Injector) (outs []*matrix.Dense, ress []*Result, errs []error, err error) {
-	outs, _, ress, errs, err = runBatch("cholesky", sys, b, opts, injs, newCholLadder)
+// CholeskyBatch factorizes every matrix in as — read, not modified — with
+// the protected blocked Cholesky driver in one batched dispatch (see the
+// batched-driver comment at the top of this file). It returns the per-item
+// gathered factors, reports, and errors — outs[i]/ress[i] are nil when
+// errs[i] is set — plus a batch-level error for invalid inputs or options,
+// or a fail-stop abort, which voids the whole dispatch.
+func CholeskyBatch(sys *hetsim.System, as []*matrix.Dense, opts Options, injs []*fault.Injector) (outs []*matrix.Dense, ress []*Result, errs []error, err error) {
+	outs, _, ress, errs, err = runBatch("cholesky", sys, as, opts, injs, newCholLadder)
 	return outs, ress, errs, err
 }
 
 // LUBatch is CholeskyBatch for the protected LU driver; pivs[i] is item
 // i's pivot sequence.
-func LUBatch(sys *hetsim.System, b *batch.Batch, opts Options, injs []*fault.Injector) (outs []*matrix.Dense, pivs [][]int, ress []*Result, errs []error, err error) {
-	outs, ls, ress, errs, err := runBatch("lu", sys, b, opts, injs, newLULadder)
+func LUBatch(sys *hetsim.System, as []*matrix.Dense, opts Options, injs []*fault.Injector) (outs []*matrix.Dense, pivs [][]int, ress []*Result, errs []error, err error) {
+	outs, ls, ress, errs, err := runBatch("lu", sys, as, opts, injs, newLULadder)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
@@ -231,8 +228,8 @@ func LUBatch(sys *hetsim.System, b *batch.Batch, opts Options, injs []*fault.Inj
 
 // QRBatch is CholeskyBatch for the protected Householder QR driver;
 // taus[i] is item i's reflector coefficients.
-func QRBatch(sys *hetsim.System, b *batch.Batch, opts Options, injs []*fault.Injector) (outs []*matrix.Dense, taus [][]float64, ress []*Result, errs []error, err error) {
-	outs, ls, ress, errs, err := runBatch("qr", sys, b, opts, injs, newQRLadder)
+func QRBatch(sys *hetsim.System, as []*matrix.Dense, opts Options, injs []*fault.Injector) (outs []*matrix.Dense, taus [][]float64, ress []*Result, errs []error, err error) {
+	outs, ls, ress, errs, err := runBatch("qr", sys, as, opts, injs, newQRLadder)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}

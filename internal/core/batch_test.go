@@ -1,10 +1,8 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
-	"ftla/internal/batch"
 	"ftla/internal/checksum"
 	"ftla/internal/fault"
 	"ftla/internal/hetsim"
@@ -69,24 +67,21 @@ func runSolo(t *testing.T, decomp string, a *matrix.Dense, gpus int, opts Option
 // error.
 func runBatched(t *testing.T, decomp string, ms []*matrix.Dense, gpus int, opts Options, injs []*fault.Injector) ([]*matrix.Dense, [][]int, [][]float64) {
 	t.Helper()
-	b, err := batch.FromMatrices(ms, opts.NB)
-	if err != nil {
-		t.Fatalf("pack batch: %v", err)
-	}
 	sys := testSystem(gpus)
 	var (
 		outs []*matrix.Dense
 		pivs [][]int
 		taus [][]float64
 		errs []error
+		err  error
 	)
 	switch decomp {
 	case "cholesky":
-		outs, _, errs, err = CholeskyBatch(sys, b, opts, injs)
+		outs, _, errs, err = CholeskyBatch(sys, ms, opts, injs)
 	case "lu":
-		outs, pivs, _, errs, err = LUBatch(sys, b, opts, injs)
+		outs, pivs, _, errs, err = LUBatch(sys, ms, opts, injs)
 	default:
-		outs, taus, _, errs, err = QRBatch(sys, b, opts, injs)
+		outs, taus, _, errs, err = QRBatch(sys, ms, opts, injs)
 	}
 	if err != nil {
 		t.Fatalf("batched %s: %v", decomp, err)
@@ -187,12 +182,8 @@ func TestBatchPerItemFaultContainment(t *testing.T) {
 		})
 	}
 
-	b, err := batch.FromMatrices(ms, opts.NB)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sys := testSystem(2)
-	outs, pivs, ress, errs, err := LUBatch(sys, b, opts, []*fault.Injector{nil, inj, nil})
+	outs, pivs, ress, errs, err := LUBatch(sys, ms, opts, []*fault.Injector{nil, inj, nil})
 	if err != nil {
 		t.Fatalf("batch-level error: %v", err)
 	}
@@ -220,81 +211,68 @@ func TestBatchPerItemFaultContainment(t *testing.T) {
 	}
 }
 
-// An item whose slab bytes were corrupted while queued (between Encode and
-// dispatch) is caught by the slab integrity check and excluded with a
-// per-item error before the ladder runs; siblings are unaffected.
-func TestBatchCorruptQueueInputIsolated(t *testing.T) {
-	const n, count = 64, 3
-	ms := batchInputs("cholesky", count, n)
-	opts := batchOpts(0)
-	b, err := batch.FromMatrices(ms, opts.NB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Flip one element of item 1 inside the slab, after the strips were
-	// encoded — simulated host-memory corruption in the serving queue.
-	b.Item(1).Set(5, 7, b.Item(1).At(5, 7)+1)
-
-	sys := testSystem(1)
-	outs, _, errs, err := CholeskyBatch(sys, b, opts, nil)
-	if err != nil {
-		t.Fatalf("batch-level error: %v", err)
-	}
-	if errs[1] == nil || !strings.Contains(errs[1].Error(), "corrupted") {
-		t.Fatalf("corrupt item error = %v, want slab-corruption error", errs[1])
-	}
-	if outs[1] != nil {
-		t.Fatal("corrupt item produced a factor")
-	}
-	for _, i := range []int{0, 2} {
-		if errs[i] != nil {
-			t.Fatalf("clean sibling %d errored: %v", i, errs[i])
-		}
-		sout, _, _ := runSolo(t, "cholesky", ms[i], 1, opts)
-		if d, r, c := sout.MaxAbsDiff(outs[i]); d != 0 {
-			t.Fatalf("sibling %d not bit-identical to solo: |Δ|=%g at (%d,%d)", i, d, r, c)
-		}
-	}
-}
-
-// Batched runs reject the per-run control-flow options (checkpointing,
-// resume, fail-stop and node-fault plans, rebalancing, Options.Injector)
-// and malformed injector slices.
+// Batched runs reject malformed inputs (a nil or non-square item, mixed
+// orders, an order that is not a multiple of NB), the per-run control-flow
+// options (checkpointing, resume, fail-stop, link-fault and node-fault
+// plans, rebalancing, Options.Injector), and malformed injector slices.
 func TestBatchOptionValidation(t *testing.T) {
 	const n = 32
-	ms := batchInputs("cholesky", 2, n)
 	opts := batchOpts(0)
-	b, err := batch.FromMatrices(ms, opts.NB)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cases := []struct {
 		name string
-		mut  func(o *Options) []*fault.Injector
+		mut  func(ms []*matrix.Dense, o *Options) ([]*matrix.Dense, []*fault.Injector)
 	}{
-		{"options-injector", func(o *Options) []*fault.Injector { o.Injector = fault.NewInjector(1); return nil }},
-		{"checkpoint", func(o *Options) []*fault.Injector { o.CheckpointEvery = 1; return nil }},
-		{"failstop", func(o *Options) []*fault.Injector {
+		{"empty", func(ms []*matrix.Dense, o *Options) ([]*matrix.Dense, []*fault.Injector) { return nil, nil }},
+		{"nil-item", func(ms []*matrix.Dense, o *Options) ([]*matrix.Dense, []*fault.Injector) {
+			return []*matrix.Dense{ms[0], nil}, nil
+		}},
+		{"non-square", func(ms []*matrix.Dense, o *Options) ([]*matrix.Dense, []*fault.Injector) {
+			return []*matrix.Dense{matrix.NewDense(n, 2*n), ms[1]}, nil
+		}},
+		{"mixed-orders", func(ms []*matrix.Dense, o *Options) ([]*matrix.Dense, []*fault.Injector) {
+			return []*matrix.Dense{ms[0], batchInputs("cholesky", 1, 2*n)[0]}, nil
+		}},
+		{"order-not-multiple-of-nb", func(ms []*matrix.Dense, o *Options) ([]*matrix.Dense, []*fault.Injector) {
+			return batchInputs("cholesky", 2, n+o.NB/2), nil
+		}},
+		{"options-injector", func(ms []*matrix.Dense, o *Options) ([]*matrix.Dense, []*fault.Injector) {
+			o.Injector = fault.NewInjector(1)
+			return ms, nil
+		}},
+		{"checkpoint", func(ms []*matrix.Dense, o *Options) ([]*matrix.Dense, []*fault.Injector) {
+			o.CheckpointEvery = 1
+			return ms, nil
+		}},
+		{"failstop", func(ms []*matrix.Dense, o *Options) ([]*matrix.Dense, []*fault.Injector) {
 			o.FailStop = map[int]hetsim.FaultPlan{0: {}}
-			return nil
+			return ms, nil
 		}},
-		{"linkfault", func(o *Options) []*fault.Injector {
+		{"linkfault", func(ms []*matrix.Dense, o *Options) ([]*matrix.Dense, []*fault.Injector) {
 			o.LinkFault = map[int]hetsim.LinkFaultPlan{0: {}}
-			return nil
+			return ms, nil
 		}},
-		{"nodefault", func(o *Options) []*fault.Injector {
+		{"nodefault", func(ms []*matrix.Dense, o *Options) ([]*matrix.Dense, []*fault.Injector) {
 			o.NodeFault = map[int]hetsim.NodeFaultPlan{0: {}}
-			return nil
+			return ms, nil
 		}},
-		{"rebalance", func(o *Options) []*fault.Injector { o.Rebalance.Every = 1; return nil }},
-		{"short-injs", func(o *Options) []*fault.Injector { return make([]*fault.Injector, 1) }},
+		{"rebalance", func(ms []*matrix.Dense, o *Options) ([]*matrix.Dense, []*fault.Injector) {
+			o.Rebalance.Every = 1
+			return ms, nil
+		}},
+		{"short-injs", func(ms []*matrix.Dense, o *Options) ([]*matrix.Dense, []*fault.Injector) {
+			return ms, make([]*fault.Injector, 1)
+		}},
 	}
 	for _, tc := range cases {
 		o := opts
-		injs := tc.mut(&o)
+		ms, injs := tc.mut(batchInputs("cholesky", 2, n), &o)
 		sys := testSystem(1)
-		if _, _, _, err := CholeskyBatch(sys, b, o, injs); err == nil {
-			t.Fatalf("%s: batched run accepted unsupported options", tc.name)
+		if _, _, _, err := CholeskyBatch(sys, ms, o, injs); err == nil {
+			t.Fatalf("%s: batched run accepted an unsupported batch", tc.name)
 		}
+	}
+	// The unmodified batch runs: the rows above fail for their own reason.
+	if _, _, errs, err := CholeskyBatch(testSystem(1), batchInputs("cholesky", 2, n), opts, nil); err != nil || errs[0] != nil || errs[1] != nil {
+		t.Fatalf("valid batch rejected: %v %v", err, errs)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"ftla/internal/checksum"
 	"ftla/internal/fault"
 	"ftla/internal/hetsim"
+	"ftla/internal/matrix"
 )
 
 // fuzzN is the matrix order of every FuzzFaultPromise run.
@@ -19,10 +20,13 @@ var fuzzTopologies = [][2]int{{1, 1}, {2, 1}, {3, 1}, {2, 2}, {3, 3}, {4, 2}, {4
 
 // faultCase is one decoded FuzzFaultPromise input: a protected
 // configuration at n=128 plus at most one soft error, one transient link
-// plan and one node burst.
+// plan and one node burst, run solo and, when batch > 1, as item 0 of a
+// batch.
 type faultCase struct {
 	decomp      string
 	gpus, nodes int
+	pivot       bool    // LU on a matrix.Random input, which swaps rows
+	batch       int     // batch size: 1 runs solo only
 	opts        Options // no faults armed
 	soft        *fault.Spec
 	injSeed     uint64
@@ -40,7 +44,8 @@ type faultCase struct {
 //	11 injector seed, 12 communication target GPU,
 //	13 link mode (0 none), 14 link GPU, 15 AfterTransfers, 16 mode parameter,
 //	17 burst node mask (0 none), 18 burst epoch,
-//	19 parity refresh interval c (parityInterval, 1, 2, nbr).
+//	19 parity refresh interval c (parityInterval, 1, 2, nbr),
+//	20 LU input (0 diagonally dominant, 1 matrix.Random), 21 batch size − 1.
 func decodeFaultCase(b []byte) faultCase {
 	at := func(i, m int) int {
 		if i < len(b) {
@@ -49,7 +54,9 @@ func decodeFaultCase(b []byte) faultCase {
 		return 0
 	}
 	topo := fuzzTopologies[at(2, len(fuzzTopologies))]
-	c := faultCase{decomp: []string{"cholesky", "lu", "qr"}[at(0, 3)], gpus: topo[0], nodes: topo[1]}
+	c := faultCase{decomp: []string{"cholesky", "lu", "qr"}[at(0, 3)], gpus: topo[0], nodes: topo[1],
+		batch: 1 + at(21, 3)}
+	c.pivot = c.decomp == "lu" && at(20, 2) == 1
 	nb := []int{16, 32}[at(1, 2)]
 	nbr := fuzzN / nb
 	flags := at(4, 8)
@@ -115,9 +122,9 @@ func decodeFaultCase(b []byte) faultCase {
 
 // String describes the case for failure messages.
 func (c faultCase) String() string {
-	s := fmt.Sprintf("%s nb=%d g=%d nodes=%d r=%d la=%d ck=%d reb=%d c=%d",
+	s := fmt.Sprintf("%s nb=%d g=%d nodes=%d r=%d la=%d ck=%d reb=%d c=%d pivot=%t batch=%d",
 		c.decomp, c.opts.NB, c.gpus, c.nodes, c.opts.Redundancy, c.opts.Lookahead,
-		c.opts.CheckpointEvery, c.opts.Rebalance.Every, c.opts.parityEvery)
+		c.opts.CheckpointEvery, c.opts.Rebalance.Every, c.opts.parityEvery, c.pivot, c.batch)
 	if c.soft != nil {
 		s += fmt.Sprintf(" soft=[%v seed=%d]", c.soft, c.injSeed)
 	}
@@ -147,30 +154,153 @@ type faultRun struct {
 	err   error
 }
 
-// run factorizes the case's input on a fresh system, with its faults armed
-// when faulty is set.
-func (c faultCase) run(faulty bool) faultRun {
-	opts := c.opts
-	if faulty {
-		if c.soft != nil {
-			opts.Injector = fault.NewInjector(c.injSeed)
-			opts.Injector.Schedule(*c.soft)
-		}
-		opts.LinkFault, opts.NodeFault = c.link, c.burst
+// verdict is the run's outcome under the 1e-9 residual bound.
+func (r faultRun) verdict() Outcome { return r.res.OutcomeOf(r.resid() <= 1e-9) }
+
+// input returns batch item i's matrix: item 0 is the case's input
+// (pipelineInput's for all but a pivoting LU case), the others distinct
+// inputs of the same family.
+func (c faultCase) input(i int) *matrix.Dense {
+	rng := matrix.NewRNG(uint64(fuzzN) + 7 + 1000*uint64(i))
+	switch {
+	case c.decomp == "cholesky":
+		return matrix.RandomSPD(fuzzN, rng)
+	case c.decomp == "lu" && !c.pivot:
+		return matrix.RandomDiagDominant(fuzzN, rng)
+	default:
+		return matrix.Random(fuzzN, fuzzN, rng)
 	}
-	a := pipelineInput(c.decomp, fuzzN)
+}
+
+// injector returns a fresh injector armed with the case's soft error, or
+// nil when it has none.
+func (c faultCase) injector() *fault.Injector {
+	if c.soft == nil {
+		return nil
+	}
+	inj := fault.NewInjector(c.injSeed)
+	inj.Schedule(*c.soft)
+	return inj
+}
+
+// faulty returns the case's options with its link and node plans armed.
+func (c faultCase) faulty() Options {
+	opts := c.opts
+	opts.LinkFault, opts.NodeFault = c.link, c.burst
+	return opts
+}
+
+// finished wraps one completed factorization of input a.
+func (c faultCase) finished(a, out *matrix.Dense, piv []int, tau []float64, res *Result) faultRun {
+	resid := func() float64 { return decompResidual(c.decomp, a, out, piv, tau) }
+	return faultRun{bits: factorBits(out, piv, tau), resid: resid, res: res}
+}
+
+// run factorizes batch item i's input solo on a fresh system. Item 0 runs
+// with the case's faults armed when faulty is set; the other items never
+// carry faults.
+func (c faultCase) run(i int, faulty bool) faultRun {
+	opts := c.opts
+	if faulty && i == 0 {
+		opts = c.faulty()
+		opts.Injector = c.injector()
+	}
+	a := c.input(i)
 	out, piv, tau, res, err := runDecomp(c.decomp, clusterSystem(c.gpus, c.nodes), a, opts)
 	if err != nil {
 		return faultRun{err: err}
 	}
-	resid := func() float64 { return decompResidual(c.decomp, a, out, piv, tau) }
-	return faultRun{bits: factorBits(out, piv, tau), resid: resid, res: res}
+	return c.finished(a, out, piv, tau, res)
+}
+
+// runBatch factorizes the case's batch in one batched dispatch on a fresh
+// system, under the case's faulty options with item 0 carrying its soft
+// error. It returns one faultRun per item, or the batch-level error.
+func (c faultCase) runBatch() ([]faultRun, error) {
+	as := make([]*matrix.Dense, c.batch)
+	for i := range as {
+		as[i] = c.input(i)
+	}
+	injs := make([]*fault.Injector, c.batch)
+	injs[0] = c.injector()
+	sys := clusterSystem(c.gpus, c.nodes)
+	var (
+		outs []*matrix.Dense
+		pivs [][]int
+		taus [][]float64
+		ress []*Result
+		errs []error
+		err  error
+	)
+	switch c.decomp {
+	case "cholesky":
+		outs, ress, errs, err = CholeskyBatch(sys, as, c.faulty(), injs)
+	case "lu":
+		outs, pivs, ress, errs, err = LUBatch(sys, as, c.faulty(), injs)
+	default:
+		outs, taus, ress, errs, err = QRBatch(sys, as, c.faulty(), injs)
+	}
+	if err != nil {
+		return nil, err
+	}
+	runs := make([]faultRun, c.batch)
+	for i := range runs {
+		if errs[i] != nil {
+			runs[i] = faultRun{err: errs[i]}
+			continue
+		}
+		var piv []int
+		var tau []float64
+		if pivs != nil {
+			piv = pivs[i]
+		}
+		if taus != nil {
+			tau = taus[i]
+		}
+		runs[i] = c.finished(as[i], outs[i], piv, tau, ress[i])
+	}
+	return runs, nil
+}
+
+// checkBatch is rule (e): with batchable options, each batch item's bits,
+// Counter and verdict equal the same item run solo (first is item 0's
+// faulty solo run); otherwise the batch is refused with the batch-level
+// validation error.
+func (c faultCase) checkBatch(t *testing.T, first faultRun) {
+	opts := c.faulty()
+	want := opts.ValidateBatch()
+	runs, err := c.runBatch()
+	if want != nil {
+		if err == nil || err.Error() != want.Error() {
+			t.Fatalf("%v: (e) batch of unbatchable options ended in %v, want %v", c, err, want)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("%v: (e) batch failed: %v", c, err)
+	}
+	for i, br := range runs {
+		solo := first
+		if i > 0 {
+			solo = c.run(i, false)
+		}
+		if fmt.Sprint(br.err) != fmt.Sprint(solo.err) {
+			t.Fatalf("%v: (e) item %d error %v, solo %v", c, i, br.err, solo.err)
+		}
+		if br.err != nil {
+			continue
+		}
+		if br.bits != solo.bits || br.res.Counter != solo.res.Counter || br.verdict() != solo.verdict() {
+			t.Fatalf("%v: (e) item %d differs from solo: bits %016x/%016x counters %+v/%+v verdict %v/%v",
+				c, i, br.bits, solo.bits, br.res.Counter, solo.res.Counter, br.verdict(), solo.verdict())
+		}
+	}
 }
 
 // FuzzFaultPromise checks the system's one promise across the
 // configuration × fault space: a completed job is correct or carries a
 // typed error. Each input decodes to a faultCase (decodeFaultCase) and
-// must satisfy four rules:
+// must satisfy five rules:
 //
 //	(a) with only link and node faults within the budget, the factor is
 //	    bit-identical to the clean run;
@@ -178,7 +308,11 @@ func (c faultCase) run(faulty bool) faultRun {
 //	    1e-9, or it reports Detected or Unrecoverable;
 //	(c) a burst beyond the budget ends in *hetsim.NodeLostError;
 //	(d) two runs of the same input give the same bits, SimMakespan and
-//	    Counter.
+//	    Counter;
+//	(e) in a batch (size above 1) with batchable options, each item's
+//	    bits, Counter and verdict equal the same item run solo; with
+//	    options a batch cannot carry, the batch is refused with the
+//	    batch-level validation error.
 //
 // Fail-stop device plans are left out (their AfterOps trigger is not yet
 // schedule-invariant), and so is QR's documented on-chip TMU gap.
@@ -189,7 +323,7 @@ func FuzzFaultPromise(f *testing.F) {
 		if c.soft != nil && isDocumentedQRGap(c.decomp, *c.soft) {
 			t.Skip("documented QR on-chip TMU gap")
 		}
-		first, second := c.run(true), c.run(true)
+		first, second := c.run(0, true), c.run(0, true)
 		if fmt.Sprint(first.err) != fmt.Sprint(second.err) {
 			t.Fatalf("%v: (d) errors differ between runs: %v vs %v", c, first.err, second.err)
 		}
@@ -210,15 +344,18 @@ func FuzzFaultPromise(f *testing.F) {
 		case first.err != nil:
 			t.Fatalf("%v: run failed: %v", c, first.err)
 		case c.soft != nil:
-			if resid := first.resid(); first.res.OutcomeOf(resid <= 1e-9) == CorruptedResult {
+			if first.verdict() == CorruptedResult {
 				t.Fatalf("%v: (b) soft error laundered: residual %g, Detected=false, counters %+v",
-					c, resid, first.res.Counter)
+					c, first.resid(), first.res.Counter)
 			}
 		default:
-			if clean := c.run(false); clean.err != nil || clean.bits != first.bits {
+			if clean := c.run(0, false); clean.err != nil || clean.bits != first.bits {
 				t.Fatalf("%v: (a) factor %016x differs from the clean run's %016x (clean err %v)",
 					c, first.bits, clean.bits, clean.err)
 			}
+		}
+		if c.batch > 1 {
+			c.checkBatch(t, first)
 		}
 	})
 }

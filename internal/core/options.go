@@ -16,6 +16,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -260,6 +261,25 @@ func (o *Options) Validate(n int) error {
 	}
 	if o.Redundancy < 0 {
 		return fmt.Errorf("core: Redundancy %d must not be negative (0 means the default of 1)", o.Redundancy)
+	}
+	return nil
+}
+
+// ValidateBatch rejects the per-run options a batched dispatch cannot share
+// across its items: checkpoint/resume, fail-stop, link-fault and node-fault
+// plans, and rebalancing. Each is control flow of one run — every item's
+// engine would re-arm the same plan, restarting a link plan's transfer
+// count — so the batched drivers reject them, and the serving layer keeps
+// jobs carrying them on the solo path (ftla.Config.ValidateBatch). It is
+// the one statement of that rule.
+func (o *Options) ValidateBatch() error {
+	switch {
+	case o.CheckpointEvery != 0 || o.OnCheckpoint != nil || o.Resume != nil:
+		return errors.New("core: checkpoint/resume options are not supported in batched runs")
+	case len(o.FailStop) > 0 || len(o.LinkFault) > 0 || len(o.NodeFault) > 0:
+		return errors.New("core: fail-stop, link-fault and node-fault plans are not supported in batched runs")
+	case o.Rebalance.Every != 0:
+		return errors.New("core: rebalancing is not supported in batched runs")
 	}
 	return nil
 }

@@ -65,8 +65,9 @@ var (
 
 // rebalancer is the optional ladder capability the step runtime probes for:
 // a ladder that exposes its protected layout can have its trailing columns
-// repartitioned. The batched drivers don't implement it (their slabs
-// interleave many small problems), so rebalancing is silently inert there.
+// repartitioned. The batched drivers' composite ladder doesn't implement
+// it, and Options.ValidateBatch rejects rebalancing options before a batch
+// runs.
 type rebalancer interface {
 	layout() *protected
 }

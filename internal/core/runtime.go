@@ -243,13 +243,28 @@ func (rt *stepRuntime) maybeRebalance(k int) {
 // maybeParity, run after step k's verification concluded clean, verifies
 // the trailing columns and, when the refresh is due, re-encodes the parity
 // of every group still holding columns it has not yet covered (see
-// codedState.refresh). Journaled as its own stage, every step, so serial
-// and look-ahead schedules compare equal.
+// codedState.refresh), for the ladder's layout or, in a batch, for every
+// live item's. Journaled as its own stage, every step, so serial and
+// look-ahead schedules compare equal.
 func (rt *stepRuntime) maybeParity(k int) {
-	if rt.coded == nil || rt.coded.exhausted() {
+	codeds := []*codedState{rt.coded}
+	if bl, ok := rt.l.(*batchLadder); ok {
+		codeds = bl.coded()
+	}
+	var due []*codedState
+	for _, cs := range codeds {
+		if cs != nil && !cs.exhausted() {
+			due = append(due, cs)
+		}
+	}
+	if len(due) == 0 {
 		return
 	}
-	rt.stage(k, stageParity, func() { rt.coded.refresh(k) })
+	rt.stage(k, stageParity, func() {
+		for _, cs := range due {
+			cs.refresh(k)
+		}
+	})
 }
 
 // handleNodeLoss reacts to the node faults fired at one epoch boundary —

@@ -36,6 +36,8 @@ const (
 	Communication
 )
 
+// String returns the fault kind's short name: "computation",
+// "off-chip-mem", "on-chip-mem", or "communication".
 func (k Kind) String() string {
 	switch k {
 	case Computation:
@@ -61,6 +63,8 @@ const (
 	Broadcast           // PCIe panel broadcast
 )
 
+// String returns the operation's abbreviation: "PD", "PU", "TMU", "CTF",
+// or "Broadcast".
 func (o Op) String() string {
 	switch o {
 	case PD:
@@ -86,6 +90,8 @@ const (
 	UpdatePart
 )
 
+// String returns "ref" for the reference part and "update" for the
+// update part.
 func (p Part) String() string {
 	if p == ReferencePart {
 		return "ref"
@@ -152,6 +158,8 @@ type Event struct {
 	Old, New float64
 }
 
+// String describes the fired fault: kind@op/part, the iteration, the
+// corrupted element, and its value before and after.
 func (e Event) String() string {
 	return fmt.Sprintf("%s@%s/%s it=%d elem=(%d,%d) %.6g->%.6g",
 		e.Spec.Kind, e.Spec.Op, e.Spec.Part, e.Spec.Iteration, e.GlobalI, e.GlobalJ, e.Old, e.New)

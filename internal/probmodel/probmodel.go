@@ -39,6 +39,7 @@ const (
 	TMU
 )
 
+// String returns the operation's abbreviation: "PD", "PU", or "TMU".
 func (o Op) String() string {
 	switch o {
 	case PD:
@@ -61,6 +62,8 @@ const (
 	FullNew
 )
 
+// String returns the approach's label: "single+prior", "single+post",
+// "full+post", or "full+new".
 func (a Approach) String() string {
 	switch a {
 	case SingleSidePrior:
@@ -85,6 +88,8 @@ const (
 	CompleteRestart
 )
 
+// String returns the outcome's label: "fault-free", "abft-fixable",
+// "local-restart", or "complete-restart".
 func (o Outcome) String() string {
 	switch o {
 	case FaultFree:

@@ -27,6 +27,7 @@ const (
 	D2
 )
 
+// String returns the dimensionality's label: "0D", "1D", or "2D".
 func (d Dim) String() string {
 	switch d {
 	case D0:
@@ -48,6 +49,7 @@ const (
 	TMU
 )
 
+// String returns the operation's abbreviation: "PD", "PU", or "TMU".
 func (o Op) String() string {
 	switch o {
 	case PD:
@@ -68,6 +70,8 @@ const (
 	Update
 )
 
+// String returns "ref" for the reference part and "update" for the
+// update part.
 func (p Part) String() string {
 	if p == Reference {
 		return "ref"

@@ -300,7 +300,7 @@ func TestBatchIneligibleSpecsStaySolo(t *testing.T) {
 }
 
 // A link-fault plan is per-run control flow too: a batched dispatch arms
-// the shared configuration's plans once for the whole slab, so a follower's
+// the shared configuration's plans once for the whole batch, so a follower's
 // plan would never fire and its batchmates would run under the leader's.
 // The link-fault job must run solo, with its own plan firing, while its
 // same-key clean neighbours still coalesce.

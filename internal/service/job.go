@@ -8,8 +8,8 @@ import (
 	"time"
 
 	"ftla"
-	"ftla/internal/batch"
 	"ftla/internal/core"
+	"ftla/internal/hetsim"
 	"ftla/internal/obs"
 )
 
@@ -110,6 +110,9 @@ func (s *JobSpec) validate() error {
 	if s.A.Rows != s.A.Cols {
 		return fmt.Errorf("service: input must be square, got %dx%d", s.A.Rows, s.A.Cols)
 	}
+	if nb := s.Config.Effective().NB; s.A.Rows == 0 || s.A.Rows%nb != 0 {
+		return fmt.Errorf("service: input order %d must be a positive multiple of NB=%d", s.A.Rows, nb)
+	}
 	if s.Decomp < Cholesky || s.Decomp > QR {
 		return fmt.Errorf("service: unknown decomposition %d", int(s.Decomp))
 	}
@@ -143,37 +146,54 @@ func (s *JobSpec) tol() float64 {
 }
 
 // batchable reports whether the job may share a coalesced batched dispatch
-// with others of the same batchKey. Per-run control flow the batched
-// drivers cannot share — fail-stop, link-fault and node-fault plans (a
-// batch arms one configuration's plans for the whole slab), checkpointing,
-// resume, dynamic rebalancing — and per-job observation scopes (Trace,
-// Deadline) keep a job on the solo path. A fault Injector is batchable: the
-// batched drivers carry injectors per item, which is exactly what the
-// retry-isolation contract exercises (one injected item must not disturb
-// its batchmates).
+// with others of the same batchKey: its options must pass the batched
+// drivers' own rule (ftla.Config.ValidateBatch), and it must carry no
+// per-job observation scope (Trace, Deadline). A fault Injector
+// is batchable: the batched drivers carry injectors per item, which is
+// exactly what the retry-isolation contract exercises (one injected item
+// must not disturb its batchmates).
 func (s *JobSpec) batchable() bool {
-	c := s.Config
-	return len(c.FailStop) == 0 && len(c.LinkFault) == 0 && len(c.NodeFault) == 0 &&
-		c.CheckpointEvery == 0 && c.OnCheckpoint == nil && c.Resume == nil &&
-		c.Rebalance.Every == 0 &&
-		!s.Trace && s.Deadline == 0
+	return s.Config.ValidateBatch() == nil && !s.Trace && s.Deadline == 0
 }
 
-// batchKey identifies the coalescing bucket: jobs coalesce only when every
-// run-shaping parameter matches, because one batched ladder runs a single
-// (shape, protection, scheme, schedule, platform) configuration across the
-// whole slab. Built from the Effective configuration so zero-value and
-// explicit defaults land in the same bucket.
-func (s *JobSpec) batchKey() batch.Key {
+// coalesceKey identifies jobs that may share one coalesced batched
+// dispatch: two jobs coalesce only when every field matches, because one
+// batched ladder runs a single (shape, protection, scheme, kernel,
+// schedule, platform) configuration across all of its items.
+type coalesceKey struct {
+	// decomp is the decomposition; n and nb are the per-item order and
+	// ABFT block size.
+	decomp Decomp
+	n, nb  int
+	// mode, scheme, and kernel are the protection configuration.
+	mode   ftla.Protection
+	scheme ftla.Scheme
+	kernel ftla.Kernel
+	// lookahead and periodicTrailingCheck are the schedule knobs that
+	// shape the shared ladder.
+	lookahead, periodicTrailingCheck int
+	// redundancy is the erasure-code parity count on a multi-node
+	// platform: it shapes the shared cluster layout, so jobs asking for
+	// different parity depths must not coalesce.
+	redundancy int
+	// sys is the simulated platform the batch runs on (a comparable
+	// value, so coalesceKey is usable as a map key).
+	sys hetsim.Config
+}
+
+// batchKey identifies the coalescing bucket (see coalesceKey). Built from
+// the Effective configuration so zero-value and explicit defaults land in
+// the same bucket.
+func (s *JobSpec) batchKey() coalesceKey {
 	eff := s.Config.Effective()
-	return batch.Key{
-		Decomp: s.Decomp.String(),
-		N:      s.A.Rows, NB: eff.NB,
-		Mode: int(eff.Protection), Scheme: int(eff.Scheme), Kernel: int(eff.Kernel),
-		Lookahead:             eff.Lookahead,
-		PeriodicTrailingCheck: eff.PeriodicTrailingCheck,
-		Redundancy:            eff.Redundancy,
-		Sys:                   eff.SystemConfig(),
+	return coalesceKey{
+		decomp: s.Decomp,
+		n:      s.A.Rows, nb: eff.NB,
+		mode: eff.Protection, scheme: eff.Scheme, kernel: eff.Kernel,
+		lookahead:             eff.Lookahead,
+		periodicTrailingCheck: eff.PeriodicTrailingCheck,
+		redundancy:            eff.Redundancy,
+		sys:                   eff.SystemConfig(),
 	}
 }
 

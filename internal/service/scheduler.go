@@ -48,7 +48,6 @@ import (
 	"time"
 
 	"ftla"
-	"ftla/internal/batch"
 	"ftla/internal/core"
 	"ftla/internal/hetsim"
 	"ftla/internal/matrix"
@@ -275,7 +274,7 @@ func (s *Scheduler) worker() {
 		// share the leader's batched dispatch, then optionally linger for
 		// batchmates still arriving.
 		hs := []*JobHandle{h}
-		var key batch.Key
+		var key coalesceKey
 		coalescing := s.cfg.BatchMax > 1 && h.spec.batchable()
 		if coalescing {
 			key = h.spec.batchKey()
@@ -319,7 +318,7 @@ func (s *Scheduler) worker() {
 // gatherLocked removes up to max queued jobs whose specs match the batch
 // key — scanning highest priority first, submission order within each class
 // — and marks them running. The caller holds s.mu.
-func (s *Scheduler) gatherLocked(key batch.Key, max int) []*JobHandle {
+func (s *Scheduler) gatherLocked(key coalesceKey, max int) []*JobHandle {
 	var out []*JobHandle
 	for pri := numPriorities - 1; pri >= 0 && len(out) < max; pri-- {
 		q := s.queues[pri]

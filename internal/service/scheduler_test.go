@@ -384,13 +384,37 @@ func TestSubmitValidation(t *testing.T) {
 	cases := []JobSpec{
 		{},
 		{Decomp: Cholesky, A: ftla.Random(4, 6, 1)},
-		{Decomp: Decomp(9), A: ftla.RandomSPD(16, 1)},
-		{Decomp: LU, A: ftla.RandomSPD(16, 1), B: make([]float64, 3)},
+		{Decomp: Decomp(9), A: ftla.RandomSPD(16, 1), Config: ftla.Config{NB: 16}},
+		{Decomp: LU, A: ftla.RandomSPD(16, 1), B: make([]float64, 3), Config: ftla.Config{NB: 16}},
+		{Decomp: Cholesky, A: ftla.RandomSPD(16, 1)}, // order 16, default NB 64
 	}
 	for i, spec := range cases {
 		if _, err := s.Submit(context.Background(), spec); err == nil {
 			t.Fatalf("case %d: invalid spec accepted", i)
 		}
+	}
+}
+
+// A job whose order is not a multiple of its effective NB can never run,
+// so Submit rejects it: no coalesced batch attempt and no solo retry is
+// spent on an error that no retry can fix.
+func TestSubmitRejectsOrderNotMultipleOfNB(t *testing.T) {
+	s := New(Config{Workers: 1, BatchMax: 8})
+	defer s.Close()
+	for i := 0; i < 3; i++ {
+		spec := JobSpec{
+			Decomp:  Cholesky,
+			A:       ftla.RandomSPD(100, uint64(i+1)),
+			Config:  ftla.Config{NB: 32},
+			NoCache: true,
+		}
+		if h, err := s.Submit(context.Background(), spec); err == nil {
+			res, err := h.Wait(context.Background())
+			t.Fatalf("job %d: order 100 with NB=32 accepted (result %v, error %v)", i, res, err)
+		}
+	}
+	if st := s.Stats(); st.Submitted != 0 || st.Retries != 0 || st.Restarts != 0 {
+		t.Fatalf("Submitted/Retries/Restarts = %d/%d/%d, want 0/0/0", st.Submitted, st.Retries, st.Restarts)
 	}
 }
 

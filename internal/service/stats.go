@@ -80,8 +80,9 @@ const (
 	// *DeadlineError (JobSpec.Deadline budget exhausted).
 	MetricJobsDeadlineExceeded = "ftla_jobs_deadline_exceeded_total"
 	// MetricPoolQuarantined gauges systems currently quarantined by the
-	// pool's circuit breaker (device loss or repeated failures), awaiting
-	// probation re-admission.
+	// pool's circuit breaker after a fail-stop fault (a lost node, an
+	// exhausted PCIe link, or a lost or hung device), awaiting probation
+	// re-admission.
 	MetricPoolQuarantined = "ftla_pool_quarantined"
 	// MetricAttemptAbortSeconds histograms the wall-clock time an attempt
 	// ran before being aborted (device loss, hang reap, cancellation) —

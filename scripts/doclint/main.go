@@ -1,8 +1,7 @@
 // Command doclint fails when a Go package exports an undocumented
 // identifier. It is the documentation gate wired into scripts/check.sh:
-// packages whose godoc is part of their contract (internal/obs,
-// internal/service) must keep every exported type, function, method,
-// constant, and variable documented.
+// the public ftla package and every internal package must keep every
+// exported type, function, method, constant, and variable documented.
 //
 // Usage:
 //
