@@ -224,10 +224,8 @@ type Checkpoint = core.Checkpoint
 
 // RebalanceConfig configures dynamic work repartitioning
 // (Config.Rebalance): Every is the rebalance interval in ladder steps (0
-// disables), MinShare the floor fraction of remaining trailing columns
-// every GPU keeps, and Suspect lists GPUs that should re-enter at the
-// floor share (the serving layer sets it when probing a quarantined
-// straggler). See core.Rebalance for the full field contracts.
+// disables) and MinShare the floor fraction of remaining trailing columns
+// every GPU keeps. See core.Rebalance for the full field contracts.
 type RebalanceConfig = core.Rebalance
 
 // Config selects the simulated platform and the protection configuration.

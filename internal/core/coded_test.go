@@ -280,8 +280,9 @@ func TestClusterThirdLossExhaustsRedundancy(t *testing.T) {
 // tentpole: dynamic rebalancing now runs on multi-node topologies, the
 // parity-aware migration protocol keeps the placement invariant, and on
 // uniform devices a rebalancing run stays bit-identical to the static run
-// on the same cluster. The suspect start forces real cross-node moves, so
-// the parity re-home path executes (asserted via Result counters).
+// on the same cluster. Straggling every GPU of node 0 forces real
+// cross-node moves, so the parity re-home path executes (asserted via the
+// onRebalance hook).
 func TestClusterRebalanceBitIdentityUniform(t *testing.T) {
 	for _, tc := range []struct{ gpus, nodes, r, n int }{
 		{4, 2, 1, 192}, // kk=1: every cross-node move displaces a parity
@@ -295,11 +296,24 @@ func TestClusterRebalanceBitIdentityUniform(t *testing.T) {
 				static := runPipelineOn(t, decomp, tc.n, clusterSystem(tc.gpus, tc.nodes), opts)
 
 				dyn := opts
-				dyn.Rebalance = Rebalance{Every: 2, Suspect: []int{0}}
+				dyn.FailStop = map[int]hetsim.FaultPlan{}
+				for g := 0; g < tc.gpus/tc.nodes; g++ {
+					dyn.FailStop[g] = hetsim.FaultPlan{Mode: hetsim.FaultStraggler, Slowdown: 4}
+				}
+				dyn.Rebalance = Rebalance{Every: 2}
+				rehomed := 0
+				dyn.onRebalance = func(step int, moves []rebMove) {
+					for _, m := range moves {
+						if m.parT >= 0 {
+							rehomed++
+						}
+					}
+				}
 				moved := runPipelineOn(t, decomp, tc.n, clusterSystem(tc.gpus, tc.nodes), dyn)
 
-				if moved.res.MovedColumns == 0 {
-					t.Fatalf("%s: cluster rebalancing moved no columns; the ban is still in effect", label)
+				if moved.res.MovedColumns == 0 || rehomed == 0 {
+					t.Fatalf("%s: cluster rebalancing moved %d columns and re-homed %d parities; want both > 0",
+						label, moved.res.MovedColumns, rehomed)
 				}
 				if d, r, c := static.out.MaxAbsDiff(moved.out); d != 0 {
 					t.Fatalf("%s: factors differ from static cluster run: |Δ|=%g at (%d,%d)",
@@ -330,7 +344,8 @@ func TestClusterRebalanceSurvivesNodeLoss(t *testing.T) {
 	static := runPipelineOn(t, "lu", 192, clusterSystem(4, 2), opts)
 
 	dyn := opts
-	dyn.Rebalance = Rebalance{Every: 2, Suspect: []int{0}}
+	dyn.FailStop = map[int]hetsim.FaultPlan{0: {Mode: hetsim.FaultStraggler, Slowdown: 4}}
+	dyn.Rebalance = Rebalance{Every: 2}
 	dyn.NodeFault = map[int]hetsim.NodeFaultPlan{1: {AfterEpochs: 3}}
 	lossy := runPipelineOn(t, "lu", 192, clusterSystem(4, 2), dyn)
 

@@ -190,9 +190,9 @@ type Options struct {
 	// journal for the run (test hook; see runtime.go).
 	stageJournal *[]stageRec
 	// onRebalance, when non-nil, observes each applied rebalance: the
-	// ladder step it ran after and the global block columns that moved
-	// (test hook; see rebalance.go).
-	onRebalance func(step int, moved []int)
+	// ladder step it ran after and its moves, each a global block column
+	// and its destination GPU (test hook; see rebalance.go).
+	onRebalance func(step int, moves []rebMove)
 	// parityEvery, when positive, overrides the cross-node parity's
 	// refresh interval c (parityInterval; test hook, see coded.go).
 	parityEvery int
@@ -219,13 +219,6 @@ type Rebalance struct {
 	// beyond that single column. Must be in [0, 1); Validate rejects the
 	// rest.
 	MinShare float64
-	// Suspect lists GPU indices believed slow before the run starts — the
-	// serving layer sets it when re-admitting a quarantined straggler on
-	// probation — and makes the runtime apply an initial rebalance before
-	// step one: suspects start at the MinShare floor instead of a full
-	// cyclic share, then earn width back through the normal estimator.
-	// Empty (the zero value) starts from the plain cyclic layout.
-	Suspect []int
 }
 
 // Validate normalizes and sanity-checks the options for order n.
@@ -253,11 +246,6 @@ func (o *Options) Validate(n int) error {
 	}
 	if o.Rebalance.MinShare < 0 || o.Rebalance.MinShare >= 1 {
 		return fmt.Errorf("core: Rebalance.MinShare %v outside [0, 1)", o.Rebalance.MinShare)
-	}
-	for _, g := range o.Rebalance.Suspect {
-		if g < 0 {
-			return fmt.Errorf("core: Rebalance.Suspect holds negative GPU index %d", g)
-		}
 	}
 	if o.Redundancy < 0 {
 		return fmt.Errorf("core: Redundancy %d must not be negative (0 means the default of 1)", o.Redundancy)

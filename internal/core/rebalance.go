@@ -180,78 +180,20 @@ func (rb *rebState) liveIdx() []int {
 
 // plan decides the rebalance after step k: apportion the T = nbr-(k+2)
 // remaining trailing columns (column k+1 is the next panel and stays put)
-// proportionally to estimated speed, and emit the moves that take the
-// current layout there. Returns nil when there is nothing to move.
+// over the live GPUs proportionally to estimated speed, publish the
+// resulting device shares, and emit the legal moves that take the current
+// layout there. Returns nil when there is nothing to move.
 func (rb *rebState) plan(k int) []rebMove {
 	if rb == nil {
 		return nil
 	}
-	return rb.round(k+2, func(T int, live, lcur []int) []int {
-		if len(live) < 2 {
-			return nil
-		}
-		return apportion(T, rb.weightsOf(live), lcur, rb.minCols(T, len(live)))
-	})
-}
-
-// planSuspects builds the initial re-entry rebalance: before the first
-// step, GPUs listed in Options.Rebalance.Suspect are cut to the MinShare
-// floor and the rest of the trailing columns split evenly among the others.
-// Suspects earn width back through the normal estimator — their floor share
-// keeps the samples coming. Returns nil when no valid suspects are listed.
-func (rb *rebState) planSuspects(start int) []rebMove {
-	if rb == nil || len(rb.es.opts.Rebalance.Suspect) == 0 {
-		return nil
-	}
-	return rb.round(start+1, func(T int, live, lcur []int) []int {
-		sus := make([]bool, len(rb.est))
-		nSus := 0
-		for _, g := range rb.es.opts.Rebalance.Suspect {
-			if g >= 0 && g < len(sus) && !sus[g] && rb.p.gpuLive(g) {
-				sus[g] = true
-				nSus++
-			}
-		}
-		if nSus == 0 || nSus >= len(live) {
-			return nil // nobody healthy to shed load onto
-		}
-		minC := rb.minCols(T, len(live))
-		// Split the rest evenly over the healthy live GPUs (equal weights,
-		// preferring current owners so the health majority moves as little
-		// as possible).
-		hw := make([]float64, 0, len(live)-nSus)
-		hcur := make([]int, 0, len(live)-nSus)
-		for i, g := range live {
-			if !sus[g] {
-				hw = append(hw, 1)
-				hcur = append(hcur, lcur[i])
-			}
-		}
-		htgt := apportion(T-nSus*minC, hw, hcur, 0)
-		tgt := make([]int, 0, len(live))
-		for _, g := range live {
-			if sus[g] {
-				tgt = append(tgt, minC)
-			} else {
-				tgt, htgt = append(tgt, htgt[0]), htgt[1:]
-			}
-		}
-		return tgt
-	})
-}
-
-// round is one rebalance round over the trailing block columns
-// [bjLo, nbr): target apportions their count T over the live GPUs given
-// their current trailing counts lcur, returning one target per live GPU
-// (or nil to skip the round); round publishes the resulting device shares
-// and returns the legal moves that reach them.
-func (rb *rebState) round(bjLo int, target func(T int, live, lcur []int) []int) []rebMove {
 	p := rb.p
+	bjLo := k + 2
 	T := p.nbr - bjLo
-	if T <= 0 {
+	live := rb.liveIdx()
+	if T <= 0 || len(live) < 2 {
 		return nil
 	}
-	live := rb.liveIdx()
 	cur := make([]int, len(rb.est))
 	for g := range cur {
 		cur[g] = p.nloc[g] - p.trailStart(g, bjLo)
@@ -260,10 +202,7 @@ func (rb *rebState) round(bjLo int, target func(T int, live, lcur []int) []int) 
 	for i, g := range live {
 		lcur[i] = cur[g]
 	}
-	ltgt := target(T, live, lcur)
-	if ltgt == nil {
-		return nil
-	}
+	ltgt := apportion(T, rb.weightsOf(live), lcur, rb.minCols(T, len(live)))
 	tgt := make([]int, len(cur))
 	for i, g := range live {
 		tgt[g] = ltgt[i]
@@ -469,7 +408,6 @@ func (rb *rebState) movesFor(tgt, cur []int) []rebMove {
 // metrics, and notifies the test hook.
 func (rb *rebState) apply(k int, moves []rebMove) {
 	es := rb.es
-	moved := make([]int, 0, len(moves))
 	es.sys.CoalesceTransfers(func() {
 		for _, m := range moves {
 			rb.p.migrateColumn(m.bj, m.dst)
@@ -479,7 +417,6 @@ func (rb *rebState) apply(k int, moves []rebMove) {
 				rb.p.coded.rehomeParity(m.parT, m.parJ, m.parDst)
 				rebalanceParityReencodes.Inc()
 			}
-			moved = append(moved, m.bj)
 		}
 	})
 	es.res.Rebalances++
@@ -487,6 +424,6 @@ func (rb *rebState) apply(k int, moves []rebMove) {
 	rebalancesTotal.Inc()
 	rebalanceMoved.Add(uint64(len(moves)))
 	if es.opts.onRebalance != nil {
-		es.opts.onRebalance(k, moved)
+		es.opts.onRebalance(k, moves)
 	}
 }

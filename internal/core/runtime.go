@@ -323,17 +323,6 @@ func runLadder(es *engineSys, l ladder) error {
 	if rl, ok := l.(rebalancer); ok {
 		rt.coded = rl.layout().coded
 	}
-	// A run entering with suspects (a quarantine-released straggler on
-	// probation) is repartitioned before the first step: the suspect
-	// starts at the floor share instead of a full cyclic one.
-	if moves := rt.reb.planSuspects(start); len(moves) > 0 {
-		rt.stage(start, stageRebalance, func() {
-			rt.reb.apply(start, moves)
-			if rt.coded != nil {
-				rt.coded.moved(start - 1)
-			}
-		})
-	}
 	for k := start; k < nbr; k++ {
 		// Node-loss epoch boundary: streams are joined and device state is
 		// quiescent here, so a fired whole-node fault is absorbed by

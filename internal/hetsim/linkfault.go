@@ -132,8 +132,8 @@ func (p LinkFaultPlan) String() string {
 // LinkError reports a transfer lost to a PCIe link fault: either a single
 // dropped/failed transfer (raw Transfer path) or a link whose faults
 // exhausted TransferReliable's retransmission budget. Like a device loss
-// it surfaces through the abort plumbing and classifies the link's GPU as
-// suspect.
+// it surfaces through the abort plumbing, and the serving layer fails it
+// over the same way.
 type LinkError struct {
 	// Link is the GPU index whose CPU<->GPU link faulted.
 	Link int

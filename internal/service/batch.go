@@ -109,9 +109,6 @@ func (s *Scheduler) runDecompositionBatch(run []*JobHandle) ([]*Factorization, [
 	}
 	defer acancel()
 	sys := s.pool.acquire(cfg.SystemConfig())
-	// A probation probe may carry a suspect GPU note; batched ladders cannot
-	// rebalance, so just clear it rather than leak the entry.
-	s.pool.takeSuspect(sys)
 	sys.Bind(actx)
 
 	facts := make([]*Factorization, len(run))

@@ -260,7 +260,7 @@ func runProbe(sys *hetsim.System) (err error) {
 // grants, then the next acquire re-admits it repaired (Reset revives its
 // lost device).
 func TestChaosPoolProbationReadmission(t *testing.T) {
-	p := newSystemPool(2, newMetrics(obs.NewRegistry()))
+	p := newSystemPool(newMetrics(obs.NewRegistry()))
 	cfg := hetsim.DefaultConfig(2)
 
 	bad := p.acquire(cfg)
@@ -605,13 +605,27 @@ func timeCleanAttempt(t *testing.T) time.Duration {
 	return time.Since(start)
 }
 
-// TestChaosProbationProbeRebalancesInjectedJob: the first job a
-// re-admitted probation probe serves re-enters its suspect GPU at the
-// rebalancer's floor share even when the job carries a fault injector —
-// injected runs rebalance like any other.
-func TestChaosProbationProbeRebalancesInjectedJob(t *testing.T) {
-	s := New(Config{Workers: 1})
+// TestChaosProbationProbeRunsInjectedJobStatic: Reset repairs a
+// quarantined system before the pool re-admits it, so the probe serves
+// its first job exactly as configured. Here GPU 1's crash quarantines a
+// 2-GPU system, and the injected job the probe then serves runs on the
+// static layout: nothing rebalances, whichever GPU faulted.
+func TestChaosProbationProbeRunsInjectedJobStatic(t *testing.T) {
+	s := New(Config{Workers: 1, Retry: RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond}})
 	defer s.Close()
+
+	crash := chaosSpec(3, map[int]ftla.FailStopPlan{1: {Mode: ftla.FailCrash}})
+	crash.Config.GPUs = 2
+	h, err := s.Submit(context.Background(), crash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Wait(context.Background()); err != nil {
+		t.Fatalf("crash job failed: %v", err)
+	}
+	if s.pool.quarantined() != 1 {
+		t.Fatalf("%d systems quarantined, want the crashed one", s.pool.quarantined())
+	}
 
 	inj := ftla.NewInjector(5)
 	inj.Schedule(ftla.FaultSpec{Kind: ftla.FaultCompute, Op: ftla.OpPD, Iteration: 0, Row: -1, Col: -1})
@@ -621,16 +635,14 @@ func TestChaosProbationProbeRebalancesInjectedJob(t *testing.T) {
 		Config:  ftla.Config{GPUs: 2, NB: 32, Injector: inj},
 		NoCache: true,
 	}
-	// Quarantine a system of the job's platform with GPU 1 as suspect,
-	// then spend the grants that keep it out: the job's own acquire is the
-	// probation probe.
+	// Spend the grants that keep the crashed system out: the job's own
+	// acquire is the probation probe.
 	sysCfg := spec.Config.SystemConfig()
-	s.pool.quarantineSuspect(s.pool.acquire(sysCfg), 1)
 	for i := 0; i < poolProbeAfter; i++ {
 		s.pool.release(s.pool.acquire(sysCfg))
 	}
 
-	h, err := s.Submit(context.Background(), spec)
+	h, err = s.Submit(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -641,8 +653,8 @@ func TestChaosProbationProbeRebalancesInjectedJob(t *testing.T) {
 	if len(inj.Events()) != 1 {
 		t.Fatalf("injector fired %d faults, want 1", len(inj.Events()))
 	}
-	if rep := res.Factors.Report(); rep.Rebalances == 0 || rep.MovedColumns == 0 {
-		t.Fatalf("probe ran without the suspect's floor share: rebalances=%d moved=%d",
+	if rep := res.Factors.Report(); rep.Rebalances != 0 || rep.MovedColumns != 0 {
+		t.Fatalf("probe left the static layout: rebalances=%d moved=%d",
 			rep.Rebalances, rep.MovedColumns)
 	}
 	if s.pool.quarantined() != 0 {

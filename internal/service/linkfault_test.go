@@ -31,8 +31,8 @@ func linkSpec(seed uint64, lf map[int]ftla.LinkFaultPlan) JobSpec {
 
 // TestChaosLinkExhaustionFailsOverToDegradedSystem is the link-layer
 // headline: GPU 2's link flaps longer than the retransmission budget, the
-// attempt aborts with a typed link error, the pool quarantines the system
-// with GPU 2 suspect, and the retry completes on a degraded 3-GPU platform
+// attempt aborts with a typed link error, the pool quarantines the system,
+// and the retry completes on a degraded 3-GPU platform
 // — the same failover a dead card gets, because a flaky connector is
 // indistinguishable from one host-side.
 func TestChaosLinkExhaustionFailsOverToDegradedSystem(t *testing.T) {

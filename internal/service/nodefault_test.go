@@ -201,7 +201,7 @@ func TestChaosDeviceLossOnClusterRetiresWholeNode(t *testing.T) {
 }
 
 // The failover rung's classifier: node, link, GPU, and CPU faults each map
-// to their metric, span, and suspect GPU, and applying the degrade verdict
+// to their metric and span, and applying the degrade verdict
 // shrinks a flat 4-GPU platform by one GPU and a 2-node cluster by one node
 // — except a CPU fault, which leaves either shape alone. Wrapped errors
 // classify like bare ones; context aborts are not fail-stop faults.
@@ -214,33 +214,32 @@ func TestClassifyFailStop(t *testing.T) {
 		err         error
 		metric      *obs.Counter
 		span        string
-		suspect     int
 		flat, clust hetsim.Config
 	}{
 		{"node", &hetsim.NodeLostError{Node: 1, GPUs: 2, Op: "reconstruct"},
-			m.nodeLost, "node-lost:N1", -1,
+			m.nodeLost, "node-lost:N1",
 			hetsim.Config{NumGPUs: 3, Nodes: 1}, hetsim.Config{NumGPUs: 2, Nodes: 1}},
 		{"link", &hetsim.LinkError{Link: 2, Op: "pcie"},
-			m.linkLost, "link-lost:GPU2", 2,
+			m.linkLost, "link-lost:GPU2",
 			hetsim.Config{NumGPUs: 3, Nodes: 1}, hetsim.Config{NumGPUs: 2, Nodes: 1}},
 		{"gpu-lost", fmt.Errorf("attempt: %w", &hetsim.DeviceLostError{Device: "N1/GPU3", GPU: 3, Node: 1}),
-			m.deviceLost, "device-lost:N1/GPU3", 3,
+			m.deviceLost, "device-lost:N1/GPU3",
 			hetsim.Config{NumGPUs: 3, Nodes: 1}, hetsim.Config{NumGPUs: 2, Nodes: 1}},
 		{"gpu-hung", &hetsim.DeviceHungError{Device: "GPU0", GPU: 0, Cause: context.DeadlineExceeded},
-			m.deviceLost, "device-lost:GPU0", 0,
+			m.deviceLost, "device-lost:GPU0",
 			hetsim.Config{NumGPUs: 3, Nodes: 1}, hetsim.Config{NumGPUs: 2, Nodes: 1}},
 		{"cpu-lost", &hetsim.DeviceLostError{Device: "CPU", GPU: -1},
-			m.deviceLost, "device-lost:CPU", -1, flat, cluster},
+			m.deviceLost, "device-lost:CPU", flat, cluster},
 		{"cpu-hung", &hetsim.DeviceHungError{Device: "CPU", GPU: -1},
-			m.deviceLost, "device-lost:CPU", -1, flat, cluster},
+			m.deviceLost, "device-lost:CPU", flat, cluster},
 	} {
 		fo, ok := m.classifyFailStop(tc.err)
 		if !ok {
 			t.Fatalf("%s: not classified as a fail-stop fault", tc.name)
 		}
-		if fo.metric != tc.metric || fo.span != tc.span || fo.suspect != tc.suspect {
-			t.Errorf("%s: got span %q suspect %d (metric match %v), want span %q suspect %d",
-				tc.name, fo.span, fo.suspect, fo.metric == tc.metric, tc.span, tc.suspect)
+		if fo.metric != tc.metric || fo.span != tc.span {
+			t.Errorf("%s: got span %q (metric match %v), want span %q",
+				tc.name, fo.span, fo.metric == tc.metric, tc.span)
 		}
 		for _, c := range []struct{ from, want hetsim.Config }{{flat, tc.flat}, {cluster, tc.clust}} {
 			got := c.from

@@ -12,6 +12,10 @@ import (
 // (repaired by Reset) instead of an idle one.
 const poolProbeAfter = 8
 
+// poolMaxIdle bounds the idle systems the pool retains per platform, so a
+// burst of heterogeneous configs cannot pin memory forever.
+const poolMaxIdle = 4
+
 // systemPool reuses hetsim.System instances across jobs, keyed by platform
 // configuration (jobs may request different GPU counts or speeds). A
 // released system has its device-utilization harvested into the pool's
@@ -29,9 +33,6 @@ const poolProbeAfter = 8
 type systemPool struct {
 	mu   sync.Mutex
 	idle map[hetsim.Config][]*hetsim.System
-	// maxIdlePer bounds retained idle systems per platform so a burst of
-	// heterogeneous configs cannot pin memory forever.
-	maxIdlePer int
 
 	met     *metrics           // created/reused land in the scheduler registry
 	devSecs map[string]float64 // aggregated busy seconds by device name
@@ -40,27 +41,15 @@ type systemPool struct {
 	// Circuit-breaker state.
 	quar   map[hetsim.Config][]*hetsim.System // held-out systems per platform
 	grants map[hetsim.Config]int              // acquires since the last probe
-
-	// suspect remembers, for a system quarantined by a device fault, which
-	// GPU index was implicated — so the scheduler can hand the re-admitted
-	// probation probe to the rebalancer as a suspect (it re-enters the
-	// workforce with a floor share instead of full width; see
-	// ftla.RebalanceConfig.Suspect). -1/absent means no specific device.
-	suspect map[*hetsim.System]int
 }
 
-func newSystemPool(maxIdlePer int, met *metrics) *systemPool {
-	if maxIdlePer <= 0 {
-		maxIdlePer = 4
-	}
+func newSystemPool(met *metrics) *systemPool {
 	return &systemPool{
-		idle:       make(map[hetsim.Config][]*hetsim.System),
-		maxIdlePer: maxIdlePer,
-		met:        met,
-		devSecs:    make(map[string]float64),
-		quar:       make(map[hetsim.Config][]*hetsim.System),
-		grants:     make(map[hetsim.Config]int),
-		suspect:    make(map[*hetsim.System]int),
+		idle:    make(map[hetsim.Config][]*hetsim.System),
+		met:     met,
+		devSecs: make(map[string]float64),
+		quar:    make(map[hetsim.Config][]*hetsim.System),
+		grants:  make(map[hetsim.Config]int),
 	}
 }
 
@@ -111,35 +100,6 @@ func (p *systemPool) quarantine(sys *hetsim.System) {
 	p.met.quarantined.Add(1)
 }
 
-// quarantineSuspect is quarantine plus a note of which GPU index was
-// implicated in the fault. When the system is later re-admitted as a
-// probation probe, takeSuspect surfaces the index so the scheduler can
-// start the probe's run with that GPU at the rebalancer's floor share —
-// a recurring straggler then costs a sliver of throughput instead of a
-// blown makespan. gpu < 0 records no suspect (plain quarantine).
-func (p *systemPool) quarantineSuspect(sys *hetsim.System, gpu int) {
-	if gpu >= 0 {
-		p.mu.Lock()
-		p.suspect[sys] = gpu
-		p.mu.Unlock()
-	}
-	p.quarantine(sys)
-}
-
-// takeSuspect returns and clears the suspect GPU index recorded when sys
-// was last quarantined by a device fault, or -1. Callers invoke it on
-// every acquire: only a re-admitted probation probe can carry one.
-func (p *systemPool) takeSuspect(sys *hetsim.System) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	g, ok := p.suspect[sys]
-	if !ok {
-		return -1
-	}
-	delete(p.suspect, sys)
-	return g
-}
-
 // harvest folds the system's device utilization and logical makespan into
 // the pool aggregate, refreshes the ftla_device_utilization gauges, and
 // Resets the system (detaching per-run attachments: tracer, bound context,
@@ -168,7 +128,7 @@ func (p *systemPool) harvest(sys *hetsim.System) {
 // shelveLocked parks a system on the idle shelf; callers hold p.mu.
 func (p *systemPool) shelveLocked(sys *hetsim.System) {
 	cfg := sys.Config()
-	if q := p.idle[cfg]; len(q) < p.maxIdlePer {
+	if q := p.idle[cfg]; len(q) < poolMaxIdle {
 		p.idle[cfg] = append(q, sys)
 	}
 }

@@ -62,9 +62,6 @@ type Config struct {
 	// QueueDepth bounds admitted-but-undispatched jobs (default 64);
 	// submissions beyond it are rejected with ErrQueueFull.
 	QueueDepth int
-	// MaxIdleSystems bounds pooled idle systems per platform config
-	// (default 4).
-	MaxIdleSystems int
 	// CacheEntries bounds the factorization cache (default 64 entries).
 	CacheEntries int
 	// Retry is the corruption retry policy (zero value: DefaultRetryPolicy).
@@ -160,7 +157,7 @@ func New(cfg Config) *Scheduler {
 	}
 	s := &Scheduler{
 		cfg:   cfg,
-		pool:  newSystemPool(cfg.MaxIdleSystems, met),
+		pool:  newSystemPool(met),
 		cache: newFactorCache(cfg.CacheEntries, met),
 		met:   met,
 		rng:   matrix.NewRNG(seed),
@@ -474,15 +471,6 @@ func (s *Scheduler) run(h *JobHandle) {
 			actx, acancel = context.WithTimeout(jctx, s.cfg.AttemptTimeout)
 		}
 		sys := s.pool.acquire(sysCfg)
-		if g := s.pool.takeSuspect(sys); g >= 0 && g < sysCfg.NumGPUs &&
-			sysCfg.NumGPUs > 1 && cfg.Rebalance.Every == 0 {
-			// Probation probe carrying a suspect GPU: instead of trusting the
-			// repaired device with a full cyclic share, arm the rebalancer so
-			// the suspect re-enters at the MinShare floor and must earn width
-			// back through measured throughput. Jobs that configured their own
-			// rebalancing keep their settings.
-			cfg.Rebalance = ftla.RebalanceConfig{Every: 1, Suspect: []int{g}}
-		}
 		// Bind the attempt context into the system: kernels and transfers
 		// gate on it, so cancellation, the job Deadline, and the attempt
 		// timeout all abort mid-factorization instead of after it.
@@ -496,6 +484,11 @@ func (s *Scheduler) run(h *JobHandle) {
 		attemptStart := time.Now()
 		f, err := runDecomposition(sys, spec, cfg)
 		acancel()
+		// An attempt that does not settle the job names the error the job
+		// fails with once its attempts are spent, and whether an expired
+		// job budget takes precedence over that error.
+		var spent error
+		budgetFirst := true
 		if err != nil {
 			aborted := time.Since(attemptStart)
 			fo, failStop := s.met.classifyFailStop(err)
@@ -503,42 +496,28 @@ func (s *Scheduler) run(h *JobHandle) {
 			case failStop:
 				// Fail-stop fault — a lost node, an exhausted PCIe link, or a
 				// lost or hung device: the system is unsafe to reuse as-is.
-				// Quarantine it (noting the suspect GPU for probation),
-				// degrade the platform unless only the CPU faulted, and
-				// retry on a rebuilt system; the checkpoint machinery below
-				// makes that retry a resume when one exists.
+				// Quarantine it, degrade the platform unless only the CPU
+				// faulted, and retry on a rebuilt system; the checkpoint
+				// machinery below makes that retry a resume when one exists.
 				fo.metric.Inc()
 				s.met.abortSeconds.Observe(aborted.Seconds())
 				if tr != nil {
 					tr.WallSpan(fo.span, "fault", attemptStart, aborted)
 				}
-				s.pool.quarantineSuspect(sys, fo.suspect)
+				s.pool.quarantine(sys)
 				if fo.degrade {
 					degradeNode(&sysCfg)
 				}
-				if jctx.Err() != nil {
-					expire(attempt, err)
-					return
-				}
-				if attempt >= s.cfg.Retry.MaxAttempts {
-					fail(&FailStopError{Attempts: h.prior + attempt, Cause: err})
-					return
-				}
+				spent = &FailStopError{Attempts: h.prior + attempt, Cause: err}
 			case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 				// Context abort without a device fault: the job was
 				// canceled, its Deadline fired, or the AttemptTimeout
-				// reaped a slow attempt. The system itself is healthy.
+				// reaped a slow attempt. The system itself is healthy, and
+				// with the job budget intact only the per-attempt timeout
+				// expired: retryable.
 				s.met.abortSeconds.Observe(aborted.Seconds())
 				s.pool.release(sys)
-				if jctx.Err() != nil {
-					expire(attempt, err)
-					return
-				}
-				// Only the per-attempt timeout expired: retryable.
-				if attempt >= s.cfg.Retry.MaxAttempts {
-					fail(err)
-					return
-				}
+				spent = err
 			default:
 				// Construction-time errors (bad dimensions, invalid
 				// options) are deterministic; retrying cannot help — except
@@ -552,14 +531,7 @@ func (s *Scheduler) run(h *JobHandle) {
 					return
 				}
 				resumeCP = nil
-				if jctx.Err() != nil {
-					expire(attempt, err)
-					return
-				}
-				if attempt >= s.cfg.Retry.MaxAttempts {
-					fail(err)
-					return
-				}
+				spent = err
 			}
 		} else {
 			s.pool.release(sys)
@@ -578,13 +550,21 @@ func (s *Scheduler) run(h *JobHandle) {
 				// corruption struck.
 				resumeCP = nil
 			}
-			if attempt >= s.cfg.Retry.MaxAttempts {
-				fail(&CorruptError{
-					Outcome: f.Outcome, Report: f.Report(),
-					Attempts: h.prior + attempt, Injected: injected(),
-				})
-				return
+			// A corrupt result reports itself even past the job budget;
+			// an expiry with attempts left surfaces in the backoff below.
+			spent = &CorruptError{
+				Outcome: f.Outcome, Report: f.Report(),
+				Attempts: h.prior + attempt, Injected: injected(),
 			}
+			budgetFirst = false
+		}
+		if budgetFirst && jctx.Err() != nil {
+			expire(attempt, err)
+			return
+		}
+		if attempt >= s.cfg.Retry.MaxAttempts {
+			fail(spent)
+			return
 		}
 		// Classify the retry we are about to grant as a resume or a
 		// restart; the total stays in retries so Retries == Restarts +
@@ -632,13 +612,11 @@ func (s *Scheduler) settle(h *JobHandle, res *JobResult, start time.Time) {
 }
 
 // failover is the failover rung's reading of a fail-stop abort: the
-// counter it bumps, the trace span it emits, the GPU index to note as
-// suspect on the quarantined system (-1 for none), and whether the retry
+// counter it bumps, the trace span it emits, and whether the retry
 // degrades the platform.
 type failover struct {
 	metric  *obs.Counter
 	span    string
-	suspect int
 	degrade bool
 }
 
@@ -649,9 +627,8 @@ type failover struct {
 //     was already spent, or no redundancy was configured) always degrades:
 //     the retry runs with the dead node carved out.
 //   - A PCIe link fault the reliable-transfer protocol could not absorb
-//     makes the link's GPU suspect exactly like a lost device (a flaky
-//     connector and a dying card look the same from the host), and always
-//     degrades.
+//     is failed over exactly like a lost device (a flaky connector and a
+//     dying card look the same from the host), and always degrades.
 //   - A lost or hung device degrades only when it is a GPU; a CPU fault
 //     leaves the platform shape alone.
 //
@@ -665,13 +642,13 @@ func (m *metrics) classifyFailStop(err error) (fo failover, ok bool) {
 	var hung *hetsim.DeviceHungError
 	switch {
 	case errors.As(err, &nodeLost):
-		return failover{m.nodeLost, "node-lost:N" + strconv.Itoa(nodeLost.Node), -1, true}, true
+		return failover{m.nodeLost, "node-lost:N" + strconv.Itoa(nodeLost.Node), true}, true
 	case errors.As(err, &link):
-		return failover{m.linkLost, "link-lost:GPU" + strconv.Itoa(link.Link), link.Link, true}, true
+		return failover{m.linkLost, "link-lost:GPU" + strconv.Itoa(link.Link), true}, true
 	case errors.As(err, &lost):
-		return failover{m.deviceLost, "device-lost:" + lost.Device, lost.GPU, lost.GPU >= 0}, true
+		return failover{m.deviceLost, "device-lost:" + lost.Device, lost.GPU >= 0}, true
 	case errors.As(err, &hung):
-		return failover{m.deviceLost, "device-lost:" + hung.Device, hung.GPU, hung.GPU >= 0}, true
+		return failover{m.deviceLost, "device-lost:" + hung.Device, hung.GPU >= 0}, true
 	}
 	return failover{}, false
 }

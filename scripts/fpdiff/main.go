@@ -1,5 +1,7 @@
 // Command fpdiff compares two fingerprint golden files row by row: the
 // gate for a change that may move the simulated clock but nothing else.
+// Rows pair by label, the text before " | ", so a file whose scenarios
+// were added, removed or reordered still compares every row it shares.
 // internal/core's ladder and layout fingerprint files pin, per row, the
 // factor bits, counters, PCIe traffic, flops and the simulated makespan
 // (the trailing sim= field, the hex bit pattern of a float64 in seconds).
@@ -18,11 +20,12 @@
 //	go run ./scripts/fpdiff [-allow inter,pcie,flops] OLD NEW
 //
 // for example with OLD a copy of internal/core/testdata/ladder_fingerprints.txt
-// taken before the change. It prints each offending and each flagged row,
-// then a summary line: rows compared, rows whose sim= changed, the range
-// of the new/old makespan ratios, and the flagged and offending counts.
-// Exit status 1 means an offending row or a differing row count; 2 means
-// a usage or read error.
+// taken before the change. It prints each offending and each flagged row
+// and each row found in only one file, then a summary line: rows paired,
+// rows whose sim= changed, the range of the new/old makespan ratios, and
+// the flagged, offending and one-sided counts. Exit status 1 means an
+// offending or a one-sided row; 2 means a usage or read error, a label
+// repeated within one file included.
 package main
 
 import (
@@ -63,28 +66,31 @@ func main() {
 		allow[f] = true
 	}
 	oldPath, newPath := flag.Arg(0), flag.Arg(1)
-	oldRows, err := readRows(oldPath)
+	oldRows, oldIdx, err := readRows(oldPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fpdiff: %v\n", err)
 		os.Exit(2)
 	}
-	newRows, err := readRows(newPath)
+	newRows, newIdx, err := readRows(newPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fpdiff: %v\n", err)
 		os.Exit(2)
 	}
-	if len(oldRows) != len(newRows) {
-		fmt.Printf("fpdiff: %s has %d rows, %s has %d\n", oldPath, len(oldRows), newPath, len(newRows))
-		os.Exit(1)
-	}
-	bad, moved, flagged := 0, 0, 0
+	paired, bad, moved, flagged, oneSided := 0, 0, 0, 0, 0
 	lo, hi := math.Inf(1), math.Inf(-1)
-	for i := range oldRows {
-		o, n := oldRows[i], newRows[i]
+	for _, o := range oldRows {
+		j, ok := newIdx[o.label]
+		if !ok {
+			oneSided++
+			fmt.Printf("only in %s: %s\n", oldPath, o.line)
+			continue
+		}
+		paired++
+		n := newRows[j]
 		changes, why := compare(o, n, allow)
 		if why != "" {
 			bad++
-			fmt.Printf("row %d: %s:\n  old %s\n  new %s\n", i, why, o.line, n.line)
+			fmt.Printf("%s: %s:\n  old %s\n  new %s\n", o.label, why, o.line, n.line)
 			continue
 		}
 		r := n.sim / o.sim
@@ -93,7 +99,7 @@ func main() {
 			if o.sim != n.sim {
 				changes = append(changes, fmt.Sprintf("sim x%.3f", r))
 			}
-			fmt.Printf("row %d: %s: %s\n", i, o.label, strings.Join(changes, ", "))
+			fmt.Printf("%s: %s\n", o.label, strings.Join(changes, ", "))
 		}
 		if o.sim == n.sim {
 			continue
@@ -102,18 +108,24 @@ func main() {
 		lo, hi = min(lo, r), max(hi, r)
 		if n.sim > o.sim {
 			bad++
-			fmt.Printf("row %d: sim= grew from %g to %g s (x%.4f):\n  %s\n", i, o.sim, n.sim, r, n.line)
+			fmt.Printf("%s: sim= grew from %g to %g s (x%.4f):\n  %s\n", o.label, o.sim, n.sim, r, n.line)
 		}
 	}
-	fmt.Printf("fpdiff: %d rows, %d with sim= changed", len(oldRows), moved)
+	for _, n := range newRows {
+		if _, ok := oldIdx[n.label]; !ok {
+			oneSided++
+			fmt.Printf("only in %s: %s\n", newPath, n.line)
+		}
+	}
+	fmt.Printf("fpdiff: %d rows paired, %d with sim= changed", paired, moved)
 	if moved > 0 {
 		fmt.Printf(" (new/old %.3f-%.3f)", lo, hi)
 	}
 	if len(allow) > 0 {
 		fmt.Printf(", %d flagged", flagged)
 	}
-	fmt.Printf(", %d offending\n", bad)
-	if bad > 0 {
+	fmt.Printf(", %d offending, %d one-sided\n", bad, oneSided)
+	if bad > 0 || oneSided > 0 {
 		os.Exit(1)
 	}
 }
@@ -124,7 +136,7 @@ func compare(o, n row, allow map[string]bool) (changes []string, why string) {
 	if o.rest == n.rest {
 		return nil, ""
 	}
-	if len(allow) == 0 || o.label != n.label || len(o.fields) != len(n.fields) {
+	if len(allow) == 0 || len(o.fields) != len(n.fields) {
 		return nil, "fields other than sim= differ"
 	}
 	for i, of := range o.fields {
@@ -169,21 +181,27 @@ type row struct {
 	sim    float64  // the sim= makespan in seconds; 0 when the row has none
 }
 
-// readRows reads a fingerprint file, one row per non-empty line.
-func readRows(path string) ([]row, error) {
+// readRows reads a fingerprint file, one row per line, and indexes the
+// rows by label; a label repeated within the file is an error.
+func readRows(path string) ([]row, map[string]int, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var rows []row
+	idx := map[string]int{}
 	for i, line := range strings.Split(strings.TrimRight(string(b), "\n"), "\n") {
 		r, err := parseRow(line)
 		if err != nil {
-			return nil, fmt.Errorf("%s:%d: %v", path, i+1, err)
+			return nil, nil, fmt.Errorf("%s:%d: %v", path, i+1, err)
 		}
+		if j, dup := idx[r.label]; dup {
+			return nil, nil, fmt.Errorf("%s:%d: label %q repeats line %d", path, i+1, r.label, j+1)
+		}
+		idx[r.label] = len(rows)
 		rows = append(rows, r)
 	}
-	return rows, nil
+	return rows, idx, nil
 }
 
 // parseRow splits line into its label, fields and sim= makespan. A row
