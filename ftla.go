@@ -26,6 +26,8 @@
 package ftla
 
 import (
+	"fmt"
+
 	"ftla/internal/checksum"
 	"ftla/internal/core"
 	"ftla/internal/fault"
@@ -166,8 +168,7 @@ const (
 // reliable-transfer protocol the drivers use absorbs transient corruption
 // and flaps by checksummed retransmission; a link that exhausts its
 // retransmission budget aborts the run with a typed *LinkError, which the
-// serving layer treats like a device loss (quarantine + degraded
-// failover).
+// serving layer treats like a device loss (degraded failover).
 type LinkFaultPlan = hetsim.LinkFaultPlan
 
 // Link fault modes for LinkFaultPlan.Mode.
@@ -224,8 +225,7 @@ type Checkpoint = core.Checkpoint
 
 // RebalanceConfig configures dynamic work repartitioning
 // (Config.Rebalance): Every is the rebalance interval in ladder steps (0
-// disables) and MinShare the floor fraction of remaining trailing columns
-// every GPU keeps. See core.Rebalance for the full field contracts.
+// disables). See core.Rebalance for the full field contract.
 type RebalanceConfig = core.Rebalance
 
 // Config selects the simulated platform and the protection configuration.
@@ -339,7 +339,8 @@ func (c Config) normalize() (Config, core.Options) {
 	// Canonicalize the parity depth on cluster topologies so Effective
 	// configurations compare equal whether the caller wrote the default
 	// explicitly or left it zero; flat systems ignore the field entirely.
-	if c.Nodes > 1 && c.Redundancy <= 0 {
+	// A negative depth is left for Validate to reject.
+	if c.Nodes > 1 && c.Redundancy == 0 {
 		c.Redundancy = 1
 	}
 	opts := core.Options{
@@ -388,6 +389,26 @@ func (c Config) SystemConfig() hetsim.Config {
 		sc.Nodes = c.Nodes
 	}
 	return sc
+}
+
+// Validate reports whether a run of order n under c is rejected before it
+// starts, with the error the run would return: the option rules of
+// core.Options.Validate (NB divides n, a consistent Protection/Scheme
+// pair, non-negative checkpoint and rebalance intervals and Redundancy,
+// OnCheckpoint only with CheckpointEvery), then the platform's — GPUs
+// divisible by Nodes, and Redundancy below Nodes on a cluster. Serving
+// layers call it to refuse a bad job at admission instead of failing it
+// on a worker.
+func (c Config) Validate(n int) error {
+	c, opts := c.normalize()
+	if err := opts.Validate(n); err != nil {
+		return err
+	}
+	sc := c.SystemConfig()
+	if sc.Nodes > 1 && sc.NumGPUs%sc.Nodes != 0 {
+		return fmt.Errorf("ftla: %d GPUs not divisible over %d nodes", sc.NumGPUs, sc.Nodes)
+	}
+	return opts.ValidateTopology(sc.Nodes)
 }
 
 // NewSystem builds the simulated platform cfg selects. Most callers never

@@ -157,7 +157,7 @@ func runBatch(decomp string, sys *hetsim.System, as []*matrix.Dense, opts Option
 	if err := validateBatchOpts(as, &opts, injs); err != nil {
 		return nil, nil, nil, nil, err
 	}
-	if err := opts.ValidateTopology(sys); err != nil {
+	if err := opts.ValidateTopology(sys.Nodes()); err != nil {
 		return nil, nil, nil, nil, err
 	}
 	n, count := as[0].Rows, len(as)

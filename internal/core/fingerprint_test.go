@@ -199,9 +199,9 @@ func layoutScenarios() []layoutScenario {
 			o.FailStop = straggler
 			o.Rebalance = Rebalance{Every: 1}
 		})},
-		{"straggler-minshare g=3", on(func() *hetsim.System { return testSystem(3) }, func(o *Options) {
+		{"straggler-every2 g=3", on(func() *hetsim.System { return testSystem(3) }, func(o *Options) {
 			o.FailStop = straggler
-			o.Rebalance = Rebalance{Every: 2, MinShare: 0.1}
+			o.Rebalance = Rebalance{Every: 2}
 		})},
 		{"node-loss g=4 nodes=4 r=2 lose=1@2", on(func() *hetsim.System { return clusterSystem(4, 4) }, func(o *Options) {
 			o.Redundancy = 2

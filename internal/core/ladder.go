@@ -37,7 +37,7 @@ func factorize(decomp string, sys *hetsim.System, a *matrix.Dense, opts Options,
 	if err := opts.Validate(a.Rows); err != nil {
 		return nil, nil, nil, err
 	}
-	if err := opts.ValidateTopology(sys); err != nil {
+	if err := opts.ValidateTopology(sys.Nodes()); err != nil {
 		return nil, nil, nil, err
 	}
 	defer func() {

@@ -120,7 +120,7 @@ type Options struct {
 	// the reliable-transfer protocol's retransmissions; a link whose
 	// faults exhaust the budget aborts the run with a typed
 	// hetsim.LinkError, which the serving layer classifies like a device
-	// loss (quarantine + degraded failover).
+	// loss (degraded failover).
 	LinkFault map[int]hetsim.LinkFaultPlan
 	// NodeFault arms whole-node loss plans on the topology's nodes at the
 	// start of the run, keyed by node index. Plans due at the same ladder-
@@ -212,13 +212,6 @@ type Rebalance struct {
 	// Validate. Rebalancing also stays off — regardless of Every — on
 	// single-GPU systems (nothing to re-split).
 	Every int
-	// MinShare is the floor fraction of the remaining trailing columns
-	// every GPU keeps (rounded to whole columns, at least one while any
-	// remain), so a slow device keeps producing throughput samples and can
-	// earn width back when it recovers. 0 (the zero value) means no floor
-	// beyond that single column. Must be in [0, 1); Validate rejects the
-	// rest.
-	MinShare float64
 }
 
 // Validate normalizes and sanity-checks the options for order n.
@@ -243,9 +236,6 @@ func (o *Options) Validate(n int) error {
 	}
 	if o.Rebalance.Every < 0 {
 		return fmt.Errorf("core: Rebalance.Every %d must not be negative (0 disables rebalancing)", o.Rebalance.Every)
-	}
-	if o.Rebalance.MinShare < 0 || o.Rebalance.MinShare >= 1 {
-		return fmt.Errorf("core: Rebalance.MinShare %v outside [0, 1)", o.Rebalance.MinShare)
 	}
 	if o.Redundancy < 0 {
 		return fmt.Errorf("core: Redundancy %d must not be negative (0 means the default of 1)", o.Redundancy)
@@ -273,12 +263,13 @@ func (o *Options) ValidateBatch() error {
 }
 
 // ValidateTopology checks the option fields whose legality depends on the
-// platform the run targets (Validate cannot — it only sees the matrix
-// order). Redundancy must leave every cross-node parity group at least one
-// data column, so on a multi-node topology r must stay below the node
-// count. Flat single-box systems carry no parity and accept any value.
-func (o *Options) ValidateTopology(sys *hetsim.System) error {
-	if nodes := sys.Nodes(); nodes > 1 && o.Redundancy >= nodes {
+// node count of the platform the run targets (Validate cannot — it only
+// sees the matrix order). Redundancy must leave every cross-node parity
+// group at least one data column, so on a multi-node topology r must stay
+// below the node count. Flat single-box systems carry no parity and accept
+// any value.
+func (o *Options) ValidateTopology(nodes int) error {
+	if nodes > 1 && o.Redundancy >= nodes {
 		return fmt.Errorf("core: Redundancy %d must stay below the node count %d (each parity group needs at least one data column)",
 			o.Redundancy, nodes)
 	}

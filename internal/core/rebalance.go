@@ -148,23 +148,6 @@ func (rb *rebState) endSample(k int) {
 	}
 }
 
-// minCols resolves the MinShare floor in whole columns for T remaining
-// trailing columns over liveG serving GPUs: at least one (a starved GPU
-// must keep producing samples to earn width back), at most an equal share.
-func (rb *rebState) minCols(T, liveG int) int {
-	m := int(math.Round(rb.es.opts.Rebalance.MinShare * float64(T)))
-	if m < 1 {
-		m = 1
-	}
-	if m > T/liveG {
-		m = T / liveG
-	}
-	if m < 0 {
-		m = 0
-	}
-	return m
-}
-
 // liveIdx returns the indices of the GPUs still serving. GPUs taken down by
 // a node loss hold no columns and must receive none, so every apportionment
 // runs over this subset.
@@ -202,7 +185,9 @@ func (rb *rebState) plan(k int) []rebMove {
 	for i, g := range live {
 		lcur[i] = cur[g]
 	}
-	ltgt := apportion(T, rb.weightsOf(live), lcur, rb.minCols(T, len(live)))
+	// Every live GPU keeps at least one column (a starved GPU must keep
+	// producing samples to earn width back), capped at an equal share.
+	ltgt := apportion(T, rb.weightsOf(live), lcur, min(1, T/len(live)))
 	tgt := make([]int, len(cur))
 	for i, g := range live {
 		tgt[g] = ltgt[i]

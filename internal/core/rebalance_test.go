@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"ftla/internal/checksum"
@@ -299,9 +298,6 @@ func TestRebalanceOptionValidation(t *testing.T) {
 		{"negative CheckpointEvery", func(o *Options) { o.CheckpointEvery = -1 }},
 		{"OnCheckpoint without interval", func(o *Options) { o.OnCheckpoint = func(*Checkpoint) {} }},
 		{"negative Rebalance.Every", func(o *Options) { o.Rebalance.Every = -2 }},
-		{"negative MinShare", func(o *Options) { o.Rebalance.MinShare = -0.1 }},
-		{"MinShare of 1", func(o *Options) { o.Rebalance.MinShare = 1 }},
-		{"MinShare above 1", func(o *Options) { o.Rebalance.MinShare = math.Inf(1) }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -318,7 +314,7 @@ func TestRebalanceOptionValidation(t *testing.T) {
 	}
 	// The valid shapes still pass.
 	o := base()
-	o.Rebalance = Rebalance{Every: 3, MinShare: 0.1}
+	o.Rebalance = Rebalance{Every: 3}
 	o.CheckpointEvery = 2
 	o.OnCheckpoint = func(*Checkpoint) {}
 	if err := o.Validate(64); err != nil {

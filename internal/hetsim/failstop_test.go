@@ -199,7 +199,7 @@ func TestRecoverAbortPassesThroughForeignPanics(t *testing.T) {
 }
 
 // TestResetClearsFaultPlan is the regression contract for pooled systems:
-// a quarantined-then-probed system must start clean — Reset disarms fault
+// a system released after a device loss must start clean — Reset disarms fault
 // plans, revives lost devices, unbinds the abort context, and clears the
 // transfer hook.
 func TestResetClearsFaultPlan(t *testing.T) {

@@ -249,8 +249,8 @@ func (s *System) trace(op string, d *Device, flops, endAt, durSecs float64) {
 // — the transfer hook, the obs tracer, and the bound abort context —
 // cleared, and every armed FaultPlan and LinkFaultPlan disarmed with
 // crashed/hung devices revived (an aborted run must leave a Reset-safe
-// system: the next job on a pooled, then-probed system starts on a clean,
-// fully populated node — see TestResetClearsFaultPlan). Device buffers
+// system: the next job on a pooled system that lost a device starts on a
+// clean, fully populated node — see TestResetClearsFaultPlan). Device buffers
 // are not tracked and thus not touched — callers own their allocations.
 // Reset lets a pool reuse one System across jobs without construction
 // cost while each job still observes clean clocks and an injector-free,

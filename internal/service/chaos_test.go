@@ -17,7 +17,6 @@ import (
 	"ftla"
 	"ftla/internal/hetsim"
 	"ftla/internal/matrix"
-	"ftla/internal/obs"
 )
 
 // chaosSpec is a 4-GPU Cholesky job; fs arms fail-stop plans (nil = clean).
@@ -34,8 +33,8 @@ func chaosSpec(seed uint64, fs map[int]ftla.FailStopPlan) JobSpec {
 }
 
 // TestChaosGPULossFailsOverToDegradedSystem is the headline scenario: a
-// 4-GPU job loses GPU 3 mid-factorization, the pool quarantines the dead
-// system, and the retry completes on a rebuilt 3-GPU platform — with the
+// 4-GPU job loses GPU 3 mid-factorization, the pool repairs and shelves
+// the dead system, and the retry completes on a 3-GPU platform — with the
 // whole event visible in the metrics.
 func TestChaosGPULossFailsOverToDegradedSystem(t *testing.T) {
 	s := New(Config{Workers: 1, Retry: RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond}})
@@ -71,12 +70,7 @@ func TestChaosGPULossFailsOverToDegradedSystem(t *testing.T) {
 	if st.Retries != 1 {
 		t.Fatalf("Stats.Retries = %d, want 1", st.Retries)
 	}
-	if st.Quarantined != 1 {
-		t.Fatalf("Stats.Quarantined = %d, want 1 (the crashed system held out)", st.Quarantined)
-	}
-	if n := s.pool.quarantined(); n != 1 {
-		t.Fatalf("pool holds %d quarantined systems, want 1", n)
-	}
+	requireShelvedRepaired(t, s, spec.Config.SystemConfig())
 }
 
 // TestChaosPersistentLossExhaustsRetries: when every attempt loses a
@@ -248,55 +242,44 @@ func TestChaosDeadlineDuringBackoff(t *testing.T) {
 	}
 }
 
-// runProbe runs one kernel on sys's GPU 0 and returns its abort error.
+// runProbe runs one kernel on each of sys's GPUs and one CPU->GPU transfer
+// over each PCIe link, and returns the first abort error.
 func runProbe(sys *hetsim.System) (err error) {
 	defer func() { err = hetsim.RecoverAbort(recover()) }()
-	sys.GPU(0).Run("probe", 1, func(int) {})
+	for _, g := range sys.GPUs() {
+		g.Run("probe", 1, func(int) {})
+		sys.Transfer(sys.CPU().AllocFrom(matrix.NewDense(4, 4)), g.Alloc(4, 4))
+	}
 	return nil
 }
 
-// TestChaosPoolProbationReadmission exercises the circuit breaker end to
-// end at the pool level: a quarantined system sits out poolProbeAfter
-// grants, then the next acquire re-admits it repaired (Reset revives its
-// lost device).
-func TestChaosPoolProbationReadmission(t *testing.T) {
-	p := newSystemPool(newMetrics(obs.NewRegistry()))
-	cfg := hetsim.DefaultConfig(2)
-
-	bad := p.acquire(cfg)
-	bad.ArmFault(bad.GPU(0), hetsim.FaultPlan{Mode: hetsim.FaultCrash})
-	err := runProbe(bad)
-	var lost *hetsim.DeviceLostError
-	if !errors.As(err, &lost) {
-		t.Fatalf("arming failed: %v", err)
+// requireShelvedRepaired asserts that the system a fail-stop fault aborted
+// on platform cfg sits repaired on the pool's idle shelf: the shelf holds
+// exactly one system, the next acquire returns it with every GPU alive,
+// and its kernels and links work again. The system goes back on the shelf,
+// which it returns.
+func requireShelvedRepaired(t *testing.T, s *Scheduler, cfg hetsim.Config) *hetsim.System {
+	t.Helper()
+	s.pool.mu.Lock()
+	shelf := append([]*hetsim.System(nil), s.pool.idle[cfg]...)
+	s.pool.mu.Unlock()
+	if len(shelf) != 1 {
+		t.Fatalf("idle shelf of the %d-GPU platform holds %d systems, want the failed-over one", cfg.NumGPUs, len(shelf))
 	}
-	p.quarantine(bad)
-	if p.quarantined() != 1 {
-		t.Fatal("system not quarantined")
+	sys := s.pool.acquire(cfg)
+	defer s.pool.release(sys)
+	if sys != shelf[0] {
+		t.Fatal("acquire did not return the shelved system")
 	}
-
-	// The breaker stays open for poolProbeAfter grants...
-	for i := 0; i < poolProbeAfter; i++ {
-		sys := p.acquire(cfg)
-		if sys == bad {
-			t.Fatalf("quarantined system re-admitted early (grant %d)", i+1)
+	for _, g := range sys.GPUs() {
+		if g.Lost() {
+			t.Fatalf("shelved system not repaired: %s still lost", g.Name())
 		}
-		p.release(sys)
 	}
-	// ...then the next acquire is the probation probe.
-	probe := p.acquire(cfg)
-	if probe != bad {
-		t.Fatal("probation grant did not re-admit the quarantined system")
+	if err := runProbe(sys); err != nil {
+		t.Fatalf("shelved system still failing: %v", err)
 	}
-	if p.quarantined() != 0 {
-		t.Fatal("quarantine count not decremented on probe")
-	}
-	if probe.GPU(0).Lost() {
-		t.Fatal("probe system not repaired: GPU0 still lost")
-	}
-	if err := runProbe(probe); err != nil {
-		t.Fatalf("repaired device still failing: %v", err)
-	}
+	return sys
 }
 
 // TestChaosGPULossResumesFromCheckpoint is the headline rollback scenario:
@@ -344,9 +327,10 @@ func TestChaosGPULossResumesFromCheckpoint(t *testing.T) {
 	if st.Retries != 1 || st.Resumed != 1 || st.Restarts != 0 {
 		t.Fatalf("Retries/Resumed/Restarts = %d/%d/%d, want 1/1/0", st.Retries, st.Resumed, st.Restarts)
 	}
-	if st.DeviceLost != 1 || st.Quarantined != 1 {
-		t.Fatalf("DeviceLost/Quarantined = %d/%d, want 1/1", st.DeviceLost, st.Quarantined)
+	if st.DeviceLost != 1 {
+		t.Fatalf("DeviceLost = %d, want 1", st.DeviceLost)
 	}
+	requireShelvedRepaired(t, s, spec.Config.SystemConfig())
 }
 
 // TestChaosCrashWindowPin pins the fixture the resume scenarios depend on:
@@ -571,8 +555,8 @@ func TestChaosStorm(t *testing.T) {
 	if got := int(st.Completed + st.Failed + st.Canceled); got != jobs {
 		t.Fatalf("terminal states %d != jobs %d (some job vanished)", got, jobs)
 	}
-	t.Logf("storm outcomes: %v; deviceLost=%d aborted=%d retries=%d quarantined=%d",
-		outcomes, st.DeviceLost, st.AbortedAttempts, st.Retries, st.Quarantined)
+	t.Logf("storm outcomes: %v; deviceLost=%d aborted=%d retries=%d",
+		outcomes, st.DeviceLost, st.AbortedAttempts, st.Retries)
 
 	// Goroutine-leak check: workers and per-job waiters must be gone.
 	// Settle loop: the race detector and timer goroutines need a moment.
@@ -605,12 +589,14 @@ func timeCleanAttempt(t *testing.T) time.Duration {
 	return time.Since(start)
 }
 
-// TestChaosProbationProbeRunsInjectedJobStatic: Reset repairs a
-// quarantined system before the pool re-admits it, so the probe serves
-// its first job exactly as configured. Here GPU 1's crash quarantines a
-// 2-GPU system, and the injected job the probe then serves runs on the
-// static layout: nothing rebalances, whichever GPU faulted.
-func TestChaosProbationProbeRunsInjectedJobStatic(t *testing.T) {
+// TestChaosCrashedSystemRejoinsAtOnce: release repairs a crashed system
+// (Reset revives its lost device and disarms its plans), so the pool
+// shelves it like any other and the very next acquire on its platform
+// gets it back, serving the job exactly as configured. Here GPU 1's crash
+// aborts a 2-GPU attempt; the next 2-GPU job runs on that same system,
+// builds no new one, and keeps the static layout: nothing rebalances,
+// whichever GPU faulted.
+func TestChaosCrashedSystemRejoinsAtOnce(t *testing.T) {
 	s := New(Config{Workers: 1, Retry: RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond}})
 	defer s.Close()
 
@@ -623,9 +609,11 @@ func TestChaosProbationProbeRunsInjectedJobStatic(t *testing.T) {
 	if _, err := h.Wait(context.Background()); err != nil {
 		t.Fatalf("crash job failed: %v", err)
 	}
-	if s.pool.quarantined() != 1 {
-		t.Fatalf("%d systems quarantined, want the crashed one", s.pool.quarantined())
+	if st := s.Stats(); st.DeviceLost != 1 || st.Retries != 1 {
+		t.Fatalf("DeviceLost/Retries = %d/%d, want 1/1", st.DeviceLost, st.Retries)
 	}
+	crashed := requireShelvedRepaired(t, s, crash.Config.SystemConfig())
+	created := s.Stats().SystemsCreated
 
 	inj := ftla.NewInjector(5)
 	inj.Schedule(ftla.FaultSpec{Kind: ftla.FaultCompute, Op: ftla.OpPD, Iteration: 0, Row: -1, Col: -1})
@@ -635,13 +623,6 @@ func TestChaosProbationProbeRunsInjectedJobStatic(t *testing.T) {
 		Config:  ftla.Config{GPUs: 2, NB: 32, Injector: inj},
 		NoCache: true,
 	}
-	// Spend the grants that keep the crashed system out: the job's own
-	// acquire is the probation probe.
-	sysCfg := spec.Config.SystemConfig()
-	for i := 0; i < poolProbeAfter; i++ {
-		s.pool.release(s.pool.acquire(sysCfg))
-	}
-
 	h, err = s.Submit(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -653,11 +634,14 @@ func TestChaosProbationProbeRunsInjectedJobStatic(t *testing.T) {
 	if len(inj.Events()) != 1 {
 		t.Fatalf("injector fired %d faults, want 1", len(inj.Events()))
 	}
-	if rep := res.Factors.Report(); rep.Rebalances != 0 || rep.MovedColumns != 0 {
-		t.Fatalf("probe left the static layout: rebalances=%d moved=%d",
-			rep.Rebalances, rep.MovedColumns)
+	if got := s.Stats().SystemsCreated; got != created {
+		t.Fatalf("job built %d new systems instead of reusing the repaired one", got-created)
 	}
-	if s.pool.quarantined() != 0 {
-		t.Fatal("probe system not re-admitted")
+	if rep := res.Factors.Report(); rep.GPUs != 2 || rep.Rebalances != 0 || rep.MovedColumns != 0 {
+		t.Fatalf("job on the repaired system: GPUs=%d rebalances=%d moved=%d, want 2/0/0",
+			rep.GPUs, rep.Rebalances, rep.MovedColumns)
+	}
+	if requireShelvedRepaired(t, s, spec.Config.SystemConfig()) != crashed {
+		t.Fatal("the repaired system left the shelf")
 	}
 }

@@ -110,9 +110,6 @@ func (s *JobSpec) validate() error {
 	if s.A.Rows != s.A.Cols {
 		return fmt.Errorf("service: input must be square, got %dx%d", s.A.Rows, s.A.Cols)
 	}
-	if nb := s.Config.Effective().NB; s.A.Rows == 0 || s.A.Rows%nb != 0 {
-		return fmt.Errorf("service: input order %d must be a positive multiple of NB=%d", s.A.Rows, nb)
-	}
 	if s.Decomp < Cholesky || s.Decomp > QR {
 		return fmt.Errorf("service: unknown decomposition %d", int(s.Decomp))
 	}
@@ -122,20 +119,10 @@ func (s *JobSpec) validate() error {
 	if s.Priority < Batch {
 		return fmt.Errorf("service: negative priority")
 	}
-	if sc := s.Config.SystemConfig(); sc.Nodes > 1 && sc.NumGPUs%sc.Nodes != 0 {
-		// hetsim.New enforces this invariant with a panic; catch it at
-		// admission so a bad spec fails its Submit, not a worker.
-		return fmt.Errorf("service: %d GPUs not divisible over %d nodes", sc.NumGPUs, sc.Nodes)
-	}
-	if sc := s.Config.SystemConfig(); sc.Nodes > 1 && s.Config.Redundancy >= sc.Nodes {
-		// Each cross-node parity group needs at least one data column;
-		// reject at admission instead of failing the dispatch.
-		return fmt.Errorf("service: redundancy %d must stay below the node count %d", s.Config.Redundancy, sc.Nodes)
-	}
-	if s.Config.Redundancy < 0 {
-		return fmt.Errorf("service: negative redundancy %d", s.Config.Redundancy)
-	}
-	return nil
+	// The configuration's own rules, so a job no attempt could run fails
+	// its Submit, not a worker (hetsim.New would even panic on GPUs that
+	// do not divide over the nodes).
+	return s.Config.Validate(s.A.Rows)
 }
 
 func (s *JobSpec) tol() float64 {

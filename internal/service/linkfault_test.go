@@ -4,7 +4,7 @@ package service
 // the factorization (scripts/check.sh runs the storm and recovery tests
 // with -race). The serving-layer contract extends to links: transient wire
 // faults are absorbed by retransmission and never reach the job, a link
-// that exhausts its budget is treated like a lost device (quarantine +
+// that exhausts its budget is treated like a lost device (release +
 // degraded failover), and a tampered checkpoint is never resumed.
 
 import (
@@ -31,8 +31,8 @@ func linkSpec(seed uint64, lf map[int]ftla.LinkFaultPlan) JobSpec {
 
 // TestChaosLinkExhaustionFailsOverToDegradedSystem is the link-layer
 // headline: GPU 2's link flaps longer than the retransmission budget, the
-// attempt aborts with a typed link error, the pool quarantines the system,
-// and the retry completes on a degraded 3-GPU platform
+// attempt aborts with a typed link error, the pool repairs and shelves the
+// system, and the retry completes on a degraded 3-GPU platform
 // — the same failover a dead card gets, because a flaky connector is
 // indistinguishable from one host-side.
 func TestChaosLinkExhaustionFailsOverToDegradedSystem(t *testing.T) {
@@ -66,12 +66,10 @@ func TestChaosLinkExhaustionFailsOverToDegradedSystem(t *testing.T) {
 	if st.DeviceLost != 0 {
 		t.Fatalf("Stats.DeviceLost = %d, want 0 (no device died; the link did)", st.DeviceLost)
 	}
-	if st.Quarantined != 1 {
-		t.Fatalf("Stats.Quarantined = %d, want 1", st.Quarantined)
-	}
 	if st.Retries != 1 {
 		t.Fatalf("Stats.Retries = %d, want 1", st.Retries)
 	}
+	requireShelvedRepaired(t, s, spec.Config.SystemConfig())
 }
 
 // TestChaosLinkExhaustionSurfacesTypedError: with no retries left, the job
@@ -268,8 +266,8 @@ func TestChaosLinkFaultStorm(t *testing.T) {
 	if d.CounterValue(obs.MetricTransferRetransmits) == 0 {
 		t.Fatal("storm issued no retransmissions: the link faults never fired")
 	}
-	t.Logf("link storm: retransmits=%d linkLost=%d quarantined=%d retries=%d",
-		d.CounterValue(obs.MetricTransferRetransmits), st.LinkLost, st.Quarantined, st.Retries)
+	t.Logf("link storm: retransmits=%d linkLost=%d retries=%d",
+		d.CounterValue(obs.MetricTransferRetransmits), st.LinkLost, st.Retries)
 
 	// Goroutine-leak check, same settle loop as TestChaosStorm.
 	deadline := time.Now().Add(5 * time.Second)

@@ -6,7 +6,7 @@ package service
 // the job by the erasure-coded parity — one attempt, reconstruction in the
 // report, bit-exact factors — and a second loss (redundancy spent)
 // surfaces a typed *hetsim.NodeLostError that engages the scheduler's
-// node-failover ladder: quarantine the system, carve the dead node out of
+// node-failover ladder: release the system, carve the dead node out of
 // the platform, retry on the smaller cluster.
 
 import (
@@ -81,10 +81,11 @@ func TestChaosNodeLossAbsorbedBelowJob(t *testing.T) {
 		t.Fatalf("reconstruction produced a wrong factor: residual %g", res.Residual)
 	}
 	st := s.Stats()
-	if st.NodeFailovers != 0 || st.Retries != 0 || st.Quarantined != 0 {
-		t.Fatalf("failover machinery engaged for an absorbed loss: NodeFailovers=%d Retries=%d Quarantined=%d",
-			st.NodeFailovers, st.Retries, st.Quarantined)
+	if st.NodeFailovers != 0 || st.Retries != 0 || st.AbortedAttempts != 0 {
+		t.Fatalf("failover machinery engaged for an absorbed loss: NodeFailovers=%d Retries=%d AbortedAttempts=%d",
+			st.NodeFailovers, st.Retries, st.AbortedAttempts)
 	}
+	requireShelvedRepaired(t, s, spec.Config.SystemConfig())
 	d := obs.Default().Snapshot().Diff(before)
 	if counterSum(d, obs.MetricNodeLost) == 0 || counterSum(d, obs.MetricReconstructions) == 0 {
 		t.Fatalf("library metrics missed the event: node_lost=%d reconstructions=%d",
@@ -94,8 +95,9 @@ func TestChaosNodeLossAbsorbedBelowJob(t *testing.T) {
 
 // TestChaosSecondNodeLossFailsOverToDegradedCluster: r=1 redundancy spends
 // on the first loss; the second aborts the attempt with a typed node error,
-// the pool quarantines the system, and the retry completes on a cluster one
-// node smaller — the whole event visible in the service metrics.
+// the pool repairs and shelves the system, and the retry completes on a
+// cluster one node smaller — the whole event visible in the service
+// metrics.
 func TestChaosSecondNodeLossFailsOverToDegradedCluster(t *testing.T) {
 	s := New(Config{Workers: 1, Retry: RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond}})
 	defer s.Close()
@@ -129,9 +131,10 @@ func TestChaosSecondNodeLossFailsOverToDegradedCluster(t *testing.T) {
 	if st.DeviceLost != 0 || st.LinkLost != 0 {
 		t.Fatalf("node loss misclassified: DeviceLost=%d LinkLost=%d", st.DeviceLost, st.LinkLost)
 	}
-	if st.Quarantined != 1 || st.Retries != 1 {
-		t.Fatalf("Quarantined/Retries = %d/%d, want 1/1", st.Quarantined, st.Retries)
+	if st.Retries != 1 {
+		t.Fatalf("Retries = %d, want 1", st.Retries)
 	}
+	requireShelvedRepaired(t, s, spec.Config.SystemConfig())
 }
 
 // TestChaosNodeLossExhaustionSurfacesTypedError: with no retries left the

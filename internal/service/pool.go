@@ -6,12 +6,6 @@ import (
 	"ftla/internal/hetsim"
 )
 
-// poolProbeAfter is the pool circuit breaker's probation interval: how
-// many acquires on a platform must pass between probation probes. After
-// that many grants, the next acquire re-admits one quarantined system
-// (repaired by Reset) instead of an idle one.
-const poolProbeAfter = 8
-
 // poolMaxIdle bounds the idle systems the pool retains per platform, so a
 // burst of heterogeneous configs cannot pin memory forever.
 const poolMaxIdle = 4
@@ -23,13 +17,10 @@ const poolMaxIdle = 4
 // next job on the same platform; the per-job cost of simulator construction
 // is paid only on pool misses.
 //
-// The pool is also the service's circuit breaker for fail-stop faults. A
-// system whose job aborted with a device loss is quarantined immediately.
-// Quarantined systems are held out of circulation, counted by the ftla_pool_quarantined gauge, and
-// re-admitted on probation: every poolProbeAfter acquires on the same
-// platform, one quarantined system is repaired (Reset — which revives lost
-// simulated devices, modeling node repair) and handed out as the probe. A
-// probe that fails again goes straight back to quarantine.
+// Every attempt's system takes that one path, whatever its outcome: Reset
+// revives lost devices and links and disarms every fault plan (modeling
+// node repair), so a system whose attempt aborted on a fail-stop fault is
+// as good as new once released and rejoins the shelf at once.
 type systemPool struct {
 	mu   sync.Mutex
 	idle map[hetsim.Config][]*hetsim.System
@@ -37,10 +28,6 @@ type systemPool struct {
 	met     *metrics           // created/reused land in the scheduler registry
 	devSecs map[string]float64 // aggregated busy seconds by device name
 	mkSecs  float64            // aggregated logical makespan across released systems
-
-	// Circuit-breaker state.
-	quar   map[hetsim.Config][]*hetsim.System // held-out systems per platform
-	grants map[hetsim.Config]int              // acquires since the last probe
 }
 
 func newSystemPool(met *metrics) *systemPool {
@@ -48,26 +35,13 @@ func newSystemPool(met *metrics) *systemPool {
 		idle:    make(map[hetsim.Config][]*hetsim.System),
 		met:     met,
 		devSecs: make(map[string]float64),
-		quar:    make(map[hetsim.Config][]*hetsim.System),
-		grants:  make(map[hetsim.Config]int),
 	}
 }
 
-// acquire returns a clean system for the platform: a probation probe when
-// one is due, else an idle system, else a fresh construction.
+// acquire returns a clean system for the platform: an idle one, else a
+// fresh construction.
 func (p *systemPool) acquire(cfg hetsim.Config) *hetsim.System {
 	p.mu.Lock()
-	p.grants[cfg]++
-	if q := p.quar[cfg]; len(q) > 0 && p.grants[cfg] > poolProbeAfter {
-		sys := q[len(q)-1]
-		p.quar[cfg] = q[:len(q)-1]
-		p.grants[cfg] = 0
-		p.mu.Unlock()
-		p.met.quarantined.Add(-1)
-		p.met.sysReused.Inc()
-		sys.Reset() // repair: revives lost devices, clears armed plans
-		return sys
-	}
 	if q := p.idle[cfg]; len(q) > 0 {
 		sys := q[len(q)-1]
 		p.idle[cfg] = q[:len(q)-1]
@@ -80,31 +54,13 @@ func (p *systemPool) acquire(cfg hetsim.Config) *hetsim.System {
 	return hetsim.New(cfg)
 }
 
-// release returns a system whose job attempt ended without a device
-// fault: utilization is harvested and the system shelved for reuse (or
-// dropped if the shelf is full).
+// release returns a system whose job attempt ended, however it ended: its
+// device utilization and logical makespan are folded into the pool
+// aggregate (refreshing the ftla_device_utilization gauges), it is Reset
+// (detaching per-run attachments — tracer, bound context, fault plans,
+// transfer hooks — and reviving lost devices), and it is shelved for reuse
+// (or dropped if the shelf is full).
 func (p *systemPool) release(sys *hetsim.System) {
-	p.harvest(sys)
-	p.mu.Lock()
-	p.shelveLocked(sys)
-	p.mu.Unlock()
-}
-
-// quarantine holds a system out of circulation immediately — the reaction
-// to a fail-stop device fault, where reuse without repair is unsafe.
-func (p *systemPool) quarantine(sys *hetsim.System) {
-	p.harvest(sys)
-	p.mu.Lock()
-	p.quarLocked(sys)
-	p.mu.Unlock()
-	p.met.quarantined.Add(1)
-}
-
-// harvest folds the system's device utilization and logical makespan into
-// the pool aggregate, refreshes the ftla_device_utilization gauges, and
-// Resets the system (detaching per-run attachments: tracer, bound context,
-// fault plans, transfer hooks).
-func (p *systemPool) harvest(sys *hetsim.System) {
 	stats := sys.Utilization()
 	mk := sys.TimelineMakespan()
 	sys.Reset()
@@ -119,39 +75,14 @@ func (p *systemPool) harvest(sys *hetsim.System) {
 			util[name] = secs / p.mkSecs
 		}
 	}
-	p.mu.Unlock()
-	for name, u := range util {
-		p.met.deviceUtil.With(name).Set(u)
-	}
-}
-
-// shelveLocked parks a system on the idle shelf; callers hold p.mu.
-func (p *systemPool) shelveLocked(sys *hetsim.System) {
 	cfg := sys.Config()
 	if q := p.idle[cfg]; len(q) < poolMaxIdle {
 		p.idle[cfg] = append(q, sys)
 	}
-}
-
-// quarLocked parks a system on the quarantine list and restarts the
-// platform's probation clock, so the breaker stays open for a full
-// poolProbeAfter grants from the quarantine event; callers hold p.mu and
-// update the gauge after unlocking.
-func (p *systemPool) quarLocked(sys *hetsim.System) {
-	cfg := sys.Config()
-	p.quar[cfg] = append(p.quar[cfg], sys)
-	p.grants[cfg] = 0
-}
-
-// quarantined reports the number of systems currently held out.
-func (p *systemPool) quarantined() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, q := range p.quar {
-		n += len(q)
+	p.mu.Unlock()
+	for name, u := range util {
+		p.met.deviceUtil.With(name).Set(u)
 	}
-	return n
 }
 
 // utilization snapshots the aggregated per-device busy seconds (including

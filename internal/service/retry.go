@@ -45,18 +45,18 @@ func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{MaxAttempts: 3, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 250 * time.Millisecond}
 }
 
+// normalize fills the unset fields from DefaultRetryPolicy; a MaxBackoff
+// below BaseBackoff takes the default cap, raised to BaseBackoff if need be.
 func (p RetryPolicy) normalize() RetryPolicy {
+	def := DefaultRetryPolicy()
 	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 3
+		p.MaxAttempts = def.MaxAttempts
 	}
 	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = 5 * time.Millisecond
+		p.BaseBackoff = def.BaseBackoff
 	}
 	if p.MaxBackoff < p.BaseBackoff {
-		p.MaxBackoff = 250 * time.Millisecond
-		if p.MaxBackoff < p.BaseBackoff {
-			p.MaxBackoff = p.BaseBackoff
-		}
+		p.MaxBackoff = max(def.MaxBackoff, p.BaseBackoff)
 	}
 	return p
 }

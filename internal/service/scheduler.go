@@ -11,13 +11,13 @@
 //     context.Context — all bound into the running system, so they abort
 //     kernels mid-factorization rather than after,
 //   - graceful degradation under fail-stop faults: an attempt aborted by
-//     a device crash or hang quarantines its system (the pool's circuit
-//     breaker, with probation re-admission), degrades the platform to the
-//     surviving GPU count, and retries; persistent loss terminates with a
-//     typed *FailStopError. An attempt aborted by a PCIe link fault that
-//     exhausted the reliable-transfer protocol's retransmissions
-//     (*hetsim.LinkError) is classified the same way — the link's GPU is
-//     quarantined and the platform degrades around it,
+//     a device crash or hang releases its system to the pool (whose Reset
+//     repairs it), degrades the platform to the surviving GPU count, and
+//     retries; persistent loss terminates with a typed *FailStopError. An
+//     attempt aborted by a PCIe link fault that exhausted the
+//     reliable-transfer protocol's retransmissions (*hetsim.LinkError) is
+//     classified the same way — the platform degrades around the link's
+//     GPU,
 //   - a retry policy acting on the paper's outcome taxonomy (§X.B): runs
 //     whose ABFT layer repaired everything online (fault-free, corrected,
 //     locally restarted) succeed with the recovery recorded in the report;
@@ -345,7 +345,7 @@ func (s *Scheduler) jitter() float64 {
 // run drives one job to a terminal state: cache fast path, then the
 // attempt/retry loop of the RetryPolicy, classifying each attempt's
 // failure — corruption (complete restart), fail-stop device fault
-// (quarantine the system, retry on a degraded platform), context expiry
+// (retry on a degraded platform), context expiry
 // (cancellation or a typed DeadlineError), or a deterministic construction
 // error (fail fast).
 func (s *Scheduler) run(h *JobHandle) {
@@ -428,8 +428,8 @@ func (s *Scheduler) run(h *JobHandle) {
 	// resumeCP is the job's latest known-clean checkpoint, captured
 	// synchronously on this goroutine as the running attempt takes
 	// snapshots. Checkpoints are host-side state: they survive the
-	// quarantine of the system that produced them, which is what lets a
-	// device-loss abort resume on the degraded platform.
+	// release and Reset of the system that produced them, which is what
+	// lets a device-loss abort resume on the degraded platform.
 	var resumeCP *ftla.Checkpoint
 	for attempt := 1; ; attempt++ {
 		if jctx.Err() != nil {
@@ -484,27 +484,28 @@ func (s *Scheduler) run(h *JobHandle) {
 		attemptStart := time.Now()
 		f, err := runDecomposition(sys, spec, cfg)
 		acancel()
+		ran := time.Since(attemptStart)
+		// Every attempt hands its system back however it ended: the
+		// pool's Reset repairs a fail-stop fault's damage too.
+		s.pool.release(sys)
 		// An attempt that does not settle the job names the error the job
 		// fails with once its attempts are spent, and whether an expired
 		// job budget takes precedence over that error.
 		var spent error
 		budgetFirst := true
 		if err != nil {
-			aborted := time.Since(attemptStart)
 			fo, failStop := s.met.classifyFailStop(err)
 			switch {
 			case failStop:
 				// Fail-stop fault — a lost node, an exhausted PCIe link, or a
-				// lost or hung device: the system is unsafe to reuse as-is.
-				// Quarantine it, degrade the platform unless only the CPU
-				// faulted, and retry on a rebuilt system; the checkpoint
-				// machinery below makes that retry a resume when one exists.
+				// lost or hung device: degrade the platform unless only the
+				// CPU faulted, and retry; the checkpoint machinery below
+				// makes that retry a resume when one exists.
 				fo.metric.Inc()
-				s.met.abortSeconds.Observe(aborted.Seconds())
+				s.met.abortSeconds.Observe(ran.Seconds())
 				if tr != nil {
-					tr.WallSpan(fo.span, "fault", attemptStart, aborted)
+					tr.WallSpan(fo.span, "fault", attemptStart, ran)
 				}
-				s.pool.quarantine(sys)
 				if fo.degrade {
 					degradeNode(&sysCfg)
 				}
@@ -515,8 +516,7 @@ func (s *Scheduler) run(h *JobHandle) {
 				// reaped a slow attempt. The system itself is healthy, and
 				// with the job budget intact only the per-attempt timeout
 				// expired: retryable.
-				s.met.abortSeconds.Observe(aborted.Seconds())
-				s.pool.release(sys)
+				s.met.abortSeconds.Observe(ran.Seconds())
 				spent = err
 			default:
 				// Construction-time errors (bad dimensions, invalid
@@ -525,7 +525,6 @@ func (s *Scheduler) run(h *JobHandle) {
 				// itself may be the problem (e.g. it no longer matches the
 				// job's configuration): drop it and fall back to a complete
 				// restart, attempts permitting.
-				s.pool.release(sys)
 				if !wasResume {
 					fail(err)
 					return
@@ -534,7 +533,6 @@ func (s *Scheduler) run(h *JobHandle) {
 				spent = err
 			}
 		} else {
-			s.pool.release(sys)
 			if !needsRestart(f.Outcome) {
 				if !spec.NoCache {
 					s.cache.put(key, f)

@@ -387,6 +387,15 @@ func TestSubmitValidation(t *testing.T) {
 		{Decomp: Decomp(9), A: ftla.RandomSPD(16, 1), Config: ftla.Config{NB: 16}},
 		{Decomp: LU, A: ftla.RandomSPD(16, 1), B: make([]float64, 3), Config: ftla.Config{NB: 16}},
 		{Decomp: Cholesky, A: ftla.RandomSPD(16, 1)}, // order 16, default NB 64
+		// The configuration's own rules (ftla.Config.Validate): each of these
+		// used to be admitted and then failed by a worker.
+		{Decomp: Cholesky, A: ftla.RandomSPD(16, 1), Config: ftla.Config{NB: 16, Scheme: ftla.NewScheme}}, // scheme without checksums
+		{Decomp: Cholesky, A: ftla.RandomSPD(16, 1), Config: ftla.Config{NB: 16, CheckpointEvery: -1}},
+		{Decomp: Cholesky, A: ftla.RandomSPD(16, 1), Config: ftla.Config{NB: 16, OnCheckpoint: func(*ftla.Checkpoint) {}}},
+		{Decomp: Cholesky, A: ftla.RandomSPD(16, 1), Config: ftla.Config{NB: 16, GPUs: 2, Rebalance: ftla.RebalanceConfig{Every: -1}}},
+		{Decomp: Cholesky, A: ftla.RandomSPD(16, 1), Config: ftla.Config{NB: 16, GPUs: 3, Nodes: 2}},
+		{Decomp: Cholesky, A: ftla.RandomSPD(16, 1), Config: ftla.Config{NB: 16, GPUs: 2, Nodes: 2, Redundancy: 2}},
+		{Decomp: Cholesky, A: ftla.RandomSPD(16, 1), Config: ftla.Config{NB: 16, GPUs: 2, Nodes: 2, Redundancy: -1}},
 	}
 	for i, spec := range cases {
 		if _, err := s.Submit(context.Background(), spec); err == nil {

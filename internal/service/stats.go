@@ -67,23 +67,19 @@ const (
 	MetricDeviceLost = "ftla_device_lost_total"
 	// MetricLinkLost counts attempts aborted by a PCIe link fault the
 	// reliable-transfer protocol could not absorb (retransmission budget
-	// exhausted); the link's GPU is quarantined like a lost device.
+	// exhausted); the platform degrades around the link's GPU as after a
+	// lost device.
 	MetricLinkLost = "ftla_link_lost_total"
 	// MetricNodeFailover counts attempts aborted by a whole-node loss the
 	// coded redundancy could not absorb (*hetsim.NodeLostError), engaging
-	// the scheduler's node-failover ladder: quarantine, carve the dead node
-	// out of the platform, resume or restart. Distinct from the library's
+	// the scheduler's node-failover ladder: release the system, carve the
+	// dead node out of the platform, resume or restart. Distinct from the library's
 	// ftla_node_lost_total in obs.Default, which counts every armed node
 	// fault firing — including the ones parity reconstruction absorbed.
 	MetricNodeFailover = "ftla_node_failover_total"
 	// MetricJobsDeadlineExceeded counts jobs terminated with a
 	// *DeadlineError (JobSpec.Deadline budget exhausted).
 	MetricJobsDeadlineExceeded = "ftla_jobs_deadline_exceeded_total"
-	// MetricPoolQuarantined gauges systems currently quarantined by the
-	// pool's circuit breaker after a fail-stop fault (a lost node, an
-	// exhausted PCIe link, or a lost or hung device), awaiting probation
-	// re-admission.
-	MetricPoolQuarantined = "ftla_pool_quarantined"
 	// MetricAttemptAbortSeconds histograms the wall-clock time an attempt
 	// ran before being aborted (device loss, hang reap, cancellation) —
 	// the work lost per abort.
@@ -143,9 +139,6 @@ type Stats struct {
 	NodeFailovers    uint64
 	DeadlineExceeded uint64
 	AbortedAttempts  uint64
-	// Quarantined gauges systems currently held out by the pool's circuit
-	// breaker.
-	Quarantined int
 	// Outcomes histograms the winning attempt of completed jobs by the
 	// paper's outcome classes ("fault-free", "abft-fixed", ...). Cache hits
 	// count under the cached factor's outcome.
@@ -205,7 +198,6 @@ type metrics struct {
 	linkLost                *obs.Counter
 	nodeLost                *obs.Counter
 	deadlineExceeded        *obs.Counter
-	quarantined             *obs.Gauge
 	abortSeconds            *obs.Histogram
 	deviceUtil              *obs.FloatGaugeVec
 	batchSize               *obs.Histogram
@@ -248,8 +240,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 			"Attempts aborted by whole-node losses the coded redundancy could not absorb."),
 		deadlineExceeded: reg.Counter(MetricJobsDeadlineExceeded,
 			"Jobs terminated by their JobSpec.Deadline budget."),
-		quarantined: reg.Gauge(MetricPoolQuarantined,
-			"Systems held out by the pool circuit breaker, awaiting probation."),
 		abortSeconds: reg.Histogram(MetricAttemptAbortSeconds,
 			"Wall-clock time an attempt ran before being aborted, seconds.", nil),
 		deviceUtil: reg.FloatGaugeVec(MetricDeviceUtilization,
@@ -304,7 +294,6 @@ func (m *metrics) snapshot() Stats {
 		NodeFailovers:    m.nodeLost.Value(),
 		DeadlineExceeded: m.deadlineExceeded.Value(),
 		AbortedAttempts:  m.abortSeconds.Count(),
-		Quarantined:      int(m.quarantined.Value()),
 		BatchDispatches:  m.batchDispatches.Value(),
 		JobsCoalesced:    m.batchCoalesced.Value(),
 	}

@@ -70,7 +70,7 @@ go -C cmd/ftbench test -race -timeout 5m .
 
 # Chaos gate: the fail-stop/graceful-degradation suites (see RESILIENCE.md)
 # run a second time at -count=2 to shake out order- and reuse-dependent
-# flakiness (pool probation, quarantine state, goroutine leaks).
+# flakiness (pool reuse of repaired systems, goroutine leaks).
 go test -race -timeout 5m -run 'Chaos|Storm' -count=2 ./...
 
 # Recovery gate: the checkpoint/rollback/resume suites — the bit-identity
@@ -141,13 +141,13 @@ go test -timeout 5m -run 'TestBatchThroughputGate' .
 
 # Node-loss recovery gate: on a fleet of 3-node cluster jobs where a third
 # lose one node mid-run (absorbed in place by the erasure-coded parity)
-# and a third lose two (failover ladder: quarantine, carve the node out,
-# retry degraded), >=90% of jobs must complete and not one completed job
+# and a third lose two (failover ladder: release the system, carve the
+# node out, retry degraded), >=90% of jobs must complete and not one completed job
 # may carry a silently wrong factor. The bit-identity half of the claim
 # (reconstructed == uninterrupted, to the bit) lives in the core suite
 # (TestClusterNodeLossReconstructBitIdentical), which the full -race run
-# above already covers; -count=2 here shakes out pool/quarantine state
-# leaking between runs.
+# above already covers; -count=2 here shakes out pool state leaking
+# between runs.
 go test -race -timeout 5m -run 'TestNodeLossRecoveryGate' -count=2 ./internal/service
 
 # Multi-node-loss recovery gate: a fleet of r=2 cluster jobs on 4-node
@@ -159,6 +159,5 @@ go test -race -timeout 5m -run 'TestNodeLossRecoveryGate' -count=2 ./internal/se
 # (double-loss reconstruction == uninterrupted, to the bit, sequential
 # AND simultaneous) lives in the core suite
 # (TestClusterDoubleNodeLossBitIdentical), covered by the full -race run
-# above; -count=2 here shakes out pool/quarantine state leaking between
-# runs.
+# above; -count=2 here shakes out pool state leaking between runs.
 go test -race -timeout 5m -run 'TestMultiNodeLossRecoveryGate' -count=2 ./internal/service
