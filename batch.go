@@ -59,7 +59,11 @@ func injSlice(injs []*Injector, count int) ([]*fault.Injector, error) {
 // (exactly one is non-nil); a non-nil err voids the whole batch and both
 // slices are nil.
 func CholeskyBatch(as []*Matrix, cfg Config) (results []*CholeskyResult, errs []error, err error) {
-	return CholeskyBatchOn(NewSystem(cfg), as, cfg)
+	sc, err := cfg.platform()
+	if err != nil {
+		return nil, nil, err
+	}
+	return CholeskyBatchOn(hetsim.New(sc), as, cfg)
 }
 
 // CholeskyBatchOn is CholeskyBatch on a caller-provided simulated system
@@ -89,7 +93,11 @@ func CholeskyBatchOn(sys *hetsim.System, as []*Matrix, cfg Config, injs ...*Inje
 // every matrix in as in one batched dispatch; see CholeskyBatch for the
 // per-item/batch-level error contract.
 func LUBatch(as []*Matrix, cfg Config) (results []*LUResult, errs []error, err error) {
-	return LUBatchOn(NewSystem(cfg), as, cfg)
+	sc, err := cfg.platform()
+	if err != nil {
+		return nil, nil, err
+	}
+	return LUBatchOn(hetsim.New(sc), as, cfg)
 }
 
 // LUBatchOn is LUBatch on a caller-provided simulated system, with
@@ -117,7 +125,11 @@ func LUBatchOn(sys *hetsim.System, as []*Matrix, cfg Config, injs ...*Injector) 
 // matrix in as in one batched dispatch; see CholeskyBatch for the
 // per-item/batch-level error contract.
 func QRBatch(as []*Matrix, cfg Config) (results []*QRResult, errs []error, err error) {
-	return QRBatchOn(NewSystem(cfg), as, cfg)
+	sc, err := cfg.platform()
+	if err != nil {
+		return nil, nil, err
+	}
+	return QRBatchOn(hetsim.New(sc), as, cfg)
 }
 
 // QRBatchOn is QRBatch on a caller-provided simulated system, with

@@ -123,9 +123,9 @@ func runOnce(b *testing.B, decomp string, n, nb, gpus int, opts core.Options) fl
 // --- §IX phase attribution: measured breakdown from obs snapshot diffs ------
 
 // benchPhaseBreakdown reports where a protected factorization's wall time
-// goes (encode / factorize / verify / recover) using the same
-// overhead.FromSnapshots mechanism as cmd/ftserve -load, so bench output,
-// load-generator output, and /metrics scrapes all agree (OBSERVABILITY.md).
+// goes (encode / factorize / verify / recover) using overhead.FromSnapshots,
+// the phase-counter diff cmd/ftbench reads too, so bench output, ftbench's
+// per-layer metrics, and /metrics scrapes all agree (OBSERVABILITY.md).
 func benchPhaseBreakdown(b *testing.B, decomp string) {
 	const n, nb, gpus = 256, 32, 2
 	var m overhead.Measured
@@ -148,8 +148,8 @@ func BenchmarkPhaseBreakdownQR(b *testing.B)       { benchPhaseBreakdown(b, "qr"
 
 // lookaheadBenchRow is one BENCH_lookahead.json record: the wall and
 // simulated cost of one decomposition under one schedule, with the phase
-// breakdown attributed by overhead.FromSnapshots — the same mechanism that
-// feeds cmd/ftserve -load and the /metrics histograms.
+// breakdown attributed by overhead.FromSnapshots — the same phase counters
+// that feed cmd/ftbench and the /metrics histograms.
 type lookaheadBenchRow struct {
 	Decomp      string  `json:"decomp"`
 	Lookahead   int     `json:"lookahead"`

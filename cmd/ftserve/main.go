@@ -2,12 +2,8 @@
 // over HTTP/JSON: clients submit factorization/solve jobs, poll for
 // results, scrape metrics (/metrics, Prometheus text or JSON), download
 // per-job Chrome traces (/trace), and — with -pprof — profile the server
-// itself. It also ships a load-generator mode that drives the scheduler
-// in-process with mixed traffic (repeated operators for cache hits,
-// injected soft errors for retries) and prints the resulting stats plus
-// the ABFT phase breakdown from the obs registry.
-//
-// Serve:
+// itself. Every job runs exactly as its request says; the flags size the
+// scheduler, not the jobs.
 //
 //	ftserve -addr :8080 -workers 4 -queue 256
 //	curl -s -X POST localhost:8080/v1/jobs -d '{"decomp":"cholesky","n":256,"seed":7,"rhs_seed":1,"trace":true}'
@@ -15,10 +11,10 @@
 //	curl -s localhost:8080/metrics
 //	curl -s localhost:8080/trace?id=1 > trace.json   # load into Perfetto
 //
-// Load generator:
+// Seeded open-loop traffic against the same scheduler, clean and with
+// faults, is the serve-small and serve-faults workloads of cmd/ftbench:
 //
-//	ftserve -load 200 -n 128 -gpus 2
-//	ftserve -load 512 -mix small -n 64 -batch-max 16   # coalescing throughput mix
+//	bash cmd/ftbench/bench.sh --workload serve-faults --seconds 5 --trace 0
 //
 // The endpoint table in README.md is generated by `ftserve -print-endpoints`;
 // see OBSERVABILITY.md for the full observability walkthrough.
@@ -27,7 +23,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -40,9 +35,7 @@ import (
 	"time"
 
 	"ftla"
-	"ftla/internal/matrix"
 	"ftla/internal/obs"
-	"ftla/internal/overhead"
 	"ftla/internal/service"
 )
 
@@ -56,50 +49,10 @@ func main() {
 		enablePP = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 		printEP  = flag.Bool("print-endpoints", false, "print the endpoint table as markdown and exit")
 		printFl  = flag.Bool("print-flags", false, "print the flag table as markdown and exit")
-		load     = flag.Int("load", 0, "run the in-process load generator with this many jobs, then exit")
-		loadN    = flag.Int("n", 128, "load generator: matrix order")
-		loadG    = flag.Int("gpus", 2, "load generator: simulated GPUs")
-		loadNB   = flag.Int("nb", 32, "load generator: block size")
-		chaos    = flag.Bool("chaos", false, "load generator: arm random fail-stop faults (crash/hang/straggler) and tight deadlines on a slice of jobs")
-		linkF    = flag.String("link-fault", "", "load generator: arm a PCIe link fault (corrupt | drop | flap | degrade | mix) on a random link on every third job; transient faults are absorbed by checksummed retransmission, exhausted links fail over like device loss")
-		mix      = flag.String("mix", "default", "load generator traffic mix: default (varied shapes, cache traffic) | small (small same-shape jobs that coalesce into batched dispatches)")
 		attemptT = flag.Duration("attempt-timeout", 0, "per-attempt wall-clock bound (0 = none); hung attempts are reaped and retried")
-		ckptEvry = flag.Int("checkpoint-every", 0, "default mid-run checkpoint interval in ladder steps (0 = off); retries resume from the last checkpoint instead of restarting; per-job checkpoint_every overrides")
 		batchMax = flag.Int("batch-max", 0, "max jobs coalesced into one batched dispatch (0 = service default of 16, 1 = disable batching)")
-		batchLng = flag.Duration("batch-linger", 0, "how long a dispatching worker holds its batch open for late same-shape arrivals (0 = dispatch immediately with whatever is queued)")
-		rebEvery = flag.Int("rebalance-every", 0, "default dynamic work-repartitioning interval in ladder steps (0 = off): re-split trailing block columns across GPUs by measured throughput; per-job rebalance_every overrides")
-		nodes    = flag.Int("nodes", 0, "default cluster topology: spread the GPUs round-robin over this many nodes behind a slower inter-node interconnect (0 or 1 = flat single box; GPUs must divide evenly); multi-node runs maintain erasure-coded parity columns so up to -redundancy whole-node losses are reconstructed in place; per-job nodes overrides")
-		nodeF    = flag.String("node-fault", "", "load generator: arm whole-node loss plans on every fourth job (one = a single loss, absorbed by parity reconstruction | two = sequential losses | burst = two nodes at the same epoch, one simultaneous multi-erasure decode | mix); losses beyond -redundancy engage the scheduler's node-failover ladder; requires -nodes >= 2")
-		redun    = flag.Int("redundancy", 0, "default erasure-code parity depth r on cluster topologies: each cross-node parity group carries r parity columns and absorbs up to r whole-node losses bit-exactly (0 = the r=1 default; must stay below -nodes); per-job redundancy overrides")
 	)
 	flag.Parse()
-	if *mix != "default" && *mix != "small" {
-		log.Fatalf("unknown -mix %q (want default or small)", *mix)
-	}
-	switch *linkF {
-	case "", "corrupt", "drop", "flap", "degrade", "mix":
-	default:
-		log.Fatalf("unknown -link-fault %q (want corrupt, drop, flap, degrade, or mix)", *linkF)
-	}
-	switch *nodeF {
-	case "", "one", "two", "burst", "mix":
-	default:
-		log.Fatalf("unknown -node-fault %q (want one, two, burst, or mix)", *nodeF)
-	}
-	if *nodeF != "" && *nodes < 2 {
-		log.Fatalf("-node-fault needs a multi-node topology (-nodes >= 2)")
-	}
-	// The defaults every job inherits must pass the rule each submitted
-	// job is admitted by: GPUs divisible over -nodes, -redundancy in
-	// [0, -nodes), non-negative intervals.
-	defaults := ftla.Config{
-		GPUs: *loadG, NB: *loadNB, Nodes: *nodes, Redundancy: *redun,
-		CheckpointEvery: *ckptEvry, Rebalance: ftla.RebalanceConfig{Every: *rebEvery},
-	}
-	if err := defaults.Validate(*loadN); err != nil {
-		log.Fatalf("invalid flags: %v", err)
-	}
-
 	if *printEP {
 		printEndpoints(os.Stdout)
 		return
@@ -109,28 +62,16 @@ func main() {
 		return
 	}
 
-	sched := service.New(service.Config{
-		Workers:        *workers,
-		QueueDepth:     *queue,
-		CacheEntries:   *cache,
-		Retry:          service.RetryPolicy{MaxAttempts: *retries},
-		AttemptTimeout: *attemptT,
-		BatchMax:       *batchMax,
-		BatchLinger:    *batchLng,
-	})
-
-	if *load > 0 {
-		runLoad(sched, *load, *loadN, *loadG, *loadNB, *chaos, *linkF, *mix == "small", *ckptEvry, defaults.Rebalance, *nodes, *nodeF, *redun)
-		sched.Close()
-		return
-	}
-
 	srv := &server{
-		sched: sched, jobs: make(map[uint64]*service.JobHandle),
-		ckptEvery:  *ckptEvry,
-		rebalance:  defaults.Rebalance,
-		nodes:      *nodes,
-		redundancy: *redun,
+		sched: service.New(service.Config{
+			Workers:        *workers,
+			QueueDepth:     *queue,
+			CacheEntries:   *cache,
+			Retry:          service.RetryPolicy{MaxAttempts: *retries},
+			AttemptTimeout: *attemptT,
+			BatchMax:       *batchMax,
+		}),
+		jobs: make(map[uint64]*service.JobHandle),
 	}
 	log.Printf("ftserve listening on %s", *addr)
 	log.Fatal(http.ListenAndServe(*addr, srv.mux(*enablePP)))
@@ -224,20 +165,8 @@ func printFlags(w *os.File) {
 // clients can poll by id.
 type server struct {
 	sched *service.Scheduler
-	// ckptEvery is the -checkpoint-every default applied to jobs whose
-	// request does not set checkpoint_every itself.
-	ckptEvery int
-	// rebalance is the -rebalance-every default applied to jobs whose
-	// request does not set rebalance_every itself.
-	rebalance ftla.RebalanceConfig
-	// nodes is the -nodes default cluster topology applied to jobs whose
-	// request does not set nodes itself.
-	nodes int
-	// redundancy is the -redundancy default parity depth applied to jobs
-	// whose request does not set redundancy itself.
-	redundancy int
-	mu         sync.Mutex
-	jobs       map[uint64]*service.JobHandle
+	mu    sync.Mutex
+	jobs  map[uint64]*service.JobHandle
 }
 
 // jobRequest is the POST /v1/jobs body. The operator comes either inline
@@ -257,21 +186,18 @@ type jobRequest struct {
 	TimeoutMS  int         `json:"timeout_ms"`
 	NoCache    bool        `json:"no_cache"`
 	// CheckpointEvery snapshots the factorization every k verified ladder
-	// steps so retries resume mid-run instead of restarting (0 = server's
-	// -checkpoint-every default, which itself defaults to off).
+	// steps so retries resume mid-run instead of restarting (0 = off).
 	CheckpointEvery int `json:"checkpoint_every"`
 	// RebalanceEvery re-splits the trailing block columns across GPUs by
-	// measured throughput every k ladder steps (0 = server's
-	// -rebalance-every default, which itself defaults to off).
+	// measured throughput every k ladder steps (0 = off).
 	RebalanceEvery int `json:"rebalance_every"`
 	// Nodes spreads the job's GPUs round-robin over this many cluster nodes
-	// with erasure-coded parity across them (0 = server's -nodes default,
-	// which itself defaults to the flat single box).
+	// with erasure-coded parity across them (0 or 1 = the flat single box;
+	// the GPUs must divide evenly).
 	Nodes int `json:"nodes"`
 	// Redundancy is the erasure-code parity depth r on a cluster topology:
-	// up to r whole-node losses are reconstructed bit-exactly (0 = server's
-	// -redundancy default, which itself defaults to r=1; must stay below
-	// the node count).
+	// up to r whole-node losses are reconstructed bit-exactly (0 = r=1;
+	// must stay below the node count).
 	Redundancy int `json:"redundancy"`
 	// Trace requests a per-job observability trace, downloadable from
 	// /trace?id=<job> as Chrome trace-event JSON once the job finishes.
@@ -401,18 +327,6 @@ func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if spec.Config.CheckpointEvery == 0 {
-		spec.Config.CheckpointEvery = s.ckptEvery
-	}
-	if spec.Config.Rebalance.Every == 0 {
-		spec.Config.Rebalance = s.rebalance
-	}
-	if spec.Config.Nodes == 0 {
-		spec.Config.Nodes = s.nodes
-	}
-	if spec.Config.Redundancy == 0 {
-		spec.Config.Redundancy = s.redundancy
-	}
 	ctx := context.Background()
 	var cancel context.CancelFunc
 	if req.TimeoutMS > 0 {
@@ -523,47 +437,6 @@ func (s *server) trace(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// errorClass buckets a terminal job error by its type, for the chaos
-// summary line.
-func errorClass(err error) string {
-	var de *service.DeadlineError
-	var fse *service.FailStopError
-	var ce *service.CorruptError
-	var le *ftla.LinkError
-	var nle *ftla.NodeLostError
-	switch {
-	case errors.As(err, &de):
-		return "deadline"
-	case errors.As(err, &le):
-		// Before the failstop bucket: a persistent link fault terminates
-		// wrapped in a FailStopError, but the link class is the story.
-		return "link"
-	case errors.As(err, &nle):
-		// Same ordering argument for exhausted whole-node losses.
-		return "node"
-	case errors.As(err, &fse):
-		return "failstop"
-	case errors.As(err, &ce):
-		return "corrupt"
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		return "ctx"
-	default:
-		return "other"
-	}
-}
-
-// counterSum totals a labeled counter family across its label values
-// (snapshot keys are `name{label="v"}`, one per value).
-func counterSum(s obs.Snapshot, name string) uint64 {
-	var total uint64
-	for k, v := range s.Counters {
-		if k == name || strings.HasPrefix(k, name+"{") {
-			total += v
-		}
-	}
-	return total
-}
-
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
@@ -574,234 +447,4 @@ func writeJSON(w http.ResponseWriter, v any) {
 func httpError(w http.ResponseWriter, code int, msg string) {
 	w.WriteHeader(code)
 	writeJSON(w, map[string]string{"error": msg})
-}
-
-// runLoad drives the scheduler with jobs mixed to exercise every serving
-// path: three decompositions, three priorities, repeated operators (cache
-// hits), and a slice of jobs carrying an injector that forces a complete
-// restart (retry path). With chaos set, every fourth job additionally
-// draws a random fail-stop fault (crash, hang, or straggler on a random
-// device) and every eighth a tight deadline — the command-line face of the
-// internal/service chaos harness; the summary line then reports the typed
-// failure classes and the fail-stop metrics. ckptEvery > 0 arms mid-run
-// checkpointing on every job, so the retries the chaos legs provoke resume
-// from the last snapshot instead of restarting (watch restarts vs resumed
-// in the printed stats). linkFault, when non-empty, arms a PCIe link fault
-// of that mode ("mix" draws one of the four) on a random link on every
-// third job: transient corruption, drops, and short flaps are absorbed by
-// the reliable-transfer protocol's retransmissions (watch
-// ftla_transfer_retransmits_total), while a flap outlasting the budget
-// surfaces a typed LinkError and the scheduler fails over around the
-// link's GPU like a lost device. reb arms dynamic rebalancing on every job the
-// same way -rebalance-every does for submitted jobs, injected jobs
-// included; rebalancing jobs skip batch coalescing, so arm it with the
-// default mix, not -mix small, to see it move columns. nodes > 1 runs every job on a
-// cluster topology (GPUs round-robin over that many nodes, with redun
-// erasure-coded parity columns per cross-node group); nodeFault then arms
-// whole-node loss plans on every fourth job — "one" arms a single loss,
-// "two" arms two sequential losses, "burst" arms two nodes at the same
-// epoch boundary (one simultaneous multi-erasure decode), and "mix" draws
-// among the three. Losses within the parity depth are absorbed below the
-// job by reconstruction, bit-exact; losses beyond it engage the
-// scheduler's node-failover ladder.
-//
-// With small set (-mix small), every job is a distinct small operator of
-// the same shape and protection, so same-decomp jobs share a coalescing
-// key and the scheduler serves them in batched dispatches — the
-// throughput mix. The chaos and injector legs still fire: fail-stop specs
-// are batch-ineligible and keep the solo chaos machinery, while injected
-// items coalesce and exercise per-item retry isolation inside a batch.
-func runLoad(sched *service.Scheduler, jobs, n, gpus, nb int, chaos bool, linkFault string, small bool, ckptEvery int, reb ftla.RebalanceConfig, nodes int, nodeFault string, redun int) {
-	start := time.Now()
-	before := obs.Default().Snapshot()
-	rng := matrix.NewRNG(0xc4a05)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var failed int
-	classes := map[string]int{}
-	for i := 0; i < jobs; i++ {
-		d := service.Decomp(i % 3)
-		spec := service.JobSpec{
-			Decomp:   d,
-			A:        generate(d, n, uint64(i%5)), // 5 distinct operators per decomp → cache traffic
-			Priority: service.Priority(i % 3),
-			Config:   ftla.Config{GPUs: gpus, NB: nb, CheckpointEvery: ckptEvery, Rebalance: reb, Nodes: nodes, Redundancy: redun},
-		}
-		if small {
-			// Small mix: every operator distinct (no cache hits) but all of
-			// one shape, so same-decomp jobs coalesce into batched dispatches.
-			spec.A = generate(d, n, uint64(i))
-			spec.NoCache = true
-		}
-		if i%2 == 0 {
-			spec.B = make([]float64, n)
-			spec.B[0] = 1
-		}
-		if chaos && i%4 == 3 {
-			// Fail-stop leg: crash, hang, or straggler on a random device
-			// (-1 = CPU). Chaotic jobs skip the cache so every one of them
-			// actually runs a factorization.
-			dev := rng.Intn(gpus+1) - 1
-			// The op window spans the whole factorization so crashes land
-			// both before the first checkpoint (restart fallback) and after
-			// one (resume), when -checkpoint-every arms snapshots.
-			plan := ftla.FailStopPlan{Mode: ftla.FailCrash, AfterOps: 1 + rng.Intn(32)}
-			switch rng.Intn(3) {
-			case 1:
-				plan.Mode = ftla.FailHang
-			case 2:
-				plan = ftla.FailStopPlan{Mode: ftla.FailStraggler, Slowdown: 4}
-			}
-			spec.Config.FailStop = map[int]ftla.FailStopPlan{dev: plan}
-			spec.NoCache = true
-			if i%8 == 7 {
-				spec.Deadline = time.Duration(20+rng.Intn(200)) * time.Millisecond
-			}
-		}
-		if nodeFault != "" && nodes > 1 && i%4 == 1 {
-			// Node-fault leg: whole-node losses at epoch boundaries. Losses
-			// within the parity depth are reconstructed in place (same
-			// attempt, bit-exact factors); losses beyond it spend the
-			// redundancy and the scheduler fails over to a cluster one node
-			// smaller. "burst" arms two nodes at the SAME epoch, so the
-			// decoder solves both erasures of each group simultaneously.
-			// Skip the cache so the cluster run actually happens.
-			mode := nodeFault
-			if mode == "mix" {
-				mode = []string{"one", "two", "burst"}[rng.Intn(3)]
-			}
-			first := 1 + rng.Intn(nodes-1)
-			nf := map[int]ftla.NodeFaultPlan{first: {AfterEpochs: 1 + rng.Intn(3)}}
-			if mode == "two" || mode == "burst" {
-				second := (first % (nodes - 1)) + 1 // a different nonzero node
-				if second == first {
-					second = 0 // 2-node topology: spend the parity on node 0's loss
-				}
-				epochs := nf[first].AfterEpochs + 1
-				if mode == "burst" {
-					epochs = nf[first].AfterEpochs // same boundary: correlated loss
-				}
-				nf[second] = ftla.NodeFaultPlan{AfterEpochs: epochs}
-			}
-			spec.Config.NodeFault = nf
-			spec.NoCache = true
-		}
-		if linkFault != "" && i%3 == 2 {
-			// Link-fault leg: a communication fault on a random CPU<->GPU
-			// link. Most draws stay below the retransmission budget and are
-			// absorbed invisibly; a long flap exhausts it and exercises the
-			// degraded-failover path. Skip the cache so the
-			// transfer actually happens.
-			mode := linkFault
-			if mode == "mix" {
-				mode = []string{"corrupt", "drop", "flap", "degrade"}[rng.Intn(4)]
-			}
-			var plan ftla.LinkFaultPlan
-			switch mode {
-			case "corrupt":
-				plan = ftla.LinkFaultPlan{Mode: ftla.LinkCorrupt, AfterTransfers: rng.Intn(16), Every: 4 + rng.Intn(8)}
-			case "drop":
-				plan = ftla.LinkFaultPlan{Mode: ftla.LinkDrop, AfterTransfers: rng.Intn(16)}
-			case "flap":
-				plan = ftla.LinkFaultPlan{Mode: ftla.LinkFlap, AfterTransfers: rng.Intn(16), Count: 1 + rng.Intn(5)}
-			default:
-				plan = ftla.LinkFaultPlan{Mode: ftla.LinkDegrade, AfterTransfers: rng.Intn(16), Factor: 2 + float64(rng.Intn(6))}
-			}
-			spec.Config.LinkFault = map[int]ftla.LinkFaultPlan{rng.Intn(gpus): plan}
-			spec.NoCache = true
-		}
-		if i%10 == 9 {
-			// Unrepairable double fault under single-side protection: the
-			// first attempt lands in detected-corrupt and the service
-			// restarts it (see internal/service tests for the anatomy).
-			inj := ftla.NewInjector(uint64(i))
-			for _, row := range []int{1, 2} {
-				inj.Schedule(ftla.FaultSpec{
-					Kind: ftla.FaultDRAM, Op: ftla.OpPD, Part: ftla.RefPart,
-					Iteration: 0, Row: row, Col: 0,
-				})
-			}
-			spec.Decomp = service.LU
-			spec.A = generate(service.LU, n, uint64(i%5))
-			spec.Config.Protection, spec.Config.Scheme = ftla.SingleSide, ftla.NewScheme
-			spec.Config.Injector = inj
-			spec.NoCache = true
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			h, err := sched.Submit(context.Background(), spec)
-			if err != nil {
-				mu.Lock()
-				failed++
-				classes["rejected"]++
-				mu.Unlock()
-				return
-			}
-			if _, err := h.Wait(context.Background()); err != nil {
-				mu.Lock()
-				failed++
-				classes[errorClass(err)]++
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	st := sched.Stats()
-	fmt.Printf("load: %d jobs in %v (%d rejected-or-failed)\n", jobs, time.Since(start).Round(time.Millisecond), failed)
-	fmt.Printf("batching: %d dispatches coalesced %d jobs; %.1f jobs/sec\n",
-		st.BatchDispatches, st.JobsCoalesced, st.JobsPerSec)
-	if chaos {
-		fmt.Printf("chaos: failure classes %v; device_lost=%d aborted_attempts=%d deadline_exceeded=%d\n",
-			classes, st.DeviceLost, st.AbortedAttempts, st.DeadlineExceeded)
-	}
-	if linkFault != "" {
-		d := obs.Default().Snapshot().Diff(before)
-		fmt.Printf("link faults: failure classes %v; retransmits=%d link_lost=%d integrity_failures=%d\n",
-			classes, d.CounterValue(obs.MetricTransferRetransmits), st.LinkLost,
-			d.CounterValue(obs.MetricCheckpointIntegrityFailures))
-	}
-	if nodes > 1 {
-		d := obs.Default().Snapshot().Diff(before)
-		r := redun
-		if r <= 0 {
-			r = 1
-		}
-		fmt.Printf("cluster: %d nodes, redundancy r=%d; internode_bytes=%d parity_bytes=%d node_lost=%d reconstructions=%d node_failovers=%d\n",
-			nodes, r, d.CounterValue(obs.MetricInternodeBytes),
-			d.CounterValue(obs.MetricParityBytes),
-			counterSum(d, obs.MetricNodeLost), counterSum(d, obs.MetricReconstructions),
-			st.NodeFailovers)
-	}
-
-	// ABFT phase breakdown over the whole load, via the same
-	// overhead.FromSnapshots mechanism the repo benchmarks use, reading the
-	// registry that /metrics scrapes (DESIGN.md §7, OBSERVABILITY.md). The
-	// pcie phase is on the simulated clock, the rest are wall time.
-	after := obs.Default().Snapshot()
-	m := overhead.FromSnapshots(before, after)
-	fmt.Println("phase breakdown (obs snapshot diff):")
-	fmt.Printf("  encode    %10.4fs\n", m.Encode)
-	fmt.Printf("  factorize %10.4fs\n", m.Factorize)
-	fmt.Printf("  verify    %10.4fs\n", m.Verify)
-	fmt.Printf("  recover   %10.4fs\n", m.Recover)
-	fmt.Printf("  pcie(sim) %10.4fs\n", m.PCIe)
-	fmt.Printf("  abft overhead %.1f%%\n", 100*m.Overhead())
-	d := after.Diff(before)
-	fmt.Printf("  flops %d, pcie bytes %d, checksum mismatches %d\n",
-		d.CounterValue(obs.MetricBlasFlops),
-		d.CounterValue(obs.MetricPCIeBytes),
-		d.CounterValue(obs.MetricChecksumMismatches))
-	if reb.Every > 0 {
-		fmt.Printf("rebalancing: %d rounds moved %d columns\n",
-			d.CounterValue(obs.MetricRebalances),
-			d.CounterValue(obs.MetricRebalanceMoved))
-	}
-
-	out, err := json.MarshalIndent(st, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "stats:", err)
-		return
-	}
-	fmt.Println(string(out))
 }

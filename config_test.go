@@ -86,8 +86,7 @@ func TestCholeskyOnProvidedSystem(t *testing.T) {
 
 // Config.Validate is the admission rule serving layers apply before a job
 // reaches a worker, so it must accept what a run accepts and refuse what a
-// run refuses, with the run's own error. The platform rules (GPUs over
-// Nodes) are checked here because hetsim.New panics on them instead.
+// run refuses, with the run's own error — the solo run and the batched one.
 func TestConfigValidate(t *testing.T) {
 	const n = 32
 	a := RandomSPD(n, 1)
@@ -95,19 +94,18 @@ func TestConfigValidate(t *testing.T) {
 		name   string
 		cfg    Config
 		reject bool
-		runs   bool // the run can be started to compare its error
 	}{
-		{"zero config", Config{NB: 16}, false, true},
-		{"unprotected", func() Config { c := Unprotected(2); c.NB = 16; return c }(), false, true},
-		{"cluster with redundancy", Config{NB: 16, GPUs: 4, Nodes: 2, Redundancy: 1}, false, true},
-		{"order not a multiple of NB", Config{NB: 24}, true, true},
-		{"scheme without checksums", Config{NB: 16, Scheme: NewScheme}, true, true},
-		{"negative CheckpointEvery", Config{NB: 16, CheckpointEvery: -1}, true, true},
-		{"OnCheckpoint without CheckpointEvery", Config{NB: 16, OnCheckpoint: func(*Checkpoint) {}}, true, true},
-		{"negative Rebalance.Every", Config{NB: 16, GPUs: 2, Rebalance: RebalanceConfig{Every: -1}}, true, true},
-		{"negative Redundancy", Config{NB: 16, GPUs: 2, Nodes: 2, Redundancy: -1}, true, true},
-		{"Redundancy not below Nodes", Config{NB: 16, GPUs: 2, Nodes: 2, Redundancy: 2}, true, true},
-		{"GPUs not divisible by Nodes", Config{NB: 16, GPUs: 3, Nodes: 2}, true, false},
+		{"zero config", Config{NB: 16}, false},
+		{"unprotected", func() Config { c := Unprotected(2); c.NB = 16; return c }(), false},
+		{"cluster with redundancy", Config{NB: 16, GPUs: 4, Nodes: 2, Redundancy: 1}, false},
+		{"order not a multiple of NB", Config{NB: 24}, true},
+		{"scheme without checksums", Config{NB: 16, Scheme: NewScheme}, true},
+		{"negative CheckpointEvery", Config{NB: 16, CheckpointEvery: -1}, true},
+		{"OnCheckpoint without CheckpointEvery", Config{NB: 16, OnCheckpoint: func(*Checkpoint) {}}, true},
+		{"negative Rebalance.Every", Config{NB: 16, GPUs: 2, Rebalance: RebalanceConfig{Every: -1}}, true},
+		{"negative Redundancy", Config{NB: 16, GPUs: 2, Nodes: 2, Redundancy: -1}, true},
+		{"Redundancy not below Nodes", Config{NB: 16, GPUs: 2, Nodes: 2, Redundancy: 2}, true},
+		{"GPUs not divisible by Nodes", Config{NB: 16, GPUs: 3, Nodes: 2}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -115,15 +113,18 @@ func TestConfigValidate(t *testing.T) {
 			if (err != nil) != tc.reject {
 				t.Fatalf("Validate(%d) = %v, want rejected %v", n, err, tc.reject)
 			}
-			if !tc.runs {
-				return
-			}
 			_, runErr := Cholesky(a, tc.cfg)
-			if (runErr != nil) != tc.reject {
-				t.Fatalf("Cholesky error %v, want rejected %v", runErr, tc.reject)
-			}
-			if tc.reject && runErr.Error() != err.Error() {
-				t.Fatalf("Validate says %q, the run says %q", err, runErr)
+			_, _, batchErr := CholeskyBatch([]*Matrix{a}, tc.cfg)
+			for _, r := range []struct {
+				name string
+				err  error
+			}{{"Cholesky", runErr}, {"CholeskyBatch", batchErr}} {
+				if (r.err != nil) != tc.reject {
+					t.Fatalf("%s error %v, want rejected %v", r.name, r.err, tc.reject)
+				}
+				if tc.reject && r.err.Error() != err.Error() {
+					t.Fatalf("Validate says %q, %s says %q", err, r.name, r.err)
+				}
 			}
 		})
 	}

@@ -392,30 +392,41 @@ func (c Config) SystemConfig() hetsim.Config {
 }
 
 // Validate reports whether a run of order n under c is rejected before it
-// starts, with the error the run would return: the option rules of
+// starts, with the error the run would return: the platform's rule first
+// (GPUs divisible by Nodes), then the option rules of
 // core.Options.Validate (NB divides n, a consistent Protection/Scheme
 // pair, non-negative checkpoint and rebalance intervals and Redundancy,
-// OnCheckpoint only with CheckpointEvery), then the platform's — GPUs
-// divisible by Nodes, and Redundancy below Nodes on a cluster. Serving
-// layers call it to refuse a bad job at admission instead of failing it
-// on a worker.
+// OnCheckpoint only with CheckpointEvery), then Redundancy below Nodes on
+// a cluster. Serving layers call it to refuse a bad job at admission
+// instead of failing it on a worker.
 func (c Config) Validate(n int) error {
-	c, opts := c.normalize()
+	sc, err := c.platform()
+	if err != nil {
+		return err
+	}
+	_, opts := c.normalize()
 	if err := opts.Validate(n); err != nil {
 		return err
 	}
+	return opts.ValidateTopology(sc.Nodes)
+}
+
+// platform returns the platform c selects, or the error for one that
+// hetsim.New cannot build: GPUs not divisible over Nodes. Validate and
+// the entry points that build their own system share it.
+func (c Config) platform() (hetsim.Config, error) {
 	sc := c.SystemConfig()
 	if sc.Nodes > 1 && sc.NumGPUs%sc.Nodes != 0 {
-		return fmt.Errorf("ftla: %d GPUs not divisible over %d nodes", sc.NumGPUs, sc.Nodes)
+		return sc, fmt.Errorf("ftla: %d GPUs not divisible over %d nodes", sc.NumGPUs, sc.Nodes)
 	}
-	return opts.ValidateTopology(sc.Nodes)
+	return sc, nil
 }
 
 // NewSystem builds the simulated platform cfg selects. Most callers never
 // need it — Cholesky/LU/QR build a fresh system per call — but callers that
 // amortize system construction across many runs (see CholeskyOn and
 // internal/service) construct once here and reuse, calling System.Reset
-// between runs.
+// between runs. It panics on a platform Validate rejects.
 func NewSystem(cfg Config) *hetsim.System {
 	return hetsim.New(cfg.SystemConfig())
 }

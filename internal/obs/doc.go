@@ -37,6 +37,6 @@
 //
 // Snapshots make the registry diffable: take one before and one after a
 // region of interest and Diff yields exactly the work done in between —
-// the same mechanism bench_test.go, internal/overhead, and the ftserve
-// load generator use to report phase breakdowns from one source of truth.
+// the same mechanism bench_test.go, internal/overhead, and cmd/ftbench
+// use to report phase breakdowns from one source of truth.
 package obs

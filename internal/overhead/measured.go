@@ -23,9 +23,8 @@ type Measured struct {
 //	... factorize ...
 //	m := overhead.FromSnapshots(before, obs.Default().Snapshot())
 //
-// Both cmd/ftserve's load generator and the repo benchmarks report phase
-// breakdowns through this one function, so the numbers are directly
-// comparable to a /metrics scrape diff.
+// The repo benchmarks report phase breakdowns through this one function,
+// so the numbers are directly comparable to a /metrics scrape diff.
 func FromSnapshots(before, after obs.Snapshot) Measured {
 	d := after.Diff(before)
 	return Measured{

@@ -215,87 +215,68 @@ func TestBatchPartialCache(t *testing.T) {
 	}
 }
 
-// A lingering worker holds the dispatch open for batchmates that arrive
-// after it claimed the leader, dispatching early once BatchMax is reached.
-func TestBatchLingerGathersLateArrivals(t *testing.T) {
-	s := New(Config{Workers: 1, BatchMax: 3, BatchLinger: time.Second})
-	defer s.Close()
-
-	spec := func(seed uint64) JobSpec {
-		return JobSpec{
-			Decomp:  Cholesky,
-			A:       ftla.RandomSPD(64, seed),
-			Config:  ftla.Config{GPUs: 1, NB: 32},
-			NoCache: true,
-		}
-	}
-	h1, err := s.Submit(context.Background(), spec(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(10 * time.Millisecond) // let the worker claim h1 and start lingering
-	h2, err := s.Submit(context.Background(), spec(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	h3, err := s.Submit(context.Background(), spec(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, h := range []*JobHandle{h1, h2, h3} {
-		res, err := h.Wait(context.Background())
-		if err != nil {
-			t.Fatalf("job %d: %v", i+1, err)
-		}
-		if res.Coalesced != 3 {
-			t.Fatalf("job %d coalesced = %d, want 3 (linger should gather late arrivals)", i+1, res.Coalesced)
-		}
-	}
-}
-
-// Jobs with per-run control flow (deadlines, traces, checkpoints,
-// fail-stop plans) never coalesce: they keep the solo path and its full
-// retry machinery.
-func TestBatchIneligibleSpecsStaySolo(t *testing.T) {
-	s := New(Config{Workers: 1, BatchMax: 8})
-	defer s.Close()
-	claimed, release := gateWorker(s)
-
-	solo := JobSpec{
-		Decomp:  Cholesky,
-		A:       ftla.RandomSPD(64, 1),
-		Config:  ftla.Config{GPUs: 1, NB: 32},
-		NoCache: true,
-		Trace:   true, // per-job trace scope: ineligible
-	}
-	blocker, err := s.Submit(context.Background(), solo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-claimed
-	hA, err := s.Submit(context.Background(), solo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hB, err := s.Submit(context.Background(), solo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	release()
-	for _, h := range []*JobHandle{blocker, hA, hB} {
-		res, err := h.Wait(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Coalesced != 0 {
-			t.Fatalf("traced job coalesced = %d, want solo", res.Coalesced)
-		}
-		if res.Trace == nil {
-			t.Fatal("traced job lost its trace")
-		}
-	}
-	if st := s.Stats(); st.BatchDispatches != 0 {
-		t.Fatalf("BatchDispatches = %d, want 0", st.BatchDispatches)
+// A dispatch takes the leader and its queued same-key batchmates up to
+// BatchMax, and jobs with per-run control flow (deadlines, traces,
+// checkpoints, fail-stop plans) never coalesce: they keep the solo path
+// and its full retry machinery. Each input queues its jobs behind a
+// gated blocker, which is claimed alone, and checks the dispatch size
+// each job reports.
+func TestBatchDispatchSizes(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		batchMax   int
+		trace      bool  // per-job trace scope: ineligible
+		coalesced  []int // per queued job, in submission order
+		dispatches uint64
+	}{
+		{"traced jobs stay solo", 8, true, []int{0, 0}, 0},
+		{"BatchMax caps a dispatch", 3, false, []int{3, 3, 3, 2, 2}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(Config{Workers: 1, BatchMax: tc.batchMax})
+			defer s.Close()
+			claimed, release := gateWorker(s)
+			spec := func(seed uint64) JobSpec {
+				return JobSpec{
+					Decomp:  Cholesky,
+					A:       ftla.RandomSPD(64, seed),
+					Config:  ftla.Config{GPUs: 1, NB: 32},
+					NoCache: true,
+					Trace:   tc.trace,
+				}
+			}
+			blocker, err := s.Submit(context.Background(), spec(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-claimed
+			hs := make([]*JobHandle, len(tc.coalesced))
+			for i := range hs {
+				if hs[i], err = s.Submit(context.Background(), spec(uint64(i+2))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			release()
+			for i, h := range append([]*JobHandle{blocker}, hs...) {
+				res, err := h.Wait(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := 0 // the blocker runs solo
+				if i > 0 {
+					want = tc.coalesced[i-1]
+				}
+				if res.Coalesced != want {
+					t.Fatalf("job %d coalesced = %d, want %d", i, res.Coalesced, want)
+				}
+				if tc.trace && res.Trace == nil {
+					t.Fatalf("job %d lost its trace", i)
+				}
+			}
+			if st := s.Stats(); st.BatchDispatches != tc.dispatches {
+				t.Fatalf("BatchDispatches = %d, want %d", st.BatchDispatches, tc.dispatches)
+			}
+		})
 	}
 }
 

@@ -79,12 +79,6 @@ type Config struct {
 	// coalesced, and only specs without per-run control flow (fail-stop
 	// plans, checkpointing, deadlines, traces) are eligible.
 	BatchMax int
-	// BatchLinger is how long a worker holds an eligible dispatch open
-	// waiting for batchmates after the queue runs dry (default 0: coalesce
-	// only jobs already queued at dispatch time). A nonzero linger trades
-	// that much added latency on the first job for larger batches under
-	// steady load.
-	BatchLinger time.Duration
 	// Seed seeds the scheduler's internal randomness — currently the
 	// backoff jitter (RetryPolicy.Backoff) — making retry timing
 	// reproducible in tests. Zero selects a fixed default seed; schedulers
@@ -242,10 +236,6 @@ func (s *Scheduler) Stats() Stats {
 // expose it next to obs.Default for scraping.
 func (s *Scheduler) Registry() *obs.Registry { return s.cfg.Registry }
 
-// batchLingerPoll is how often a lingering worker rescans the queue for
-// batchmates (see Config.BatchLinger).
-const batchLingerPoll = 200 * time.Microsecond
-
 func (s *Scheduler) worker() {
 	defer s.wg.Done()
 	for {
@@ -268,33 +258,14 @@ func (s *Scheduler) worker() {
 		s.queued--
 		s.running++
 		// Coalesce: sweep every queue (all priorities) for jobs that may
-		// share the leader's batched dispatch, then optionally linger for
-		// batchmates still arriving.
+		// share the leader's batched dispatch.
 		hs := []*JobHandle{h}
-		var key coalesceKey
-		coalescing := s.cfg.BatchMax > 1 && h.spec.batchable()
-		if coalescing {
-			key = h.spec.batchKey()
-			hs = append(hs, s.gatherLocked(key, s.cfg.BatchMax-len(hs))...)
+		if s.cfg.BatchMax > 1 && h.spec.batchable() {
+			hs = append(hs, s.gatherLocked(h.spec.batchKey(), s.cfg.BatchMax-1)...)
 		}
 		s.met.queueDepth.Set(int64(s.queued))
 		s.met.running.Set(int64(s.running))
 		s.mu.Unlock()
-		if coalescing && s.cfg.BatchLinger > 0 && len(hs) < s.cfg.BatchMax {
-			deadline := time.Now().Add(s.cfg.BatchLinger)
-			for {
-				time.Sleep(batchLingerPoll)
-				s.mu.Lock()
-				hs = append(hs, s.gatherLocked(key, s.cfg.BatchMax-len(hs))...)
-				closed := s.closed
-				s.met.queueDepth.Set(int64(s.queued))
-				s.met.running.Set(int64(s.running))
-				s.mu.Unlock()
-				if closed || len(hs) >= s.cfg.BatchMax || !time.Now().Before(deadline) {
-					break
-				}
-			}
-		}
 		if s.beforeRun != nil {
 			for _, bh := range hs {
 				s.beforeRun(bh)

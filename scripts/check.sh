@@ -40,8 +40,9 @@ fi
 go run ./scripts/doclint . internal/*
 
 # README lint: the config-reference and ftserve-flag tables in README.md
-# must cover every exported ftla.Config field and every registered flag
-# (regenerate the flag table with `go run ./cmd/ftserve -print-flags`).
+# must cover every exported ftla.Config field and every registered flag,
+# and list nothing else (regenerate the flag table with
+# `go run ./cmd/ftserve -print-flags`).
 go run ./scripts/readmelint
 
 # Reliable-transfer lint: ALL of internal/core must move data through the

@@ -1,16 +1,18 @@
 // Command readmelint keeps README.md's reference tables honest: it
 // extracts the exported fields of ftla.Config from the source (go/ast)
 // and the registered ftserve flag names from cmd/ftserve/main.go, then
-// fails when any of them is missing from the README — the generate-and-
-// diff companion to scripts/doclint, wired into scripts/check.sh so the
-// docs cannot drift behind the config surface again.
+// fails when any of them is missing from the README, or when a row of the
+// config table or of the flag table names something the source no longer
+// defines — the generate-and-diff companion to scripts/doclint, wired
+// into scripts/check.sh so the docs cannot drift from the config surface
+// in either direction.
 //
 // Usage (from the repository root):
 //
 //	go run ./scripts/readmelint
 //
-// Exit status 1 lists each missing entry. The tables themselves are
-// regenerated with `go run ./cmd/ftserve -print-flags` /
+// Exit status 1 lists each missing or stale entry. The tables themselves
+// are regenerated with `go run ./cmd/ftserve -print-flags` /
 // `-print-endpoints`; the Config table is maintained by hand against
 // ftla.go's godoc.
 package main
@@ -21,6 +23,7 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
+	"slices"
 	"strings"
 )
 
@@ -31,24 +34,61 @@ func main() {
 		os.Exit(2)
 	}
 	doc := string(readme)
+	fields := configFields("ftla.go")
+	flags := flagNames("cmd/ftserve/main.go")
 
-	missing := 0
-	for _, field := range configFields("ftla.go") {
+	bad := 0
+	report := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "readmelint: "+format+"\n", args...)
+		bad++
+	}
+	for _, field := range fields {
 		if !strings.Contains(doc, "`"+field+"`") {
-			fmt.Fprintf(os.Stderr, "readmelint: ftla.Config.%s missing from README.md (config reference table)\n", field)
-			missing++
+			report("ftla.Config.%s missing from README.md (config reference table)", field)
 		}
 	}
-	for _, name := range flagNames("cmd/ftserve/main.go") {
+	for _, name := range flags {
 		if !strings.Contains(doc, "`-"+name+"`") {
-			fmt.Fprintf(os.Stderr, "readmelint: ftserve flag -%s missing from README.md (regenerate with `go run ./cmd/ftserve -print-flags`)\n", name)
-			missing++
+			report("ftserve flag -%s missing from README.md (regenerate with `go run ./cmd/ftserve -print-flags`)", name)
 		}
 	}
-	if missing > 0 {
-		fmt.Fprintf(os.Stderr, "readmelint: %d reference-table entries missing\n", missing)
+	rows := tableKeys(doc)
+	for _, field := range rows["Field"] {
+		if !slices.Contains(fields, field) {
+			report("README.md config table lists `%s`, which is not an exported ftla.Config field", field)
+		}
+	}
+	for _, name := range rows["Flag"] {
+		if !slices.Contains(flags, strings.TrimPrefix(name, "-")) {
+			report("README.md flag table lists `%s`, which cmd/ftserve does not register (regenerate with `go run ./cmd/ftserve -print-flags`)", name)
+		}
+	}
+	if bad > 0 {
+		fmt.Fprintf(os.Stderr, "readmelint: %d reference-table entries missing or stale\n", bad)
 		os.Exit(1)
 	}
+}
+
+// tableKeys returns, for each markdown table keyed by its first header
+// cell ("Field", "Flag", ...), the backquoted first cell of every body row.
+func tableKeys(doc string) map[string][]string {
+	keys := map[string][]string{}
+	header := ""
+	for _, line := range strings.Split(doc, "\n") {
+		cells := strings.Split(line, "|")
+		if !strings.HasPrefix(line, "|") || len(cells) < 3 {
+			header = ""
+			continue
+		}
+		first := strings.TrimSpace(cells[1])
+		switch {
+		case header == "":
+			header = first
+		case len(first) > 2 && strings.HasPrefix(first, "`") && strings.HasSuffix(first, "`"):
+			keys[header] = append(keys[header], strings.Trim(first, "`"))
+		}
+	}
+	return keys
 }
 
 // configFields returns the exported field names of `type Config struct`

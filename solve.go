@@ -22,7 +22,11 @@ type CholeskyResult struct {
 // Cholesky computes the protected Cholesky factorization of the symmetric
 // positive definite matrix a.
 func Cholesky(a *Matrix, cfg Config) (*CholeskyResult, error) {
-	return CholeskyOn(NewSystem(cfg), a, cfg)
+	sc, err := cfg.platform()
+	if err != nil {
+		return nil, err
+	}
+	return CholeskyOn(hetsim.New(sc), a, cfg)
 }
 
 // CholeskyOn is Cholesky running on a caller-provided simulated system
@@ -69,7 +73,11 @@ type LUResult struct {
 
 // LU computes the protected LU factorization with partial pivoting of a.
 func LU(a *Matrix, cfg Config) (*LUResult, error) {
-	return LUOn(NewSystem(cfg), a, cfg)
+	sc, err := cfg.platform()
+	if err != nil {
+		return nil, err
+	}
+	return LUOn(hetsim.New(sc), a, cfg)
 }
 
 // LUOn is LU running on a caller-provided simulated system; see CholeskyOn.
@@ -129,7 +137,11 @@ type QRResult struct {
 
 // QR computes the protected Householder QR factorization of a.
 func QR(a *Matrix, cfg Config) (*QRResult, error) {
-	return QROn(NewSystem(cfg), a, cfg)
+	sc, err := cfg.platform()
+	if err != nil {
+		return nil, err
+	}
+	return QROn(hetsim.New(sc), a, cfg)
 }
 
 // QROn is QR running on a caller-provided simulated system; see CholeskyOn.
