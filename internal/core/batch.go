@@ -23,7 +23,10 @@ import (
 // pays each link's fixed per-transfer latency once per stage; a batch pays
 // it once per stage for all of its items — the batched analogue of a
 // strided cudaMemcpy — which is where the serving layer's jobs/sec win
-// over solo dispatch comes from (see BENCH_batch.json).
+// over solo dispatch comes from (see BENCH_batch.json). The distribution
+// and the gather of all items run in one more window each, around the
+// items' stagings; a staging is already one message per link, so a batch
+// of one is a solo run on the simulated clock too.
 //
 // Per-item semantics:
 //

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"ftla/internal/checksum"
@@ -34,54 +36,39 @@ func batchInputs(decomp string, count, n int) []*matrix.Dense {
 	return ms
 }
 
-// runSolo factorizes one matrix on a fresh system and returns the factor
-// plus the auxiliary output (pivots or tau).
-func runSolo(t *testing.T, decomp string, a *matrix.Dense, gpus int, opts Options) (*matrix.Dense, []int, []float64) {
+// runSolo factorizes one matrix on a fresh system and returns the factor,
+// the auxiliary output (pivots or tau) and the run's report.
+func runSolo(t *testing.T, decomp string, a *matrix.Dense, gpus int, opts Options) (*matrix.Dense, []int, []float64, *Result) {
 	t.Helper()
-	sys := testSystem(gpus)
-	switch decomp {
-	case "cholesky":
-		out, _, err := Cholesky(sys, a.Clone(), opts)
-		if err != nil {
-			t.Fatalf("solo cholesky: %v", err)
-		}
-		return out, nil, nil
-	case "lu":
-		out, piv, _, err := LU(sys, a.Clone(), opts)
-		if err != nil {
-			t.Fatalf("solo lu: %v", err)
-		}
-		return out, piv, nil
-	default:
-		out, tau, _, err := QR(sys, a.Clone(), opts)
-		if err != nil {
-			t.Fatalf("solo qr: %v", err)
-		}
-		return out, nil, tau
+	out, piv, tau, res, err := runDecomp(decomp, testSystem(gpus), a.Clone(), opts)
+	if err != nil {
+		t.Fatalf("solo %s: %v", decomp, err)
 	}
+	return out, piv, tau, res
 }
 
 // runBatched factorizes the items as one batch on a fresh system, under
-// the per-item injectors injs (nil for none), and returns per-item factors
-// and auxiliary outputs, failing the test on any batch-level or per-item
-// error.
-func runBatched(t *testing.T, decomp string, ms []*matrix.Dense, gpus int, opts Options, injs []*fault.Injector) ([]*matrix.Dense, [][]int, [][]float64) {
+// the per-item injectors injs (nil for none), and returns per-item factors,
+// auxiliary outputs and reports, failing the test on any batch-level or
+// per-item error.
+func runBatched(t *testing.T, decomp string, ms []*matrix.Dense, gpus int, opts Options, injs []*fault.Injector) ([]*matrix.Dense, [][]int, [][]float64, []*Result) {
 	t.Helper()
 	sys := testSystem(gpus)
 	var (
 		outs []*matrix.Dense
 		pivs [][]int
 		taus [][]float64
+		ress []*Result
 		errs []error
 		err  error
 	)
 	switch decomp {
 	case "cholesky":
-		outs, _, errs, err = CholeskyBatch(sys, ms, opts, injs)
+		outs, ress, errs, err = CholeskyBatch(sys, ms, opts, injs)
 	case "lu":
-		outs, pivs, _, errs, err = LUBatch(sys, ms, opts, injs)
+		outs, pivs, ress, errs, err = LUBatch(sys, ms, opts, injs)
 	default:
-		outs, taus, _, errs, err = QRBatch(sys, ms, opts, injs)
+		outs, taus, ress, errs, err = QRBatch(sys, ms, opts, injs)
 	}
 	if err != nil {
 		t.Fatalf("batched %s: %v", decomp, err)
@@ -91,7 +78,7 @@ func runBatched(t *testing.T, decomp string, ms []*matrix.Dense, gpus int, opts 
 			t.Fatalf("batched %s item %d: %v", decomp, i, e)
 		}
 	}
-	return outs, pivs, taus
+	return outs, pivs, taus, ress
 }
 
 // batchInjectors arms items 1 and 2 of a batch with an on-chip fault on
@@ -120,7 +107,7 @@ func TestBatchBitIdentity(t *testing.T) {
 				ms := batchInputs(decomp, count, n)
 				opts := batchOpts(lookahead)
 				injs := batchInjectors()
-				iouts, _, _ := runBatched(t, decomp, ms, gpus, opts, injs)
+				iouts, _, _, _ := runBatched(t, decomp, ms, gpus, opts, injs)
 				for i, inj := range injs {
 					if inj != nil && len(inj.Events()) != 1 {
 						t.Fatalf("%s gpus=%d lookahead=%d item %d: injector fired %d faults, want 1",
@@ -136,9 +123,9 @@ func TestBatchBitIdentity(t *testing.T) {
 							decomp, gpus, i, d, r, c)
 					}
 				}
-				outs, pivs, taus := runBatched(t, decomp, ms, gpus, opts, nil)
+				outs, pivs, taus, _ := runBatched(t, decomp, ms, gpus, opts, nil)
 				for i := 0; i < count; i++ {
-					sout, spiv, stau := runSolo(t, decomp, ms[i], gpus, opts)
+					sout, spiv, stau, _ := runSolo(t, decomp, ms[i], gpus, opts)
 					label := decomp
 					if d, r, c := sout.MaxAbsDiff(outs[i]); d != 0 {
 						t.Fatalf("%s gpus=%d lookahead=%d item %d: factor not bit-identical to solo: |Δ|=%g at (%d,%d)",
@@ -157,6 +144,41 @@ func TestBatchBitIdentity(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// A batch of one is a solo run, on the simulated clock as in its bits:
+// both distribute and gather the item in one staging each, so the
+// one-item batch pays the same link latencies, moves the same bytes and
+// finishes at the same simulated instant as the solo run, across all
+// three decompositions, both schedules, and 1-3 GPUs.
+func TestBatchOfOneMatchesSolo(t *testing.T) {
+	const n = 192
+	for _, decomp := range []string{"cholesky", "lu", "qr"} {
+		for gpus := 1; gpus <= 3; gpus++ {
+			for _, lookahead := range []int{0, 1} {
+				t.Run(fmt.Sprintf("%s/gpus=%d/lookahead=%d", decomp, gpus, lookahead), func(t *testing.T) {
+					t.Parallel()
+					a := batchInputs(decomp, 1, n)[0]
+					opts := batchOpts(lookahead)
+					opts.NB = 32
+					sout, spiv, stau, sres := runSolo(t, decomp, a, gpus, opts)
+					outs, pivs, taus, ress := runBatched(t, decomp, []*matrix.Dense{a}, gpus, opts, nil)
+					if d, r, c := sout.MaxAbsDiff(outs[0]); d != 0 {
+						t.Fatalf("factor not bit-identical to solo: |Δ|=%g at (%d,%d)", d, r, c)
+					}
+					if (pivs != nil && !slices.Equal(spiv, pivs[0])) || (taus != nil && !slices.Equal(stau, taus[0])) {
+						t.Fatal("pivots or tau differ from solo")
+					}
+					if got, want := ress[0].SimMakespan, sres.SimMakespan; got != want {
+						t.Fatalf("SimMakespan %v, solo %v (Δ %.1f us)", got, want, (got-want)*1e6)
+					}
+					if got, want := ress[0].PCIeBytes, sres.PCIeBytes; got != want {
+						t.Fatalf("PCIeBytes %d, solo %d", got, want)
+					}
+				})
 			}
 		}
 	}
@@ -199,7 +221,7 @@ func TestBatchPerItemFaultContainment(t *testing.T) {
 		if ress[i].Unrecoverable {
 			t.Fatalf("clean sibling %d flagged unrecoverable", i)
 		}
-		sout, spiv, _ := runSolo(t, "lu", ms[i], 2, opts)
+		sout, spiv, _, _ := runSolo(t, "lu", ms[i], 2, opts)
 		if d, r, c := sout.MaxAbsDiff(outs[i]); d != 0 {
 			t.Fatalf("sibling %d not bit-identical to solo: |Δ|=%g at (%d,%d)", i, d, r, c)
 		}

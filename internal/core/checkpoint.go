@@ -209,16 +209,20 @@ func (cp *Checkpoint) hostStrips() [][]*matrix.Dense {
 }
 
 // restoreFrom ships the checkpoint's strips back onto the devices of the
-// current layout through System.Restore — the rollback/resume entry shared
-// by mid-run rollback (same device set) and cross-system resume (possibly
-// fewer GPUs than at capture time).
+// current layout through one System.Restore staging — the rollback/resume
+// entry shared by mid-run rollback (same device set) and cross-system
+// resume (possibly fewer GPUs than at capture time).
 func (p *protected) restoreFrom(cp *Checkpoint) {
 	host := cp.hostStrips()
+	var srcs []*matrix.Dense
+	var dsts []*hetsim.Buffer
 	for bj := 0; bj < p.nbr; bj++ {
 		for i, s := range p.column(bj) {
-			p.es.sys.Restore(host[i][bj], s)
+			srcs = append(srcs, host[i][bj])
+			dsts = append(dsts, s)
 		}
 	}
+	p.es.sys.Restore(srcs, dsts)
 	// Checkpoints carry no parity; a restore (rollback or cross-run resume)
 	// re-encodes every surviving parity column from the restored data
 	// (skipping parities retired by an earlier node loss) and starts the

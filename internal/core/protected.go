@@ -153,17 +153,22 @@ func newLayout(es *engineSys, n int, tol float64) *protected {
 	return p
 }
 
-// newProtected distributes a (resident on the CPU) across the GPUs and
-// encodes the initial checksums on-device with the configured kernel.
+// newProtected distributes a (resident on the CPU) across the GPUs in one
+// staging and encodes the initial checksums on-device with the configured
+// kernel.
 func newProtected(es *engineSys, a *matrix.Dense) *protected {
 	n := a.Rows
 	scale := 1 + matrix.NormMax(a)
 	p := newLayout(es, n, max(matrix.Gamma(n)*scale*scale*float64(n), 1e-9))
+	var srcs []*matrix.Dense
+	var dsts []*hetsim.Buffer
 	for g := range p.blocks {
 		for lb, bj := range p.blocks[g] {
-			es.sys.Restore(a.View(0, bj*p.nb, n, p.nb), p.strips(g, lb, 1)[0])
+			srcs = append(srcs, a.View(0, bj*p.nb, n, p.nb))
+			dsts = append(dsts, p.strips(g, lb, 1)[0])
 		}
 	}
+	es.sys.Restore(srcs, dsts)
 	if es.opts.Mode != NoChecksum {
 		stop := es.span(obs.PhaseEncode, "encode-initial", &es.res.EncodeT)
 		for g := range p.nloc {
@@ -575,7 +580,6 @@ func (p *protected) reconcileOrthogonal(g, rlo, rhi, lbLo, lbHi int) {
 	if p.es.opts.Mode != Full {
 		return
 	}
-	defer p.es.span(obs.PhaseRecover, "reconcile-orthogonal", &p.es.res.RecoverT)()
 	gdev := p.es.sys.GPU(g)
 	nb := p.nb
 	if lbHi > p.nloc[g] {
@@ -588,10 +592,13 @@ func (p *protected) reconcileOrthogonal(g, rlo, rhi, lbLo, lbHi int) {
 	}
 	data := p.local[g].View(rlo, jlo, rhi-rlo, cols).Access(gdev)
 	rchk := p.rowChk[g].View(rlo, 2*lbLo, rhi-rlo, 2*(lbHi-lbLo)).Access(gdev)
+	stop := p.es.span(obs.PhaseVerify, "verify-orthogonal", &p.es.res.VerifyT)
 	ms := checksum.VerifyRow(gdev.Workers(), data, nb, rchk, p.tol)
+	stop()
 	if len(ms) == 0 {
 		return
 	}
+	defer p.es.span(obs.PhaseRecover, "reconcile-orthogonal", &p.es.res.RecoverT)()
 	rowHits := map[int]int{}
 	colRows := map[int][]int{} // local col -> rows
 	for _, m := range ms {

@@ -238,6 +238,24 @@ func TestReconcileOrthogonalRowPollutionCase(t *testing.T) {
 	}
 }
 
+// TestCleanRunsBillNoRecovery: on a clean input every checksum pass is
+// verification, QR's orthogonal cross-check included, so a Full run of
+// each decomposition under either schedule reports verify time and no
+// recovery time.
+func TestCleanRunsBillNoRecovery(t *testing.T) {
+	for _, decomp := range []string{"cholesky", "lu", "qr"} {
+		for _, lookahead := range []int{0, 1} {
+			a := batchInputs(decomp, 1, 96)[0]
+			opts := Options{NB: 16, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel, Lookahead: lookahead}
+			_, _, _, res := runSolo(t, decomp, a, 2, opts)
+			if res.Detected || res.RecoverT != 0 || res.VerifyT <= 0 {
+				t.Errorf("%s lookahead=%d: detected=%v RecoverT=%v VerifyT=%v, want nothing detected, no recovery time and some verify time",
+					decomp, lookahead, res.Detected, res.RecoverT, res.VerifyT)
+			}
+		}
+	}
+}
+
 func TestVerifyRepairColLadder(t *testing.T) {
 	p, _ := newTestProtected(t, 64, 16, 1, Full)
 	g0 := p.es.sys.GPU(0)

@@ -269,6 +269,127 @@ func TestLinkClockStagingOverlaps(t *testing.T) {
 	}
 }
 
+// stagingBack allocates one r-by-c buffer on each listed GPU: the
+// destinations of a Restore from host columns like stagingCols's.
+func stagingBack(s *System, gpus []int, r, c int) []*Buffer {
+	var bufs []*Buffer
+	for _, g := range gpus {
+		bufs = append(bufs, s.GPU(g).Alloc(r, c))
+	}
+	return bufs
+}
+
+// TestLinkClockStagingOneLatencyPerLink: a staging is one message per
+// link. A Checkpoint, or a Restore, of w strips over one link pays the
+// link latency once plus w times each strip's bandwidth and Fletcher
+// terms, and the same holds per link when two GPUs stage w strips each.
+// Two stagings in a row pay the latency once each; stagings nested in an
+// outer CoalesceTransfers window pay it once between them.
+func TestLinkClockStagingOneLatencyPerLink(t *testing.T) {
+	const r, c, w = 64, 32, 4
+	cfg := DefaultConfig(2)
+	lat := cfg.PCIeLatencyUS / 1e6
+	pull := loneTransfer(cfg, 0, -1, r, c, true)
+	push := loneTransfer(cfg, -1, 0, r, c, true)
+	oneLink := make([]int, w) // w strips, all on GPU0
+	twoLinks := append(make([]int, w), 1, 1, 1, 1)
+	for _, tc := range []struct {
+		name                string
+		gpus                []int
+		restore, nested     bool
+		stagings, latencies int
+	}{
+		{"checkpoint", oneLink, false, false, 1, 1},
+		{"restore", oneLink, true, false, 1, 1},
+		{"checkpoint on two links", twoLinks, false, false, 1, 1},
+		{"two checkpoints", oneLink, false, false, 2, 2},
+		{"two restores", oneLink, true, false, 2, 2},
+		{"nested checkpoints", oneLink, false, true, 2, 1},
+		{"nested restores", oneLink, true, true, 2, 1},
+	} {
+		s := New(cfg)
+		srcs, host := stagingCols(s, tc.gpus, r, c)
+		back := stagingBack(s, tc.gpus, r, c)
+		body := func() {
+			for range tc.stagings {
+				if tc.restore {
+					s.Restore(host, back)
+				} else {
+					s.Checkpoint(srcs, host)
+				}
+			}
+		}
+		if tc.nested {
+			s.CoalesceTransfers(body)
+		} else {
+			body()
+		}
+		one := pull
+		if tc.restore {
+			one = push
+		}
+		// Every copy on a link costs a lone copy less its latency; the
+		// latencies are paid tc.latencies times in all.
+		want := float64(tc.stagings*w)*(one-lat) + float64(tc.latencies)*lat
+		if mk := s.TimelineMakespan(); !near(mk, want) {
+			t.Errorf("%s: ends at %g, want %g", tc.name, mk, want)
+		}
+		for i, b := range back {
+			if tc.restore && !b.UnsafeData().Equal(host[i]) {
+				t.Errorf("%s: strip %d did not land in its buffer", tc.name, i)
+			}
+		}
+	}
+}
+
+// TestLinkClockStagingRetransmits: a corrupted copy inside a staging is
+// retransmitted exactly as a loose reliable copy is, with the same backoff
+// and the same retransmit count; only the link latencies the staging
+// coalesces differ, one per loose copy and one for the resent attempt.
+func TestLinkClockStagingRetransmits(t *testing.T) {
+	const r, c, w = 64, 32, 4
+	cfg := DefaultConfig(1)
+	lat := cfg.PCIeLatencyUS / 1e6
+	pull := loneTransfer(cfg, 0, -1, r, c, true)
+	corrupt := LinkFaultPlan{Mode: LinkCorrupt, AfterTransfers: 1}
+	run := func(loose, faulty bool) (mk float64, retransmits uint64) {
+		s := New(cfg)
+		srcs, host := stagingCols(s, make([]int, w), r, c)
+		if faulty {
+			s.ArmLinkFault(0, corrupt)
+		}
+		before := transferRetransmits.Value()
+		if loose {
+			for i, src := range srcs {
+				s.TransferReliable(src, &Buffer{dev: s.CPU(), m: host[i]})
+			}
+		} else {
+			s.Checkpoint(srcs, host)
+		}
+		for i, src := range srcs {
+			if !host[i].Equal(src.UnsafeData()) {
+				t.Fatalf("loose=%v: strip %d arrived damaged", loose, i)
+			}
+		}
+		return s.TimelineMakespan(), transferRetransmits.Value() - before
+	}
+	clean, _ := run(false, false)
+	staged, n := run(false, true)
+	loose, nLoose := run(true, true)
+	if n != 1 || nLoose != 1 {
+		t.Fatalf("retransmits: %d in the staging, %d loose, want 1 each", n, nLoose)
+	}
+	// The resent attempt skips the latency but waits out a backoff of
+	// [1, 1.25) latencies first: more than the bare resent wire.
+	if extra := staged - clean; extra <= pull-lat || extra >= pull+lat/4 {
+		t.Fatalf("retransmit inside the staging costs %g, want a resent copy %g plus a backoff of [%g, %g)",
+			extra, pull-lat, lat, 1.25*lat)
+	}
+	if !near(loose-staged, w*lat) {
+		t.Fatalf("loose copies end at %g, the staging at %g: want %d latencies apart", loose, staged, w)
+	}
+}
+
 // TestLinkClockStagingJoinsAtLatestArrival: each staged copy starts from
 // the host floor on its own link, and the serial floor after Checkpoint
 // is the latest arrival: the next CPU kernel starts there. A pull issued
@@ -342,6 +463,23 @@ func TestLinkClockStagingAbortHoldsLinks(t *testing.T) {
 	s.CPU().Run("panel", 1e8, func(int) {})
 	if mk, want := s.TimelineMakespan(), failed+2e-3; !near(mk, want) {
 		t.Fatalf("CPU kernel after the failed staging ends at %g, want %g", mk, want)
+	}
+
+	// A Restore cut short by a lost GPU holds the link it used as well,
+	// and closes its coalescing window: the next copy pays a full latency.
+	push := loneTransfer(DefaultConfig(2), -1, 0, r, c, true)
+	s.Reset()
+	back := stagingBack(s, []int{0, 1}, r, c)
+	s.ArmFault(s.GPU(1), FaultPlan{Mode: FaultCrash})
+	if err := catch(func() { s.Restore(dsts, back) }); !isLost(err) {
+		t.Fatalf("restore onto a lost GPU: err = %v, want *DeviceLostError", err)
+	}
+	if u := s.Utilization(); u[3].SimSecs <= 0 || u[4].SimSecs != 0 {
+		t.Fatalf("link rows %+v %+v, want PCIe0 billed for its copy and PCIe1 idle", u[3], u[4])
+	}
+	s.TransferReliable(&Buffer{dev: s.CPU(), m: dsts[0]}, back[0])
+	if mk := s.TimelineMakespan(); !near(mk, 2*push) {
+		t.Fatalf("copy after the aborted restore ends at %g, want two full copies %g", mk, 2*push)
 	}
 
 	s.Reset()

@@ -425,14 +425,18 @@ func (s *System) billLinks(src, dst *Device, dt float64) {
 // PCIe transfer issued within it is billed the per-transfer fixed latency
 // only once per (source, destination) device pair; later transfers on the
 // same link pay bandwidth cost alone. This models a strided batched DMA —
-// one descriptor issued for a whole batch slab instead of one per item —
-// which is how the batched drivers (internal/core's *Batch entry points)
-// amortize per-dispatch launch cost across batch items. Data movement is
-// unchanged: every transfer still copies immediately, in order, with the
-// same hooks and byte accounting; only the simulated-latency attribution
-// coalesces. Windows nest (the latency map lives until the outermost window
-// closes) and the window is closed on every exit path, so a fail-stop abort
-// unwinding out of body cannot leave the clock in coalescing mode.
+// one descriptor issued for a whole batch slab instead of one per item.
+// Every Checkpoint and Restore staging runs inside one such window, so a
+// staging is one message per link; the step runtime wraps each panel
+// stage in one, and the batched drivers (internal/core's *Batch entry
+// points) wrap the stagings of all their items in one more, which is how
+// they amortize per-dispatch launch cost across batch items. Data
+// movement is unchanged: every transfer still copies immediately, in
+// order, with the same hooks and byte accounting; only the
+// simulated-latency attribution coalesces. Windows nest (the latency map
+// lives until the outermost window closes) and the window is closed on
+// every exit path, so a fail-stop abort unwinding out of body cannot leave
+// the clock in coalescing mode.
 func (s *System) CoalesceTransfers(body func()) {
 	s.mu.Lock()
 	if s.coalesceDepth == 0 {

@@ -105,9 +105,10 @@ go test -run '^$' -fuzz '^FuzzFaultPromise$' -fuzztime 30s ./internal/core
 # pin's injected items apply on-chip corruption inside launched stream
 # closures, so both run here under the detector. The link-clock rules
 # (TestLinkClock: per-link and fabric frontiers, the pending arrival
-# frontier that kernels and stream launches wait for) are the clock those
-# schedules run on, so they repeat here too.
-go test -race -timeout 5m -run 'TestPipeline|TestStream|TestBatchBitIdentity|TestLinkClock' -count=2 ./internal/core ./internal/hetsim
+# frontier that kernels and stream launches wait for, one message per link
+# for a staging) are the clock those schedules run on, so they repeat here
+# too, with the pin that a batch of one is a solo run on that clock.
+go test -race -timeout 5m -run 'TestPipeline|TestStream|TestBatchBitIdentity|TestBatchOfOneMatchesSolo|TestLinkClock' -count=2 ./internal/core ./internal/hetsim
 
 # Makespan gate: the look-ahead speedup assertion is skipped under -race
 # (the race runtime's ~10-20x slowdown makes the n=2560 run impractical),
