@@ -26,7 +26,9 @@ import (
 // over solo dispatch comes from (see BENCH_batch.json). The distribution
 // and the gather of all items run in one more window each, around the
 // items' stagings; a staging is already one message per link, so a batch
-// of one is a solo run on the simulated clock too.
+// of one is a solo run on the simulated clock too. As in a solo run, each
+// item's output is held from the start and takes its panels as they are
+// factored, and the gather pulls only the blocks its GPUs computed.
 //
 // Per-item semantics:
 //
@@ -143,8 +145,9 @@ func (bl *batchLadder) resume(*Checkpoint)         { panic("core: batched runs d
 
 // runBatch is the body the batched drivers share. It validates the batch,
 // builds one engine + ladder per item on the shared system inside one
-// transfer-coalescing window, runs them all through runLadder as one
-// batchLadder, and gathers every surviving item's factor. ls[i] is item
+// transfer-coalescing window (each item's layout holds its output), runs
+// them all through runLadder as one batchLadder, and gathers into every
+// surviving item's output the blocks its GPUs computed. ls[i] is item
 // i's ladder, for the driver's decomposition-specific outputs; outs[i] and
 // ress[i] are nil when errs[i] is set. A batch-level error reports invalid
 // inputs or options, or a fail-stop abort, which voids the whole dispatch.

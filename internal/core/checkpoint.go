@@ -211,8 +211,14 @@ func (cp *Checkpoint) hostStrips() [][]*matrix.Dense {
 // restoreFrom ships the checkpoint's strips back onto the devices of the
 // current layout through one System.Restore staging — the rollback/resume
 // entry shared by mid-run rollback (same device set) and cross-system
-// resume (possibly fewer GPUs than at capture time).
+// resume (possibly fewer GPUs than at capture time) — and reseeds the
+// host-held factor from the checkpoint's data, so the finished columns are
+// the checkpoint's (a rollback drops the row interchanges LU applied to
+// them since) and the final gather need not pull them.
 func (p *protected) restoreFrom(cp *Checkpoint) {
+	for bj, d := range cp.Data {
+		p.out.View(0, bj*p.nb, p.n, p.nb).CopyFrom(d)
+	}
 	host := cp.hostStrips()
 	var srcs []*matrix.Dense
 	var dsts []*hetsim.Buffer

@@ -25,7 +25,8 @@ import (
 //
 //	GPU_owner → CPU   diagonal block transfer     (panelFactor)
 //	CPU               PD: POTF2 on A11            (panelFactor)
-//	CPU → GPU_owner   factored block writeback    (panelCommit)
+//	CPU → GPU_owner   factored block writeback    (panelCommit; the host
+//	                  keeps the block, and the last step sends none)
 //	GPU_owner         PU: L21 = A21·L11⁻ᵀ (column checksums ride the TRSM)
 //	GPU_owner → all   L21 panel broadcast         (panelUpdate)
 //	all GPUs          TMU: A22 −= L21·L21ᵀ (full checksums maintained via
@@ -45,6 +46,7 @@ type cholLadder struct {
 }
 
 func newCholLadder(p *protected) ladder {
+	p.lower = true
 	return &cholLadder{ladderBase: ladderBase{p: p}, step: make([]*panelStep, p.nbr)}
 }
 
@@ -126,9 +128,9 @@ func (l *cholLadder) panelCommit(k int) {
 
 	a11dev := p.local[gk].View(o, p.localOff(k), nb, nb)
 	es.withCommContext(k, fault.PD, o, o, func() {
-		es.sys.TransferReliable(st.cpuPanel, a11dev)
+		es.send(st.pm, a11dev)
 		if chk {
-			es.sys.TransferReliable(st.cpuChk, p.colChkView(k, k, k+1))
+			es.send(st.cm, p.colChkView(k, k, k+1))
 		}
 	})
 	if es.pl.afterPDBcast && chk {
@@ -139,8 +141,8 @@ func (l *cholLadder) panelCommit(k int) {
 		if out == repairFailed {
 			// PCIe corrupted the writeback beyond local repair:
 			// re-transfer the certified CPU copy.
-			es.sys.TransferReliable(st.cpuPanel, a11dev)
-			es.sys.TransferReliable(st.cpuChk, p.colChkView(k, k, k+1))
+			es.send(st.pm, a11dev)
+			es.send(st.cm, p.colChkView(k, k, k+1))
 			res.Counter.Rebroadcasts++
 		}
 	}
@@ -270,7 +272,11 @@ func (l *cholLadder) panelUpdate(k int) {
 	if pl.afterPUBcast && chk {
 		// Corruption on every GPU implicates the sender (PU): restart it
 		// from the snapshot and broadcast afresh.
-		p.checkBroadcast(st.stages, &res.Counter.PUAfter, nbr-k-1, pnl, pnlChk, func() {
+		resend := func(g stagePair) {
+			es.sys.TransferReliable(pnl, g.data)
+			es.sys.TransferReliable(pnlChk, g.chk)
+		}
+		p.checkBroadcast(st.stages, &res.Counter.PUAfter, nbr-k-1, resend, func() {
 			restartPU()
 			doBroadcast()
 		})
@@ -302,7 +308,7 @@ func (l *cholLadder) tmuGPU(k, g int, sel tmuSel) {
 func (l *cholLadder) tmuFinish(k int, sel tmuSel) {
 	l.p.tmuClose(k, l.trailing(k), sel)
 	if sel != tmuLookahead {
-		stages, l11 := l.step[k].stages, l.step[k].cpuPanel
+		stages, l11 := l.step[k].stages, l.step[k].pm
 		l.logReplay(func(bj, g int) { l.replay(k, stages[g], l11, bj, g) })
 		l.step[k] = nil
 	}
@@ -312,14 +318,14 @@ func (l *cholLadder) tmuFinish(k int, sel tmuSel) {
 // codedState.adopt), from g's L21 stage st: the panel column adopts the
 // certified diagonal block from its host copy l11 and L21 from the
 // stage, and a later column takes its trailing update.
-func (l *cholLadder) replay(k int, st stagePair, l11 *hetsim.Buffer, bj, g int) {
+func (l *cholLadder) replay(k int, st stagePair, l11 *matrix.Dense, bj, g int) {
 	p := l.p
 	nb := p.nb
 	o := k * nb
 	switch {
 	case bj == k:
 		col := p.local[g].View(o, p.localOff(bj), p.n-o, nb)
-		p.es.sys.TransferReliable(l11, col.View(0, 0, nb, nb))
+		p.es.send(l11, col.View(0, 0, nb, nb))
 		copyWithin(p.es.sys.GPU(g), st.data, col.View(nb, 0, p.n-o-nb, nb))
 	case bj > k:
 		p.cholTMUOnGPU(g, k, st, nil, tmuColumn(bj))

@@ -1,0 +1,264 @@
+package core
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"ftla/internal/checksum"
+	"ftla/internal/fault"
+	"ftla/internal/hetsim"
+	"ftla/internal/matrix"
+	"ftla/internal/obs"
+)
+
+// The host is the home of the factor: each certified panel stays in the
+// output, the final gather pulls only the blocks the GPUs computed, and the
+// last step commits nothing to the GPUs. These tests pin the traffic that
+// saves and the host-side row interchanges LU needs for it.
+
+// heldBytes is the traffic a clean Full-mode run of decomp (order n, block
+// nb, gpus GPUs block-column-cyclic over nodes nodes, the CPU on node 0)
+// does not move because the host keeps its panels, with its inter-node
+// share:
+//
+//   - the gather skips nbr·(nbr+1)/2 blocks: of block column bj, the
+//     nbr−bj blocks from its diagonal down that the host factored (LU, QR),
+//     or Cholesky's diagonal block and the bj strictly upper input blocks
+//     above it;
+//   - the last step (m = nb rows, one checksum strip) drops its owner
+//     writeback and broadcast legs, nb² + 2·nb elements to each GPU that
+//     gets one (Cholesky: the owner alone; LU and QR: every GPU), and QR
+//     also its c(V) (2·nb) and T (nb²) legs to every GPU.
+func heldBytes(decomp string, n, nb, gpus, nodes int) (pcie, inter int64) {
+	nbr := n / nb
+	add := func(g int, elems int) {
+		pcie += int64(8 * elems)
+		if g%nodes != 0 {
+			inter += int64(8 * elems)
+		}
+	}
+	for bj := 0; bj < nbr; bj++ {
+		blocks := nbr - bj
+		if decomp == "cholesky" {
+			blocks = bj + 1
+		}
+		add(bj%gpus, blocks*nb*nb)
+	}
+	leg := nb*nb + 2*nb
+	last := (nbr - 1) % gpus
+	for g := 0; g < gpus; g++ {
+		switch decomp {
+		case "cholesky":
+			if g == last {
+				add(g, leg)
+			}
+		case "lu":
+			add(g, leg)
+		case "qr":
+			add(g, 2*leg)
+		}
+	}
+	return pcie, inter
+}
+
+// fullTraffic is the PCIe and inter-node traffic of one clean gather-sweep
+// run when the gather pulled every block column and the last step
+// committed its panel.
+type fullTraffic struct{ pcie, inter int64 }
+
+// gatherSweepFull holds fullTraffic per decomposition and topology
+// ("flat": 2 GPUs; "cluster": 4 GPUs on 4 nodes, r = 2) for n=192, nb=16,
+// Full/NewScheme; both schedules moved the same bytes.
+var gatherSweepFull = map[string]fullTraffic{
+	"cholesky/flat":    {800256, 0},
+	"lu/flat":          {1148928, 0},
+	"qr/flat":          {1218048, 0},
+	"cholesky/cluster": {2185728, 2023680},
+	"lu/cluster":       {2589696, 2201088},
+	"qr/cluster":       {2747904, 2320896},
+}
+
+// TestGatherMovesOnlyDeviceBlocks runs clean Full/NewScheme factorizations
+// under both schedules on a flat 2-GPU system and on 4 GPUs over 4 nodes
+// with r = 2, and requires their PCIe and inter-node bytes to be the full
+// gather's traffic minus exactly heldBytes, and the trace to hold no copy
+// into a GPU after the last CPU kernel: the last panel is never pushed.
+func TestGatherMovesOnlyDeviceBlocks(t *testing.T) {
+	const n, nb = 192, 16
+	topos := []struct {
+		name        string
+		gpus, nodes int
+		sys         func() *hetsim.System
+		redundancy  int
+	}{
+		{"flat", 2, 1, func() *hetsim.System { return testSystem(2) }, 0},
+		{"cluster", 4, 4, func() *hetsim.System { return clusterSystem(4, 4) }, 2},
+	}
+	for _, decomp := range []string{"cholesky", "lu", "qr"} {
+		for _, topo := range topos {
+			for _, la := range []int{0, 1} {
+				label := fmt.Sprintf("%s/%s/la=%d", decomp, topo.name, la)
+				sys := topo.sys()
+				tr := obs.NewTrace()
+				sys.SetTracer(tr)
+				opts := Options{NB: nb, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel, Lookahead: la, Redundancy: topo.redundancy}
+				_, _, _, res, err := runDecomp(decomp, sys, pipelineInput(decomp, n), opts)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				full := gatherSweepFull[decomp+"/"+topo.name]
+				pcie, inter := heldBytes(decomp, n, nb, topo.gpus, topo.nodes)
+				if res.PCIeBytes != full.pcie-pcie || res.InternodeBytes != full.inter-inter {
+					t.Errorf("%s: moved %d PCIe / %d inter-node bytes, want %d−%d / %d−%d",
+						label, res.PCIeBytes, res.InternodeBytes, full.pcie, pcie, full.inter, inter)
+				}
+				lastCPU := -1
+				spans := tr.Spans()
+				for i, sp := range spans {
+					if sp.Proc == obs.ProcSim && sp.Track == "CPU" && sp.Cat == "kernel" {
+						lastCPU = i
+					}
+				}
+				if lastCPU < 0 {
+					t.Fatalf("%s: no CPU kernel in the trace", label)
+				}
+				for _, sp := range spans[lastCPU+1:] {
+					_, dst, _ := strings.Cut(sp.Name, "->")
+					if sp.Proc == obs.ProcSim && sp.Cat == obs.PhasePCIe && strings.Contains(dst, "GPU") {
+						t.Errorf("%s: %s (%v bytes) after the last CPU kernel", label, sp.Name, sp.Args["bytes"])
+					}
+				}
+			}
+		}
+	}
+}
+
+// luPivotInput is a general matrix, whose factorization swaps rows at
+// every step.
+func luPivotInput(n int, seed uint64) *matrix.Dense {
+	return matrix.Random(n, n, matrix.NewRNG(seed))
+}
+
+// TestLUPivotingOnHost pins the factor bits and pivots of LU runs on general
+// inputs, which swap rows at every step, so every later step's interchanges
+// must reach the finished columns the host holds: solo runs under both
+// schedules, a run that rolls back to a checkpoint after its step's swaps
+// reached the host, a resumed run, a batch of three, and a cluster run that
+// loses a node. The constants are the bits of the same runs when the
+// factor was gathered whole from the GPUs after the last step.
+func TestLUPivotingOnHost(t *testing.T) {
+	const n, nb = 192, 16
+	full := Options{NB: nb, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel}
+	bits := func(out *matrix.Dense, piv []int) uint64 { return factorBits(out, piv, nil) }
+	solo := func(t *testing.T, sys *hetsim.System, a *matrix.Dense, opts Options) (uint64, *Result) {
+		t.Helper()
+		out, piv, res, err := LU(sys, a, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if swaps := countSwaps(piv); swaps < n/2 {
+			t.Fatalf("only %d row interchanges; the input must pivot", swaps)
+		}
+		return bits(out, piv), res
+	}
+	cases := []struct {
+		name string
+		want []uint64
+		run  func(t *testing.T) []uint64
+	}{
+		{"solo la=0", []uint64{0x3eba0fb42d21c8c0}, func(t *testing.T) []uint64 {
+			b, _ := solo(t, testSystem(2), luPivotInput(n, 11), full)
+			return []uint64{b}
+		}},
+		{"solo la=1", []uint64{0x3eba0fb42d21c8c0}, func(t *testing.T) []uint64 {
+			opts := full
+			opts.Lookahead = 1
+			b, _ := solo(t, testSystem(2), luPivotInput(n, 11), opts)
+			return []uint64{b}
+		}},
+		{"rollback", []uint64{0x3eba0fb42d21c8c0}, func(t *testing.T) []uint64 {
+			// Two corrupted elements in one panel column defeat
+			// SingleSide's repair at step 2, after its interchanges
+			// reached the host; the run rolls back to the checkpoint taken
+			// after step 1.
+			inj := fault.NewInjector(5)
+			for _, row := range []int{1, 2} {
+				inj.Schedule(fault.Spec{Kind: fault.OffChipMemory, Op: fault.PD, Part: fault.ReferencePart, Iteration: 2, Row: row, Col: 0})
+			}
+			opts := Options{NB: nb, Mode: SingleSide, Scheme: NewScheme, Kernel: checksum.OptKernel, CheckpointEvery: 1, Injector: inj}
+			b, res := solo(t, testSystem(2), luPivotInput(n, 11), opts)
+			if res.Rollbacks == 0 {
+				t.Fatalf("no rollback")
+			}
+			return []uint64{b}
+		}},
+		{"resume", []uint64{0x3eba0fb42d21c8c0}, func(t *testing.T) []uint64 {
+			var cps []*Checkpoint
+			first := full
+			first.CheckpointEvery = 3
+			first.OnCheckpoint = func(cp *Checkpoint) { cps = append(cps, cp) }
+			a := luPivotInput(n, 11)
+			if _, _, _, err := LU(testSystem(3), a, first); err != nil {
+				t.Fatal(err)
+			}
+			if len(cps) < 2 {
+				t.Fatalf("%d checkpoints, want at least 2", len(cps))
+			}
+			opts := full
+			opts.Resume = cps[len(cps)/2]
+			b, _ := solo(t, testSystem(2), a, opts)
+			return []uint64{b}
+		}},
+		{"batch", []uint64{0xb0dda2a860eaab3b, 0x00f290de9a60b4b1, 0xc78cf6e67803ee13}, func(t *testing.T) []uint64 {
+			opts := full
+			opts.Lookahead = 1
+			as := []*matrix.Dense{luPivotInput(n, 21), luPivotInput(n, 22), luPivotInput(n, 23)}
+			outs, pivs, _, errs, err := LUBatch(testSystem(2), as, opts, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var bs []uint64
+			for i := range outs {
+				if errs[i] != nil {
+					t.Fatal(errs[i])
+				}
+				bs = append(bs, bits(outs[i], pivs[i]))
+			}
+			return bs
+		}},
+		{"node-loss", []uint64{0x3eba0fb42d21c8c0}, func(t *testing.T) []uint64 {
+			opts := full
+			opts.Redundancy = 2
+			opts.NodeFault = map[int]hetsim.NodeFaultPlan{1: {AfterEpochs: 2}}
+			b, res := solo(t, clusterSystem(4, 4), luPivotInput(n, 11), opts)
+			if res.Reconstructions == 0 {
+				t.Fatalf("no reconstruction")
+			}
+			return []uint64{b}
+		}},
+	}
+	for _, c := range cases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			got := c.run(t)
+			for i := range got {
+				if got[i] != c.want[i] {
+					t.Errorf("item %d: bits %#016x, want %#016x", i, got[i], c.want[i])
+				}
+			}
+		})
+	}
+}
+
+// countSwaps counts the row interchanges of a pivot sequence.
+func countSwaps(piv []int) int {
+	swaps := 0
+	for k, p := range piv {
+		if p != k {
+			swaps++
+		}
+	}
+	return swaps
+}

@@ -25,7 +25,8 @@ import (
 
 // factorize is the body the solo drivers share. It validates the input
 // and options, builds the run's engine and protected layout (restored from
-// opts.Resume when set), runs the ladder mk builds, and gathers the factor.
+// opts.Resume when set), whose host-held factor is the output, runs the
+// ladder mk builds, and gathers the blocks the GPUs computed into it.
 // decomp is the driver's display name ("Cholesky", "LU", "QR"); its lower
 // case names the engine and the checkpoints. A fail-stop abort anywhere in
 // the ladder surfaces as the returned error; the system's partial state is
@@ -96,35 +97,43 @@ func (b *ladderBase) logReplay(step func(bj, g int)) {
 }
 
 // panelStep is the staging state of one ladder step: the panel pulled to
-// the CPU (and its checksum strips) from panelFactor until it is written
-// back, the per-GPU stages of the broadcast panel until tmuFinish retires
-// them, and the trailing update's fault windows: the on-chip corruption
-// its slices load, and the computation faults aimed at trailing columns
-// the look-ahead schedule has not updated yet.
+// the CPU, in place in the host-held output, and its checksum strips, from
+// panelFactor until it is written back, the per-GPU stages of the
+// broadcast panel until tmuFinish retires them, and the trailing update's
+// fault windows: the on-chip corruption its slices load, and the
+// computation faults aimed at trailing columns the look-ahead schedule
+// has not updated yet.
 type panelStep struct {
-	cpuPanel, cpuChk *hetsim.Buffer
-	pm, cm           *matrix.Dense
-	stages           []stagePair
-	onChip           fault.OnChip
-	comp             []fault.Target
+	pm, cm *matrix.Dense
+	stages []stagePair
+	onChip fault.OnChip
+	comp   []fault.Target
 }
 
-// pull stages rows [k·nb, k·nb+rows) of block column k, and their column
-// checksum strips, on the CPU.
+// pull stages rows [k·nb, k·nb+rows) of block column k on the CPU, in one
+// staging: the data straight into their place in the host-held output,
+// where the certified panel stays, and their column checksum strips into a
+// host matrix of their own.
 func (p *protected) pull(k, rows int) panelStep {
 	es := p.es
-	cpu := es.sys.CPU()
 	o := k * p.nb
-	st := panelStep{cpuPanel: cpu.Alloc(rows, p.nb)}
-	es.sys.TransferReliable(p.local[p.owner(k)].View(o, p.localOff(k), rows, p.nb), st.cpuPanel)
-	st.pm = st.cpuPanel.Access(cpu)
+	st := panelStep{pm: p.out.View(o, o, rows, p.nb)}
+	srcs := []*hetsim.Buffer{p.local[p.owner(k)].View(o, p.localOff(k), rows, p.nb)}
+	dsts := []*matrix.Dense{st.pm}
 	if es.opts.Mode != NoChecksum {
 		strips := rows / p.nb
-		st.cpuChk = cpu.Alloc(2*strips, p.nb)
-		es.sys.TransferReliable(p.colChkView(k, k, k+strips), st.cpuChk)
-		st.cm = st.cpuChk.Access(cpu)
+		st.cm = matrix.NewDense(2*strips, p.nb)
+		srcs = append(srcs, p.colChkView(k, k, k+strips))
+		dsts = append(dsts, st.cm)
 	}
+	es.sys.Checkpoint(srcs, dsts)
 	return st
+}
+
+// send ships the host matrix src into the device buffer dst: a staging of
+// one copy, reliable and under the fail-stop gates like any other.
+func (es *engineSys) send(src *matrix.Dense, dst *hetsim.Buffer) {
+	es.sys.Restore([]*matrix.Dense{src}, []*hetsim.Buffer{dst})
 }
 
 // pdRegions are the PD fault targets of step k: the CPU-staged panel is
@@ -146,7 +155,8 @@ func (st *panelStep) pdRegions(k, nb int) []fault.Region {
 // retries once (injected faults fire only once, so the retry is clean); a
 // second failure marks the run unrecoverable, or returns the kernel's
 // error. A panel that comes through gets its checksums re-encoded: the
-// stored factor becomes the certified content.
+// stored factor becomes the certified content, which the host-held output
+// keeps to the end of the run (pull staged the panel there).
 func (p *protected) factorPanel(k int, st *panelStep, run func() error, check func(snap, snapChk *matrix.Dense) int) error {
 	es := p.es
 	chk := es.opts.Mode != NoChecksum
@@ -197,8 +207,9 @@ func (p *protected) factorPanel(k int, st *panelStep, run func() error, check fu
 // commitPanel writes the certified CPU panel of step k (rows k·nb.., all
 // its strips) back into its owner's storage and broadcasts it, with its
 // checksums, to every live GPU's stage inside one communication-fault
-// window; leg, when set, ships GPU g's extra operands after its panel
-// legs. The owner fills its stage from its own storage with device-local
+// window, for the trailing update and the later steps to read: the host
+// keeps the panel for the factor, so the last step commits nothing. leg,
+// when set, ships GPU g's extra operands after its panel legs. The owner fills its stage from its own storage with device-local
 // copies after every leg is issued: a serial kernel waits for every copy
 // into a GPU issued before it, so copying between legs would hold the
 // next GPU's legs back until the writeback landed. Under the plan's
@@ -220,18 +231,18 @@ func (p *protected) commitPanel(k int, st *panelStep, leg func(g int)) {
 	broadcast := func() {
 		es.withCommContext(k, fault.PD, o, o, func() {
 			// Writeback into the owner's authoritative storage first.
-			es.sys.TransferReliable(st.cpuPanel, panelDev)
+			es.send(st.pm, panelDev)
 			if chk {
-				es.sys.TransferReliable(st.cpuChk, p.colChkView(k, k, p.nbr))
+				es.send(st.cm, p.colChkView(k, k, p.nbr))
 			}
 			for g := range st.stages {
 				if !p.gpuLive(g) {
 					continue
 				}
 				if g != gk {
-					es.sys.TransferReliable(st.cpuPanel, st.stages[g].data)
+					es.send(st.pm, st.stages[g].data)
 					if chk {
-						es.sys.TransferReliable(st.cpuChk, st.stages[g].chk)
+						es.send(st.cm, st.stages[g].chk)
 					}
 				}
 				if leg != nil {
@@ -248,23 +259,28 @@ func (p *protected) commitPanel(k int, st *panelStep, leg func(g int)) {
 	if !es.pl.afterPDBcast || !chk {
 		return
 	}
-	if p.checkBroadcast(st.stages, &es.res.Counter.PDAfter, strips, st.cpuPanel, st.cpuChk, broadcast) {
+	resend := func(g stagePair) {
+		es.send(st.pm, g.data)
+		es.send(st.cm, g.chk)
+	}
+	if p.checkBroadcast(st.stages, &es.res.Counter.PDAfter, strips, resend, broadcast) {
 		gc := p.colChkView(k, k, p.nbr)
 		if out, _ := p.verifyRepair(colAxis, gdev.Workers(), panelDev.Access(gdev), gc.Access(gdev), nil); out == repairFailed {
-			es.sys.TransferReliable(st.cpuPanel, panelDev)
-			es.sys.TransferReliable(st.cpuChk, gc)
+			es.send(st.pm, panelDev)
+			es.send(st.cm, gc)
 			es.res.Counter.Rebroadcasts++
 		}
 	}
 }
 
-// checkBroadcast verifies the received stages of a panel broadcast from
-// src/srcChk, adding strips blocks per stage to counter, and applies
-// §VII.C: corruption on every live GPU implicates the sender, so the step
-// restarts locally (restart redoes the sender's work and the broadcast);
-// corruption on some GPUs implicates PCIe, so the legs the ladder could not
-// repair in place are shipped again. It reports the PCIe case.
-func (p *protected) checkBroadcast(stages []stagePair, counter *int, strips int, src, srcChk *hetsim.Buffer, restart func()) bool {
+// checkBroadcast verifies the received stages of a panel broadcast,
+// adding strips blocks per stage to counter, and applies §VII.C:
+// corruption on every live GPU implicates the sender, so the step restarts
+// locally (restart redoes the sender's work and the broadcast); corruption
+// on some GPUs implicates PCIe, so the legs the ladder could not repair in
+// place are shipped again (resend ships the panel and its checksums into
+// one stage). It reports the PCIe case.
+func (p *protected) checkBroadcast(stages []stagePair, counter *int, strips int, resend func(stagePair), restart func()) bool {
 	outs, corrupted := p.verifyStages(stages, counter, strips)
 	if live := p.liveGPUs(); corrupted == live && live > 1 {
 		p.es.res.Counter.LocalRestarts++
@@ -274,7 +290,12 @@ func (p *protected) checkBroadcast(stages []stagePair, counter *int, strips int,
 	if corrupted == 0 {
 		return false
 	}
-	p.rebroadcastFailed(src, srcChk, stages, outs)
+	for g := range stages {
+		if outs[g] == repairFailed {
+			resend(stages[g])
+			p.es.res.Counter.Rebroadcasts++
+		}
+	}
 	return true
 }
 

@@ -25,6 +25,8 @@ import (
 //	CPU               PD: GETF2 with partial pivoting   (panelFactor)
 //	GPUs              row interchanges on all other block columns, with
 //	                  incremental column-checksum maintenance (panelPivot)
+//	CPU               the same interchanges on the finished columns of
+//	                  the host-held factor                 (panelPivot)
 //	CPU → all GPUs    factored panel broadcast (+ checksums) (panelCommit)
 //	all GPUs          PU: U12 = L11⁻¹·A12 (row checksums ride the TRSM)
 //	all GPUs          TMU: A22 −= L21·U12 with full checksum maintenance
@@ -152,10 +154,11 @@ func (p *protected) probeRow(r, k int) (hits int) {
 }
 
 // panelPivot applies the step's row interchanges to every other block
-// column, probing each touched row against its row checksums first: a row
-// contaminated by an undetected on-chip 1-D propagation from an earlier
-// TMU (§VII.B Fig. 4b) must be repaired *before* the interchange, because
-// the incremental checksum maintenance under a swap reads the stored
+// column, and to the finished columns of the host-held factor, probing
+// each touched row against its row checksums first: a row contaminated by
+// an undetected on-chip 1-D propagation from an earlier TMU (§VII.B
+// Fig. 4b) must be repaired *before* the interchange, because the
+// incremental checksum maintenance under a swap reads the stored
 // (corrupted) values and would otherwise bake the corruption into the
 // checksums.
 func (l *luLadder) panelPivot(k int) {
@@ -204,6 +207,12 @@ func (l *luLadder) panelPivot(k int) {
 			p.swapRows(o+j, o+lp, 0, k)
 			p.swapRows(o+j, o+lp, k+1, p.nbr)
 		}
+	}
+	// The finished columns' rows from o on are the host's (their certified
+	// panels), so the interchanges reach the factor there, as MAGMA's
+	// host-side laswp does.
+	if o > 0 {
+		lapack.Laswp(p.out.View(o, 0, n-o, o), st.lpiv)
 	}
 }
 

@@ -176,8 +176,9 @@ func TestPipelineJournalCanonicalOrder(t *testing.T) {
 // TestPipelineCommitLegsOverlap: LU's and QR's panel commit issue every
 // broadcast leg before the owner's device-local stage copy, so on every
 // step the panel leg to the GPU that does not own the panel starts before
-// the owner's writeback has landed, under both schedules. The trace is
-// read in issue order: each CPU panel kernel opens a step, and the first
+// the owner's writeback has landed, under both schedules; the last step,
+// whose panel only the host keeps, commits nothing. The trace is read in
+// issue order: each CPU panel kernel opens a step, and the first
 // panel-sized copies from the CPU after it are the step's writeback (to
 // the owner) and its leg (to the other GPU).
 func TestPipelineCommitLegsOverlap(t *testing.T) {
@@ -235,9 +236,11 @@ func TestPipelineCommitLegsOverlap(t *testing.T) {
 					}
 				}
 			}
-			check()
 			if k != n/nb-1 {
 				t.Fatalf("%s: traced %d panel kernels, want %d", label, k+1, n/nb)
+			}
+			if wb != nil || leg != nil {
+				t.Errorf("%s step %d: the last panel was committed to the GPUs (writeback %v, leg %v)", label, k, wb, leg)
 			}
 		}
 	}

@@ -52,6 +52,18 @@ type protected struct {
 	// coded is the cross-node erasure redundancy (see coded.go), nil on
 	// flat single-node systems.
 	coded *codedState
+
+	// out is the host home of the factor. It starts as the input (or, on
+	// a restore, as the checkpoint); pull stages each panel into its place
+	// there, where factorPanel certifies it and it stays, LU's later row
+	// interchanges reach its finished columns on the host, and gather
+	// fills in the blocks the GPUs computed.
+	out *matrix.Dense
+	// lower marks a factor whose GPUs compute the rows below each
+	// diagonal block (Cholesky's L21, whose strictly upper blocks keep the
+	// input); otherwise they compute the rows above it (LU's U12, QR's
+	// R12) and the host holds the rest of each column.
+	lower bool
 }
 
 // gpuLive reports whether GPU g is still serving — not fail-stopped and
@@ -125,7 +137,7 @@ func (p *protected) initCyclicLayout(G int) {
 // cyclic share.
 func newLayout(es *engineSys, n int, tol float64) *protected {
 	G := es.sys.NumGPUs()
-	p := &protected{es: es, n: n, nb: es.opts.NB, nbr: n / es.opts.NB, tol: tol}
+	p := &protected{es: es, n: n, nb: es.opts.NB, nbr: n / es.opts.NB, tol: tol, out: matrix.NewDense(n, n)}
 	p.initCyclicLayout(G)
 	p.local = make([]*hetsim.Buffer, G)
 	p.colChk = make([]*hetsim.Buffer, G)
@@ -154,12 +166,13 @@ func newLayout(es *engineSys, n int, tol float64) *protected {
 }
 
 // newProtected distributes a (resident on the CPU) across the GPUs in one
-// staging and encodes the initial checksums on-device with the configured
-// kernel.
+// staging, encodes the initial checksums on-device with the configured
+// kernel, and seeds the host-held factor with a.
 func newProtected(es *engineSys, a *matrix.Dense) *protected {
 	n := a.Rows
 	scale := 1 + matrix.NormMax(a)
 	p := newLayout(es, n, max(matrix.Gamma(n)*scale*scale*float64(n), 1e-9))
+	p.out.CopyFrom(a)
 	var srcs []*matrix.Dense
 	var dsts []*hetsim.Buffer
 	for g := range p.blocks {
@@ -286,19 +299,33 @@ func (p *protected) migrateColumn(bj, dst int) {
 	p.reown(bj, dst, idx)
 }
 
-// gather copies the distributed matrix back to a CPU-resident dense
-// matrix over PCIe: one staging, each block column landing straight in its
-// output columns.
+// gather completes the host-held factor with the blocks the GPUs computed,
+// in one staging: of each block column, the rows above its diagonal block
+// (LU's U12, QR's R12) or, for a lower factor, the rows below it
+// (Cholesky's L21). The host already holds the rest: every certified panel
+// was factored in its place in p.out, and a lower factor's strictly upper
+// blocks are the input, which no GPU kernel writes. A repair may rewrite
+// them, though (the row and column reconstructions span whole slices and
+// columns), so a run that detected an error gathers them too.
 func (p *protected) gather() *matrix.Dense {
-	out := matrix.NewDense(p.n, p.n)
-	srcs := make([]*hetsim.Buffer, p.nbr)
-	dsts := make([]*matrix.Dense, p.nbr)
-	for bj := range srcs {
-		srcs[bj] = p.column(bj)[0]
-		dsts[bj] = out.View(0, bj*p.nb, p.n, p.nb)
+	var srcs []*hetsim.Buffer
+	var dsts []*matrix.Dense
+	rows := func(bj, lo, hi int) {
+		if lo < hi {
+			srcs = append(srcs, p.column(bj)[0].View(lo, 0, hi-lo, p.nb))
+			dsts = append(dsts, p.out.View(lo, bj*p.nb, hi-lo, p.nb))
+		}
+	}
+	for bj := 0; bj < p.nbr; bj++ {
+		if !p.lower || p.es.res.Detected {
+			rows(bj, 0, bj*p.nb)
+		}
+		if p.lower {
+			rows(bj, (bj+1)*p.nb, p.n)
+		}
 	}
 	p.es.sys.Checkpoint(srcs, dsts)
-	return out
+	return p.out
 }
 
 // colChkView returns the column-checksum strip rows [2·slo, 2·shi) of

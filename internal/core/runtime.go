@@ -83,14 +83,17 @@ type ladder interface {
 	steps() int
 	// panelFactor pulls panel k to the CPU, verifies it, factorizes it,
 	// and re-encodes its checksums, leaving the certified factor staged
-	// host-side. It must not write device-resident trailing state: the
-	// writeback belongs to panelCommit (the look-ahead schedule runs
-	// panelFactor(k+1) while step k's trailing update is in flight).
+	// host-side and in the host-held output. It must not write
+	// device-resident trailing state: the writeback belongs to panelCommit
+	// (the look-ahead schedule runs panelFactor(k+1) while step k's
+	// trailing update is in flight).
 	panelFactor(k int)
-	// panelPivot applies row interchanges (LU); no-op elsewhere.
+	// panelPivot applies row interchanges (LU), on the GPUs and to the
+	// finished columns the host holds; no-op elsewhere.
 	panelPivot(k int)
 	// panelCommit writes the certified panel back to its owner and
-	// broadcasts it, including post-broadcast verification.
+	// broadcasts it, including post-broadcast verification. Never called
+	// for the last step.
 	panelCommit(k int)
 	// panelUpdate runs the panel-update phase (PU) and, for Cholesky, its
 	// inter-GPU broadcast; no-op for QR. Never called for the last step.
@@ -342,7 +345,11 @@ func runLadder(es *engineSys, l ladder) error {
 			}
 		}
 		rt.stage(k, stagePanelPivot, func() { l.panelPivot(k) })
-		rt.packed(k, stagePanelCommit, func() { l.panelCommit(k) })
+		if k < nbr-1 {
+			// The last panel stays on the host: no trailing update and no
+			// gather reads a GPU copy of it.
+			rt.packed(k, stagePanelCommit, func() { l.panelCommit(k) })
+		}
 		if err := l.failed(); err != nil {
 			return err
 		}

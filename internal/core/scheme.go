@@ -121,15 +121,3 @@ func (p *protected) verifyStages(stages []stagePair, countPer *int, blocksPerSta
 	}
 	return outs, corrupted
 }
-
-// rebroadcastFailed re-ships the certified CPU panel to the GPUs whose
-// stage could not be repaired locally.
-func (p *protected) rebroadcastFailed(src, srcChk *hetsim.Buffer, stages []stagePair, outs []repairOutcome) {
-	for g := range stages {
-		if outs[g] == repairFailed {
-			p.es.sys.TransferReliable(src, stages[g].data)
-			p.es.sys.TransferReliable(srcChk, stages[g].chk)
-			p.es.res.Counter.Rebroadcasts++
-		}
-	}
-}
