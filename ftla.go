@@ -219,8 +219,11 @@ type DeviceHungError = hetsim.DeviceHungError
 // Checkpoint is a host-side snapshot of a factorization in flight, taken
 // after a verified step (Config.CheckpointEvery) and resumable via
 // Config.Resume — including on a system with fewer GPUs than the run that
-// took it. A resumed run is bit-identical to an uninterrupted run on the
-// same final device set.
+// took it. Per block column, Data holds the finished columns (before
+// NextStep) as the host-held factor has them, with nil ColChk and RowChk,
+// and the columns later steps still write with their checksum strips. A
+// resumed run is bit-identical to an uninterrupted run on the same final
+// device set.
 type Checkpoint = core.Checkpoint
 
 // RebalanceConfig configures dynamic work repartitioning

@@ -36,10 +36,11 @@ var ErrCheckpointIntegrity = errors.New("core: checkpoint integrity check failed
 // Checkpoint is a host-side snapshot of a factorization in flight, taken by
 // the step runtime immediately after step NextStep-1's verification passed —
 // so the captured state is known-clean, not merely hoped-clean. It holds
-// everything a resumed run needs: the distributed matrix and its checksum
-// strips (stored per block column, so the layout is independent of how many
-// GPUs held them), the pivot/reflector history of the finished steps, and
-// the step index to resume from.
+// everything a resumed run needs: the host-held factor's finished block
+// columns, the distributed state of the columns later steps still write
+// with their checksum strips (both stored per block column, so the layout
+// is independent of how many GPUs held them), the pivot/reflector history
+// of the finished steps, and the step index to resume from.
 //
 // A Checkpoint is device-set agnostic: Options.Resume can replay it on a
 // system with a different GPU count than the run that took it (the failover
@@ -63,9 +64,12 @@ type Checkpoint struct {
 	// Tol is the verification tolerance derived from the original input
 	// matrix, carried so a resumed run verifies against the same threshold.
 	Tol float64
-	// Data, ColChk and RowChk hold one host matrix per block column: the
-	// n×NB data panel, its 2·(n/NB)×NB column-checksum strip (nil under
-	// NoChecksum), and its n×2 row-checksum pair (nil unless Mode is Full).
+	// Data, ColChk and RowChk hold one host matrix per block column. Data
+	// is the n×NB column: for a finished column (below NextStep) a copy of
+	// the host-held factor's, complete, and otherwise the distributed
+	// state. ColChk and RowChk hold the latter's strips, nil for a finished
+	// column: its 2·(n/NB)×NB column-checksum strip (the slice is nil under
+	// NoChecksum) and its n×2 row-checksum pair (nil unless Mode is Full).
 	Data   []*matrix.Dense
 	ColChk []*matrix.Dense
 	RowChk []*matrix.Dense
@@ -155,21 +159,41 @@ func (cp *Checkpoint) validateFor(decomp string, n int, opts *Options) error {
 			cp.Mode, cp.Scheme, opts.Mode, opts.Scheme)
 	case cp.NextStep <= 0 || cp.NextStep >= cp.N/cp.NB:
 		return fmt.Errorf("core: checkpoint step %d outside (0, %d)", cp.NextStep, cp.N/cp.NB)
-	case len(cp.Data) != cp.N/cp.NB:
-		return fmt.Errorf("core: checkpoint holds %d block columns, want %d", len(cp.Data), cp.N/cp.NB)
-	case cp.Mode != NoChecksum && len(cp.ColChk) != len(cp.Data):
-		return fmt.Errorf("core: checkpoint missing column-checksum strips")
-	case cp.Mode == Full && len(cp.RowChk) != len(cp.Data):
-		return fmt.Errorf("core: checkpoint missing row-checksum strips")
+	}
+	if err := cp.checkShape(); err != nil {
+		return err
 	}
 	return cp.verifyIntegrity()
 }
 
-// captureCheckpoint snapshots the distributed state into a host-side
-// Checkpoint resuming from step next. Every device-resident strip travels
-// through one System.Checkpoint staging (PCIe under the fail-stop gates —
-// no private-memory bypass), block column by block column, so the
-// snapshot's layout does not encode the GPU count.
+// checkShape refuses a checkpoint whose host matrices are not those a
+// capture at NextStep takes: an n×NB data column per block column, and the
+// checksum strips the mode keeps for exactly the columns from NextStep on.
+func (cp *Checkpoint) checkShape() error {
+	nbr := cp.N / cp.NB
+	dims := [][2]int{{cp.N, cp.NB}, {2 * nbr, cp.NB}, {cp.N, 2}}
+	kept := []bool{true, cp.Mode != NoChecksum, cp.Mode == Full}
+	for i, ms := range cp.hostStrips() {
+		if !kept[i] {
+			continue
+		}
+		if len(ms) != nbr {
+			return fmt.Errorf("core: checkpoint strip kind %d covers %d block columns, want %d", i, len(ms), nbr)
+		}
+		for bj, m := range ms {
+			if want := i == 0 || bj >= cp.NextStep; (m != nil) != want || m != nil && (m.Rows != dims[i][0] || m.Cols != dims[i][1]) {
+				return fmt.Errorf("core: checkpoint strip kind %d of block column %d does not fit step %d", i, bj, cp.NextStep)
+			}
+		}
+	}
+	return nil
+}
+
+// captureCheckpoint snapshots what a run resuming from step next needs,
+// block column by block column, in one System.Checkpoint staging (PCIe
+// under the fail-stop gates): every strip of the columns from next on, and
+// the GPU-computed blocks of the columns finished since the last capture,
+// into the host-held factor, whose finished columns the snapshot copies.
 func (p *protected) captureCheckpoint(next int) *Checkpoint {
 	cp := &Checkpoint{
 		Decomp:   p.es.decomp,
@@ -188,9 +212,8 @@ func (p *protected) captureCheckpoint(next int) *Checkpoint {
 		cp.RowChk = make([]*matrix.Dense, p.nbr)
 	}
 	host := cp.hostStrips()
-	var srcs []*hetsim.Buffer
-	var dsts []*matrix.Dense
-	for bj := 0; bj < p.nbr; bj++ {
+	srcs, dsts := p.finish(next)
+	for bj := next; bj < p.nbr; bj++ {
 		for i, s := range p.column(bj) {
 			host[i][bj] = matrix.NewDense(s.Rows(), s.Cols())
 			srcs = append(srcs, s)
@@ -198,6 +221,9 @@ func (p *protected) captureCheckpoint(next int) *Checkpoint {
 		}
 	}
 	p.es.sys.Checkpoint(srcs, dsts)
+	for bj := 0; bj < next; bj++ {
+		cp.Data[bj] = p.out.View(0, bj*p.nb, p.n, p.nb).Clone()
+	}
 	return cp
 }
 
@@ -208,31 +234,28 @@ func (cp *Checkpoint) hostStrips() [][]*matrix.Dense {
 	return [][]*matrix.Dense{cp.Data, cp.ColChk, cp.RowChk}
 }
 
-// restoreFrom ships the checkpoint's strips back onto the devices of the
-// current layout through one System.Restore staging — the rollback/resume
-// entry shared by mid-run rollback (same device set) and cross-system
-// resume (possibly fewer GPUs than at capture time) — and reseeds the
-// host-held factor from the checkpoint's data, so the finished columns are
-// the checkpoint's (a rollback drops the row interchanges LU applied to
-// them since) and the final gather need not pull them.
+// restoreFrom, the entry of mid-run rollback (same device set) and resume
+// (possibly fewer GPUs), reseeds the host-held factor's finished columns
+// from the checkpoint (a rollback drops LU's interchanges on them since)
+// and ships the strips of the columns from NextStep on, the only GPU
+// copies read again, onto the current layout in one System.Restore.
 func (p *protected) restoreFrom(cp *Checkpoint) {
-	for bj, d := range cp.Data {
-		p.out.View(0, bj*p.nb, p.n, p.nb).CopyFrom(d)
+	for bj := 0; bj < cp.NextStep; bj++ {
+		p.out.View(0, bj*p.nb, p.n, p.nb).CopyFrom(cp.Data[bj])
 	}
+	p.done = cp.NextStep
 	host := cp.hostStrips()
 	var srcs []*matrix.Dense
 	var dsts []*hetsim.Buffer
-	for bj := 0; bj < p.nbr; bj++ {
+	for bj := cp.NextStep; bj < p.nbr; bj++ {
 		for i, s := range p.column(bj) {
 			srcs = append(srcs, host[i][bj])
 			dsts = append(dsts, s)
 		}
 	}
 	p.es.sys.Restore(srcs, dsts)
-	// Checkpoints carry no parity; a restore (rollback or cross-run resume)
-	// re-encodes every surviving parity column from the restored data
-	// (skipping parities retired by an earlier node loss) and starts the
-	// parity's epoch at the checkpoint.
+	// Checkpoints carry no parity: re-encode every surviving one from the
+	// data the GPUs now hold, with its epoch at the checkpoint.
 	if p.coded != nil {
 		p.coded.reset(cp.NextStep - 1)
 	}

@@ -17,7 +17,8 @@ import (
 // system: panel decomposition on the CPU, panel update and trailing-matrix
 // update on the GPUs, panels broadcast over PCIe, checksums maintained and
 // verified according to opts. It returns the full gathered matrix (the
-// factor L in the lower triangle) and the run report.
+// factor L in the lower triangle; the blocks above the diagonal blocks are
+// exactly a's) and the run report.
 //
 // The per-iteration dataflow matches MAGMA's hybrid right-looking Cholesky
 // and the paper's Algorithm 2, expressed as ladder stages for the step
@@ -75,25 +76,14 @@ func (l *cholLadder) panelFactor(k int) {
 	cpu := es.sys.CPU()
 	res := es.res
 	nb := p.nb
-	o := k * nb
-	st := p.pull(k, nb)
+	st := p.pull(k, nb, true)
 	l.step[k] = &st
 	es.injectMem(k, fault.PD, st.pdRegions(k, nb))
 	if es.pl.beforePD && es.opts.Mode != NoChecksum {
-		// Under Full mode the diagonal block's row-checksum pair rides
-		// along, so a column left unlocalizable by a previous TMU's
-		// cross-contamination can be rebuilt element-wise.
-		var rowRepair func(col int) bool
-		if es.opts.Mode == Full {
-			cpuRowChk := cpu.Alloc(nb, 2)
-			es.sys.TransferReliable(p.rowChkView(k, o, o+nb), cpuRowChk)
-			rm := cpuRowChk.Access(cpu)
-			rowRepair = func(col int) bool {
-				checksum.ReconstructColumn(st.pm, nb, rm, col, 0, st.pm.Rows)
-				return true
-			}
-		}
-		if out, _ := p.verifyRepair(colAxis, cpu.Workers(), st.pm, st.cm, rowRepair); out == repairFailed {
+		// Under Full mode a column left unlocalizable by a previous TMU's
+		// cross-contamination is rebuilt element-wise from the block's
+		// row-checksum pair.
+		if out, _ := p.verifyRepair(colAxis, cpu.Workers(), st.pm, st.cm, st.rowRepair(nb)); out == repairFailed {
 			res.Unrecoverable = true
 		}
 		res.Counter.PDBefore++

@@ -61,20 +61,20 @@ import (
 // s+1..k write only those rows (LU row interchanges included), so the
 // rows above are frozen and their parity is already current (the code is
 // row-local). Groups whose columns all lie at or before s are frozen as
-// a whole and change only under LU row interchanges, which swapRows
-// mirrors onto their parity rows exactly; a group still active at s gets
-// no mirror, since its parity must stay as of s. Once a run has detected
-// an error, every step refreshes, at full height: a §VII.B repair may
-// rewrite rows above the panel with roundoff-level different bits, which
-// the replay below would not reproduce. A group's live parities are all
+// a whole and never change: no step writes a finished column on the GPUs
+// (LU's later row interchanges reach finished columns on the host alone),
+// so their parity stays exact. Once a run has detected an error, every
+// step refreshes, at full height: a §VII.B repair may rewrite rows above
+// the panel with roundoff-level different bits, which the replay below
+// would not reproduce. A group's live parities are all
 // encoded on one hub GPU (its first live parity GPU), which receives each
 // member once and ships the finished parities j >= 1 home: kk + live − 1
 // cross-node shipments per group rather than kk·live. The initial encode
-// and a rollback (which restores data from the checkpoint and re-encodes
-// all surviving parity; checkpoints do not carry it) run at full height
-// and reset s; a rebalancing round that moves columns after a step past
-// s refreshes at once, so a re-homed parity shares its group's epoch and
-// every snapshot (below) sits on its column's owner.
+// and a restore (which ships the unfinished columns from the checkpoint
+// and re-encodes all surviving parity; checkpoints do not carry it) run
+// at full height and reset s; a rebalancing round that moves columns
+// after a step past s refreshes at once, so a re-homed parity shares its
+// group's epoch and every snapshot (below) sits on its column's owner.
 //
 // Two things keep a lazy parity usable. At each refresh, the initial
 // encode and every rollback included, every GPU copies the rows later
@@ -96,9 +96,10 @@ import (
 // Cauchy matrix is nonsingular — and each lost member D = Σ inv·RHS is
 // accumulated and adopted on a selected parity GPU. That is the member as
 // of s; the adoptee keeps it as the member's snapshot and replays the
-// logged steps s+1..e−1 on that one column — row interchanges, then the
-// panel's adoption from the logged stage, then the PU TRSM and the TMU
-// GEMM — with the ladders' own kernels. Every kernel is column-local and
+// logged steps s+1..e−1 on that one column — before its own step the row
+// interchanges, the PU TRSM and the TMU GEMM, at its own step the panel's
+// adoption from the logged stage, after it nothing — with the ladders'
+// own kernels. Every kernel is column-local and
 // accumulates in k-order (the reason look-ahead is bit-exact, runtime.go),
 // so the replayed column equals the uninterrupted run's bit for bit. Its
 // checksum strips are then re-encoded from the rebuilt data. Redundancy is
@@ -389,10 +390,12 @@ func (cs *codedState) refresh(k int) {
 
 // reset re-encodes every surviving parity at full height from data that
 // reflect the end of step s: the initial encode (s = −1, the input) and
-// the restore of a checkpoint (s = NextStep−1). It verifies first, over
-// the rows below the first block row, and snapshots as commit does.
+// the restore of a checkpoint (s = NextStep−1). It verifies first what
+// the refresh after step s verifies (the input below its first block
+// row): the rows above are finished, and LU's row panels there carry
+// column checksums PU left stale. Then it snapshots as commit does.
 func (cs *codedState) reset(s int) {
-	cs.verify(0)
+	cs.verify(max(s, 0))
 	cs.snapshot(s)
 	cs.epoch = -1
 	cs.reencode(0)
@@ -499,35 +502,6 @@ func (cs *codedState) atEpoch(bj int) *hetsim.Buffer {
 	copyWithin(dev, cs.memberView(bj).View(0, 0, r0, p.nb), col.View(0, 0, r0, p.nb))
 	copyWithin(dev, cs.snaps[bj], cs.rows(col, r0))
 	return col
-}
-
-// swapRows mirrors an LU row interchange onto the surviving parities of
-// every group frozen at the epoch whose members all lie in [bjLo, bjHi):
-// the code is row-local (each parity row depends only on the same member
-// rows), so swapping the same rows keeps the parity exact. A group still
-// active at the epoch keeps its parity as of then; the replay re-applies
-// the swap to a column rebuilt from it.
-func (cs *codedState) swapRows(r1, r2, bjLo, bjHi int) {
-	for t := range cs.groups {
-		g := &cs.groups[t]
-		if g.last > cs.epoch || g.first < bjLo || g.last >= bjHi {
-			continue
-		}
-		for j, buf := range g.bufs {
-			if buf == nil {
-				continue
-			}
-			dev := cs.p.es.sys.GPU(g.pgs[j])
-			buf := buf
-			dev.Run("parity-swap", float64(cs.p.nb), func(int) {
-				m := buf.Access(dev)
-				a, b := m.Row(r1), m.Row(r2)
-				for j := range a {
-					a[j], b[j] = b[j], a[j]
-				}
-			})
-		}
-	}
 }
 
 // rehomeParity re-encodes parity j of group t onto a fresh column on GPU

@@ -92,15 +92,13 @@ func fingerprintCases() []fingerprintCase {
 	return out
 }
 
-// fingerprint runs one case on a fresh 2-GPU system and renders everything
-// a behavior-preserving refactor must keep: the bits of the factor and its
-// auxiliary output, the full verification/recovery counter, the outcome
-// flags, PCIe traffic, flops, and the simulated makespan under both
-// schedules.
-func fingerprint(t *testing.T, i int, c fingerprintCase) string {
-	t.Helper()
-	const n = 128
-	opts := Options{NB: 16, Mode: c.mode, Scheme: c.scheme, Kernel: checksum.OptKernel,
+// fingerprintN and fingerprintNB are the order and block size of the
+// ladder sweep's runs.
+const fingerprintN, fingerprintNB = 128, 16
+
+// run runs the case, row i of the sweep, on a fresh 2-GPU system.
+func (c fingerprintCase) run(i int) (out *matrix.Dense, piv []int, tau []float64, res *Result, err error) {
+	opts := Options{NB: fingerprintNB, Mode: c.mode, Scheme: c.scheme, Kernel: checksum.OptKernel,
 		Lookahead: c.lookahead, PeriodicTrailingCheck: c.periodic, CheckpointEvery: c.ckEvery}
 	if len(c.specs) > 0 {
 		inj := fault.NewInjector(uint64(1000 + i))
@@ -109,7 +107,16 @@ func fingerprint(t *testing.T, i int, c fingerprintCase) string {
 		}
 		opts.Injector = inj
 	}
-	out, piv, tau, res, err := runDecomp(c.decomp, testSystem(2), pipelineInput(c.decomp, n), opts)
+	return runDecomp(c.decomp, testSystem(2), pipelineInput(c.decomp, fingerprintN), opts)
+}
+
+// fingerprint runs one case and renders everything a behavior-preserving
+// refactor must keep: the bits of the factor and its auxiliary output, the
+// full verification/recovery counter, the outcome flags, PCIe traffic,
+// flops, and the simulated makespan under both schedules.
+func fingerprint(t *testing.T, i int, c fingerprintCase) string {
+	t.Helper()
+	out, piv, tau, res, err := c.run(i)
 	if err != nil {
 		return fmt.Sprintf("%s | err=%v", c.label(), err)
 	}

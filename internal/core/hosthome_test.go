@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -13,9 +14,11 @@ import (
 )
 
 // The host is the home of the factor: each certified panel stays in the
-// output, the final gather pulls only the blocks the GPUs computed, and the
-// last step commits nothing to the GPUs. These tests pin the traffic that
-// saves and the host-side row interchanges LU needs for it.
+// output, the final gather pulls only the blocks the GPUs computed, the
+// last step commits nothing to the GPUs, and checkpoints take the finished
+// columns from the output. These tests pin the traffic that saves, the
+// host-side row interchanges LU needs for it, and Cholesky's input above
+// the diagonal blocks.
 
 // heldBytes is the traffic a clean Full-mode run of decomp (order n, block
 // nb, gpus GPUs block-column-cyclic over nodes nodes, the CPU on node 0)
@@ -261,4 +264,142 @@ func countSwaps(piv []int) int {
 		}
 	}
 	return swaps
+}
+
+// TestCholeskyUpperBlocksStayInput runs the Cholesky rows of the ladder
+// sweep, faults and repairs included, and requires every strictly upper
+// block of the output to be the input's, bit for bit: the factor is the
+// lower triangle, and a repair that rewrites a GPU copy of the blocks
+// above it never reaches the output.
+func TestCholeskyUpperBlocksStayInput(t *testing.T) {
+	const n, nb = fingerprintN, fingerprintNB
+	a := pipelineInput("cholesky", n)
+	for i, c := range fingerprintCases() {
+		if c.decomp != "cholesky" {
+			continue
+		}
+		out, _, _, _, err := c.run(i)
+		if err != nil {
+			t.Fatalf("%s: %v", c.label(), err)
+		}
+	blocks:
+		for bj := 1; bj < n/nb; bj++ {
+			for bi := 0; bi < bj; bi++ {
+				got, want := out.View(bi*nb, bj*nb, nb, nb), a.View(bi*nb, bj*nb, nb, nb)
+				for r := 0; r < nb; r++ {
+					for j, v := range got.Row(r) {
+						if w := want.At(r, j); math.Float64bits(v) != math.Float64bits(w) {
+							t.Errorf("%s: upper block (%d,%d) holds %v at (%d,%d), input %v", c.label(), bi, bj, v, r, j, w)
+							break blocks
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// liveStripBytes is the traffic of the strips of block columns [next, n/nb)
+// of a Full-mode layout (data n·nb, column checksums 2·(n/nb)·nb, the
+// row-checksum pair 2·n elements per column), block-column-cyclic over
+// gpus GPUs on nodes nodes, between the host on node 0 and their owners,
+// with its inter-node share: what a checkpoint resuming from step next
+// captures, and what restoring it ships.
+func liveStripBytes(n, nb, gpus, nodes, next int) (pcie, inter int64) {
+	elems := int64(n*nb + 2*(n/nb)*nb + 2*n)
+	for bj := next; bj < n/nb; bj++ {
+		pcie += 8 * elems
+		if bj%gpus%nodes != 0 {
+			inter += 8 * elems
+		}
+	}
+	return pcie, inter
+}
+
+// TestCheckpointMovesOnlyLiveState runs clean Full/NewScheme factorizations
+// under both schedules on a flat 2-GPU system and on 4 GPUs over 4 nodes
+// with r = 2, with and without a checkpoint every 2 steps. Each capture
+// must add exactly the strips of the block columns from its NextStep on to
+// the traffic (the blocks the GPUs computed of the finished columns move
+// either way, at a capture or at the final gather), and carry no checksum
+// strips for the finished columns; restoring a checkpoint must ship only
+// the strips of the columns from NextStep on; and the run resumed from it
+// must reproduce the factor bit for bit.
+func TestCheckpointMovesOnlyLiveState(t *testing.T) {
+	const n, nb, every = 192, 16, 2
+	topos := []struct {
+		name        string
+		gpus, nodes int
+		sys         func() *hetsim.System
+		redundancy  int
+	}{
+		{"flat", 2, 1, func() *hetsim.System { return testSystem(2) }, 0},
+		{"cluster", 4, 4, func() *hetsim.System { return clusterSystem(4, 4) }, 2},
+	}
+	for _, decomp := range []string{"cholesky", "lu", "qr"} {
+		for _, topo := range topos {
+			for _, la := range []int{0, 1} {
+				label := fmt.Sprintf("%s/%s/la=%d", decomp, topo.name, la)
+				a := pipelineInput(decomp, n)
+				opts := Options{NB: nb, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel, Lookahead: la, Redundancy: topo.redundancy}
+				want, wpiv, wtau, base, err := runDecomp(decomp, topo.sys(), a, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				var cps []*Checkpoint
+				ck := opts
+				ck.CheckpointEvery = every
+				ck.OnCheckpoint = func(cp *Checkpoint) { cps = append(cps, cp) }
+				_, _, _, res, err := runDecomp(decomp, topo.sys(), a, ck)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if len(cps) != (n/nb-1)/every {
+					t.Fatalf("%s: %d checkpoints, want %d", label, len(cps), (n/nb-1)/every)
+				}
+				pcie, inter := base.PCIeBytes, base.InternodeBytes
+				for _, cp := range cps {
+					p, i := liveStripBytes(n, nb, topo.gpus, topo.nodes, cp.NextStep)
+					pcie, inter = pcie+p, inter+i
+					for bj := range cp.Data {
+						if live := bj >= cp.NextStep; (cp.ColChk[bj] != nil) != live || (cp.RowChk[bj] != nil) != live {
+							t.Errorf("%s: checkpoint at step %d: block column %d carries checksum strips %t/%t, want %t",
+								label, cp.NextStep, bj, cp.ColChk[bj] != nil, cp.RowChk[bj] != nil, live)
+							break
+						}
+					}
+				}
+				if res.PCIeBytes != pcie || res.InternodeBytes != inter {
+					t.Errorf("%s: moved %d PCIe / %d inter-node bytes with checkpoints, want %d / %d",
+						label, res.PCIeBytes, res.InternodeBytes, pcie, inter)
+				}
+
+				cp := cps[len(cps)/2]
+				sys := topo.sys()
+				tr := obs.NewTrace()
+				sys.SetTracer(tr)
+				p := newLayout(newEngine(decomp, sys, opts, newResult(sys, n, opts)), a, cp.Tol)
+				p.restoreFrom(cp)
+				var shipped int64
+				for _, sp := range tr.Spans() {
+					if sp.Proc == obs.ProcSim && sp.Cat == obs.PhasePCIe && strings.HasPrefix(sp.Name, "CPU->") {
+						shipped += int64(sp.Args["bytes"])
+					}
+				}
+				if live, _ := liveStripBytes(n, nb, topo.gpus, topo.nodes, cp.NextStep); shipped != live {
+					t.Errorf("%s: restoring the checkpoint at step %d shipped %d bytes, want %d", label, cp.NextStep, shipped, live)
+				}
+				resumed := opts
+				resumed.Resume = cp
+				got, piv, tau, _, err := runDecomp(decomp, topo.sys(), a, resumed)
+				if err != nil {
+					t.Fatalf("%s: resume from step %d: %v", label, cp.NextStep, err)
+				}
+				if factorBits(got, piv, tau) != factorBits(want, wpiv, wtau) {
+					d, r, c := want.MaxAbsDiff(got)
+					t.Errorf("%s: the run resumed from step %d differs: |Δ|=%g at (%d,%d)", label, cp.NextStep, d, r, c)
+				}
+			}
+		}
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"ftla/internal/checksum"
 	"ftla/internal/fault"
 	"ftla/internal/hetsim"
 	"ftla/internal/matrix"
@@ -55,7 +56,7 @@ func factorize(decomp string, sys *hetsim.System, a *matrix.Dense, opts Options,
 		if err := cp.validateFor(name, a.Rows, &opts); err != nil {
 			return nil, nil, nil, err
 		}
-		p = newLayout(es, cp.N, cp.Tol)
+		p = newLayout(es, a, cp.Tol)
 	} else {
 		p = newProtected(es, a)
 	}
@@ -97,24 +98,28 @@ func (b *ladderBase) logReplay(step func(bj, g int)) {
 }
 
 // panelStep is the staging state of one ladder step: the panel pulled to
-// the CPU, in place in the host-held output, and its checksum strips, from
+// the CPU, in place in the host-held output, and its checksum strips (rm,
+// its row-checksum pair, only for a Full-mode check before PD), from
 // panelFactor until it is written back, the per-GPU stages of the
 // broadcast panel until tmuFinish retires them, and the trailing update's
 // fault windows: the on-chip corruption its slices load, and the
 // computation faults aimed at trailing columns the look-ahead schedule
 // has not updated yet.
 type panelStep struct {
-	pm, cm *matrix.Dense
-	stages []stagePair
-	onChip fault.OnChip
-	comp   []fault.Target
+	pm, cm, rm *matrix.Dense
+	stages     []stagePair
+	onChip     fault.OnChip
+	comp       []fault.Target
 }
 
 // pull stages rows [k·nb, k·nb+rows) of block column k on the CPU, in one
 // staging: the data straight into their place in the host-held output,
 // where the certified panel stays, and their column checksum strips into a
-// host matrix of their own.
-func (p *protected) pull(k, rows int) panelStep {
+// host matrix of their own. A driver whose check before PD runs on the CPU
+// sets cpuCheck, and under Full mode, when the plan runs that check, the
+// rows' row-checksum pair rides along for its column rebuild (see
+// rowRepair).
+func (p *protected) pull(k, rows int, cpuCheck bool) panelStep {
 	es := p.es
 	o := k * p.nb
 	st := panelStep{pm: p.out.View(o, o, rows, p.nb)}
@@ -126,8 +131,27 @@ func (p *protected) pull(k, rows int) panelStep {
 		srcs = append(srcs, p.colChkView(k, k, k+strips))
 		dsts = append(dsts, st.cm)
 	}
+	if cpuCheck && es.pl.beforePD && es.opts.Mode == Full {
+		st.rm = matrix.NewDense(rows, 2)
+		srcs = append(srcs, p.rowChkView(k, o, o+rows))
+		dsts = append(dsts, st.rm)
+	}
 	es.sys.Checkpoint(srcs, dsts)
 	return st
+}
+
+// rowRepair returns the stuck-column callback of the check before PD: a
+// column left unlocalizable (e.g. by an on-chip row-panel fault an earlier
+// TMU consumed) is rebuilt in place from the pulled row-checksum pair. It
+// is nil when pull staged no pair.
+func (st *panelStep) rowRepair(nb int) func(col int) bool {
+	if st.rm == nil {
+		return nil
+	}
+	return func(col int) bool {
+		checksum.ReconstructColumn(st.pm, nb, st.rm, col, 0, st.pm.Rows)
+		return true
+	}
 }
 
 // send ships the host matrix src into the device buffer dst: a staging of

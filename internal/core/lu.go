@@ -23,10 +23,10 @@ import (
 //
 //	GPU_owner → CPU   column panel transfer (+ column checksums)
 //	CPU               PD: GETF2 with partial pivoting   (panelFactor)
-//	GPUs              row interchanges on all other block columns, with
+//	GPUs              row interchanges on the trailing block columns, with
 //	                  incremental column-checksum maintenance (panelPivot)
-//	CPU               the same interchanges on the finished columns of
-//	                  the host-held factor                 (panelPivot)
+//	CPU               the same interchanges on the finished columns, which
+//	                  only the host-held factor keeps      (panelPivot)
 //	CPU → all GPUs    factored panel broadcast (+ checksums) (panelCommit)
 //	all GPUs          PU: U12 = L11⁻¹·A12 (row checksums ride the TRSM)
 //	all GPUs          TMU: A22 −= L21·U12 with full checksum maintenance
@@ -94,24 +94,14 @@ func (l *luLadder) panelFactor(k int) {
 	o := k * nb
 	m := n - o
 	full := es.opts.Mode == Full
-	st := &luStep{panelStep: p.pull(k, m)}
+	st := &luStep{panelStep: p.pull(k, m, true)}
 	l.step[k] = st
 	es.injectMem(k, fault.PD, st.pdRegions(k, nb))
 	if es.pl.beforePD && es.opts.Mode != NoChecksum {
-		// Under Full mode the panel's row-checksum pair rides along so
-		// that a 1-D column contamination (e.g. an on-chip row-panel
-		// fault consumed by an earlier TMU) can be rebuilt in place.
-		var rowRepairPD func(col int) bool
-		if full {
-			cpuRowChk := cpu.Alloc(m, 2)
-			es.sys.TransferReliable(p.rowChkView(k, o, n), cpuRowChk)
-			rm := cpuRowChk.Access(cpu)
-			rowRepairPD = func(col int) bool {
-				checksum.ReconstructColumn(st.pm, nb, rm, col, 0, st.pm.Rows)
-				return true
-			}
-		}
-		out, fixed := p.verifyRepair(colAxis, cpu.Workers(), st.pm, st.cm, rowRepairPD)
+		// Under Full mode a 1-D column contamination (e.g. an on-chip
+		// row-panel fault consumed by an earlier TMU) is rebuilt in place
+		// from the panel's row-checksum pair.
+		out, fixed := p.verifyRepair(colAxis, cpu.Workers(), st.pm, st.cm, st.rowRepair(nb))
 		if out == repairFailed {
 			res.Unrecoverable = true
 		}
@@ -153,12 +143,12 @@ func (p *protected) probeRow(r, k int) (hits int) {
 	return hits
 }
 
-// panelPivot applies the step's row interchanges to every other block
-// column, and to the finished columns of the host-held factor, probing
-// each touched row against its row checksums first: a row contaminated by
-// an undetected on-chip 1-D propagation from an earlier TMU (§VII.B
-// Fig. 4b) must be repaired *before* the interchange, because the
-// incremental checksum maintenance under a swap reads the stored
+// panelPivot applies the step's row interchanges to the trailing block
+// columns on the GPUs and to the finished columns of the host-held factor,
+// probing each touched row against its row checksums first: a row
+// contaminated by an undetected on-chip 1-D propagation from an earlier
+// TMU (§VII.B Fig. 4b) must be repaired *before* the interchange, because
+// the incremental checksum maintenance under a swap reads the stored
 // (corrupted) values and would otherwise bake the corruption into the
 // checksums.
 func (l *luLadder) panelPivot(k int) {
@@ -204,13 +194,12 @@ func (l *luLadder) panelPivot(k int) {
 	}
 	for j, lp := range st.lpiv {
 		if lp != j {
-			p.swapRows(o+j, o+lp, 0, k)
 			p.swapRows(o+j, o+lp, k+1, p.nbr)
 		}
 	}
 	// The finished columns' rows from o on are the host's (their certified
-	// panels), so the interchanges reach the factor there, as MAGMA's
-	// host-side laswp does.
+	// panels), so the interchanges reach the factor there alone, as
+	// MAGMA's host-side laswp does: no GPU copy of them is read again.
 	if o > 0 {
 		lapack.Laswp(p.out.View(o, 0, n-o, o), st.lpiv)
 	}
@@ -317,22 +306,20 @@ func (p *protected) luPUOnGPU(g, k int, st stagePair, lb0, lb1 int, oc fault.OnC
 
 // replay applies step k to block column bj, rebuilt on GPU g (see
 // codedState.adopt), from g's stage st and the step's local pivots lpiv:
-// the step's row interchanges, or — for the panel column — its adoption
-// from the stage; then, for a later column, the PU TRSM and the trailing
-// update.
+// the panel column adopts the stage, and a later column takes the step's
+// row interchanges, the PU TRSM and the trailing update.
 func (l *luLadder) replay(k int, st stagePair, lpiv []int, bj, g int) {
 	p := l.p
 	o := k * p.nb
-	if bj == k {
+	switch {
+	case bj == k:
 		copyWithin(p.es.sys.GPU(g), st.data, p.local[g].View(o, p.localOff(bj), p.n-o, p.nb))
-		return
-	}
-	for j, lp := range lpiv {
-		if lp != j {
-			p.swapRows(o+j, o+lp, bj, bj+1)
+	case bj > k:
+		for j, lp := range lpiv {
+			if lp != j {
+				p.swapRows(o+j, o+lp, bj, bj+1)
+			}
 		}
-	}
-	if bj > k {
 		lb := p.localBlock(bj)
 		p.luPUOnGPU(g, k, st, lb, lb+1, nil)
 		p.luTMUOnGPU(g, k, st, nil, tmuColumn(bj))

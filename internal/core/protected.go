@@ -53,12 +53,14 @@ type protected struct {
 	// flat single-node systems.
 	coded *codedState
 
-	// out is the host home of the factor. It starts as the input (or, on
-	// a restore, as the checkpoint); pull stages each panel into its place
-	// there, where factorPanel certifies it and it stays, LU's later row
-	// interchanges reach its finished columns on the host, and gather
-	// fills in the blocks the GPUs computed.
-	out *matrix.Dense
+	// out is the host home of the factor. It starts as the input, with a
+	// restore's finished columns from the checkpoint; pull stages each
+	// panel into its place there, where factorPanel certifies it and it
+	// stays, LU's later row interchanges reach its finished columns on
+	// the host, and finish fills in the blocks the GPUs computed. Its
+	// first done block columns are complete; no GPU copy of them is read.
+	out  *matrix.Dense
+	done int
 	// lower marks a factor whose GPUs compute the rows below each
 	// diagonal block (Cholesky's L21, whose strictly upper blocks keep the
 	// input); otherwise they compute the rows above it (LU's U12, QR's
@@ -125,19 +127,20 @@ func (p *protected) initCyclicLayout(G int) {
 	}
 }
 
-// newLayout builds an empty order-n layout over the current GPUs with
-// verification tolerance tol: the block-column-cyclic ownership tables,
-// each GPU's data and checksum slabs and, on multi-node systems, the
-// parity groups. Nothing is shipped or encoded yet — newProtected
-// distributes an input matrix into it, and a resumed run restores a
-// checkpoint. Rebalancing runs (Options.Rebalance.Every > 0) and
+// newLayout builds an empty layout of a's order over the current GPUs
+// with verification tolerance tol: the host-held factor, seeded with a,
+// the block-column-cyclic ownership tables, each GPU's data and checksum
+// slabs and, on multi-node systems, the parity groups. Nothing is shipped
+// or encoded yet — newProtected distributes a into it, and a resumed run
+// restores a checkpoint. Rebalancing runs (Options.Rebalance.Every > 0) and
 // multi-node runs allocate full-width slabs (nbr blocks) so column
 // migration — or the adoption of reconstructed columns after a node loss —
 // is a shift-and-copy, never a realloc; static flat runs size them to the
 // cyclic share.
-func newLayout(es *engineSys, n int, tol float64) *protected {
+func newLayout(es *engineSys, a *matrix.Dense, tol float64) *protected {
 	G := es.sys.NumGPUs()
-	p := &protected{es: es, n: n, nb: es.opts.NB, nbr: n / es.opts.NB, tol: tol, out: matrix.NewDense(n, n)}
+	n := a.Rows
+	p := &protected{es: es, n: n, nb: es.opts.NB, nbr: n / es.opts.NB, tol: tol, out: a.Clone()}
 	p.initCyclicLayout(G)
 	p.local = make([]*hetsim.Buffer, G)
 	p.colChk = make([]*hetsim.Buffer, G)
@@ -166,13 +169,12 @@ func newLayout(es *engineSys, n int, tol float64) *protected {
 }
 
 // newProtected distributes a (resident on the CPU) across the GPUs in one
-// staging, encodes the initial checksums on-device with the configured
-// kernel, and seeds the host-held factor with a.
+// staging and encodes the initial checksums on-device with the configured
+// kernel.
 func newProtected(es *engineSys, a *matrix.Dense) *protected {
 	n := a.Rows
 	scale := 1 + matrix.NormMax(a)
-	p := newLayout(es, n, max(matrix.Gamma(n)*scale*scale*float64(n), 1e-9))
-	p.out.CopyFrom(a)
+	p := newLayout(es, a, max(matrix.Gamma(n)*scale*scale*float64(n), 1e-9))
 	var srcs []*matrix.Dense
 	var dsts []*hetsim.Buffer
 	for g := range p.blocks {
@@ -299,32 +301,29 @@ func (p *protected) migrateColumn(bj, dst int) {
 	p.reown(bj, dst, idx)
 }
 
-// gather completes the host-held factor with the blocks the GPUs computed,
-// in one staging: of each block column, the rows above its diagonal block
-// (LU's U12, QR's R12) or, for a lower factor, the rows below it
-// (Cholesky's L21). The host already holds the rest: every certified panel
-// was factored in its place in p.out, and a lower factor's strictly upper
-// blocks are the input, which no GPU kernel writes. A repair may rewrite
-// them, though (the row and column reconstructions span whole slices and
-// columns), so a run that detected an error gathers them too.
-func (p *protected) gather() *matrix.Dense {
-	var srcs []*hetsim.Buffer
-	var dsts []*matrix.Dense
-	rows := func(bj, lo, hi int) {
-		if lo < hi {
-			srcs = append(srcs, p.column(bj)[0].View(lo, 0, hi-lo, p.nb))
-			dsts = append(dsts, p.out.View(lo, bj*p.nb, hi-lo, p.nb))
-		}
-	}
-	for bj := 0; bj < p.nbr; bj++ {
-		if !p.lower || p.es.res.Detected {
-			rows(bj, 0, bj*p.nb)
-		}
+// finish lists, for the caller's staging, the copies of the rows the GPUs
+// computed (see lower) of block columns [p.done, hi) into their place in
+// p.out, which holds the rest, and counts those columns as done: no step
+// after hi−1 writes them.
+func (p *protected) finish(hi int) (srcs []*hetsim.Buffer, dsts []*matrix.Dense) {
+	for bj := p.done; bj < hi; bj++ {
+		lo, end := 0, bj*p.nb
 		if p.lower {
-			rows(bj, (bj+1)*p.nb, p.n)
+			lo, end = (bj+1)*p.nb, p.n
+		}
+		if lo < end {
+			srcs = append(srcs, p.column(bj)[0].View(lo, 0, end-lo, p.nb))
+			dsts = append(dsts, p.out.View(lo, bj*p.nb, end-lo, p.nb))
 		}
 	}
-	p.es.sys.Checkpoint(srcs, dsts)
+	p.done = hi
+	return srcs, dsts
+}
+
+// gather completes the host-held factor in one staging: the blocks the
+// GPUs computed of every block column no checkpoint capture has finished.
+func (p *protected) gather() *matrix.Dense {
+	p.es.sys.Checkpoint(p.finish(p.nbr))
 	return p.out
 }
 
@@ -404,9 +403,6 @@ func (p *protected) swapRows(r1, r2, bjLo, bjHi int) {
 				}
 			}
 		})
-	}
-	if p.coded != nil {
-		p.coded.swapRows(r1, r2, bjLo, bjHi)
 	}
 }
 

@@ -42,7 +42,7 @@ func QR(sys *hetsim.System, a *matrix.Dense, opts Options) (*matrix.Dense, []flo
 // copies until tmuFinish retires them.
 type qrStep struct {
 	panelStep
-	cpuT, cpuCV     *hetsim.Buffer
+	t, cv           *matrix.Dense
 	cvStage, tStage []*hetsim.Buffer
 }
 
@@ -120,7 +120,7 @@ func (l *qrLadder) panelFactor(k int) {
 		}
 		res.Counter.PDBefore += p.nbr - k
 	}
-	st := &qrStep{panelStep: p.pull(k, m)}
+	st := &qrStep{panelStep: p.pull(k, m, false)}
 	l.step[k] = st
 	ltau := l.tau[o : o+nb]
 	geqr2 := func() error {
@@ -158,15 +158,14 @@ func (l *qrLadder) panelFactor(k int) {
 			res.Unrecoverable = true
 		}
 	}
-	st.cpuT = cpu.AllocFrom(tmat)
+	st.t = tmat
 
 	// c(V): column checksums of the materialized reflectors, the
 	// operand that maintains the trailing column checksums (Table III).
 	if chk {
 		vmat := lapack.MaterializeV(st.pm)
-		cv := matrix.NewDense(checksum.ColDims(m, nb, nb))
-		p.encodeColInto(cpu.Workers(), vmat, cv)
-		st.cpuCV = cpu.AllocFrom(cv)
+		st.cv = matrix.NewDense(checksum.ColDims(m, nb, nb))
+		p.encodeColInto(cpu.Workers(), vmat, st.cv)
 	}
 }
 
@@ -192,13 +191,13 @@ func (l *qrLadder) panelCommit(k int) {
 		if st.tStage[g] == nil {
 			st.tStage[g] = sys.GPU(g).Alloc(nb, nb)
 			if chk {
-				st.cvStage[g] = sys.GPU(g).Alloc(st.cpuCV.Rows(), nb)
+				st.cvStage[g] = sys.GPU(g).Alloc(st.cv.Rows, nb)
 			}
 		}
 		if chk {
-			es.sys.TransferReliable(st.cpuCV, st.cvStage[g])
+			es.send(st.cv, st.cvStage[g])
 		}
-		es.sys.TransferReliable(st.cpuT, st.tStage[g])
+		es.send(st.t, st.tStage[g])
 	})
 	if !es.pl.afterPDBcast || !chk {
 		return

@@ -188,8 +188,8 @@ func TestRollbackRecoversUncorrectable(t *testing.T) {
 
 // TestCheckpointCadenceAndValidation: CheckpointEvery controls how often
 // snapshots are taken (never after the final step), the checkpoint carries
-// the resume step, and Options.Resume rejects checkpoints whose driver or
-// geometry does not match.
+// the resume step, and Options.Resume rejects checkpoints whose driver,
+// geometry or strip shape does not match.
 func TestCheckpointCadenceAndValidation(t *testing.T) {
 	a := pipelineInput("cholesky", 96)
 	var last *Checkpoint
@@ -236,5 +236,16 @@ func TestCheckpointCadenceAndValidation(t *testing.T) {
 	bad.Mode, bad.Scheme = SingleSide, NewScheme
 	if _, _, err := Cholesky(testSystem(2), a, bad); err == nil {
 		t.Fatal("resume accepted a mismatched protection mode")
+	}
+	// A trailing column without its column-checksum strip, re-sealed so
+	// that the content checksum matches: the shape check refuses it.
+	shape := *last
+	shape.ColChk = append([]*matrix.Dense(nil), last.ColChk...)
+	shape.ColChk[shape.NextStep] = nil
+	shape.seal()
+	bad = resOpts
+	bad.Resume = &shape
+	if _, _, err := Cholesky(testSystem(2), a, bad); err == nil || errors.Is(err, ErrCheckpointIntegrity) {
+		t.Fatalf("resume of a checkpoint missing a trailing strip: err = %v, want a shape error", err)
 	}
 }

@@ -12,8 +12,10 @@ import (
 
 // CholeskyResult holds a protected Cholesky factorization A = L·Lᵀ.
 type CholeskyResult struct {
-	// L is the lower-triangular factor (entries above the diagonal are
-	// residual input values and should be ignored).
+	// L is the lower-triangular factor. The blocks above its diagonal
+	// blocks (NB wide) are exactly the input's, and inside a diagonal
+	// block the entries above the diagonal are residual input values;
+	// both should be ignored.
 	L *Matrix
 	// Report is the run's verification/recovery statistics.
 	Report *Report
