@@ -130,11 +130,10 @@ func (bl *batchLadder) failed() error {
 	return nil
 }
 
-// coded returns the cross-node parity of every live item (none on flat
-// systems), for the runtime's per-step parity stage.
-func (bl *batchLadder) coded() []*codedState {
-	var out []*codedState
-	bl.each(func(l ladder) { out = append(out, l.(rebalancer).layout().coded) })
+// layouts returns the protected layout of every live item.
+func (bl *batchLadder) layouts() []*protected {
+	var out []*protected
+	bl.each(func(l ladder) { out = append(out, l.(rebalancer).layout()) })
 	return out
 }
 

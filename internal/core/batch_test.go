@@ -53,7 +53,12 @@ func runSolo(t *testing.T, decomp string, a *matrix.Dense, gpus int, opts Option
 // per-item error.
 func runBatched(t *testing.T, decomp string, ms []*matrix.Dense, gpus int, opts Options, injs []*fault.Injector) ([]*matrix.Dense, [][]int, [][]float64, []*Result) {
 	t.Helper()
-	sys := testSystem(gpus)
+	return runBatchedOn(t, decomp, ms, testSystem(gpus), opts, injs)
+}
+
+// runBatchedOn is runBatched on a caller-built system.
+func runBatchedOn(t *testing.T, decomp string, ms []*matrix.Dense, sys *hetsim.System, opts Options, injs []*fault.Injector) ([]*matrix.Dense, [][]int, [][]float64, []*Result) {
+	t.Helper()
 	var (
 		outs []*matrix.Dense
 		pivs [][]int

@@ -74,20 +74,10 @@ func (l *cholLadder) resume(cp *Checkpoint) {
 func (l *cholLadder) panelFactor(k int) {
 	p, es := l.p, l.p.es
 	cpu := es.sys.CPU()
-	res := es.res
 	nb := p.nb
 	st := p.pull(k, nb, true)
 	l.step[k] = &st
-	es.injectMem(k, fault.PD, st.pdRegions(k, nb))
-	if es.pl.beforePD && es.opts.Mode != NoChecksum {
-		// Under Full mode a column left unlocalizable by a previous TMU's
-		// cross-contamination is rebuilt element-wise from the block's
-		// row-checksum pair.
-		if out, _ := p.verifyRepair(colAxis, cpu.Workers(), st.pm, st.cm, st.rowRepair(nb)); out == repairFailed {
-			res.Unrecoverable = true
-		}
-		res.Counter.PDBefore++
-	}
+	p.checkPanel(k, &st)
 	potf2 := func() (err error) {
 		cpu.Run("potf2", float64(nb*nb*nb)/3, func(int) {
 			err = lapack.Potf2(st.pm)

@@ -385,6 +385,7 @@ func TestClusterParityPlacementDisjoint(t *testing.T) {
 		res := &Result{}
 		es := newEngine("cholesky", sys, opts, res)
 		p := newProtected(es, a)
+		p.encodeInitial()
 		if p.coded == nil {
 			t.Fatalf("gpus=%d nodes=%d: no coded state on a multi-node topology", tc.gpus, tc.nodes)
 		}
@@ -481,6 +482,39 @@ func TestClusterLossEpochSweep(t *testing.T) {
 						}
 					})
 				}
+			}
+		}
+	}
+}
+
+// TestClusterLossAtStepZero loses nodes at the first epoch boundary,
+// before any step has run: node 0, whose GPU owns panel 0, and a burst of
+// nodes 0 and 1, on 4 GPUs over 4 nodes with r = 2. A fresh run factors
+// panel 0 on the host before it encodes the layout on the GPUs, so the
+// parity the reconstruction decodes must be in place before the loss is
+// handled. Each lossy run must rebuild and match the clean run bit for
+// bit.
+func TestClusterLossAtStepZero(t *testing.T) {
+	const n, nb = 128, 16
+	for _, lose := range [][]int{{0}, {0, 1}} {
+		for _, decomp := range []string{"cholesky", "lu", "qr"} {
+			for _, lookahead := range []int{0, 1} {
+				t.Run(fmt.Sprintf("lose=%v/%s/lookahead=%d", lose, decomp, lookahead), func(t *testing.T) {
+					t.Parallel()
+					opts := Options{NB: nb, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel,
+						Lookahead: lookahead, Redundancy: 2}
+					clean := runPipelineOn(t, decomp, n, clusterSystem(4, 4), opts)
+					opts.NodeFault = make(map[int]hetsim.NodeFaultPlan)
+					for _, node := range lose {
+						opts.NodeFault[node] = hetsim.NodeFaultPlan{AfterEpochs: 0}
+					}
+					lossy := runPipelineOn(t, decomp, n, clusterSystem(4, 4), opts)
+					if lossy.res.NodesLost != len(lose) || lossy.res.Reconstructions == 0 {
+						t.Fatalf("NodesLost/Reconstructions = %d/%d, want %d/>0",
+							lossy.res.NodesLost, lossy.res.Reconstructions, len(lose))
+					}
+					requireSameFactors(t, "loss at step 0", clean, lossy)
+				})
 			}
 		}
 	}

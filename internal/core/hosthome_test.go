@@ -32,7 +32,12 @@ import (
 //   - the last step (m = nb rows, one checksum strip) drops its owner
 //     writeback and broadcast legs, nb² + 2·nb elements to each GPU that
 //     gets one (Cholesky: the owner alone; LU and QR: every GPU), and QR
-//     also its c(V) (2·nb) and T (nb²) legs to every GPU.
+//     also its c(V) (2·nb) and T (nb²) legs to every GPU;
+//   - the first step pulls nothing from GPU 0: panel 0 is the input's, the
+//     host holds it, and the host encodes its checksums. That drops its
+//     rows (nb for Cholesky, n otherwise) times nb of data, two
+//     column-checksum elements per row and, for Cholesky and LU, whose
+//     check before PD ran on the CPU, the two-column row-checksum pair.
 func heldBytes(decomp string, n, nb, gpus, nodes int) (pcie, inter int64) {
 	nbr := n / nb
 	add := func(g int, elems int) {
@@ -62,6 +67,15 @@ func heldBytes(decomp string, n, nb, gpus, nodes int) (pcie, inter int64) {
 			add(g, 2*leg)
 		}
 	}
+	rows := n
+	if decomp == "cholesky" {
+		rows = nb
+	}
+	pull := rows*nb + 2*rows
+	if decomp != "qr" {
+		pull += 2 * rows
+	}
+	add(0, pull)
 	return pcie, inter
 }
 
@@ -132,6 +146,142 @@ func TestGatherMovesOnlyDeviceBlocks(t *testing.T) {
 						t.Errorf("%s: %s (%v bytes) after the last CPU kernel", label, sp.Name, sp.Args["bytes"])
 					}
 				}
+			}
+		}
+	}
+}
+
+// panelZeroBits are the factor bits of TestPanelZeroFactorsDuringScatter's
+// runs (n=192, nb=16, Full/NewScheme) when every run pulled panel 0 from
+// its owner GPU after the scatter and the initial encode: the solo run of
+// pipelineInput on every topology and schedule, then the three items of a
+// batchInputs batch.
+var panelZeroBits = map[string][]uint64{
+	"cholesky": {0x824d7ec1587f1a8d, 0xc0077ed0597cc796, 0x5fa5de5acd1cdd4a, 0xf7efb8aa12e9dfef},
+	"lu":       {0x27db123e33c8c4cf, 0x249a824bf07b78bd, 0x0bbaeebbf8787561, 0xbc3a9202dff0a3c5},
+	"qr":       {0xc362d0d10fabf19a, 0xebca6c85767f7f34, 0x4debb03a98000644, 0x9c49c7b8659cac6d},
+}
+
+// panelZeroFaultBits are the factor bits of the same solo run with the
+// step-0 PD memory fault of TestPanelZeroFactorsDuringScatter, corrected
+// when panel 0 was pulled from its owner GPU (QR checked it there). A
+// checksum correction restores the element only to round-off, so they
+// differ from the clean bits.
+var panelZeroFaultBits = map[string]uint64{
+	"cholesky": 0x8b9ecab6bbb0ffb5,
+	"lu":       0x395fa5f8634024f2,
+	"qr":       0x49514db212e9c6a2,
+}
+
+// requireHostStart checks the trace of a fresh run: its first CPU kernel
+// starts at simulated time 0, and no copy into the CPU is issued before
+// it, so panel 0 was taken from the host's copy of the input while the
+// scatter was in flight.
+func requireHostStart(t *testing.T, label string, tr *obs.Trace) {
+	t.Helper()
+	for _, sp := range tr.Spans() {
+		if sp.Proc != obs.ProcSim {
+			continue
+		}
+		if sp.Track == "CPU" && sp.Cat == "kernel" {
+			if sp.StartUS != 0 {
+				t.Errorf("%s: the first CPU kernel, %s, starts at %g us, want 0", label, sp.Name, sp.StartUS)
+			}
+			return
+		}
+		if _, dst, _ := strings.Cut(sp.Name, "->"); sp.Cat == obs.PhasePCIe && dst == "CPU" {
+			t.Errorf("%s: %s before the first CPU kernel", label, sp.Name)
+			return
+		}
+	}
+	t.Errorf("%s: no CPU kernel in the trace", label)
+}
+
+// TestPanelZeroFactorsDuringScatter runs clean Full/NewScheme
+// factorizations under both schedules on a flat 2-GPU system and on 4 GPUs
+// over 4 nodes with r = 2, and batches of three on the flat system: each
+// must start on the CPU at simulated time 0, with no copy into the CPU
+// before its first CPU kernel, and keep its factor bits. A step-0
+// off-chip memory fault in PD, which now strikes the host's copy of the
+// panel, must still be detected and corrected, with the same bits and the
+// same count of blocks checked before PD as when the panel was pulled.
+func TestPanelZeroFactorsDuringScatter(t *testing.T) {
+	const n, nb = 192, 16
+	topos := []struct {
+		name       string
+		sys        func() *hetsim.System
+		redundancy int
+	}{
+		{"flat", func() *hetsim.System { return testSystem(2) }, 0},
+		{"cluster", func() *hetsim.System { return clusterSystem(4, 4) }, 2},
+	}
+	for _, decomp := range []string{"cholesky", "lu", "qr"} {
+		want := panelZeroBits[decomp]
+		// The check before PD covers each panel: Cholesky's diagonal
+		// block, or every block from the diagonal down.
+		pdBefore := (n / nb) * (n/nb + 1) / 2
+		if decomp == "cholesky" {
+			pdBefore = n / nb
+		}
+		for _, la := range []int{0, 1} {
+			opts := Options{NB: nb, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel, Lookahead: la}
+			for _, topo := range topos {
+				label := fmt.Sprintf("%s/%s/la=%d", decomp, topo.name, la)
+				sys := topo.sys()
+				tr := obs.NewTrace()
+				sys.SetTracer(tr)
+				topts := opts
+				topts.Redundancy = topo.redundancy
+				out, piv, tau, res, err := runDecomp(decomp, sys, pipelineInput(decomp, n), topts)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if res.Counter.PDBefore != pdBefore {
+					t.Errorf("%s: PDBefore %d, want %d", label, res.Counter.PDBefore, pdBefore)
+				}
+				if got := factorBits(out, piv, tau); got != want[0] {
+					t.Errorf("%s: bits %#016x, want %#016x", label, got, want[0])
+				}
+				requireHostStart(t, label, tr)
+			}
+
+			label := fmt.Sprintf("%s/batch/la=%d", decomp, la)
+			sys := testSystem(2)
+			tr := obs.NewTrace()
+			sys.SetTracer(tr)
+			outs, pivs, taus, _ := runBatchedOn(t, decomp, batchInputs(decomp, 3, n), sys, opts, nil)
+			for i, out := range outs {
+				var piv []int
+				var tau []float64
+				if pivs != nil {
+					piv = pivs[i]
+				}
+				if taus != nil {
+					tau = taus[i]
+				}
+				if got := factorBits(out, piv, tau); got != want[1+i] {
+					t.Errorf("%s: item %d bits %#016x, want %#016x", label, i, got, want[1+i])
+				}
+			}
+			requireHostStart(t, label, tr)
+
+			label = fmt.Sprintf("%s/off-chip-mem@PD it=0/la=%d", decomp, la)
+			inj := fault.NewInjector(17)
+			inj.Schedule(fault.Spec{Kind: fault.OffChipMemory, Op: fault.PD, Part: fault.UpdatePart, Iteration: 0, Bits: 2, Row: -1, Col: -1})
+			fopts := opts
+			fopts.Injector = inj
+			out, piv, tau, res, err := runDecomp(decomp, testSystem(2), pipelineInput(decomp, n), fopts)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if c := res.Counter; c.DetectedErrors != 1 || c.CorrectedElements != 1 || c.LocalRestarts != 0 || res.Unrecoverable {
+				t.Errorf("%s: %+v unrecoverable=%t, want one error detected and corrected in place", label, c, res.Unrecoverable)
+			}
+			if res.Counter.PDBefore != pdBefore {
+				t.Errorf("%s: PDBefore %d, want %d", label, res.Counter.PDBefore, pdBefore)
+			}
+			if got := factorBits(out, piv, tau); got != panelZeroFaultBits[decomp] {
+				t.Errorf("%s: bits %#016x, want %#016x", label, got, panelZeroFaultBits[decomp])
 			}
 		}
 	}

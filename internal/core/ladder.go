@@ -9,6 +9,7 @@ import (
 	"ftla/internal/fault"
 	"ftla/internal/hetsim"
 	"ftla/internal/matrix"
+	"ftla/internal/obs"
 )
 
 // The protected-ladder skeleton.
@@ -115,10 +116,12 @@ type panelStep struct {
 // pull stages rows [k·nb, k·nb+rows) of block column k on the CPU, in one
 // staging: the data straight into their place in the host-held output,
 // where the certified panel stays, and their column checksum strips into a
-// host matrix of their own. A driver whose check before PD runs on the CPU
-// sets cpuCheck, and under Full mode, when the plan runs that check, the
-// rows' row-checksum pair rides along for its column rebuild (see
-// rowRepair).
+// host matrix of their own. A driver that checks the panel before PD on
+// the CPU sets cpuCheck, and under Full mode, when the plan runs that
+// check, the rows' row-checksum pair rides along for its column rebuild
+// (see rowRepair). When the host's copy of the panel is current
+// (hostCurrent: a fresh run's panel 0, the input), nothing is staged: the
+// data are in place already, and the CPU encodes the strips from them.
 func (p *protected) pull(k, rows int, cpuCheck bool) panelStep {
 	es := p.es
 	o := k * p.nb
@@ -136,8 +139,34 @@ func (p *protected) pull(k, rows int, cpuCheck bool) panelStep {
 		srcs = append(srcs, p.rowChkView(k, o, o+rows))
 		dsts = append(dsts, st.rm)
 	}
+	if p.hostCurrent(k) {
+		defer es.span(obs.PhaseEncode, "encode-panel", &es.res.EncodeT)()
+		p.encodeOn(es.sys.CPU(), st.pm, st.cm, st.rm)
+		return st
+	}
 	es.sys.Checkpoint(srcs, dsts)
 	return st
+}
+
+// checkPanel opens the memory-fault window of PD over the CPU-staged panel
+// of step k and, when the plan checks the panel before PD, verifies it
+// against its checksum strips on the CPU, repairing what it can (under
+// Full mode a column left unlocalizable, e.g. by an on-chip row-panel
+// fault an earlier TMU consumed, is rebuilt from the pulled row-checksum
+// pair), and counts the panel's blocks. It returns the corrected
+// elements.
+func (p *protected) checkPanel(k int, st *panelStep) []correctedElem {
+	es := p.es
+	es.injectMem(k, fault.PD, st.pdRegions(k, p.nb))
+	if !es.pl.beforePD || es.opts.Mode == NoChecksum {
+		return nil
+	}
+	out, fixed := p.verifyRepair(colAxis, es.sys.CPU().Workers(), st.pm, st.cm, st.rowRepair(p.nb))
+	if out == repairFailed {
+		es.res.Unrecoverable = true
+	}
+	es.res.Counter.PDBefore += st.pm.Rows / p.nb
+	return fixed
 }
 
 // rowRepair returns the stuck-column callback of the check before PD: a
@@ -233,14 +262,14 @@ func (p *protected) factorPanel(k int, st *panelStep, run func() error, check fu
 // checksums, to every live GPU's stage inside one communication-fault
 // window, for the trailing update and the later steps to read: the host
 // keeps the panel for the factor, so the last step commits nothing. leg,
-// when set, ships GPU g's extra operands after its panel legs. The owner fills its stage from its own storage with device-local
-// copies after every leg is issued: a serial kernel waits for every copy
-// into a GPU issued before it, so copying between legs would hold the
-// next GPU's legs back until the writeback landed. Under the plan's
-// post-broadcast check the stages are verified
-// (§VII.C, see checkBroadcast); when only some legs were corrupted, the
-// owner's copy may have taken the hit on the writeback leg too, and is
-// repaired from the certified source.
+// when set, ships GPU g's extra operands after its panel legs. The owner
+// fills its stage from its own storage with device-local copies after
+// every leg is issued: a serial GPU kernel waits for every copy into a GPU
+// issued before it, so copying between legs would hold the next GPU's
+// legs back until the writeback landed. Under the plan's post-broadcast
+// check the stages are verified (§VII.C, see checkBroadcast); when only
+// some legs were corrupted, the owner's copy may have taken the hit on the
+// writeback leg too, and is repaired from the certified source.
 func (p *protected) commitPanel(k int, st *panelStep, leg func(g int)) {
 	es := p.es
 	nb := p.nb

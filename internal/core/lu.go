@@ -88,28 +88,17 @@ func (l *luLadder) resume(cp *Checkpoint) {
 func (l *luLadder) panelFactor(k int) {
 	p, es := l.p, l.p.es
 	cpu := es.sys.CPU()
-	res := es.res
 	nb := p.nb
-	n := p.n
 	o := k * nb
-	m := n - o
-	full := es.opts.Mode == Full
+	m := p.n - o
 	st := &luStep{panelStep: p.pull(k, m, true)}
 	l.step[k] = st
-	es.injectMem(k, fault.PD, st.pdRegions(k, nb))
-	if es.pl.beforePD && es.opts.Mode != NoChecksum {
-		// Under Full mode a 1-D column contamination (e.g. an on-chip
-		// row-panel fault consumed by an earlier TMU) is rebuilt in place
-		// from the panel's row-checksum pair.
-		out, fixed := p.verifyRepair(colAxis, cpu.Workers(), st.pm, st.cm, st.rowRepair(nb))
-		if out == repairFailed {
-			res.Unrecoverable = true
-		}
-		res.Counter.PDBefore += p.nbr - k
-		if full {
-			for _, fe := range fixed {
-				st.touched = append(st.touched, o+fe.Row)
-			}
+	fixed := p.checkPanel(k, &st.panelStep)
+	if es.opts.Mode == Full {
+		// The rows the check corrected are probed for contamination
+		// before panelPivot swaps them (§VII.B Fig. 4b).
+		for _, fe := range fixed {
+			st.touched = append(st.touched, o+fe.Row)
 		}
 	}
 	st.lpiv = make([]int, nb)

@@ -66,6 +66,11 @@ type protected struct {
 	// input); otherwise they compute the rows above it (LU's U12, QR's
 	// R12) and the host holds the rest of each column.
 	lower bool
+	// scattered marks a fresh layout whose GPUs hold the scattered input
+	// and no checksum or parity yet: encodeInitial, which runs after panel
+	// 0 is factored, clears it. Until then the host's copy of panel 0 is
+	// current (see hostCurrent).
+	scattered bool
 }
 
 // gpuLive reports whether GPU g is still serving — not fail-stopped and
@@ -131,12 +136,12 @@ func (p *protected) initCyclicLayout(G int) {
 // with verification tolerance tol: the host-held factor, seeded with a,
 // the block-column-cyclic ownership tables, each GPU's data and checksum
 // slabs and, on multi-node systems, the parity groups. Nothing is shipped
-// or encoded yet — newProtected distributes a into it, and a resumed run
-// restores a checkpoint. Rebalancing runs (Options.Rebalance.Every > 0) and
-// multi-node runs allocate full-width slabs (nbr blocks) so column
-// migration — or the adoption of reconstructed columns after a node loss —
-// is a shift-and-copy, never a realloc; static flat runs size them to the
-// cyclic share.
+// or encoded yet — newProtected scatters a into it and encodeInitial
+// encodes it, and a resumed run restores a checkpoint. Rebalancing runs
+// (Options.Rebalance.Every > 0) and multi-node runs allocate full-width
+// slabs (nbr blocks) so column migration — or the adoption of
+// reconstructed columns after a node loss — is a shift-and-copy, never a
+// realloc; static flat runs size them to the cyclic share.
 func newLayout(es *engineSys, a *matrix.Dense, tol float64) *protected {
 	G := es.sys.NumGPUs()
 	n := a.Rows
@@ -168,9 +173,10 @@ func newLayout(es *engineSys, a *matrix.Dense, tol float64) *protected {
 	return p
 }
 
-// newProtected distributes a (resident on the CPU) across the GPUs in one
-// staging and encodes the initial checksums on-device with the configured
-// kernel.
+// newProtected scatters a (resident on the CPU) across the GPUs in one
+// staging. The copies are in flight when it returns: the ladder factors
+// panel 0 from the host's copy of a meanwhile, and then encodes the
+// layout (encodeInitial).
 func newProtected(es *engineSys, a *matrix.Dense) *protected {
 	n := a.Rows
 	scale := 1 + matrix.NormMax(a)
@@ -184,6 +190,16 @@ func newProtected(es *engineSys, a *matrix.Dense) *protected {
 		}
 	}
 	es.sys.Restore(srcs, dsts)
+	p.scattered = true
+	return p
+}
+
+// encodeInitial completes a scattered layout: it encodes the initial
+// checksums on-device with the configured kernel and, on multi-node
+// systems, the parity of the input.
+func (p *protected) encodeInitial() {
+	p.scattered = false
+	es := p.es
 	if es.opts.Mode != NoChecksum {
 		stop := es.span(obs.PhaseEncode, "encode-initial", &es.res.EncodeT)
 		for g := range p.nloc {
@@ -196,8 +212,12 @@ func newProtected(es *engineSys, a *matrix.Dense) *protected {
 	if p.coded != nil {
 		p.coded.reset(-1)
 	}
-	return p
 }
+
+// hostCurrent reports whether the host's copy of panel k is current, so
+// that pull need not stage it from the GPUs: a fresh run's panel 0 is the
+// input's block column, in place in the output, until encodeInitial.
+func (p *protected) hostCurrent(k int) bool { return k == 0 && p.scattered }
 
 // strips returns GPU g's views of the w local blocks from lb on: the data
 // columns, then their column-checksum strips, then their row-checksum
@@ -263,19 +283,25 @@ func (p *protected) reown(bj, dst, idx int) {
 // encodeStrips encodes the checksum strips of GPU g's local blocks
 // [lb, lb+w) from their data with the configured kernel.
 func (p *protected) encodeStrips(g, lb, w int) {
-	es := p.es
-	dev := es.sys.GPU(g)
-	s := p.strips(g, lb, w)
-	flops := 4 * float64(p.n*w*p.nb)
-	if len(s) > 1 {
-		dev.Run("encode-col", flops, func(wk int) {
-			checksum.EncodeCol(es.opts.Kernel, wk, s[0].Access(dev), p.nb, s[1].Access(dev))
-		})
+	dev := p.es.sys.GPU(g)
+	var ms [3]*matrix.Dense
+	for i, b := range p.strips(g, lb, w) {
+		ms[i] = b.Access(dev)
 	}
-	if len(s) > 2 {
-		dev.Run("encode-row", flops, func(wk int) {
-			checksum.EncodeRow(es.opts.Kernel, wk, s[0].Access(dev), p.nb, s[2].Access(dev))
-		})
+	p.encodeOn(dev, ms[0], ms[1], ms[2])
+}
+
+// encodeOn encodes on dev, with the configured kernel, the checksums of
+// data that the non-nil destinations ask for: its column-checksum strips
+// into cc and its row-checksum pairs into rc.
+func (p *protected) encodeOn(dev *hetsim.Device, data, cc, rc *matrix.Dense) {
+	k := p.es.opts.Kernel
+	flops := 4 * float64(data.Rows*data.Cols)
+	if cc != nil {
+		dev.Run("encode-col", flops, func(wk int) { checksum.EncodeCol(k, wk, data, p.nb, cc) })
+	}
+	if rc != nil {
+		dev.Run("encode-row", flops, func(wk int) { checksum.EncodeRow(k, wk, data, p.nb, rc) })
 	}
 }
 

@@ -25,7 +25,9 @@ func newTestProtected(t *testing.T, n, nb, gpus int, mode Mode) (*protected, *ma
 		t.Fatal(err)
 	}
 	es := newEngine("test", sys, opts, &Result{})
-	return newProtected(es, a), a
+	p := newProtected(es, a)
+	p.encodeInitial()
+	return p, a
 }
 
 func TestDistributionMapping(t *testing.T) {

@@ -80,7 +80,8 @@ func (l *qrLadder) resume(cp *Checkpoint) {
 	l.step = make([]*qrStep, l.p.nbr)
 }
 
-// panelFactor verifies the panel on its owner GPU, pulls it to the CPU,
+// panelFactor verifies the panel on its owner GPU (or, when the host's
+// copy is current, on the CPU after the pull), pulls it to the CPU,
 // factors it with the checksum-maintaining Householder kernel of
 // Algorithm 1 under the shared local restart, whose check re-verifies the
 // stored panel against the maintained checksums, builds and validates the
@@ -88,40 +89,24 @@ func (l *qrLadder) resume(cp *Checkpoint) {
 // panelCommit owns the writeback and broadcast.
 func (l *qrLadder) panelFactor(k int) {
 	p, es := l.p, l.p.es
-	sys, cpu := es.sys, es.sys.CPU()
+	cpu := es.sys.CPU()
 	res := es.res
 	nb := p.nb
-	n := p.n
 	o := k * nb
-	gk := p.owner(k)
-	m := n - o
+	m := p.n - o
 	chk := es.opts.Mode != NoChecksum
 
-	panelDev := p.local[gk].View(o, p.localOff(k), m, nb)
-	gpuPDRegs := []fault.Region{
-		{Part: fault.ReferencePart, M: panelDev.UnsafeData(), Row0: o, Col0: o},
-		{Part: fault.UpdatePart, M: panelDev.UnsafeData(), Row0: o, Col0: o},
+	// A panel the host holds current (a fresh run's panel 0, which no TMU
+	// has touched) is checked on the CPU, as LU's and Cholesky's are.
+	host := p.hostCurrent(k)
+	if !host {
+		p.checkPanelOnGPU(k)
 	}
-	es.injectMem(k, fault.PD, gpuPDRegs)
-	if es.pl.beforePD && chk {
-		// The panel is verified on its owner GPU *before* it ships to
-		// the CPU: QR's block-reflector TMU can leave aliased column
-		// corruption that only the orthogonal-checksum reconciliation
-		// untangles, and the row checksums live on the GPU.
-		gdev := sys.GPU(gk)
-		gdata := panelDev.Access(gdev)
-		gchk := p.colChkView(k, k, p.nbr).Access(gdev)
-		if out, _ := p.verifyRepair(colAxis, gdev.Workers(), gdata, gchk, p.fullColumnRepair(gk, p.localOff(k))); out == repairFailed {
-			res.Unrecoverable = true
-		}
-		if es.opts.Mode == Full {
-			lb := p.localBlock(k)
-			p.reconcileOrthogonal(gk, o, n, lb, lb+1)
-		}
-		res.Counter.PDBefore += p.nbr - k
-	}
-	st := &qrStep{panelStep: p.pull(k, m, false)}
+	st := &qrStep{panelStep: p.pull(k, m, host)}
 	l.step[k] = st
+	if host {
+		p.checkPanel(k, &st.panelStep)
+	}
 	ltau := l.tau[o : o+nb]
 	geqr2 := func() error {
 		cpu.Run("geqr2-chk", 2*float64(m*nb*nb), func(int) {
@@ -167,6 +152,36 @@ func (l *qrLadder) panelFactor(k int) {
 		st.cv = matrix.NewDense(checksum.ColDims(m, nb, nb))
 		p.encodeColInto(cpu.Workers(), vmat, st.cv)
 	}
+}
+
+// checkPanelOnGPU opens the memory-fault window of PD over panel k on its
+// owner GPU and, when the plan checks the panel before PD, verifies it
+// there *before* it ships to the CPU: QR's block-reflector TMU can leave
+// aliased column corruption that only the orthogonal-checksum
+// reconciliation untangles, and the row checksums live on the GPU.
+func (p *protected) checkPanelOnGPU(k int) {
+	es := p.es
+	nb, o := p.nb, k*p.nb
+	gk := p.owner(k)
+	panelDev := p.local[gk].View(o, p.localOff(k), p.n-o, nb)
+	es.injectMem(k, fault.PD, []fault.Region{
+		{Part: fault.ReferencePart, M: panelDev.UnsafeData(), Row0: o, Col0: o},
+		{Part: fault.UpdatePart, M: panelDev.UnsafeData(), Row0: o, Col0: o},
+	})
+	if !es.pl.beforePD || es.opts.Mode == NoChecksum {
+		return
+	}
+	gdev := es.sys.GPU(gk)
+	gdata := panelDev.Access(gdev)
+	gchk := p.colChkView(k, k, p.nbr).Access(gdev)
+	if out, _ := p.verifyRepair(colAxis, gdev.Workers(), gdata, gchk, p.fullColumnRepair(gk, p.localOff(k))); out == repairFailed {
+		es.res.Unrecoverable = true
+	}
+	if es.opts.Mode == Full {
+		lb := p.localBlock(k)
+		p.reconcileOrthogonal(gk, o, p.n, lb, lb+1)
+	}
+	es.res.Counter.PDBefore += p.nbr - k
 }
 
 // panelCommit writes the certified panel back into the owner's

@@ -24,7 +24,9 @@ func newRebalProtected(t *testing.T, n, nb, gpus int) (*protected, *matrix.Dense
 		t.Fatal(err)
 	}
 	es := newEngine("test", sys, opts, &Result{})
-	return newProtected(es, a), a
+	p := newProtected(es, a)
+	p.encodeInitial()
+	return p, a
 }
 
 // TestMigrateColumnPreservesLayout: after an arbitrary sequence of

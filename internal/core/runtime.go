@@ -143,6 +143,7 @@ const (
 	stageResume      = "resume"
 	stageNodeLoss    = "node-loss"
 	stagePanelFactor = "panel-factor"
+	stageEncode      = "encode"
 	stagePanelPivot  = "panel-pivot"
 	stagePanelCommit = "panel-commit"
 	stagePanelUpdate = "panel-update"
@@ -160,16 +161,17 @@ var stageRank = map[string]int{
 	stageResume:      -2,
 	stageNodeLoss:    -1,
 	stagePanelFactor: 0,
-	stagePanelPivot:  1,
-	stagePanelCommit: 2,
-	stagePanelUpdate: 3,
-	stageTMUBegin:    4,
-	stageTMU:         5,
-	stageTMUFinish:   6,
-	stageParity:      7,
-	stageCheckpoint:  8,
-	stageRollback:    9,
-	stageRebalance:   10,
+	stageEncode:      1,
+	stagePanelPivot:  2,
+	stagePanelCommit: 3,
+	stagePanelUpdate: 4,
+	stageTMUBegin:    5,
+	stageTMU:         6,
+	stageTMUFinish:   7,
+	stageParity:      8,
+	stageCheckpoint:  9,
+	stageRollback:    10,
+	stageRebalance:   11,
 }
 
 // maxRollbacksPerCheckpoint bounds how often the runtime will replay from
@@ -243,6 +245,18 @@ func (rt *stepRuntime) maybeRebalance(k int) {
 	})
 }
 
+// layouts returns the protected layout the ladder factors or, in a batch,
+// every live item's.
+func layouts(l ladder) []*protected {
+	if bl, ok := l.(*batchLadder); ok {
+		return bl.layouts()
+	}
+	if rl, ok := l.(rebalancer); ok {
+		return []*protected{rl.layout()}
+	}
+	return nil
+}
+
 // maybeParity, run after step k's verification concluded clean, verifies
 // the trailing columns and, when the refresh is due, re-encodes the parity
 // of every group still holding columns it has not yet covered (see
@@ -250,13 +264,9 @@ func (rt *stepRuntime) maybeRebalance(k int) {
 // live item's. Journaled as its own stage, every step, so serial and
 // look-ahead schedules compare equal.
 func (rt *stepRuntime) maybeParity(k int) {
-	codeds := []*codedState{rt.coded}
-	if bl, ok := rt.l.(*batchLadder); ok {
-		codeds = bl.coded()
-	}
 	var due []*codedState
-	for _, cs := range codeds {
-		if cs != nil && !cs.exhausted() {
+	for _, p := range layouts(rt.l) {
+		if cs := p.coded; cs != nil && !cs.exhausted() {
 			due = append(due, cs)
 		}
 	}
@@ -327,6 +337,21 @@ func runLadder(es *engineSys, l ladder) error {
 		rt.coded = rl.layout().coded
 	}
 	for k := start; k < nbr; k++ {
+		if k == 0 {
+			// A fresh run factors panel 0 from the host's copy of the
+			// input while the scatter is still in flight, and only then
+			// encodes the layout on the GPUs: before the first pivot or
+			// commit reads its checksums, and before a node loss at this
+			// epoch is rebuilt from its parity.
+			if err := rt.factor(k); err != nil {
+				return err
+			}
+			rt.stage(k, stageEncode, func() {
+				for _, p := range layouts(l) {
+					p.encodeInitial()
+				}
+			})
+		}
 		// Node-loss epoch boundary: streams are joined and device state is
 		// quiescent here, so a fired whole-node fault is absorbed by
 		// erasure-coded reconstruction (or surfaces as the typed error when
@@ -339,8 +364,7 @@ func runLadder(es *engineSys, l ladder) error {
 			}
 		}
 		if !rt.factored[k] {
-			rt.packed(k, stagePanelFactor, func() { l.panelFactor(k) })
-			if err := l.failed(); err != nil {
+			if err := rt.factor(k); err != nil {
 				return err
 			}
 		}
@@ -407,6 +431,14 @@ func runLadder(es *engineSys, l ladder) error {
 		*es.opts.stageJournal = rt.canonicalJournal()
 	}
 	return nil
+}
+
+// factor runs step k's panel-factor stage and reports the driver error
+// it left.
+func (rt *stepRuntime) factor(k int) error {
+	rt.packed(k, stagePanelFactor, func() { rt.l.panelFactor(k) })
+	rt.factored[k] = true
+	return rt.l.failed()
 }
 
 // checkpointDue reports whether the checkpoint interval falls after step

@@ -151,6 +151,56 @@ func TestLinkClockPullEndsBeforeCPUKernel(t *testing.T) {
 	}
 }
 
+// TestLinkClockCPUKernelSkipsCopyIn: a copy into a GPU writes only GPU
+// memory, which no CPU kernel reads, so a CPU kernel issued after a
+// Restore into a GPU starts at the serial floor while the copy is in
+// flight; a GPU kernel, on any GPU, and a stream launch still start where
+// the copy arrives, and a pull still orders the next CPU kernel after it.
+func TestLinkClockCPUKernelSkipsCopyIn(t *testing.T) {
+	const r, c = 64, 64
+	copyIn := loneTransfer(DefaultConfig(2), -1, 0, r, c, true)
+	pull := loneTransfer(DefaultConfig(2), 1, -1, r, c, true)
+	// start issues a Restore into GPU0, then runs next, and returns the
+	// simulated start of the last kernel next ran.
+	start := func(next func(s *System)) float64 {
+		s := New(DefaultConfig(2))
+		tr := obs.NewTrace()
+		s.SetTracer(tr)
+		s.Restore([]*matrix.Dense{matrix.NewDense(r, c)}, []*Buffer{s.GPU(0).Alloc(r, c)})
+		next(s)
+		spans := tr.Spans()
+		last := spans[len(spans)-1]
+		if last.Cat != "kernel" {
+			t.Fatalf("last span %q is not a kernel", last.Name)
+		}
+		return last.StartUS / 1e6
+	}
+	if at := start(func(s *System) { s.CPU().Run("panel", 1e8, func(int) {}) }); at != 0 {
+		t.Fatalf("CPU kernel starts at %g, want the serial floor 0", at)
+	}
+	for g := 0; g < 2; g++ {
+		if at := start(func(s *System) { s.GPU(g).Run("k", 1e9, func(int) {}) }); !near(at, copyIn) {
+			t.Fatalf("GPU%d kernel starts at %g, want the copy's arrival %g", g, at, copyIn)
+		}
+	}
+	launched := start(func(s *System) {
+		st := s.GPU(1).NewStream()
+		defer st.Close()
+		st.Launch("k", func() { s.GPU(1).Run("k", 1e9, func(int) {}) })
+		st.Record().Wait()
+	})
+	if !near(launched, copyIn) {
+		t.Fatalf("launched kernel starts at %g, want the copy's arrival %g", launched, copyIn)
+	}
+	pulled := start(func(s *System) {
+		s.TransferReliable(s.GPU(1).Alloc(r, c), s.CPU().Alloc(r, c))
+		s.CPU().Run("panel", 1e8, func(int) {})
+	})
+	if !near(pulled, pull) {
+		t.Fatalf("CPU kernel after a pull starts at %g, want the pull's end %g", pulled, pull)
+	}
+}
+
 // TestLinkClockStreamWaitsForCopy: a stream launched after a copy into its
 // GPU does not start before the copy lands.
 func TestLinkClockStreamWaitsForCopy(t *testing.T) {

@@ -42,13 +42,17 @@ package hetsim
 //     overlap, and the frontier joins once, at the latest arrival, when
 //     the staging ends. A copy into a GPU only raises the system-wide
 //     pending arrival frontier, so copies to different GPUs overlap. The
-//     next serial kernel, on any device, starts no earlier than pending,
-//     and Launch folds pending into the stream's timeline too.
+//     next serial GPU kernel starts no earlier than pending, and Launch
+//     folds pending into the stream's timeline too. A CPU kernel does not
+//     wait for it: such a copy writes only GPU memory, which no CPU kernel
+//     reads, so the host computes while its copies into the GPUs are in
+//     flight.
 //
 // A program that never touches streams therefore gets the serial schedule
 // (the depth-0 special case): kernels run one after another, and only
 // copies to different GPUs, or from different GPUs within one staging,
-// overlap. Every start is a function of issue order alone, so a
+// overlap, with each other and with CPU kernels issued after copies into
+// GPUs. Every start is a function of issue order alone, so a
 // look-ahead run assigns every operation the same interval on every run.
 // TimelineMakespan is the resulting end-to-end finish time; under overlap
 // it is smaller than the serial sum.
@@ -217,15 +221,19 @@ func (ev *StreamEvent) Wait() {
 // duration on device d and returns its end: it starts no earlier than the
 // device's availability and the frontier of the timeline it is ordered on
 // (the stream executing on d for a kernel launched from that stream's
-// closure, else the serial timeline, where it also waits for every copy
-// into a GPU issued so far), occupies the device until end, and advances
-// that frontier.
+// closure, else the serial timeline, where a GPU kernel also waits for
+// every copy into a GPU issued so far; a CPU kernel reads no GPU memory
+// and does not), occupies the device until end, and advances that
+// frontier.
 func (d *Device) advanceClock(dur float64) float64 {
 	s := d.sys
 	s.clockMu.Lock()
 	tl, start := d.curTL, d.avail
 	if tl == nil {
-		tl, start = &s.serial, max(start, s.pending)
+		tl = &s.serial
+		if d.kind == GPU {
+			start = max(start, s.pending)
+		}
 	}
 	end := max(start, tl.floor) + dur
 	d.avail = end
@@ -289,8 +297,8 @@ func (op *linkOp) track() string {
 // moves the serial frontier there (the host waits for it), except inside
 // a Checkpoint staging, where it raises the staging's arrival instead and
 // the serial frontier joins once when the staging ends. A copy into a GPU
-// only raises the pending arrival frontier the next serial kernel waits
-// for.
+// only raises the pending arrival frontier the next serial GPU kernel and
+// the next Launch wait for; CPU kernels do not.
 func (s *System) commitLink(op *linkOp) {
 	s.clockMu.Lock()
 	for _, d := range [2]*Device{op.src, op.dst} {

@@ -107,13 +107,15 @@ go test -run '^$' -fuzz '^FuzzFaultPromise$' -fuzztime 30s ./internal/core
 # pin's injected items apply on-chip corruption inside launched stream
 # closures, so both run here under the detector. The link-clock rules
 # (TestLinkClock: per-link and fabric frontiers, the pending arrival
-# frontier that kernels and stream launches wait for, one message per link
-# for a staging) are the clock those schedules run on, so they repeat here
-# too, with the pin that a batch of one is a solo run on that clock. The
+# frontier that GPU kernels and stream launches wait for and CPU kernels
+# do not, one message per link for a staging) are the clock those
+# schedules run on, so they repeat here too, with the pin that a batch of
+# one is a solo run on that clock. The
 # host keeps every panel it factors, so the final gather's traffic and
 # the host-side LU interchanges (solo, rolled back, resumed, batched and
-# after a node loss) repeat here as well.
-go test -race -timeout 5m -run 'TestPipeline|TestStream|TestBatchBitIdentity|TestBatchOfOneMatchesSolo|TestLinkClock|TestGatherMovesOnlyDeviceBlocks|TestLUPivotingOnHost' -count=2 ./internal/core ./internal/hetsim
+# after a node loss) repeat here as well, with the first panel a fresh
+# run factors on the host while its scatter is in flight.
+go test -race -timeout 5m -run 'TestPipeline|TestStream|TestBatchBitIdentity|TestBatchOfOneMatchesSolo|TestLinkClock|TestGatherMovesOnlyDeviceBlocks|TestLUPivotingOnHost|TestPanelZeroFactorsDuringScatter' -count=2 ./internal/core ./internal/hetsim
 
 # Makespan gate: the look-ahead speedup assertion is skipped under -race
 # (the race runtime's ~10-20x slowdown makes the n=2560 run impractical),
