@@ -102,8 +102,9 @@ func BenchmarkClusterScaling(b *testing.B) {
 // 1-node one. The lazy row-range parity refresh (every c steps), hub-
 // encoded parity groups, one transfer window per panel stage, one message
 // per link for each staging, and a final gather of only the blocks the
-// GPUs computed hold it at 2.17; the cap, that reading plus 5%, keeps the
-// simulated-clock win from quietly regressing.
+// GPUs computed held it at 2.17, and the cap is that reading plus 5%;
+// Cholesky GPU columns that start at their diagonal blocks hold it at
+// 2.12. The cap keeps the simulated-clock win from quietly regressing.
 const clusterMakespanCap = 2.27
 
 // itoa avoids pulling strconv into the bench for a single-digit label.

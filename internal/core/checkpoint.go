@@ -70,6 +70,8 @@ type Checkpoint struct {
 	// state. ColChk and RowChk hold the latter's strips, nil for a finished
 	// column: its 2·(n/NB)×NB column-checksum strip (the slice is nil under
 	// NoChecksum) and its n×2 row-checksum pair (nil unless Mode is Full).
+	// The distributed state is the rows the GPUs hold: a Cholesky column's
+	// from its diagonal block down, zero above it in all three.
 	Data   []*matrix.Dense
 	ColChk []*matrix.Dense
 	RowChk []*matrix.Dense
@@ -170,8 +172,8 @@ func (cp *Checkpoint) validateFor(decomp string, n int, opts *Options) error {
 // capture at NextStep takes: an n×NB data column per block column, and the
 // checksum strips the mode keeps for exactly the columns from NextStep on.
 func (cp *Checkpoint) checkShape() error {
+	dims := cp.stripDims()
 	nbr := cp.N / cp.NB
-	dims := [][2]int{{cp.N, cp.NB}, {2 * nbr, cp.NB}, {cp.N, 2}}
 	kept := []bool{true, cp.Mode != NoChecksum, cp.Mode == Full}
 	for i, ms := range cp.hostStrips() {
 		if !kept[i] {
@@ -212,12 +214,14 @@ func (p *protected) captureCheckpoint(next int) *Checkpoint {
 		cp.RowChk = make([]*matrix.Dense, p.nbr)
 	}
 	host := cp.hostStrips()
+	dims := cp.stripDims()
 	srcs, dsts := p.finish(next)
 	for bj := next; bj < p.nbr; bj++ {
 		for i, s := range p.column(bj) {
-			host[i][bj] = matrix.NewDense(s.Rows(), s.Cols())
+			m := matrix.NewDense(dims[i][0], dims[i][1])
+			host[i][bj] = m
 			srcs = append(srcs, s)
-			dsts = append(dsts, host[i][bj])
+			dsts = append(dsts, m.View(m.Rows-s.Rows(), 0, s.Rows(), s.Cols()))
 		}
 	}
 	p.es.sys.Checkpoint(srcs, dsts)
@@ -225,6 +229,13 @@ func (p *protected) captureCheckpoint(next int) *Checkpoint {
 		cp.Data[bj] = p.out.View(0, bj*p.nb, p.n, p.nb).Clone()
 	}
 	return cp
+}
+
+// stripDims returns the shapes of a block column's host copies, in the
+// order hostStrips lists them: the n×NB data column, its 2·(n/NB)×NB
+// column-checksum strips and its n×2 row-checksum pair.
+func (cp *Checkpoint) stripDims() [3][2]int {
+	return [3][2]int{{cp.N, cp.NB}, {2 * (cp.N / cp.NB), cp.NB}, {cp.N, 2}}
 }
 
 // hostStrips lists the checkpoint's per-block-column host copies in the
@@ -238,7 +249,12 @@ func (cp *Checkpoint) hostStrips() [][]*matrix.Dense {
 // (possibly fewer GPUs), reseeds the host-held factor's finished columns
 // from the checkpoint (a rollback drops LU's interchanges on them since)
 // and ships the strips of the columns from NextStep on, the only GPU
-// copies read again, onto the current layout in one System.Restore.
+// copies read again, onto the current layout in one System.Restore: the
+// rows each owner holds (see protected.strips), so a checkpoint whose
+// columns carry more rows restores too. The copies are in flight when it
+// returns: the ladder factors panel NextStep from the checkpoint
+// meanwhile (see hostCurrent), and then settles the layout, whose parity
+// checkpoints do not carry.
 func (p *protected) restoreFrom(cp *Checkpoint) {
 	for bj := 0; bj < cp.NextStep; bj++ {
 		p.out.View(0, bj*p.nb, p.n, p.nb).CopyFrom(cp.Data[bj])
@@ -249,14 +265,11 @@ func (p *protected) restoreFrom(cp *Checkpoint) {
 	var dsts []*hetsim.Buffer
 	for bj := cp.NextStep; bj < p.nbr; bj++ {
 		for i, s := range p.column(bj) {
-			srcs = append(srcs, host[i][bj])
+			m := host[i][bj]
+			srcs = append(srcs, m.View(m.Rows-s.Rows(), 0, s.Rows(), s.Cols()))
 			dsts = append(dsts, s)
 		}
 	}
 	p.es.sys.Restore(srcs, dsts)
-	// Checkpoints carry no parity: re-encode every surviving one from the
-	// data the GPUs now hold, with its epoch at the checkpoint.
-	if p.coded != nil {
-		p.coded.reset(cp.NextStep - 1)
-	}
+	p.unsettled, p.restored = true, cp
 }

@@ -47,7 +47,6 @@ type cholLadder struct {
 }
 
 func newCholLadder(p *protected) ladder {
-	p.lower = true
 	return &cholLadder{ladderBase: ladderBase{p: p}, step: make([]*panelStep, p.nbr)}
 }
 
@@ -489,7 +488,10 @@ func (p *protected) cholHeuristicAfterTMU(k int, sel tmuSel, stages []stagePair)
 // The repair therefore reconstructs row r from column checksums (skipping
 // column r), reconstructs column r from row checksums (skipping row r),
 // fixes (r, r) algebraically from the known corruption magnitude, and
-// re-encodes the polluted checksum lines from the repaired data.
+// re-encodes the polluted checksum lines from the repaired data. Row r
+// lies above the diagonal block of the slice's columns after block
+// column r/nb, which TMU never wrote there and the GPUs do not hold (see
+// top): the repair leaves them out.
 func (p *protected) repairCholCross(g, k int, sel tmuSel, r int, clean, d1 float64) {
 	defer p.es.span(obs.PhaseRecover, "repair-chol-cross", &p.es.res.RecoverT)()
 	nb := p.nb
@@ -498,9 +500,14 @@ func (p *protected) repairCholCross(g, k int, sel tmuSel, r int, clean, d1 float
 	if lb0 >= lb1 {
 		return
 	}
+	bj := r / nb
+	lb1 = min(lb1, p.trailStart(g, bj+1))
+	p.es.res.Counter.ReconstructedLins++
+	if lb0 >= lb1 {
+		return
+	}
 	jlo := lb0 * nb
 	cols := lb1*nb - jlo
-	bj := r / nb
 	owned := p.owner(bj) == g
 
 	data := p.local[g].View(0, jlo, p.n, cols).Access(gdev)
@@ -515,7 +522,6 @@ func (p *protected) repairCholCross(g, k int, sel tmuSel, r int, clean, d1 float
 	} else {
 		checksum.ReconstructRow(data, nb, chkv, r, 0, cols)
 	}
-	p.es.res.Counter.ReconstructedLins++
 
 	if owned && p.es.opts.Mode == Full && lcR >= 0 && lcR < cols {
 		// Column r: rebuilt from row checksums, skipping the polluted row r.

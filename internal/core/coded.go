@@ -72,9 +72,14 @@ import (
 // cross-node shipments per group rather than kk·live. The initial encode
 // and a restore (which ships the unfinished columns from the checkpoint
 // and re-encodes all surviving parity; checkpoints do not carry it) run
-// at full height and reset s; a rebalancing round that moves columns
-// after a step past s refreshes at once, so a re-homed parity shares its
-// group's epoch and every snapshot (below) sits on its column's owner.
+// at full height and reset s. Full height is every row a member holds:
+// Cholesky's GPUs hold each column from its diagonal block down
+// (protected.top), so an encode ships each member from its own diagonal
+// block, and a group's parities start at its first member's (from): the
+// rows above are zero in every member, so in every parity. A rebalancing
+// round that moves columns after a step past s refreshes at once, so a
+// re-homed parity shares its group's epoch and every snapshot (below)
+// sits on its column's owner.
 //
 // Two things keep a lazy parity usable. At each refresh, the initial
 // encode and every rollback included, every GPU copies the rows later
@@ -318,29 +323,39 @@ func (cs *codedState) scaleInto(dev *hetsim.Device, dst, src *hetsim.Buffer, c b
 	})
 }
 
-// memberView returns the current device-resident column of block column bj.
-func (cs *codedState) memberView(bj int) *hetsim.Buffer { return cs.p.column(bj)[0] }
+// member returns rows [r0, n) of block column bj on its owner.
+func (cs *codedState) member(bj, r0 int) *hetsim.Buffer {
+	p := cs.p
+	return p.local[p.owner(bj)].View(r0, p.localOff(bj), p.n-r0, p.nb)
+}
+
+// from returns the first row of group t a code from row r0 on covers:
+// r0, or the first row a member holds (protected.top) when that is lower
+// down. The rows above it are zero in every member, so in every parity.
+func (cs *codedState) from(t, r0 int) int { return max(r0, cs.p.top(cs.groups[t].first)) }
 
 // encode recomputes rows [r0, n) of group t's parities js on GPU on, into
 // the columns dsts resident there: dsts[a] = Σ_i gen[js[a]][i]·D_i. Each
-// member crosses to on once — straight into dsts[0] when it is the first
-// member and its coefficient there is 1, otherwise into on's staging
-// column — and is folded into every target; a member already resident on
-// on (a reconstruction adoptee or a migrated column) is read in place.
+// member crosses to on once, with the rows it holds — straight into
+// dsts[0] when it is the first member and its coefficient there is 1,
+// otherwise into on's staging column — and is folded into every target;
+// a member already resident on on (a reconstruction adoptee or a migrated
+// column) is read in place.
 func (cs *codedState) encode(t, on, r0 int, js []int, dsts []*hetsim.Buffer) {
 	g := &cs.groups[t]
 	p := cs.p
 	dev := p.es.sys.GPU(on)
+	r0 = cs.from(t, r0)
 	out := make([]*hetsim.Buffer, len(dsts))
 	for a, d := range dsts {
 		out[a] = cs.rows(d, r0)
 	}
-	stage := cs.rows(cs.scratchCols(on)[0], r0)
 	for bj := g.first; bj <= g.last; bj++ {
 		i := bj - g.first
-		src := cs.rows(cs.memberView(bj), r0)
+		r := max(r0, p.top(bj))
+		src := cs.member(bj, r)
 		if p.owner(bj) != on {
-			land := stage
+			land := cs.rows(cs.scratchCols(on)[0], r)
 			if i == 0 && cs.gen[js[0]][0] == 1 {
 				land = out[0]
 			}
@@ -354,7 +369,7 @@ func (cs *codedState) encode(t, on, r0 int, js []int, dsts []*hetsim.Buffer) {
 			case i == 0:
 				cs.scaleInto(dev, out[a], src, cs.gen[j][i])
 			default:
-				cs.axpyInto(dev, out[a], src, cs.gen[j][i])
+				cs.axpyInto(dev, cs.rows(dsts[a], r), src, cs.gen[j][i])
 			}
 		}
 	}
@@ -372,6 +387,7 @@ func (cs *codedState) refreshGroup(t, r0 int) {
 	hub := g.pgs[live[0]]
 	dsts := append([]*hetsim.Buffer{g.bufs[live[0]]}, cs.scratchCols(hub)[1:len(live)]...)
 	cs.encode(t, hub, r0, live, dsts)
+	r0 = cs.from(t, r0)
 	for a := 1; a < len(live); a++ {
 		cs.ship(cs.rows(dsts[a], r0), cs.rows(g.bufs[live[a]], r0))
 	}
@@ -473,7 +489,7 @@ func (cs *codedState) snapshot(k int) {
 				cs.snaps[bj] = dev.Alloc(p.n-r0, p.nb)
 			}
 			cs.snaps[bj] = cs.snaps[bj].View(0, 0, p.n-r0, p.nb)
-			copyWithin(dev, cs.rows(cs.memberView(bj), r0), cs.snaps[bj])
+			copyWithin(dev, cs.member(bj, r0), cs.snaps[bj])
 		}
 	}
 }
@@ -494,12 +510,12 @@ func (cs *codedState) record(step func(bj, g int)) {
 func (cs *codedState) atEpoch(bj int) *hetsim.Buffer {
 	p := cs.p
 	if cs.groups[cs.groupOf(bj)].last <= cs.epoch {
-		return cs.memberView(bj)
+		return cs.member(bj, 0)
 	}
 	r0 := (cs.epoch + 1) * p.nb
 	dev := cs.snaps[bj].Device()
 	col := dev.Alloc(p.n, p.nb)
-	copyWithin(dev, cs.memberView(bj).View(0, 0, r0, p.nb), col.View(0, 0, r0, p.nb))
+	copyWithin(dev, cs.member(bj, 0).View(0, 0, r0, p.nb), col.View(0, 0, r0, p.nb))
 	copyWithin(dev, cs.snaps[bj], cs.rows(col, r0))
 	return col
 }
@@ -619,7 +635,9 @@ func (cs *codedState) redundancyLeft() (spent, remaining int) {
 // 0 this degenerates to recon = parity ⊕ (XOR of survivors): the exact r=1
 // path of PR 9. While the group is active the survivors enter through
 // their snapshots, so each rebuilt member is the member as of the epoch,
-// and adopt replays the steps since.
+// and adopt replays the steps since. Every shipment carries the rows a
+// member holds (protected.top): a survivor's own, and of an RHS those of
+// the member it helps rebuild; the rows above are zero in both.
 func (cs *codedState) rebuildGroup(t int, lostMembers []int) {
 	p := cs.p
 	sys := p.es.sys
@@ -650,13 +668,14 @@ func (cs *codedState) rebuildGroup(t int, lostMembers []int) {
 			if isLost[bj] {
 				continue
 			}
-			src := bufs[bj-g.first]
+			r := p.top(bj)
+			src := cs.rows(bufs[bj-g.first], r)
 			if src.Device() != dev {
-				stage := cs.scratchCols(pg)[0]
+				stage := cs.rows(cs.scratchCols(pg)[0], r)
 				cs.ship(src, stage)
 				src = stage
 			}
-			cs.axpyInto(dev, scratch, src, cs.gen[j][bj-g.first])
+			cs.axpyInto(dev, cs.rows(scratch, r), src, cs.gen[j][bj-g.first])
 		}
 		rhs[a] = scratch
 	}
@@ -682,17 +701,18 @@ func (cs *codedState) rebuildGroup(t int, lostMembers []int) {
 		dst := g.pgs[sel[b]]
 		dev := sys.GPU(dst)
 		recon := dev.Alloc(p.n, p.nb)
+		r := p.top(bj)
 		for a := range sel {
-			src := rhs[a]
+			src := cs.rows(rhs[a], r)
 			if a != b {
-				stage := cs.scratchCols(dst)[0]
-				cs.ship(rhs[a], stage)
+				stage := cs.rows(cs.scratchCols(dst)[0], r)
+				cs.ship(src, stage)
 				src = stage
 			}
 			if a == 0 {
-				cs.scaleInto(dev, recon, src, inv[b][a])
+				cs.scaleInto(dev, cs.rows(recon, r), src, inv[b][a])
 			} else {
-				cs.axpyInto(dev, recon, src, inv[b][a])
+				cs.axpyInto(dev, cs.rows(recon, r), src, inv[b][a])
 			}
 		}
 		cs.adopt(bj, dst, recon)
@@ -709,7 +729,7 @@ func (cs *codedState) rebuildGroup(t int, lostMembers []int) {
 func (cs *codedState) adopt(bj, dst int, recon *hetsim.Buffer) {
 	p := cs.p
 	idx := p.openSlot(dst, bj)
-	copyWithin(p.es.sys.GPU(dst), recon, p.strips(dst, idx, 1)[0])
+	copyWithin(p.es.sys.GPU(dst), cs.rows(recon, p.top(bj)), p.strips(dst, idx, bj)[0])
 	p.reown(bj, dst, idx)
 	if cs.groups[cs.groupOf(bj)].last > cs.epoch {
 		cs.snaps[bj] = cs.rows(recon, (cs.epoch+1)*p.nb)

@@ -385,7 +385,7 @@ func TestClusterParityPlacementDisjoint(t *testing.T) {
 		res := &Result{}
 		es := newEngine("cholesky", sys, opts, res)
 		p := newProtected(es, a)
-		p.encodeInitial()
+		p.settle()
 		if p.coded == nil {
 			t.Fatalf("gpus=%d nodes=%d: no coded state on a multi-node topology", tc.gpus, tc.nodes)
 		}
@@ -581,40 +581,61 @@ func TestClusterLossEpochSweepPivoting(t *testing.T) {
 	}
 }
 
-// TestClusterParityRefreshTraffic pins the coded layer's traffic to its
-// closed form on a clean r=2, 4-node run, for every refresh interval c of
-// parityIntervals: the initial full-height encode, then after every step
-// k with k − s >= c, where s is the previous refresh (−1 for the initial
-// encode), one refresh of each group still holding a column > s, shipping
-// rows [(s+1)·nb, n) of its kk members to the hub and the r−1 finished
-// parities j >= 1 home — (kk + r − 1)·(n − (s+1)·nb)·nb·8 bytes per
-// group, independent of which parities live where. With c = 1 that is a
-// refresh of rows [k·nb, n) after every step. An attached injector with
-// nothing scheduled must not change the traffic: the refresh height and
-// interval depend on what the run detected, not on the injector.
-func TestClusterParityRefreshTraffic(t *testing.T) {
-	const n, nb, gpus, nodes, r = 128, 16, 4, 4, 2
+// parityBytes is the closed form of the coded layer's traffic on a clean
+// run of decomp (order n, block nb, kk members and r parities per group):
+// the initial encode from row 0, then after every step k with k − s >=
+// every, where s is the previous refresh (−1 for the initial encode), one
+// refresh of each group still holding a column > s from row R =
+// (s+1)·nb. Encoding from row R ships each member's rows from max(R, its
+// top) to the hub, and the r−1 finished parities j >= 1 home from
+// max(R, the top of the group's first member), where a block column's top
+// is the first row of its diagonal block for Cholesky, whose GPUs hold
+// nothing above it, and row 0 otherwise. Every shipment crosses nodes.
+func parityBytes(decomp string, n, nb, kk, r, every int) int64 {
 	nbr := n / nb
-	kk := nodes - r
-	groupBytes := func(s int) uint64 { return uint64((kk + r - 1) * (n - (s+1)*nb) * nb * 8) }
-	for _, every := range parityIntervals {
-		var want uint64
-		for first := 0; first < nbr; first += kk {
-			want += groupBytes(-1) // initial encode
+	top := func(bj int) int {
+		if decomp == "cholesky" {
+			return bj * nb
 		}
-		s := -1
-		for k := 0; k < nbr-1; k++ {
-			if k-s < every {
+		return 0
+	}
+	var total int64
+	refresh := func(s int) {
+		for first := 0; first < nbr; first += kk {
+			last := min(first+kk, nbr) - 1
+			if last <= s {
 				continue
 			}
-			for first := 0; first < nbr; first += kk {
-				if first+kk-1 > s {
-					want += groupBytes(s)
-				}
+			from := (s + 1) * nb
+			rows := (r - 1) * (n - max(from, top(first)))
+			for bj := first; bj <= last; bj++ {
+				rows += n - max(from, top(bj))
 			}
+			total += int64(8 * rows * nb)
+		}
+	}
+	refresh(-1)
+	s := -1
+	for k := 0; k < nbr-1; k++ {
+		if k-s >= every {
+			refresh(s)
 			s = k
 		}
+	}
+	return total
+}
+
+// TestClusterParityRefreshTraffic pins the coded layer's traffic to its
+// closed form (parityBytes) on a clean r=2, 4-node run, for every refresh
+// interval c of parityIntervals. With c = 1 that is a refresh of rows
+// [k·nb, n) after every step. An attached injector with nothing scheduled
+// must not change the traffic: the refresh height and interval depend on
+// what the run detected, not on the injector.
+func TestClusterParityRefreshTraffic(t *testing.T) {
+	const n, nb, gpus, nodes, r = 128, 16, 4, 4, 2
+	for _, every := range parityIntervals {
 		for _, decomp := range []string{"cholesky", "lu", "qr"} {
+			want := uint64(parityBytes(decomp, n, nb, nodes-r, r, every))
 			for _, lookahead := range []int{0, 1} {
 				for _, idle := range []bool{false, true} {
 					opts := Options{NB: nb, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel,

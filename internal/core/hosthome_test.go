@@ -21,9 +21,10 @@ import (
 // the diagonal blocks.
 
 // heldBytes is the traffic a clean Full-mode run of decomp (order n, block
-// nb, gpus GPUs block-column-cyclic over nodes nodes, the CPU on node 0)
-// does not move because the host keeps its panels, with its inter-node
-// share:
+// nb, gpus GPUs block-column-cyclic over nodes nodes, the CPU on node 0,
+// r parities per group on a cluster) does not move because the
+// host keeps its panels and the GPUs hold only what they read, with its
+// inter-node share:
 //
 //   - the gather skips nbr·(nbr+1)/2 blocks: of block column bj, the
 //     nbr−bj blocks from its diagonal down that the host factored (LU, QR),
@@ -37,8 +38,14 @@ import (
 //     host holds it, and the host encodes its checksums. That drops its
 //     rows (nb for Cholesky, n otherwise) times nb of data, two
 //     column-checksum elements per row and, for Cholesky and LU, whose
-//     check before PD ran on the CPU, the two-column row-checksum pair.
-func heldBytes(decomp string, n, nb, gpus, nodes int) (pcie, inter int64) {
+//     check before PD ran on the CPU, the two-column row-checksum pair;
+//   - the scatter skips the rows above each diagonal block for Cholesky,
+//     bj·nb² elements of block column bj, and block column 0 (n·nb
+//     elements to GPU 0) for a flat LU or QR run, whose step-0 commit
+//     writes it before any GPU reads it;
+//   - Cholesky's parity ships each member only from its top (see
+//     parityBytes), every byte of the difference between nodes.
+func heldBytes(decomp string, n, nb, gpus, nodes, r int) (pcie, inter int64) {
 	nbr := n / nb
 	add := func(g int, elems int) {
 		pcie += int64(8 * elems)
@@ -76,6 +83,18 @@ func heldBytes(decomp string, n, nb, gpus, nodes int) (pcie, inter int64) {
 		pull += 2 * rows
 	}
 	add(0, pull)
+	switch {
+	case decomp == "cholesky":
+		for bj := 0; bj < nbr; bj++ {
+			add(bj%gpus, bj*nb*nb)
+		}
+		if nodes > 1 {
+			d := parityBytes("lu", n, nb, nodes-r, r, parityInterval) - parityBytes(decomp, n, nb, nodes-r, r, parityInterval)
+			pcie, inter = pcie+d, inter+d
+		}
+	case nodes == 1:
+		add(0, n*nb)
+	}
 	return pcie, inter
 }
 
@@ -125,7 +144,7 @@ func TestGatherMovesOnlyDeviceBlocks(t *testing.T) {
 					t.Fatalf("%s: %v", label, err)
 				}
 				full := gatherSweepFull[decomp+"/"+topo.name]
-				pcie, inter := heldBytes(decomp, n, nb, topo.gpus, topo.nodes)
+				pcie, inter := heldBytes(decomp, n, nb, topo.gpus, topo.nodes, topo.redundancy)
 				if res.PCIeBytes != full.pcie-pcie || res.InternodeBytes != full.inter-inter {
 					t.Errorf("%s: moved %d PCIe / %d inter-node bytes, want %d−%d / %d−%d",
 						label, res.PCIeBytes, res.InternodeBytes, full.pcie, pcie, full.inter, inter)
@@ -173,24 +192,42 @@ var panelZeroFaultBits = map[string]uint64{
 	"qr":       0x49514db212e9c6a2,
 }
 
-// requireHostStart checks the trace of a fresh run: its first CPU kernel
-// starts at simulated time 0, and no copy into the CPU is issued before
-// it, so panel 0 was taken from the host's copy of the input while the
-// scatter was in flight.
+// requireHostStart checks the trace of a run from its last layout set-up
+// on — the scatter of a fresh run, the restore of a resumed one, or the
+// restore of its last rollback: the pass's first CPU kernel starts no
+// later than the set-up's first copy, and no copy into the CPU is issued
+// before it, so its first panel was taken from the host's copy of the
+// input or of the checkpoint while the copies were in flight.
 func requireHostStart(t *testing.T, label string, tr *obs.Trace) {
 	t.Helper()
-	for _, sp := range tr.Spans() {
+	spans := tr.Spans()
+	from := 0
+	for i, sp := range spans {
+		if sp.Proc == obs.ProcWall && strings.Contains(sp.Name, ":"+stageRollback+"[") {
+			from = i
+		}
+	}
+	// A stage's span closes after its work: the rollback's restore copies
+	// come right before it.
+	for from > 0 && spans[from-1].Proc == obs.ProcSim && strings.HasPrefix(spans[from-1].Name, "CPU->") {
+		from--
+	}
+	t0 := -1.0
+	for _, sp := range spans[from:] {
 		if sp.Proc != obs.ProcSim {
 			continue
 		}
+		if t0 < 0 {
+			t0 = sp.StartUS
+		}
 		if sp.Track == "CPU" && sp.Cat == "kernel" {
-			if sp.StartUS != 0 {
-				t.Errorf("%s: the first CPU kernel, %s, starts at %g us, want 0", label, sp.Name, sp.StartUS)
+			if sp.StartUS > t0 {
+				t.Errorf("%s: the pass's first CPU kernel, %s, starts at %g us, after its first copy at %g us", label, sp.Name, sp.StartUS, t0)
 			}
 			return
 		}
 		if _, dst, _ := strings.Cut(sp.Name, "->"); sp.Cat == obs.PhasePCIe && dst == "CPU" {
-			t.Errorf("%s: %s before the first CPU kernel", label, sp.Name)
+			t.Errorf("%s: %s before the pass's first CPU kernel", label, sp.Name)
 			return
 		}
 	}
@@ -282,6 +319,257 @@ func TestPanelZeroFactorsDuringScatter(t *testing.T) {
 			}
 			if got := factorBits(out, piv, tau); got != panelZeroFaultBits[decomp] {
 				t.Errorf("%s: bits %#016x, want %#016x", label, got, panelZeroFaultBits[decomp])
+			}
+		}
+	}
+}
+
+// TestRestoredPassStartsOnHost restores every decomposition from a
+// checkpoint under both schedules, on a flat 2-GPU system and on 4 GPUs
+// over 4 nodes with r = 2: a clean Full/NewScheme run resumed from a
+// mid-run checkpoint, and a SingleSide run that rolls back to the
+// checkpoint taken after step 1 when two corrupted elements in one column
+// of panel 2 defeat its repair. Each pass after the restore must take its
+// first panel from the checkpoint while the restore is in flight
+// (requireHostStart), keep the bits of the uninterrupted run, and count
+// the blocks checked before PD that pulling the panel counted: each
+// factored panel's, Cholesky's diagonal block or every block from the
+// diagonal down.
+func TestRestoredPassStartsOnHost(t *testing.T) {
+	const n, nb = 128, 16
+	const nbr = n / nb
+	topos := []struct {
+		name       string
+		sys        func() *hetsim.System
+		redundancy int
+	}{
+		{"flat", func() *hetsim.System { return testSystem(2) }, 0},
+		{"cluster", func() *hetsim.System { return clusterSystem(4, 4) }, 2},
+	}
+	for _, decomp := range []string{"cholesky", "lu", "qr"} {
+		// pdBefore counts the blocks checked before PD over steps [lo, hi).
+		pdBefore := func(lo, hi int) int {
+			c := 0
+			for k := lo; k < hi; k++ {
+				if decomp == "cholesky" {
+					c++
+				} else {
+					c += nbr - k
+				}
+			}
+			return c
+		}
+		a := pipelineInput(decomp, n)
+		for _, topo := range topos {
+			for _, la := range []int{0, 1} {
+				label := fmt.Sprintf("%s/%s/la=%d", decomp, topo.name, la)
+				full := Options{NB: nb, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel, Lookahead: la, Redundancy: topo.redundancy}
+				want, wpiv, wtau, _, err := runDecomp(decomp, topo.sys(), a, full)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				var cps []*Checkpoint
+				ck := full
+				ck.CheckpointEvery = 3
+				ck.OnCheckpoint = func(cp *Checkpoint) { cps = append(cps, cp) }
+				if _, _, _, _, err := runDecomp(decomp, topo.sys(), a, ck); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				resumed := full
+				resumed.Resume = cps[len(cps)-1]
+				sys := topo.sys()
+				tr := obs.NewTrace()
+				sys.SetTracer(tr)
+				out, piv, tau, res, err := runDecomp(decomp, sys, a, resumed)
+				if err != nil {
+					t.Fatalf("%s: resume: %v", label, err)
+				}
+				if factorBits(out, piv, tau) != factorBits(want, wpiv, wtau) {
+					t.Errorf("%s: the run resumed from step %d differs from the uninterrupted run", label, resumed.Resume.NextStep)
+				}
+				if want := pdBefore(resumed.Resume.NextStep, nbr); res.Counter.PDBefore != want {
+					t.Errorf("%s: resumed PDBefore %d, want %d", label, res.Counter.PDBefore, want)
+				}
+				requireHostStart(t, label+"/resume", tr)
+
+				single := full
+				single.Mode = SingleSide
+				want, wpiv, wtau, _, err = runDecomp(decomp, topo.sys(), a, single)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				inj := fault.NewInjector(5)
+				for _, row := range []int{1, 2} {
+					inj.Schedule(fault.Spec{Kind: fault.OffChipMemory, Op: fault.PD, Part: fault.ReferencePart, Iteration: 2, Row: row, Col: 0})
+				}
+				rb := single
+				rb.CheckpointEvery = 2
+				rb.Injector = inj
+				sys = topo.sys()
+				tr = obs.NewTrace()
+				sys.SetTracer(tr)
+				out, piv, tau, res, err = runDecomp(decomp, sys, a, rb)
+				if err != nil {
+					t.Fatalf("%s: rollback: %v", label, err)
+				}
+				if res.Rollbacks != 1 || res.Unrecoverable {
+					t.Fatalf("%s: %d rollbacks, unrecoverable %t; want one rollback that recovers", label, res.Rollbacks, res.Unrecoverable)
+				}
+				if factorBits(out, piv, tau) != factorBits(want, wpiv, wtau) {
+					t.Errorf("%s: the rolled-back run differs from the uninterrupted run", label)
+				}
+				if want := pdBefore(0, 3) + pdBefore(2, nbr); res.Counter.PDBefore != want {
+					t.Errorf("%s: rolled-back PDBefore %d, want %d", label, res.Counter.PDBefore, want)
+				}
+				requireHostStart(t, label+"/rollback", tr)
+			}
+		}
+	}
+}
+
+// TestCholeskyGPUColumnsStartAtDiagonal runs Cholesky clean, rolled back,
+// resumed onto fewer GPUs, rebalanced around a straggler (on a cluster
+// too, through a node loss) and through a node loss, under both schedules, on an input whose blocks above the
+// diagonal blocks hold a sentinel no factor entry takes. The GPUs hold
+// each block column from its diagonal block down and never write above
+// it, so no transfer may carry the sentinel (a CPU→GPU copy of the input
+// above a diagonal block) or an all-zero row (a GPU copy of the rows
+// above one: GPU memory starts zero, and every row a factor, checksum or
+// parity shipment carries holds a nonzero entry), and at the end of the
+// run every GPU slab must hold zeros above the diagonal block of each
+// column it holds, in its data and in its checksum strips. The rollback
+// is triggered from the transfer hook itself, which an injector would
+// replace: two corrupted elements in one column of the second panel
+// pulled (panel 2's, the first is the host's) defeat SingleSide's repair.
+func TestCholeskyGPUColumnsStartAtDiagonal(t *testing.T) {
+	const n, nb = 192, 16
+	const sentinel = -0.0123456789
+	a := pipelineInput("cholesky", n)
+	for bj := 1; bj < n/nb; bj++ {
+		a.View(0, bj*nb, bj*nb, nb).Fill(sentinel)
+	}
+	straggler := map[int]hetsim.FaultPlan{1: {Mode: hetsim.FaultStraggler, Slowdown: 4}}
+	full := Options{NB: nb, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel}
+	type scenario struct {
+		name  string
+		sys   func() *hetsim.System
+		opts  func(*Options)
+		pulls int // the pull to corrupt, counted from 1; 0 for none
+		check func(*Result) error
+	}
+	var cps []*Checkpoint
+	scenarios := []scenario{
+		{"clean", func() *hetsim.System { return testSystem(2) }, func(*Options) {}, 0, nil},
+		{"checkpoints", func() *hetsim.System { return testSystem(3) }, func(o *Options) {
+			o.CheckpointEvery = 3
+			o.OnCheckpoint = func(cp *Checkpoint) { cps = append(cps, cp) }
+		}, 0, nil},
+		{"resume", func() *hetsim.System { return testSystem(2) }, func(o *Options) { o.Resume = cps[len(cps)/2] }, 0, nil},
+		{"rollback", func() *hetsim.System { return testSystem(2) }, func(o *Options) {
+			o.Mode = SingleSide
+			o.CheckpointEvery = 2
+		}, 2, func(res *Result) error {
+			if res.Rollbacks != 1 || res.Unrecoverable {
+				return fmt.Errorf("%d rollbacks, unrecoverable %t; want one rollback that recovers", res.Rollbacks, res.Unrecoverable)
+			}
+			return nil
+		}},
+		{"rebalance", func() *hetsim.System { return testSystem(3) }, func(o *Options) {
+			o.FailStop = straggler
+			o.Rebalance = Rebalance{Every: 1}
+		}, 0, func(res *Result) error {
+			if res.MovedColumns == 0 {
+				return fmt.Errorf("no column migrated")
+			}
+			return nil
+		}},
+		{"rebalance-node-loss", func() *hetsim.System { return clusterSystem(6, 3) }, func(o *Options) {
+			o.FailStop = straggler
+			o.Rebalance = Rebalance{Every: 1}
+			o.NodeFault = map[int]hetsim.NodeFaultPlan{2: {AfterEpochs: 4}}
+		}, 0, func(res *Result) error {
+			if res.MovedColumns == 0 || res.Reconstructions == 0 {
+				return fmt.Errorf("%d columns migrated, %d reconstructed; want both", res.MovedColumns, res.Reconstructions)
+			}
+			return nil
+		}},
+		{"node-loss", func() *hetsim.System { return clusterSystem(4, 4) }, func(o *Options) {
+			o.Redundancy = 2
+			o.NodeFault = map[int]hetsim.NodeFaultPlan{1: {AfterEpochs: 2}}
+		}, 0, func(res *Result) error {
+			if res.Reconstructions == 0 {
+				return fmt.Errorf("no reconstruction")
+			}
+			return nil
+		}},
+	}
+	for _, la := range []int{0, 1} {
+		cps = nil
+		for _, sc := range scenarios {
+			label := fmt.Sprintf("%s/la=%d", sc.name, la)
+			opts := full
+			opts.Lookahead = la
+			sc.opts(&opts)
+			sys := sc.sys()
+			bad, pulls := 0, 0
+			sys.SetTransferHook(func(from, to *hetsim.Device, m *matrix.Dense) {
+				if from.Kind() == hetsim.GPU && to.Kind() == hetsim.CPU && m.Rows == nb && m.Cols == nb && m.Stride == n {
+					// A panel's diagonal block, pulled into the output.
+					if pulls++; pulls == sc.pulls {
+						m.Set(1, 0, m.At(1, 0)+1)
+						m.Set(2, 0, m.At(2, 0)+1)
+					}
+				}
+				for i := 0; i < m.Rows; i++ {
+					zero := true
+					for _, v := range m.Row(i) {
+						zero = zero && v == 0
+						if v == sentinel {
+							zero = false
+							if bad++; bad <= 3 {
+								t.Errorf("%s: %s→%s copy of %d×%d carries the input above a diagonal block", label, from.Name(), to.Name(), m.Rows, m.Cols)
+							}
+							break
+						}
+					}
+					if zero {
+						if bad++; bad <= 3 {
+							t.Errorf("%s: %s→%s copy of %d×%d carries an all-zero row %d", label, from.Name(), to.Name(), m.Rows, m.Cols, i)
+						}
+						break
+					}
+				}
+			})
+			_, l, res, err := factorize("Cholesky", sys, a, opts, newCholLadder)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if sc.check != nil {
+				if err := sc.check(res); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+			}
+			p := l.(*cholLadder).p
+			for g := range p.blocks {
+				if !p.gpuLive(g) {
+					continue
+				}
+				for lb, bj := range p.blocks[g] {
+					r := p.top(bj)
+					for i, s := range p.slabs(g) {
+						per := s.Cols() / p.capb[g]
+						above := s.View(0, lb*per, r*s.Rows()/n, per).UnsafeData()
+						for row := 0; row < above.Rows; row++ {
+							for _, v := range above.Row(row) {
+								if v != 0 {
+									t.Errorf("%s: GPU %d holds %v above the diagonal block of block column %d (slab %d, row %d)", label, g, v, bj, i, row)
+									row = above.Rows
+									break
+								}
+							}
+						}
+					}
+				}
 			}
 		}
 	}
@@ -450,14 +738,20 @@ func TestCholeskyUpperBlocksStayInput(t *testing.T) {
 }
 
 // liveStripBytes is the traffic of the strips of block columns [next, n/nb)
-// of a Full-mode layout (data n·nb, column checksums 2·(n/nb)·nb, the
-// row-checksum pair 2·n elements per column), block-column-cyclic over
-// gpus GPUs on nodes nodes, between the host on node 0 and their owners,
-// with its inter-node share: what a checkpoint resuming from step next
-// captures, and what restoring it ships.
-func liveStripBytes(n, nb, gpus, nodes, next int) (pcie, inter int64) {
-	elems := int64(n*nb + 2*(n/nb)*nb + 2*n)
+// of a Full-mode layout of decomp, block-column-cyclic over gpus GPUs on
+// nodes nodes, between the host on node 0 and their owners, with its
+// inter-node share: what a checkpoint resuming from step next captures,
+// and what restoring it ships. Block column bj's strips hold its rows from
+// its top t — the first row of its diagonal block for Cholesky, whose GPUs
+// hold nothing above it, else row 0: data (n−t)·nb, column checksums
+// 2·(n−t)/nb·nb and the row-checksum pair 2·(n−t) elements.
+func liveStripBytes(decomp string, n, nb, gpus, nodes, next int) (pcie, inter int64) {
 	for bj := next; bj < n/nb; bj++ {
+		m := n
+		if decomp == "cholesky" {
+			m -= bj * nb
+		}
+		elems := int64(m*nb + 2*(m/nb)*nb + 2*m)
 		pcie += 8 * elems
 		if bj%gpus%nodes != 0 {
 			inter += 8 * elems
@@ -509,7 +803,7 @@ func TestCheckpointMovesOnlyLiveState(t *testing.T) {
 				}
 				pcie, inter := base.PCIeBytes, base.InternodeBytes
 				for _, cp := range cps {
-					p, i := liveStripBytes(n, nb, topo.gpus, topo.nodes, cp.NextStep)
+					p, i := liveStripBytes(decomp, n, nb, topo.gpus, topo.nodes, cp.NextStep)
 					pcie, inter = pcie+p, inter+i
 					for bj := range cp.Data {
 						if live := bj >= cp.NextStep; (cp.ColChk[bj] != nil) != live || (cp.RowChk[bj] != nil) != live {
@@ -536,7 +830,7 @@ func TestCheckpointMovesOnlyLiveState(t *testing.T) {
 						shipped += int64(sp.Args["bytes"])
 					}
 				}
-				if live, _ := liveStripBytes(n, nb, topo.gpus, topo.nodes, cp.NextStep); shipped != live {
+				if live, _ := liveStripBytes(decomp, n, nb, topo.gpus, topo.nodes, cp.NextStep); shipped != live {
 					t.Errorf("%s: restoring the checkpoint at step %d shipped %d bytes, want %d", label, cp.NextStep, shipped, live)
 				}
 				resumed := opts

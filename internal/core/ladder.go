@@ -120,8 +120,9 @@ type panelStep struct {
 // the CPU sets cpuCheck, and under Full mode, when the plan runs that
 // check, the rows' row-checksum pair rides along for its column rebuild
 // (see rowRepair). When the host's copy of the panel is current
-// (hostCurrent: a fresh run's panel 0, the input), nothing is staged: the
-// data are in place already, and the CPU encodes the strips from them.
+// (hostCurrent), nothing is staged: a fresh run's panel 0 is the input's,
+// in place already, and the CPU encodes the strips from it; a restore's
+// first panel and its strips are the checkpoint's.
 func (p *protected) pull(k, rows int, cpuCheck bool) panelStep {
 	es := p.es
 	o := k * p.nb
@@ -140,8 +141,16 @@ func (p *protected) pull(k, rows int, cpuCheck bool) panelStep {
 		dsts = append(dsts, st.rm)
 	}
 	if p.hostCurrent(k) {
+		if cp := p.restored; cp != nil {
+			// Each host strip is a full-height column of the checkpoint.
+			for i, d := range dsts {
+				m := cp.hostStrips()[i][k]
+				d.CopyFrom(m.View(m.Rows*o/p.n, 0, d.Rows, d.Cols))
+			}
+			return st
+		}
 		defer es.span(obs.PhaseEncode, "encode-panel", &es.res.EncodeT)()
-		p.encodeOn(es.sys.CPU(), st.pm, st.cm, st.rm)
+		p.encodeOn(es.sys.CPU(), [3]*matrix.Dense{st.pm, st.cm, st.rm})
 		return st
 	}
 	es.sys.Checkpoint(srcs, dsts)

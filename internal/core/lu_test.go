@@ -245,7 +245,7 @@ func TestLUSwapChecksumConsistency(t *testing.T) {
 	res := &Result{}
 	es := &engineSys{sys: sys, opts: opts, res: res}
 	p := newProtected(es, a)
-	p.encodeInitial()
+	p.settle()
 	swaps := [][2]int{{0, 5}, {3, 40}, {17, 17}, {20, 63}, {8, 24}, {15, 16}}
 	for _, s := range swaps {
 		p.swapRows(s[0], s[1], 0, p.nbr)

@@ -64,13 +64,21 @@ type protected struct {
 	// lower marks a factor whose GPUs compute the rows below each
 	// diagonal block (Cholesky's L21, whose strictly upper blocks keep the
 	// input); otherwise they compute the rows above it (LU's U12, QR's
-	// R12) and the host holds the rest of each column.
+	// R12) and the host holds the rest of each column. A lower factor's
+	// GPUs hold each column from its diagonal block down (see top).
 	lower bool
-	// scattered marks a fresh layout whose GPUs hold the scattered input
-	// and no checksum or parity yet: encodeInitial, which runs after panel
-	// 0 is factored, clears it. Until then the host's copy of panel 0 is
-	// current (see hostCurrent).
-	scattered bool
+	// unsettled marks a layout just set up, by the scatter of a fresh run
+	// or by a restore, from which the GPUs have derived nothing yet: the
+	// scatter's checksums and the parity of either come with settle, which
+	// runs after the first panel is factored. Until then the host's copy
+	// of that panel is current (see hostCurrent). restored is the
+	// checkpoint of a restore, nil for a fresh run.
+	unsettled bool
+	restored  *Checkpoint
+	// used[g] counts the slots of GPU g's slab that have ever held a
+	// block column: the slots from nloc[g] to it may hold a stale copy
+	// (see openSlot), the ones past it are still zero.
+	used []int
 }
 
 // gpuLive reports whether GPU g is still serving — not fail-stopped and
@@ -130,14 +138,15 @@ func (p *protected) initCyclicLayout(G int) {
 		p.loc[bj] = len(p.blocks[g])
 		p.blocks[g] = append(p.blocks[g], bj)
 	}
+	p.used = slices.Clone(p.nloc)
 }
 
 // newLayout builds an empty layout of a's order over the current GPUs
 // with verification tolerance tol: the host-held factor, seeded with a,
 // the block-column-cyclic ownership tables, each GPU's data and checksum
 // slabs and, on multi-node systems, the parity groups. Nothing is shipped
-// or encoded yet — newProtected scatters a into it and encodeInitial
-// encodes it, and a resumed run restores a checkpoint. Rebalancing runs
+// or encoded yet — newProtected scatters a into it and settle encodes
+// it, and a resumed run restores a checkpoint. Rebalancing runs
 // (Options.Rebalance.Every > 0) and multi-node runs allocate full-width
 // slabs (nbr blocks) so column migration — or the adoption of
 // reconstructed columns after a node loss — is a shift-and-copy, never a
@@ -145,7 +154,7 @@ func (p *protected) initCyclicLayout(G int) {
 func newLayout(es *engineSys, a *matrix.Dense, tol float64) *protected {
 	G := es.sys.NumGPUs()
 	n := a.Rows
-	p := &protected{es: es, n: n, nb: es.opts.NB, nbr: n / es.opts.NB, tol: tol, out: a.Clone()}
+	p := &protected{es: es, n: n, nb: es.opts.NB, nbr: n / es.opts.NB, tol: tol, out: a.Clone(), lower: es.decomp == "cholesky"}
 	p.initCyclicLayout(G)
 	p.local = make([]*hetsim.Buffer, G)
 	p.colChk = make([]*hetsim.Buffer, G)
@@ -174,91 +183,160 @@ func newLayout(es *engineSys, a *matrix.Dense, tol float64) *protected {
 }
 
 // newProtected scatters a (resident on the CPU) across the GPUs in one
-// staging. The copies are in flight when it returns: the ladder factors
-// panel 0 from the host's copy of a meanwhile, and then encodes the
-// layout (encodeInitial).
+// staging: the rows of each block column its owner holds (see strips),
+// from the first one the GPUs read (see first). The copies are in flight
+// when it returns: the ladder factors panel 0 from the host's copy of a
+// meanwhile, and then encodes the layout (settle).
 func newProtected(es *engineSys, a *matrix.Dense) *protected {
 	n := a.Rows
 	scale := 1 + matrix.NormMax(a)
 	p := newLayout(es, a, max(matrix.Gamma(n)*scale*scale*float64(n), 1e-9))
 	var srcs []*matrix.Dense
 	var dsts []*hetsim.Buffer
-	for g := range p.blocks {
-		for lb, bj := range p.blocks[g] {
-			srcs = append(srcs, a.View(0, bj*p.nb, n, p.nb))
-			dsts = append(dsts, p.strips(g, lb, 1)[0])
-		}
+	for bj := p.first(); bj < p.nbr; bj++ {
+		r := p.top(bj)
+		srcs = append(srcs, a.View(r, bj*p.nb, n-r, p.nb))
+		dsts = append(dsts, p.column(bj)[0])
 	}
 	es.sys.Restore(srcs, dsts)
-	p.scattered = true
+	p.unsettled = true
 	return p
 }
 
-// encodeInitial completes a scattered layout: it encodes the initial
-// checksums on-device with the configured kernel and, on multi-node
-// systems, the parity of the input.
-func (p *protected) encodeInitial() {
-	p.scattered = false
+// first returns the first block column a fresh layout ships and encodes.
+// The commit of LU's and QR's panel 0 writes its whole column and strips
+// before any GPU reads them, so a flat run skips block column 0; a
+// cluster ships it for the parity of the input. Cholesky's commit writes
+// the diagonal block alone, and its PU reads the input below.
+func (p *protected) first() int {
+	if p.lower || p.coded != nil {
+		return 0
+	}
+	return 1
+}
+
+// settle completes a layout just set up, once its first panel is
+// factored: after a scatter it encodes the initial checksums on-device
+// with the configured kernel, and on multi-node systems it encodes the
+// parity of the data the GPUs now hold, with its epoch at the input's or
+// the checkpoint's step (a restore ships the checksum strips, but
+// checkpoints carry no parity).
+func (p *protected) settle() {
+	if !p.unsettled {
+		return
+	}
+	p.unsettled = false
 	es := p.es
-	if es.opts.Mode != NoChecksum {
+	epoch := -1
+	if cp := p.restored; cp != nil {
+		epoch = cp.NextStep - 1
+		p.restored = nil
+	} else if es.opts.Mode != NoChecksum {
 		stop := es.span(obs.PhaseEncode, "encode-initial", &es.res.EncodeT)
 		for g := range p.nloc {
 			// Encode over the used prefix only: rebalancing runs allocate
 			// wider slabs whose tail holds no blocks yet.
-			p.encodeStrips(g, 0, p.nloc[g])
+			lb := p.trailStart(g, p.first())
+			p.encodeStrips(g, lb, p.nloc[g]-lb)
 		}
 		stop()
 	}
 	if p.coded != nil {
-		p.coded.reset(-1)
+		p.coded.reset(epoch)
 	}
 }
 
 // hostCurrent reports whether the host's copy of panel k is current, so
-// that pull need not stage it from the GPUs: a fresh run's panel 0 is the
-// input's block column, in place in the output, until encodeInitial.
-func (p *protected) hostCurrent(k int) bool { return k == 0 && p.scattered }
+// that pull need not stage it from the GPUs: the first panel of an
+// unsettled layout is the input's block column, in place in the output,
+// after a scatter, and the checkpoint holds it after a restore.
+func (p *protected) hostCurrent(k int) bool {
+	if !p.unsettled {
+		return false
+	}
+	if cp := p.restored; cp != nil {
+		return k == cp.NextStep
+	}
+	return k == 0
+}
 
-// strips returns GPU g's views of the w local blocks from lb on: the data
-// columns, then their column-checksum strips, then their row-checksum
-// pairs, each present only when the mode keeps it. It is the one
-// definition of what a stored block column consists of; every column move
-// walks this list.
-func (p *protected) strips(g, lb, w int) []*hetsim.Buffer {
-	out := []*hetsim.Buffer{p.local[g].View(0, lb*p.nb, p.n, w*p.nb)}
+// top returns the first row of block column bj its owner holds: the
+// diagonal block's for a lower factor, whose GPUs read nothing above it,
+// else row 0.
+func (p *protected) top(bj int) int {
+	if p.lower {
+		return bj * p.nb
+	}
+	return 0
+}
+
+// strips returns GPU g's views of block column bj in its local slot lb:
+// the data rows from top(bj) down, then their column-checksum strips,
+// then their row-checksum pairs, each present only when the mode keeps
+// it. Each is a row suffix of its full-height column. It is the one
+// definition of what a stored block column consists of; every column
+// move and code walks this list.
+func (p *protected) strips(g, lb, bj int) []*hetsim.Buffer {
+	r := p.top(bj)
+	out := []*hetsim.Buffer{p.local[g].View(r, lb*p.nb, p.n-r, p.nb)}
 	if p.es.opts.Mode != NoChecksum {
-		out = append(out, p.colChk[g].View(0, lb*p.nb, 2*p.nbr, w*p.nb))
+		s := r / p.nb
+		out = append(out, p.colChk[g].View(2*s, lb*p.nb, 2*(p.nbr-s), p.nb))
 	}
 	if p.es.opts.Mode == Full {
-		out = append(out, p.rowChk[g].View(0, 2*lb, p.n, 2*w))
+		out = append(out, p.rowChk[g].View(r, 2*lb, p.n-r, 2))
 	}
 	return out
 }
 
 // column returns the strips of block column bj on its owner.
 func (p *protected) column(bj int) []*hetsim.Buffer {
-	return p.strips(p.own[bj], p.loc[bj], 1)
+	return p.strips(p.own[bj], p.loc[bj], bj)
 }
 
 // shiftBlocks moves GPU g's local blocks [lb, nloc) d slots along its
-// slabs, every strip with its data. Device-local, zero flops.
+// slabs, every strip with its data, at full height: a lower factor's
+// zeros above each diagonal block move too. Device-local, zero flops.
 func (p *protected) shiftBlocks(g, lb, d int) {
 	w := p.nloc[g] - lb
 	if w <= 0 {
 		return
 	}
 	dev := p.es.sys.GPU(g)
-	to := p.strips(g, lb+d, w)
-	for i, from := range p.strips(g, lb, w) {
-		copyWithin(dev, from, to[i])
+	for _, s := range p.slabs(g) {
+		per := s.Cols() / p.capb[g]
+		copyWithin(dev, s.View(0, lb*per, s.Rows(), w*per), s.View(0, (lb+d)*per, s.Rows(), w*per))
 	}
 }
 
+// slabs returns GPU g's data slab and the checksum slabs the mode keeps.
+func (p *protected) slabs(g int) []*hetsim.Buffer {
+	out := []*hetsim.Buffer{p.local[g]}
+	for _, s := range []*hetsim.Buffer{p.colChk[g], p.rowChk[g]} {
+		if s != nil {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
 // openSlot returns block column bj's sorted insertion point in GPU dst's
-// slab and shifts the blocks from there one slot right to make room.
+// slab and shifts the blocks from there one slot right to make room. A
+// slot opened past the blocks may hold a stale copy of a column that left
+// (see used), whose rows above bj's diagonal block no move into the slot
+// overwrites: a lower factor clears them there.
 func (p *protected) openSlot(dst, bj int) int {
 	idx := sort.SearchInts(p.blocks[dst], bj)
 	p.shiftBlocks(dst, idx, 1)
+	if r := p.top(bj); idx == p.nloc[dst] && idx < p.used[dst] && r > 0 {
+		dev := p.es.sys.GPU(dst)
+		dev.Run("clear", 0, func(int) {
+			for _, s := range p.slabs(dst) {
+				per := s.Cols() / p.capb[dst]
+				s.View(0, idx*per, r*s.Rows()/p.n, per).Access(dev).Zero()
+			}
+		})
+	}
 	return idx
 }
 
@@ -274,6 +352,7 @@ func (p *protected) reown(bj, dst, idx int) {
 	}
 	p.blocks[dst] = slices.Insert(p.blocks[dst], idx, bj)
 	p.nloc[dst]++
+	p.used[dst] = max(p.used[dst], p.nloc[dst])
 	for i := idx; i < p.nloc[dst]; i++ {
 		p.loc[p.blocks[dst][i]] = i
 	}
@@ -283,25 +362,44 @@ func (p *protected) reown(bj, dst, idx int) {
 // encodeStrips encodes the checksum strips of GPU g's local blocks
 // [lb, lb+w) from their data with the configured kernel.
 func (p *protected) encodeStrips(g, lb, w int) {
+	var cols [][3]*matrix.Dense
 	dev := p.es.sys.GPU(g)
-	var ms [3]*matrix.Dense
-	for i, b := range p.strips(g, lb, w) {
-		ms[i] = b.Access(dev)
+	for l := lb; l < lb+w; l++ {
+		var ms [3]*matrix.Dense
+		for i, b := range p.strips(g, l, p.blocks[g][l]) {
+			ms[i] = b.Access(dev)
+		}
+		cols = append(cols, ms)
 	}
-	p.encodeOn(dev, ms[0], ms[1], ms[2])
+	p.encodeOn(dev, cols...)
 }
 
 // encodeOn encodes on dev, with the configured kernel, the checksums of
-// data that the non-nil destinations ask for: its column-checksum strips
-// into cc and its row-checksum pairs into rc.
-func (p *protected) encodeOn(dev *hetsim.Device, data, cc, rc *matrix.Dense) {
-	k := p.es.opts.Kernel
-	flops := 4 * float64(data.Rows*data.Cols)
-	if cc != nil {
-		dev.Run("encode-col", flops, func(wk int) { checksum.EncodeCol(k, wk, data, p.nb, cc) })
+// the block columns cols lists, each as its data and the destinations it
+// asks for, nil otherwise: its column-checksum strips and its
+// row-checksum pairs. One kernel per kind covers every column.
+func (p *protected) encodeOn(dev *hetsim.Device, cols ...[3]*matrix.Dense) {
+	if len(cols) == 0 {
+		return
 	}
-	if rc != nil {
-		dev.Run("encode-row", flops, func(wk int) { checksum.EncodeRow(k, wk, data, p.nb, rc) })
+	k := p.es.opts.Kernel
+	flops := 0.0
+	for _, c := range cols {
+		flops += 4 * float64(c[0].Rows*c[0].Cols)
+	}
+	if cols[0][1] != nil {
+		dev.Run("encode-col", flops, func(wk int) {
+			for _, c := range cols {
+				checksum.EncodeCol(k, wk, c[0], p.nb, c[1])
+			}
+		})
+	}
+	if cols[0][2] != nil {
+		dev.Run("encode-row", flops, func(wk int) {
+			for _, c := range cols {
+				checksum.EncodeRow(k, wk, c[0], p.nb, c[2])
+			}
+		})
 	}
 }
 
@@ -319,8 +417,8 @@ func (p *protected) migrateColumn(bj, dst int) {
 		return
 	}
 	idx := p.openSlot(dst, bj)
-	to := p.strips(dst, idx, 1)
-	for i, from := range p.strips(src, sl, 1) {
+	to := p.strips(dst, idx, bj)
+	for i, from := range p.column(bj) {
 		p.es.sys.TransferReliable(from, to[i])
 	}
 	p.shiftBlocks(src, sl+1, -1)
@@ -338,7 +436,7 @@ func (p *protected) finish(hi int) (srcs []*hetsim.Buffer, dsts []*matrix.Dense)
 			lo, end = (bj+1)*p.nb, p.n
 		}
 		if lo < end {
-			srcs = append(srcs, p.column(bj)[0].View(lo, 0, end-lo, p.nb))
+			srcs = append(srcs, p.column(bj)[0].View(lo-p.top(bj), 0, end-lo, p.nb))
 			dsts = append(dsts, p.out.View(lo, bj*p.nb, end-lo, p.nb))
 		}
 	}
@@ -689,14 +787,17 @@ func (p *protected) reconcileOrthogonal(g, rlo, rhi, lbLo, lbHi int) {
 }
 
 // reencodeRowChkRow recomputes the row-checksum pairs of global row r on
-// GPU g for local blocks [lbLo, lbHi). This is the certified re-encode
-// that restores consistency after the data row has been repaired: the TMU
-// row-checksum update consumes the raw (possibly corrupted) panel operand,
-// so the contaminated row's row checksums are polluted and must be rebuilt
-// from the repaired data.
+// GPU g for the local blocks of [lbLo, lbHi) that hold the row (see top).
+// This is the certified re-encode that restores consistency after the
+// data row has been repaired: the TMU row-checksum update consumes the raw
+// (possibly corrupted) panel operand, so the contaminated row's row
+// checksums are polluted and must be rebuilt from the repaired data.
 func (p *protected) reencodeRowChkRow(g, r, lbLo, lbHi int) {
 	if p.es.opts.Mode != Full {
 		return
+	}
+	if p.lower {
+		lbHi = min(lbHi, p.trailStart(g, r/p.nb+1))
 	}
 	gdev := p.es.sys.GPU(g)
 	data := p.local[g].Access(gdev)
@@ -739,13 +840,14 @@ func (p *protected) verifyRowQuick(g, r, lbLo int) bool {
 }
 
 // repairFullColumn rebuilds GPU g's local column (GPU-local index
-// localCol) over the full matrix height from its row checksums, then
-// re-encodes the column's column checksums from the repaired data. This is
-// the uniform stuck-column repair: reconstructing only a verification
-// window and then re-encoding the whole column's checksums would make any
-// contamination outside the window permanently invisible, so every
-// detection point repairs the entire column at once (the row checksums
-// are maintained for every row, finalized or trailing).
+// localCol) over every row its block column holds (see top) from its row
+// checksums, then re-encodes the column's column checksums from the
+// repaired data. This is the uniform stuck-column repair: reconstructing
+// only a verification window and then re-encoding the whole column's
+// checksums would make any contamination outside the window permanently
+// invisible, so every detection point repairs the entire column at once
+// (the row checksums are maintained for every row held, finalized or
+// trailing).
 func (p *protected) repairFullColumn(g, localCol int) bool {
 	if p.es.opts.Mode != Full {
 		return false
@@ -756,18 +858,17 @@ func (p *protected) repairFullColumn(g, localCol int) bool {
 	if lb >= p.nloc[g] {
 		return false
 	}
-	data := p.local[g].View(0, lb*nb, p.n, nb).Access(gdev)
-	rchk := p.rowChk[g].View(0, 2*lb, p.n, 2).Access(gdev)
-	checksum.ReconstructColumn(data, nb, rchk, localCol%nb, 0, p.n)
+	st := p.strips(g, lb, p.blocks[g][lb])
+	checksum.ReconstructColumn(st[0].Access(gdev), nb, st[2].Access(gdev), localCol%nb, 0, st[0].Rows())
 	p.reencodeColChkCol(g, localCol)
 	p.es.res.Counter.ReconstructedLins++
 	return true
 }
 
 // reencodeColChkCol recomputes the column-checksum entries of local column
-// localCol on GPU g for every strip — the dual of reencodeRowChkRow, used
-// after a contaminated column has been rebuilt (the TMU column-checksum
-// update consumes the raw row-panel operand).
+// localCol on GPU g for every strip its block column holds — the dual of
+// reencodeRowChkRow, used after a contaminated column has been rebuilt
+// (the TMU column-checksum update consumes the raw row-panel operand).
 func (p *protected) reencodeColChkCol(g, localCol int) {
 	if p.es.opts.Mode == NoChecksum {
 		return
@@ -776,7 +877,7 @@ func (p *protected) reencodeColChkCol(g, localCol int) {
 	data := p.local[g].Access(gdev)
 	cchk := p.colChk[g].Access(gdev)
 	nb := p.nb
-	for s := 0; s < p.nbr; s++ {
+	for s := p.top(p.blocks[g][localCol/nb]) / nb; s < p.nbr; s++ {
 		s1, s2 := 0.0, 0.0
 		for i := 0; i < nb; i++ {
 			v := data.At(s*nb+i, localCol)

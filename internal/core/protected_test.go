@@ -26,7 +26,7 @@ func newTestProtected(t *testing.T, n, nb, gpus int, mode Mode) (*protected, *ma
 	}
 	es := newEngine("test", sys, opts, &Result{})
 	p := newProtected(es, a)
-	p.encodeInitial()
+	p.settle()
 	return p, a
 }
 

@@ -97,7 +97,8 @@ func (l *qrLadder) panelFactor(k int) {
 	chk := es.opts.Mode != NoChecksum
 
 	// A panel the host holds current (a fresh run's panel 0, which no TMU
-	// has touched) is checked on the CPU, as LU's and Cholesky's are.
+	// has touched, or a restore's first, verified when it was captured)
+	// is checked on the CPU, as LU's and Cholesky's are.
 	host := p.hostCurrent(k)
 	if !host {
 		p.checkPanelOnGPU(k)

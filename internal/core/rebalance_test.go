@@ -25,7 +25,7 @@ func newRebalProtected(t *testing.T, n, nb, gpus int) (*protected, *matrix.Dense
 	}
 	es := newEngine("test", sys, opts, &Result{})
 	p := newProtected(es, a)
-	p.encodeInitial()
+	p.settle()
 	return p, a
 }
 

@@ -337,18 +337,19 @@ func runLadder(es *engineSys, l ladder) error {
 		rt.coded = rl.layout().coded
 	}
 	for k := start; k < nbr; k++ {
-		if k == 0 {
+		if rt.hostStart(k) {
 			// A fresh run factors panel 0 from the host's copy of the
-			// input while the scatter is still in flight, and only then
-			// encodes the layout on the GPUs: before the first pivot or
-			// commit reads its checksums, and before a node loss at this
-			// epoch is rebuilt from its parity.
+			// input while the scatter is still in flight, and a restored
+			// one its first panel from the checkpoint while the restore
+			// is; only then does the layout settle on the GPUs: before
+			// the first pivot or commit reads its checksums, and before a
+			// node loss at this epoch is rebuilt from its parity.
 			if err := rt.factor(k); err != nil {
 				return err
 			}
 			rt.stage(k, stageEncode, func() {
 				for _, p := range layouts(l) {
-					p.encodeInitial()
+					p.settle()
 				}
 			})
 		}
@@ -431,6 +432,17 @@ func runLadder(es *engineSys, l ladder) error {
 		*es.opts.stageJournal = rt.canonicalJournal()
 	}
 	return nil
+}
+
+// hostStart reports whether step k starts a pass from the host's copy
+// of its panel (see protected.hostCurrent).
+func (rt *stepRuntime) hostStart(k int) bool {
+	for _, p := range layouts(rt.l) {
+		if p.hostCurrent(k) {
+			return true
+		}
+	}
+	return false
 }
 
 // factor runs step k's panel-factor stage and reports the driver error

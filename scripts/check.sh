@@ -79,7 +79,7 @@ go test -race -timeout 5m -run 'Chaos|Storm' -count=2 ./...
 # equals an uninterrupted run on the same final device set) and the
 # rollback-instead-of-abort path — run a second time at -count=2 under
 # -race; resume replays are the newest state machine in the step runtime.
-go test -race -timeout 5m -run 'TestResume|TestRollback|TestCheckpoint' -count=2 ./internal/core
+go test -race -timeout 5m -run 'TestResume|TestRollback|TestCheckpoint|TestRestoredPassStartsOnHost|TestCholeskyGPUColumnsStartAtDiagonal' -count=2 ./internal/core
 
 # Determinism gate: the ladder fingerprint sweep pins the factor bits and
 # simulated makespan of every row, unrecoverable runs included, and the
@@ -115,7 +115,7 @@ go test -run '^$' -fuzz '^FuzzFaultPromise$' -fuzztime 30s ./internal/core
 # the host-side LU interchanges (solo, rolled back, resumed, batched and
 # after a node loss) repeat here as well, with the first panel a fresh
 # run factors on the host while its scatter is in flight.
-go test -race -timeout 5m -run 'TestPipeline|TestStream|TestBatchBitIdentity|TestBatchOfOneMatchesSolo|TestLinkClock|TestGatherMovesOnlyDeviceBlocks|TestLUPivotingOnHost|TestPanelZeroFactorsDuringScatter' -count=2 ./internal/core ./internal/hetsim
+go test -race -timeout 5m -run 'TestPipeline|TestStream|TestBatchBitIdentity|TestBatchOfOneMatchesSolo|TestLinkClock|TestGatherMovesOnlyDeviceBlocks|TestLUPivotingOnHost|TestPanelZeroFactorsDuringScatter|TestRestoredPassStartsOnHost|TestCholeskyGPUColumnsStartAtDiagonal' -count=2 ./internal/core ./internal/hetsim
 
 # Makespan gate: the look-ahead speedup assertion is skipped under -race
 # (the race runtime's ~10-20x slowdown makes the n=2560 run impractical),
