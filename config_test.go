@@ -102,7 +102,7 @@ func TestConfigValidate(t *testing.T) {
 		{"scheme without checksums", Config{NB: 16, Scheme: NewScheme}, true},
 		{"negative CheckpointEvery", Config{NB: 16, CheckpointEvery: -1}, true},
 		{"OnCheckpoint without CheckpointEvery", Config{NB: 16, OnCheckpoint: func(*Checkpoint) {}}, true},
-		{"negative Rebalance.Every", Config{NB: 16, GPUs: 2, Rebalance: RebalanceConfig{Every: -1}}, true},
+		{"negative Rebalance.Every", Config{NB: 16, GPUs: 2, RebalanceEvery: -1}, true},
 		{"negative Redundancy", Config{NB: 16, GPUs: 2, Nodes: 2, Redundancy: -1}, true},
 		{"Redundancy not below Nodes", Config{NB: 16, GPUs: 2, Nodes: 2, Redundancy: 2}, true},
 		{"GPUs not divisible by Nodes", Config{NB: 16, GPUs: 3, Nodes: 2}, true},

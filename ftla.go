@@ -226,11 +226,6 @@ type DeviceHungError = hetsim.DeviceHungError
 // device set.
 type Checkpoint = core.Checkpoint
 
-// RebalanceConfig configures dynamic work repartitioning
-// (Config.Rebalance): Every is the rebalance interval in ladder steps (0
-// disables). See core.Rebalance for the full field contract.
-type RebalanceConfig = core.Rebalance
-
 // Config selects the simulated platform and the protection configuration.
 // The zero value means: 1 GPU, NB=64, full checksums with the new checking
 // scheme, optimized encoding kernel.
@@ -305,15 +300,15 @@ type Config struct {
 	// matrix must be the original A. The protection configuration must
 	// match the checkpoint's.
 	Resume *Checkpoint
-	// Rebalance configures dynamic work repartitioning: every
-	// Rebalance.Every ladder steps the runtime re-splits the remaining
+	// RebalanceEvery arms dynamic work repartitioning: every
+	// RebalanceEvery ladder steps the runtime re-splits the remaining
 	// trailing block columns across the GPUs proportionally to their
 	// EWMA-smoothed measured speed, migrating reassigned columns over
 	// simulated PCIe with their checksum strips riding along — so a
 	// straggling device sheds load instead of blowing the makespan, while
 	// results stay bit-identical to the static layout (see DESIGN.md §10).
-	// The zero value disables rebalancing. Ignored on single-GPU systems.
-	Rebalance RebalanceConfig
+	// 0 disables rebalancing. Ignored on single-GPU systems.
+	RebalanceEvery int
 	// System overrides the simulated platform (worker counts, nominal
 	// speeds); nil uses hetsim.DefaultConfig(GPUs).
 	System *hetsim.Config
@@ -361,7 +356,7 @@ func (c Config) normalize() (Config, core.Options) {
 		CheckpointEvery:       c.CheckpointEvery,
 		OnCheckpoint:          c.OnCheckpoint,
 		Resume:                c.Resume,
-		Rebalance:             c.Rebalance,
+		RebalanceEvery:        c.RebalanceEvery,
 	}
 	return c, opts
 }

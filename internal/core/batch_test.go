@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"ftla/internal/checksum"
@@ -238,6 +239,42 @@ func TestBatchPerItemFaultContainment(t *testing.T) {
 	}
 }
 
+// A panel the kernel cannot factor is a driver error, not a fault: on a
+// Cholesky input that is not positive definite in its second block, POTF2
+// fails on both attempts of the local restart. Solo, the run returns that
+// error with no factor and no report. As item 1 of a batch of three, the
+// error lands in errs[1] alone, with no factor and no report, and the
+// siblings complete bit-identical to their solo runs. Both schedules.
+func TestDriverErrorDropsItem(t *testing.T) {
+	const n, gpus = 64, 2
+	const want = "core: Cholesky PD failed after local restart at block 1: "
+	for _, lookahead := range []int{0, 1} {
+		opts := batchOpts(lookahead)
+		ms := batchInputs("cholesky", 3, n)
+		ms[1].Set(20, 20, -1e3)
+		out, res, err := Cholesky(testSystem(gpus), ms[1], opts)
+		if err == nil || !strings.HasPrefix(err.Error(), want) || out != nil || res != nil {
+			t.Fatalf("lookahead=%d solo: factor %v, report %v, error %v; want nil, nil, %q…", lookahead, out != nil, res != nil, err, want)
+		}
+		outs, ress, errs, berr := CholeskyBatch(testSystem(gpus), ms, opts, nil)
+		if berr != nil {
+			t.Fatalf("lookahead=%d: batch-level error: %v", lookahead, berr)
+		}
+		if errs[1] == nil || errs[1].Error() != err.Error() || outs[1] != nil || ress[1] != nil {
+			t.Fatalf("lookahead=%d item 1: factor %v, report %v, error %v; want nil, nil, %q", lookahead, outs[1] != nil, ress[1] != nil, errs[1], err)
+		}
+		for _, i := range []int{0, 2} {
+			if errs[i] != nil {
+				t.Fatalf("lookahead=%d sibling %d errored: %v", lookahead, i, errs[i])
+			}
+			sout, _, _, _ := runSolo(t, "cholesky", ms[i], gpus, opts)
+			if d, r, c := sout.MaxAbsDiff(outs[i]); d != 0 {
+				t.Fatalf("lookahead=%d sibling %d not bit-identical to solo: |Δ|=%g at (%d,%d)", lookahead, i, d, r, c)
+			}
+		}
+	}
+}
+
 // Batched runs reject malformed inputs (a nil or non-square item, mixed
 // orders, an order that is not a multiple of NB), the per-run control-flow
 // options (checkpointing, resume, fail-stop, link-fault and node-fault
@@ -283,7 +320,7 @@ func TestBatchOptionValidation(t *testing.T) {
 			return ms, nil
 		}},
 		{"rebalance", func(ms []*matrix.Dense, o *Options) ([]*matrix.Dense, []*fault.Injector) {
-			o.Rebalance.Every = 1
+			o.RebalanceEvery = 1
 			return ms, nil
 		}},
 		{"short-injs", func(ms []*matrix.Dense, o *Options) ([]*matrix.Dense, []*fault.Injector) {

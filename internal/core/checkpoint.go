@@ -128,9 +128,8 @@ func (cp *Checkpoint) contentSum() uint64 {
 	return s1 ^ (s2<<1 | s2>>63)
 }
 
-// seal stores the content checksum. The runtime calls it once the driver
-// has finished populating the snapshot (captureCheckpoint leaves Piv/Tau
-// to the ladder) and before any OnCheckpoint hook can observe it —
+// seal stores the content checksum. captureCheckpoint calls it on the
+// complete snapshot, before any OnCheckpoint hook can observe it —
 // whatever mutates the checkpoint afterwards is detectable.
 func (cp *Checkpoint) seal() { cp.Sum = cp.contentSum() }
 
@@ -195,7 +194,8 @@ func (cp *Checkpoint) checkShape() error {
 // block column by block column, in one System.Checkpoint staging (PCIe
 // under the fail-stop gates): every strip of the columns from next on, and
 // the GPU-computed blocks of the columns finished since the last capture,
-// into the host-held factor, whose finished columns the snapshot copies.
+// into the host-held factor, whose finished columns the snapshot copies
+// with the layout's pivot or reflector history; and seals it.
 func (p *protected) captureCheckpoint(next int) *Checkpoint {
 	cp := &Checkpoint{
 		Decomp:   p.es.decomp,
@@ -228,6 +228,18 @@ func (p *protected) captureCheckpoint(next int) *Checkpoint {
 	for bj := 0; bj < next; bj++ {
 		cp.Data[bj] = p.out.View(0, bj*p.nb, p.n, p.nb).Clone()
 	}
+	// The histories stop at the finished steps: after a rollback the
+	// entries beyond still hold the abandoned pass's, and a resumed run
+	// replays those steps anyway.
+	if p.piv != nil {
+		cp.Piv = make([]int, p.n)
+		copy(cp.Piv[:next*p.nb], p.piv)
+	}
+	if p.tau != nil {
+		cp.Tau = make([]float64, p.n)
+		copy(cp.Tau[:next*p.nb], p.tau)
+	}
+	cp.seal()
 	return cp
 }
 
@@ -247,18 +259,20 @@ func (cp *Checkpoint) hostStrips() [][]*matrix.Dense {
 
 // restoreFrom, the entry of mid-run rollback (same device set) and resume
 // (possibly fewer GPUs), reseeds the host-held factor's finished columns
-// from the checkpoint (a rollback drops LU's interchanges on them since)
-// and ships the strips of the columns from NextStep on, the only GPU
-// copies read again, onto the current layout in one System.Restore: the
-// rows each owner holds (see protected.strips), so a checkpoint whose
-// columns carry more rows restores too. The copies are in flight when it
-// returns: the ladder factors panel NextStep from the checkpoint
-// meanwhile (see hostCurrent), and then settles the layout, whose parity
-// checkpoints do not carry.
+// from the checkpoint (a rollback drops LU's interchanges on them since),
+// and the layout's pivot or reflector history, and ships the strips of
+// the columns from NextStep on, the only GPU copies read again, onto the
+// current layout in one System.Restore: the rows each owner holds (see
+// protected.strips), so a checkpoint whose columns carry more rows
+// restores too. The copies are in flight when it returns: the ladder
+// factors panel NextStep from the checkpoint meanwhile (see hostCurrent),
+// and then settles the layout, whose parity checkpoints do not carry.
 func (p *protected) restoreFrom(cp *Checkpoint) {
 	for bj := 0; bj < cp.NextStep; bj++ {
 		p.out.View(0, bj*p.nb, p.n, p.nb).CopyFrom(cp.Data[bj])
 	}
+	copy(p.piv, cp.Piv)
+	copy(p.tau, cp.Tau)
 	p.done = cp.NextStep
 	host := cp.hostStrips()
 	var srcs []*matrix.Dense

@@ -33,7 +33,7 @@ import (
 //	all GPUs          TMU: A22 −= L21·L21ᵀ (full checksums maintained via
 //	                  the transposed-column-checksum trick of Fig. 2)
 func Cholesky(sys *hetsim.System, a *matrix.Dense, opts Options) (*matrix.Dense, *Result, error) {
-	out, _, res, err := factorize("Cholesky", sys, a, opts, newCholLadder)
+	out, _, res, err := solo("Cholesky", sys, a, opts, newCholLadder)
 	return out, res, err
 }
 
@@ -48,22 +48,6 @@ type cholLadder struct {
 
 func newCholLadder(p *protected) ladder {
 	return &cholLadder{ladderBase: ladderBase{p: p}, step: make([]*panelStep, p.nbr)}
-}
-
-func (l *cholLadder) panelPivot(int) {}
-
-// checkpoint snapshots the distributed state after step next-1; Cholesky
-// carries no per-step history beyond the matrix itself.
-func (l *cholLadder) checkpoint(next int) *Checkpoint {
-	return l.p.captureCheckpoint(next)
-}
-
-// resume restores the distributed state from cp onto the current device
-// set and drops any staged per-step state, ready to replay from
-// cp.NextStep.
-func (l *cholLadder) resume(cp *Checkpoint) {
-	l.p.restoreFrom(cp)
-	l.step = make([]*panelStep, l.p.nbr)
 }
 
 // panelFactor pulls the diagonal block (and its checksum strip) to the
@@ -101,10 +85,6 @@ func (l *cholLadder) panelCommit(k int) {
 	gdevK := es.sys.GPU(gk)
 	chk := es.opts.Mode != NoChecksum
 	st := l.step[k]
-	if st == nil {
-		return
-	}
-
 	a11dev := p.local[gk].View(o, p.localOff(k), nb, nb)
 	es.withCommContext(k, fault.PD, o, o, func() {
 		es.send(st.pm, a11dev)

@@ -300,7 +300,7 @@ func TestClusterRebalanceBitIdentityUniform(t *testing.T) {
 				for g := 0; g < tc.gpus/tc.nodes; g++ {
 					dyn.FailStop[g] = hetsim.FaultPlan{Mode: hetsim.FaultStraggler, Slowdown: 4}
 				}
-				dyn.Rebalance = Rebalance{Every: 2}
+				dyn.RebalanceEvery = 2
 				rehomed := 0
 				dyn.onRebalance = func(step int, moves []rebMove) {
 					for _, m := range moves {
@@ -345,7 +345,7 @@ func TestClusterRebalanceSurvivesNodeLoss(t *testing.T) {
 
 	dyn := opts
 	dyn.FailStop = map[int]hetsim.FaultPlan{0: {Mode: hetsim.FaultStraggler, Slowdown: 4}}
-	dyn.Rebalance = Rebalance{Every: 2}
+	dyn.RebalanceEvery = 2
 	dyn.NodeFault = map[int]hetsim.NodeFaultPlan{1: {AfterEpochs: 3}}
 	lossy := runPipelineOn(t, "lu", 192, clusterSystem(4, 2), dyn)
 

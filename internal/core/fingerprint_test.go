@@ -204,11 +204,11 @@ func layoutScenarios() []layoutScenario {
 	return []layoutScenario{
 		{"straggler-rebalance g=3", on(func() *hetsim.System { return testSystem(3) }, func(o *Options) {
 			o.FailStop = straggler
-			o.Rebalance = Rebalance{Every: 1}
+			o.RebalanceEvery = 1
 		})},
 		{"straggler-every2 g=3", on(func() *hetsim.System { return testSystem(3) }, func(o *Options) {
 			o.FailStop = straggler
-			o.Rebalance = Rebalance{Every: 2}
+			o.RebalanceEvery = 2
 		})},
 		{"node-loss g=4 nodes=4 r=2 lose=1@2", on(func() *hetsim.System { return clusterSystem(4, 4) }, func(o *Options) {
 			o.Redundancy = 2
@@ -220,7 +220,7 @@ func layoutScenarios() []layoutScenario {
 		})},
 		{"straggler-rebalance-node-loss g=6 nodes=3 lose=2@4", on(func() *hetsim.System { return clusterSystem(6, 3) }, func(o *Options) {
 			o.FailStop = straggler
-			o.Rebalance = Rebalance{Every: 1}
+			o.RebalanceEvery = 1
 			o.NodeFault = map[int]hetsim.NodeFaultPlan{2: {AfterEpochs: 4}}
 		})},
 		{"checkpoint g=3 resume-mid g=2", func(decomp string, a *matrix.Dense, opts Options) (*matrix.Dense, []int, []float64, *Result, error) {

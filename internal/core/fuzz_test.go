@@ -38,7 +38,7 @@ type faultCase struct {
 // selects one field, reduced modulo its range; missing bytes read as 0:
 //
 //	0 decomposition, 1 nb (16, 32), 2 topology, 3 redundancy r,
-//	4 flags (bit 0 Lookahead, bit 1 CheckpointEvery=2, bit 2 Rebalance.Every=1),
+//	4 flags (bit 0 Lookahead, bit 1 CheckpointEvery=2, bit 2 RebalanceEvery=1),
 //	5 soft-error kind (0 none), 6 op, 7 part (bit 0) and RefIndex (bit 1),
 //	8 iteration, 9 row and 10 column (value−1; −1 picks at random),
 //	11 injector seed, 12 communication target GPU,
@@ -61,7 +61,7 @@ func decodeFaultCase(b []byte) faultCase {
 	nbr := fuzzN / nb
 	flags := at(4, 8)
 	c.opts = Options{NB: nb, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel,
-		Lookahead: flags & 1, CheckpointEvery: 2 * (flags >> 1 & 1), Rebalance: Rebalance{Every: flags >> 2 & 1}}
+		Lookahead: flags & 1, CheckpointEvery: 2 * (flags >> 1 & 1), RebalanceEvery: flags >> 2 & 1}
 	if c.nodes > 1 {
 		c.opts.Redundancy = 1 + at(3, c.nodes-1)
 	}
@@ -124,7 +124,7 @@ func decodeFaultCase(b []byte) faultCase {
 func (c faultCase) String() string {
 	s := fmt.Sprintf("%s nb=%d g=%d nodes=%d r=%d la=%d ck=%d reb=%d c=%d pivot=%t batch=%d",
 		c.decomp, c.opts.NB, c.gpus, c.nodes, c.opts.Redundancy, c.opts.Lookahead,
-		c.opts.CheckpointEvery, c.opts.Rebalance.Every, c.opts.parityEvery, c.pivot, c.batch)
+		c.opts.CheckpointEvery, c.opts.RebalanceEvery, c.opts.parityEvery, c.pivot, c.batch)
 	if c.soft != nil {
 		s += fmt.Sprintf(" soft=[%v seed=%d]", c.soft, c.injSeed)
 	}

@@ -476,7 +476,7 @@ func TestCholeskyGPUColumnsStartAtDiagonal(t *testing.T) {
 		}},
 		{"rebalance", func() *hetsim.System { return testSystem(3) }, func(o *Options) {
 			o.FailStop = straggler
-			o.Rebalance = Rebalance{Every: 1}
+			o.RebalanceEvery = 1
 		}, 0, func(res *Result) error {
 			if res.MovedColumns == 0 {
 				return fmt.Errorf("no column migrated")
@@ -485,7 +485,7 @@ func TestCholeskyGPUColumnsStartAtDiagonal(t *testing.T) {
 		}},
 		{"rebalance-node-loss", func() *hetsim.System { return clusterSystem(6, 3) }, func(o *Options) {
 			o.FailStop = straggler
-			o.Rebalance = Rebalance{Every: 1}
+			o.RebalanceEvery = 1
 			o.NodeFault = map[int]hetsim.NodeFaultPlan{2: {AfterEpochs: 4}}
 		}, 0, func(res *Result) error {
 			if res.MovedColumns == 0 || res.Reconstructions == 0 {
@@ -540,7 +540,7 @@ func TestCholeskyGPUColumnsStartAtDiagonal(t *testing.T) {
 					}
 				}
 			})
-			_, l, res, err := factorize("Cholesky", sys, a, opts, newCholLadder)
+			_, p, res, err := solo("Cholesky", sys, a, opts, newCholLadder)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -549,7 +549,6 @@ func TestCholeskyGPUColumnsStartAtDiagonal(t *testing.T) {
 					t.Fatalf("%s: %v", label, err)
 				}
 			}
-			p := l.(*cholLadder).p
 			for g := range p.blocks {
 				if !p.gpuLive(g) {
 					continue

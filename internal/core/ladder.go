@@ -17,57 +17,108 @@ import (
 // Cholesky, LU and QR run the same dataflow — PD on the CPU, panel
 // broadcast, PU, then TMU on the GPUs — and Algorithm 2 places the same
 // verification points in all three. This file holds the parts that do not
-// depend on the decomposition: the solo entry point, the PD local restart,
-// the certified-panel commit with its §VII.C verify/restart path, and the
-// trailing-update bracket. Each driver keeps only its kernels and its own
-// checks (panel kernel and product check, TMU kernel and fault regions,
-// §VII.B heuristic, LU's pivoting, QR's T and c(V) legs), passed in as
-// data or functions; nothing here branches on which decomposition it
-// serves.
+// depend on the decomposition: the run body every driver shares, the PD
+// local restart, the certified-panel commit with its §VII.C verify/restart
+// path, and the trailing-update bracket. Each driver keeps only its
+// kernels and its own checks (panel kernel and product check, TMU kernel
+// and fault regions, §VII.B heuristic, LU's pivoting, QR's T and c(V)
+// legs), passed in as data or functions; nothing here branches on which
+// decomposition it serves.
 
-// factorize is the body the solo drivers share. It validates the input
-// and options, builds the run's engine and protected layout (restored from
-// opts.Resume when set), whose host-held factor is the output, runs the
-// ladder mk builds, and gathers the blocks the GPUs computed into it.
-// decomp is the driver's display name ("Cholesky", "LU", "QR"); its lower
-// case names the engine and the checkpoints. A fail-stop abort anywhere in
-// the ladder surfaces as the returned error; the system's partial state is
-// the caller's to Reset.
-func factorize(decomp string, sys *hetsim.System, a *matrix.Dense, opts Options, mk func(p *protected) ladder) (out *matrix.Dense, l ladder, res *Result, err error) {
+// factorize is the body every driver shares: a solo run is a batch of
+// one. Its caller has validated the items, all square and of one order,
+// and opts (normalizing opts.NB). Inside one transfer-coalescing window it
+// builds each item's engine, under injs[i] when set and opts.Injector
+// otherwise, and protected layout, whose host-held factor is the item's
+// output: scattered from the item or, for the one item of a resumed run,
+// built from opts.Resume. It runs the items' ladders, the ones mk builds,
+// through runLadder, and gathers into every surviving item's output, in
+// one more window, the blocks its GPUs computed. decomp is the driver's
+// display name ("Cholesky", "LU", "QR"); its lower case names the engines
+// and the checkpoints. ps[i] is item i's layout, for the driver's
+// decomposition-specific outputs; outs[i], ps[i] and ress[i] are nil when
+// errs[i] carries the item's driver error. A run-level error reports an
+// invalid topology or checkpoint, or a fail-stop abort or node loss the
+// run could not absorb, which voids the whole run; the system's partial
+// state is the caller's to Reset.
+func factorize(decomp string, sys *hetsim.System, as []*matrix.Dense, opts Options,
+	injs []*fault.Injector, mk func(p *protected) ladder,
+) (outs []*matrix.Dense, ps []*protected, ress []*Result, errs []error, err error) {
+	defer func() {
+		if e := hetsim.RecoverAbort(recover()); e != nil {
+			outs, ps, ress, errs, err = nil, nil, nil, nil, e
+		}
+	}()
+	start := time.Now()
+	if err := opts.ValidateTopology(sys.Nodes()); err != nil {
+		return nil, nil, nil, nil, err
+	}
+	name := strings.ToLower(decomp)
+	n, count := as[0].Rows, len(as)
+	cp := opts.Resume
+	if cp != nil {
+		if err := cp.validateFor(name, n, &opts); err != nil {
+			return nil, nil, nil, nil, err
+		}
+	}
+	ps = make([]*protected, count)
+	ress = make([]*Result, count)
+	ls := make([]ladder, count)
+	sys.CoalesceTransfers(func() {
+		for i, a := range as {
+			iopts := opts
+			if injs != nil && injs[i] != nil {
+				iopts.Injector = injs[i]
+			}
+			ress[i] = newResult(sys, n, opts)
+			es := newEngine(name, sys, iopts, ress[i])
+			if cp != nil {
+				ps[i] = newLayout(es, a, cp.Tol)
+			} else {
+				ps[i] = newProtected(es, a)
+			}
+			ls[i] = mk(ps[i])
+		}
+	})
+	errs = make([]error, count)
+	if err := runLadder(ls, errs); err != nil {
+		return nil, nil, nil, nil, err
+	}
+	outs = make([]*matrix.Dense, count)
+	sys.CoalesceTransfers(func() {
+		for i, p := range ps {
+			if errs[i] == nil {
+				outs[i] = p.gather()
+			}
+		}
+	})
+	for i, p := range ps {
+		if errs[i] != nil {
+			ps[i], ress[i] = nil, nil
+			continue
+		}
+		p.es.finishResult(start)
+	}
+	return outs, ps, ress, errs, nil
+}
+
+// solo runs the square matrix a alone, under opts.Injector, and returns
+// its output, its layout and its report, or its driver error.
+func solo(decomp string, sys *hetsim.System, a *matrix.Dense, opts Options, mk func(p *protected) ladder) (*matrix.Dense, *protected, *Result, error) {
 	if a.Rows != a.Cols {
 		return nil, nil, nil, fmt.Errorf("core: %s requires a square matrix, got %dx%d", decomp, a.Rows, a.Cols)
 	}
 	if err := opts.Validate(a.Rows); err != nil {
 		return nil, nil, nil, err
 	}
-	if err := opts.ValidateTopology(sys.Nodes()); err != nil {
+	outs, ps, ress, errs, err := factorize(decomp, sys, []*matrix.Dense{a}, opts, nil, mk)
+	if err == nil {
+		err = errs[0]
+	}
+	if err != nil {
 		return nil, nil, nil, err
 	}
-	defer func() {
-		if e := hetsim.RecoverAbort(recover()); e != nil {
-			out, l, res, err = nil, nil, nil, e
-		}
-	}()
-	name := strings.ToLower(decomp)
-	res = newResult(sys, a.Rows, opts)
-	es := newEngine(name, sys, opts, res)
-	start := time.Now()
-	var p *protected
-	if cp := opts.Resume; cp != nil {
-		if err := cp.validateFor(name, a.Rows, &opts); err != nil {
-			return nil, nil, nil, err
-		}
-		p = newLayout(es, a, cp.Tol)
-	} else {
-		p = newProtected(es, a)
-	}
-	l = mk(p)
-	if err := runLadder(es, l); err != nil {
-		return nil, nil, nil, err
-	}
-	out = p.gather()
-	es.finishResult(start)
-	return out, l, res, nil
+	return outs[0], ps[0], ress[0], nil
 }
 
 // newResult starts the report of one order-n run under opts.
@@ -80,15 +131,18 @@ func newResult(sys *hetsim.System, n int, opts Options) *Result {
 
 // ladderBase is the state every decomposition's ladder carries: the
 // protected layout it factors (whose engine holds the run's options, plan
-// and report) and the driver error that stops the run.
+// and report) and the driver error that drops the item from the run. It
+// supplies the stages a decomposition may leave empty: panelPivot (only
+// LU interchanges rows) and panelUpdate (QR has no PU).
 type ladderBase struct {
 	p   *protected
 	err error
 }
 
-func (b *ladderBase) steps() int         { return b.p.nbr }
 func (b *ladderBase) failed() error      { return b.err }
 func (b *ladderBase) layout() *protected { return b.p }
+func (b *ladderBase) panelPivot(int)     {}
+func (b *ladderBase) panelUpdate(int)    {}
 
 // logReplay hands the coded layer, if any, the replay of the step that
 // just finished (see codedState.adopt).

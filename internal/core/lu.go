@@ -31,11 +31,11 @@ import (
 //	all GPUs          PU: U12 = L11⁻¹·A12 (row checksums ride the TRSM)
 //	all GPUs          TMU: A22 −= L21·U12 with full checksum maintenance
 func LU(sys *hetsim.System, a *matrix.Dense, opts Options) (*matrix.Dense, []int, *Result, error) {
-	out, l, res, err := factorize("LU", sys, a, opts, newLULadder)
+	out, p, res, err := solo("LU", sys, a, opts, newLULadder)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return out, l.(*luLadder).piv, res, nil
+	return out, p.piv, res, nil
 }
 
 // luStep is the staging state an LU ladder step carries between stages:
@@ -52,31 +52,11 @@ type luStep struct {
 type luLadder struct {
 	ladderBase
 	step []*luStep
-	piv  []int
 }
 
 func newLULadder(p *protected) ladder {
-	return &luLadder{ladderBase: ladderBase{p: p}, step: make([]*luStep, p.nbr), piv: make([]int, p.n)}
-}
-
-// checkpoint snapshots the distributed state after step next-1 plus the
-// pivot history of the finished steps. Pivot entries beyond next·NB are
-// zeroed: after a rollback they still hold the abandoned pass's pivots,
-// and a resumed run replays those steps anyway.
-func (l *luLadder) checkpoint(next int) *Checkpoint {
-	cp := l.p.captureCheckpoint(next)
-	cp.Piv = make([]int, len(l.piv))
-	copy(cp.Piv[:next*l.p.nb], l.piv[:next*l.p.nb])
-	return cp
-}
-
-// resume restores the distributed state and pivot history from cp onto the
-// current device set and drops any staged per-step state, ready to replay
-// from cp.NextStep.
-func (l *luLadder) resume(cp *Checkpoint) {
-	l.p.restoreFrom(cp)
-	copy(l.piv, cp.Piv)
-	l.step = make([]*luStep, l.p.nbr)
+	p.piv = make([]int, p.n)
+	return &luLadder{ladderBase: ladderBase{p: p}, step: make([]*luStep, p.nbr)}
 }
 
 // panelFactor pulls the full column panel (and its checksum strips) to the
@@ -114,7 +94,7 @@ func (l *luLadder) panelFactor(k int) {
 		return
 	}
 	for j, lp := range st.lpiv {
-		l.piv[o+j] = o + lp
+		p.piv[o+j] = o + lp
 	}
 }
 

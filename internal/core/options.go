@@ -181,11 +181,19 @@ type Options struct {
 	// N/NB/Mode/Scheme match this configuration — the mismatch is rejected
 	// at run start, not here, because the order n is a run argument.
 	Resume *Checkpoint
-	// Rebalance configures dynamic repartitioning of trailing block
-	// columns across GPUs; see the Rebalance type. The zero value disables
-	// it (static block-column-cyclic layout for the whole run).
-	Rebalance Rebalance
-
+	// RebalanceEvery, when > 0, arms dynamic work repartitioning: the step
+	// runtime measures each GPU's trailing-update time, EWMA-smooths a
+	// per-column throughput estimate, and every RebalanceEvery ladder
+	// steps re-apportions the remaining trailing block columns
+	// proportionally to the estimated speeds, migrating ownership of
+	// reassigned columns over simulated PCIe with their checksum strips
+	// riding along (see DESIGN.md §10). Results are bit-identical to the
+	// static layout: migration copies exact bits and every kernel's
+	// per-column arithmetic is owner-independent. 0 (the zero value)
+	// keeps the static block-column-cyclic layout for the whole run, as
+	// does a single-GPU system (nothing to re-split); negative values are
+	// rejected by Validate.
+	RebalanceEvery int
 	// stageJournal, when non-nil, receives the runtime's canonical stage
 	// journal for the run (test hook; see runtime.go).
 	stageJournal *[]stageRec
@@ -196,22 +204,6 @@ type Options struct {
 	// parityEvery, when positive, overrides the cross-node parity's
 	// refresh interval c (parityInterval; test hook, see coded.go).
 	parityEvery int
-}
-
-// Rebalance configures dynamic work repartitioning: the step runtime
-// measures each GPU's trailing-update time, EWMA-smooths a per-column
-// throughput estimate, and every Every steps re-apportions the remaining
-// trailing block columns proportionally to the estimated speeds, migrating
-// ownership of reassigned columns over simulated PCIe with their checksum
-// strips riding along (see DESIGN.md §10). Results are bit-identical to
-// the static layout: migration copies exact bits and every kernel's
-// per-column arithmetic is owner-independent.
-type Rebalance struct {
-	// Every is the rebalance interval in ladder steps; 0 (the zero value)
-	// disables rebalancing entirely and negative values are rejected by
-	// Validate. Rebalancing also stays off — regardless of Every — on
-	// single-GPU systems (nothing to re-split).
-	Every int
 }
 
 // Validate normalizes and sanity-checks the options for order n.
@@ -234,8 +226,8 @@ func (o *Options) Validate(n int) error {
 	if o.OnCheckpoint != nil && o.CheckpointEvery <= 0 {
 		return fmt.Errorf("core: OnCheckpoint requires CheckpointEvery > 0 (the callback would never fire)")
 	}
-	if o.Rebalance.Every < 0 {
-		return fmt.Errorf("core: Rebalance.Every %d must not be negative (0 disables rebalancing)", o.Rebalance.Every)
+	if o.RebalanceEvery < 0 {
+		return fmt.Errorf("core: RebalanceEvery %d must not be negative (0 disables rebalancing)", o.RebalanceEvery)
 	}
 	if o.Redundancy < 0 {
 		return fmt.Errorf("core: Redundancy %d must not be negative (0 means the default of 1)", o.Redundancy)
@@ -256,7 +248,7 @@ func (o *Options) ValidateBatch() error {
 		return errors.New("core: checkpoint/resume options are not supported in batched runs")
 	case len(o.FailStop) > 0 || len(o.LinkFault) > 0 || len(o.NodeFault) > 0:
 		return errors.New("core: fail-stop, link-fault and node-fault plans are not supported in batched runs")
-	case o.Rebalance.Every != 0:
+	case o.RebalanceEvery != 0:
 		return errors.New("core: rebalancing is not supported in batched runs")
 	}
 	return nil
@@ -382,7 +374,7 @@ type Result struct {
 	// instead of surrendering to a complete restart.
 	Rollbacks int
 	// Rebalances counts applied repartitionings (rounds that actually
-	// moved at least one column; Options.Rebalance.Every > 0).
+	// moved at least one column; Options.RebalanceEvery > 0).
 	Rebalances int
 	// MovedColumns counts block columns that migrated between GPUs across
 	// all rebalances of the run.

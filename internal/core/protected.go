@@ -61,6 +61,13 @@ type protected struct {
 	// first done block columns are complete; no GPU copy of them is read.
 	out  *matrix.Dense
 	done int
+	// piv and tau are the history of the finished steps that out does not
+	// hold: LU's global pivot sequence and QR's Householder scalars, each
+	// allocated by its driver's ladder constructor and nil otherwise.
+	// They live on the layout, beside out, so that a checkpoint takes and
+	// restores a run's whole state from one place.
+	piv []int
+	tau []float64
 	// lower marks a factor whose GPUs compute the rows below each
 	// diagonal block (Cholesky's L21, whose strictly upper blocks keep the
 	// input); otherwise they compute the rows above it (LU's U12, QR's
@@ -147,7 +154,7 @@ func (p *protected) initCyclicLayout(G int) {
 // slabs and, on multi-node systems, the parity groups. Nothing is shipped
 // or encoded yet — newProtected scatters a into it and settle encodes
 // it, and a resumed run restores a checkpoint. Rebalancing runs
-// (Options.Rebalance.Every > 0) and multi-node runs allocate full-width
+// (Options.RebalanceEvery > 0) and multi-node runs allocate full-width
 // slabs (nbr blocks) so column migration — or the adoption of
 // reconstructed columns after a node loss — is a shift-and-copy, never a
 // realloc; static flat runs size them to the cyclic share.
@@ -162,7 +169,7 @@ func newLayout(es *engineSys, a *matrix.Dense, tol float64) *protected {
 	p.capb = make([]int, G)
 	for g := 0; g < G; g++ {
 		p.capb[g] = p.nloc[g]
-		if es.opts.Rebalance.Every > 0 || es.sys.Nodes() > 1 {
+		if es.opts.RebalanceEvery > 0 || es.sys.Nodes() > 1 {
 			p.capb[g] = p.nbr
 		}
 		if p.capb[g] == 0 {
@@ -222,9 +229,6 @@ func (p *protected) first() int {
 // the checkpoint's step (a restore ships the checksum strips, but
 // checkpoints carry no parity).
 func (p *protected) settle() {
-	if !p.unsettled {
-		return
-	}
 	p.unsettled = false
 	es := p.es
 	epoch := -1

@@ -29,11 +29,11 @@ import (
 //	all GPUs          TMU: A₂ = (I − V·Tᵀ·Vᵀ)·A₂ with full checksums
 //	                  maintained from c(V) (Table III, red terms)
 func QR(sys *hetsim.System, a *matrix.Dense, opts Options) (*matrix.Dense, []float64, *Result, error) {
-	out, l, res, err := factorize("QR", sys, a, opts, newQRLadder)
+	out, p, res, err := solo("QR", sys, a, opts, newQRLadder)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return out, l.(*qrLadder).tau, res, nil
+	return out, p.tau, res, nil
 }
 
 // qrStep is the staging state a QR ladder step carries between stages: the
@@ -50,34 +50,11 @@ type qrStep struct {
 type qrLadder struct {
 	ladderBase
 	step []*qrStep
-	tau  []float64
 }
 
 func newQRLadder(p *protected) ladder {
-	return &qrLadder{ladderBase: ladderBase{p: p}, step: make([]*qrStep, p.nbr), tau: make([]float64, p.n)}
-}
-
-func (l *qrLadder) panelPivot(int)  {}
-func (l *qrLadder) panelUpdate(int) {}
-
-// checkpoint snapshots the distributed state after step next-1 plus the
-// Householder scalars of the finished steps. Entries beyond next·NB are
-// zeroed: after a rollback they still hold the abandoned pass's scalars,
-// and a resumed run replays those steps anyway.
-func (l *qrLadder) checkpoint(next int) *Checkpoint {
-	cp := l.p.captureCheckpoint(next)
-	cp.Tau = make([]float64, len(l.tau))
-	copy(cp.Tau[:next*l.p.nb], l.tau[:next*l.p.nb])
-	return cp
-}
-
-// resume restores the distributed state and reflector history from cp onto
-// the current device set and drops any staged per-step state, ready to
-// replay from cp.NextStep.
-func (l *qrLadder) resume(cp *Checkpoint) {
-	l.p.restoreFrom(cp)
-	copy(l.tau, cp.Tau)
-	l.step = make([]*qrStep, l.p.nbr)
+	p.tau = make([]float64, p.n)
+	return &qrLadder{ladderBase: ladderBase{p: p}, step: make([]*qrStep, p.nbr)}
 }
 
 // panelFactor verifies the panel on its owner GPU (or, when the host's
@@ -108,7 +85,7 @@ func (l *qrLadder) panelFactor(k int) {
 	if host {
 		p.checkPanel(k, &st.panelStep)
 	}
-	ltau := l.tau[o : o+nb]
+	ltau := p.tau[o : o+nb]
 	geqr2 := func() error {
 		cpu.Run("geqr2-chk", 2*float64(m*nb*nb), func(int) {
 			p.qrPanelChecked(st.pm, st.cm, ltau)
@@ -199,7 +176,7 @@ func (l *qrLadder) panelCommit(k int) {
 	m := p.n - o
 	chk := es.opts.Mode != NoChecksum
 	st := l.step[k]
-	ltau := l.tau[o : o+nb]
+	ltau := p.tau[o : o+nb]
 
 	st.cvStage = make([]*hetsim.Buffer, G)
 	st.tStage = make([]*hetsim.Buffer, G)

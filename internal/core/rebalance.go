@@ -16,7 +16,7 @@ import (
 // closes the loop the Heterogeneous-Solvers exemplar closes with its
 // per-iteration gpuProportion recompute: measure each GPU's trailing-update
 // time, EWMA-smooth a per-column cost estimate, and every
-// Options.Rebalance.Every steps re-apportion the remaining trailing block
+// Options.RebalanceEvery steps re-apportion the remaining trailing block
 // columns proportionally to estimated speed, migrating ownership of
 // reassigned columns over simulated PCIe with their checksum strips riding
 // along (protected.migrateColumn).
@@ -63,15 +63,6 @@ var (
 		"device")
 )
 
-// rebalancer is the optional ladder capability the step runtime probes for:
-// a ladder that exposes its protected layout can have its trailing columns
-// repartitioned. The batched drivers' composite ladder doesn't implement
-// it, and Options.ValidateBatch rejects rebalancing options before a batch
-// runs.
-type rebalancer interface {
-	layout() *protected
-}
-
 // rebEWMA is the smoothing factor of the per-column cost estimator: the
 // newest sample and the history weigh equally, so a 4× straggler dominates
 // the estimate within ~two samples while one noisy step cannot.
@@ -107,8 +98,8 @@ type rebState struct {
 	est []float64 // EWMA seconds per trailing column; 0 = no sample yet
 }
 
-func newRebState(es *engineSys, p *protected) *rebState {
-	return &rebState{es: es, p: p, est: make([]float64, es.sys.NumGPUs())}
+func newRebState(p *protected) *rebState {
+	return &rebState{es: p.es, p: p, est: make([]float64, p.es.sys.NumGPUs())}
 }
 
 // beginSample brackets the start of step k's trailing update: start a new
@@ -167,9 +158,6 @@ func (rb *rebState) liveIdx() []int {
 // resulting device shares, and emit the legal moves that take the current
 // layout there. Returns nil when there is nothing to move.
 func (rb *rebState) plan(k int) []rebMove {
-	if rb == nil {
-		return nil
-	}
 	p := rb.p
 	bjLo := k + 2
 	T := p.nbr - bjLo

@@ -19,7 +19,7 @@ func newRebalProtected(t *testing.T, n, nb, gpus int) (*protected, *matrix.Dense
 	sys := testSystem(gpus)
 	rng := matrix.NewRNG(uint64(n + nb + gpus))
 	a := matrix.RandomDiagDominant(n, rng)
-	opts := Options{NB: nb, Mode: Full, Scheme: NewScheme, Rebalance: Rebalance{Every: 1}}
+	opts := Options{NB: nb, Mode: Full, Scheme: NewScheme, RebalanceEvery: 1}
 	if err := opts.Validate(n); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestRebalanceBitIdentityUniform(t *testing.T) {
 						0: {Mode: hetsim.FaultStraggler, Slowdown: 4},
 						1: {Mode: hetsim.FaultStraggler, Slowdown: 16, AfterOps: 40},
 					}
-					dyn.Rebalance = Rebalance{Every: 2}
+					dyn.RebalanceEvery = 2
 					// Follow each column's owner from the cyclic start to see
 					// which way the moves went.
 					own := make([]int, a.Cols/base.NB)
@@ -187,7 +187,7 @@ func TestRebalanceCheckpointResume(t *testing.T) {
 	var last *Checkpoint
 	dyn := base
 	dyn.FailStop = map[int]hetsim.FaultPlan{1: {Mode: hetsim.FaultStraggler, Slowdown: 4}}
-	dyn.Rebalance = Rebalance{Every: 1}
+	dyn.RebalanceEvery = 1
 	dyn.CheckpointEvery = 2
 	dyn.OnCheckpoint = func(cp *Checkpoint) { last = cp }
 	if _, _, res, err := LU(testSystem(2), a, dyn); err != nil {
@@ -202,7 +202,7 @@ func TestRebalanceCheckpointResume(t *testing.T) {
 
 	resOpts := base
 	resOpts.Resume = last
-	resOpts.Rebalance = Rebalance{Every: 1}
+	resOpts.RebalanceEvery = 1
 	rout, rpiv, _, err := LU(testSystem(2), a, resOpts)
 	if err != nil {
 		t.Fatalf("resume from step %d: %v", last.NextStep, err)
@@ -225,7 +225,7 @@ func TestRebalanceShedsStragglerLoad(t *testing.T) {
 	a := pipelineInput("cholesky", 192)
 	slow := map[int]hetsim.FaultPlan{1: {Mode: hetsim.FaultStraggler, Slowdown: 4}}
 	opts := Options{NB: 16, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel,
-		Lookahead: 1, FailStop: slow, Rebalance: Rebalance{Every: 2}}
+		Lookahead: 1, FailStop: slow, RebalanceEvery: 2}
 	moved := 0
 	opts.onRebalance = func(step int, moves []rebMove) { moved += len(moves) }
 	_, res, err := Cholesky(testSystem(3), a, opts)
@@ -269,7 +269,7 @@ func TestRebalanceIgnoresOutsideBusyTime(t *testing.T) {
 					}
 					opts := tc.opts
 					opts.NB, opts.Mode, opts.Scheme, opts.Kernel = 16, Full, NewScheme, checksum.OptKernel
-					opts.FailStop, opts.Rebalance = slow, Rebalance{Every: 1}
+					opts.FailStop, opts.RebalanceEvery = slow, 1
 					var log string
 					opts.onRebalance = func(step int, moves []rebMove) { log += fmt.Sprintf("%d:%v ", step, moves) }
 					if _, _, _, _, err := runDecomp(decomp, sys, pipelineInput(decomp, 192), opts); err != nil {
@@ -299,7 +299,7 @@ func TestRebalanceOptionValidation(t *testing.T) {
 	}{
 		{"negative CheckpointEvery", func(o *Options) { o.CheckpointEvery = -1 }},
 		{"OnCheckpoint without interval", func(o *Options) { o.OnCheckpoint = func(*Checkpoint) {} }},
-		{"negative Rebalance.Every", func(o *Options) { o.Rebalance.Every = -2 }},
+		{"negative Rebalance.Every", func(o *Options) { o.RebalanceEvery = -2 }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -316,7 +316,7 @@ func TestRebalanceOptionValidation(t *testing.T) {
 	}
 	// The valid shapes still pass.
 	o := base()
-	o.Rebalance = Rebalance{Every: 3}
+	o.RebalanceEvery = 3
 	o.CheckpointEvery = 2
 	o.OnCheckpoint = func(*Checkpoint) {}
 	if err := o.Validate(64); err != nil {
@@ -326,7 +326,7 @@ func TestRebalanceOptionValidation(t *testing.T) {
 
 // TestRebalanceInjectedSweep: injected runs rebalance like any other.
 // Under a 4x straggler on GPU1 of 3, every fault kind striking every
-// operation at step 2 must leave Rebalance{Every: 1} moving columns and
+// operation at step 2 must leave RebalanceEvery 1 moving columns and
 // reaching the verdict and residual class of the static layout.
 func TestRebalanceInjectedSweep(t *testing.T) {
 	const n = 128
@@ -343,20 +343,20 @@ func TestRebalanceInjectedSweep(t *testing.T) {
 				if kind == fault.OnChipMemory {
 					spec.Part = fault.ReferencePart
 				}
-				run := func(reb Rebalance) (*Result, bool) {
+				run := func(every int) (*Result, bool) {
 					inj := fault.NewInjector(31)
 					inj.Schedule(spec)
 					opts := Options{NB: 16, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel,
-						FailStop: slow, Rebalance: reb, Injector: inj}
+						FailStop: slow, RebalanceEvery: every, Injector: inj}
 					a := pipelineInput(decomp, n)
 					out, piv, tau, res, err := runDecomp(decomp, testSystem(3), a, opts)
 					if err != nil {
-						t.Fatalf("%s %v rebalance=%d: %v", decomp, spec, reb.Every, err)
+						t.Fatalf("%s %v rebalance=%d: %v", decomp, spec, every, err)
 					}
 					return res, decompResidual(decomp, a, out, piv, tau) <= 1e-9
 				}
-				static, staticOK := run(Rebalance{})
-				dyn, dynOK := run(Rebalance{Every: 1})
+				static, staticOK := run(0)
+				dyn, dynOK := run(1)
 				if dyn.Rebalances == 0 {
 					t.Errorf("%s %v: the straggler moved no columns", decomp, spec)
 				}

@@ -15,7 +15,11 @@ import (
 // complement, then apply the trailing-matrix update — with verification
 // and fault-injection windows woven between the stages by the checking
 // scheme. The drivers express one iteration as the typed stages of the
-// ladder interface; runLadder owns the schedule.
+// ladder interface; runLadder owns the schedule. A run is a list of
+// items, one ladder each over its own protected layout — a solo run is a
+// batch of one — and every stage of a step sweeps the live items before
+// the next stage begins. A driver error drops its item alone; the run
+// stops once no item is live.
 //
 // Two schedules exist. The serial schedule (Options.Lookahead <= 0)
 // executes the stages of step k strictly in order before starting step
@@ -73,14 +77,16 @@ const (
 // codedState.adopt).
 func tmuColumn(bj int) tmuSel { return tmuRest + 1 + tmuSel(bj) }
 
-// ladder is one decomposition's per-iteration stage definitions. Stage
-// methods run on the coordinating goroutine except tmuGPU, which the
-// look-ahead schedule may run inside a hetsim stream and therefore must
-// only execute kernels (no counters, no verifies, no injector calls; it
-// applies the on-chip corruption tmuBegin drew for its slice).
+// ladder is one item's per-iteration stage definitions: one
+// decomposition's dataflow over one protected layout. Stage methods run
+// on the coordinating goroutine except tmuGPU, which the look-ahead
+// schedule may run inside a hetsim stream and therefore must only execute
+// kernels (no counters, no verifies, no injector calls; it applies the
+// on-chip corruption tmuBegin drew for its slice). ladderBase supplies
+// layout, failed and the stages a decomposition may leave empty.
 type ladder interface {
-	// steps returns the number of ladder iterations (block columns).
-	steps() int
+	// layout returns the protected layout the ladder factors.
+	layout() *protected
 	// panelFactor pulls panel k to the CPU, verifies it, factorizes it,
 	// and re-encodes its checksums, leaving the certified factor staged
 	// host-side and in the host-held output. It must not write
@@ -109,18 +115,9 @@ type ladder interface {
 	// last slice (tmuAll or tmuRest) also releases step k's staging state.
 	tmuFinish(k int, sel tmuSel)
 	// failed reports a non-abort driver error (e.g. a panel factorization
-	// that failed after its local restart); runLadder stops on it.
+	// that failed after its local restart); runLadder drops the item on
+	// it.
 	failed() error
-	// checkpoint snapshots the factorization state into a host-side
-	// Checkpoint that resumes from step next. Called by the runtime only
-	// after step next-1's verification passed, so the snapshot is
-	// known-clean.
-	checkpoint(next int) *Checkpoint
-	// resume restores the factorization state from a checkpoint onto the
-	// current device set and discards any per-step staging, so the ladder
-	// can replay from cp.NextStep. It serves both the mid-run rollback
-	// (same devices) and the cross-run resume (possibly fewer GPUs).
-	resume(cp *Checkpoint)
 }
 
 // stageRec is one canonical journal entry: stage `name` of ladder step
@@ -181,10 +178,19 @@ var stageRank = map[string]int{
 // the serving layer's complete restart takes over.
 const maxRollbacksPerCheckpoint = 2
 
-// stepRuntime schedules a ladder across the simulated system.
+// stepRuntime schedules a run's items across the simulated system: every
+// stage sweeps the items still live.
 type stepRuntime struct {
+	// es is the engine of the run's first item, and lead its layout. The
+	// items share es's system, decomposition and options (bar the
+	// injector), so es carries the schedule. The run-level controls —
+	// checkpoint, rollback, rebalancing and node-loss reconstruction,
+	// which Options.ValidateBatch reserves for runs of one item — act on
+	// lead and report on es's Result.
 	es       *engineSys
-	l        ladder
+	lead     *protected
+	items    []ladder
+	errs     []error
 	depth    int
 	streams  []*hetsim.Stream
 	factored []bool
@@ -196,33 +202,23 @@ type stepRuntime struct {
 	lastCP    *Checkpoint
 	rollbacks int
 
-	// reb is the dynamic repartitioner, nil unless Options.Rebalance is
-	// armed, the ladder exposes its layout, and the system holds at least
-	// two GPUs (see initRebalance).
+	// reb is the dynamic repartitioner, nil unless Options.RebalanceEvery
+	// is armed and the system holds at least two GPUs (see
+	// initRebalance).
 	reb *rebState
-
-	// coded is the cross-node erasure redundancy of the ladder's layout,
-	// nil on flat systems or for ladders that expose no layout.
-	coded *codedState
 }
 
-// initRebalance arms the rebalancer when the configuration and ladder
-// allow it: Rebalance.Every > 0, at least two GPUs (nothing to re-split
-// otherwise), and a ladder that exposes its protected layout (the batched
-// drivers don't). Multi-node topologies rebalance too: the parity-aware
+// initRebalance arms the rebalancer when the configuration allows it:
+// RebalanceEvery > 0 and at least two GPUs (nothing to re-split
+// otherwise). Multi-node topologies rebalance too: the parity-aware
 // migration protocol (rebState.filterLegal / codedState.rehomeParity)
 // keeps the erasure code's one-column-per-node-per-group placement intact
 // across moves. Injection windows address the layout each stage finds.
 func (rt *stepRuntime) initRebalance() {
-	es := rt.es
-	if es.opts.Rebalance.Every <= 0 || es.sys.NumGPUs() < 2 {
+	if rt.es.opts.RebalanceEvery <= 0 || rt.es.sys.NumGPUs() < 2 {
 		return
 	}
-	rl, ok := rt.l.(rebalancer)
-	if !ok {
-		return
-	}
-	rt.reb = newRebState(es, rl.layout())
+	rt.reb = newRebState(rt.lead)
 }
 
 // maybeRebalance, called after step k's verification and checkpoint
@@ -230,7 +226,7 @@ func (rt *stepRuntime) initRebalance() {
 // interval says so. The stage is journaled only when columns actually
 // move, so a decision that confirms the current layout leaves no trace.
 func (rt *stepRuntime) maybeRebalance(k int) {
-	if rt.reb == nil || (k+1)%rt.es.opts.Rebalance.Every != 0 {
+	if rt.reb == nil || (k+1)%rt.es.opts.RebalanceEvery != 0 {
 		return
 	}
 	moves := rt.reb.plan(k)
@@ -239,34 +235,46 @@ func (rt *stepRuntime) maybeRebalance(k int) {
 	}
 	rt.stage(k, stageRebalance, func() {
 		rt.reb.apply(k, moves)
-		if rt.coded != nil {
-			rt.coded.moved(k)
+		if cs := rt.lead.coded; cs != nil {
+			cs.moved(k)
 		}
 	})
 }
 
-// layouts returns the protected layout the ladder factors or, in a batch,
-// every live item's.
-func layouts(l ladder) []*protected {
-	if bl, ok := l.(*batchLadder); ok {
-		return bl.layouts()
+// live returns the ladders of the items no driver error has dropped.
+func (rt *stepRuntime) live() []ladder {
+	var out []ladder
+	for i, l := range rt.items {
+		if rt.errs[i] == nil {
+			out = append(out, l)
+		}
 	}
-	if rl, ok := l.(rebalancer); ok {
-		return []*protected{rl.layout()}
+	return out
+}
+
+// drop moves each live item's driver error into the run's per-item error
+// slice, so later sweeps skip the item, and reports whether no item is
+// left live: one bad item never stops the others.
+func (rt *stepRuntime) drop() bool {
+	done := true
+	for i, l := range rt.items {
+		if rt.errs[i] == nil {
+			rt.errs[i] = l.failed()
+			done = done && rt.errs[i] != nil
+		}
 	}
-	return nil
+	return done
 }
 
 // maybeParity, run after step k's verification concluded clean, verifies
 // the trailing columns and, when the refresh is due, re-encodes the parity
 // of every group still holding columns it has not yet covered (see
-// codedState.refresh), for the ladder's layout or, in a batch, for every
-// live item's. Journaled as its own stage, every step, so serial and
-// look-ahead schedules compare equal.
+// codedState.refresh), for every live item's layout. Journaled as its own
+// stage, every step, so serial and look-ahead schedules compare equal.
 func (rt *stepRuntime) maybeParity(k int) {
 	var due []*codedState
-	for _, p := range layouts(rt.l) {
-		if cs := p.coded; cs != nil && !cs.exhausted() {
+	for _, l := range rt.live() {
+		if cs := l.layout().coded; cs != nil && !cs.exhausted() {
 			due = append(due, cs)
 		}
 	}
@@ -290,7 +298,8 @@ func (rt *stepRuntime) maybeParity(k int) {
 func (rt *stepRuntime) handleNodeLoss(nodes []int) error {
 	es := rt.es
 	es.res.NodesLost += len(nodes)
-	if rt.coded == nil {
+	cs := rt.lead.coded
+	if cs == nil {
 		gpus := 0
 		for g := 0; g < es.sys.NumGPUs(); g++ {
 			if es.sys.NodeOf(g) == nodes[0] {
@@ -299,11 +308,11 @@ func (rt *stepRuntime) handleNodeLoss(nodes []int) error {
 		}
 		return &hetsim.NodeLostError{Node: nodes[0], GPUs: gpus, Op: "reconstruct"}
 	}
-	n, err := rt.coded.reconstructNodes(nodes)
+	n, err := cs.reconstructNodes(nodes)
 	if err != nil {
 		return err
 	}
-	rt.es.res.Reconstructions += n
+	es.res.Reconstructions += n
 	return nil
 }
 
@@ -313,29 +322,32 @@ func (es *engineSys) overlapDepth() int {
 	return min(max(es.opts.Lookahead, 0), 1)
 }
 
-// runLadder executes the ladder under the configured schedule. A fail-stop
-// abort panics through (after stream cleanup) to the driver boundary's
-// RecoverAbort; a driver error surfaces as the return value.
-func runLadder(es *engineSys, l ladder) error {
+// runLadder runs the items' ladders, one per item of the run, under the
+// configured schedule: each stage of a step sweeps the live items before
+// the next stage begins. A driver error drops its item, recorded in errs,
+// and the run stops once no item is live. A fail-stop abort panics
+// through (after stream cleanup) to the driver boundary's RecoverAbort;
+// a node loss the run cannot absorb surfaces as the returned error.
+func runLadder(items []ladder, errs []error) error {
+	p := items[0].layout()
+	es := p.es
 	rt := &stepRuntime{
 		es:       es,
-		l:        l,
+		lead:     p,
+		items:    items,
+		errs:     errs,
 		depth:    es.overlapDepth(),
-		factored: make([]bool, l.steps()),
+		factored: make([]bool, p.nbr),
 	}
 	defer rt.close()
-	nbr := l.steps()
-	G := es.sys.NumGPUs()
+	nbr := p.nbr
 	start := 0
 	if cp := es.opts.Resume; cp != nil {
-		rt.stage(cp.NextStep, stageResume, func() { l.resume(cp) })
+		rt.stage(cp.NextStep, stageResume, func() { p.restoreFrom(cp) })
 		rt.lastCP = cp
 		start = cp.NextStep
 	}
 	rt.initRebalance()
-	if rl, ok := l.(rebalancer); ok {
-		rt.coded = rl.layout().coded
-	}
 	for k := start; k < nbr; k++ {
 		if rt.hostStart(k) {
 			// A fresh run factors panel 0 from the host's copy of the
@@ -344,12 +356,12 @@ func runLadder(es *engineSys, l ladder) error {
 			// is; only then does the layout settle on the GPUs: before
 			// the first pivot or commit reads its checksums, and before a
 			// node loss at this epoch is rebuilt from its parity.
-			if err := rt.factor(k); err != nil {
-				return err
+			if rt.factor(k) {
+				return nil
 			}
 			rt.stage(k, stageEncode, func() {
-				for _, p := range layouts(l) {
-					p.settle()
+				for _, l := range rt.live() {
+					l.layout().settle()
 				}
 			})
 		}
@@ -364,19 +376,17 @@ func runLadder(es *engineSys, l ladder) error {
 				return nerr
 			}
 		}
-		if !rt.factored[k] {
-			if err := rt.factor(k); err != nil {
-				return err
-			}
+		if !rt.factored[k] && rt.factor(k) {
+			return nil
 		}
-		rt.stage(k, stagePanelPivot, func() { l.panelPivot(k) })
+		rt.stage(k, stagePanelPivot, rt.all(k, ladder.panelPivot))
 		if k < nbr-1 {
 			// The last panel stays on the host: no trailing update and no
 			// gather reads a GPU copy of it.
-			rt.packed(k, stagePanelCommit, func() { l.panelCommit(k) })
+			rt.packed(k, stagePanelCommit, ladder.panelCommit)
 		}
-		if err := l.failed(); err != nil {
-			return err
+		if rt.drop() {
+			return nil
 		}
 		if rt.maybeRollback(&k) {
 			continue
@@ -384,8 +394,8 @@ func runLadder(es *engineSys, l ladder) error {
 		if k == nbr-1 {
 			break
 		}
-		rt.packed(k, stagePanelUpdate, func() { l.panelUpdate(k) })
-		rt.stage(k, stageTMUBegin, func() { l.tmuBegin(k) })
+		rt.packed(k, stagePanelUpdate, ladder.panelUpdate)
+		rt.stage(k, stageTMUBegin, rt.all(k, ladder.tmuBegin))
 		// The rebalancer brackets the TMU with busy-time samples. Under
 		// look-ahead the bracket also holds the pull of panel k+1, whose
 		// source-side Fletcher pass adds busy time to its owner GPU, so
@@ -396,30 +406,21 @@ func runLadder(es *engineSys, l ladder) error {
 			// Look-ahead: update and close the next panel's column
 			// synchronously, launch the remainder onto per-GPU streams,
 			// factorize panel k+1 on the CPU while they run, then join.
-			rt.stage(k, stageTMU, func() {
-				for g := 0; g < G; g++ {
-					l.tmuGPU(k, g, tmuLookahead)
-				}
-				l.tmuFinish(k, tmuLookahead)
-			})
+			rt.stage(k, stageTMU, func() { rt.tmu(k, tmuLookahead) })
 			evs := rt.launchRest(k)
-			rt.packed(k+1, stagePanelFactor, func() { l.panelFactor(k + 1) })
+			rt.packed(k+1, stagePanelFactor, ladder.panelFactor)
 			rt.factored[k+1] = true
 			for _, ev := range evs {
 				ev.Wait()
 			}
 			last = tmuRest
 		} else {
-			rt.stage(k, stageTMU, func() {
-				for g := 0; g < G; g++ {
-					l.tmuGPU(k, g, tmuAll)
-				}
-			})
+			rt.stage(k, stageTMU, func() { rt.tmu(k, tmuAll) })
 		}
 		rt.reb.endSample(k)
-		rt.stage(k, stageTMUFinish, func() { l.tmuFinish(k, last) })
-		if err := l.failed(); err != nil {
-			return err
+		rt.stage(k, stageTMUFinish, rt.all(k, func(l ladder, k int) { l.tmuFinish(k, last) }))
+		if rt.drop() {
+			return nil
 		}
 		if rt.maybeRollback(&k) {
 			continue
@@ -434,23 +435,39 @@ func runLadder(es *engineSys, l ladder) error {
 	return nil
 }
 
+// tmu applies slice sel of step k's trailing update on every GPU, item by
+// item, and, for the look-ahead slice, closes it on every item.
+func (rt *stepRuntime) tmu(k int, sel tmuSel) {
+	live := rt.live()
+	for g := 0; g < rt.es.sys.NumGPUs(); g++ {
+		for _, l := range live {
+			l.tmuGPU(k, g, sel)
+		}
+	}
+	if sel == tmuLookahead {
+		for _, l := range live {
+			l.tmuFinish(k, sel)
+		}
+	}
+}
+
 // hostStart reports whether step k starts a pass from the host's copy
 // of its panel (see protected.hostCurrent).
 func (rt *stepRuntime) hostStart(k int) bool {
-	for _, p := range layouts(rt.l) {
-		if p.hostCurrent(k) {
+	for _, l := range rt.live() {
+		if l.layout().hostCurrent(k) {
 			return true
 		}
 	}
 	return false
 }
 
-// factor runs step k's panel-factor stage and reports the driver error
-// it left.
-func (rt *stepRuntime) factor(k int) error {
-	rt.packed(k, stagePanelFactor, func() { rt.l.panelFactor(k) })
+// factor runs step k's panel-factor stage and reports whether the
+// driver errors it left dropped every item.
+func (rt *stepRuntime) factor(k int) bool {
+	rt.packed(k, stagePanelFactor, ladder.panelFactor)
 	rt.factored[k] = true
-	return rt.l.failed()
+	return rt.drop()
 }
 
 // checkpointDue reports whether the checkpoint interval falls after step
@@ -470,8 +487,7 @@ func (rt *stepRuntime) maybeCheckpoint(k int) {
 		return
 	}
 	var cp *Checkpoint
-	rt.stage(k, stageCheckpoint, func() { cp = rt.l.checkpoint(k + 1) })
-	cp.seal()
+	rt.stage(k, stageCheckpoint, func() { cp = rt.lead.captureCheckpoint(k + 1) })
 	rt.lastCP = cp
 	rt.rollbacks = 0
 	es.res.Checkpoints++
@@ -489,7 +505,9 @@ func (rt *stepRuntime) maybeCheckpoint(k int) {
 // caller's loop continues at the checkpointed step, and reports whether a
 // rollback happened. Without a checkpoint (or once
 // maxRollbacksPerCheckpoint replays made no progress) the unrecoverable
-// verdict stands and the run completes as before.
+// verdict stands and the run completes as before. The driver's per-step
+// staging stays as the abandoned pass left it: the replay factors each
+// step's panel, which restages the step, before any stage reads it.
 func (rt *stepRuntime) maybeRollback(k *int) bool {
 	es := rt.es
 	if !es.res.Unrecoverable || rt.lastCP == nil || rt.rollbacks >= maxRollbacksPerCheckpoint {
@@ -505,7 +523,7 @@ func (rt *stepRuntime) maybeRollback(k *int) bool {
 		return false
 	}
 	cp := rt.lastCP
-	rt.stage(*k, stageRollback, func() { rt.l.resume(cp) })
+	rt.stage(*k, stageRollback, func() { rt.lead.restoreFrom(cp) })
 	rt.rollbacks++
 	es.res.Unrecoverable = false
 	es.res.Rollbacks++
@@ -527,15 +545,23 @@ func (rt *stepRuntime) stage(k int, name string, fn func()) {
 	rt.es.sys.Tracer().WallSpan(fmt.Sprintf("%s:%s[%d]", rt.es.decomp, name, k), "stage", t0, time.Since(t0))
 }
 
-// packed runs a panel stage (factor, commit, update) inside one
+// all returns ladder stage fn of step k swept over every live item.
+func (rt *stepRuntime) all(k int, fn func(ladder, int)) func() {
+	return func() {
+		for _, l := range rt.live() {
+			fn(l, k)
+		}
+	}
+}
+
+// packed sweeps a panel stage (factor, commit, update) inside one
 // transfer-coalescing window, so the stage's back-to-back transfers on one
 // link pay its latency once — what packing a panel with its checksum
-// strips into one message does. A batched dispatch's composite stage
-// sweeps every item inside the same window, so the slab's panels share it
-// too. Launched TMU closures issue no transfers, so the look-ahead
-// panel-factor window never captures stream traffic.
-func (rt *stepRuntime) packed(k int, name string, fn func()) {
-	rt.stage(k, name, func() { rt.es.sys.CoalesceTransfers(fn) })
+// strips into one message does — and a batch's panels share the window.
+// Launched TMU closures issue no transfers, so the look-ahead panel-factor
+// window never captures stream traffic.
+func (rt *stepRuntime) packed(k int, name string, fn func(ladder, int)) {
+	rt.stage(k, name, func() { rt.es.sys.CoalesceTransfers(rt.all(k, fn)) })
 }
 
 // launchRest enqueues every live GPU's remaining trailing-update slice onto
@@ -552,13 +578,18 @@ func (rt *stepRuntime) launchRest(k int) []*hetsim.StreamEvent {
 			rt.streams[g] = rt.es.sys.GPU(g).NewStream()
 		}
 	}
+	live := rt.live()
 	evs := make([]*hetsim.StreamEvent, 0, G)
 	for g := 0; g < G; g++ {
 		if rt.es.sys.GPU(g).Lost() {
 			continue
 		}
 		g := g
-		rt.streams[g].Launch("tmu-rest", func() { rt.l.tmuGPU(k, g, tmuRest) })
+		rt.streams[g].Launch("tmu-rest", func() {
+			for _, l := range live {
+				l.tmuGPU(k, g, tmuRest)
+			}
+		})
 		evs = append(evs, rt.streams[g].Record())
 	}
 	return evs

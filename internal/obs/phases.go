@@ -37,7 +37,7 @@ const (
 	MetricRollbackDepth = "ftla_rollback_depth_steps"
 	// MetricRebalances counts applied work repartitionings: rebalance
 	// rounds that migrated at least one trailing block column between
-	// GPUs (Options.Rebalance.Every > 0).
+	// GPUs (Options.RebalanceEvery > 0).
 	MetricRebalances = "ftla_rebalance_total"
 	// MetricRebalanceMoved counts block columns migrated between GPUs by
 	// the rebalancer, checksum strips riding along.

@@ -392,7 +392,7 @@ func TestSubmitValidation(t *testing.T) {
 		{Decomp: Cholesky, A: ftla.RandomSPD(16, 1), Config: ftla.Config{NB: 16, Scheme: ftla.NewScheme}}, // scheme without checksums
 		{Decomp: Cholesky, A: ftla.RandomSPD(16, 1), Config: ftla.Config{NB: 16, CheckpointEvery: -1}},
 		{Decomp: Cholesky, A: ftla.RandomSPD(16, 1), Config: ftla.Config{NB: 16, OnCheckpoint: func(*ftla.Checkpoint) {}}},
-		{Decomp: Cholesky, A: ftla.RandomSPD(16, 1), Config: ftla.Config{NB: 16, GPUs: 2, Rebalance: ftla.RebalanceConfig{Every: -1}}},
+		{Decomp: Cholesky, A: ftla.RandomSPD(16, 1), Config: ftla.Config{NB: 16, GPUs: 2, RebalanceEvery: -1}},
 		{Decomp: Cholesky, A: ftla.RandomSPD(16, 1), Config: ftla.Config{NB: 16, GPUs: 3, Nodes: 2}},
 		{Decomp: Cholesky, A: ftla.RandomSPD(16, 1), Config: ftla.Config{NB: 16, GPUs: 2, Nodes: 2, Redundancy: 2}},
 		{Decomp: Cholesky, A: ftla.RandomSPD(16, 1), Config: ftla.Config{NB: 16, GPUs: 2, Nodes: 2, Redundancy: -1}},

@@ -55,7 +55,7 @@ func runRebCase(t testing.TB, decomp string, straggle, dynamic bool) (mk float64
 		cfg.FailStop = map[int]FailStopPlan{1: {Mode: FailStraggler, Slowdown: rebSlowdown}}
 	}
 	if dynamic {
-		cfg.Rebalance = RebalanceConfig{Every: rebEvery}
+		cfg.RebalanceEvery = rebEvery
 	}
 	sys := NewSystem(cfg)
 	a := rebBenchInput(decomp)

@@ -110,12 +110,16 @@ go test -run '^$' -fuzz '^FuzzFaultPromise$' -fuzztime 30s ./internal/core
 # frontier that GPU kernels and stream launches wait for and CPU kernels
 # do not, one message per link for a staging) are the clock those
 # schedules run on, so they repeat here too, with the pin that a batch of
-# one is a solo run on that clock. The
+# one is a solo run on that clock. Every run, solo or batched, is a list
+# of items whose stages the runtime sweeps, so its per-item failure
+# isolation repeats here as well: a driver error (a panel the kernel
+# cannot factor) drops its item alone, solo and batched, and an
+# unrecoverable item leaves its batchmates' bits alone. The
 # host keeps every panel it factors, so the final gather's traffic and
 # the host-side LU interchanges (solo, rolled back, resumed, batched and
 # after a node loss) repeat here as well, with the first panel a fresh
 # run factors on the host while its scatter is in flight.
-go test -race -timeout 5m -run 'TestPipeline|TestStream|TestBatchBitIdentity|TestBatchOfOneMatchesSolo|TestLinkClock|TestGatherMovesOnlyDeviceBlocks|TestLUPivotingOnHost|TestPanelZeroFactorsDuringScatter|TestRestoredPassStartsOnHost|TestCholeskyGPUColumnsStartAtDiagonal' -count=2 ./internal/core ./internal/hetsim
+go test -race -timeout 5m -run 'TestPipeline|TestStream|TestBatchBitIdentity|TestBatchOfOneMatchesSolo|TestDriverErrorDropsItem|TestBatchPerItemFaultContainment|TestLinkClock|TestGatherMovesOnlyDeviceBlocks|TestLUPivotingOnHost|TestPanelZeroFactorsDuringScatter|TestRestoredPassStartsOnHost|TestCholeskyGPUColumnsStartAtDiagonal' -count=2 ./internal/core ./internal/hetsim
 
 # Makespan gate: the look-ahead speedup assertion is skipped under -race
 # (the race runtime's ~10-20x slowdown makes the n=2560 run impractical),
