@@ -20,21 +20,30 @@ import (
 // (the batch pin tests assert this), so batching is purely a throughput
 // decision.
 //
+// The *BatchOn variants run on a caller-provided simulated system instead
+// of constructing a fresh one — the amortization hook for serving layers
+// that pool systems across jobs (cfg.System/cfg.GPUs are ignored; the
+// caller picked the platform, and hands in a clean system, see
+// hetsim.System.Reset). A batch of one matrix is a solo run and takes
+// every Config option, so it is also how such a layer runs a lone job.
+//
 // Errors come back at two levels: the per-item slice errs (item i failed —
 // its result slot is nil — while its siblings completed), and the
 // batch-level err for problems that void the whole dispatch (invalid or
-// unsupported options, nil or mismatched shapes, a fail-stop abort). The
-// batched path rejects the Config options that are inherently per-run —
-// those ValidateBatch names, and Config.Injector — because they cannot be
+// unsupported options, nil or mismatched shapes, a fail-stop abort or a
+// node loss the run could not absorb). A batch of two or more matrices
+// rejects the Config options that are inherently per-run — those
+// ValidateBatch names, and Config.Injector — because they cannot be
 // shared across a batch; fault injection is instead per item via the
 // optional injs arguments on the *BatchOn variants, under the batch's
 // schedule like a solo run's.
 
 // ValidateBatch reports whether c's per-run options may share a batched
-// dispatch: nil when they may, otherwise the error the batched drivers
-// return for them (checkpoint/resume, fail-stop, link-fault and node-fault
-// plans, and rebalancing are per run). Config.Injector is not judged here:
-// the batched drivers reject a shared injector and take per-item ones.
+// dispatch of two or more matrices: nil when they may, otherwise the error
+// the batched drivers return for them (checkpoint/resume, fail-stop,
+// link-fault and node-fault plans, and rebalancing are per run).
+// Config.Injector is not judged here: such a batch rejects a shared
+// injector and takes per-item ones.
 func (c Config) ValidateBatch() error {
 	_, opts := c.normalize()
 	return opts.ValidateBatch()
@@ -66,10 +75,9 @@ func CholeskyBatch(as []*Matrix, cfg Config) (results []*CholeskyResult, errs []
 	return CholeskyBatchOn(hetsim.New(sc), as, cfg)
 }
 
-// CholeskyBatchOn is CholeskyBatch on a caller-provided simulated system
-// (see CholeskyOn for the pooling contract), with optional per-item fault
-// injectors: pass either no injs at all, or exactly one per item (nil
-// entries inject nothing).
+// CholeskyBatchOn is CholeskyBatch on a caller-provided simulated system,
+// with optional per-item fault injectors: pass either no injs at all, or
+// exactly one per item (nil entries inject nothing).
 func CholeskyBatchOn(sys *hetsim.System, as []*Matrix, cfg Config, injs ...*Injector) (results []*CholeskyResult, errs []error, err error) {
 	_, opts := cfg.normalize()
 	is, err := injSlice(injs, len(as))

@@ -45,9 +45,9 @@ func batchMixJobs(decomp string) []*Matrix {
 }
 
 // runBatchMix pushes the whole mix (all three decompositions) through in
-// chunks of batchSize — solo dispatches for size 1, batched dispatches
-// otherwise, each chunk on a fresh system — and returns total jobs and the
-// summed simulated makespan.
+// batched dispatches of batchSize — a dispatch of one is the solo run —
+// each on a fresh system, and returns total jobs and the summed simulated
+// makespan.
 func runBatchMix(t testing.TB, batchSize int) (jobs int, simSeconds float64) {
 	t.Helper()
 	cfg := batchMixConfig()
@@ -56,31 +56,19 @@ func runBatchMix(t testing.TB, batchSize int) (jobs int, simSeconds float64) {
 		for lo := 0; lo < len(ms); lo += batchSize {
 			chunk := ms[lo : lo+batchSize]
 			sys := NewSystem(cfg)
+			var errs []error
 			var err error
-			if batchSize == 1 {
-				// The unbatched baseline takes the ordinary solo path.
-				switch decomp {
-				case "cholesky":
-					_, err = CholeskyOn(sys, chunk[0], cfg)
-				case "lu":
-					_, err = LUOn(sys, chunk[0], cfg)
-				default:
-					_, err = QROn(sys, chunk[0], cfg)
-				}
-			} else {
-				var errs []error
-				switch decomp {
-				case "cholesky":
-					_, errs, err = CholeskyBatchOn(sys, chunk, cfg)
-				case "lu":
-					_, errs, err = LUBatchOn(sys, chunk, cfg)
-				default:
-					_, errs, err = QRBatchOn(sys, chunk, cfg)
-				}
-				for i, e := range errs {
-					if e != nil {
-						t.Fatalf("%s batch item %d: %v", decomp, i, e)
-					}
+			switch decomp {
+			case "cholesky":
+				_, errs, err = CholeskyBatchOn(sys, chunk, cfg)
+			case "lu":
+				_, errs, err = LUBatchOn(sys, chunk, cfg)
+			default:
+				_, errs, err = QRBatchOn(sys, chunk, cfg)
+			}
+			for i, e := range errs {
+				if e != nil {
+					t.Fatalf("%s batch item %d: %v", decomp, i, e)
 				}
 			}
 			if err != nil {

@@ -36,11 +36,11 @@ func runClusterCase(t testing.TB, nodes int, loseNode bool) (float64, *Report) {
 	sc.GPUGflops = clusterBenchGflops
 	cfg.System = &sc
 	sys := NewSystem(cfg)
-	r, err := CholeskyOn(sys, RandomSPD(clusterBenchN, 81), cfg)
+	rep, err := runOn(sys, "cholesky", RandomSPD(clusterBenchN, 81), cfg)
 	if err != nil {
 		t.Fatalf("cholesky (nodes=%d loseNode=%v): %v", nodes, loseNode, err)
 	}
-	return sys.TimelineMakespan(), r.Report
+	return sys.TimelineMakespan(), rep
 }
 
 // clusterBenchRow is one BENCH_cluster.json record.

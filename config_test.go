@@ -53,17 +53,25 @@ func TestSystemConfigMatchesPlatform(t *testing.T) {
 	}
 }
 
-// The *On entry points must run on exactly the provided system: its
+// The *BatchOn entry points must run on exactly the provided system: its
 // simulated clocks advance, and a second run after Reset reproduces the
 // same factor (system reuse is deterministic).
-func TestCholeskyOnProvidedSystem(t *testing.T) {
+func TestBatchOnProvidedSystem(t *testing.T) {
 	cfg := Config{GPUs: 2, NB: 16}
 	sys := NewSystem(cfg)
 	a := RandomSPD(64, 5)
-	res, err := CholeskyOn(sys, a, cfg)
-	if err != nil {
-		t.Fatal(err)
+	run := func() *CholeskyResult {
+		t.Helper()
+		rs, errs, err := CholeskyBatchOn(sys, []*Matrix{a}, cfg)
+		if err == nil {
+			err = errs[0]
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs[0]
 	}
+	res := run()
 	if res.Residual(a) > 1e-10 {
 		t.Fatalf("residual %g", res.Residual(a))
 	}
@@ -71,10 +79,7 @@ func TestCholeskyOnProvidedSystem(t *testing.T) {
 		t.Fatal("provided system saw no simulated work")
 	}
 	sys.Reset()
-	res2, err := CholeskyOn(sys, a, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res2 := run()
 	for i := 0; i < 64; i++ {
 		for j := 0; j <= i; j++ {
 			if res.L.At(i, j) != res2.L.At(i, j) {

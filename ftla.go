@@ -422,7 +422,7 @@ func (c Config) platform() (hetsim.Config, error) {
 
 // NewSystem builds the simulated platform cfg selects. Most callers never
 // need it — Cholesky/LU/QR build a fresh system per call — but callers that
-// amortize system construction across many runs (see CholeskyOn and
+// amortize system construction across many runs (see CholeskyBatchOn and
 // internal/service) construct once here and reuse, calling System.Reset
 // between runs. It panics on a platform Validate rejects.
 func NewSystem(cfg Config) *hetsim.System {

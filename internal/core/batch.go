@@ -40,56 +40,49 @@ import (
 //     reason — would take the whole dispatch down.
 //   - Fault injection is per item (the injs argument), under the
 //     batch's schedule like any other item.
-//   - The per-run options Options.ValidateBatch names are rejected up
-//     front; the serving layer's per-item fallback (retry the one bad item
-//     solo) covers their role.
+//   - The per-run options Options.ValidateBatch names, and a shared
+//     Options.Injector, are rejected up front in a run of more than one
+//     item; a run of one item takes every option, which is how the solo
+//     drivers (Cholesky, LU, QR) run.
 //
 // Result caveats: Wall, SimMakespan, PCIeBytes, and Flops on a batched
 // item's Result describe the whole batch dispatch (the clock and counters
 // are system-wide), not the item alone; the verification/recovery counters
 // and outcome fields are per item as usual.
 
-// validateBatchOpts rejects inputs and option combinations the batched
-// runners do not support: the items must be non-nil, square, and of one
-// order that Options.Validate accepts (it normalizes opts.NB), and the
-// options must pass Options.ValidateBatch.
-func validateBatchOpts(as []*matrix.Dense, opts *Options, injs []*fault.Injector) error {
+// validateRun rejects inputs and option combinations a run does not
+// support: the items must be non-nil, square, and of one order that
+// Options.Validate accepts (it normalizes opts.NB), and injs must name
+// every item when set. A run of more than one item must also pass
+// Options.ValidateBatch and carry its injectors per item, not in a shared
+// opts.Injector.
+func validateRun(as []*matrix.Dense, opts *Options, injs []*fault.Injector) error {
 	if len(as) == 0 {
-		return fmt.Errorf("core: empty batch")
+		return fmt.Errorf("core: no matrices to factorize")
 	}
 	for i, a := range as {
 		switch {
 		case a == nil:
-			return fmt.Errorf("core: batch item %d is nil", i)
+			return fmt.Errorf("core: item %d is nil", i)
 		case a.Rows != a.Cols:
-			return fmt.Errorf("core: batch item %d is %dx%d, want square", i, a.Rows, a.Cols)
+			return fmt.Errorf("core: item %d is %dx%d, want square", i, a.Rows, a.Cols)
 		case a.Rows != as[0].Rows:
-			return fmt.Errorf("core: batch item %d has order %d, want %d (all items share one order)", i, a.Rows, as[0].Rows)
+			return fmt.Errorf("core: item %d has order %d, want %d (all items share one order)", i, a.Rows, as[0].Rows)
 		}
 	}
 	if err := opts.Validate(as[0].Rows); err != nil {
 		return err
 	}
+	if injs != nil && len(injs) != len(as) {
+		return fmt.Errorf("core: %d injectors for %d items", len(injs), len(as))
+	}
+	if len(as) == 1 {
+		return nil
+	}
 	if opts.Injector != nil {
 		return fmt.Errorf("core: batched runs take per-item injectors, not a shared Injector")
 	}
-	if err := opts.ValidateBatch(); err != nil {
-		return err
-	}
-	if injs != nil && len(injs) != len(as) {
-		return fmt.Errorf("core: %d injectors for %d batch items", len(injs), len(as))
-	}
-	return nil
-}
-
-// runBatch validates a batched run and runs it through factorize.
-func runBatch(decomp string, sys *hetsim.System, as []*matrix.Dense, opts Options,
-	injs []*fault.Injector, mk func(p *protected) ladder,
-) (outs []*matrix.Dense, ps []*protected, ress []*Result, errs []error, err error) {
-	if err := validateBatchOpts(as, &opts, injs); err != nil {
-		return nil, nil, nil, nil, err
-	}
-	return factorize(decomp, sys, as, opts, injs, mk)
+	return opts.ValidateBatch()
 }
 
 // CholeskyBatch factorizes every matrix in as — read, not modified — with
@@ -97,16 +90,17 @@ func runBatch(decomp string, sys *hetsim.System, as []*matrix.Dense, opts Option
 // batched-driver comment at the top of this file). It returns the per-item
 // gathered factors, reports, and errors — outs[i]/ress[i] are nil when
 // errs[i] is set — plus a batch-level error for invalid inputs or options,
-// or a fail-stop abort, which voids the whole dispatch.
+// or a fail-stop abort or node loss the run could not absorb, which voids
+// the whole dispatch.
 func CholeskyBatch(sys *hetsim.System, as []*matrix.Dense, opts Options, injs []*fault.Injector) (outs []*matrix.Dense, ress []*Result, errs []error, err error) {
-	outs, _, ress, errs, err = runBatch("Cholesky", sys, as, opts, injs, newCholLadder)
+	outs, _, ress, errs, err = factorize("Cholesky", sys, as, opts, injs, newCholLadder)
 	return outs, ress, errs, err
 }
 
 // LUBatch is CholeskyBatch for the protected LU driver; pivs[i] is item
 // i's pivot sequence.
 func LUBatch(sys *hetsim.System, as []*matrix.Dense, opts Options, injs []*fault.Injector) (outs []*matrix.Dense, pivs [][]int, ress []*Result, errs []error, err error) {
-	outs, ps, ress, errs, err := runBatch("LU", sys, as, opts, injs, newLULadder)
+	outs, ps, ress, errs, err := factorize("LU", sys, as, opts, injs, newLULadder)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
@@ -122,7 +116,7 @@ func LUBatch(sys *hetsim.System, as []*matrix.Dense, opts Options, injs []*fault
 // QRBatch is CholeskyBatch for the protected Householder QR driver;
 // taus[i] is item i's reflector coefficients.
 func QRBatch(sys *hetsim.System, as []*matrix.Dense, opts Options, injs []*fault.Injector) (outs []*matrix.Dense, taus [][]float64, ress []*Result, errs []error, err error) {
-	outs, ps, ress, errs, err := runBatch("QR", sys, as, opts, injs, newQRLadder)
+	outs, ps, ress, errs, err := factorize("QR", sys, as, opts, injs, newQRLadder)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}

@@ -18,7 +18,7 @@ import (
 // update on the GPUs, panels broadcast over PCIe, checksums maintained and
 // verified according to opts. It returns the full gathered matrix (the
 // factor L in the lower triangle; the blocks above the diagonal blocks are
-// exactly a's) and the run report.
+// exactly a's) and the run report. It is the one-item CholeskyBatch.
 //
 // The per-iteration dataflow matches MAGMA's hybrid right-looking Cholesky
 // and the paper's Algorithm 2, expressed as ladder stages for the step
@@ -33,8 +33,11 @@ import (
 //	all GPUs          TMU: A22 −= L21·L21ᵀ (full checksums maintained via
 //	                  the transposed-column-checksum trick of Fig. 2)
 func Cholesky(sys *hetsim.System, a *matrix.Dense, opts Options) (*matrix.Dense, *Result, error) {
-	out, _, res, err := solo("Cholesky", sys, a, opts, newCholLadder)
-	return out, res, err
+	outs, ress, errs, err := CholeskyBatch(sys, []*matrix.Dense{a}, opts, nil)
+	if err := one(errs, err); err != nil {
+		return nil, nil, err
+	}
+	return outs[0], ress[0], nil
 }
 
 // cholLadder is the Cholesky instantiation of the step-runtime ladder. A

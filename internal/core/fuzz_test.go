@@ -20,13 +20,12 @@ var fuzzTopologies = [][2]int{{1, 1}, {2, 1}, {3, 1}, {2, 2}, {3, 3}, {4, 2}, {4
 
 // faultCase is one decoded FuzzFaultPromise input: a protected
 // configuration at n=128 plus at most one soft error, one transient link
-// plan and one node burst, run solo and, when batch > 1, as item 0 of a
-// batch.
+// plan and one node burst, run solo and as item 0 of a batch.
 type faultCase struct {
 	decomp      string
 	gpus, nodes int
 	pivot       bool    // LU on a matrix.Random input, which swaps rows
-	batch       int     // batch size: 1 runs solo only
+	batch       int     // batch size: 1 is the one-item batch of the solo run
 	opts        Options // no faults armed
 	soft        *fault.Spec
 	injSeed     uint64
@@ -215,14 +214,22 @@ func (c faultCase) run(i int, faulty bool) faultRun {
 
 // runBatch factorizes the case's batch in one batched dispatch on a fresh
 // system, under the case's faulty options with item 0 carrying its soft
-// error. It returns one faultRun per item, or the batch-level error.
+// error: in the options' Injector for a batch of one, in its per-item
+// injector otherwise. It returns one faultRun per item, or the batch-level
+// error.
 func (c faultCase) runBatch() ([]faultRun, error) {
 	as := make([]*matrix.Dense, c.batch)
 	for i := range as {
 		as[i] = c.input(i)
 	}
-	injs := make([]*fault.Injector, c.batch)
-	injs[0] = c.injector()
+	opts := c.faulty()
+	var injs []*fault.Injector
+	if c.batch == 1 {
+		opts.Injector = c.injector()
+	} else {
+		injs = make([]*fault.Injector, c.batch)
+		injs[0] = c.injector()
+	}
 	sys := clusterSystem(c.gpus, c.nodes)
 	var (
 		outs []*matrix.Dense
@@ -234,11 +241,11 @@ func (c faultCase) runBatch() ([]faultRun, error) {
 	)
 	switch c.decomp {
 	case "cholesky":
-		outs, ress, errs, err = CholeskyBatch(sys, as, c.faulty(), injs)
+		outs, ress, errs, err = CholeskyBatch(sys, as, opts, injs)
 	case "lu":
-		outs, pivs, ress, errs, err = LUBatch(sys, as, c.faulty(), injs)
+		outs, pivs, ress, errs, err = LUBatch(sys, as, opts, injs)
 	default:
-		outs, taus, ress, errs, err = QRBatch(sys, as, c.faulty(), injs)
+		outs, taus, ress, errs, err = QRBatch(sys, as, opts, injs)
 	}
 	if err != nil {
 		return nil, err
@@ -262,21 +269,25 @@ func (c faultCase) runBatch() ([]faultRun, error) {
 	return runs, nil
 }
 
-// checkBatch is rule (e): with batchable options, each batch item's bits,
-// Counter and verdict equal the same item run solo (first is item 0's
-// faulty solo run); otherwise the batch is refused with the batch-level
-// validation error.
+// checkBatch is rule (e): each batch item's bits, Counter and verdict, or
+// its error, equal the same item run solo (first is item 0's faulty solo
+// run) — under every option for a batch of one, under batchable options
+// for a larger batch, which options a batch cannot carry refuse with the
+// batch-level validation error.
 func (c faultCase) checkBatch(t *testing.T, first faultRun) {
 	opts := c.faulty()
 	want := opts.ValidateBatch()
 	runs, err := c.runBatch()
-	if want != nil {
+	switch {
+	case c.batch > 1 && want != nil:
 		if err == nil || err.Error() != want.Error() {
 			t.Fatalf("%v: (e) batch of unbatchable options ended in %v, want %v", c, err, want)
 		}
 		return
-	}
-	if err != nil {
+	case c.batch == 1 && err != nil:
+		// A one-item run's run-level error is its item's.
+		runs = []faultRun{{err: err}}
+	case err != nil:
 		t.Fatalf("%v: (e) batch failed: %v", c, err)
 	}
 	for i, br := range runs {
@@ -309,10 +320,11 @@ func (c faultCase) checkBatch(t *testing.T, first faultRun) {
 //	(c) a burst beyond the budget ends in *hetsim.NodeLostError;
 //	(d) two runs of the same input give the same bits, SimMakespan and
 //	    Counter;
-//	(e) in a batch (size above 1) with batchable options, each item's
-//	    bits, Counter and verdict equal the same item run solo; with
-//	    options a batch cannot carry, the batch is refused with the
-//	    batch-level validation error.
+//	(e) each batch item's bits, Counter and verdict, or its error, equal
+//	    the same item run solo: in a batch of one under the case's full
+//	    options, in a larger batch under batchable options; with options
+//	    a batch of two or more cannot carry, that batch is refused with
+//	    the batch-level validation error.
 //
 // Fail-stop device plans are left out (their AfterOps trigger is not yet
 // schedule-invariant), and so is QR's documented on-chip TMU gap.
@@ -354,8 +366,6 @@ func FuzzFaultPromise(f *testing.F) {
 					c, first.bits, clean.bits, clean.err)
 			}
 		}
-		if c.batch > 1 {
-			c.checkBatch(t, first)
-		}
+		c.checkBatch(t, first)
 	})
 }

@@ -540,10 +540,11 @@ func TestCholeskyGPUColumnsStartAtDiagonal(t *testing.T) {
 					}
 				}
 			})
-			_, p, res, err := solo("Cholesky", sys, a, opts, newCholLadder)
-			if err != nil {
+			_, ps, ress, errs, err := factorize("Cholesky", sys, []*matrix.Dense{a}, opts, nil, newCholLadder)
+			if err = one(errs, err); err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
+			p, res := ps[0], ress[0]
 			if sc.check != nil {
 				if err := sc.check(res); err != nil {
 					t.Fatalf("%s: %v", label, err)

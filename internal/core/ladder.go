@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"strings"
 	"time"
 
@@ -26,18 +25,18 @@ import (
 // decomposition it serves.
 
 // factorize is the body every driver shares: a solo run is a batch of
-// one. Its caller has validated the items, all square and of one order,
-// and opts (normalizing opts.NB). Inside one transfer-coalescing window it
-// builds each item's engine, under injs[i] when set and opts.Injector
-// otherwise, and protected layout, whose host-held factor is the item's
-// output: scattered from the item or, for the one item of a resumed run,
-// built from opts.Resume. It runs the items' ladders, the ones mk builds,
-// through runLadder, and gathers into every surviving item's output, in
-// one more window, the blocks its GPUs computed. decomp is the driver's
-// display name ("Cholesky", "LU", "QR"); its lower case names the engines
-// and the checkpoints. ps[i] is item i's layout, for the driver's
-// decomposition-specific outputs; outs[i], ps[i] and ress[i] are nil when
-// errs[i] carries the item's driver error. A run-level error reports an
+// one. It validates the items and opts first (see validateRun), then,
+// inside one transfer-coalescing window, builds each item's engine, under
+// injs[i] when set and opts.Injector otherwise, and protected layout,
+// whose host-held factor is the item's output: scattered from the item
+// or, for the one item of a resumed run, built from opts.Resume. It runs
+// the items' ladders, the ones mk builds, through runLadder, and gathers
+// into every surviving item's output, in one more window, the blocks its
+// GPUs computed. decomp is the driver's display name ("Cholesky", "LU",
+// "QR"); its lower case names the engines and the checkpoints. ps[i] is
+// item i's layout, for the driver's decomposition-specific outputs;
+// outs[i], ps[i] and ress[i] are nil when errs[i] carries the item's
+// driver error. A run-level error reports invalid inputs or options, an
 // invalid topology or checkpoint, or a fail-stop abort or node loss the
 // run could not absorb, which voids the whole run; the system's partial
 // state is the caller's to Reset.
@@ -50,6 +49,9 @@ func factorize(decomp string, sys *hetsim.System, as []*matrix.Dense, opts Optio
 		}
 	}()
 	start := time.Now()
+	if err := validateRun(as, &opts, injs); err != nil {
+		return nil, nil, nil, nil, err
+	}
 	if err := opts.ValidateTopology(sys.Nodes()); err != nil {
 		return nil, nil, nil, nil, err
 	}
@@ -102,23 +104,13 @@ func factorize(decomp string, sys *hetsim.System, as []*matrix.Dense, opts Optio
 	return outs, ps, ress, errs, nil
 }
 
-// solo runs the square matrix a alone, under opts.Injector, and returns
-// its output, its layout and its report, or its driver error.
-func solo(decomp string, sys *hetsim.System, a *matrix.Dense, opts Options, mk func(p *protected) ladder) (*matrix.Dense, *protected, *Result, error) {
-	if a.Rows != a.Cols {
-		return nil, nil, nil, fmt.Errorf("core: %s requires a square matrix, got %dx%d", decomp, a.Rows, a.Cols)
-	}
-	if err := opts.Validate(a.Rows); err != nil {
-		return nil, nil, nil, err
-	}
-	outs, ps, ress, errs, err := factorize(decomp, sys, []*matrix.Dense{a}, opts, nil, mk)
+// one unwraps a one-item run's results: the item's driver error, when
+// set, is the call's error.
+func one(errs []error, err error) error {
 	if err == nil {
 		err = errs[0]
 	}
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return outs[0], ps[0], ress[0], nil
+	return err
 }
 
 // newResult starts the report of one order-n run under opts.

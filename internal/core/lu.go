@@ -16,7 +16,7 @@ import (
 // of a on the simulated heterogeneous system. It returns the gathered
 // packed factors (unit-lower L below the diagonal, U on and above), the
 // global pivot sequence (piv[k] = row exchanged with row k at step k), and
-// the run report.
+// the run report. It is the one-item LUBatch.
 //
 // Per-iteration dataflow (MAGMA hybrid right-looking LU), expressed as
 // ladder stages for the step runtime (see runtime.go):
@@ -31,11 +31,11 @@ import (
 //	all GPUs          PU: U12 = L11⁻¹·A12 (row checksums ride the TRSM)
 //	all GPUs          TMU: A22 −= L21·U12 with full checksum maintenance
 func LU(sys *hetsim.System, a *matrix.Dense, opts Options) (*matrix.Dense, []int, *Result, error) {
-	out, p, res, err := solo("LU", sys, a, opts, newLULadder)
-	if err != nil {
+	outs, pivs, ress, errs, err := LUBatch(sys, []*matrix.Dense{a}, opts, nil)
+	if err := one(errs, err); err != nil {
 		return nil, nil, nil, err
 	}
-	return out, p.piv, res, nil
+	return outs[0], pivs[0], ress[0], nil
 }
 
 // luStep is the staging state an LU ladder step carries between stages:

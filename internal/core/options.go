@@ -235,12 +235,13 @@ func (o *Options) Validate(n int) error {
 	return nil
 }
 
-// ValidateBatch rejects the per-run options a batched dispatch cannot share
-// across its items: checkpoint/resume, fail-stop, link-fault and node-fault
-// plans, and rebalancing. Each is control flow of one run — every item's
-// engine would re-arm the same plan, restarting a link plan's transfer
-// count — so the batched drivers reject them, and the serving layer keeps
-// jobs carrying them on the solo path (ftla.Config.ValidateBatch). It is
+// ValidateBatch rejects the per-run options a batched dispatch of two or
+// more items cannot share across them: checkpoint/resume, fail-stop,
+// link-fault and node-fault plans, and rebalancing. Each is control flow
+// of one run — every item's engine would re-arm the same plan, restarting
+// a link plan's transfer count — so the batched drivers reject them in
+// such a run (a run of one item takes them), and the serving layer
+// dispatches jobs carrying them alone (ftla.Config.ValidateBatch). It is
 // the one statement of that rule.
 func (o *Options) ValidateBatch() error {
 	switch {

@@ -15,7 +15,8 @@ import (
 // QR computes the protected blocked Householder QR factorization of a on
 // the simulated heterogeneous system. It returns the gathered packed
 // factors (R in the upper triangle, Householder vectors below) along with
-// the reflector coefficients tau and the run report.
+// the reflector coefficients tau and the run report. It is the one-item
+// QRBatch.
 //
 // Per-iteration dataflow (MAGMA hybrid right-looking QR, §IV.B),
 // expressed as ladder stages for the step runtime (see runtime.go):
@@ -29,11 +30,11 @@ import (
 //	all GPUs          TMU: A₂ = (I − V·Tᵀ·Vᵀ)·A₂ with full checksums
 //	                  maintained from c(V) (Table III, red terms)
 func QR(sys *hetsim.System, a *matrix.Dense, opts Options) (*matrix.Dense, []float64, *Result, error) {
-	out, p, res, err := solo("QR", sys, a, opts, newQRLadder)
-	if err != nil {
+	outs, taus, ress, errs, err := QRBatch(sys, []*matrix.Dense{a}, opts, nil)
+	if err := one(errs, err); err != nil {
 		return nil, nil, nil, err
 	}
-	return out, p.tau, res, nil
+	return outs[0], taus[0], ress[0], nil
 }
 
 // qrStep is the staging state a QR ladder step carries between stages: the

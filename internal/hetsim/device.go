@@ -229,19 +229,6 @@ func (d *Device) Trsm(side blas.Side, lower, trans, unit bool, alpha float64, a,
 	d.account("trsm", flops)
 }
 
-// Syrk performs a symmetric rank-k update on the device (see blas.Syrk).
-func (d *Device) Syrk(lower, trans bool, alpha float64, a *Buffer, beta float64, c *Buffer) {
-	d.gate("syrk")
-	am, cm := a.Access(d), c.Access(d)
-	blas.SyrkP(d.workers, lower, trans, alpha, am, beta, cm)
-	k := am.Cols
-	if trans {
-		k = am.Rows
-	}
-	flops := float64(cm.Rows) * float64(cm.Cols) * float64(k)
-	d.account("syrk", flops)
-}
-
 // Run executes an arbitrary kernel body on the device, charging the given
 // flop count to the simulated clock. The body receives the device's worker
 // count so it can parallelize. It is the escape hatch for panel kernels

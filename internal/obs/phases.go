@@ -87,12 +87,12 @@ const (
 // phaseHist holds the per-phase histograms of the default registry,
 // pre-resolved so the hot path is map-free.
 var phaseHist = func() map[string]*Histogram {
-	vec := Default().HistogramVec(MetricPhaseSeconds,
+	f := Default().family(MetricPhaseSeconds,
 		"ABFT phase attribution: seconds spent per phase (encode/factorize/verify/recover wall-clock, pcie simulated).",
-		"phase", PhaseBuckets())
+		kindHistogram, "phase", normBuckets(PhaseBuckets()))
 	m := make(map[string]*Histogram, 5)
 	for _, p := range Phases() {
-		m[p] = vec.With(p)
+		m[p] = f.with(p, func() any { return newHistogram(f.buckets) }).(*Histogram)
 	}
 	return m
 }()

@@ -240,27 +240,6 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 	return f.with("", func() any { return newHistogram(f.buckets) }).(*Histogram)
 }
 
-// HistogramVec is a family of histograms keyed by the value of one label.
-type HistogramVec struct {
-	f *family
-}
-
-// HistogramVec returns the registered histogram family for name with the
-// given label key, creating it on first use with the given bucket upper
-// bounds (nil selects DefBuckets).
-func (r *Registry) HistogramVec(name, help, label string, buckets []float64) *HistogramVec {
-	if label == "" {
-		panic("obs: HistogramVec requires a label key")
-	}
-	return &HistogramVec{f: r.family(name, help, kindHistogram, label, normBuckets(buckets))}
-}
-
-// With returns the histogram for one label value, creating it on first
-// use.
-func (v *HistogramVec) With(value string) *Histogram {
-	return v.f.with(value, func() any { return newHistogram(v.f.buckets) }).(*Histogram)
-}
-
 // Key renders the snapshot/exposition key of one series: the bare name
 // for unlabeled metrics, name{label="value"} for labeled ones (with the
 // value escaped by the Prometheus rules). A multi-label family stores its

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -46,39 +47,40 @@ func gateWorker(s *Scheduler) (claimed <-chan struct{}, release func()) {
 	return c, func() { close(gate) }
 }
 
-// The per-item retry-isolation pin (ISSUE 6 satellite): a DetectedCorrupt
-// on one item of a coalesced dispatch must not restart or fail its sibling
-// items — the corrupted item alone falls back to a solo retry, with the
-// batch attempt charged to its attempt budget, while the siblings keep
-// their first-pass results.
+// coalesce queues specs behind a blocker job (a clean batchLUSpec) that
+// holds the scheduler's lone worker at the gate, so the specs coalesce
+// into the one dispatch the worker claims next, and returns the handles.
+func coalesce(t *testing.T, s *Scheduler, specs ...JobSpec) (blocker *JobHandle, hs []*JobHandle) {
+	t.Helper()
+	claimed, release := gateWorker(s)
+	defer release()
+	blocker, err := s.Submit(context.Background(), batchLUSpec(7, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-claimed
+	for _, spec := range specs {
+		h, err := s.Submit(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs = append(hs, h)
+	}
+	return blocker, hs
+}
+
+// The per-item retry-isolation pin: a DetectedCorrupt on one item of a
+// coalesced dispatch must not restart or fail its sibling items — the
+// corrupted item alone retries, with the batch attempt charged to its
+// attempt budget, while the siblings keep their first-pass results.
 func TestBatchRetryIsolation(t *testing.T) {
 	s := New(Config{
 		Workers: 1, BatchMax: 8,
 		Retry: RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond},
 	})
 	defer s.Close()
-	claimed, release := gateWorker(s)
-
-	// The blocker occupies the worker so the three real jobs queue up.
-	blocker, err := s.Submit(context.Background(), batchLUSpec(7, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-claimed
-	hA, err := s.Submit(context.Background(), batchLUSpec(11, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hB, err := s.Submit(context.Background(), batchLUSpec(13, corruptingInjector(t)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hC, err := s.Submit(context.Background(), batchLUSpec(17, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	release()
-
+	blocker, hs := coalesce(t, s, batchLUSpec(11, nil), batchLUSpec(13, corruptingInjector(t)), batchLUSpec(17, nil))
+	hA, hB, hC := hs[0], hs[1], hs[2]
 	if _, err := blocker.Wait(context.Background()); err != nil {
 		t.Fatalf("blocker failed: %v", err)
 	}
@@ -120,6 +122,83 @@ func TestBatchRetryIsolation(t *testing.T) {
 	if st.BatchDispatches != 1 || st.JobsCoalesced != 3 {
 		t.Fatalf("BatchDispatches/JobsCoalesced = %d/%d, want 1/3",
 			st.BatchDispatches, st.JobsCoalesced)
+	}
+}
+
+// A coalesced dispatch's first attempt counts against every job's attempt
+// budget: with MaxAttempts 2 and every attempt timing out, each of three
+// coalesced jobs runs the shared attempt and one retry of its own, so the
+// dispatch takes 4 pooled systems and grants 3 retries (the blocker, alone
+// in its dispatch, takes 2 and 1).
+func TestBatchRetryBudget(t *testing.T) {
+	s := New(Config{
+		Workers: 1, BatchMax: 8, AttemptTimeout: time.Nanosecond,
+		Retry: RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond},
+	})
+	defer s.Close()
+	blocker, hs := coalesce(t, s, batchLUSpec(11, nil), batchLUSpec(13, nil), batchLUSpec(17, nil))
+	for i, h := range append([]*JobHandle{blocker}, hs...) {
+		_, err := h.Wait(context.Background())
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("job %d ended in %v, want the attempt timeout", i, err)
+		}
+	}
+	st := s.Stats()
+	if got := st.SystemsCreated + st.SystemsReused; got != 2+4 {
+		t.Fatalf("pooled systems taken = %d, want 2 (blocker) + 4 (dispatch)", got)
+	}
+	if st.Retries != 1+3 || st.Restarts != 1+3 {
+		t.Fatalf("Retries/Restarts = %d/%d, want 1+3 each (one retry per job)", st.Retries, st.Restarts)
+	}
+	if st.Failed != 4 || st.BatchDispatches != 1 {
+		t.Fatalf("Failed/BatchDispatches = %d/%d, want 4/1", st.Failed, st.BatchDispatches)
+	}
+}
+
+// A coalesced dispatch bills its time the same way to every job: each
+// ends its Wait at the one dispatch instant, a retried job's Run covers its
+// batched first attempt, its backoff and its retry, and its clean
+// batchmates settle with the first pass, while it is still backing off.
+func TestBatchRetryTiming(t *testing.T) {
+	s := New(Config{
+		Workers: 1, BatchMax: 8,
+		Retry: RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Second},
+	})
+	defer s.Close()
+	blocker, hs := coalesce(t, s, batchLUSpec(11, nil), batchLUSpec(13, corruptingInjector(t)), batchLUSpec(17, nil))
+	if _, err := blocker.Wait(context.Background()); err != nil {
+		t.Fatalf("blocker failed: %v", err)
+	}
+	ress := make([]*JobResult, len(hs))
+	for _, i := range []int{0, 2} {
+		res, err := hs[i].Wait(context.Background())
+		if err != nil {
+			t.Fatalf("clean item %d failed: %v", i, err)
+		}
+		ress[i] = res
+	}
+	if _, _, done := hs[1].Poll(); done {
+		t.Fatal("injected item settled before its batchmates did: its retry ran before the first pass settled")
+	}
+	res, err := hs[1].Wait(context.Background())
+	if err != nil {
+		t.Fatalf("injected item failed: %v", err)
+	}
+	ress[1] = res
+	dispatched := hs[0].enqueued.Add(ress[0].Wait)
+	for i, h := range hs {
+		if at := h.enqueued.Add(ress[i].Wait); !at.Equal(dispatched) {
+			t.Fatalf("item %d Wait ends at %v, item 0's at %v: want the one dispatch instant", i, at, dispatched)
+		}
+	}
+	// The first retry's backoff is at least half of BaseBackoff.
+	if ress[1].Attempts != 2 || ress[1].Run < s.cfg.Retry.BaseBackoff/2 {
+		t.Fatalf("injected item Attempts/Run = %d/%v, want 2 attempts and a Run spanning the backoff", ress[1].Attempts, ress[1].Run)
+	}
+	for _, i := range []int{0, 2} {
+		if ress[i].Run >= ress[1].Run-s.cfg.Retry.BaseBackoff/2 {
+			t.Fatalf("clean item %d Run %v does not end before the injected item's backoff (Run %v)", i, ress[i].Run, ress[1].Run)
+		}
 	}
 }
 
@@ -217,8 +296,8 @@ func TestBatchPartialCache(t *testing.T) {
 
 // A dispatch takes the leader and its queued same-key batchmates up to
 // BatchMax, and jobs with per-run control flow (deadlines, traces,
-// checkpoints, fail-stop plans) never coalesce: they keep the solo path
-// and its full retry machinery. Each input queues its jobs behind a
+// checkpoints, fail-stop plans) never coalesce: they are dispatched
+// alone. Each input queues its jobs behind a
 // gated blocker, which is claimed alone, and checks the dispatch size
 // each job reports.
 func TestBatchDispatchSizes(t *testing.T) {

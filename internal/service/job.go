@@ -72,8 +72,8 @@ type JobSpec struct {
 	B []float64
 	// Config is the ftla configuration for the run (protection, scheme,
 	// platform, injector). On retries the service reruns with
-	// Config.Injector stripped — the transient fault is assumed not to
-	// recur deterministically. When Config.CheckpointEvery is set, retries
+	// Config.Injector and the fault plans stripped — the transient fault
+	// is assumed not to recur deterministically. When Config.CheckpointEvery is set, retries
 	// prefer resuming from the job's last known-clean checkpoint over a
 	// complete restart (see RetryPolicy); Config.OnCheckpoint, if set, is
 	// chained after the service's own checkpoint capture.
@@ -134,11 +134,11 @@ func (s *JobSpec) tol() float64 {
 
 // batchable reports whether the job may share a coalesced batched dispatch
 // with others of the same batchKey: its options must pass the batched
-// drivers' own rule (ftla.Config.ValidateBatch), and it must carry no
-// per-job observation scope (Trace, Deadline). A fault Injector
-// is batchable: the batched drivers carry injectors per item, which is
-// exactly what the retry-isolation contract exercises (one injected item
-// must not disturb its batchmates).
+// drivers' own rule for two or more items (ftla.Config.ValidateBatch), and
+// it must carry no per-job observation scope (Trace, Deadline). A fault
+// Injector is batchable: the batched drivers carry injectors per item,
+// which is exactly what the retry-isolation contract exercises (one
+// injected item must not disturb its batchmates).
 func (s *JobSpec) batchable() bool {
 	return s.Config.ValidateBatch() == nil && !s.Trace && s.Deadline == 0
 }
@@ -261,13 +261,14 @@ type JobResult struct {
 	// CacheHit reports that the factorization was served from the cache
 	// without running a decomposition.
 	CacheHit bool
-	// Coalesced is the number of jobs in the batched dispatch that served
-	// this job, 0 when it ran (or was cache-served) on the solo path. A job
-	// whose batch attempt failed and was retried solo keeps the batch size
-	// of the dispatch it started in.
+	// Coalesced is the number of jobs in the coalesced dispatch that
+	// served this job, 0 for a dispatch of the job alone. A job retried
+	// after its batched first attempt keeps the size of that dispatch.
 	Coalesced int
 	// Wait is queue time (submit → dispatch); Run is service time
-	// (dispatch → completion, including retries and backoff).
+	// (dispatch → completion, including retries and backoff). Every job
+	// of a coalesced dispatch ends its Wait at the same dispatch instant,
+	// and a retried job's Run covers its batched first attempt too.
 	Wait, Run time.Duration
 	// Trace holds the job's observability trace when the spec set Trace:
 	// spans from every attempt (retried attempts included), on both the
@@ -370,14 +371,6 @@ type JobHandle struct {
 	spec     JobSpec
 	ctx      context.Context
 	enqueued time.Time
-
-	// prior counts factorization attempts already spent on this job before
-	// run() takes over — a failed coalesced batch attempt that fell back to
-	// the solo path — so JobResult.Attempts stays truthful across the
-	// fallback. coalesced carries the originating dispatch's batch size
-	// into the solo result.
-	prior     int
-	coalesced int
 
 	done chan struct{}
 	mu   sync.Mutex

@@ -73,11 +73,12 @@ type Config struct {
 	// Zero means attempts are bounded only by the job's Deadline/context.
 	AttemptTimeout time.Duration
 	// BatchMax caps how many queued jobs one coalesced batched dispatch may
-	// carry (default 16). 1 disables coalescing: every job takes the solo
-	// path. Only jobs whose specs agree on every run-shaping parameter
+	// carry (default 16). 1 disables coalescing: every job is dispatched
+	// alone. Only jobs whose specs agree on every run-shaping parameter
 	// (decomposition, shape, protection, scheme, schedule, platform) are
-	// coalesced, and only specs without per-run control flow (fail-stop
-	// plans, checkpointing, deadlines, traces) are eligible.
+	// coalesced, and only specs without per-run control flow (fail-stop,
+	// link-fault and node-fault plans, checkpointing, rebalancing,
+	// deadlines, traces) are eligible.
 	BatchMax int
 	// Seed seeds the scheduler's internal randomness — currently the
 	// backoff jitter (RetryPolicy.Backoff) — making retry timing
@@ -271,11 +272,7 @@ func (s *Scheduler) worker() {
 				s.beforeRun(bh)
 			}
 		}
-		if len(hs) == 1 {
-			s.run(h)
-		} else {
-			s.runBatch(hs)
-		}
+		s.dispatch(hs)
 		s.mu.Lock()
 		s.running -= len(hs)
 		s.met.running.Set(int64(s.running))
@@ -313,271 +310,408 @@ func (s *Scheduler) jitter() float64 {
 	return s.rng.Float64()
 }
 
-// run drives one job to a terminal state: cache fast path, then the
-// attempt/retry loop of the RetryPolicy, classifying each attempt's
-// failure — corruption (complete restart), fail-stop device fault
-// (retry on a degraded platform), context expiry
-// (cancellation or a typed DeadlineError), or a deterministic construction
-// error (fail fast).
-func (s *Scheduler) run(h *JobHandle) {
-	spec := h.spec
-	wait := time.Since(h.enqueued)
-	start := time.Now()
-
-	var tr *obs.Trace
-	if spec.Trace {
-		tr = obs.NewTrace()
-	}
-
+// jobRun is one job's state across its dispatch: the service-time budget,
+// platform and checkpoint its attempts share, and the counts its result
+// reports.
+type jobRun struct {
+	h *JobHandle
+	// start is the dispatch instant: Wait ends and Run and the job's
+	// Deadline start there, for every job of the dispatch alike.
+	start time.Time
+	// coalesced is the dispatch's size, 0 for a dispatch of one job.
+	coalesced int
+	tr        *obs.Trace
 	// jctx is the job's service-time budget: the submission context,
 	// tightened by JobSpec.Deadline measured from dispatch.
-	jctx := h.ctx
-	if spec.Deadline > 0 {
-		var jcancel context.CancelFunc
-		jctx, jcancel = context.WithTimeout(h.ctx, spec.Deadline)
-		defer jcancel()
-	}
-
-	fail := func(err error) {
-		s.met.failed.Inc()
-		h.finish(nil, err)
-	}
-	cancel := func(err error) {
-		s.met.canceled.Inc()
-		h.finish(nil, err)
-	}
-	deadline := func(attempts int, cause error) {
-		s.met.deadlineExceeded.Inc()
-		s.met.failed.Inc()
-		h.finish(nil, &DeadlineError{Deadline: spec.Deadline, Attempts: h.prior + attempts, Cause: cause})
-	}
-	// expire routes a job-budget expiry to the right terminal state: the
-	// caller's context going first means cancellation; otherwise the
-	// spec's Deadline ran out.
-	expire := func(attempts int, cause error) {
-		if err := h.ctx.Err(); err != nil {
-			cancel(err)
-			return
-		}
-		deadline(attempts, cause)
-	}
-	// resumedAttempts counts this job's attempts that replayed from a
-	// checkpoint instead of restarting (JobResult.Resumed).
-	resumedAttempts := 0
-	// injected snapshots the fault descriptions the job's injector fired,
-	// for diagnosable CorruptError messages.
-	injected := func() []string {
-		if spec.Config.Injector == nil {
-			return nil
-		}
-		events := spec.Config.Injector.Events()
-		out := make([]string, 0, len(events))
-		for _, ev := range events {
-			out = append(out, ev.Spec.Describe())
-		}
-		return out
-	}
-
-	if err := jctx.Err(); err != nil {
-		expire(0, nil)
-		return
-	}
-
-	var key fingerprint
-	if !spec.NoCache {
-		key = fingerprintOf(spec.Decomp, spec.A)
-		if f, ok := s.cache.get(key); ok {
-			s.settle(h, &JobResult{Factors: f, Attempts: h.prior, CacheHit: true, Wait: wait, Trace: tr}, start)
-			return
-		}
-	}
-
+	jctx context.Context
+	key  fingerprint
 	// sysCfg is the platform the job runs on. A GPU loss degrades it in
 	// place — the retry reruns on a rebuilt system with the surviving GPU
 	// count, so a job that lost GPU 3 of 4 completes on a 3-GPU platform.
-	sysCfg := spec.Config.SystemConfig()
+	sysCfg hetsim.Config
 	// resumeCP is the job's latest known-clean checkpoint, captured
-	// synchronously on this goroutine as the running attempt takes
-	// snapshots. Checkpoints are host-side state: they survive the
-	// release and Reset of the system that produced them, which is what
-	// lets a device-loss abort resume on the degraded platform.
-	var resumeCP *ftla.Checkpoint
-	for attempt := 1; ; attempt++ {
-		if jctx.Err() != nil {
-			expire(attempt-1, nil)
-			return
+	// synchronously on the worker as the running attempt takes snapshots.
+	// Checkpoints are host-side state: they survive the release and Reset
+	// of the system that produced them, which is what lets a device-loss
+	// abort resume on the degraded platform.
+	resumeCP *ftla.Checkpoint
+	// attempts counts the factorization runs started; resumed counts
+	// those that replayed from a checkpoint (JobResult.Resumed), and
+	// wasResume marks the latest one.
+	attempts, resumed int
+	wasResume         bool
+}
+
+// next counts the job's next attempt and returns its Config. The first
+// attempt runs the job's own Config. A retry runs on a fresh pooled
+// (Reset) system with no injector and no armed fault plans — the
+// transient that corrupted or killed the previous attempt is gone; only
+// the (possibly degraded) platform shape carries over. With a usable
+// checkpoint the retry resumes from it; otherwise it restarts from
+// scratch.
+func (j *jobRun) next() ftla.Config {
+	j.attempts++
+	cfg := j.h.spec.Config
+	j.wasResume = false
+	if j.attempts > 1 {
+		cfg.Injector = nil
+		cfg.FailStop = nil
+		cfg.LinkFault = nil
+		cfg.NodeFault = nil
+		cfg.Resume = j.resumeCP
+		if j.resumeCP != nil {
+			j.wasResume = true
+			j.resumed++
 		}
-		cfg := spec.Config
-		wasResume := false
-		if attempt > 1 {
-			// Retry: fresh pooled (Reset) system, no injector, no armed
-			// fault plans — the transient that corrupted or killed the
-			// previous attempt is gone; only the (possibly degraded)
-			// platform shape carries over. With a usable checkpoint the
-			// retry resumes from it; otherwise it restarts from scratch.
-			cfg.Injector = nil
-			cfg.FailStop = nil
-			cfg.LinkFault = nil
-			cfg.NodeFault = nil
-			cfg.Resume = resumeCP
-			if resumeCP != nil {
-				wasResume = true
-				resumedAttempts++
+	}
+	if cfg.CheckpointEvery > 0 {
+		// Capture each snapshot as the attempt takes it, chaining any
+		// caller-supplied sink. OnCheckpoint runs on the worker (inside
+		// the attempt's call), so no synchronization is needed.
+		sink := j.h.spec.Config.OnCheckpoint
+		cfg.OnCheckpoint = func(cp *ftla.Checkpoint) {
+			j.resumeCP = cp
+			if sink != nil {
+				sink(cp)
 			}
 		}
-		if cfg.CheckpointEvery > 0 {
-			// Capture each snapshot as the attempt takes it, chaining any
-			// caller-supplied sink. OnCheckpoint runs on this goroutine
-			// (inside runDecomposition), so no synchronization is needed.
-			sink := spec.Config.OnCheckpoint
-			cfg.OnCheckpoint = func(cp *ftla.Checkpoint) {
-				resumeCP = cp
-				if sink != nil {
-					sink(cp)
-				}
+	}
+	return cfg
+}
+
+// injected snapshots the fault descriptions the job's injector fired,
+// for diagnosable CorruptError messages.
+func (j *jobRun) injected() []string {
+	inj := j.h.spec.Config.Injector
+	if inj == nil {
+		return nil
+	}
+	events := inj.Events()
+	out := make([]string, 0, len(events))
+	for _, ev := range events {
+		out = append(out, ev.Spec.Describe())
+	}
+	return out
+}
+
+// dispatch drives everything one worker claimed — a lone job, or the
+// same-key jobs (see JobSpec.batchKey) the worker coalesced — to terminal
+// states, in four steps:
+//
+//  1. settle the jobs whose budget already expired and the cache hits —
+//     the partial-cache path that lets a coalesced dispatch run only its
+//     uncached jobs;
+//  2. run one attempt for the rest, a single batched call (see attempt);
+//  3. settle every first-pass result;
+//  4. only then drive each job that still needs a retry, alone, through
+//     the retry loop of the RetryPolicy (see retry).
+//
+// Isolation is per job throughout: a job whose item corrupted or aborted
+// retries alone, while its batchmates keep their first-pass results.
+// Every job's budget, Wait and Run count from the dispatch.
+func (s *Scheduler) dispatch(hs []*JobHandle) {
+	start := time.Now()
+	coalesced := 0
+	if len(hs) > 1 {
+		coalesced = len(hs)
+		s.met.batchDispatches.Inc()
+		s.met.batchSize.Observe(float64(coalesced))
+		s.met.batchCoalesced.Add(uint64(coalesced))
+	}
+	var js []*jobRun
+	for _, h := range hs {
+		j := &jobRun{h: h, start: start, coalesced: coalesced, jctx: h.ctx,
+			sysCfg: h.spec.Config.SystemConfig()}
+		if h.spec.Trace {
+			j.tr = obs.NewTrace()
+		}
+		if h.spec.Deadline > 0 {
+			var cancel context.CancelFunc
+			j.jctx, cancel = context.WithTimeout(h.ctx, h.spec.Deadline)
+			defer cancel()
+		}
+		if j.jctx.Err() != nil {
+			s.expire(j, nil)
+			continue
+		}
+		if !h.spec.NoCache {
+			j.key = fingerprintOf(h.spec.Decomp, h.spec.A)
+			if f, ok := s.cache.get(j.key); ok {
+				s.settle(j, f, true)
+				continue
 			}
 		}
-		actx, acancel := jctx, context.CancelFunc(func() {})
-		if s.cfg.AttemptTimeout > 0 {
-			actx, acancel = context.WithTimeout(jctx, s.cfg.AttemptTimeout)
+		js = append(js, j)
+	}
+	if len(js) == 0 {
+		return
+	}
+	facts, errs, began, ran := s.attempt(js)
+	var again []*jobRun
+	for i, j := range js {
+		if s.conclude(j, facts[i], errs[i], began, ran) {
+			again = append(again, j)
 		}
-		sys := s.pool.acquire(sysCfg)
-		// Bind the attempt context into the system: kernels and transfers
-		// gate on it, so cancellation, the job Deadline, and the attempt
-		// timeout all abort mid-factorization instead of after it.
-		sys.Bind(actx)
-		if tr != nil {
-			// Per-attempt spans accumulate into the job's one trace; the
-			// pool's release → Reset detaches it with the other per-run
-			// attachments.
-			sys.SetTracer(tr)
+	}
+	for _, j := range again {
+		s.retry(j)
+	}
+}
+
+// attempt runs the next attempt of every job in js as one batched call on
+// one pooled system, and returns each job's classified factorization or
+// error, with when the call began and how long it ran. The call carries
+// the lead job's attempt Config, and each job's injector as its item's:
+// a coalesced dispatch shares everything else (JobSpec.batchable). A lone
+// job's attempt runs under the job's own budget, its trace and its
+// checkpoint hook; a coalesced one under the attempt timeout alone, so no
+// one caller's cancellation aborts its batchmates. A call-level error is
+// every job's error.
+func (s *Scheduler) attempt(js []*jobRun) (facts []*Factorization, errs []error, began time.Time, ran time.Duration) {
+	lead := js[0]
+	var cfg ftla.Config
+	as := make([]*ftla.Matrix, len(js))
+	injs := make([]*ftla.Injector, len(js))
+	armed := false
+	for i, j := range js {
+		c := j.next()
+		if i == 0 {
+			cfg = c
 		}
-		attemptStart := time.Now()
-		f, err := runDecomposition(sys, spec, cfg)
-		acancel()
-		ran := time.Since(attemptStart)
-		// Every attempt hands its system back however it ended: the
-		// pool's Reset repairs a fail-stop fault's damage too.
-		s.pool.release(sys)
-		// An attempt that does not settle the job names the error the job
-		// fails with once its attempts are spent, and whether an expired
-		// job budget takes precedence over that error.
-		var spent error
-		budgetFirst := true
-		if err != nil {
-			fo, failStop := s.met.classifyFailStop(err)
-			switch {
-			case failStop:
-				// Fail-stop fault — a lost node, an exhausted PCIe link, or a
-				// lost or hung device: degrade the platform unless only the
-				// CPU faulted, and retry; the checkpoint machinery below
-				// makes that retry a resume when one exists.
-				fo.metric.Inc()
-				s.met.abortSeconds.Observe(ran.Seconds())
-				if tr != nil {
-					tr.WallSpan(fo.span, "fault", attemptStart, ran)
-				}
-				if fo.degrade {
-					degradeNode(&sysCfg)
-				}
-				spent = &FailStopError{Attempts: h.prior + attempt, Cause: err}
-			case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-				// Context abort without a device fault: the job was
-				// canceled, its Deadline fired, or the AttemptTimeout
-				// reaped a slow attempt. The system itself is healthy, and
-				// with the job budget intact only the per-attempt timeout
-				// expired: retryable.
-				s.met.abortSeconds.Observe(ran.Seconds())
-				spent = err
-			default:
-				// Construction-time errors (bad dimensions, invalid
-				// options) are deterministic; retrying cannot help — except
-				// when this attempt was a resume, where the checkpoint
-				// itself may be the problem (e.g. it no longer matches the
-				// job's configuration): drop it and fall back to a complete
-				// restart, attempts permitting.
-				if !wasResume {
-					fail(err)
-					return
-				}
-				resumeCP = nil
-				spent = err
-			}
-		} else {
-			if !needsRestart(f.Outcome) {
-				if !spec.NoCache {
-					s.cache.put(key, f)
-				}
-				s.settle(h, &JobResult{Factors: f, Attempts: h.prior + attempt, Resumed: resumedAttempts, Wait: wait, Trace: tr}, start)
-				return
-			}
-			if f.Outcome == core.CorruptedResult {
-				// Silent corruption: detection missed the fault, so the
-				// run's checkpoints cannot be trusted either — the next
-				// attempt must restart from scratch. DetectedCorrupt keeps
-				// its checkpoints: they were verified clean before the
-				// corruption struck.
-				resumeCP = nil
-			}
-			// A corrupt result reports itself even past the job budget;
-			// an expiry with attempts left surfaces in the backoff below.
-			spent = &CorruptError{
-				Outcome: f.Outcome, Report: f.Report(),
-				Attempts: h.prior + attempt, Injected: injected(),
-			}
-			budgetFirst = false
+		as[i], injs[i] = j.h.spec.A, c.Injector
+		armed = armed || c.Injector != nil
+	}
+	cfg.Injector = nil
+	if !armed {
+		injs = nil
+	}
+	actx := context.Background()
+	if len(js) == 1 {
+		actx = lead.jctx
+	}
+	acancel := context.CancelFunc(func() {})
+	if s.cfg.AttemptTimeout > 0 {
+		actx, acancel = context.WithTimeout(actx, s.cfg.AttemptTimeout)
+	}
+	sys := s.pool.acquire(lead.sysCfg)
+	// Bind the attempt context into the system: kernels and transfers
+	// gate on it, so cancellation, the job Deadline, and the attempt
+	// timeout all abort mid-factorization instead of after it.
+	sys.Bind(actx)
+	if lead.tr != nil {
+		// Per-attempt spans accumulate into the job's one trace; the
+		// pool's release → Reset detaches it with the other per-run
+		// attachments.
+		sys.SetTracer(lead.tr)
+	}
+	decomp := lead.h.spec.Decomp
+	facts = make([]*Factorization, len(js))
+	var err error
+	began = time.Now()
+	switch decomp {
+	case Cholesky:
+		var rs []*ftla.CholeskyResult
+		rs, errs, err = ftla.CholeskyBatchOn(sys, as, cfg, injs...)
+		for i, r := range rs {
+			facts[i] = &Factorization{Decomp: decomp, Chol: r}
 		}
-		if budgetFirst && jctx.Err() != nil {
-			expire(attempt, err)
-			return
+	case LU:
+		var rs []*ftla.LUResult
+		rs, errs, err = ftla.LUBatchOn(sys, as, cfg, injs...)
+		for i, r := range rs {
+			facts[i] = &Factorization{Decomp: decomp, LU: r}
 		}
-		if attempt >= s.cfg.Retry.MaxAttempts {
-			fail(spent)
-			return
+	default:
+		var rs []*ftla.QRResult
+		rs, errs, err = ftla.QRBatchOn(sys, as, cfg, injs...)
+		for i, r := range rs {
+			facts[i] = &Factorization{Decomp: decomp, QR: r}
 		}
-		// Classify the retry we are about to grant as a resume or a
-		// restart; the total stays in retries so Retries == Restarts +
-		// Resumed.
-		if resumeCP != nil {
-			s.met.resumes.Inc()
-		} else {
-			s.met.restarts.Inc()
+	}
+	acancel()
+	ran = time.Since(began)
+	// Every attempt hands its system back however it ended: the pool's
+	// Reset repairs a fail-stop fault's damage too.
+	s.pool.release(sys)
+	if err != nil {
+		errs = make([]error, len(js))
+		for i := range errs {
+			errs[i] = err
 		}
-		s.met.retries.Inc()
-		timer := time.NewTimer(s.cfg.Retry.Backoff(attempt, s.jitter()))
+	}
+	for i, j := range js {
+		if errs[i] != nil {
+			facts[i] = nil
+			continue
+		}
+		facts[i].classify(as[i], j.h.spec.tol())
+	}
+	return facts, errs, began, ran
+}
+
+// retry drives a job whose attempt was granted a retry to a terminal
+// state: it sleeps the RetryPolicy backoff, runs the job's next attempt
+// alone, and concludes it, until an attempt settles the job or its
+// budget runs out.
+func (s *Scheduler) retry(j *jobRun) {
+	for {
+		timer := time.NewTimer(s.cfg.Retry.Backoff(j.attempts, s.jitter()))
 		select {
-		case <-jctx.Done():
+		case <-j.jctx.Done():
 			// The budget ran out during the backoff sleep: a cancellation
 			// or a typed deadline expiry, never a silent hang.
 			timer.Stop()
-			expire(attempt, nil)
+			s.expire(j, nil)
 			return
 		case <-timer.C:
+		}
+		if j.jctx.Err() != nil {
+			s.expire(j, nil)
+			return
+		}
+		facts, errs, began, ran := s.attempt([]*jobRun{j})
+		if !s.conclude(j, facts[0], errs[0], began, ran) {
+			return
 		}
 	}
 }
 
-// settle finishes job h with the completed factorization res.Factors,
-// fresh or cached, solo or coalesced: it fills the outcome fields, runs
-// the solve leg when the spec carries a right-hand side, stamps Run as the
-// service time since start, and records the job metrics. The caller sets
-// the attempt count, Wait, and the per-path fields (CacheHit, Resumed,
-// Trace).
-func (s *Scheduler) settle(h *JobHandle, res *JobResult, start time.Time) {
-	f := res.Factors
-	res.Outcome, res.Residual, res.Coalesced = f.Outcome, f.Residual, h.coalesced
-	if h.spec.B != nil {
-		x, err := f.Solve(h.spec.B)
+// conclude classifies one attempt of job j — its factorization f or its
+// error err, from a call that began at began and ran for ran — and either
+// brings the job to a terminal state or grants it a retry, reporting
+// which (true: retry). A completed result outside the complete-restart
+// bucket settles the job. Corruption (complete restart), a fail-stop
+// device fault (retry on a degraded platform) and an attempt timeout are
+// retryable; an expired job budget ends in cancellation or a typed
+// DeadlineError; a deterministic construction error fails fast.
+func (s *Scheduler) conclude(j *jobRun, f *Factorization, err error, began time.Time, ran time.Duration) bool {
+	// An attempt that does not settle the job names the error the job
+	// fails with once its attempts are spent, and whether an expired job
+	// budget takes precedence over that error.
+	var spent error
+	budgetFirst := true
+	if err != nil {
+		fo, failStop := s.met.classifyFailStop(err)
+		switch {
+		case failStop:
+			// Fail-stop fault — a lost node, an exhausted PCIe link, or a
+			// lost or hung device: degrade the platform unless only the
+			// CPU faulted, and retry; the checkpoint machinery below
+			// makes that retry a resume when one exists.
+			fo.metric.Inc()
+			s.met.abortSeconds.Observe(ran.Seconds())
+			if j.tr != nil {
+				j.tr.WallSpan(fo.span, "fault", began, ran)
+			}
+			if fo.degrade {
+				degradeNode(&j.sysCfg)
+			}
+			spent = &FailStopError{Attempts: j.attempts, Cause: err}
+		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+			// Context abort without a device fault: the job was
+			// canceled, its Deadline fired, or the AttemptTimeout reaped
+			// a slow attempt. The system itself is healthy, and with the
+			// job budget intact only the per-attempt timeout expired:
+			// retryable.
+			s.met.abortSeconds.Observe(ran.Seconds())
+			spent = err
+		default:
+			// Construction-time errors (bad dimensions, invalid options)
+			// are deterministic; retrying cannot help — except when this
+			// attempt was a resume, where the checkpoint itself may be
+			// the problem (e.g. it no longer matches the job's
+			// configuration): drop it and fall back to a complete
+			// restart, attempts permitting.
+			if !j.wasResume {
+				s.fail(j, err)
+				return false
+			}
+			j.resumeCP = nil
+			spent = err
+		}
+	} else {
+		if !needsRestart(f.Outcome) {
+			if !j.h.spec.NoCache {
+				s.cache.put(j.key, f)
+			}
+			s.settle(j, f, false)
+			return false
+		}
+		if f.Outcome == core.CorruptedResult {
+			// Silent corruption: detection missed the fault, so the run's
+			// checkpoints cannot be trusted either — the next attempt
+			// must restart from scratch. DetectedCorrupt keeps its
+			// checkpoints: they were verified clean before the
+			// corruption struck.
+			j.resumeCP = nil
+		}
+		// A corrupt result reports itself even past the job budget; an
+		// expiry with attempts left surfaces in the backoff.
+		spent = &CorruptError{
+			Outcome: f.Outcome, Report: f.Report(),
+			Attempts: j.attempts, Injected: j.injected(),
+		}
+		budgetFirst = false
+	}
+	if budgetFirst && j.jctx.Err() != nil {
+		s.expire(j, err)
+		return false
+	}
+	if j.attempts >= s.cfg.Retry.MaxAttempts {
+		s.fail(j, spent)
+		return false
+	}
+	// Classify the retry about to be granted as a resume or a restart;
+	// the total stays in retries so Retries == Restarts + Resumed.
+	if j.resumeCP != nil {
+		s.met.resumes.Inc()
+	} else {
+		s.met.restarts.Inc()
+	}
+	s.met.retries.Inc()
+	return true
+}
+
+// settle finishes job j with the completed factorization f, fresh or
+// cached (cacheHit): it fills the result, runs the solve leg when the spec
+// carries a right-hand side, stamps Run as the service time since
+// dispatch, and records the job metrics.
+func (s *Scheduler) settle(j *jobRun, f *Factorization, cacheHit bool) {
+	res := &JobResult{
+		Outcome: f.Outcome, Factors: f, Residual: f.Residual,
+		Attempts: j.attempts, Resumed: j.resumed, CacheHit: cacheHit,
+		Coalesced: j.coalesced, Wait: j.start.Sub(j.h.enqueued), Trace: j.tr,
+	}
+	if b := j.h.spec.B; b != nil {
+		x, err := f.Solve(b)
 		if err != nil {
-			s.met.failed.Inc()
-			h.finish(nil, err)
+			s.fail(j, err)
 			return
 		}
 		res.X = x
 	}
-	res.Run = time.Since(start)
+	res.Run = time.Since(j.start)
 	s.met.jobDone(f.Outcome, res.Wait, res.Run)
-	h.finish(res, nil)
+	j.h.finish(res, nil)
+}
+
+// fail finishes job j with the terminal error err.
+func (s *Scheduler) fail(j *jobRun, err error) {
+	s.met.failed.Inc()
+	j.h.finish(nil, err)
+}
+
+// expire routes an expired job budget to the right terminal state: the
+// caller's context going first means cancellation; otherwise the spec's
+// Deadline ran out, with cause the abort it reaped mid-attempt, if any.
+func (s *Scheduler) expire(j *jobRun, cause error) {
+	if err := j.h.ctx.Err(); err != nil {
+		s.met.canceled.Inc()
+		j.h.finish(nil, err)
+		return
+	}
+	s.met.deadlineExceeded.Inc()
+	s.fail(j, &DeadlineError{Deadline: j.h.spec.Deadline, Attempts: j.attempts, Cause: cause})
 }
 
 // failover is the failover rung's reading of a fail-stop abort: the
@@ -633,24 +767,4 @@ func degradeNode(cfg *hetsim.Config) {
 	} else if cfg.NumGPUs > 1 {
 		cfg.NumGPUs--
 	}
-}
-
-// runDecomposition executes one attempt on the given system and classifies
-// its outcome from the report plus the service's own residual check.
-func runDecomposition(sys *hetsim.System, spec JobSpec, cfg ftla.Config) (*Factorization, error) {
-	f := &Factorization{Decomp: spec.Decomp}
-	var err error
-	switch spec.Decomp {
-	case Cholesky:
-		f.Chol, err = ftla.CholeskyOn(sys, spec.A, cfg)
-	case LU:
-		f.LU, err = ftla.LUOn(sys, spec.A, cfg)
-	default:
-		f.QR, err = ftla.QROn(sys, spec.A, cfg)
-	}
-	if err != nil {
-		return nil, err
-	}
-	f.classify(spec.A, spec.tol())
-	return f, nil
 }

@@ -84,9 +84,9 @@ const (
 	// ran before being aborted (device loss, hang reap, cancellation) —
 	// the work lost per abort.
 	MetricAttemptAbortSeconds = "ftla_attempt_abort_seconds"
-	// MetricBatchSize histograms the size of every coalesced batched
-	// dispatch (solo runs are not observed; a dispatch of size 1 never
-	// takes the batched path).
+	// MetricBatchSize histograms the size of every coalesced dispatch, one
+	// of two or more jobs (a job dispatched alone runs the same one-item
+	// batched attempt but is not observed).
 	MetricBatchSize = "ftla_batch_size"
 	// MetricBatchJobsCoalesced counts jobs served through coalesced
 	// batched dispatches (the histogram's sample sum, as a counter).
@@ -155,7 +155,7 @@ type Stats struct {
 
 	// Batching. BatchDispatches counts coalesced dispatches;
 	// JobsCoalesced counts jobs they carried (mean batch size is the
-	// ratio). Jobs on the solo path appear in neither.
+	// ratio). Jobs dispatched alone appear in neither.
 	BatchDispatches uint64
 	JobsCoalesced   uint64
 

@@ -58,33 +58,41 @@ func runRebCase(t testing.TB, decomp string, straggle, dynamic bool) (mk float64
 		cfg.RebalanceEvery = rebEvery
 	}
 	sys := NewSystem(cfg)
-	a := rebBenchInput(decomp)
-	var rep *Report
-	var err error
-	switch decomp {
-	case "cholesky":
-		var r *CholeskyResult
-		r, err = CholeskyOn(sys, a, cfg)
-		if err == nil {
-			rep = r.Report
-		}
-	case "lu":
-		var r *LUResult
-		r, err = LUOn(sys, a, cfg)
-		if err == nil {
-			rep = r.Report
-		}
-	default:
-		var r *QRResult
-		r, err = QROn(sys, a, cfg)
-		if err == nil {
-			rep = r.Report
-		}
-	}
+	rep, err := runOn(sys, decomp, rebBenchInput(decomp), cfg)
 	if err != nil {
 		t.Fatalf("%s (straggle=%v dynamic=%v): %v", decomp, straggle, dynamic, err)
 	}
 	return sys.TimelineMakespan(), rep.MovedColumns
+}
+
+// runOn factorizes a on the caller's system as the one-matrix batch of
+// decomp ("cholesky", "lu" or "qr") and returns the run's report.
+func runOn(sys *hetsim.System, decomp string, a *Matrix, cfg Config) (*Report, error) {
+	as := []*Matrix{a}
+	var rep *Report
+	var errs []error
+	var err error
+	switch decomp {
+	case "cholesky":
+		var rs []*CholeskyResult
+		if rs, errs, err = CholeskyBatchOn(sys, as, cfg); err == nil && errs[0] == nil {
+			rep = rs[0].Report
+		}
+	case "lu":
+		var rs []*LUResult
+		if rs, errs, err = LUBatchOn(sys, as, cfg); err == nil && errs[0] == nil {
+			rep = rs[0].Report
+		}
+	default:
+		var rs []*QRResult
+		if rs, errs, err = QRBatchOn(sys, as, cfg); err == nil && errs[0] == nil {
+			rep = rs[0].Report
+		}
+	}
+	if err == nil {
+		err = errs[0]
+	}
+	return rep, err
 }
 
 // rebBenchRow is one BENCH_rebalance.json record.

@@ -71,15 +71,18 @@ go -C cmd/ftbench test -race -timeout 5m .
 
 # Chaos gate: the fail-stop/graceful-degradation suites (see RESILIENCE.md)
 # run a second time at -count=2 to shake out order- and reuse-dependent
-# flakiness (pool reuse of repaired systems, goroutine leaks).
-go test -race -timeout 5m -run 'Chaos|Storm' -count=2 ./...
+# flakiness (pool reuse of repaired systems, goroutine leaks). The
+# service's batch-retry suites join them: a coalesced dispatch's retries
+# run on the worker after its first pass settles, billed to each job's
+# own attempt budget and clock.
+go test -race -timeout 5m -run 'Chaos|Storm|BatchRetry' -count=2 ./...
 
 # Recovery gate: the checkpoint/rollback/resume suites — the bit-identity
 # invariant (a run killed by device loss and resumed from its checkpoint
 # equals an uninterrupted run on the same final device set) and the
 # rollback-instead-of-abort path — run a second time at -count=2 under
 # -race; resume replays are the newest state machine in the step runtime.
-go test -race -timeout 5m -run 'TestResume|TestRollback|TestCheckpoint|TestRestoredPassStartsOnHost|TestCholeskyGPUColumnsStartAtDiagonal' -count=2 ./internal/core
+go test -race -timeout 5m -run 'TestResume|TestRollback|TestCheckpoint' -count=2 ./internal/core
 
 # Determinism gate: the ladder fingerprint sweep pins the factor bits and
 # simulated makespan of every row, unrecoverable runs included, and the

@@ -22,23 +22,16 @@ type CholeskyResult struct {
 }
 
 // Cholesky computes the protected Cholesky factorization of the symmetric
-// positive definite matrix a.
+// positive definite matrix a on a fresh system of the platform cfg
+// selects. CholeskyBatchOn with the one matrix runs it on a
+// caller-provided system instead.
 func Cholesky(a *Matrix, cfg Config) (*CholeskyResult, error) {
 	sc, err := cfg.platform()
 	if err != nil {
 		return nil, err
 	}
-	return CholeskyOn(hetsim.New(sc), a, cfg)
-}
-
-// CholeskyOn is Cholesky running on a caller-provided simulated system
-// instead of constructing a fresh one — the amortization hook for serving
-// layers that pool systems across jobs (cfg.System/cfg.GPUs are ignored;
-// the caller picked the platform). The caller is responsible for handing in
-// a clean system (see hetsim.System.Reset).
-func CholeskyOn(sys *hetsim.System, a *Matrix, cfg Config) (*CholeskyResult, error) {
 	_, opts := cfg.normalize()
-	out, res, err := core.Cholesky(sys, a, opts)
+	out, res, err := core.Cholesky(hetsim.New(sc), a, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -73,19 +66,15 @@ type LUResult struct {
 	Report *Report
 }
 
-// LU computes the protected LU factorization with partial pivoting of a.
+// LU computes the protected LU factorization with partial pivoting of a
+// on a fresh system; see Cholesky.
 func LU(a *Matrix, cfg Config) (*LUResult, error) {
 	sc, err := cfg.platform()
 	if err != nil {
 		return nil, err
 	}
-	return LUOn(hetsim.New(sc), a, cfg)
-}
-
-// LUOn is LU running on a caller-provided simulated system; see CholeskyOn.
-func LUOn(sys *hetsim.System, a *Matrix, cfg Config) (*LUResult, error) {
 	_, opts := cfg.normalize()
-	out, piv, res, err := core.LU(sys, a, opts)
+	out, piv, res, err := core.LU(hetsim.New(sc), a, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -137,19 +126,15 @@ type QRResult struct {
 	Report *Report
 }
 
-// QR computes the protected Householder QR factorization of a.
+// QR computes the protected Householder QR factorization of a on a fresh
+// system; see Cholesky.
 func QR(a *Matrix, cfg Config) (*QRResult, error) {
 	sc, err := cfg.platform()
 	if err != nil {
 		return nil, err
 	}
-	return QROn(hetsim.New(sc), a, cfg)
-}
-
-// QROn is QR running on a caller-provided simulated system; see CholeskyOn.
-func QROn(sys *hetsim.System, a *Matrix, cfg Config) (*QRResult, error) {
 	_, opts := cfg.normalize()
-	out, tau, res, err := core.QR(sys, a, opts)
+	out, tau, res, err := core.QR(hetsim.New(sc), a, opts)
 	if err != nil {
 		return nil, err
 	}
