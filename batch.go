@@ -33,21 +33,10 @@ import (
 // unsupported options, nil or mismatched shapes, a fail-stop abort or a
 // node loss the run could not absorb). A batch of two or more matrices
 // rejects the Config options that are inherently per-run — those
-// ValidateBatch names, and Config.Injector — because they cannot be
+// Config.ValidateBatch names, and Config.Injector — because they cannot be
 // shared across a batch; fault injection is instead per item via the
 // optional injs arguments on the *BatchOn variants, under the batch's
 // schedule like a solo run's.
-
-// ValidateBatch reports whether c's per-run options may share a batched
-// dispatch of two or more matrices: nil when they may, otherwise the error
-// the batched drivers return for them (checkpoint/resume, fail-stop,
-// link-fault and node-fault plans, and rebalancing are per run).
-// Config.Injector is not judged here: such a batch rejects a shared
-// injector and takes per-item ones.
-func (c Config) ValidateBatch() error {
-	_, opts := c.normalize()
-	return opts.ValidateBatch()
-}
 
 // injSlice adapts the variadic per-item injector argument: absent means no
 // injection anywhere, otherwise it must name every item (nil entries mean
@@ -68,23 +57,22 @@ func injSlice(injs []*Injector, count int) ([]*fault.Injector, error) {
 // (exactly one is non-nil); a non-nil err voids the whole batch and both
 // slices are nil.
 func CholeskyBatch(as []*Matrix, cfg Config) (results []*CholeskyResult, errs []error, err error) {
-	sc, err := cfg.platform()
+	sys, err := newSystem(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	return CholeskyBatchOn(hetsim.New(sc), as, cfg)
+	return CholeskyBatchOn(sys, as, cfg)
 }
 
 // CholeskyBatchOn is CholeskyBatch on a caller-provided simulated system,
 // with optional per-item fault injectors: pass either no injs at all, or
 // exactly one per item (nil entries inject nothing).
 func CholeskyBatchOn(sys *hetsim.System, as []*Matrix, cfg Config, injs ...*Injector) (results []*CholeskyResult, errs []error, err error) {
-	_, opts := cfg.normalize()
 	is, err := injSlice(injs, len(as))
 	if err != nil {
 		return nil, nil, err
 	}
-	outs, ress, errs, err := core.CholeskyBatch(sys, as, opts, is)
+	outs, ress, errs, err := core.CholeskyBatch(sys, as, cfg, is)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -101,22 +89,21 @@ func CholeskyBatchOn(sys *hetsim.System, as []*Matrix, cfg Config, injs ...*Inje
 // every matrix in as in one batched dispatch; see CholeskyBatch for the
 // per-item/batch-level error contract.
 func LUBatch(as []*Matrix, cfg Config) (results []*LUResult, errs []error, err error) {
-	sc, err := cfg.platform()
+	sys, err := newSystem(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	return LUBatchOn(hetsim.New(sc), as, cfg)
+	return LUBatchOn(sys, as, cfg)
 }
 
 // LUBatchOn is LUBatch on a caller-provided simulated system, with
 // optional per-item fault injectors; see CholeskyBatchOn.
 func LUBatchOn(sys *hetsim.System, as []*Matrix, cfg Config, injs ...*Injector) (results []*LUResult, errs []error, err error) {
-	_, opts := cfg.normalize()
 	is, err := injSlice(injs, len(as))
 	if err != nil {
 		return nil, nil, err
 	}
-	outs, pivs, ress, errs, err := core.LUBatch(sys, as, opts, is)
+	outs, pivs, ress, errs, err := core.LUBatch(sys, as, cfg, is)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -133,22 +120,21 @@ func LUBatchOn(sys *hetsim.System, as []*Matrix, cfg Config, injs ...*Injector) 
 // matrix in as in one batched dispatch; see CholeskyBatch for the
 // per-item/batch-level error contract.
 func QRBatch(as []*Matrix, cfg Config) (results []*QRResult, errs []error, err error) {
-	sc, err := cfg.platform()
+	sys, err := newSystem(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	return QRBatchOn(hetsim.New(sc), as, cfg)
+	return QRBatchOn(sys, as, cfg)
 }
 
 // QRBatchOn is QRBatch on a caller-provided simulated system, with
 // optional per-item fault injectors; see CholeskyBatchOn.
 func QRBatchOn(sys *hetsim.System, as []*Matrix, cfg Config, injs ...*Injector) (results []*QRResult, errs []error, err error) {
-	_, opts := cfg.normalize()
 	is, err := injSlice(injs, len(as))
 	if err != nil {
 		return nil, nil, err
 	}
-	outs, taus, ress, errs, err := core.QRBatch(sys, as, opts, is)
+	outs, taus, ress, errs, err := core.QRBatch(sys, as, cfg, is)
 	if err != nil {
 		return nil, nil, err
 	}

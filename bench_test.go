@@ -56,7 +56,7 @@ func benchTableVI(b *testing.B, scheme core.Scheme, mode core.Mode) {
 	for i := 0; i < b.N; i++ {
 		sys := hetsim.New(hetsim.DefaultConfig(gpus))
 		a := matrix.RandomDiagDominant(n, matrix.NewRNG(1))
-		_, _, res, err := core.LU(sys, a, core.Options{NB: nb, Mode: mode, Scheme: scheme, Kernel: checksum.OptKernel})
+		_, _, res, err := core.LU(sys, a, core.Options{NB: nb, Protection: mode, Scheme: scheme, Kernel: checksum.OptKernel})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -75,11 +75,11 @@ func BenchmarkTableVINewScheme(b *testing.B) {
 
 func benchTableVII(b *testing.B, decomp string) {
 	const n, nb, gpus = 512, 32, 2
-	base := runOnce(b, decomp, n, nb, gpus, core.Options{NB: nb, Mode: core.NoChecksum, Scheme: core.NoCheck})
+	base := runOnce(b, decomp, n, nb, gpus, core.Options{NB: nb, Protection: core.NoChecksum, Scheme: core.NoCheck})
 	var prot float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		prot = runOnce(b, decomp, n, nb, gpus, core.Options{NB: nb, Mode: core.Full, Scheme: core.NewScheme, Kernel: checksum.OptKernel})
+		prot = runOnce(b, decomp, n, nb, gpus, core.Options{NB: nb, Protection: core.Full, Scheme: core.NewScheme, Kernel: checksum.OptKernel})
 	}
 	b.ReportMetric(100*(prot-base)/base, "overhead-%")
 }
@@ -131,7 +131,7 @@ func benchPhaseBreakdown(b *testing.B, decomp string) {
 	var m overhead.Measured
 	for i := 0; i < b.N; i++ {
 		before := obs.Default().Snapshot()
-		runOnce(b, decomp, n, nb, gpus, core.Options{NB: nb, Mode: core.Full, Scheme: core.NewScheme, Kernel: checksum.OptKernel})
+		runOnce(b, decomp, n, nb, gpus, core.Options{NB: nb, Protection: core.Full, Scheme: core.NewScheme, Kernel: checksum.OptKernel})
 		m = overhead.FromSnapshots(before, obs.Default().Snapshot())
 	}
 	b.ReportMetric(1e3*m.Encode, "encode-ms")
@@ -214,7 +214,7 @@ func writeBenchJSON(tb testing.TB, name string, rows any) {
 // the wall phase breakdown.
 func benchLookahead(b *testing.B, decomp string, lookahead int) {
 	const n, nb, gpus = 512, 64, 2
-	opts := core.Options{NB: nb, Mode: core.Full, Scheme: core.NewScheme,
+	opts := core.Options{NB: nb, Protection: core.Full, Scheme: core.NewScheme,
 		Kernel: checksum.OptKernel, Lookahead: lookahead}
 	var m overhead.Measured
 	var sim float64
@@ -336,11 +336,11 @@ func benchFig1315(b *testing.B, decomp string, gpus int, mode core.Mode, scheme 
 		n = n * 141 / 100 // ≈ sqrt(2) growth keeps the per-GPU footprint fixed
 	}
 	n = (n + nb - 1) / nb * nb
-	base := runOnce(b, decomp, n, nb, gpus, core.Options{NB: nb, Mode: core.NoChecksum, Scheme: core.NoCheck})
+	base := runOnce(b, decomp, n, nb, gpus, core.Options{NB: nb, Protection: core.NoChecksum, Scheme: core.NoCheck})
 	var prot float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		prot = runOnce(b, decomp, n, nb, gpus, core.Options{NB: nb, Mode: mode, Scheme: scheme, Kernel: kernel})
+		prot = runOnce(b, decomp, n, nb, gpus, core.Options{NB: nb, Protection: mode, Scheme: scheme, Kernel: kernel})
 	}
 	b.ReportMetric(100*(prot-base)/base, "overhead-%")
 }
@@ -400,7 +400,7 @@ func BenchmarkAblationBlockSize(b *testing.B) {
 		b.Run(fmt.Sprintf("nb%d", nb), func(b *testing.B) {
 			var w float64
 			for i := 0; i < b.N; i++ {
-				w = runOnce(b, "lu", 384, nb, 2, core.Options{NB: nb, Mode: core.Full, Scheme: core.NewScheme, Kernel: checksum.OptKernel})
+				w = runOnce(b, "lu", 384, nb, 2, core.Options{NB: nb, Protection: core.Full, Scheme: core.NewScheme, Kernel: checksum.OptKernel})
 			}
 			b.ReportMetric(w/1e6, "Mflops")
 		})

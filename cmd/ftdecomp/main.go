@@ -44,7 +44,7 @@ func main() {
 		runOverhead(*decomp, *n, *nb, *gpus)
 		return
 	}
-	opts := core.Options{NB: *nb, Mode: parseMode(*mode), Scheme: parseScheme(*scheme), Kernel: parseKernel(*kern)}
+	opts := core.Options{NB: *nb, Protection: parseMode(*mode), Scheme: parseScheme(*scheme), Kernel: parseKernel(*kern)}
 	res, resid, sys, err := runSys(*decomp, *n, *gpus, opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
@@ -81,12 +81,12 @@ func runOverhead(decomp string, n, nb, gpus int) {
 	default:
 		d = overhead.LU
 	}
-	base, _, err := run(decomp, n, gpus, core.Options{NB: nb, Mode: core.NoChecksum, Scheme: core.NoCheck})
+	base, _, err := run(decomp, n, gpus, core.Options{NB: nb, Protection: core.NoChecksum, Scheme: core.NoCheck})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
 	}
-	prot, _, err := run(decomp, n, gpus, core.Options{NB: nb, Mode: core.Full, Scheme: core.NewScheme, Kernel: checksum.OptKernel})
+	prot, _, err := run(decomp, n, gpus, core.Options{NB: nb, Protection: core.Full, Scheme: core.NewScheme, Kernel: checksum.OptKernel})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
@@ -118,7 +118,7 @@ func runCounters(decomp string, n, nb, gpus int) {
 		{"post-op", core.Full, core.PostOp},
 		{"new (ours)", core.Full, core.NewScheme},
 	} {
-		opts := core.Options{NB: nb, Mode: cfg.mode, Scheme: cfg.scheme, Kernel: checksum.OptKernel}
+		opts := core.Options{NB: nb, Protection: cfg.mode, Scheme: cfg.scheme, Kernel: checksum.OptKernel}
 		res, _, err := run(decomp, n, gpus, opts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)

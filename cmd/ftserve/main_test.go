@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"ftla"
 	"ftla/internal/service"
 )
 
@@ -114,6 +115,38 @@ func TestSubmitRejectsBadRequests(t *testing.T) {
 			code, out := do(t, http.MethodPost, ts.URL+"/v1/jobs", tc.body)
 			if code != http.StatusBadRequest || !strings.Contains(out, tc.msg) {
 				t.Fatalf("got %d %s, want 400 mentioning %q", code, out, tc.msg)
+			}
+		})
+	}
+}
+
+// The "protection" field selects the configuration on the Config the
+// request builds, keeping its GPUs, NB and topology: "none" is the
+// NoProtection/NoCheck pair a run accepts, not the default protection.
+func TestRequestProtection(t *testing.T) {
+	for _, tc := range []struct {
+		protection string
+		mode       ftla.Protection
+		scheme     ftla.Scheme
+	}{
+		{"", ftla.FullChecksum, ftla.NewScheme},
+		{"full", ftla.FullChecksum, ftla.NewScheme},
+		{"single", ftla.SingleSide, ftla.NewScheme},
+		{"none", ftla.NoProtection, ftla.NoCheck},
+	} {
+		t.Run(tc.protection, func(t *testing.T) {
+			r := jobRequest{N: 64, NB: 32, GPUs: 4, Nodes: 2, Protection: tc.protection}
+			spec, err := r.toSpec()
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := spec.Config
+			if c.Protection != tc.mode || c.Scheme != tc.scheme || c.GPUs != 4 || c.NB != 32 || c.Nodes != 2 {
+				t.Fatalf("config %v/%v GPUs %d NB %d Nodes %d, want %v/%v GPUs 4 NB 32 Nodes 2",
+					c.Protection, c.Scheme, c.GPUs, c.NB, c.Nodes, tc.mode, tc.scheme)
+			}
+			if err := c.Validate(64); err != nil {
+				t.Fatalf("Validate = %v", err)
 			}
 		})
 	}

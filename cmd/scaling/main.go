@@ -65,14 +65,14 @@ func main() {
 		for i := range best {
 			best[i] = math.Inf(1)
 		}
-		measureOne(*decomp, n, g, *metric, core.Options{NB: *nb, Mode: core.NoChecksum, Scheme: core.NoCheck}) // warmup
+		measureOne(*decomp, n, g, *metric, core.Options{NB: *nb, Protection: core.NoChecksum, Scheme: core.NoCheck}) // warmup
 		effReps := *reps
 		if *metric == "flops" {
 			effReps = 1 // deterministic
 		}
 		for rep := 0; rep < effReps; rep++ {
 			for i, c := range all {
-				opts := core.Options{NB: *nb, Mode: c.mode, Scheme: c.scheme, Kernel: c.kernel}
+				opts := core.Options{NB: *nb, Protection: c.mode, Scheme: c.scheme, Kernel: c.kernel}
 				if t := measureOne(*decomp, n, g, *metric, opts); t < best[i] {
 					best[i] = t
 				}

@@ -1,44 +1,71 @@
 package ftla
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
-	"ftla/internal/core"
 	"ftla/internal/hetsim"
+	"ftla/internal/obs"
 )
 
-// The zero Config must upgrade to the paper's recommended protection —
-// full checksums under the new scheme — so the no-thought default is the
-// protected one.
-func TestNormalizeZeroValueUpgrades(t *testing.T) {
-	cfg, opts := Config{}.normalize()
-	if cfg.GPUs != 1 || cfg.NB != 64 {
-		t.Fatalf("defaults GPUs=%d NB=%d, want 1/64", cfg.GPUs, cfg.NB)
+// The zero value of every protection field is the paper's configuration,
+// and an unprotected run is the explicit NoProtection/NoCheck pair. Each
+// row is checked through Validate and Effective and by a real run: the
+// report's configuration, and no encode by the GEMM kernel the run did not
+// ask for (verification recomputes with the run's kernel).
+func TestConfigDefaults(t *testing.T) {
+	const n = 64
+	a := RandomSPD(n, 3)
+	gemmKey := obs.Key(obs.MetricChecksumEncodes, "kernel", GEMMKernel.String())
+	unprotected := Config{GPUs: 2, Protection: NoProtection, Scheme: NoCheck}
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		mode    Protection
+		scheme  Scheme
+		kernel  Kernel
+		wantErr string
+	}{
+		{name: "zero config", cfg: Config{}, mode: FullChecksum, scheme: NewScheme, kernel: OptKernel},
+		{name: "unprotected", cfg: unprotected, mode: NoProtection, scheme: NoCheck, kernel: OptKernel},
+		{name: "Unprotected(2)", cfg: Unprotected(2), mode: NoProtection, scheme: NoCheck, kernel: OptKernel},
+		{name: "single-side post-op gemm", cfg: Config{Protection: SingleSide, Scheme: PostOp, Kernel: GEMMKernel},
+			mode: SingleSide, scheme: PostOp, kernel: GEMMKernel},
+		{name: "NoProtection alone", cfg: Config{Protection: NoProtection}, wantErr: "scheme new requires checksums"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.NB = 16
+			if err := cfg.Validate(n); tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("Validate = %v, want an error mentioning %q", err, tc.wantErr)
+				}
+				return
+			} else if err != nil {
+				t.Fatalf("Validate = %v", err)
+			}
+			eff := cfg.Effective()
+			if eff.GPUs < 1 || eff.NB != 16 || eff.Protection != tc.mode || eff.Scheme != tc.scheme || eff.Kernel != tc.kernel {
+				t.Fatalf("Effective = GPUs %d NB %d %v/%v/%v, want NB 16 %v/%v/%v",
+					eff.GPUs, eff.NB, eff.Protection, eff.Scheme, eff.Kernel, tc.mode, tc.scheme, tc.kernel)
+			}
+			before := obs.Default().Snapshot()
+			res, err := Cholesky(a, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gemm := obs.Default().Snapshot().Diff(before).CounterValue(gemmKey)
+			if r := res.Report; r.Mode != tc.mode || r.Scheme != tc.scheme || r.Kernel != tc.kernel {
+				t.Fatalf("run reports %v/%v/%v, want %v/%v/%v", r.Mode, r.Scheme, r.Kernel, tc.mode, tc.scheme, tc.kernel)
+			}
+			if (gemm > 0) != (tc.kernel == GEMMKernel && tc.mode != NoProtection) {
+				t.Fatalf("run encoded %d times with the GEMM kernel under kernel %v", gemm, tc.kernel)
+			}
+		})
 	}
-	if opts.Mode != core.Full || opts.Scheme != core.NewScheme {
-		t.Fatalf("zero config normalized to %v/%v, want full/new", opts.Mode, opts.Scheme)
-	}
-}
-
-// Unprotected must NOT be upgraded: its explicit marker pins the
-// NoChecksum/NoCheck pair even though those are the zero values the
-// upgrade looks for.
-func TestNormalizeUnprotectedStaysUnprotected(t *testing.T) {
-	cfg, opts := Unprotected(2).normalize()
-	if cfg.GPUs != 2 {
-		t.Fatalf("GPUs = %d, want 2", cfg.GPUs)
-	}
-	if opts.Mode != core.NoChecksum || opts.Scheme != core.NoCheck {
-		t.Fatalf("Unprotected normalized to %v/%v, want none/none", opts.Mode, opts.Scheme)
-	}
-}
-
-// A partially explicit protection choice must survive normalization
-// untouched — only the all-zero pair is upgraded.
-func TestNormalizeRespectsExplicitChoice(t *testing.T) {
-	_, opts := Config{Protection: SingleSide, Scheme: PostOp}.normalize()
-	if opts.Mode != core.SingleSide || opts.Scheme != core.PostOp {
-		t.Fatalf("explicit single-side/post-op normalized to %v/%v", opts.Mode, opts.Scheme)
+	if !reflect.DeepEqual(Unprotected(2), unprotected) {
+		t.Fatalf("Unprotected(2) = %+v, want %+v", Unprotected(2), unprotected)
 	}
 }
 
@@ -104,7 +131,7 @@ func TestConfigValidate(t *testing.T) {
 		{"unprotected", func() Config { c := Unprotected(2); c.NB = 16; return c }(), false},
 		{"cluster with redundancy", Config{NB: 16, GPUs: 4, Nodes: 2, Redundancy: 1}, false},
 		{"order not a multiple of NB", Config{NB: 24}, true},
-		{"scheme without checksums", Config{NB: 16, Scheme: NewScheme}, true},
+		{"scheme without checksums", Config{NB: 16, Protection: NoProtection}, true},
 		{"negative CheckpointEvery", Config{NB: 16, CheckpointEvery: -1}, true},
 		{"OnCheckpoint without CheckpointEvery", Config{NB: 16, OnCheckpoint: func(*Checkpoint) {}}, true},
 		{"negative Rebalance.Every", Config{NB: 16, GPUs: 2, RebalanceEvery: -1}, true},

@@ -12,6 +12,12 @@
 // communication errors — and report detailed verification/recovery
 // statistics.
 //
+// A Config selects the platform and the protection of a run; it is
+// core.Options, whose fields carry the documentation. Its zero value is
+// the paper's configuration: full checksums under the new checking scheme
+// with the optimized encoding kernel, on 1 GPU with NB=64. Unprotected(g)
+// is the plain factorization the ABFT overhead is measured against.
+//
 // Quick start:
 //
 //	a := ftla.RandomSPD(512, 1)
@@ -26,8 +32,6 @@
 package ftla
 
 import (
-	"fmt"
-
 	"ftla/internal/checksum"
 	"ftla/internal/core"
 	"ftla/internal/fault"
@@ -67,13 +71,14 @@ type Protection = core.Mode
 
 // Protection levels.
 const (
-	// NoProtection runs the plain factorization (the overhead baseline).
-	NoProtection = core.NoChecksum
+	// FullChecksum maintains checksums in both dimensions on the trailing
+	// matrix — the paper's contribution (§IV) and the zero value.
+	FullChecksum = core.Full
 	// SingleSide maintains checksums in one dimension, as in prior work.
 	SingleSide = core.SingleSide
-	// FullChecksum maintains checksums in both dimensions on the trailing
-	// matrix — the paper's contribution (§IV).
-	FullChecksum = core.Full
+	// NoProtection runs the plain factorization (the overhead baseline);
+	// it takes Scheme NoCheck.
+	NoProtection = core.NoChecksum
 )
 
 // Scheme selects when verification happens.
@@ -81,13 +86,17 @@ type Scheme = core.Scheme
 
 // Checking schemes.
 const (
+	// NewScheme is the paper's prioritized checking scheme (Algorithm 2),
+	// including post-broadcast verification that protects PCIe, and the
+	// zero value.
+	NewScheme = core.NewScheme
 	// PriorOp verifies operation inputs before each operation.
 	PriorOp = core.PriorOp
 	// PostOp verifies operation outputs after each operation.
 	PostOp = core.PostOp
-	// NewScheme is the paper's prioritized checking scheme (Algorithm 2),
-	// including post-broadcast verification that protects PCIe.
-	NewScheme = core.NewScheme
+	// NoCheck verifies nothing; it is the scheme of NoProtection and is
+	// refused with any other protection.
+	NoCheck = core.NoCheck
 )
 
 // Kernel selects the checksum-encoding kernel (§VIII).
@@ -95,10 +104,11 @@ type Kernel = checksum.Kernel
 
 // Checksum-encoding kernels.
 const (
+	// OptKernel is the paper's optimized dedicated encoding kernel and the
+	// zero value.
+	OptKernel = checksum.OptKernel
 	// GEMMKernel is the general-matrix-multiply baseline of prior work.
 	GEMMKernel = checksum.GEMMKernel
-	// OptKernel is the paper's optimized dedicated encoding kernel.
-	OptKernel = checksum.OptKernel
 )
 
 // Report carries the per-run statistics: timing breakdown, verification
@@ -226,198 +236,28 @@ type DeviceHungError = hetsim.DeviceHungError
 // device set.
 type Checkpoint = core.Checkpoint
 
-// Config selects the simulated platform and the protection configuration.
-// The zero value means: 1 GPU, NB=64, full checksums with the new checking
-// scheme, optimized encoding kernel.
-type Config struct {
-	// GPUs is the number of simulated GPUs (default 1).
-	GPUs int
-	// NB is the block size; the matrix order must be a multiple (default 64).
-	NB int
-	// Protection and Scheme choose the ABFT configuration. The zero values
-	// select FullChecksum + NewScheme; to run unprotected set
-	// Protection: NoProtection, Scheme: core.NoCheck (or use Unprotected).
-	Protection Protection
-	Scheme     Scheme
-	// Kernel selects the checksum-encoding kernel (default OptKernel).
-	Kernel Kernel
-	// Injector, when set, injects the scheduled faults.
-	Injector *Injector
-	// FailStop arms fail-stop/performance fault plans on the simulated
-	// devices at the start of the run, keyed by device index (-1 = CPU,
-	// else GPU id). A firing plan aborts the run with a typed
-	// DeviceLostError/DeviceHungError.
-	FailStop map[int]FailStopPlan
-	// LinkFault arms communication fault plans on the simulated PCIe
-	// links, keyed by GPU index (link i is the CPU<->GPUi path).
-	// Transient corruption/flaps are absorbed by checksummed
-	// retransmission; exhausted links abort with a typed *LinkError.
-	LinkFault map[int]LinkFaultPlan
-	// Nodes > 1 spreads the GPUs round-robin over that many cluster nodes
-	// behind a slower inter-node interconnect (GPUs must be divisible by
-	// Nodes). Multi-node runs maintain erasure-coded parity columns across
-	// nodes so up to Redundancy whole-node losses are reconstructed in
-	// place and the run continues degraded, bit-identical to an
-	// uninterrupted run. The
-	// default (0 or 1) is the flat single-box topology, bit-identical to
-	// every earlier release.
-	Nodes int
-	// NodeFault arms whole-node loss plans, keyed by node index. Plans due
-	// at the same ladder-step boundary fire together as one correlated
-	// burst. Requires Nodes > 1.
-	NodeFault map[int]NodeFaultPlan
-	// Redundancy is the number r of erasure-coded parity columns each
-	// cross-node parity group carries when Nodes > 1: the cluster absorbs
-	// up to r whole-node losses — sequential or simultaneous — with
-	// bit-exact reconstruction. 0 (the default) means r = 1, the classic
-	// XOR parity; r must stay below Nodes (each parity group needs at
-	// least one data column) or the run is rejected before it starts.
-	// Ignored on flat single-box topologies, which carry no parity.
-	Redundancy int
-	// PeriodicTrailingCheck > 0 adds a full trailing verification every
-	// k-th iteration under NewScheme (§VII.B mitigation).
-	PeriodicTrailingCheck int
-	// Lookahead selects the step-runtime schedule: 0 (the default) runs the
-	// serial ladder; 1 enables MAGMA-style look-ahead — the CPU factorizes
-	// panel k+1 while the GPUs run step k's trailing update on asynchronous
-	// streams. Results are bit-identical in both schedules, and an
-	// Injector's windows sit at the same logical point in both (see
-	// DESIGN.md §8).
-	Lookahead int
-	// CheckpointEvery > 0 snapshots the factorization state into a
-	// host-side Checkpoint after every k-th verified ladder step (default
-	// off). Checkpoints are known-clean: an uncorrectable mid-run
-	// corruption rolls back to the last one and replays instead of
-	// surrendering the run, and the serving layer resumes a device-loss
-	// abort from it on the surviving GPUs.
-	CheckpointEvery int
-	// OnCheckpoint, when non-nil, receives each checkpoint as it is taken
-	// (on the factorization's goroutine). Treat the value as immutable.
-	OnCheckpoint func(*Checkpoint)
-	// Resume, when non-nil, starts the factorization from the checkpoint
-	// instead of from scratch: state is restored onto the current device
-	// set and the ladder replays from Checkpoint.NextStep. The input
-	// matrix must be the original A. The protection configuration must
-	// match the checkpoint's.
-	Resume *Checkpoint
-	// RebalanceEvery arms dynamic work repartitioning: every
-	// RebalanceEvery ladder steps the runtime re-splits the remaining
-	// trailing block columns across the GPUs proportionally to their
-	// EWMA-smoothed measured speed, migrating reassigned columns over
-	// simulated PCIe with their checksum strips riding along — so a
-	// straggling device sheds load instead of blowing the makespan, while
-	// results stay bit-identical to the static layout (see DESIGN.md §10).
-	// 0 disables rebalancing. Ignored on single-GPU systems.
-	RebalanceEvery int
-	// System overrides the simulated platform (worker counts, nominal
-	// speeds); nil uses hetsim.DefaultConfig(GPUs).
-	System *hetsim.Config
-
-	// explicit marks configs built by Unprotected so the zero Protection/
-	// Scheme pair is not upgraded to the protected defaults.
-	explicit bool
-}
+// Config selects the simulated platform and the protection configuration;
+// see the fields of core.Options. The zero value is the paper's
+// configuration: 1 GPU, NB=64, full checksums under the new checking
+// scheme, and the optimized encoding kernel. Its Validate method is the
+// admission rule a run applies, Effective and SystemConfig give the
+// defaults and platform a run uses, and ValidateBatch names the per-run
+// options a batch of two or more matrices cannot share.
+type Config = core.Options
 
 // Unprotected returns a Config running the plain factorization.
 func Unprotected(gpus int) Config {
-	return Config{GPUs: gpus, Protection: NoProtection, Scheme: core.NoCheck, explicit: true}
+	return Config{GPUs: gpus, Protection: NoProtection, Scheme: NoCheck}
 }
 
-func (c Config) normalize() (Config, core.Options) {
-	if c.GPUs <= 0 {
-		c.GPUs = 1
+// newSystem builds a fresh system of the platform cfg selects, or returns
+// the error for one hetsim.New cannot build.
+func newSystem(cfg Config) (*hetsim.System, error) {
+	sc := cfg.SystemConfig()
+	if err := sc.Validate(); err != nil {
+		return nil, err
 	}
-	if c.NB <= 0 {
-		c.NB = 64
-	}
-	if !c.explicit && c.Protection == core.NoChecksum && c.Scheme == core.NoCheck {
-		c.Protection = FullChecksum
-		c.Scheme = NewScheme
-	}
-	// Canonicalize the parity depth on cluster topologies so Effective
-	// configurations compare equal whether the caller wrote the default
-	// explicitly or left it zero; flat systems ignore the field entirely.
-	// A negative depth is left for Validate to reject.
-	if c.Nodes > 1 && c.Redundancy == 0 {
-		c.Redundancy = 1
-	}
-	opts := core.Options{
-		NB:                    c.NB,
-		Mode:                  c.Protection,
-		Scheme:                c.Scheme,
-		Kernel:                c.Kernel,
-		Injector:              c.Injector,
-		FailStop:              c.FailStop,
-		LinkFault:             c.LinkFault,
-		NodeFault:             c.NodeFault,
-		Redundancy:            c.Redundancy,
-		PeriodicTrailingCheck: c.PeriodicTrailingCheck,
-		Lookahead:             c.Lookahead,
-		CheckpointEvery:       c.CheckpointEvery,
-		OnCheckpoint:          c.OnCheckpoint,
-		Resume:                c.Resume,
-		RebalanceEvery:        c.RebalanceEvery,
-	}
-	return c, opts
-}
-
-// Effective returns the configuration with every default applied — the
-// exact values a run with this Config uses (GPUs, NB, and the
-// protection/scheme upgrade included). Serving layers compare Effective
-// configurations to decide which queued jobs may share one batched
-// dispatch; comparing raw Configs instead would either miss equivalent
-// configurations (zero vs. explicit default) or wrongly conflate an
-// explicit no-protection request with the default upgrade.
-func (c Config) Effective() Config {
-	c, _ = c.normalize()
-	return c
-}
-
-// SystemConfig returns the hetsim.Config the Config selects — the platform
-// that Cholesky/LU/QR would construct. It is a comparable value, which lets
-// callers that pool simulated systems (internal/service) key pooled
-// instances by platform.
-func (c Config) SystemConfig() hetsim.Config {
-	c, _ = c.normalize()
-	sc := hetsim.DefaultConfig(c.GPUs)
-	if c.System != nil {
-		sc = *c.System
-	}
-	if c.Nodes > 1 {
-		sc.Nodes = c.Nodes
-	}
-	return sc
-}
-
-// Validate reports whether a run of order n under c is rejected before it
-// starts, with the error the run would return: the platform's rule first
-// (GPUs divisible by Nodes), then the option rules of
-// core.Options.Validate (NB divides n, a consistent Protection/Scheme
-// pair, non-negative checkpoint and rebalance intervals and Redundancy,
-// OnCheckpoint only with CheckpointEvery), then Redundancy below Nodes on
-// a cluster. Serving layers call it to refuse a bad job at admission
-// instead of failing it on a worker.
-func (c Config) Validate(n int) error {
-	sc, err := c.platform()
-	if err != nil {
-		return err
-	}
-	_, opts := c.normalize()
-	if err := opts.Validate(n); err != nil {
-		return err
-	}
-	return opts.ValidateTopology(sc.Nodes)
-}
-
-// platform returns the platform c selects, or the error for one that
-// hetsim.New cannot build: GPUs not divisible over Nodes. Validate and
-// the entry points that build their own system share it.
-func (c Config) platform() (hetsim.Config, error) {
-	sc := c.SystemConfig()
-	if sc.Nodes > 1 && sc.NumGPUs%sc.Nodes != 0 {
-		return sc, fmt.Errorf("ftla: %d GPUs not divisible over %d nodes", sc.NumGPUs, sc.Nodes)
-	}
-	return sc, nil
+	return hetsim.New(sc), nil
 }
 
 // NewSystem builds the simulated platform cfg selects. Most callers never

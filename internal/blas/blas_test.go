@@ -29,44 +29,6 @@ func refGemm(transA, transB bool, alpha float64, a, b *matrix.Dense, beta float6
 	}
 }
 
-func TestDot(t *testing.T) {
-	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
-		t.Fatalf("Dot = %v, want 32", got)
-	}
-}
-
-func TestAxpyScal(t *testing.T) {
-	y := []float64{1, 1, 1}
-	Axpy(2, []float64{1, 2, 3}, y)
-	if y[2] != 7 {
-		t.Fatalf("Axpy wrong: %v", y)
-	}
-	Scal(0.5, y)
-	if y[0] != 1.5 {
-		t.Fatalf("Scal wrong: %v", y)
-	}
-	// alpha == 0 fast path must not modify y.
-	before := append([]float64(nil), y...)
-	Axpy(0, []float64{9, 9, 9}, y)
-	for i := range y {
-		if y[i] != before[i] {
-			t.Fatal("Axpy(0) modified y")
-		}
-	}
-}
-
-func TestIamax(t *testing.T) {
-	if got := Iamax([]float64{1, -5, 3}); got != 1 {
-		t.Fatalf("Iamax = %d, want 1", got)
-	}
-	if got := Iamax([]float64{2, -2}); got != 0 {
-		t.Fatalf("Iamax tie = %d, want 0 (lowest index)", got)
-	}
-	if got := Iamax(nil); got != -1 {
-		t.Fatalf("Iamax(nil) = %d, want -1", got)
-	}
-}
-
 func TestIamaxCol(t *testing.T) {
 	a := matrix.FromRows([][]float64{{9, 1}, {2, -8}, {3, 4}})
 	if got := IamaxCol(a, 1, 0); got != 1 {
@@ -74,34 +36,6 @@ func TestIamaxCol(t *testing.T) {
 	}
 	if got := IamaxCol(a, 0, 1); got != 2 {
 		t.Fatalf("IamaxCol from row 1 = %d, want 2", got)
-	}
-}
-
-func TestGemvNoTrans(t *testing.T) {
-	a := matrix.FromRows([][]float64{{1, 2}, {3, 4}})
-	y := []float64{1, 1}
-	Gemv(false, 2, a, []float64{1, 1}, 3, y)
-	// y = 2*A*[1 1] + 3*[1 1] = [6+3, 14+3]
-	if y[0] != 9 || y[1] != 17 {
-		t.Fatalf("Gemv = %v", y)
-	}
-}
-
-func TestGemvTrans(t *testing.T) {
-	a := matrix.FromRows([][]float64{{1, 2}, {3, 4}})
-	y := []float64{0, 0}
-	Gemv(true, 1, a, []float64{1, 2}, 0, y)
-	// Aᵀ*[1 2] = [1+6, 2+8] = [7, 10]
-	if y[0] != 7 || y[1] != 10 {
-		t.Fatalf("Gemv trans = %v", y)
-	}
-}
-
-func TestGer(t *testing.T) {
-	a := matrix.NewDense(2, 3)
-	Ger(2, []float64{1, 2}, []float64{1, 2, 3}, a)
-	if a.At(1, 2) != 12 || a.At(0, 0) != 2 {
-		t.Fatalf("Ger wrong: %v", a)
 	}
 }
 

@@ -2,68 +2,6 @@ package blas
 
 import "ftla/internal/matrix"
 
-// Gemv computes y = alpha*op(A)*x + beta*y where op is the identity when
-// trans is false and transpose when true. y is updated in place.
-func Gemv(trans bool, alpha float64, a *matrix.Dense, x []float64, beta float64, y []float64) {
-	m, n := a.Rows, a.Cols
-	if trans {
-		m, n = n, m
-	}
-	if len(x) != n || len(y) != m {
-		panic("blas: Gemv dimension mismatch")
-	}
-	if beta != 1 {
-		for i := range y {
-			y[i] *= beta
-		}
-	}
-	if alpha == 0 {
-		return
-	}
-	if !trans {
-		for i := 0; i < a.Rows; i++ {
-			row := a.Row(i)
-			s := 0.0
-			for j, v := range row {
-				s += v * x[j]
-			}
-			y[i] += alpha * s
-		}
-		return
-	}
-	// Transposed: accumulate row-wise to keep memory access sequential.
-	for i := 0; i < a.Rows; i++ {
-		row := a.Row(i)
-		ax := alpha * x[i]
-		if ax == 0 {
-			continue
-		}
-		for j, v := range row {
-			y[j] += ax * v
-		}
-	}
-}
-
-// Ger performs the rank-1 update A += alpha * x * yᵀ.
-func Ger(alpha float64, x, y []float64, a *matrix.Dense) {
-	if len(x) != a.Rows || len(y) != a.Cols {
-		panic("blas: Ger dimension mismatch")
-	}
-	if alpha == 0 {
-		return
-	}
-	for i := 0; i < a.Rows; i++ {
-		ax := alpha * x[i]
-		if ax == 0 {
-			continue
-		}
-		row := a.Row(i)
-		for j, v := range y {
-			row[j] += ax * v
-		}
-	}
-}
-
 // Trsv solves op(L or U) * x = b in place, where x starts holding b.
 // lower selects the triangle, trans selects op, unit selects an implicit
 // unit diagonal.

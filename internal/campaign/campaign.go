@@ -169,7 +169,7 @@ func Run(cfg Config) ([]Row, error) {
 			inj := fault.NewInjector(cfg.Seed)
 			inj.Schedule(c.Spec)
 			opts := core.Options{
-				NB: cfg.NB, Mode: ap.Mode, Scheme: ap.Scheme,
+				NB: cfg.NB, Protection: ap.Mode, Scheme: ap.Scheme,
 				Kernel: cfg.Kernel, Injector: inj,
 			}
 			res, resid, err := runOne(cfg, opts)
@@ -202,7 +202,7 @@ func runOffline(cfg Config) ([]Row, error) {
 	for _, c := range Cases(cfg.Decomp, cfg.Iteration) {
 		inj := fault.NewInjector(cfg.Seed)
 		inj.Schedule(c.Spec)
-		opts := core.Options{NB: cfg.NB, Mode: core.NoChecksum, Scheme: core.NoCheck, Injector: inj}
+		opts := core.Options{NB: cfg.NB, Protection: core.NoChecksum, Scheme: core.NoCheck, Injector: inj}
 		resid, detected, err := runOneOffline(cfg, opts)
 		if err != nil {
 			return nil, fmt.Errorf("%s under offline: %w", c.Name, err)

@@ -32,22 +32,23 @@ var (
 		"Checksum verification mismatches detected (each is one suspect strip/line pair).")
 )
 
-// Kernel selects the checksum-encoding implementation.
+// Kernel selects the checksum-encoding implementation. The zero value is
+// OptKernel, the paper's kernel.
 type Kernel int
 
 const (
-	// GEMMKernel encodes checksums by multiplying with an explicit weight
-	// matrix through the general GEMM — the approach of prior work
-	// [11][12], which underutilizes the device on this degenerate
-	// (2×nb)·(nb×n) shape.
-	GEMMKernel Kernel = iota
 	// OptKernel is the paper's dedicated kernel: a single fused pass that
 	// accumulates both weighted sums at once, with the v₂ weights
 	// hardcoded (generated in-register rather than loaded) and the matrix
 	// streamed tile by tile. On the GPU the paper stages tiles through
 	// shared memory with double-buffered prefetch; the cache-tiled
 	// traversal below is the CPU analogue.
-	OptKernel
+	OptKernel Kernel = iota
+	// GEMMKernel encodes checksums by multiplying with an explicit weight
+	// matrix through the general GEMM — the approach of prior work
+	// [11][12], which underutilizes the device on this degenerate
+	// (2×nb)·(nb×n) shape.
+	GEMMKernel
 )
 
 // String returns the kernel's short name ("gemm" or "opt"), as used in

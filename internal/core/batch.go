@@ -50,13 +50,13 @@ import (
 // are system-wide), not the item alone; the verification/recovery counters
 // and outcome fields are per item as usual.
 
-// validateRun rejects inputs and option combinations a run does not
-// support: the items must be non-nil, square, and of one order that
-// Options.Validate accepts (it normalizes opts.NB), and injs must name
-// every item when set. A run of more than one item must also pass
+// validateRun rejects inputs and option combinations a run on a system
+// of the given node count does not support: the items must be non-nil,
+// square, and of one order that the Effective opts accept, and injs must
+// name every item when set. A run of more than one item must also pass
 // Options.ValidateBatch and carry its injectors per item, not in a shared
 // opts.Injector.
-func validateRun(as []*matrix.Dense, opts *Options, injs []*fault.Injector) error {
+func validateRun(as []*matrix.Dense, opts Options, nodes int, injs []*fault.Injector) error {
 	if len(as) == 0 {
 		return fmt.Errorf("core: no matrices to factorize")
 	}
@@ -70,7 +70,7 @@ func validateRun(as []*matrix.Dense, opts *Options, injs []*fault.Injector) erro
 			return fmt.Errorf("core: item %d has order %d, want %d (all items share one order)", i, a.Rows, as[0].Rows)
 		}
 	}
-	if err := opts.Validate(as[0].Rows); err != nil {
+	if err := opts.validate(as[0].Rows, nodes); err != nil {
 		return err
 	}
 	if injs != nil && len(injs) != len(as) {

@@ -14,7 +14,7 @@ import (
 
 func batchOpts(lookahead int) Options {
 	return Options{
-		NB: 16, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel,
+		NB: 16, Protection: Full, Scheme: NewScheme, Kernel: checksum.OptKernel,
 		Lookahead: lookahead,
 	}
 }
@@ -200,7 +200,7 @@ func TestBatchPerItemFaultContainment(t *testing.T) {
 	const n, count = 64, 3
 	ms := batchInputs("lu", count, n)
 	opts := batchOpts(1)
-	opts.Mode = SingleSide
+	opts.Protection = SingleSide
 
 	inj := fault.NewInjector(99)
 	for _, row := range []int{1, 2} {

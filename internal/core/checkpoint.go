@@ -155,9 +155,9 @@ func (cp *Checkpoint) validateFor(decomp string, n int, opts *Options) error {
 		return fmt.Errorf("core: checkpoint order %d != input order %d", cp.N, n)
 	case cp.NB != opts.NB:
 		return fmt.Errorf("core: checkpoint NB %d != options NB %d", cp.NB, opts.NB)
-	case cp.Mode != opts.Mode || cp.Scheme != opts.Scheme:
+	case cp.Mode != opts.Protection || cp.Scheme != opts.Scheme:
 		return fmt.Errorf("core: checkpoint protection %v/%v != options %v/%v",
-			cp.Mode, cp.Scheme, opts.Mode, opts.Scheme)
+			cp.Mode, cp.Scheme, opts.Protection, opts.Scheme)
 	case cp.NextStep <= 0 || cp.NextStep >= cp.N/cp.NB:
 		return fmt.Errorf("core: checkpoint step %d outside (0, %d)", cp.NextStep, cp.N/cp.NB)
 	}
@@ -201,16 +201,16 @@ func (p *protected) captureCheckpoint(next int) *Checkpoint {
 		Decomp:   p.es.decomp,
 		N:        p.n,
 		NB:       p.nb,
-		Mode:     p.es.opts.Mode,
+		Mode:     p.es.opts.Protection,
 		Scheme:   p.es.opts.Scheme,
 		NextStep: next,
 		Tol:      p.tol,
 		Data:     make([]*matrix.Dense, p.nbr),
 	}
-	if p.es.opts.Mode != NoChecksum {
+	if p.es.opts.Protection != NoChecksum {
 		cp.ColChk = make([]*matrix.Dense, p.nbr)
 	}
-	if p.es.opts.Mode == Full {
+	if p.es.opts.Protection == Full {
 		cp.RowChk = make([]*matrix.Dense, p.nbr)
 	}
 	host := cp.hostStrips()

@@ -86,7 +86,7 @@ func (l *cholLadder) panelCommit(k int) {
 	o := k * nb
 	gk := p.owner(k)
 	gdevK := es.sys.GPU(gk)
-	chk := es.opts.Mode != NoChecksum
+	chk := es.opts.Protection != NoChecksum
 	st := l.step[k]
 	a11dev := p.local[gk].View(o, p.localOff(k), nb, nb)
 	es.withCommContext(k, fault.PD, o, o, func() {
@@ -123,7 +123,7 @@ func (l *cholLadder) panelUpdate(k int) {
 	o := k * nb
 	gk := p.owner(k)
 	gdevK := sys.GPU(gk)
-	chk := es.opts.Mode != NoChecksum
+	chk := es.opts.Protection != NoChecksum
 	st := l.step[k]
 	m2 := n - o - nb
 
@@ -147,7 +147,7 @@ func (l *cholLadder) panelUpdate(k int) {
 		}
 		res.Counter.PUBefore++
 		var rowRepair func(col int) bool
-		if es.opts.Mode == Full {
+		if es.opts.Protection == Full {
 			// View-limited on purpose: the diagonal block above this
 			// view was just factored, so its row checksums are stale —
 			// and Cholesky contamination of the panel column can only
@@ -384,8 +384,8 @@ func (p *protected) cholTMUOnGPU(g, k int, st stagePair, oc fault.OnChip, sel tm
 	gdev := p.es.sys.GPU(g)
 	nb := p.nb
 	o := k * nb
-	chk := p.es.opts.Mode != NoChecksum
-	full := p.es.opts.Mode == Full
+	chk := p.es.opts.Protection != NoChecksum
+	full := p.es.opts.Protection == Full
 	lb0, lb1 := p.tmuRange(g, k, sel)
 	oc.Apply()
 	for lb := lb0; lb < lb1; lb++ {
@@ -506,7 +506,7 @@ func (p *protected) repairCholCross(g, k int, sel tmuSel, r int, clean, d1 float
 		checksum.ReconstructRow(data, nb, chkv, r, 0, cols)
 	}
 
-	if owned && p.es.opts.Mode == Full && lcR >= 0 && lcR < cols {
+	if owned && p.es.opts.Protection == Full && lcR >= 0 && lcR < cols {
 		// Column r: rebuilt from row checksums, skipping the polluted row r.
 		lb := p.localBlock(bj)
 		r0 := bj * nb

@@ -17,7 +17,7 @@ func testSystem(gpus int) *hetsim.System {
 }
 
 func cholOpts(mode Mode, scheme Scheme) Options {
-	return Options{NB: 16, Mode: mode, Scheme: scheme, Kernel: checksum.OptKernel}
+	return Options{NB: 16, Protection: mode, Scheme: scheme, Kernel: checksum.OptKernel}
 }
 
 func runChol(t *testing.T, n, gpus int, opts Options, inj *fault.Injector) (*matrix.Dense, *matrix.Dense, *Result) {
@@ -211,7 +211,7 @@ func TestCholeskyRejectsBadOptions(t *testing.T) {
 		t.Fatal("expected error for non-square input")
 	}
 	c := matrix.RandomSPD(32, rng)
-	if _, _, err := Cholesky(sys, c, Options{NB: 16, Mode: Full, Scheme: NoCheck}); err == nil {
+	if _, _, err := Cholesky(sys, c, Options{NB: 16, Protection: Full, Scheme: NoCheck}); err == nil {
 		t.Fatal("expected error for Full mode without scheme")
 	}
 }

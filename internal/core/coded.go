@@ -422,7 +422,7 @@ func (cs *codedState) reset(s int) {
 // verify checks and repairs the trailing columns of step k against their
 // column checksums, so parity only ever encodes verified bits.
 func (cs *codedState) verify(k int) {
-	if cs.p.es.opts.Mode != NoChecksum {
+	if cs.p.es.opts.Protection != NoChecksum {
 		cs.p.checkTrailing((k+1)*cs.p.nb, k, tmuAll, &cs.p.es.res.Counter.TMUAfter)
 	}
 }

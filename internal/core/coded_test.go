@@ -58,7 +58,7 @@ func TestClusterSingleNodeBitIdentical(t *testing.T) {
 	for _, decomp := range []string{"cholesky", "lu", "qr"} {
 		for _, gpus := range []int{1, 2, 3} {
 			for _, lookahead := range []int{0, 1} {
-				opts := Options{NB: 16, Mode: Full, Scheme: NewScheme,
+				opts := Options{NB: 16, Protection: Full, Scheme: NewScheme,
 					Kernel: checksum.OptKernel, Lookahead: lookahead}
 				flat := runPipelineOn(t, decomp, 96, testSystem(gpus), opts)
 				oneNode := runPipelineOn(t, decomp, 96, clusterSystem(gpus, 1), opts)
@@ -96,7 +96,7 @@ func TestClusterNodeLossReconstructBitIdentical(t *testing.T) {
 		for _, lookahead := range []int{0, 1} {
 			for _, cfg := range configs {
 				label := decomp + "/" + cfg.mode.String() + "/node-loss"
-				opts := Options{NB: 16, Mode: cfg.mode, Scheme: cfg.scheme,
+				opts := Options{NB: 16, Protection: cfg.mode, Scheme: cfg.scheme,
 					Kernel: checksum.OptKernel, Lookahead: lookahead}
 				clean := runPipelineOn(t, decomp, 96, clusterSystem(3, 3), opts)
 
@@ -153,7 +153,7 @@ func TestClusterNodeLossReconstructBitIdentical(t *testing.T) {
 // loss; a second one must surface hetsim.NodeLostError to the caller (the
 // serving layer's failover ladder), not panic or silently corrupt.
 func TestClusterSecondNodeLossSurfacesTypedError(t *testing.T) {
-	opts := Options{NB: 16, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel,
+	opts := Options{NB: 16, Protection: Full, Scheme: NewScheme, Kernel: checksum.OptKernel,
 		NodeFault: map[int]hetsim.NodeFaultPlan{
 			1: {AfterEpochs: 1},
 			2: {AfterEpochs: 2},
@@ -199,7 +199,7 @@ func TestClusterDoubleNodeLossBitIdentical(t *testing.T) {
 		for _, lookahead := range []int{0, 1} {
 			t.Run(fmt.Sprintf("%s/lookahead=%d", decomp, lookahead), func(t *testing.T) {
 				t.Parallel()
-				opts := Options{NB: 16, Mode: Full, Scheme: NewScheme,
+				opts := Options{NB: 16, Protection: Full, Scheme: NewScheme,
 					Kernel: checksum.OptKernel, Lookahead: lookahead, Redundancy: 2}
 				clean := runPipelineOn(t, decomp, 128, clusterSystem(4, 4), opts)
 				for _, tc := range cases {
@@ -256,7 +256,7 @@ func TestClusterDoubleNodeLossBitIdentical(t *testing.T) {
 // must surface the typed error once some group has no parity left to solve
 // with — the failover ladder engages only when redundancy is truly spent.
 func TestClusterThirdLossExhaustsRedundancy(t *testing.T) {
-	opts := Options{NB: 16, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel,
+	opts := Options{NB: 16, Protection: Full, Scheme: NewScheme, Kernel: checksum.OptKernel,
 		Redundancy: 2,
 		NodeFault: map[int]hetsim.NodeFaultPlan{
 			1: {AfterEpochs: 1},
@@ -291,7 +291,7 @@ func TestClusterRebalanceBitIdentityUniform(t *testing.T) {
 		for _, decomp := range []string{"cholesky", "lu", "qr"} {
 			for _, lookahead := range []int{0, 1} {
 				label := fmt.Sprintf("%s/%dx%d-r%d/lookahead=%d", decomp, tc.gpus, tc.nodes, tc.r, lookahead)
-				opts := Options{NB: 16, Mode: Full, Scheme: NewScheme,
+				opts := Options{NB: 16, Protection: Full, Scheme: NewScheme,
 					Kernel: checksum.OptKernel, Lookahead: lookahead, Redundancy: tc.r}
 				static := runPipelineOn(t, decomp, tc.n, clusterSystem(tc.gpus, tc.nodes), opts)
 
@@ -340,7 +340,7 @@ func TestClusterRebalanceBitIdentityUniform(t *testing.T) {
 // (migration preserves the placement invariant, so the loss stays
 // recoverable afterwards).
 func TestClusterRebalanceSurvivesNodeLoss(t *testing.T) {
-	opts := Options{NB: 16, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel}
+	opts := Options{NB: 16, Protection: Full, Scheme: NewScheme, Kernel: checksum.OptKernel}
 	static := runPipelineOn(t, "lu", 192, clusterSystem(4, 2), opts)
 
 	dyn := opts
@@ -377,7 +377,7 @@ func TestClusterParityPlacementDisjoint(t *testing.T) {
 	} {
 		sys := clusterSystem(tc.gpus, tc.nodes)
 		a := pipelineInput("cholesky", tc.n)
-		opts := Options{NB: 16, Mode: SingleSide, Scheme: PostOp, Kernel: checksum.OptKernel,
+		opts := Options{NB: 16, Protection: SingleSide, Scheme: PostOp, Kernel: checksum.OptKernel,
 			Redundancy: tc.r}
 		if err := opts.Validate(tc.n); err != nil {
 			t.Fatal(err)
@@ -463,7 +463,7 @@ func TestClusterLossEpochSweep(t *testing.T) {
 				for _, every := range parityIntervals {
 					t.Run(fmt.Sprintf("%s/%s/lookahead=%d/c=%d", tc.name, decomp, lookahead, every), func(t *testing.T) {
 						t.Parallel()
-						opts := Options{NB: nb, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel,
+						opts := Options{NB: nb, Protection: Full, Scheme: NewScheme, Kernel: checksum.OptKernel,
 							Lookahead: lookahead, Redundancy: tc.r, parityEvery: every}
 						clean := runPipelineOn(t, decomp, n, clusterSystem(tc.gpus, tc.nodes), opts)
 						for epoch := 1; epoch < n/nb; epoch++ {
@@ -501,7 +501,7 @@ func TestClusterLossAtStepZero(t *testing.T) {
 			for _, lookahead := range []int{0, 1} {
 				t.Run(fmt.Sprintf("lose=%v/%s/lookahead=%d", lose, decomp, lookahead), func(t *testing.T) {
 					t.Parallel()
-					opts := Options{NB: nb, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel,
+					opts := Options{NB: nb, Protection: Full, Scheme: NewScheme, Kernel: checksum.OptKernel,
 						Lookahead: lookahead, Redundancy: 2}
 					clean := runPipelineOn(t, decomp, n, clusterSystem(4, 4), opts)
 					opts.NodeFault = make(map[int]hetsim.NodeFaultPlan)
@@ -550,7 +550,7 @@ func TestClusterLossEpochSweepPivoting(t *testing.T) {
 			for _, every := range parityIntervals {
 				t.Run(fmt.Sprintf("%s/lookahead=%d/c=%d", tc.name, lookahead, every), func(t *testing.T) {
 					t.Parallel()
-					opts := Options{NB: nb, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel,
+					opts := Options{NB: nb, Protection: Full, Scheme: NewScheme, Kernel: checksum.OptKernel,
 						Lookahead: lookahead, Redundancy: tc.r, parityEvery: every}
 					clean := run(t, tc.gpus, tc.nodes, opts)
 					swaps := 0
@@ -638,7 +638,7 @@ func TestClusterParityRefreshTraffic(t *testing.T) {
 			want := uint64(parityBytes(decomp, n, nb, nodes-r, r, every))
 			for _, lookahead := range []int{0, 1} {
 				for _, idle := range []bool{false, true} {
-					opts := Options{NB: nb, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel,
+					opts := Options{NB: nb, Protection: Full, Scheme: NewScheme, Kernel: checksum.OptKernel,
 						Lookahead: lookahead, Redundancy: r, parityEvery: every}
 					if idle {
 						opts.Injector = fault.NewInjector(11)
@@ -684,7 +684,7 @@ func TestClusterRepairRefreshesFullHeight(t *testing.T) {
 					run := func(loss bool) pipelineRun {
 						inj := fault.NewInjector(11)
 						inj.Schedule(tc.spec)
-						opts := Options{NB: nb, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel,
+						opts := Options{NB: nb, Protection: Full, Scheme: NewScheme, Kernel: checksum.OptKernel,
 							Lookahead: lookahead, Redundancy: 2, Injector: inj, parityEvery: every}
 						if loss {
 							opts.NodeFault = map[int]hetsim.NodeFaultPlan{0: {AfterEpochs: 4}, 1: {AfterEpochs: 4}}
@@ -755,7 +755,7 @@ func TestClusterNodeLossDoesNotLaunder(t *testing.T) {
 			run := func(t *testing.T, lookahead, epoch, every int) pipelineRun {
 				inj := fault.NewInjector(pn.seed)
 				inj.Schedule(pn.spec)
-				opts := Options{NB: nb, Mode: Full, Scheme: pn.scheme, Kernel: checksum.OptKernel,
+				opts := Options{NB: nb, Protection: Full, Scheme: pn.scheme, Kernel: checksum.OptKernel,
 					Lookahead: lookahead, Redundancy: 2, Injector: inj, parityEvery: every}
 				if epoch > 0 {
 					opts.NodeFault = map[int]hetsim.NodeFaultPlan{0: {AfterEpochs: epoch}, 1: {AfterEpochs: epoch}}

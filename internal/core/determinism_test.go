@@ -52,7 +52,7 @@ func TestLookaheadDeterminism(t *testing.T) {
 	for _, c := range cases {
 		for _, lookahead := range []int{0, 1} {
 			for _, specs := range [][]fault.Spec{nil, onChip} {
-				opts := Options{NB: nb, Mode: Full, Scheme: NewScheme,
+				opts := Options{NB: nb, Protection: Full, Scheme: NewScheme,
 					Kernel: checksum.OptKernel, Lookahead: lookahead}
 				label := fmt.Sprintf("%s n=%d gpus=%d nodes=%d pivots=%t la=%d faults=%v",
 					c.decomp, c.a.Rows, c.gpus, c.nodes, c.pivots, lookahead, specs)

@@ -11,7 +11,7 @@ import (
 )
 
 func protOpts(nb int) Options {
-	return Options{NB: nb, Mode: Full, Scheme: NewScheme}
+	return Options{NB: nb, Protection: Full, Scheme: NewScheme}
 }
 
 // TestCholeskyAbortsOnDeviceLoss: a GPU crash mid-factorization surfaces

@@ -98,7 +98,7 @@ const fingerprintN, fingerprintNB = 128, 16
 
 // run runs the case, row i of the sweep, on a fresh 2-GPU system.
 func (c fingerprintCase) run(i int) (out *matrix.Dense, piv []int, tau []float64, res *Result, err error) {
-	opts := Options{NB: fingerprintNB, Mode: c.mode, Scheme: c.scheme, Kernel: checksum.OptKernel,
+	opts := Options{NB: fingerprintNB, Protection: c.mode, Scheme: c.scheme, Kernel: checksum.OptKernel,
 		Lookahead: c.lookahead, PeriodicTrailingCheck: c.periodic, CheckpointEvery: c.ckEvery}
 	if len(c.specs) > 0 {
 		inj := fault.NewInjector(uint64(1000 + i))
@@ -246,7 +246,7 @@ func layoutScenarios() []layoutScenario {
 func layoutFingerprint(decomp string, mode Mode, scheme Scheme, sc layoutScenario) string {
 	const n = 192
 	label := fmt.Sprintf("%s %v/%v %s", decomp, mode, scheme, sc.name)
-	opts := Options{NB: 16, Mode: mode, Scheme: scheme, Kernel: checksum.OptKernel}
+	opts := Options{NB: 16, Protection: mode, Scheme: scheme, Kernel: checksum.OptKernel}
 	out, piv, tau, res, err := sc.run(decomp, pipelineInput(decomp, n), opts)
 	if err != nil {
 		return fmt.Sprintf("%s | err=%v", label, err)

@@ -59,7 +59,7 @@ func decodeFaultCase(b []byte) faultCase {
 	nb := []int{16, 32}[at(1, 2)]
 	nbr := fuzzN / nb
 	flags := at(4, 8)
-	c.opts = Options{NB: nb, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel,
+	c.opts = Options{NB: nb, Protection: Full, Scheme: NewScheme, Kernel: checksum.OptKernel,
 		Lookahead: flags & 1, CheckpointEvery: 2 * (flags >> 1 & 1), RebalanceEvery: flags >> 2 & 1}
 	if c.nodes > 1 {
 		c.opts.Redundancy = 1 + at(3, c.nodes-1)

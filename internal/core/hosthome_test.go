@@ -138,7 +138,7 @@ func TestGatherMovesOnlyDeviceBlocks(t *testing.T) {
 				sys := topo.sys()
 				tr := obs.NewTrace()
 				sys.SetTracer(tr)
-				opts := Options{NB: nb, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel, Lookahead: la, Redundancy: topo.redundancy}
+				opts := Options{NB: nb, Protection: Full, Scheme: NewScheme, Kernel: checksum.OptKernel, Lookahead: la, Redundancy: topo.redundancy}
 				_, _, _, res, err := runDecomp(decomp, sys, pipelineInput(decomp, n), opts)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
@@ -261,7 +261,7 @@ func TestPanelZeroFactorsDuringScatter(t *testing.T) {
 			pdBefore = n / nb
 		}
 		for _, la := range []int{0, 1} {
-			opts := Options{NB: nb, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel, Lookahead: la}
+			opts := Options{NB: nb, Protection: Full, Scheme: NewScheme, Kernel: checksum.OptKernel, Lookahead: la}
 			for _, topo := range topos {
 				label := fmt.Sprintf("%s/%s/la=%d", decomp, topo.name, la)
 				sys := topo.sys()
@@ -363,7 +363,7 @@ func TestRestoredPassStartsOnHost(t *testing.T) {
 		for _, topo := range topos {
 			for _, la := range []int{0, 1} {
 				label := fmt.Sprintf("%s/%s/la=%d", decomp, topo.name, la)
-				full := Options{NB: nb, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel, Lookahead: la, Redundancy: topo.redundancy}
+				full := Options{NB: nb, Protection: Full, Scheme: NewScheme, Kernel: checksum.OptKernel, Lookahead: la, Redundancy: topo.redundancy}
 				want, wpiv, wtau, _, err := runDecomp(decomp, topo.sys(), a, full)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
@@ -393,7 +393,7 @@ func TestRestoredPassStartsOnHost(t *testing.T) {
 				requireHostStart(t, label+"/resume", tr)
 
 				single := full
-				single.Mode = SingleSide
+				single.Protection = SingleSide
 				want, wpiv, wtau, _, err = runDecomp(decomp, topo.sys(), a, single)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
@@ -449,7 +449,7 @@ func TestCholeskyGPUColumnsStartAtDiagonal(t *testing.T) {
 		a.View(0, bj*nb, bj*nb, nb).Fill(sentinel)
 	}
 	straggler := map[int]hetsim.FaultPlan{1: {Mode: hetsim.FaultStraggler, Slowdown: 4}}
-	full := Options{NB: nb, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel}
+	full := Options{NB: nb, Protection: Full, Scheme: NewScheme, Kernel: checksum.OptKernel}
 	type scenario struct {
 		name  string
 		sys   func() *hetsim.System
@@ -466,7 +466,7 @@ func TestCholeskyGPUColumnsStartAtDiagonal(t *testing.T) {
 		}, 0, nil},
 		{"resume", func() *hetsim.System { return testSystem(2) }, func(o *Options) { o.Resume = cps[len(cps)/2] }, 0, nil},
 		{"rollback", func() *hetsim.System { return testSystem(2) }, func(o *Options) {
-			o.Mode = SingleSide
+			o.Protection = SingleSide
 			o.CheckpointEvery = 2
 		}, 2, func(res *Result) error {
 			if res.Rollbacks != 1 || res.Unrecoverable {
@@ -590,7 +590,7 @@ func luPivotInput(n int, seed uint64) *matrix.Dense {
 // factor was gathered whole from the GPUs after the last step.
 func TestLUPivotingOnHost(t *testing.T) {
 	const n, nb = 192, 16
-	full := Options{NB: nb, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel}
+	full := Options{NB: nb, Protection: Full, Scheme: NewScheme, Kernel: checksum.OptKernel}
 	bits := func(out *matrix.Dense, piv []int) uint64 { return factorBits(out, piv, nil) }
 	solo := func(t *testing.T, sys *hetsim.System, a *matrix.Dense, opts Options) (uint64, *Result) {
 		t.Helper()
@@ -627,7 +627,7 @@ func TestLUPivotingOnHost(t *testing.T) {
 			for _, row := range []int{1, 2} {
 				inj.Schedule(fault.Spec{Kind: fault.OffChipMemory, Op: fault.PD, Part: fault.ReferencePart, Iteration: 2, Row: row, Col: 0})
 			}
-			opts := Options{NB: nb, Mode: SingleSide, Scheme: NewScheme, Kernel: checksum.OptKernel, CheckpointEvery: 1, Injector: inj}
+			opts := Options{NB: nb, Protection: SingleSide, Scheme: NewScheme, Kernel: checksum.OptKernel, CheckpointEvery: 1, Injector: inj}
 			b, res := solo(t, testSystem(2), luPivotInput(n, 11), opts)
 			if res.Rollbacks == 0 {
 				t.Fatalf("no rollback")
@@ -785,7 +785,7 @@ func TestCheckpointMovesOnlyLiveState(t *testing.T) {
 			for _, la := range []int{0, 1} {
 				label := fmt.Sprintf("%s/%s/la=%d", decomp, topo.name, la)
 				a := pipelineInput(decomp, n)
-				opts := Options{NB: nb, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel, Lookahead: la, Redundancy: topo.redundancy}
+				opts := Options{NB: nb, Protection: Full, Scheme: NewScheme, Kernel: checksum.OptKernel, Lookahead: la, Redundancy: topo.redundancy}
 				want, wpiv, wtau, base, err := runDecomp(decomp, topo.sys(), a, opts)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)

@@ -90,7 +90,7 @@ func TestLargerMultiGPU(t *testing.T) {
 		t.Skip("larger integration test")
 	}
 	const n, nb, gpus = 512, 64, 4
-	opts := Options{NB: nb, Mode: Full, Scheme: NewScheme}
+	opts := Options{NB: nb, Protection: Full, Scheme: NewScheme}
 	sys := testSystem(gpus)
 	a := matrix.RandomSPD(n, matrix.NewRNG(1))
 	out, res, err := Cholesky(sys, a, opts)
@@ -128,7 +128,7 @@ func TestPCIeAccounting(t *testing.T) {
 	run := func(mode Mode, scheme Scheme) int64 {
 		sys := testSystem(2)
 		a := matrix.RandomDiagDominant(128, matrix.NewRNG(4))
-		_, _, res, err := LU(sys, a, Options{NB: 16, Mode: mode, Scheme: scheme})
+		_, _, res, err := LU(sys, a, Options{NB: 16, Protection: mode, Scheme: scheme})
 		if err != nil {
 			t.Fatal(err)
 		}

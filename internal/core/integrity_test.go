@@ -53,7 +53,7 @@ func tamperAndCapture(t *testing.T, decomp string, a *matrix.Dense, base Options
 func TestTamperedCheckpointRejectedAtResume(t *testing.T) {
 	for _, decomp := range []string{"cholesky", "lu", "qr"} {
 		t.Run(decomp, func(t *testing.T) {
-			base := Options{NB: 16, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel}
+			base := Options{NB: 16, Protection: Full, Scheme: NewScheme, Kernel: checksum.OptKernel}
 			a := pipelineInput(decomp, 96)
 
 			var cp *Checkpoint
@@ -88,7 +88,7 @@ func TestTamperedCheckpointRejectedAtResume(t *testing.T) {
 // the same capture path without sabotage resumes cleanly, so the rejection
 // above is the checksum speaking, not a broken capture.
 func TestUntamperedCheckpointStillResumes(t *testing.T) {
-	base := Options{NB: 16, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel}
+	base := Options{NB: 16, Protection: Full, Scheme: NewScheme, Kernel: checksum.OptKernel}
 	a := pipelineInput("lu", 96)
 	var cp *Checkpoint
 	for _, afterOps := range []int{30, 50, 15, 80} {
@@ -126,7 +126,7 @@ func TestTamperedCheckpointRefusedAtRollback(t *testing.T) {
 				Iteration: 2, Row: row, Col: 0,
 			})
 		}
-		opts := Options{NB: 16, Mode: SingleSide, Scheme: NewScheme, Kernel: checksum.OptKernel}
+		opts := Options{NB: 16, Protection: SingleSide, Scheme: NewScheme, Kernel: checksum.OptKernel}
 		opts.Lookahead = lookahead
 		opts.Injector = inj
 		opts.CheckpointEvery = 1
@@ -156,7 +156,7 @@ func TestTamperedCheckpointRefusedAtRollback(t *testing.T) {
 // stored Sum for every decomposition.
 func TestCheckpointSumSurvivesRoundTrip(t *testing.T) {
 	for _, decomp := range []string{"cholesky", "lu", "qr"} {
-		base := Options{NB: 16, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel}
+		base := Options{NB: 16, Protection: Full, Scheme: NewScheme, Kernel: checksum.OptKernel}
 		a := pipelineInput(decomp, 96)
 		var cps []*Checkpoint
 		opts := base

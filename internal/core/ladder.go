@@ -49,10 +49,8 @@ func factorize(decomp string, sys *hetsim.System, as []*matrix.Dense, opts Optio
 		}
 	}()
 	start := time.Now()
-	if err := validateRun(as, &opts, injs); err != nil {
-		return nil, nil, nil, nil, err
-	}
-	if err := opts.ValidateTopology(sys.Nodes()); err != nil {
+	opts = opts.Effective()
+	if err := validateRun(as, opts, sys.Nodes(), injs); err != nil {
 		return nil, nil, nil, nil, err
 	}
 	name := strings.ToLower(decomp)
@@ -117,7 +115,7 @@ func one(errs []error, err error) error {
 func newResult(sys *hetsim.System, n int, opts Options) *Result {
 	return &Result{
 		N: n, NB: opts.NB, GPUs: sys.NumGPUs(),
-		Mode: opts.Mode, Scheme: opts.Scheme, Kernel: opts.Kernel,
+		Mode: opts.Protection, Scheme: opts.Scheme, Kernel: opts.Kernel,
 	}
 }
 
@@ -175,13 +173,13 @@ func (p *protected) pull(k, rows int, cpuCheck bool) panelStep {
 	st := panelStep{pm: p.out.View(o, o, rows, p.nb)}
 	srcs := []*hetsim.Buffer{p.local[p.owner(k)].View(o, p.localOff(k), rows, p.nb)}
 	dsts := []*matrix.Dense{st.pm}
-	if es.opts.Mode != NoChecksum {
+	if es.opts.Protection != NoChecksum {
 		strips := rows / p.nb
 		st.cm = matrix.NewDense(2*strips, p.nb)
 		srcs = append(srcs, p.colChkView(k, k, k+strips))
 		dsts = append(dsts, st.cm)
 	}
-	if cpuCheck && es.pl.beforePD && es.opts.Mode == Full {
+	if cpuCheck && es.pl.beforePD && es.opts.Protection == Full {
 		st.rm = matrix.NewDense(rows, 2)
 		srcs = append(srcs, p.rowChkView(k, o, o+rows))
 		dsts = append(dsts, st.rm)
@@ -213,7 +211,7 @@ func (p *protected) pull(k, rows int, cpuCheck bool) panelStep {
 func (p *protected) checkPanel(k int, st *panelStep) []correctedElem {
 	es := p.es
 	es.injectMem(k, fault.PD, st.pdRegions(k, p.nb))
-	if !es.pl.beforePD || es.opts.Mode == NoChecksum {
+	if !es.pl.beforePD || es.opts.Protection == NoChecksum {
 		return nil
 	}
 	out, fixed := p.verifyRepair(colAxis, es.sys.CPU().Workers(), st.pm, st.cm, st.rowRepair(p.nb))
@@ -267,7 +265,7 @@ func (st *panelStep) pdRegions(k, nb int) []fault.Region {
 // keeps to the end of the run (pull staged the panel there).
 func (p *protected) factorPanel(k int, st *panelStep, run func() error, check func(snap, snapChk *matrix.Dense) int) error {
 	es := p.es
-	chk := es.opts.Mode != NoChecksum
+	chk := es.opts.Protection != NoChecksum
 	regs := st.pdRegions(k, p.nb)
 	snap := st.pm.Clone()
 	var snapChk *matrix.Dense
@@ -333,7 +331,7 @@ func (p *protected) commitPanel(k int, st *panelStep, leg func(g int)) {
 	gdev := es.sys.GPU(gk)
 	m := p.n - o
 	strips := p.nbr - k
-	chk := es.opts.Mode != NoChecksum
+	chk := es.opts.Protection != NoChecksum
 	panelDev := p.local[gk].View(o, p.localOff(k), m, nb)
 	st.stages = p.allocStages(m, strips, nb)
 	broadcast := func() {
@@ -425,7 +423,7 @@ type tmuStep struct {
 // the step keeps for the slices that load it (see sliceOnChip).
 func (p *protected) tmuOpen(k int, t tmuStep) {
 	es := p.es
-	chk := es.opts.Mode != NoChecksum
+	chk := es.opts.Protection != NoChecksum
 	es.injectMem(k, fault.TMU, t.regs)
 	if es.pl.beforeTMUPanels && chk {
 		_, _ = p.verifyStages(t.step.stages, &es.res.Counter.TMUBefore, t.strips)
@@ -446,7 +444,7 @@ func (p *protected) tmuOpen(k int, t tmuStep) {
 // until the rest closes.
 func (p *protected) tmuClose(k int, t tmuStep, sel tmuSel) {
 	es := p.es
-	chk := es.opts.Mode != NoChecksum
+	chk := es.opts.Protection != NoChecksum
 	st := t.step
 	ready := func(tg fault.Target) bool { return p.reads(k, faultGPU, sel, tg) }
 	st.comp = append(st.comp, es.injectComp(k, fault.TMU, t.regs, ready)...)

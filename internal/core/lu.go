@@ -74,7 +74,7 @@ func (l *luLadder) panelFactor(k int) {
 	st := &luStep{panelStep: p.pull(k, m, true)}
 	l.step[k] = st
 	fixed := p.checkPanel(k, &st.panelStep)
-	if es.opts.Mode == Full {
+	if es.opts.Protection == Full {
 		// The rows the check corrected are probed for contamination
 		// before panelPivot swaps them (§VII.B Fig. 4b).
 		for _, fe := range fixed {
@@ -126,7 +126,7 @@ func (l *luLadder) panelPivot(k int) {
 	nb := p.nb
 	n := p.n
 	o := k * nb
-	full := es.opts.Mode == Full
+	full := es.opts.Protection == Full
 	st := l.step[k]
 
 	// §VII.B Fig. 4b: corrections the pre-PD check made in the panel may
@@ -189,8 +189,8 @@ func (l *luLadder) panelUpdate(k int) {
 	nb := p.nb
 	o := k * nb
 	G := sys.NumGPUs()
-	chk := es.opts.Mode != NoChecksum
-	full := es.opts.Mode == Full
+	chk := es.opts.Protection != NoChecksum
+	full := es.opts.Protection == Full
 	st := l.step[k]
 
 	puRegs := p.luPURegions(k, st.stages)
@@ -268,7 +268,7 @@ func (p *protected) luPUOnGPU(g, k int, st stagePair, lb0, lb1 int, oc fault.OnC
 	oc.Apply()
 	gdev.Trsm(blas.Left, true, false, true, 1, l11, p.local[g].View(o, lb0*nb, nb, (lb1-lb0)*nb))
 	oc.Undo()
-	if p.es.opts.Mode == Full {
+	if p.es.opts.Protection == Full {
 		gdev.Trsm(blas.Left, true, false, true, 1, l11, p.rowChk[g].View(o, 2*lb0, nb, 2*(lb1-lb0)))
 	}
 }
@@ -449,7 +449,7 @@ func (p *protected) luVerifyRowPanelPrePU(k int, counter *int) {
 		*counter += cols / nb
 		// Grouped corrections in one row signal a lazy on-chip 1-D case:
 		// repair the full row, including its polluted row checksums.
-		if p.es.opts.Mode == Full && out == repairCorrected {
+		if p.es.opts.Protection == Full && out == repairCorrected {
 			seen := map[int]bool{}
 			for _, fe := range fixed {
 				r := o + fe.Row
@@ -528,12 +528,12 @@ func (p *protected) luTMUOnGPU(g, k int, st stagePair, oc fault.OnChip, sel tmuS
 	gdev.Gemm(false, false, -1, l21, u12, 1, c)
 	// Transient on-chip corruption is not visible to the checksum kernels.
 	oc.Undo()
-	if p.es.opts.Mode != NoChecksum {
+	if p.es.opts.Protection != NoChecksum {
 		cStage := st.chk.View(2, 0, 2*(p.nbr-k-1), nb) // strips k+1..nbr of L21
 		cc := p.colChk[g].View(2*(k+1), jlo, 2*(p.nbr-k-1), cols)
 		gdev.Gemm(false, false, -1, cStage, u12, 1, cc)
 	}
-	if p.es.opts.Mode == Full {
+	if p.es.opts.Protection == Full {
 		rU12 := p.rowChk[g].View(o, 2*lbLo, nb, 2*(lbHi-lbLo))
 		rc := p.rowChk[g].View(o+nb, 2*lbLo, m2, 2*(lbHi-lbLo))
 		gdev.Gemm(false, false, -1, l21, rU12, 1, rc)
@@ -572,7 +572,7 @@ func (p *protected) luHeuristicAfterTMU(k int, sel tmuSel, stages []stagePair) {
 		}
 		// U12 row panel via row checksums.
 		lb0, lb1 := p.tmuRange(g, k, sel)
-		if lb0 >= lb1 || p.es.opts.Mode != Full {
+		if lb0 >= lb1 || p.es.opts.Protection != Full {
 			continue
 		}
 		cols := (lb1 - lb0) * nb

@@ -9,7 +9,7 @@ import (
 
 func TestOfflineCleanPassesAll(t *testing.T) {
 	const n, nb = 128, 16
-	opts := Options{NB: nb, Mode: NoChecksum, Scheme: NoCheck}
+	opts := Options{NB: nb, Protection: NoChecksum, Scheme: NoCheck}
 
 	a := matrix.RandomDiagDominant(n, matrix.NewRNG(1))
 	chk := OfflineChecksum(a)
@@ -58,7 +58,7 @@ func TestOfflineDetectsInjectedFaults(t *testing.T) {
 		a := matrix.RandomDiagDominant(n, matrix.NewRNG(4))
 		chk := OfflineChecksum(a)
 		scale := 1 + matrix.NormMax(a)
-		out, piv, _, err := LU(testSystem(2), a, Options{NB: nb, Mode: NoChecksum, Scheme: NoCheck, Injector: inj})
+		out, piv, _, err := LU(testSystem(2), a, Options{NB: nb, Protection: NoChecksum, Scheme: NoCheck, Injector: inj})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +77,7 @@ func TestOfflineDetectsCorruptedCholeskyAndQR(t *testing.T) {
 	inj.Schedule(fault.Spec{Kind: fault.Computation, Op: fault.TMU, Iteration: 1})
 	s := matrix.RandomSPD(n, matrix.NewRNG(5))
 	chk := OfflineChecksum(s)
-	l, _, err := Cholesky(testSystem(2), s, Options{NB: nb, Mode: NoChecksum, Scheme: NoCheck, Injector: inj})
+	l, _, err := Cholesky(testSystem(2), s, Options{NB: nb, Protection: NoChecksum, Scheme: NoCheck, Injector: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestOfflineDetectsCorruptedCholeskyAndQR(t *testing.T) {
 	inj2.Schedule(fault.Spec{Kind: fault.Computation, Op: fault.TMU, Iteration: 1})
 	q := matrix.Random(n, n, matrix.NewRNG(6))
 	chkQ := OfflineChecksum(q)
-	f, tau, _, err := QR(testSystem(2), q, Options{NB: nb, Mode: NoChecksum, Scheme: NoCheck, Injector: inj2})
+	f, tau, _, err := QR(testSystem(2), q, Options{NB: nb, Protection: NoChecksum, Scheme: NoCheck, Injector: inj2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestOfflineCannotRepair(t *testing.T) {
 	inj := fault.NewInjector(13)
 	inj.Schedule(fault.Spec{Kind: fault.Computation, Op: fault.PD, Iteration: 0})
 	a := matrix.RandomDiagDominant(96, matrix.NewRNG(8))
-	out, piv, _, err := LU(testSystem(2), a, Options{NB: 16, Mode: NoChecksum, Scheme: NoCheck, Injector: inj})
+	out, piv, _, err := LU(testSystem(2), a, Options{NB: 16, Protection: NoChecksum, Scheme: NoCheck, Injector: inj})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,16 +28,16 @@ import (
 // Mode selects the checksum coverage.
 type Mode int
 
-// Checksum coverage modes.
+// Checksum coverage modes. The zero value is Full, the paper's coverage.
 const (
-	// NoChecksum disables ABFT entirely — the unprotected baseline.
-	NoChecksum Mode = iota
+	// Full maintains checksums in both dimensions on the trailing matrix
+	// and one dimension on decomposed panels (§IV).
+	Full Mode = iota
 	// SingleSide maintains checksums in one dimension only (column
 	// checksums), as in prior work [11][12][31][32].
 	SingleSide
-	// Full maintains checksums in both dimensions on the trailing matrix
-	// and one dimension on decomposed panels (§IV).
-	Full
+	// NoChecksum disables ABFT entirely — the unprotected baseline.
+	NoChecksum
 )
 
 // String returns "none", "single-side", or "full".
@@ -55,10 +55,14 @@ func (m Mode) String() string {
 // Scheme selects when checksum verification happens.
 type Scheme int
 
-// Checking schemes.
+// Checking schemes. The zero value is NewScheme, the paper's scheme.
 const (
-	// NoCheck performs no verification (valid only with NoChecksum).
-	NoCheck Scheme = iota
+	// NewScheme is the paper's Algorithm 2: checks prioritized by
+	// operation sensitivity (PD and PU checked on both sides), panel
+	// verification postponed until after the PCIe broadcast so
+	// communication errors are caught, and all trailing-matrix checks
+	// replaced by the heuristic panel checks of §VII.B.
+	NewScheme Scheme = iota
 	// PriorOp verifies every operation's inputs (reference and update
 	// parts, including the trailing matrix before TMU) before the
 	// operation runs [11][12].
@@ -66,12 +70,8 @@ const (
 	// PostOp verifies every operation's outputs after it runs, including
 	// the trailing matrix after every TMU [13][31][32].
 	PostOp
-	// NewScheme is the paper's Algorithm 2: checks prioritized by
-	// operation sensitivity (PD and PU checked on both sides), panel
-	// verification postponed until after the PCIe broadcast so
-	// communication errors are caught, and all trailing-matrix checks
-	// replaced by the heuristic panel checks of §VII.B.
-	NewScheme
+	// NoCheck performs no verification (valid only with NoChecksum).
+	NoCheck
 )
 
 // String returns "none", "prior-op", "post-op", or "new".
@@ -88,25 +88,29 @@ func (s Scheme) String() string {
 	}
 }
 
-// Options configures a protected factorization.
+// Options selects the simulated platform and the protection of a
+// factorization run. The zero value is the paper's configuration: 1 GPU,
+// NB=64, full checksums under the new checking scheme, and the optimized
+// encoding kernel. The platform fields (GPUs, Nodes, System) choose the
+// system a run builds; a run on a caller-provided system ignores them.
 type Options struct {
+	// GPUs is the number of simulated GPUs (0 means 1).
+	GPUs int
 	// NB is the block size; the matrix order must be a multiple of NB
-	// (the paper likewise rounds matrix sizes to MAGMA's block size).
+	// (the paper likewise rounds matrix sizes to MAGMA's block size). 0
+	// means 64.
 	NB int
-	// Mode and Scheme select the protection; see the type docs.
-	Mode   Mode
-	Scheme Scheme
-	// Kernel selects the checksum-encoding kernel (§VIII): the GEMM-based
-	// baseline or the optimized dedicated kernel.
+	// Protection and Scheme choose the ABFT configuration; their zero
+	// values are Full and NewScheme. To run unprotected set Protection:
+	// NoChecksum with Scheme: NoCheck — each without the other is refused.
+	Protection Mode
+	Scheme     Scheme
+	// Kernel selects the checksum-encoding kernel (§VIII): the optimized
+	// dedicated kernel (the zero value) or the GEMM-based baseline.
 	Kernel checksum.Kernel
 	// Injector, when non-nil, injects the scheduled faults at the §X.A
 	// timing points.
 	Injector *fault.Injector
-	// PeriodicTrailingCheck, when > 0, additionally verifies the whole
-	// trailing matrix every k-th iteration under NewScheme — the paper's
-	// mitigation for accumulating undetected on-chip 1-D propagations
-	// (§VII.B). 0 disables it.
-	PeriodicTrailingCheck int
 	// FailStop arms fail-stop/performance fault plans on the simulated
 	// devices at the start of the run, keyed by device index (-1 = CPU,
 	// else GPU id). A firing plan aborts the factorization with a typed
@@ -122,6 +126,13 @@ type Options struct {
 	// hetsim.LinkError, which the serving layer classifies like a device
 	// loss (degraded failover).
 	LinkFault map[int]hetsim.LinkFaultPlan
+	// Nodes > 1 spreads the GPUs round-robin over that many cluster nodes
+	// behind a slower inter-node interconnect (GPUs must be divisible by
+	// Nodes). Multi-node runs maintain erasure-coded parity columns across
+	// nodes so up to Redundancy whole-node losses are reconstructed in
+	// place and the run continues degraded, bit-identical to an
+	// uninterrupted run. 0 or 1 is the flat single-box topology.
+	Nodes int
 	// NodeFault arms whole-node loss plans on the topology's nodes at the
 	// start of the run, keyed by node index. Plans due at the same ladder-
 	// step epoch boundary fire together as one simultaneous burst, taking
@@ -136,38 +147,38 @@ type Options struct {
 	// Redundancy is the number r of erasure-coded parity columns each
 	// cross-node parity group carries on a multi-node topology: the cluster
 	// absorbs up to r node losses — sequential or simultaneous — with
-	// bit-exact reconstruction. 0 (the zero value) means the default of 1;
-	// values are clamped into [1, Nodes-1] at layout time (each group needs
-	// at least one data column). Validate rejects negatives; the ftla and
-	// service layers reject r >= Nodes before a run starts. Ignored on flat
+	// bit-exact reconstruction. 0 means the default of 1. r must stay
+	// below the node count (each parity group needs at least one data
+	// column) or the run is rejected before it starts. Ignored on flat
 	// single-node systems, which carry no parity at all.
 	Redundancy int
+	// PeriodicTrailingCheck, when > 0, additionally verifies the whole
+	// trailing matrix every k-th iteration under NewScheme — the paper's
+	// mitigation for accumulating undetected on-chip 1-D propagations
+	// (§VII.B). 0 disables it.
+	PeriodicTrailingCheck int
 	// Lookahead selects the step-runtime schedule: 0 (or negative) runs the
-	// legacy fully serial ladder; 1 enables MAGMA-style look-ahead — the
-	// CPU pulls and factorizes panel k+1 while the GPUs run step k's
-	// trailing update on asynchronous streams, and each GPU's trailing
-	// update runs concurrently with the others'. Results are bit-identical
-	// in both schedules, and injection windows sit at the same logical
-	// point of the factorization in both (see DESIGN.md §8).
+	// serial ladder; 1 enables MAGMA-style look-ahead — the CPU pulls and
+	// factorizes panel k+1 while the GPUs run step k's trailing update on
+	// asynchronous streams, and each GPU's trailing update runs
+	// concurrently with the others'. Results are bit-identical in both
+	// schedules, and injection windows sit at the same logical point of
+	// the factorization in both (see DESIGN.md §8).
 	Lookahead int
 	// CheckpointEvery, when > 0, snapshots the factorization state into a
 	// host-side Checkpoint after every CheckpointEvery-th ladder step whose
-	// verification passed — the snapshot is known-clean, so a later
-	// rollback restores verified state. 0 (the zero value) disables
-	// checkpointing entirely; behavior is then identical to a run without
-	// this option, and OnCheckpoint must be nil (Validate rejects the
-	// combination — a callback that can never fire is a configuration
-	// bug, not a no-op). Negative values are rejected. The final step is
-	// never checkpointed (there is nothing left to resume).
+	// verification passed — the snapshot is known-clean, so an
+	// uncorrectable mid-run corruption rolls back to it and replays instead
+	// of surrendering the run, and the serving layer resumes a device-loss
+	// abort from it on the surviving GPUs. 0 disables checkpointing;
+	// negative values are rejected. The final step is never checkpointed
+	// (there is nothing left to resume).
 	CheckpointEvery int
 	// OnCheckpoint, when non-nil, receives each checkpoint as it is taken,
-	// on the coordinating goroutine. It requires CheckpointEvery > 0:
-	// Validate rejects OnCheckpoint without a checkpoint interval. The
-	// serving layer uses this to keep the latest checkpoint across a
-	// fail-stop abort; callers must treat the Checkpoint as immutable (the
-	// runtime may restore from it later in the same run). nil (the zero
-	// value) simply means no observer — checkpoints are still taken and
-	// used for mid-run rollback.
+	// on the coordinating goroutine. It requires CheckpointEvery > 0 (a
+	// callback that can never fire is a configuration bug, not a no-op).
+	// Callers must treat the Checkpoint as immutable: the runtime may
+	// restore from it later in the same run.
 	OnCheckpoint func(*Checkpoint)
 	// Resume, when non-nil, starts the run from the checkpoint instead of
 	// from the input matrix: the state is restored onto the *current*
@@ -175,11 +186,10 @@ type Options struct {
 	// snapshot) and the ladder replays from Checkpoint.NextStep. The input
 	// matrix must still be the original A — it anchors the final residual
 	// check. A resumed run is bit-identical to an uninterrupted run on the
-	// same final device set. nil (the zero value) starts from the input
-	// matrix. Resume composes freely with CheckpointEvery (a resumed run
-	// may take fresh checkpoints) but requires a checkpoint whose
-	// N/NB/Mode/Scheme match this configuration — the mismatch is rejected
-	// at run start, not here, because the order n is a run argument.
+	// same final device set, and may take fresh checkpoints. The
+	// checkpoint's N/NB/Mode/Scheme must match this configuration; the
+	// mismatch is rejected at run start, because the order n is a run
+	// argument.
 	Resume *Checkpoint
 	// RebalanceEvery, when > 0, arms dynamic work repartitioning: the step
 	// runtime measures each GPU's trailing-update time, EWMA-smooths a
@@ -189,11 +199,13 @@ type Options struct {
 	// reassigned columns over simulated PCIe with their checksum strips
 	// riding along (see DESIGN.md §10). Results are bit-identical to the
 	// static layout: migration copies exact bits and every kernel's
-	// per-column arithmetic is owner-independent. 0 (the zero value)
-	// keeps the static block-column-cyclic layout for the whole run, as
-	// does a single-GPU system (nothing to re-split); negative values are
-	// rejected by Validate.
+	// per-column arithmetic is owner-independent. 0 keeps the static
+	// block-column-cyclic layout for the whole run, as does a single-GPU
+	// system (nothing to re-split); negative values are rejected.
 	RebalanceEvery int
+	// System overrides the simulated platform (worker counts, nominal
+	// speeds); nil uses hetsim.DefaultConfig(GPUs).
+	System *hetsim.Config
 	// stageJournal, when non-nil, receives the runtime's canonical stage
 	// journal for the run (test hook; see runtime.go).
 	stageJournal *[]stageRec
@@ -206,19 +218,66 @@ type Options struct {
 	parityEvery int
 }
 
-// Validate normalizes and sanity-checks the options for order n.
-func (o *Options) Validate(n int) error {
+// Effective returns the options with every default applied — the exact
+// values a run with them uses: 1 GPU, NB=64, and Redundancy 1 on a
+// cluster. Serving layers compare Effective options to decide which queued
+// jobs may share one batched dispatch, so a default written out and one
+// left zero compare equal. A negative Redundancy is left for Validate to
+// reject.
+func (o Options) Effective() Options {
+	if o.GPUs <= 0 {
+		o.GPUs = 1
+	}
 	if o.NB <= 0 {
 		o.NB = 64
 	}
+	if o.Nodes > 1 && o.Redundancy == 0 {
+		o.Redundancy = 1
+	}
+	return o
+}
+
+// SystemConfig returns the hetsim.Config the options select — the platform
+// a run that builds its own system constructs. It is a comparable value,
+// which lets callers that pool simulated systems (internal/service) key
+// pooled instances by platform.
+func (o Options) SystemConfig() hetsim.Config {
+	sc := hetsim.DefaultConfig(o.Effective().GPUs)
+	if o.System != nil {
+		sc = *o.System
+	}
+	if o.Nodes > 1 {
+		sc.Nodes = o.Nodes
+	}
+	return sc
+}
+
+// Validate reports whether a run of order n under o is rejected before it
+// starts, with the error the run would return: the platform's rule first
+// (hetsim.Config.Validate), then the option rules (NB divides n, a
+// consistent Protection/Scheme pair, non-negative checkpoint and rebalance
+// intervals and Redundancy, OnCheckpoint only with CheckpointEvery), then
+// Redundancy below the platform's node count. Serving layers call it to
+// refuse a bad job at admission instead of failing it on a worker.
+func (o Options) Validate(n int) error {
+	sc := o.SystemConfig()
+	if err := sc.Validate(); err != nil {
+		return err
+	}
+	return o.Effective().validate(n, sc.Nodes)
+}
+
+// validate checks the option rules of Effective options for a run of
+// order n on a platform of the given node count.
+func (o Options) validate(n, nodes int) error {
 	if n <= 0 || n%o.NB != 0 {
 		return fmt.Errorf("core: matrix order %d must be a positive multiple of NB=%d", n, o.NB)
 	}
-	if o.Mode == NoChecksum && o.Scheme != NoCheck {
+	if o.Protection == NoChecksum && o.Scheme != NoCheck {
 		return fmt.Errorf("core: scheme %v requires checksums", o.Scheme)
 	}
-	if o.Mode != NoChecksum && o.Scheme == NoCheck {
-		return fmt.Errorf("core: mode %v requires a checking scheme", o.Mode)
+	if o.Protection != NoChecksum && o.Scheme == NoCheck {
+		return fmt.Errorf("core: mode %v requires a checking scheme", o.Protection)
 	}
 	if o.CheckpointEvery < 0 {
 		return fmt.Errorf("core: CheckpointEvery %d must not be negative (0 disables checkpointing)", o.CheckpointEvery)
@@ -232,6 +291,12 @@ func (o *Options) Validate(n int) error {
 	if o.Redundancy < 0 {
 		return fmt.Errorf("core: Redundancy %d must not be negative (0 means the default of 1)", o.Redundancy)
 	}
+	// Every cross-node parity group needs at least one data column; flat
+	// systems carry no parity and accept any value.
+	if nodes > 1 && o.Redundancy >= nodes {
+		return fmt.Errorf("core: Redundancy %d must stay below the node count %d (each parity group needs at least one data column)",
+			o.Redundancy, nodes)
+	}
 	return nil
 }
 
@@ -241,9 +306,10 @@ func (o *Options) Validate(n int) error {
 // of one run — every item's engine would re-arm the same plan, restarting
 // a link plan's transfer count — so the batched drivers reject them in
 // such a run (a run of one item takes them), and the serving layer
-// dispatches jobs carrying them alone (ftla.Config.ValidateBatch). It is
-// the one statement of that rule.
-func (o *Options) ValidateBatch() error {
+// dispatches jobs carrying them alone. It is the one statement of that
+// rule. Options.Injector is not judged here: such a batch rejects a
+// shared injector and takes per-item ones.
+func (o Options) ValidateBatch() error {
 	switch {
 	case o.CheckpointEvery != 0 || o.OnCheckpoint != nil || o.Resume != nil:
 		return errors.New("core: checkpoint/resume options are not supported in batched runs")
@@ -251,20 +317,6 @@ func (o *Options) ValidateBatch() error {
 		return errors.New("core: fail-stop, link-fault and node-fault plans are not supported in batched runs")
 	case o.RebalanceEvery != 0:
 		return errors.New("core: rebalancing is not supported in batched runs")
-	}
-	return nil
-}
-
-// ValidateTopology checks the option fields whose legality depends on the
-// node count of the platform the run targets (Validate cannot — it only
-// sees the matrix order). Redundancy must leave every cross-node parity
-// group at least one data column, so on a multi-node topology r must stay
-// below the node count. Flat single-box systems carry no parity and accept
-// any value.
-func (o *Options) ValidateTopology(nodes int) error {
-	if nodes > 1 && o.Redundancy >= nodes {
-		return fmt.Errorf("core: Redundancy %d must stay below the node count %d (each parity group needs at least one data column)",
-			o.Redundancy, nodes)
 	}
 	return nil
 }

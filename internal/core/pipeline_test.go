@@ -129,7 +129,7 @@ func TestPipelineSchedulesAgree(t *testing.T) {
 		for _, gpus := range []int{1, 3} {
 			for _, cfg := range configs {
 				label := decomp + "/" + cfg.mode.String() + "/" + cfg.scheme.String()
-				opts := Options{NB: 16, Mode: cfg.mode, Scheme: cfg.scheme, Kernel: checksum.OptKernel}
+				opts := Options{NB: 16, Protection: cfg.mode, Scheme: cfg.scheme, Kernel: checksum.OptKernel}
 				serial := runPipeline(t, decomp, 96, gpus, opts)
 				opts.Lookahead = 1
 				la := runPipeline(t, decomp, 96, gpus, opts)
@@ -146,7 +146,7 @@ func TestPipelineSchedulesAgree(t *testing.T) {
 // stages in ladder-rank order, and look-ahead's out-of-order panel-factor
 // recording is invisible after canonicalization.
 func TestPipelineJournalCanonicalOrder(t *testing.T) {
-	opts := Options{NB: 16, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel, Lookahead: 1}
+	opts := Options{NB: 16, Protection: Full, Scheme: NewScheme, Kernel: checksum.OptKernel, Lookahead: 1}
 	pr := runPipeline(t, "cholesky", 96, 2, opts)
 	prev := stageRec{Step: -1}
 	for _, rec := range pr.journal {
@@ -189,7 +189,7 @@ func TestPipelineCommitLegsOverlap(t *testing.T) {
 			sys := testSystem(2)
 			tr := obs.NewTrace()
 			sys.SetTracer(tr)
-			opts := Options{NB: nb, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel, Lookahead: la}
+			opts := Options{NB: nb, Protection: Full, Scheme: NewScheme, Kernel: checksum.OptKernel, Lookahead: la}
 			var err error
 			if decomp == "lu" {
 				_, _, _, err = LU(sys, pipelineInput(decomp, n), opts)
@@ -313,7 +313,7 @@ func TestPipelineInjectionScheduleInvariant(t *testing.T) {
 				for _, s := range c.specs {
 					inj.Schedule(s)
 				}
-				opts := Options{NB: 16, Mode: c.mode, Scheme: c.scheme, Kernel: checksum.OptKernel,
+				opts := Options{NB: 16, Protection: c.mode, Scheme: c.scheme, Kernel: checksum.OptKernel,
 					Lookahead: lookahead, CheckpointEvery: c.ckEvery, Injector: inj}
 				out, piv, tau, res, err := runDecomp(c.decomp, testSystem(2), a, opts)
 				if err != nil {
@@ -346,7 +346,7 @@ func TestPipelineFailStopBothSchedules(t *testing.T) {
 	for _, lookahead := range []int{0, 1} {
 		sys := hetsim.New(hetsim.DefaultConfig(2))
 		a := matrix.RandomSPD(128, matrix.NewRNG(1))
-		opts := Options{NB: 32, Mode: Full, Scheme: NewScheme, Lookahead: lookahead,
+		opts := Options{NB: 32, Protection: Full, Scheme: NewScheme, Lookahead: lookahead,
 			FailStop: map[int]hetsim.FaultPlan{1: {Mode: hetsim.FaultCrash, AfterOps: 25}}}
 		out, res, err := Cholesky(sys, a, opts)
 		if out != nil || res != nil {
@@ -360,7 +360,7 @@ func TestPipelineFailStopBothSchedules(t *testing.T) {
 			t.Fatalf("lookahead=%d: lost device = %q, want GPU1", lookahead, lost.Device)
 		}
 		sys.Reset()
-		clean := Options{NB: 32, Mode: Full, Scheme: NewScheme, Lookahead: lookahead}
+		clean := Options{NB: 32, Protection: Full, Scheme: NewScheme, Lookahead: lookahead}
 		if _, _, err := Cholesky(sys, a, clean); err != nil {
 			t.Fatalf("lookahead=%d: rerun after Reset failed: %v", lookahead, err)
 		}
@@ -371,7 +371,7 @@ func TestPipelineFailStopBothSchedules(t *testing.T) {
 // drivers under the look-ahead schedule too.
 func TestPipelineFailStopLUAndQR(t *testing.T) {
 	plan := map[int]hetsim.FaultPlan{0: {Mode: hetsim.FaultCrash, AfterOps: 10}}
-	opts := Options{NB: 32, Mode: Full, Scheme: NewScheme, Lookahead: 1, FailStop: plan}
+	opts := Options{NB: 32, Protection: Full, Scheme: NewScheme, Lookahead: 1, FailStop: plan}
 
 	sys := hetsim.New(hetsim.DefaultConfig(2))
 	var lost *hetsim.DeviceLostError
@@ -404,7 +404,7 @@ func TestPipelineLookaheadHidesPanelWork(t *testing.T) {
 	run := func(lookahead int) float64 {
 		sys := hetsim.New(hetsim.DefaultConfig(4))
 		a := matrix.RandomSPD(n, matrix.NewRNG(99))
-		opts := Options{NB: nb, Mode: NoChecksum, Scheme: NoCheck, Lookahead: lookahead}
+		opts := Options{NB: nb, Protection: NoChecksum, Scheme: NoCheck, Lookahead: lookahead}
 		_, res, err := Cholesky(sys, a, opts)
 		if err != nil {
 			t.Fatalf("lookahead=%d failed: %v", lookahead, err)

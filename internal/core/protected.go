@@ -176,10 +176,10 @@ func newLayout(es *engineSys, a *matrix.Dense, tol float64) *protected {
 			p.capb[g] = 1 // never happens for nbr >= G; defensive
 		}
 		p.local[g] = es.sys.GPU(g).Alloc(p.n, p.capb[g]*p.nb)
-		if es.opts.Mode != NoChecksum {
+		if es.opts.Protection != NoChecksum {
 			p.colChk[g] = es.sys.GPU(g).Alloc(2*p.nbr, p.capb[g]*p.nb)
 		}
-		if es.opts.Mode == Full {
+		if es.opts.Protection == Full {
 			p.rowChk[g] = es.sys.GPU(g).Alloc(p.n, 2*p.capb[g])
 		}
 	}
@@ -235,7 +235,7 @@ func (p *protected) settle() {
 	if cp := p.restored; cp != nil {
 		epoch = cp.NextStep - 1
 		p.restored = nil
-	} else if es.opts.Mode != NoChecksum {
+	} else if es.opts.Protection != NoChecksum {
 		stop := es.span(obs.PhaseEncode, "encode-initial", &es.res.EncodeT)
 		for g := range p.nloc {
 			// Encode over the used prefix only: rebalancing runs allocate
@@ -283,11 +283,11 @@ func (p *protected) top(bj int) int {
 func (p *protected) strips(g, lb, bj int) []*hetsim.Buffer {
 	r := p.top(bj)
 	out := []*hetsim.Buffer{p.local[g].View(r, lb*p.nb, p.n-r, p.nb)}
-	if p.es.opts.Mode != NoChecksum {
+	if p.es.opts.Protection != NoChecksum {
 		s := r / p.nb
 		out = append(out, p.colChk[g].View(2*s, lb*p.nb, 2*(p.nbr-s), p.nb))
 	}
-	if p.es.opts.Mode == Full {
+	if p.es.opts.Protection == Full {
 		out = append(out, p.rowChk[g].View(r, 2*lb, p.n-r, 2))
 	}
 	return out
@@ -490,7 +490,7 @@ func (p *protected) swapRows(r1, r2, bjLo, bjHi int) {
 			continue
 		}
 		local, cc, rc := p.local[g], p.colChk[g], p.rowChk[g]
-		mode := p.es.opts.Mode
+		mode := p.es.opts.Protection
 		gdev.Run("laswp", float64((lbHi-lbLo)*p.nb), func(int) {
 			data := local.Access(gdev)
 			jlo, jhi := lbLo*p.nb, lbHi*p.nb
@@ -673,7 +673,7 @@ func sortedKeys[V any](m map[int]V) []int {
 // rebuilt over the full matrix height by repairFullColumn. It is nil
 // unless the mode is Full, the only mode that keeps row checksums.
 func (p *protected) fullColumnRepair(g, jlo int) func(col int) bool {
-	if p.es.opts.Mode != Full {
+	if p.es.opts.Protection != Full {
 		return nil
 	}
 	return func(col int) bool { return p.repairFullColumn(g, jlo+col) }
@@ -706,7 +706,7 @@ func (p *protected) verifyTrailingCol(rlo, k int, sel tmuSel) (worst repairOutco
 		}
 		blocks += (cols / nb) * (p.nbr - o/nb)
 		// Restore orthogonal-checksum consistency after repairs.
-		if p.es.opts.Mode == Full && out == repairCorrected {
+		if p.es.opts.Protection == Full && out == repairCorrected {
 			p.reconcileOrthogonal(g, o, p.n, lbLo, lbHi)
 		}
 	}
@@ -728,7 +728,7 @@ func (p *protected) verifyTrailingCol(rlo, k int, sel tmuSel) (worst repairOutco
 //     strips → re-encode that row's row checksums from the (repaired)
 //     data.
 func (p *protected) reconcileOrthogonal(g, rlo, rhi, lbLo, lbHi int) {
-	if p.es.opts.Mode != Full {
+	if p.es.opts.Protection != Full {
 		return
 	}
 	gdev := p.es.sys.GPU(g)
@@ -797,7 +797,7 @@ func (p *protected) reconcileOrthogonal(g, rlo, rhi, lbLo, lbHi int) {
 // (possibly corrupted) panel operand, so the contaminated row's row
 // checksums are polluted and must be rebuilt from the repaired data.
 func (p *protected) reencodeRowChkRow(g, r, lbLo, lbHi int) {
-	if p.es.opts.Mode != Full {
+	if p.es.opts.Protection != Full {
 		return
 	}
 	if p.lower {
@@ -823,7 +823,7 @@ func (p *protected) reencodeRowChkRow(g, r, lbLo, lbHi int) {
 // its row checksums over local blocks [lbLo, nloc). It is the cheap O(cols)
 // probe used before row interchanges move data around.
 func (p *protected) verifyRowQuick(g, r, lbLo int) bool {
-	if p.es.opts.Mode != Full {
+	if p.es.opts.Protection != Full {
 		return true
 	}
 	gdev := p.es.sys.GPU(g)
@@ -853,7 +853,7 @@ func (p *protected) verifyRowQuick(g, r, lbLo int) bool {
 // (the row checksums are maintained for every row held, finalized or
 // trailing).
 func (p *protected) repairFullColumn(g, localCol int) bool {
-	if p.es.opts.Mode != Full {
+	if p.es.opts.Protection != Full {
 		return false
 	}
 	gdev := p.es.sys.GPU(g)
@@ -874,7 +874,7 @@ func (p *protected) repairFullColumn(g, localCol int) bool {
 // reencodeRowChkRow, used after a contaminated column has been rebuilt
 // (the TMU column-checksum update consumes the raw row-panel operand).
 func (p *protected) reencodeColChkCol(g, localCol int) {
-	if p.es.opts.Mode == NoChecksum {
+	if p.es.opts.Protection == NoChecksum {
 		return
 	}
 	gdev := p.es.sys.GPU(g)

@@ -20,7 +20,7 @@ func newTestProtected(t *testing.T, n, nb, gpus int, mode Mode) (*protected, *ma
 	if mode == NoChecksum {
 		scheme = NoCheck
 	}
-	opts := Options{NB: nb, Mode: mode, Scheme: scheme}
+	opts := Options{NB: nb, Protection: mode, Scheme: scheme}
 	if err := opts.Validate(n); err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestCleanRunsBillNoRecovery(t *testing.T) {
 	for _, decomp := range []string{"cholesky", "lu", "qr"} {
 		for _, lookahead := range []int{0, 1} {
 			a := batchInputs(decomp, 1, 96)[0]
-			opts := Options{NB: 16, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel, Lookahead: lookahead}
+			opts := Options{NB: 16, Protection: Full, Scheme: NewScheme, Kernel: checksum.OptKernel, Lookahead: lookahead}
 			_, _, _, res := runSolo(t, decomp, a, 2, opts)
 			if res.Detected || res.RecoverT != 0 || res.VerifyT <= 0 {
 				t.Errorf("%s lookahead=%d: detected=%v RecoverT=%v VerifyT=%v, want nothing detected, no recovery time and some verify time",

@@ -72,7 +72,7 @@ func (l *qrLadder) panelFactor(k int) {
 	nb := p.nb
 	o := k * nb
 	m := p.n - o
-	chk := es.opts.Mode != NoChecksum
+	chk := es.opts.Protection != NoChecksum
 
 	// A panel the host holds current (a fresh run's panel 0, which no TMU
 	// has touched, or a restore's first, verified when it was captured)
@@ -147,7 +147,7 @@ func (p *protected) checkPanelOnGPU(k int) {
 		{Part: fault.ReferencePart, M: panelDev.UnsafeData(), Row0: o, Col0: o},
 		{Part: fault.UpdatePart, M: panelDev.UnsafeData(), Row0: o, Col0: o},
 	})
-	if !es.pl.beforePD || es.opts.Mode == NoChecksum {
+	if !es.pl.beforePD || es.opts.Protection == NoChecksum {
 		return
 	}
 	gdev := es.sys.GPU(gk)
@@ -156,7 +156,7 @@ func (p *protected) checkPanelOnGPU(k int) {
 	if out, _ := p.verifyRepair(colAxis, gdev.Workers(), gdata, gchk, p.fullColumnRepair(gk, p.localOff(k))); out == repairFailed {
 		es.res.Unrecoverable = true
 	}
-	if es.opts.Mode == Full {
+	if es.opts.Protection == Full {
 		lb := p.localBlock(k)
 		p.reconcileOrthogonal(gk, o, p.n, lb, lb+1)
 	}
@@ -175,7 +175,7 @@ func (l *qrLadder) panelCommit(k int) {
 	o := k * nb
 	G := sys.NumGPUs()
 	m := p.n - o
-	chk := es.opts.Mode != NoChecksum
+	chk := es.opts.Protection != NoChecksum
 	st := l.step[k]
 	ltau := p.tau[o : o+nb]
 
@@ -281,7 +281,7 @@ func (l *qrLadder) replay(k int, st stagePair, cv, tm *hetsim.Buffer, bj, g int)
 // lapack.Geqr2 (same HouseGen/HouseApply kernels).
 func (p *protected) qrPanelChecked(pm, cm *matrix.Dense, ltau []float64) {
 	m, nb := pm.Rows, pm.Cols
-	maintain := cm != nil && p.es.opts.Mode != NoChecksum
+	maintain := cm != nil && p.es.opts.Protection != NoChecksum
 	strips := checksum.Strips(m, p.nb)
 	v := make([]float64, m)
 	w := make([]float64, nb)
@@ -451,11 +451,11 @@ func (p *protected) qrTMUOnGPU(g, k int, st stagePair, cv, tm *hetsim.Buffer, oc
 	// The checksum kernels below load V from vbuf and W₂, which keep any
 	// on-chip corruption of the stage (DESIGN.md §5 item 9).
 	oc.Undo()
-	if p.es.opts.Mode != NoChecksum {
+	if p.es.opts.Protection != NoChecksum {
 		cc := p.colChk[g].View(2*k, jlo, 2*(p.nbr-k), cols)
 		gdev.Gemm(false, false, -1, cv, w2, 1, cc)
 	}
-	if p.es.opts.Mode == Full {
+	if p.es.opts.Protection == Full {
 		rc := p.rowChk[g].View(o, 2*lbLo, m, 2*(lbHi-lbLo))
 		wr := gdev.Alloc(nb, 2*(lbHi-lbLo))
 		wr2 := gdev.Alloc(nb, 2*(lbHi-lbLo))
@@ -599,7 +599,7 @@ func (p *protected) qrRollbackRedo(g, k int, sel tmuSel, corrupt *matrix.Dense, 
 		blas.Gemm(false, false, 1, vCorrupt, vt, 1, mdat)
 	}
 	rollback(c)
-	if p.es.opts.Mode != NoChecksum {
+	if p.es.opts.Protection != NoChecksum {
 		// colChk_prev = colChk_new + c(V)·W̃₂, W̃₂ = Tᵀ·Ṽᵀ·C_prev.
 		wt := matrix.NewDense(nb, cols)
 		blas.Gemm(true, false, 1, vCorrupt, c, 0, wt)
@@ -608,7 +608,7 @@ func (p *protected) qrRollbackRedo(g, k int, sel tmuSel, corrupt *matrix.Dense, 
 		cc := p.colChk[g].View(2*k, lb0*nb, 2*(p.nbr-k), cols).Access(gdev)
 		blas.Gemm(false, false, 1, cv.Access(gdev), w2t, 1, cc)
 	}
-	if p.es.opts.Mode == Full {
+	if p.es.opts.Protection == Full {
 		rc := p.rowChk[g].View(o, 2*lb0, m, 2*(lb1-lb0)).Access(gdev)
 		rollback(rc)
 	}

@@ -19,7 +19,7 @@ func newRebalProtected(t *testing.T, n, nb, gpus int) (*protected, *matrix.Dense
 	sys := testSystem(gpus)
 	rng := matrix.NewRNG(uint64(n + nb + gpus))
 	a := matrix.RandomDiagDominant(n, rng)
-	opts := Options{NB: nb, Mode: Full, Scheme: NewScheme, RebalanceEvery: 1}
+	opts := Options{NB: nb, Protection: Full, Scheme: NewScheme, RebalanceEvery: 1}
 	if err := opts.Validate(n); err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestRebalanceBitIdentityUniform(t *testing.T) {
 			for gpus := 1; gpus <= 3; gpus++ {
 				t.Run(fmt.Sprintf("%s/lookahead=%d/gpus=%d", decomp, lookahead, gpus), func(t *testing.T) {
 					a := pipelineInput(decomp, 128)
-					base := Options{NB: 16, Mode: Full, Scheme: NewScheme,
+					base := Options{NB: 16, Protection: Full, Scheme: NewScheme,
 						Kernel: checksum.OptKernel, Lookahead: lookahead}
 					bout, bpiv, btau, _, err := runDecomp(decomp, testSystem(gpus), a, base)
 					if err != nil {
@@ -178,7 +178,7 @@ func TestRebalanceBitIdentityUniform(t *testing.T) {
 // independent of which GPU held each column.
 func TestRebalanceCheckpointResume(t *testing.T) {
 	a := pipelineInput("lu", 128)
-	base := Options{NB: 16, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel}
+	base := Options{NB: 16, Protection: Full, Scheme: NewScheme, Kernel: checksum.OptKernel}
 	bout, bpiv, _, err := LU(testSystem(2), a, base)
 	if err != nil {
 		t.Fatalf("static run: %v", err)
@@ -224,7 +224,7 @@ func TestRebalanceCheckpointResume(t *testing.T) {
 func TestRebalanceShedsStragglerLoad(t *testing.T) {
 	a := pipelineInput("cholesky", 192)
 	slow := map[int]hetsim.FaultPlan{1: {Mode: hetsim.FaultStraggler, Slowdown: 4}}
-	opts := Options{NB: 16, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel,
+	opts := Options{NB: 16, Protection: Full, Scheme: NewScheme, Kernel: checksum.OptKernel,
 		Lookahead: 1, FailStop: slow, RebalanceEvery: 2}
 	moved := 0
 	opts.onRebalance = func(step int, moves []rebMove) { moved += len(moves) }
@@ -268,7 +268,7 @@ func TestRebalanceIgnoresOutsideBusyTime(t *testing.T) {
 						}
 					}
 					opts := tc.opts
-					opts.NB, opts.Mode, opts.Scheme, opts.Kernel = 16, Full, NewScheme, checksum.OptKernel
+					opts.NB, opts.Protection, opts.Scheme, opts.Kernel = 16, Full, NewScheme, checksum.OptKernel
 					opts.FailStop, opts.RebalanceEvery = slow, 1
 					var log string
 					opts.onRebalance = func(step int, moves []rebMove) { log += fmt.Sprintf("%d:%v ", step, moves) }
@@ -292,7 +292,7 @@ func TestRebalanceIgnoresOutsideBusyTime(t *testing.T) {
 // TestRebalanceOptionValidation: the invalid knob combinations are
 // rejected up front, not discovered mid-run.
 func TestRebalanceOptionValidation(t *testing.T) {
-	base := func() Options { return Options{NB: 16, Mode: Full, Scheme: NewScheme} }
+	base := func() Options { return Options{NB: 16, Protection: Full, Scheme: NewScheme} }
 	cases := []struct {
 		name string
 		mut  func(*Options)
@@ -346,7 +346,7 @@ func TestRebalanceInjectedSweep(t *testing.T) {
 				run := func(every int) (*Result, bool) {
 					inj := fault.NewInjector(31)
 					inj.Schedule(spec)
-					opts := Options{NB: 16, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel,
+					opts := Options{NB: 16, Protection: Full, Scheme: NewScheme, Kernel: checksum.OptKernel,
 						FailStop: slow, RebalanceEvery: every, Injector: inj}
 					a := pipelineInput(decomp, n)
 					out, piv, tau, res, err := runDecomp(decomp, testSystem(3), a, opts)

@@ -59,7 +59,7 @@ func TestResumeBitIdentity(t *testing.T) {
 	for _, decomp := range []string{"cholesky", "lu", "qr"} {
 		for _, lookahead := range []int{0, 1} {
 			t.Run(fmt.Sprintf("%s/lookahead=%d", decomp, lookahead), func(t *testing.T) {
-				base := Options{NB: 16, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel, Lookahead: lookahead}
+				base := Options{NB: 16, Protection: Full, Scheme: NewScheme, Kernel: checksum.OptKernel, Lookahead: lookahead}
 				a := pipelineInput(decomp, 96)
 
 				// Randomize when GPU3 dies (per-config seeds vary the
@@ -134,7 +134,7 @@ func TestResumeBitIdentity(t *testing.T) {
 // corruption.
 func TestRollbackRecoversUncorrectable(t *testing.T) {
 	a := pipelineInput("lu", 96)
-	clean := Options{NB: 16, Mode: SingleSide, Scheme: NewScheme, Kernel: checksum.OptKernel}
+	clean := Options{NB: 16, Protection: SingleSide, Scheme: NewScheme, Kernel: checksum.OptKernel}
 	cout, cpiv, cres, err := LU(testSystem(2), a, clean)
 	if err != nil {
 		t.Fatalf("clean run failed: %v", err)
@@ -193,7 +193,7 @@ func TestRollbackRecoversUncorrectable(t *testing.T) {
 func TestCheckpointCadenceAndValidation(t *testing.T) {
 	a := pipelineInput("cholesky", 96)
 	var last *Checkpoint
-	opts := Options{NB: 16, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel,
+	opts := Options{NB: 16, Protection: Full, Scheme: NewScheme, Kernel: checksum.OptKernel,
 		CheckpointEvery: 2, OnCheckpoint: func(cp *Checkpoint) { last = cp }}
 	out, res, err := Cholesky(testSystem(2), a, opts)
 	if err != nil {
@@ -212,7 +212,7 @@ func TestCheckpointCadenceAndValidation(t *testing.T) {
 
 	// Same driver, same geometry, same device count: resume reproduces the
 	// uninterrupted factor bit-for-bit.
-	resOpts := Options{NB: 16, Mode: Full, Scheme: NewScheme, Kernel: checksum.OptKernel, Resume: last}
+	resOpts := Options{NB: 16, Protection: Full, Scheme: NewScheme, Kernel: checksum.OptKernel, Resume: last}
 	rout, _, err := Cholesky(testSystem(2), a, resOpts)
 	if err != nil {
 		t.Fatalf("resume failed: %v", err)
@@ -233,7 +233,7 @@ func TestCheckpointCadenceAndValidation(t *testing.T) {
 	}
 	// Wrong protection mode.
 	bad = resOpts
-	bad.Mode, bad.Scheme = SingleSide, NewScheme
+	bad.Protection, bad.Scheme = SingleSide, NewScheme
 	if _, _, err := Cholesky(testSystem(2), a, bad); err == nil {
 		t.Fatal("resume accepted a mismatched protection mode")
 	}

@@ -93,7 +93,7 @@ func (p *protected) allocStages(rows, strips, cols int) []stagePair {
 			continue
 		}
 		out[g].data = p.es.sys.GPU(g).Alloc(rows, cols)
-		if p.es.opts.Mode != NoChecksum {
+		if p.es.opts.Protection != NoChecksum {
 			out[g].chk = p.es.sys.GPU(g).Alloc(2*strips, cols)
 		}
 	}

@@ -77,7 +77,7 @@ func runStormAt(t *testing.T, d string, seed uint64, n, nb, gpus int) {
 	}
 	inj := fault.NewInjector(seed * 77)
 	inj.Schedule(spec)
-	opts := Options{NB: nb, Mode: Full, Scheme: NewScheme, Injector: inj}
+	opts := Options{NB: nb, Protection: Full, Scheme: NewScheme, Injector: inj}
 	sys := testSystem(gpus)
 
 	var resid float64
@@ -134,7 +134,7 @@ func TestQuickSingleFaultLU(t *testing.T) {
 		inj.Schedule(spec)
 		sys := testSystem(2)
 		a := matrix.RandomDiagDominant(n, matrix.NewRNG(seed+9))
-		out, piv, _, err := LU(sys, a, Options{NB: nb, Mode: Full, Scheme: NewScheme, Injector: inj})
+		out, piv, _, err := LU(sys, a, Options{NB: nb, Protection: Full, Scheme: NewScheme, Injector: inj})
 		if err != nil {
 			return false
 		}
@@ -154,7 +154,7 @@ func TestTwoFaultsDifferentIterations(t *testing.T) {
 		inj.Schedule(fault.Spec{Kind: fault.OffChipMemory, Op: fault.PU, Part: fault.UpdatePart, Iteration: 3})
 		sys := testSystem(2)
 		a := matrix.RandomDiagDominant(96, matrix.NewRNG(seed))
-		out, piv, res, err := LU(sys, a, Options{NB: 16, Mode: Full, Scheme: NewScheme, Injector: inj})
+		out, piv, res, err := LU(sys, a, Options{NB: 16, Protection: Full, Scheme: NewScheme, Injector: inj})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +201,7 @@ func TestFlopsMonotoneWithProtection(t *testing.T) {
 	a := matrix.RandomDiagDominant(128, matrix.NewRNG(5))
 	measure := func(mode Mode, scheme Scheme) uint64 {
 		sys := testSystem(2)
-		_, _, res, err := LU(sys, a, Options{NB: 16, Mode: mode, Scheme: scheme})
+		_, _, res, err := LU(sys, a, Options{NB: 16, Protection: mode, Scheme: scheme})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +231,7 @@ func TestRegressionSeeds(t *testing.T) {
 		inj.Schedule(spec)
 		sys := testSystem(2)
 		a := matrix.RandomDiagDominant(n, matrix.NewRNG(seed+9))
-		out, piv, res, err := LU(sys, a, Options{NB: nb, Mode: Full, Scheme: NewScheme, Injector: inj})
+		out, piv, res, err := LU(sys, a, Options{NB: nb, Protection: Full, Scheme: NewScheme, Injector: inj})
 		if err != nil {
 			t.Fatalf("seed %#x: %v", seed, err)
 		}

@@ -156,15 +156,25 @@ type System struct {
 	nodeEpoch int
 }
 
+// Validate returns the error for a platform New cannot build: no GPU, or
+// GPUs that do not divide over the nodes.
+func (c Config) Validate() error {
+	if c.NumGPUs < 1 {
+		return fmt.Errorf("hetsim: %d GPUs, want at least 1", c.NumGPUs)
+	}
+	if nodes := c.nodes(); c.NumGPUs%nodes != 0 {
+		return fmt.Errorf("hetsim: %d GPUs not divisible over %d nodes", c.NumGPUs, nodes)
+	}
+	return nil
+}
+
 // New builds a simulated cluster from cfg: one coordinating CPU plus
 // NumGPUs GPUs spread round-robin over cfg.Nodes nodes (the flat
-// single-node system when Nodes <= 1).
+// single-node system when Nodes <= 1). It panics on a platform Validate
+// rejects.
 func New(cfg Config) *System {
-	if cfg.NumGPUs < 1 {
-		panic("hetsim: NumGPUs must be >= 1")
-	}
-	if nodes := cfg.nodes(); nodes > 1 && cfg.NumGPUs%nodes != 0 {
-		panic(fmt.Sprintf("hetsim: NumGPUs (%d) must be a multiple of Nodes (%d)", cfg.NumGPUs, nodes))
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	if cfg.CPUWorkers < 1 {
 		cfg.CPUWorkers = 1

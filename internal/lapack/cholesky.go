@@ -1,14 +1,13 @@
 // Package lapack implements the unblocked panel kernels (POTF2, GETF2,
 // GEQR2, LARFT, LARFB, LASWP) that the blocked, checksum-protected
-// factorizations in internal/core are built from, plus reference blocked
-// drivers used as unprotected baselines in tests and benchmarks.
+// factorizations in internal/core are built from, plus the blocked QR
+// driver core's tests use as their reference.
 package lapack
 
 import (
 	"fmt"
 	"math"
 
-	"ftla/internal/blas"
 	"ftla/internal/matrix"
 )
 
@@ -39,38 +38,6 @@ func Potf2(a *matrix.Dense) error {
 				s -= rowi[k] * rowj[k]
 			}
 			a.Set(i, j, s/d)
-		}
-	}
-	return nil
-}
-
-// Potrf computes a blocked lower Cholesky factorization in place with block
-// size nb. It is the unprotected single-device reference implementation.
-func Potrf(a *matrix.Dense, nb int) error {
-	n := a.Rows
-	if a.Cols != n {
-		panic("lapack: Potrf matrix not square")
-	}
-	if nb <= 0 {
-		nb = 64
-	}
-	for j := 0; j < n; j += nb {
-		jb := nb
-		if j+jb > n {
-			jb = n - j
-		}
-		a11 := a.View(j, j, jb, jb)
-		if err := Potf2(a11); err != nil {
-			return err
-		}
-		if j+jb < n {
-			rest := n - j - jb
-			a21 := a.View(j+jb, j, rest, jb)
-			// A21 = A21 · L11⁻ᵀ
-			blas.Trsm(blas.Right, true, true, false, 1, a11, a21)
-			// A22 = A22 − A21·A21ᵀ (lower triangle only)
-			a22 := a.View(j+jb, j+jb, rest, rest)
-			blas.Syrk(true, false, -1, a21, 1, a22)
 		}
 	}
 	return nil

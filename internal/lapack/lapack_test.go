@@ -46,26 +46,6 @@ func TestPotf2PreservesUpper(t *testing.T) {
 	}
 }
 
-func TestPotrfMatchesPotf2(t *testing.T) {
-	rng := matrix.NewRNG(3)
-	a := matrix.RandomSPD(65, rng) // not a multiple of nb
-	l1 := a.Clone()
-	l2 := a.Clone()
-	if err := Potf2(l1); err != nil {
-		t.Fatal(err)
-	}
-	if err := Potrf(l2, 16); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 65; i++ {
-		for j := 0; j <= i; j++ {
-			if math.Abs(l1.At(i, j)-l2.At(i, j)) > 1e-9 {
-				t.Fatalf("blocked/unblocked mismatch at (%d,%d): %g vs %g", i, j, l1.At(i, j), l2.At(i, j))
-			}
-		}
-	}
-}
-
 func TestGetf2Correct(t *testing.T) {
 	rng := matrix.NewRNG(4)
 	for _, n := range []int{1, 3, 8, 33} {
@@ -147,33 +127,6 @@ func TestGetf2Rectangular(t *testing.T) {
 	if !prod.EqualWithin(pa, 1e-12) {
 		d, i, j := prod.MaxAbsDiff(pa)
 		t.Fatalf("panel LU residual %g at (%d,%d)", d, i, j)
-	}
-}
-
-func TestGetrfMatchesGetf2(t *testing.T) {
-	rng := matrix.NewRNG(6)
-	n := 50
-	a := matrix.Random(n, n, rng)
-	lu1 := a.Clone()
-	piv1 := make([]int, n)
-	if err := Getf2(lu1, piv1); err != nil {
-		t.Fatal(err)
-	}
-	lu2 := a.Clone()
-	piv2 := make([]int, n)
-	if err := Getrf(lu2, 12, piv2); err != nil {
-		t.Fatal(err)
-	}
-	if r := matrix.LUResidual(a, lu2, piv2); r > 1e-11 {
-		t.Fatalf("blocked residual %g", r)
-	}
-	for k := range piv1 {
-		if piv1[k] != piv2[k] {
-			t.Fatalf("pivot %d differs: %d vs %d", k, piv1[k], piv2[k])
-		}
-	}
-	if !lu1.EqualWithin(lu2, 1e-10) {
-		t.Fatal("blocked and unblocked LU factors differ")
 	}
 }
 
@@ -317,7 +270,7 @@ func TestCholeskyPropertyQuick(t *testing.T) {
 		n := 2 + int(seed%20)
 		a := matrix.RandomSPD(n, rng)
 		l := a.Clone()
-		if err := Potrf(l, 4+int(seed%8)); err != nil {
+		if err := Potf2(l); err != nil {
 			return false
 		}
 		for i := 0; i < n; i++ {
@@ -339,7 +292,7 @@ func TestLUMultiplierBoundQuick(t *testing.T) {
 		n := 2 + int(seed%24)
 		a := matrix.Random(n, n, rng)
 		piv := make([]int, n)
-		if err := Getrf(a, 5, piv); err != nil {
+		if err := Getf2(a, piv); err != nil {
 			return true // singular random draw: vacuously fine
 		}
 		for i := 0; i < n; i++ {

@@ -52,61 +52,3 @@ func Laswp(a *matrix.Dense, piv []int) {
 		}
 	}
 }
-
-// Getrf computes a blocked LU factorization with partial pivoting in place
-// with block size nb. piv must have length min(m, n) and receives global
-// (view-relative) pivot rows. It is the unprotected single-device reference
-// implementation.
-func Getrf(a *matrix.Dense, nb int, piv []int) error {
-	m, n := a.Rows, a.Cols
-	mn := m
-	if n < mn {
-		mn = n
-	}
-	if len(piv) != mn {
-		panic("lapack: Getrf pivot slice has wrong length")
-	}
-	if nb <= 0 {
-		nb = 64
-	}
-	for j := 0; j < mn; j += nb {
-		jb := nb
-		if j+jb > mn {
-			jb = mn - j
-		}
-		panel := a.View(j, j, m-j, jb)
-		pp := make([]int, jb)
-		if err := Getf2(panel, pp); err != nil {
-			return fmt.Errorf("panel at %d: %w", j, err)
-		}
-		// Record global pivots and apply the interchanges to the columns
-		// outside the panel.
-		left := a.View(j, 0, m-j, j)
-		var right *matrix.Dense
-		if j+jb < n {
-			right = a.View(j, j+jb, m-j, n-j-jb)
-		}
-		for k, p := range pp {
-			piv[j+k] = p + j
-			if p != k {
-				left.SwapRows(k, p)
-				if right != nil {
-					right.SwapRows(k, p)
-				}
-			}
-		}
-		if j+jb < n {
-			// U12 = L11⁻¹ · A12
-			l11 := a.View(j, j, jb, jb)
-			a12 := a.View(j, j+jb, jb, n-j-jb)
-			blas.Trsm(blas.Left, true, false, true, 1, l11, a12)
-			if j+jb < m {
-				// A22 −= L21 · U12
-				l21 := a.View(j+jb, j, m-j-jb, jb)
-				a22 := a.View(j+jb, j+jb, m-j-jb, n-j-jb)
-				blas.Gemm(false, false, -1, l21, a12, 1, a22)
-			}
-		}
-	}
-	return nil
-}

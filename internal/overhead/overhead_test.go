@@ -71,8 +71,8 @@ func TestAnalyticMatchesMeasured(t *testing.T) {
 		}
 		return float64(res.Flops)
 	}
-	base := measure(core.Options{NB: nb, Mode: core.NoChecksum, Scheme: core.NoCheck})
-	prot := measure(core.Options{NB: nb, Mode: core.Full, Scheme: core.NewScheme, Kernel: checksum.OptKernel})
+	base := measure(core.Options{NB: nb, Protection: core.NoChecksum, Scheme: core.NoCheck})
+	prot := measure(core.Options{NB: nb, Protection: core.Full, Scheme: core.NewScheme, Kernel: checksum.OptKernel})
 	measured := (prot - base) / base
 	predicted := Analytic(LU, n, nb, 0).Total()
 	if measured <= 0 {
@@ -129,7 +129,7 @@ func TestMeasuredAgainstAnalytic(t *testing.T) {
 	before := obs.Default().Snapshot()
 	sys := hetsim.New(hetsim.DefaultConfig(2))
 	a := matrix.RandomDiagDominant(n, matrix.NewRNG(3))
-	if _, _, _, err := core.LU(sys, a, core.Options{NB: nb, Mode: core.Full, Scheme: core.NewScheme, Kernel: checksum.OptKernel}); err != nil {
+	if _, _, _, err := core.LU(sys, a, core.Options{NB: nb, Protection: core.Full, Scheme: core.NewScheme, Kernel: checksum.OptKernel}); err != nil {
 		t.Fatal(err)
 	}
 	m := FromSnapshots(before, obs.Default().Snapshot())

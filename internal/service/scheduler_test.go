@@ -389,7 +389,7 @@ func TestSubmitValidation(t *testing.T) {
 		{Decomp: Cholesky, A: ftla.RandomSPD(16, 1)}, // order 16, default NB 64
 		// The configuration's own rules (ftla.Config.Validate): each of these
 		// used to be admitted and then failed by a worker.
-		{Decomp: Cholesky, A: ftla.RandomSPD(16, 1), Config: ftla.Config{NB: 16, Scheme: ftla.NewScheme}}, // scheme without checksums
+		{Decomp: Cholesky, A: ftla.RandomSPD(16, 1), Config: ftla.Config{NB: 16, Protection: ftla.NoProtection}}, // scheme without checksums
 		{Decomp: Cholesky, A: ftla.RandomSPD(16, 1), Config: ftla.Config{NB: 16, CheckpointEvery: -1}},
 		{Decomp: Cholesky, A: ftla.RandomSPD(16, 1), Config: ftla.Config{NB: 16, OnCheckpoint: func(*ftla.Checkpoint) {}}},
 		{Decomp: Cholesky, A: ftla.RandomSPD(16, 1), Config: ftla.Config{NB: 16, GPUs: 2, RebalanceEvery: -1}},

@@ -40,7 +40,8 @@ fi
 go run ./scripts/doclint . internal/*
 
 # README lint: the config-reference and ftserve-flag tables in README.md
-# must cover every exported ftla.Config field and every registered flag,
+# must cover every exported field of core.Options (which ftla.Config is,
+# read from internal/core/options.go) and every registered flag,
 # and list nothing else (regenerate the flag table with
 # `go run ./cmd/ftserve -print-flags`).
 go run ./scripts/readmelint

@@ -1,5 +1,6 @@
 // Command readmelint keeps README.md's reference tables honest: it
-// extracts the exported fields of ftla.Config from the source (go/ast)
+// extracts the exported fields of core.Options, which ftla.Config is, from
+// internal/core/options.go (go/ast)
 // and the registered ftserve flag names from cmd/ftserve/main.go, then
 // fails when any of them is missing from the README, or when a row of the
 // config table or of the flag table names something the source no longer
@@ -14,7 +15,7 @@
 // Exit status 1 lists each missing or stale entry. The tables themselves
 // are regenerated with `go run ./cmd/ftserve -print-flags` /
 // `-print-endpoints`; the Config table is maintained by hand against
-// ftla.go's godoc.
+// the godoc of internal/core/options.go.
 package main
 
 import (
@@ -34,7 +35,7 @@ func main() {
 		os.Exit(2)
 	}
 	doc := string(readme)
-	fields := configFields("ftla.go")
+	fields := structFields("internal/core/options.go", "Options")
 	flags := flagNames("cmd/ftserve/main.go")
 
 	bad := 0
@@ -44,7 +45,7 @@ func main() {
 	}
 	for _, field := range fields {
 		if !strings.Contains(doc, "`"+field+"`") {
-			report("ftla.Config.%s missing from README.md (config reference table)", field)
+			report("ftla.Config field %s (core.Options) missing from README.md (config reference table)", field)
 		}
 	}
 	for _, name := range flags {
@@ -55,7 +56,7 @@ func main() {
 	rows := tableKeys(doc)
 	for _, field := range rows["Field"] {
 		if !slices.Contains(fields, field) {
-			report("README.md config table lists `%s`, which is not an exported ftla.Config field", field)
+			report("README.md config table lists `%s`, which is not an exported ftla.Config (core.Options) field", field)
 		}
 	}
 	for _, name := range rows["Flag"] {
@@ -91,14 +92,14 @@ func tableKeys(doc string) map[string][]string {
 	return keys
 }
 
-// configFields returns the exported field names of `type Config struct`
-// in the given file.
-func configFields(path string) []string {
+// structFields returns the exported field names of the struct type name
+// declared in the given file.
+func structFields(path, name string) []string {
 	f := parse(path)
 	var fields []string
 	ast.Inspect(f, func(n ast.Node) bool {
 		ts, ok := n.(*ast.TypeSpec)
-		if !ok || ts.Name.Name != "Config" {
+		if !ok || ts.Name.Name != name {
 			return true
 		}
 		st, ok := ts.Type.(*ast.StructType)
@@ -115,7 +116,7 @@ func configFields(path string) []string {
 		return false
 	})
 	if len(fields) == 0 {
-		fmt.Fprintf(os.Stderr, "readmelint: no exported Config fields found in %s\n", path)
+		fmt.Fprintf(os.Stderr, "readmelint: no exported %s fields found in %s\n", name, path)
 		os.Exit(2)
 	}
 	return fields

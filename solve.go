@@ -5,7 +5,6 @@ import (
 
 	"ftla/internal/blas"
 	"ftla/internal/core"
-	"ftla/internal/hetsim"
 	"ftla/internal/lapack"
 	"ftla/internal/matrix"
 )
@@ -26,12 +25,11 @@ type CholeskyResult struct {
 // selects. CholeskyBatchOn with the one matrix runs it on a
 // caller-provided system instead.
 func Cholesky(a *Matrix, cfg Config) (*CholeskyResult, error) {
-	sc, err := cfg.platform()
+	sys, err := newSystem(cfg)
 	if err != nil {
 		return nil, err
 	}
-	_, opts := cfg.normalize()
-	out, res, err := core.Cholesky(hetsim.New(sc), a, opts)
+	out, res, err := core.Cholesky(sys, a, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -69,12 +67,11 @@ type LUResult struct {
 // LU computes the protected LU factorization with partial pivoting of a
 // on a fresh system; see Cholesky.
 func LU(a *Matrix, cfg Config) (*LUResult, error) {
-	sc, err := cfg.platform()
+	sys, err := newSystem(cfg)
 	if err != nil {
 		return nil, err
 	}
-	_, opts := cfg.normalize()
-	out, piv, res, err := core.LU(hetsim.New(sc), a, opts)
+	out, piv, res, err := core.LU(sys, a, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -129,12 +126,11 @@ type QRResult struct {
 // QR computes the protected Householder QR factorization of a on a fresh
 // system; see Cholesky.
 func QR(a *Matrix, cfg Config) (*QRResult, error) {
-	sc, err := cfg.platform()
+	sys, err := newSystem(cfg)
 	if err != nil {
 		return nil, err
 	}
-	_, opts := cfg.normalize()
-	out, tau, res, err := core.QR(hetsim.New(sc), a, opts)
+	out, tau, res, err := core.QR(sys, a, cfg)
 	if err != nil {
 		return nil, err
 	}
